@@ -42,6 +42,8 @@ class FiniteSet:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.shape[0] == 0:
             raise ValueError("finite set must be nonempty")
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite")
         pts = np.array(pts)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -58,6 +60,13 @@ class FiniteSet:
 # ---------------------------------------------------------------------------
 # scalarizations
 
+def _positive_weights(weights) -> np.ndarray:
+    w = np.asarray(weights, dtype=float)
+    if not (np.isfinite(w).all() and (w > 0).all()):
+        raise ValueError("weights must be finite and positive")
+    return w
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedMax:
     """f(t) = max_i w_i t_i, weights positive."""
@@ -65,10 +74,7 @@ class WeightedMax:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if (w <= 0).any():
-            raise ValueError("weights must be positive")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _positive_weights(self.weights))
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,10 +82,7 @@ class WeightedSum:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if (w <= 0).any():
-            raise ValueError("weights must be positive")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _positive_weights(self.weights))
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,12 +93,9 @@ class PowerSum:
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("power must be >= 1")
-        w = np.asarray(self.weights, dtype=float)
-        if (w <= 0).any():
-            raise ValueError("weights must be positive")
-        object.__setattr__(self, "weights", w)
+        if not (np.isfinite(self.p) and self.p >= 1):
+            raise ValueError("power must be finite and >= 1")
+        object.__setattr__(self, "weights", _positive_weights(self.weights))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +107,10 @@ class Composite:
     scale: float
 
     def __post_init__(self):
-        if self.power < 1 or self.scale <= 0:
-            raise ValueError("power must be >= 1 and scale positive")
+        if not (np.isfinite(self.power) and np.isfinite(self.scale)
+                and self.power >= 1 and self.scale > 0):
+            raise ValueError("power must be finite and >= 1, scale finite and "
+                             "positive")
 
 
 Scalarization = Union[WeightedMax, WeightedSum, PowerSum, Composite]
@@ -116,11 +118,6 @@ Scalarization = Union[WeightedMax, WeightedSum, PowerSum, Composite]
 
 def uniform_max(n: int) -> WeightedMax:
     return WeightedMax(np.ones(n))
-
-
-def weighted_max_inverse(weights) -> WeightedMax:
-    """The opposite weighting convention, max_i t_i / w_i."""
-    return WeightedMax(1.0 / np.asarray(weights, dtype=float))
 
 
 def f_value(f: Scalarization, t: np.ndarray) -> float:
@@ -365,7 +362,7 @@ def _lp_center(problem: CenterProblem, basis: np.ndarray) -> tuple[float, np.nda
     return float(out.value), basis @ alpha, out
 
 
-def _subgradient_center(problem: CenterProblem, basis: np.ndarray, seed: int,
+def _subgradient_center(problem: CenterProblem, basis: np.ndarray,
                         stages: int, iters_per_stage: int) -> tuple[float, np.ndarray, optim.SubgradientResult]:
     space, fs, f = problem.space, problem.points, problem.f
 
@@ -386,8 +383,7 @@ def _subgradient_center(problem: CenterProblem, basis: np.ndarray, seed: int,
     spread = np.linalg.norm(fs.points - centroid, axis=1).max(initial=0.0)
     scale = max(1.0, 2.0 * spread)
     res = optim.staged_subgradient(oracle, None, start, scale=scale,
-                                   stages=stages, iters_per_stage=iters_per_stage,
-                                   cfg=optim.SubgradientConfig(seed=seed))
+                                   stages=stages, iters_per_stage=iters_per_stage)
     return res.value, basis @ res.point, res
 
 
@@ -433,7 +429,7 @@ def solve_center(problem: CenterProblem, method: str = "auto", seed: int = 0,
         result_method = "lp"
     else:
         rad, minimizer, certificate = _subgradient_center(
-            problem, basis, seed, stages, iters_per_stage)
+            problem, basis, stages, iters_per_stage)
         face = None
         result_method = "subgradient"
 
@@ -570,13 +566,6 @@ def p1_modulus(problem: CenterProblem, deltas: Iterable[float],
     return curve
 
 
-def modulus_csv(curve) -> str:
-    lines = ["delta,excess,samples"]
-    for delta, excess, n in curve:
-        lines.append(f"{delta!r},{excess!r},{n}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # minimizing sequences
 
@@ -642,23 +631,6 @@ def sacp_experiment(problem: CenterProblem, sequence: Iterable[np.ndarray],
     verdict = "clusters found" if clusters else "no cluster within horizon"
     return SacpVerdict(minimizing, values, result.rad, clusters,
                        min_pairwise, verdict)
-
-
-def lipschitz_estimate(f: Scalarization, center, halfwidth: float,
-                       samples: int, seed: int) -> float:
-    """Empirical Lipschitz quotient of f (sup-metric on arguments) over a
-    sampled box clipped to the nonnegative orthant."""
-    center = np.asarray(center, dtype=float)
-    rng = np.random.default_rng(seed)
-    n = center.shape[0]
-    best = 0.0
-    for _ in range(samples):
-        a = np.clip(center + rng.uniform(-halfwidth, halfwidth, size=n), 0, None)
-        b = np.clip(center + rng.uniform(-halfwidth, halfwidth, size=n), 0, None)
-        gap = float(np.abs(a - b).max(initial=0.0))
-        if gap > 1e-12:
-            best = max(best, abs(f_value(f, a) - f_value(f, b)) / gap)
-    return best
 
 
 # ---------------------------------------------------------------------------

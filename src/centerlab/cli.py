@@ -16,6 +16,7 @@ computational failure, 3 reproduction assertion failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -160,7 +161,7 @@ def _write(text: str, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 # reproduction scenarios
 
-def _repro_c0(seed: int, tol: float) -> dict:
+def _repro_c0(seed: int) -> dict:
     report = new_report("repro", {"name": "c0-hyperplane-criteria",
                                   "seed": seed, "arithmetic": "exact rational"})
     data = instances.c0_scenario()
@@ -198,7 +199,7 @@ def _repro_c0(seed: int, tol: float) -> dict:
     return report
 
 
-def _repro_linf3(seed: int, tol: float) -> dict:
+def _repro_linf3(seed: int) -> dict:
     report = new_report("repro", {"name": "linf3-two-lines", "seed": seed})
     data = instances.linf3_scenario()
     space, x, family = data["space"], data["x"], data["family"]
@@ -226,7 +227,7 @@ def _repro_linf3(seed: int, tol: float) -> dict:
     return report
 
 
-def _repro_l1_lines(seed: int, tol: float) -> dict:
+def _repro_l1_lines(seed: int) -> dict:
     report = new_report("repro", {"name": "l1-shifted-basis", "seed": seed,
                                   "dimension": 50})
     model = instances.l1_lines_scenario(50)
@@ -261,7 +262,7 @@ def _repro_l1_lines(seed: int, tol: float) -> dict:
     return report
 
 
-def _repro_transfer(seed: int, tol: float) -> dict:
+def _repro_transfer(seed: int) -> dict:
     report = new_report("repro", {"name": "nested-ball-transfer", "seed": seed})
     data = instances.transfer_scenario()
     res = locally_constrained_transfer(data["space"], data["z1"], data["y"],
@@ -283,7 +284,7 @@ def _repro_transfer(seed: int, tol: float) -> dict:
     return report
 
 
-def _repro_composition(seed: int, tol: float) -> dict:
+def _repro_composition(seed: int) -> dict:
     report = new_report("repro", {"name": "sum-projection-composition",
                                   "seed": seed, "instances": 3})
     for idx in range(3):
@@ -303,7 +304,7 @@ def _repro_composition(seed: int, tol: float) -> dict:
     return report
 
 
-def _repro_esum(seed: int, tol: float) -> dict:
+def _repro_esum(seed: int) -> dict:
     report = new_report("repro", {"name": "esum-dominator", "seed": seed,
                                   "instances": 3})
     for idx in range(3):
@@ -320,7 +321,7 @@ def _repro_esum(seed: int, tol: float) -> dict:
     return report
 
 
-def _repro_three_ball(seed: int, tol: float) -> dict:
+def _repro_three_ball(seed: int) -> dict:
     report = new_report("repro", {"name": "three-ball-transfer", "seed": seed,
                                   "trials": 500, "eps": 1e-6})
     data = instances.mideal_scenarios()
@@ -344,7 +345,7 @@ def _repro_three_ball(seed: int, tol: float) -> dict:
     return report
 
 
-def _repro_lift(seed: int, tol: float) -> dict:
+def _repro_lift(seed: int) -> dict:
     report = new_report("repro", {"name": "sup-sum-lift", "seed": seed})
     data = instances.lift_scenario()
     res = lift_projection_linf_sum(data["base"], data["projection"],
@@ -358,7 +359,7 @@ def _repro_lift(seed: int, tol: float) -> dict:
     return report
 
 
-def _repro_decomposition(seed: int, tol: float) -> dict:
+def _repro_decomposition(seed: int) -> dict:
     report = new_report("repro", {"name": "min-sum-decomposition",
                                   "seed": seed, "samples": 40})
     data = instances.decomposition_scenario()
@@ -400,12 +401,19 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"cannot read instance file {path!r}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _malformed(what: str):
+    """Turn an error raised while parsing a file into a usage error."""
+    try:
+        yield
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise UsageError(f"malformed {what}: {exc}") from exc
+
+
 def cmd_center(args) -> tuple[dict, int]:
     data = _load_json(args.instance)
-    try:
+    with _malformed("center instance"):
         problem = problem_from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise UsageError(f"malformed center instance: {exc}") from exc
     report = new_report("center", {"instance": args.instance,
                                    "seed": args.seed, "tol": args.tol,
                                    "deltas": args.deltas})
@@ -480,7 +488,9 @@ def _parse_property_instance(kind: str, data: dict) -> dict:
 def cmd_property(args) -> tuple[dict, int]:
     kind = args.kind
     if args.instance is not None:
-        inst = _parse_property_instance(kind, _load_json(args.instance))
+        data = _load_json(args.instance)
+        with _malformed("property instance"):
+            inst = _parse_property_instance(kind, data)
     else:
         inst = _default_property_instance(kind)
     report = new_report("property", {"kind": kind, "instance": args.instance,
@@ -506,8 +516,8 @@ def cmd_property(args) -> tuple[dict, int]:
     elif kind == "ac":
         res = ac_dominator(space, sub, inst["points"], inst["x"])
         report["verdicts"] = {"status": res.status}
-        if res.dominator is not None:
-            report["verdicts"]["dominator"] = res.dominator
+        if res.status == geometry.FEASIBLE:
+            report["verdicts"]["dominator"] = res.witness
         if res.status == geometry.INFEASIBLE:
             report["verdicts"]["certificate_ok"] = optim.verify_farkas(
                 res.lp, res.outcome.farkas_ub, res.outcome.farkas_eq)
@@ -542,15 +552,16 @@ def cmd_property(args) -> tuple[dict, int]:
 
 def cmd_replay(args) -> tuple[dict, int]:
     data = _load_json(args.file)
-    payload = data.get("counterexample", data)
-    if "family" not in payload:
-        # walk report verdicts for an embedded counterexample
-        payload = data.get("verdicts", {}).get("counterexample")
-        if payload is None:
-            raise UsageError("no replayable counterexample in file")
-    space = norms.norm_from_json(payload["space"])
-    sub = norms.subspace_from_json(payload["subspace"])
-    family = family_from_json(payload["family"])
+    with _malformed("counterexample"):
+        payload = data.get("counterexample", data)
+        if "family" not in payload:
+            # walk report verdicts for an embedded counterexample
+            payload = data.get("verdicts", {}).get("counterexample")
+            if payload is None:
+                raise UsageError("no replayable counterexample in file")
+        space = norms.norm_from_json(payload["space"])
+        sub = norms.subspace_from_json(payload["subspace"])
+        family = family_from_json(payload["family"])
     res = balls_intersect(space, family, sub)
     report = new_report("replay", {"file": args.file,
                                    "seed": args.seed})
@@ -582,7 +593,7 @@ def cmd_repro(args) -> tuple[dict, int]:
                   "instance": instances.scenario_dump(args.name),
                   "checks": [], "verdicts": {}, "notes": []}
         return report, EXIT_OK
-    report = SCENARIOS[args.name](args.seed, args.tol)
+    report = SCENARIOS[args.name](args.seed)
     code = EXIT_OK if all(c["pass"] for c in report["checks"]) else EXIT_ASSERT
     if code == EXIT_ASSERT:
         report["notes"].append("assertion failure: expected vs computed "
@@ -596,11 +607,13 @@ def build_parser() -> _Parser:
                                  "diagnostics in finite-dimensional normed spaces")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p):
+    def common(p, tol: bool = False, trials: bool = False):
         p.add_argument("--seed", type=int,
                        default=int(os.environ.get("CENTERLAB_SEED", "0")))
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--trials", type=int, default=200)
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-9)
+        if trials:
+            p.add_argument("--trials", type=int, default=200)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "csv", "md"),
                        default="json")
@@ -609,13 +622,13 @@ def build_parser() -> _Parser:
     p_center.add_argument("instance")
     p_center.add_argument("--deltas", type=float, nargs="+",
                           default=[0.1, 0.01, 0.001])
-    common(p_center)
+    common(p_center, tol=True)
 
     p_prop = sub.add_parser("property", help="run a subspace property checker")
     p_prop.add_argument("kind", choices=("central", "ac", "almost-constrained",
                                          "mideal"))
     p_prop.add_argument("instance", nargs="?", default=None)
-    common(p_prop)
+    common(p_prop, tol=True, trials=True)
 
     p_repro = sub.add_parser("repro", help="run a built-in reproduction")
     p_repro.add_argument("name", nargs="?", default=None)

@@ -201,52 +201,18 @@ def central_subspace_check(space, sub: Subspace, trials: int, seed: int,
 # ---------------------------------------------------------------------------
 # dominators
 
-@dataclass(frozen=True, eq=False)
-class DominatorResult:
-    status: str
-    dominator: np.ndarray | None
-    lp: optim.LinearProgram | None
-    outcome: object
-
-
-def ac_dominator(space, sub: Subspace, a_points, x) -> DominatorResult:
+def ac_dominator(space, sub: Subspace, a_points, x) -> IntersectionResult:
     """Find y in the subspace with ||y - a|| <= ||x - a|| for every a in the
-    finite set, or certify that none exists (polyhedral norms)."""
+    finite set, or certify that none exists (polyhedral norms): the balls
+    around the points with radii ||x - a|| must meet in the subspace, and the
+    witness is the dominator."""
     a_points = np.atleast_2d(np.asarray(a_points, dtype=float))
     x = np.asarray(x, dtype=float)
     for a in a_points:
         if not sub.contains(a, tol=1e-7):
             raise ValueError("reference points must lie in the subspace")
     caps = eval_norm_many(space, x[None, :] - a_points)
-
-    if norms.is_lp_encodable(space):
-        builder = optim.LpBuilder()
-        alphas = builder.new_vars(sub.dim)
-        tvars = builder.new_vars(a_points.shape[0])
-        for i, a in enumerate(a_points):
-            norms.add_norm_epigraph(builder, space, alphas, np.array(sub.basis),
-                                    -a, tvars[i])
-            builder.add_ub({tvars[i]: 1.0}, float(caps[i]))
-        lp = builder.build()
-        out = optim.lp_solve(lp)
-        if out.status == optim.OPTIMAL:
-            return DominatorResult(FEASIBLE, sub.embed(out.x[:sub.dim]), lp, out)
-        if out.status == optim.INFEASIBLE:
-            return DominatorResult(INFEASIBLE, None, lp, out)
-        raise OptimizationError(f"dominator LP ended with {out.status}")
-
-    def oracle(alpha):
-        y = sub.embed(alpha)
-        vals = eval_norm_many(space, y[None, :] - a_points) - caps
-        j = int(np.argmax(vals))
-        g = norm_subgradient(space, y - a_points[j])
-        return float(vals[j]), sub.basis.T @ g
-
-    res = optim.staged_subgradient(oracle, None, sub.coords(x),
-                                   scale=max(1.0, float(caps.max(initial=1.0))))
-    if res.value <= FEAS_TOL * max(1.0, float(caps.max(initial=1.0))):
-        return DominatorResult(FEASIBLE, sub.embed(res.point), None, res)
-    return DominatorResult(UNRESOLVED, None, None, res)
+    return balls_intersect(space, BallFamily.from_arrays(a_points, caps), sub)
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +246,6 @@ class ProjectionData:
         if not self.subspace.contains(y, tol=1e-6):
             raise ValueError("vector outside span{transversal, subspace}")
         return alpha, y
-
-    def span_contains(self, v, tol: float = 1e-7) -> bool:
-        try:
-            self.decompose(v)
-            return True
-        except ValueError:
-            return False
 
     def apply(self, v) -> np.ndarray:
         alpha, y = self.decompose(v)
@@ -413,10 +372,10 @@ def almost_constrained_probe(space, sub: Subspace, x, seed: int = 0,
         if res.status == UNRESOLVED:
             return NetProbeResult("inconclusive", None, np.array(net), None,
                                   round_no + 1)
-        pd = ProjectionData(sub, x, res.dominator)
+        pd = ProjectionData(sub, x, res.witness)
         verdict = verify_norm1_projection(space, pd, seed=seed + round_no)
         if verdict.accepted:
-            return NetProbeResult("candidate", res.dominator, np.array(net),
+            return NetProbeResult("candidate", res.witness, np.array(net),
                                   verdict, round_no + 1)
         if verdict.witness is not None:
             net.append(-verdict.witness)
@@ -546,7 +505,7 @@ def _lift_subspace(parts: Sequence[Subspace], n_total: int,
         else Subspace.zero(n_total)
 
 
-def compose_direct_sum_projections(space: norms.DirectSumNorm,
+def compose_direct_sum_projections(space: norms.SumNorm,
                                    pairs: Sequence[tuple[ProjectionData, ProjectionData]],
                                    z0, samples: int = 10_000, seed: int = 0,
                                    verify_components: bool = True) -> tuple:
@@ -600,7 +559,7 @@ def compose_direct_sum_projections(space: norms.DirectSumNorm,
     return composed_p, composed_q, report
 
 
-def esum_dominator(space: norms.ESumNorm, y_components: Sequence[Subspace],
+def esum_dominator(space: norms.SumNorm, y_components: Sequence[Subspace],
                    x, a_points, component_oracle: Callable | None = None
                    ) -> tuple[np.ndarray, dict]:
     """Assemble a dominator in a monotone sum from componentwise dominators.
@@ -626,7 +585,7 @@ def esum_dominator(space: norms.ESumNorm, y_components: Sequence[Subspace],
             if res.status != FEASIBLE:
                 raise OptimizationError(
                     f"component {idx} produced no dominator ({res.status})")
-            y_n = res.dominator
+            y_n = res.witness
         y[sl] = y_n
         comp_bounds.append((eval_norm(comp, y_n), eval_norm(comp, x[sl])))
     lhs = eval_norm_many(space, y[None, :] - a_points)
@@ -644,7 +603,7 @@ def esum_dominator(space: norms.ESumNorm, y_components: Sequence[Subspace],
 
 @dataclass(frozen=True, eq=False)
 class LiftResult:
-    space: norms.DirectSumNorm
+    space: norms.SumNorm
     matrix: np.ndarray
     checks: dict
     central: CentralVerdict | None
@@ -831,26 +790,3 @@ def gamma_estimate(space, y_sub: Subspace, z_sub: Subspace, samples: int,
         worst = max(worst, dec.ratio)
     return worst
 
-
-def projection_contraction_check(space, p_matrix, y_sub: Subspace, trials: int,
-                                 seed: int) -> tuple[bool, dict | None]:
-    """Range-of-projection pattern: for sampled families with centers in the
-    range feasible in the whole space, the projected witness lies in every
-    ball."""
-    p_matrix = np.asarray(p_matrix, dtype=float)
-    n = norms.space_dim(space)
-    rng = np.random.default_rng(seed)
-    for trial in range(trials):
-        k = int(rng.integers(2, 5))
-        w = rng.normal(size=n) * 1.5
-        centers = (y_sub.basis @ rng.normal(size=(y_sub.dim, k)) * 1.5).T
-        radii = eval_norm_many(space, w[None, :] - centers) * \
-            (1.0 + rng.uniform(0.0, 0.2, size=k))
-        res = balls_intersect(space, BallFamily.from_arrays(centers, radii))
-        if res.status != FEASIBLE:
-            return False, {"trial": trial, "reason": "generator failed"}
-        proj = p_matrix @ res.witness
-        gaps = eval_norm_many(space, proj[None, :] - centers) - radii
-        if gaps.max(initial=0.0) > 1e-9 * max(1.0, float(radii.max())):
-            return False, {"trial": trial, "witness": res.witness, "proj": proj}
-    return True, None

@@ -1,12 +1,12 @@
 """Finite-dimensional normed spaces and their subspace geometry.
 
-A norm is one of four variants: a polyhedral norm (max over a symmetric
-generator set of linear functionals), a p-norm, a direct sum gluing component
-norms with a nondecreasing polyhedral norm on the orthant, or a monotone-sum
-("E-sum") gluing with either a monotone polyhedral norm or a weighted p-norm
-on the component-norm weights.  Everything polyhedral reduces to linear
-programming through the epigraph encoder at the bottom of the module; the
-remaining cases go through subgradients.
+A norm is one of three variants: a polyhedral norm (max over a symmetric
+generator set of linear functionals), a p-norm, or a sum gluing component
+norms with a monotone combiner on the component-norm values.  The combiner is
+either a nondecreasing polyhedral norm on the orthant (a direct sum) or a
+weighted p-norm (an "E-sum"); both are one `SumNorm`.  Everything polyhedral
+reduces to linear programming through the epigraph encoder at the bottom of
+the module; the remaining cases go through subgradients.
 
 Vectors are plain numpy arrays.  All norm and subspace objects are immutable
 after construction and every operation is a pure function.
@@ -78,20 +78,18 @@ class WeightedLpNorm:
         return self.weights.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class DirectSumNorm:
-    components: tuple
-    pi: MonotonePolyhedralNorm
-
-
-@dataclass(frozen=True, eq=False)
-class ESumNorm:
-    components: tuple
-    e_norm: Union[MonotonePolyhedralNorm, WeightedLpNorm]
-
-
-NormSpec = Union[PolyhedralNorm, LpNorm, DirectSumNorm, ESumNorm]
 WeightNorm = Union[MonotonePolyhedralNorm, WeightedLpNorm]
+
+
+@dataclass(frozen=True, eq=False)
+class SumNorm:
+    """||x|| = combiner(||x_1||, ..., ||x_k||) over the component slices."""
+
+    components: tuple
+    combiner: WeightNorm
+
+
+NormSpec = Union[PolyhedralNorm, LpNorm, SumNorm]
 
 
 def polyhedral(generators, symmetrize: bool = True) -> PolyhedralNorm:
@@ -161,34 +159,27 @@ def weighted_lp(p, weights) -> WeightedLpNorm:
     return WeightedLpNorm(p, _frozen(w))
 
 
-def make_direct_sum(components, pi: MonotonePolyhedralNorm) -> DirectSumNorm:
-    components = tuple(components)
-    if pi.dim != len(components):
-        raise DimensionMismatchError("combiner dimension must equal component count")
-    report = validate_norm(pi)
-    if not report.ok:
-        raise InvalidNormError(f"combiner failed validation: {report.failures}")
-    return DirectSumNorm(components, pi)
+def make_direct_sum(components, pi: MonotonePolyhedralNorm) -> SumNorm:
+    if not isinstance(pi, MonotonePolyhedralNorm):
+        raise InvalidNormError("direct sum combiner must be monotone polyhedral")
+    return make_esum(components, pi)
 
 
-def make_esum(components, e_norm: WeightNorm) -> ESumNorm:
+def make_esum(components, e_norm: WeightNorm) -> SumNorm:
     components = tuple(components)
     if e_norm.dim != len(components):
-        raise DimensionMismatchError("weight norm dimension must equal component count")
+        raise DimensionMismatchError("combiner dimension must equal component count")
     report = validate_norm(e_norm)
     if not report.ok:
-        raise InvalidNormError(f"weight norm failed validation: {report.failures}")
-    return ESumNorm(components, e_norm)
+        raise InvalidNormError(f"combiner failed validation: {report.failures}")
+    return SumNorm(components, e_norm)
 
 
 def space_dim(space) -> int:
-    if isinstance(space, (PolyhedralNorm, MonotonePolyhedralNorm)):
+    if isinstance(space, (PolyhedralNorm, MonotonePolyhedralNorm, LpNorm,
+                          WeightedLpNorm)):
         return space.dim
-    if isinstance(space, (LpNorm,)):
-        return space.dim
-    if isinstance(space, WeightedLpNorm):
-        return space.dim
-    if isinstance(space, (DirectSumNorm, ESumNorm)):
+    if isinstance(space, SumNorm):
         return sum(space_dim(c) for c in space.components)
     raise TypeError(f"not a norm spec: {type(space)!r}")
 
@@ -231,11 +222,10 @@ def eval_norm(space, x) -> float:
         if space.p == 1:
             return float(np.abs(x).sum())
         return float((np.abs(x) ** space.p).sum() ** (1.0 / space.p))
-    if isinstance(space, (DirectSumNorm, ESumNorm)):
+    if isinstance(space, SumNorm):
         t = np.array([eval_norm(c, x[sl])
                       for c, sl in zip(space.components, component_slices(space))])
-        combiner = space.pi if isinstance(space, DirectSumNorm) else space.e_norm
-        return eval_weight_norm(combiner, t)
+        return eval_weight_norm(space.combiner, t)
     raise TypeError(f"not a norm spec: {type(space)!r}")
 
 
@@ -254,11 +244,11 @@ def eval_norm_many(space, xs: np.ndarray) -> np.ndarray:
         if space.p == 1:
             return np.abs(xs).sum(axis=1)
         return (np.abs(xs) ** space.p).sum(axis=1) ** (1.0 / space.p)
-    if isinstance(space, (DirectSumNorm, ESumNorm)):
+    if isinstance(space, SumNorm):
         cols = [eval_norm_many(c, xs[:, sl])
                 for c, sl in zip(space.components, component_slices(space))]
         t = np.column_stack(cols)
-        combiner = space.pi if isinstance(space, DirectSumNorm) else space.e_norm
+        combiner = space.combiner
         if isinstance(combiner, MonotonePolyhedralNorm):
             return (t @ combiner.generators.T).max(axis=1)
         if np.isinf(combiner.p):
@@ -300,11 +290,10 @@ def norm_subgradient(space, x) -> np.ndarray:
         if nrm == 0:
             return np.zeros_like(x)
         return np.sign(x) * np.abs(x) ** (space.p - 1.0) * nrm ** (1.0 - space.p)
-    if isinstance(space, (DirectSumNorm, ESumNorm)):
+    if isinstance(space, SumNorm):
         slices = component_slices(space)
         t = np.array([eval_norm(c, x[sl]) for c, sl in zip(space.components, slices)])
-        combiner = space.pi if isinstance(space, DirectSumNorm) else space.e_norm
-        h = _weight_norm_subgradient(combiner, t)
+        h = _weight_norm_subgradient(space.combiner, t)
         g = np.zeros_like(x)
         for i, (c, sl) in enumerate(zip(space.components, slices)):
             if h[i] != 0:
@@ -376,8 +365,8 @@ def validate_norm(space, samples: int = 300, seed: int = 0) -> ValidationReport:
     elif isinstance(space, LpNorm):
         if space.p < 1:
             failures.append(("p >= 1", space.p))
-    elif isinstance(space, (DirectSumNorm, ESumNorm)):
-        combiner = space.pi if isinstance(space, DirectSumNorm) else space.e_norm
+    elif isinstance(space, SumNorm):
+        combiner = space.combiner
         if combiner.dim != len(space.components):
             failures.append(("combiner dimension", combiner.dim))
         sub = validate_norm(combiner, samples, seed)
@@ -416,8 +405,8 @@ def explicit_generators(space, cap: int = 100_000) -> np.ndarray:
                                          indexing="ij")).reshape(space.dim, -1).T
             return signs
         raise InvalidNormError(f"p = {space.p} norm is not polyhedral")
-    if isinstance(space, (DirectSumNorm, ESumNorm)):
-        combiner = space.pi if isinstance(space, DirectSumNorm) else space.e_norm
+    if isinstance(space, SumNorm):
+        combiner = space.combiner
         if isinstance(combiner, MonotonePolyhedralNorm):
             outer = np.array(combiner.generators)
         elif combiner.p == 1:
@@ -456,8 +445,8 @@ def is_lp_encodable(space) -> bool:
         return True
     if isinstance(space, LpNorm):
         return space.dim == 1 or space.p == 1 or np.isinf(space.p)
-    if isinstance(space, (DirectSumNorm, ESumNorm)):
-        combiner = space.pi if isinstance(space, DirectSumNorm) else space.e_norm
+    if isinstance(space, SumNorm):
+        combiner = space.combiner
         if isinstance(combiner, WeightedLpNorm):
             if not (combiner.p == 1 or np.isinf(combiner.p) or combiner.dim == 1):
                 return False
@@ -503,8 +492,8 @@ def add_norm_epigraph(builder: optim.LpBuilder, space, cols, mat: np.ndarray,
             builder.add_ub({**{s: 1.0 for s in svars}, bound: -1.0}, 0.0)
             return
         raise InvalidNormError(f"p = {space.p} norm has no LP epigraph")
-    if isinstance(space, (DirectSumNorm, ESumNorm)):
-        combiner = space.pi if isinstance(space, DirectSumNorm) else space.e_norm
+    if isinstance(space, SumNorm):
+        combiner = space.combiner
         tvars = builder.new_vars(len(space.components))
         for comp, sl, tv in zip(space.components, component_slices(space), tvars):
             add_norm_epigraph(builder, comp, cols, mat[sl], off[sl], tv)
@@ -746,29 +735,32 @@ def norm_to_json(space) -> dict:
         return {"kind": "polyhedral", "generators": space.generators.tolist()}
     if isinstance(space, LpNorm):
         return {"kind": "lp", "p": _p_to_json(space.p), "dim": space.dim}
-    if isinstance(space, DirectSumNorm):
-        return {"kind": "direct_sum",
+    if isinstance(space, SumNorm):
+        # a monotone polyhedral combiner is written as a direct sum, any other
+        # as an E-sum; both kinds load back to the same SumNorm
+        kind, key = (("direct_sum", "pi")
+                     if isinstance(space.combiner, MonotonePolyhedralNorm)
+                     else ("esum", "e_norm"))
+        return {"kind": kind,
                 "components": [norm_to_json(c) for c in space.components],
-                "pi": weight_norm_to_json(space.pi)}
-    if isinstance(space, ESumNorm):
-        return {"kind": "esum",
-                "components": [norm_to_json(c) for c in space.components],
-                "e_norm": weight_norm_to_json(space.e_norm)}
+                key: weight_norm_to_json(space.combiner)}
     raise TypeError(f"not a norm spec: {type(space)!r}")
 
 
 def norm_from_json(data: dict):
     kind = data["kind"]
     if kind == "polyhedral":
-        return polyhedral(data["generators"])
+        space = polyhedral(data["generators"])
+        # a seminorm is refused by rank alone; a full validate_norm would add
+        # sampled evaluations to every parse
+        if np.linalg.matrix_rank(space.generators) < space.dim:
+            raise InvalidNormError("polyhedral generators do not span the space")
+        return space
     if kind == "lp":
         return lp_norm(_p_from_json(data["p"]), int(data["dim"]))
     if kind == "direct_sum":
         comps = [norm_from_json(c) for c in data["components"]]
-        pi = weight_norm_from_json(data["pi"])
-        if not isinstance(pi, MonotonePolyhedralNorm):
-            raise InvalidNormError("direct sum combiner must be monotone polyhedral")
-        return make_direct_sum(comps, pi)
+        return make_direct_sum(comps, weight_norm_from_json(data["pi"]))
     if kind == "esum":
         comps = [norm_from_json(c) for c in data["components"]]
         return make_esum(comps, weight_norm_from_json(data["e_norm"]))

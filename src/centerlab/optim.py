@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -140,22 +140,6 @@ class LpOutcome:
     ray: np.ndarray | None = None
     iterations: int = 0
     message: str = ""
-
-
-def lp_to_json(lp: LinearProgram) -> dict:
-    return {
-        "schema": 1,
-        "objective": lp.objective.tolist(),
-        "a_ub": lp.a_ub.tolist(),
-        "b_ub": lp.b_ub.tolist(),
-        "a_eq": lp.a_eq.tolist(),
-        "b_eq": lp.b_eq.tolist(),
-    }
-
-
-def lp_from_json(data: dict) -> LinearProgram:
-    return make_lp(data["objective"], data["a_ub"], data["b_ub"],
-                   data["a_eq"], data["b_eq"])
 
 
 def _pivot(t: np.ndarray, row: int, col: int) -> None:
@@ -337,10 +321,6 @@ def _primal_feasible(lp: LinearProgram, x: np.ndarray, tol: float = FEAS_TOL) ->
     return True
 
 
-def verify_feasible(lp: LinearProgram, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
-    return _primal_feasible(lp, x, tol)
-
-
 def verify_farkas(lp: LinearProgram, lam: np.ndarray, mu: np.ndarray,
                   tol: float = FEAS_TOL) -> bool:
     """Check that (lam, mu) prove infeasibility: lam >= 0, the combination of
@@ -482,7 +462,6 @@ class SubgradientConfig:
     step_b: float = 10.0
     tol: float = 1e-9
     patience: int = 250
-    seed: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -608,7 +587,7 @@ def staged_subgradient(oracle: Callable[[np.ndarray], tuple[float, np.ndarray]],
     for _ in range(stages):
         stage_cfg = SubgradientConfig(max_iter=iters_per_stage, step_a=step_a,
                                       step_b=cfg.step_b, tol=cfg.tol,
-                                      patience=cfg.patience, seed=cfg.seed)
+                                      patience=cfg.patience)
         res = subgradient_minimize(oracle, project, best_x, stage_cfg)
         traces.append(res.trace)
         iterations += res.iterations
@@ -628,17 +607,3 @@ def staged_subgradient(oracle: Callable[[np.ndarray], tuple[float, np.ndarray]],
     return SubgradientResult(best_v, best_x, np.concatenate(traces),
                              converged, iterations)
 
-
-def sampled_convexity_check(fun: Callable[[np.ndarray], float], center: np.ndarray,
-                            radius: float, pairs: int, seed: int) -> tuple[bool, tuple | None]:
-    """Midpoint-inequality smoke test on random pairs inside a box."""
-    rng = np.random.default_rng(seed)
-    dim = center.shape[0]
-    for _ in range(pairs):
-        u = center + radius * rng.uniform(-1, 1, size=dim)
-        v = center + radius * rng.uniform(-1, 1, size=dim)
-        lhs = fun(0.5 * (u + v))
-        rhs = 0.5 * (fun(u) + fun(v))
-        if lhs > rhs + 1e-7 * max(1.0, abs(rhs)):
-            return False, (u, v)
-    return True, None

@@ -13,8 +13,6 @@ from centerlab.centers import (
     delta_center_probe,
     eval_rf,
     f_value,
-    lipschitz_estimate,
-    modulus_csv,
     p1_modulus,
     problem_from_json,
     problem_to_json,
@@ -192,9 +190,6 @@ def test_modulus_curve_monotone_and_vanishing():
     excesses = [row[1] for row in curve]
     assert all(excesses[i] >= excesses[i + 1] - 1e-9 for i in range(len(curve) - 1))
     assert excesses[-1] <= 1e-7
-    csv = modulus_csv(curve)
-    assert csv.splitlines()[0] == "delta,excess,samples"
-    assert len(csv.splitlines()) == len(curve) + 1
 
 
 def test_sacp_constant_sequence_single_cluster():
@@ -250,16 +245,6 @@ def test_validate_fcmc_families():
         l2(2), None, FiniteSet([[1.0, 0.0], [-1.0, 0.0]]), comp)).rad == \
         pytest.approx(0.5, abs=1e-6)
 
-
-def test_lipschitz_estimate_finite_and_stable():
-    f = WeightedSum(np.array([1.0, 3.0]))
-    center = np.array([2.0, 2.0])
-    coarse = lipschitz_estimate(f, center, 1.0, samples=200, seed=0)
-    fine = lipschitz_estimate(f, center, 1.0, samples=2000, seed=1)
-    assert np.isfinite(coarse) and np.isfinite(fine)
-    # exact Lipschitz constant in the sup metric is 1 + 3 = 4
-    assert fine == pytest.approx(4.0, rel=0.15)
-    assert abs(fine - coarse) <= 0.5
 
 
 def test_power_sum_lp_when_p_equals_one():

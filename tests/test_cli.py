@@ -7,6 +7,15 @@ from centerlab import cli
 from centerlab.cli import EXIT_ASSERT, EXIT_OK, EXIT_USAGE, SCENARIOS, main
 
 
+README_INSTANCE = {
+    "schema": 1,
+    "space": {"kind": "lp", "p": "inf", "dim": 3},
+    "subspace": {"basis": [[1, 0, -1], [0, 1, -1]]},
+    "points": [[-2, 1, 1], [1, 1, -2], [1, -2, 1]],
+    "f": {"kind": "max"},
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -88,6 +97,41 @@ def test_center_malformed_instance(tmp_path, capsys):
     path2 = tmp_path / "bad2.json"
     path2.write_text(json.dumps({"schema": 1, "space": {"kind": "lp"}}))
     assert main(["center", str(path2)]) == EXIT_USAGE
+    nan_point = json.loads(json.dumps(README_INSTANCE))
+    nan_point["points"][1][2] = float("nan")
+    nan_weight = dict(README_INSTANCE,
+                      f={"kind": "weighted_max", "weights": [1.0, float("nan"), 1.0]})
+    seminorm = {"schema": 1,
+                "space": {"kind": "polyhedral",
+                          "generators": [[1, 0, 0], [-1, 0, 0],
+                                         [0, 1, 0], [0, -1, 0]]},
+                "subspace": None, "points": [[0, 0, 0], [2, 0, 5]],
+                "f": {"kind": "max"}}
+    bad_property = tmp_path / "prop.json"
+    bad_property.write_text(json.dumps(
+        {"space": {"kind": "lp", "p": "inf", "dim": 3}}))
+    bad_replay = tmp_path / "replay.json"
+    bad_replay.write_text(json.dumps(
+        {"family": {"centers": [[0, 0, 0]], "radii": [1.0]}}))
+    capsys.readouterr()
+    for idx, inst in enumerate((nan_point, nan_weight, seminorm)):
+        bad = tmp_path / f"bad{idx + 3}.json"
+        bad.write_text(json.dumps(inst))
+        assert main(["center", str(bad)]) == EXIT_USAGE
+    assert main(["property", "central", str(bad_property)]) == EXIT_USAGE
+    assert main(["replay", str(bad_replay)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert all(line.startswith("centerlab: ")
+               for line in captured.err.splitlines())
+    assert len(captured.err.splitlines()) == 5
+
+
+def test_ignored_flags_are_gone(capsys):
+    assert main(["repro", "linf3-two-lines", "--tol", "5"]) == EXIT_USAGE
+    assert main(["replay", "x", "--trials", "3"]) == EXIT_USAGE
+    assert main(["center", "x", "--trials", "3"]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 def test_property_defaults(capsys):
@@ -166,7 +210,7 @@ def test_env_seed_default(capsys, monkeypatch):
 
 
 def test_failing_scenario_exits_3(capsys, monkeypatch):
-    def broken(seed, tol):
+    def broken(seed):
         report = cli.new_report("repro", {"name": "broken", "seed": seed})
         report["checks"].append(cli.check("always false", 1.0, 2.0, tol=1e-9,
                                           oracle="identity"))

@@ -21,7 +21,6 @@ from centerlab.geometry import (
     locally_constrained_transfer,
     locally_constrained_verify,
     mideal_three_ball_check,
-    projection_contraction_check,
     verify_norm1_projection,
 )
 from centerlab.norms import (
@@ -131,7 +130,7 @@ def test_ac_dominator_singleton_and_self():
     res = ac_dominator(space, y, [a], np.array([2.0, 1.0, 0.0]))
     assert res.status == geometry.FEASIBLE
     cap = norms.eval_norm(space, np.array([2.0, 1.0, 0.0]) - a)
-    assert norms.eval_norm(space, res.dominator - a) <= cap + 1e-9
+    assert norms.eval_norm(space, res.witness - a) <= cap + 1e-9
 
 
 def test_ac_dominator_reference_counterexample():
@@ -507,14 +506,6 @@ def test_gamma_estimate_at_least_one():
     z = subspace_from_basis(3, [[0.0, 1.0, -1.0]])
     gamma = gamma_estimate(space, y, z, samples=30, seed=3)
     assert gamma >= 1.0 - 1e-9
-
-
-def test_projection_contraction_pattern():
-    space = linf(3)
-    y = subspace_from_basis(3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    p = np.diag([1.0, 1.0, 0.0])
-    ok, detail = projection_contraction_check(space, p, y, trials=60, seed=11)
-    assert ok, detail
 
 
 def test_family_json_roundtrip():

@@ -387,6 +387,7 @@ def test_json_roundtrip_norms():
         polyhedral([[1, 1], [1, -1], [-1, -1], [-1, 1]], symmetrize=False),
         make_direct_sum([l1(2), linf(2)], max_combiner(2)),
         make_esum([l1(1), l2(2)], weighted_lp(np.inf, [1.0, 2.0])),
+        make_esum([l2(2), linf(1)], monotone_polyhedral([[1.0, 0.5], [0.3, 1.0]])),
     ]
     rng = np.random.default_rng(1)
     for space in spaces:
@@ -394,6 +395,21 @@ def test_json_roundtrip_norms():
         for _ in range(10):
             x = rng.normal(size=norms.space_dim(space))
             assert eval_norm(back, x) == pytest.approx(eval_norm(space, x), abs=1e-12)
+    # an E-sum with a monotone polyhedral weight norm is the same norm as the
+    # direct sum with that combiner, and is written as one
+    assert norm_to_json(spaces[-1])["kind"] == "direct_sum"
+    assert norm_to_json(spaces[-2])["kind"] == "esum"
+
+
+def test_direct_sum_rejects_weighted_lp_combiner():
+    with pytest.raises(InvalidNormError):
+        make_direct_sum([l1(1), l1(1)], weighted_lp(2, [1.0, 1.0]))
+
+
+def test_json_refuses_polyhedral_seminorm():
+    gens = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]]
+    with pytest.raises(InvalidNormError):
+        norm_from_json({"kind": "polyhedral", "generators": gens})
 
 
 def test_json_roundtrip_subspace():

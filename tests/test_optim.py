@@ -11,10 +11,8 @@ from centerlab.optim import (
     lp_solve,
     lp_solve_lex,
     make_lp,
-    sampled_convexity_check,
     subgradient_minimize,
     verify_farkas,
-    verify_feasible,
     verify_optimal,
 )
 
@@ -130,7 +128,7 @@ def test_optimal_point_satisfies_constraints():
         lp = make_lp(rng.normal(size=3), a_ub=a, b_ub=b)
         out = lp_solve(lp)
         assert out.status == optim.OPTIMAL
-        assert verify_feasible(lp, out.x)
+        assert verify_optimal(lp, out)
 
 
 def test_lex_refinement_picks_smallest_vertex():
@@ -211,26 +209,6 @@ def test_subgradient_agrees_with_lp_on_polyhedral_instance():
 
     res = optim.staged_subgradient(oracle, None, np.array([2.0, -3.0]), scale=4.0)
     assert res.value == pytest.approx(out.value, abs=1e-4)
-
-
-def test_sampled_convexity_check():
-    ok, _ = sampled_convexity_check(lambda v: float(np.abs(v).sum()),
-                                    np.zeros(2), 2.0, 100, seed=3)
-    assert ok
-    bad, witness = sampled_convexity_check(lambda v: -float(v @ v),
-                                           np.zeros(2), 2.0, 100, seed=3)
-    assert not bad and witness is not None
-
-
-def test_lp_json_roundtrip():
-    lp = make_lp([1.0, -2.0], a_ub=[[1.0, 0.0]], b_ub=[3.0],
-                 a_eq=[[1.0, 1.0]], b_eq=[1.0])
-    back = optim.lp_from_json(optim.lp_to_json(lp))
-    assert np.array_equal(back.objective, lp.objective)
-    assert np.array_equal(back.a_ub, lp.a_ub)
-    assert np.array_equal(back.a_eq, lp.a_eq)
-    out1, out2 = lp_solve(lp), lp_solve(back)
-    assert out1.status == out2.status and out1.value == out2.value
 
 
 def test_breakdown_not_reported_for_good_instances():
