@@ -182,24 +182,26 @@ def validate_fcmc(f: Scalarization, samples: int = 150, seed: int = 0) -> dict:
     """Sampled membership check: monotone, convex (midpoint), coercive.
 
     Sampling can refute but not prove membership; counts and seed are
-    recorded so the check is reproducible.
+    recorded so the check is reproducible.  The monotone and convex checks
+    each draw one (samples, 2, n) block of uniforms and report the first
+    failing sample.
     """
     n = f_arity(f)
     rng = np.random.default_rng(seed)
     failures = []
-    for _ in range(samples):
-        t1 = rng.uniform(0, 5, size=n)
-        t2 = t1 + rng.uniform(0, 3, size=n)
-        if f_value(f, t1) > f_value(f, t2) + 1e-9:
-            failures.append(("monotone", t1, t2))
-            break
-    for _ in range(samples):
-        t1 = rng.uniform(0, 5, size=n)
-        t2 = rng.uniform(0, 5, size=n)
-        mid = f_value(f, 0.5 * (t1 + t2))
-        if mid > 0.5 * (f_value(f, t1) + f_value(f, t2)) + 1e-9:
-            failures.append(("convex", t1, t2))
-            break
+    draws = rng.random((samples, 2, n))
+    t1 = 5.0 * draws[:, 0]
+    t2 = t1 + 3.0 * draws[:, 1]
+    bad = np.flatnonzero(f_value_many(f, t1) > f_value_many(f, t2) + 1e-9)
+    if bad.size:
+        failures.append(("monotone", t1[bad[0]], t2[bad[0]]))
+    draws = 5.0 * rng.random((samples, 2, n))
+    t1, t2 = draws[:, 0], draws[:, 1]
+    mid = f_value_many(f, 0.5 * (t1 + t2))
+    bad = np.flatnonzero(
+        mid > 0.5 * (f_value_many(f, t1) + f_value_many(f, t2)) + 1e-9)
+    if bad.size:
+        failures.append(("convex", t1[bad[0]], t2[bad[0]]))
     for _ in range(max(10, samples // 10)):
         u = rng.uniform(0, 1, size=n)
         u[int(rng.integers(n))] = 1.0

@@ -467,21 +467,43 @@ def _default_property_instance(kind: str) -> dict:
     raise UsageError(f"unknown property kind {kind!r}")
 
 
+def _in_space(arr: np.ndarray, n: int, what: str, ndim: int) -> np.ndarray:
+    if arr.ndim != ndim or arr.shape[-1] != n:
+        raise ValueError(f"{what} does not match the space dimension")
+    return arr
+
+
 def _parse_property_instance(kind: str, data: dict) -> dict:
+    """Parse a property file and check the preconditions of its checker, so
+    that data which parse but do not fit end as usage errors."""
     space = norms.norm_from_json(data["space"])
     sub = norms.subspace_from_json(data["subspace"])
+    n = norms.space_dim(space)
+    if sub.ambient_dim != n:
+        raise ValueError("subspace does not match the space dimension")
     out = {"space": space, "subspace": sub}
+    if kind in ("ac", "almost-constrained"):
+        out["x"] = _in_space(np.asarray(data["x"], dtype=float), n, "x", 1)
     if kind == "central":
         out["within"] = (norms.subspace_from_json(data["within"])
                          if data.get("within") else None)
+        if out["within"] is not None and out["within"].ambient_dim != n:
+            raise ValueError("within does not match the space dimension")
         out["inject"] = [family_from_json(f) for f in data.get("inject", [])]
+        for fam in out["inject"]:
+            _in_space(fam.centers, n, "injected family", 2)
     elif kind == "ac":
-        out["points"] = np.asarray(data["points"], dtype=float)
-        out["x"] = np.asarray(data["x"], dtype=float)
+        points = np.atleast_2d(np.asarray(data["points"], dtype=float))
+        out["points"] = _in_space(points, n, "points", 2)
+        if not all(sub.contains(a, tol=1e-7) for a in points):
+            raise ValueError("reference points must lie in the subspace")
     elif kind == "almost-constrained":
-        out["x"] = np.asarray(data["x"], dtype=float)
-        out["inject"] = [np.asarray(a, dtype=float)
-                         for a in data.get("inject", [])]
+        if sub.contains(out["x"], tol=1e-7):
+            raise ValueError("x already lies in the subspace")
+        out["inject"] = [
+            _in_space(np.atleast_2d(np.asarray(a, dtype=float)), n,
+                      "injected points", 2)
+            for a in data.get("inject", [])]
     return out
 
 

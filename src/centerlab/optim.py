@@ -11,6 +11,12 @@ smallest-basic-index tie-breaking in the ratio test, which makes every solve
 reproducible bit for bit and rules out cycling.  Variables are free reals;
 the standard-form rewrite (variable splitting, slacks, artificials) is
 internal and certificates are mapped back to the caller's constraint system.
+
+A lexicographic tie-break among optimal points runs on the final tableau of
+the same solve: each stage bars every column whose reduced cost is positive,
+which pins the current optimal face exactly, then re-prices the cost row to
+one coordinate and pivots on from the current basis.  Phase 1 runs once, and
+each stage costs a few pivots.
 """
 
 from __future__ import annotations
@@ -177,13 +183,73 @@ def _run_simplex(t, basis, allowed, max_iter):
     return BREAKDOWN, max_iter, -1
 
 
-def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LpOutcome:
+def _price(t, basis, costs) -> None:
+    """Load `costs` into the objective row and price out the basic columns."""
+    t[-1, :-1] = costs
+    t[-1, -1] = 0.0
+    for i in range(basis.shape[0]):
+        cb = costs[basis[i]]
+        if cb != 0.0:
+            t[-1] -= cb * t[i]
+
+
+def _basic_point(t, basis, n: int) -> np.ndarray:
+    """The caller's variables u = u+ - u- at the current basic solution."""
+    x_std = np.zeros(t.shape[1] - 1)
+    x_std[basis] = t[:basis.shape[0], -1]
+    return x_std[:n] - x_std[n:2 * n]
+
+
+def _stopped(idx: int, status: str) -> str:
+    return f"lexicographic refinement stopped at coordinate {idx}: {status}"
+
+
+def _lex_refine(lp, t, basis, allowed, refine, x, value, max_iter):
+    """Lexicographic refinement on an optimal phase-2 tableau.
+
+    Each stage bars the columns whose reduced cost exceeds _RCOST_TOL, so
+    the remaining columns span the current optimal face, then re-prices the
+    objective row to e_idx (+1 on u+_idx, -1 on u-_idx) and runs Bland's
+    rule from the current basis.  A stage's point is kept only when it is
+    feasible and its objective is within FEAS_TOL * max(1, |value|) of the
+    phase-2 value; otherwise the last kept point is returned with a message
+    naming the stage.  Returns (x, pivots, message).
+    """
+    n = lp.n_vars
+    ncols = t.shape[1] - 1
+    pivots = 0
+    for idx in refine:
+        allowed &= t[-1, :ncols] <= _RCOST_TOL
+        costs = np.zeros(ncols)
+        costs[idx] = 1.0
+        costs[n + idx] = -1.0
+        _price(t, basis, costs)
+        status, it, _ = _run_simplex(t, basis, allowed, max_iter)
+        pivots += it
+        if status != OPTIMAL:
+            return x, pivots, _stopped(idx, status)
+        cand = _basic_point(t, basis, n)
+        drift = abs(float(lp.objective @ cand) - value)
+        if not (_primal_feasible(lp, cand)
+                and drift <= FEAS_TOL * max(1.0, abs(value))):
+            return x, pivots, _stopped(idx, "failed the optimality audit")
+        x = cand
+    return x, pivots, "lexicographic refinement"
+
+
+def lp_solve(lp: LinearProgram, max_iter: int | None = None,
+             refine: Sequence[int] | None = None) -> LpOutcome:
     """Two-phase dense simplex with certificates.
 
     Deterministic: identical inputs yield bit-identical outcomes.  Numerical
     failure surfaces as status "breakdown" and is never folded into
     "infeasible"; an infeasible verdict always carries verified Farkas
     multipliers for the original system.
+
+    With `refine`, an optimal x is moved to the lexicographically smallest
+    point of the optimal face over those coordinates, on the final tableau
+    (see `lp_solve_lex`); value and duals stay those of phase 2, and
+    `iterations` counts the refinement pivots too.
     """
     n = lp.n_vars
     mu_count = lp.a_ub.shape[0]
@@ -192,8 +258,11 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LpOutcome:
 
     if m_total == 0:
         if float(np.abs(lp.objective).max(initial=0.0)) <= _RCOST_TOL:
+            # Every refined coordinate is free on the whole space.
+            message = "" if not refine else _stopped(refine[0], UNBOUNDED)
             return LpOutcome(OPTIMAL, x=np.zeros(n), value=0.0,
-                             dual_ub=np.zeros(0), dual_eq=np.zeros(0))
+                             dual_ub=np.zeros(0), dual_eq=np.zeros(0),
+                             message=message)
         return LpOutcome(UNBOUNDED, ray=-lp.objective.copy(),
                          message="no constraints")
 
@@ -269,12 +338,7 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LpOutcome:
     costs = np.zeros(n_struct + m_total)
     costs[:n] = lp.objective
     costs[n:2 * n] = -lp.objective
-    t[-1, :-1] = costs
-    t[-1, -1] = 0.0
-    for i in range(m_total):
-        cb = costs[basis[i]]
-        if cb != 0.0:
-            t[-1] -= cb * t[i]
+    _price(t, basis, costs)
 
     status, it2, enter = _run_simplex(t, basis, allowed, max_iter)
     iterations = it1 + it2
@@ -290,9 +354,7 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LpOutcome:
         return LpOutcome(BREAKDOWN, iterations=iterations,
                          message="phase 2 did not terminate")
 
-    x_std = np.zeros(n_struct + m_total)
-    x_std[basis] = t[:m_total, -1]
-    x = x_std[:n] - x_std[n:2 * n]
+    x = _basic_point(t, basis, n)
 
     if not _primal_feasible(lp, x):
         return LpOutcome(BREAKDOWN, x=x, iterations=iterations,
@@ -305,8 +367,13 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LpOutcome:
     mu = -w[mu_count:] / row_scale[mu_count:]
     lam = np.where(lam > 0, lam, 0.0)
     value = float(lp.objective @ x)
+    message = ""
+    if refine is not None:
+        x, pivots, message = _lex_refine(lp, t, basis, allowed, refine, x,
+                                         value, max_iter)
+        iterations += pivots
     return LpOutcome(OPTIMAL, x=x, value=value, dual_ub=lam, dual_eq=mu,
-                     iterations=iterations)
+                     iterations=iterations, message=message)
 
 
 def _primal_feasible(lp: LinearProgram, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
@@ -368,40 +435,21 @@ def verify_optimal(lp: LinearProgram, out: LpOutcome, tol: float = 1e-7) -> bool
     return abs(dual_val - out.value) <= tol * max(1.0, abs(out.value))
 
 
-def lp_solve_lex(lp: LinearProgram, refine: Sequence[int] | None = None,
-                 slack: float = FEAS_TOL) -> LpOutcome:
+def lp_solve_lex(lp: LinearProgram,
+                 refine: Sequence[int] | None = None) -> LpOutcome:
     """Solve, then pin the lexicographically smallest optimizer over the
     coordinates in `refine` (all variables by default).
 
-    Each refinement stage restricts to the near-optimal face of the previous
-    one, so the returned point is unique up to the stated slack and the whole
-    procedure stays deterministic.
+    One `lp_solve` call does both: after phase 2 each coordinate in turn is
+    minimized over the optimal face by re-pricing the final tableau, with
+    the columns of positive reduced cost barred so the face cannot move.
+    The point is exact up to the reduced-cost tolerance; value and duals are
+    those of the first optimum.  A stage that ends other than optimal, or
+    whose point fails the feasibility and objective audit, stops the
+    refinement: the last audited point is returned and `message` names the
+    coordinate and the status.
     """
-    base = lp_solve(lp)
-    if base.status != OPTIMAL:
-        return base
-    indices = list(range(lp.n_vars)) if refine is None else list(refine)
-    a_ub = lp.a_ub
-    b_ub = lp.b_ub
-    x = base.x
-    cur_a, cur_b = a_ub, b_ub
-    cut = lp.objective
-    cut_rhs = base.value + slack * max(1.0, abs(base.value))
-    cur_a = np.vstack([cur_a, cut[None, :]])
-    cur_b = np.concatenate([cur_b, [cut_rhs]])
-    for idx in indices:
-        c = np.zeros(lp.n_vars)
-        c[idx] = 1.0
-        sub = LinearProgram(c, cur_a, cur_b, lp.a_eq, lp.b_eq)
-        out = lp_solve(sub)
-        if out.status != OPTIMAL:
-            break
-        x = out.x
-        cur_a = np.vstack([cur_a, c[None, :]])
-        cur_b = np.concatenate([cur_b, [out.value + slack * max(1.0, abs(out.value))]])
-    return LpOutcome(OPTIMAL, x=x, value=base.value, dual_ub=base.dual_ub,
-                     dual_eq=base.dual_eq, iterations=base.iterations,
-                     message="lexicographic refinement")
+    return lp_solve(lp, refine=range(lp.n_vars) if refine is None else refine)
 
 
 def enumerate_vertices(a_ub, b_ub, a_eq=None, b_eq=None, tol: float = FEAS_TOL,

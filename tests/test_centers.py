@@ -246,6 +246,59 @@ def test_validate_fcmc_families():
         pytest.approx(0.5, abs=1e-6)
 
 
+def _validate_fcmc_by_loop(f, samples, seed):
+    """Scalar reference for validate_fcmc: one sample per iteration, drawn
+    with rng.uniform, stopping at the first failure of each property."""
+    n = centers.f_arity(f)
+    rng = np.random.default_rng(seed)
+    failures = []
+    for _ in range(samples):
+        t1 = rng.uniform(0, 5, size=n)
+        t2 = t1 + rng.uniform(0, 3, size=n)
+        if f_value(f, t1) > f_value(f, t2) + 1e-9:
+            failures.append(("monotone", t1, t2))
+            break
+    for _ in range(samples):
+        t1 = rng.uniform(0, 5, size=n)
+        t2 = rng.uniform(0, 5, size=n)
+        mid = f_value(f, 0.5 * (t1 + t2))
+        if mid > 0.5 * (f_value(f, t1) + f_value(f, t2)) + 1e-9:
+            failures.append(("convex", t1, t2))
+            break
+    for _ in range(max(10, samples // 10)):
+        u = rng.uniform(0, 1, size=n)
+        u[int(rng.integers(n))] = 1.0
+        base = f_value(f, u)
+        if not (base > 0 and f_value(f, 1e6 * u) >= 100 * base):
+            failures.append(("coercive", u))
+            break
+    return {"ok": not failures, "samples": samples, "seed": seed,
+            "failures": failures}
+
+
+def test_validate_fcmc_matches_scalar_loop():
+    families = [WeightedMax(np.array([1.0, 2.0, 0.5])),
+                WeightedSum(np.array([0.5, 2.0])),
+                PowerSum(2.5, np.array([1.0, 0.3, 2.0])),
+                Composite(uniform_max(2), power=2.0, scale=0.5),
+                # weights this large fail the sampled convexity check on
+                # rounding alone, which exercises the failure report
+                WeightedMax(np.array([1e16, 3e16]))]
+    for f in families:
+        for seed in (0, 3):
+            for samples in (10, 120):
+                got = validate_fcmc(f, samples=samples, seed=seed)
+                want = _validate_fcmc_by_loop(f, samples, seed)
+                assert got.keys() == want.keys()
+                assert {k: got[k] for k in ("ok", "samples", "seed")} == \
+                    {k: want[k] for k in ("ok", "samples", "seed")}
+                assert len(got["failures"]) == len(want["failures"])
+                for g, w in zip(got["failures"], want["failures"]):
+                    assert g[0] == w[0]
+                    assert all(np.array_equal(a, b) for a, b in zip(g[1:], w[1:]))
+    assert not validate_fcmc(families[-1], samples=10)["ok"]
+
+
 
 def test_power_sum_lp_when_p_equals_one():
     pts = FiniteSet([[0.0, 0.0], [2.0, 0.0]])

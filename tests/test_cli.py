@@ -127,6 +127,38 @@ def test_center_malformed_instance(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 5
 
 
+def test_property_instance_breaking_checker_preconditions(tmp_path, capsys):
+    plane = {"space": {"kind": "lp", "p": "inf", "dim": 3},
+             "subspace": {"basis": [[1, 0, -1], [0, 1, -1]]}}
+    cases = [
+        ("ac", dict(plane, points=[[1, 0, 0]], x=[0, 0, 1])),
+        ("ac", dict(plane, points=[[1, 0, -1]], x=[0, 0])),
+        ("ac", dict(plane, points=[[1, -1]], x=[0, 0, 1])),
+        ("ac", dict(plane, subspace={"basis": [[1, 0], [0, 1]]},
+                    points=[[1, -1]], x=[0, 0])),
+        ("almost-constrained", dict(plane, x=[0, 0])),
+        ("almost-constrained", dict(plane, x=[1, 0, -1])),
+        ("almost-constrained", dict(plane, x=[0, 0, 1], inject=[[[1, 0]]])),
+        ("central", dict(plane, inject=[{"centers": [[1, 0]],
+                                         "radii": [1.0]}])),
+        ("central", dict(plane, within={"basis": [[1, 0]]})),
+    ]
+    capsys.readouterr()
+    for idx, (kind, inst) in enumerate(cases):
+        path = tmp_path / f"prop{idx}.json"
+        path.write_text(json.dumps(inst))
+        assert main(["property", kind, str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == len(cases)
+    assert all(line.startswith("centerlab: malformed property instance")
+               for line in lines)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(dict(plane, points=[[1, 0, -1]], x=[0, 0, 1])))
+    assert main(["property", "ac", str(good)]) == EXIT_OK
+
+
 def test_ignored_flags_are_gone(capsys):
     assert main(["repro", "linf3-two-lines", "--tol", "5"]) == EXIT_USAGE
     assert main(["replay", "x", "--trials", "3"]) == EXIT_USAGE

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from centerlab import optim
+from centerlab import centers, norms, optim
 from centerlab.optim import (
     LpBuilder,
     SubgradientConfig,
@@ -222,3 +222,226 @@ def test_breakdown_not_reported_for_good_instances():
         out = lp_solve(make_lp(rng.normal(size=2), a_ub=a, b_ub=b))
         assert out.status in (optim.OPTIMAL, optim.UNBOUNDED)
         assert out.status == optim.OPTIMAL
+
+
+def test_lex_refinement_stops_visibly_on_unbounded_face():
+    # min y s.t. y >= 0, x free: the optimal face {y = 0} is unbounded in x.
+    lp = make_lp([0.0, 1.0], a_ub=[[0.0, -1.0]], b_ub=[0.0])
+    out = lp_solve_lex(lp)
+    assert out.status == optim.OPTIMAL
+    assert out.message == \
+        "lexicographic refinement stopped at coordinate 0: unbounded"
+    assert verify_optimal(lp, out)
+    # x in [1, 2] is refined to 1 before z, free on the face, stops it.
+    lp = make_lp([0.0, 0.0, 1.0],
+                 a_ub=[[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
+                 b_ub=[-1.0, 2.0, 0.0])
+    out = lp_solve_lex(lp)
+    assert out.message == \
+        "lexicographic refinement stopped at coordinate 1: unbounded"
+    assert out.x[0] == pytest.approx(1.0, abs=1e-12)
+    assert verify_optimal(lp, out)
+
+
+def test_lex_refinement_keeps_last_audited_point(monkeypatch):
+    # Fail every feasibility audit after phase 2's own: the first stage's
+    # point is refused and the phase-2 optimum comes back, named as stopped.
+    lp = make_lp([0.0, 0.0],
+                 a_ub=[[-1, -1], [1, 0], [0, 1], [-1, 0], [0, -1]],
+                 b_ub=[-1, 1, 1, 0, 0])
+    plain = lp_solve(lp)
+    audits = []
+    real = optim._primal_feasible
+
+    def audit(lp_, x, tol=optim.FEAS_TOL):
+        audits.append(x)
+        return real(lp_, x, tol) and len(audits) == 1
+
+    monkeypatch.setattr(optim, "_primal_feasible", audit)
+    out = lp_solve_lex(lp)
+    assert out.status == optim.OPTIMAL
+    assert out.message == ("lexicographic refinement stopped at coordinate 0: "
+                           "failed the optimality audit")
+    assert np.array_equal(out.x, plain.x)
+    assert len(audits) == 2
+
+
+def test_lex_refinement_counts_its_pivots():
+    # Every point of {x + y >= 1} in the unit box is optimal; phase 2 stops
+    # at (1, 0), so moving to the lexicographic minimum (0, 1) takes pivots
+    # of its own, while value and duals stay those of phase 2.
+    lp = make_lp([0.0, 0.0],
+                 a_ub=[[-1, -1], [1, 0], [0, 1], [-1, 0], [0, -1]],
+                 b_ub=[-1, 1, 1, 0, 0])
+    plain = lp_solve(lp)
+    out = lp_solve_lex(lp)
+    assert np.array_equal(plain.x, [1.0, 0.0])
+    assert out.message == "lexicographic refinement"
+    assert np.array_equal(out.x, [0.0, 1.0])
+    assert out.value == plain.value
+    assert np.array_equal(out.dual_ub, plain.dual_ub)
+    assert out.iterations > plain.iterations
+
+
+def _lex_by_resolving(lp, refine, slack=0.0):
+    """Reference lexicographic refinement: a fresh two-phase solve per
+    coordinate, each bounded by cut rows at the optima found before it.
+
+    The solver once refined this way with slack = FEAS_TOL on every cut,
+    which lets the point drift by slack over the slope of the objective
+    (1e-6 on these instances); with no slack the cuts pin the same face."""
+    base = lp_solve(lp)
+    x = base.x
+    cut_a = np.vstack([lp.a_ub, lp.objective])
+    cut_b = np.append(lp.b_ub, base.value + slack * max(1.0, abs(base.value)))
+    for idx in refine:
+        c = np.zeros(lp.n_vars)
+        c[idx] = 1.0
+        out = lp_solve(optim.LinearProgram(c, cut_a, cut_b, lp.a_eq, lp.b_eq))
+        if out.status != optim.OPTIMAL:
+            break
+        x = out.x
+        cut_a = np.vstack([cut_a, c])
+        cut_b = np.append(cut_b, out.value + slack * max(1.0, abs(out.value)))
+    return base, x
+
+
+def _random_lp_center(rng, i):
+    dim = 2 + i % 3
+    kind = ("linf", "l1", "poly", "dsum")[i % 4]
+
+    def leaf(d, name):
+        if name == "linf":
+            return norms.linf(d)
+        if name == "l1":
+            return norms.l1(d)
+        gens = np.vstack([np.eye(d), rng.normal(size=(2 + d, d))])
+        return norms.polyhedral(np.vstack([gens, -gens]))
+
+    if kind == "dsum":
+        a = 1 + int(rng.integers(dim - 1))
+        comb = norms.max_combiner(2) if i % 8 == 3 else norms.sum_combiner(2)
+        space = norms.make_direct_sum([leaf(a, "poly"), leaf(dim - a, "linf")],
+                                      comb)
+    else:
+        space = leaf(dim, kind)
+    sub = None
+    if (i // 5) % 2:
+        sub = norms.subspace_from_basis(
+            dim, rng.normal(size=(1 + int(rng.integers(dim - 1)), dim)))
+    n_points = 2 + int(rng.integers(3))
+    weights = rng.uniform(0.5, 2.0, size=n_points)
+    f = (centers.WeightedMax(weights), centers.WeightedSum(weights),
+         centers.uniform_max(n_points))[i % 3]
+    pts = rng.integers(-3, 4, size=(n_points, dim)).astype(float)
+    return centers.CenterProblem(space, sub, centers.FiniteSet(pts), f)
+
+
+def test_lex_refinement_matches_resolving_reference(monkeypatch):
+    solved = []
+    real = optim.lp_solve_lex
+
+    def capture(lp, refine=None):
+        out = real(lp, refine=refine)
+        solved.append((lp, list(refine), out))
+        return out
+
+    monkeypatch.setattr(optim, "lp_solve_lex", capture)
+    rng = np.random.default_rng(4)
+    for i in range(48):
+        problem = _random_lp_center(rng, i)
+        res = centers.solve_center(problem)
+        lp, refine, out = solved[-1]
+        assert out.message == "lexicographic refinement"
+        base, x_ref = _lex_by_resolving(lp, refine)
+        assert out.value == base.value
+        assert np.abs(out.x[refine] - x_ref[refine]).max() <= 1e-7
+        basis = (np.eye(problem.points.dim) if problem.feasible is None
+                 else np.array(problem.feasible.basis))
+        assert np.abs(res.minimizer - basis @ x_ref[refine]).max() <= 1e-7
+
+
+def test_lex_minimizer_attains_radius_on_readme_instance():
+    problem = centers.problem_from_json({
+        "schema": 1, "space": {"kind": "lp", "p": "inf", "dim": 3},
+        "subspace": {"basis": [[1, 0, -1], [0, 1, -1]]},
+        "points": [[-2, 1, 1], [1, 1, -2], [1, -2, 1]], "f": {"kind": "max"}})
+    res = centers.solve_center(problem)
+    check = centers.eval_rf(problem.space, res.minimizer, problem.points,
+                            problem.f)
+    assert abs(check - res.rad) <= 1e-12
+    assert np.abs(res.minimizer).max() <= 1e-12
+
+
+def _random_lp(rng, kind):
+    """A seeded LP of the given kind for the HiGHS comparison."""
+    n = int(rng.integers(2, 5))
+    m = int(rng.integers(n, 2 * n + 3))
+    a = rng.normal(size=(m, n))
+    x0 = rng.normal(size=n)
+    b = a @ x0 + rng.uniform(0.1, 1.0, size=m)
+    a_eq = b_eq = None
+    c = rng.normal(size=n)
+    if kind == "degenerate":
+        # several rows tight at x0, repeated rows, an objective parallel to
+        # a constraint, and an equality through x0
+        b[: n + 1] = a[: n + 1] @ x0
+        a = np.vstack([a, a[:2]])
+        b = np.concatenate([b, b[:2]])
+        c = -a[0].copy()
+        a_eq = rng.integers(-2, 3, size=(1, n)).astype(float)
+        b_eq = a_eq @ x0
+    elif kind == "infeasible":
+        row = rng.normal(size=n)
+        a = np.vstack([a, row, -row])
+        b = np.concatenate([b, [1.0, -1.5]])
+    elif kind == "infeasible-eq":
+        a_eq = rng.normal(size=(2, n))
+        a_eq = np.vstack([a_eq, a_eq[0] + a_eq[1]])
+        b_eq = np.array([1.0, 1.0, 2.5])
+    elif kind == "unbounded":
+        # only rows that the direction d never worsens, and c improves along d
+        d = rng.normal(size=n)
+        keep = a @ d <= 0
+        a, b = a[keep], np.abs(b[keep]) + 0.1
+        c = -d + 0.01 * rng.normal(size=n)
+        return make_lp(c, a_ub=a, b_ub=b), n
+    a = np.vstack([a, np.eye(n), -np.eye(n)])
+    b = np.concatenate([b, np.full(2 * n, 10.0 + np.abs(x0).max())])
+    return make_lp(c, a_ub=a, b_ub=b, a_eq=a_eq, b_eq=b_eq), n
+
+
+def test_lp_solve_agrees_with_highs():
+    pytest.importorskip("scipy")
+    from scipy.optimize import linprog
+
+    status_of = {0: optim.OPTIMAL, 2: optim.INFEASIBLE, 3: optim.UNBOUNDED}
+    rng = np.random.default_rng(2024)
+    seen = set()
+    kinds = ("bounded", "degenerate", "infeasible", "infeasible-eq",
+             "unbounded")
+    for trial in range(150):
+        kind = kinds[trial % len(kinds)]
+        lp, n = _random_lp(rng, kind)
+        ref = linprog(
+            lp.objective,
+            A_ub=lp.a_ub if lp.a_ub.shape[0] else None,
+            b_ub=lp.b_ub if lp.a_ub.shape[0] else None,
+            A_eq=lp.a_eq if lp.a_eq.shape[0] else None,
+            b_eq=lp.b_eq if lp.a_eq.shape[0] else None,
+            bounds=[(None, None)] * n, method="highs")
+        want = status_of[ref.status]
+        seen.add(want)
+        for out in (lp_solve(lp), lp_solve_lex(lp)):
+            assert out.status == want, (trial, kind)
+            if want == optim.OPTIMAL:
+                tol = 1e-7 * max(1.0, abs(ref.fun))
+                assert abs(out.value - ref.fun) <= tol
+                assert abs(float(lp.objective @ out.x) - ref.fun) <= tol
+                assert verify_optimal(lp, out)
+            elif want == optim.INFEASIBLE:
+                assert verify_farkas(lp, out.farkas_ub, out.farkas_eq)
+            else:
+                assert float(lp.objective @ out.ray) < 0
+                assert (lp.a_ub @ out.ray <= 1e-9).all()
+    assert seen == {optim.OPTIMAL, optim.INFEASIBLE, optim.UNBOUNDED}
