@@ -152,7 +152,7 @@ def _pivot(t: np.ndarray, row: int, col: int) -> None:
     t[row] = t[row] / t[row, col]
     column = t[:, col].copy()
     column[row] = 0.0
-    t -= np.outer(column, t[row])
+    t -= column[:, None] * t[row]
     t[:, col] = 0.0
     t[row, col] = 1.0
 
@@ -161,21 +161,21 @@ def _run_simplex(t, basis, allowed, max_iter):
     """Bland-rule tableau iteration; returns (status, iterations, entering)."""
     m = basis.shape[0]
     ncols = t.shape[1] - 1
+    rhs = t[:m, -1]
+    no_index = np.iinfo(basis.dtype).max
     for it in range(1, max_iter + 1):
-        costs = t[-1, :ncols]
-        candidates = np.flatnonzero(allowed & (costs < -_RCOST_TOL))
-        if candidates.size == 0:
+        entering = (t[-1, :ncols] < -_RCOST_TOL) & allowed
+        j = int(entering.argmax())
+        if not entering[j]:
             return OPTIMAL, it - 1, -1
-        j = int(candidates[0])
         col = t[:m, j]
         pos = col > _PIVOT_TOL
-        if not bool(pos.any()):
+        if not pos.any():
             return UNBOUNDED, it - 1, j
-        ratios = np.full(m, np.inf)
-        ratios[pos] = t[:m, -1][pos] / col[pos]
-        rmin = float(ratios.min())
-        ties = np.flatnonzero(ratios <= rmin + _RATIO_TIE)
-        leave = int(ties[np.argmin(basis[ties])])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(pos, rhs / col, np.inf)
+        ties = ratios <= ratios.min() + _RATIO_TIE
+        leave = int(np.where(ties, basis, no_index).argmin())
         _pivot(t, leave, j)
         basis[leave] = j
         if not np.isfinite(t).all():
