@@ -184,22 +184,27 @@ def validate_fcmc(f: Scalarization, samples: int = 150, seed: int = 0) -> dict:
     Sampling can refute but not prove membership; counts and seed are
     recorded so the check is reproducible.  The monotone and convex checks
     each draw one (samples, 2, n) block of uniforms and report the first
-    failing sample.
+    failing sample.  An inequality fails when it is off by more than 1e-9
+    relative to max(1, |f|), so rounding in large values is not a failure.
     """
+    def exceeds(lhs, rhs):
+        return lhs > rhs + 1e-9 * np.maximum(1.0, np.maximum(np.abs(lhs),
+                                                             np.abs(rhs)))
+
     n = f_arity(f)
     rng = np.random.default_rng(seed)
     failures = []
     draws = rng.random((samples, 2, n))
     t1 = 5.0 * draws[:, 0]
     t2 = t1 + 3.0 * draws[:, 1]
-    bad = np.flatnonzero(f_value_many(f, t1) > f_value_many(f, t2) + 1e-9)
+    bad = np.flatnonzero(exceeds(f_value_many(f, t1), f_value_many(f, t2)))
     if bad.size:
         failures.append(("monotone", t1[bad[0]], t2[bad[0]]))
     draws = 5.0 * rng.random((samples, 2, n))
     t1, t2 = draws[:, 0], draws[:, 1]
     mid = f_value_many(f, 0.5 * (t1 + t2))
     bad = np.flatnonzero(
-        mid > 0.5 * (f_value_many(f, t1) + f_value_many(f, t2)) + 1e-9)
+        exceeds(mid, 0.5 * (f_value_many(f, t1) + f_value_many(f, t2))))
     if bad.size:
         failures.append(("convex", t1[bad[0]], t2[bad[0]]))
     for _ in range(max(10, samples // 10)):

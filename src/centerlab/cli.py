@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -623,15 +624,17 @@ def cmd_repro(args) -> tuple[dict, int]:
     return report, code
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process.  `--seed` defaults to
+    None here; `main` reads CENTERLAB_SEED when the arguments are parsed."""
     parser = _Parser(prog="centerlab",
                      description="restricted centers and ball-intersection "
                                  "diagnostics in finite-dimensional normed spaces")
     sub = parser.add_subparsers(dest="command")
 
     def common(p, tol: bool = False, trials: bool = False):
-        p.add_argument("--seed", type=int,
-                       default=int(os.environ.get("CENTERLAB_SEED", "0")))
+        p.add_argument("--seed", type=int, default=None)
         if tol:
             p.add_argument("--tol", type=float, default=1e-9)
         if trials:
@@ -672,6 +675,13 @@ def main(argv=None) -> int:
         if args.command is None:
             raise UsageError("a subcommand is required "
                              "(center, property, repro, replay)")
+        if args.seed is None:
+            env = os.environ.get("CENTERLAB_SEED", "0")
+            try:
+                args.seed = int(env)
+            except ValueError:
+                raise UsageError(f"CENTERLAB_SEED must be an integer, "
+                                 f"not {env!r}") from None
         started = time.monotonic()
         if args.command == "center":
             report, code = cmd_center(args)

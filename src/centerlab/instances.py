@@ -74,15 +74,22 @@ def l1_lines_scenario(n: int = 50) -> dict:
             "sequence": basis_tail}
 
 
+# nested transfer in l-inf(4): Z2 = span{e1} inside Z1 = span{e1, e2}, Y =
+# span{e1, e3}.  The two balls touch, so within Z1 they meet in the segment
+# {3} x [-1, 1] and the projection lands on the touching point (3, 0, 0, 0)
+# with no slack.  Z1 is spanned along the diagonals, so neither coordinate
+# axis of the feasibility LP meets that segment: every vertex the simplex can
+# return is an endpoint (3, +-1), outside Z2, and the projection pair always
+# runs.
 TRANSFER = {
     "schema": 1,
     "space": {"kind": "lp", "p": "inf", "dim": 4},
-    "z1": [[1, 0, 0, 0], [0, 1, 0, 0]],
+    "z1": [[1, 1, 0, 0], [0.5, -0.5, 0, 0]],
     "y": [[1, 0, 0, 0], [0, 0, 1, 0]],
     "z2": [[1, 0, 0, 0]],
     "projection": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],
-    "centers": [[-1.0, 0, 0, 0], [1.0, 0, 0, 0]],
-    "radii": [1.2, 1.2],
+    "centers": [[2.0, 0, 0, 0], [4.0, 0, 0, 0]],
+    "radii": [1.0, 1.0],
 }
 
 

@@ -12,6 +12,17 @@ reproducible bit for bit and rules out cycling.  Variables are free reals;
 the standard-form rewrite (variable splitting, slacks, artificials) is
 internal and certificates are mapped back to the caller's constraint system.
 
+Phase 1 starts from the slack basis (Bixby's crash basis): rows are scaled
+and flipped to a nonnegative right-hand side, a <= row that needed no flip
+starts with its slack basic, and only flipped <= rows and equalities get an
+artificial.  Phase 1 minimizes the sum of those artificials and is skipped
+when there are none.  The simplex multipliers are read off the starting
+identity columns, y = c[start] - t[-1, start] with slack cost 0 and
+artificial cost 1 in phase 1 (Farkas multipliers) or 0 in phase 2 (duals).
+Every verdict is audited before it is returned: an optimum by
+`verify_optimal`, an infeasible verdict by `verify_farkas` and an unbounded
+one by `verify_ray`; a failed audit is returned as "breakdown".
+
 A lexicographic tie-break among optimal points runs on the final tableau of
 the same solve: each stage bars every column whose reduced cost is positive,
 which pins the current optimal face exactly, then re-prices the cost row to
@@ -23,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -133,7 +144,8 @@ class LpOutcome:
     status "infeasible": farkas_ub (>= 0) and farkas_eq combine the
         constraints into 0 <= negative, proving emptiness.
     status "unbounded": ray is an improving feasible direction.
-    status "breakdown": numerical failure; never reported as infeasible.
+    status "breakdown": numerical failure or a failed audit of one of the
+        above; never reported as infeasible.
     """
 
     status: str
@@ -243,8 +255,10 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None,
 
     Deterministic: identical inputs yield bit-identical outcomes.  Numerical
     failure surfaces as status "breakdown" and is never folded into
-    "infeasible"; an infeasible verdict always carries verified Farkas
-    multipliers for the original system.
+    "infeasible".  Every verdict is audited against the original system
+    before it is returned: an optimum (before refinement) by
+    `verify_optimal`, Farkas multipliers by `verify_farkas`, a ray by
+    `verify_ray`; a failed audit is a breakdown whose message says which.
 
     With `refine`, an optimal x is moved to the lexicographically smallest
     point of the optimal face over those coordinates, on the final tableau
@@ -280,62 +294,75 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None,
     a_std = a_all * sigma[:, None]
     b_std = b_all * sigma
 
+    # Start basis: the slack of a <= row whose scaled rhs is >= 0 is already
+    # an identity column; only flipped <= rows and equalities get an
+    # artificial.  start[i] is the column that is e_i in the first tableau.
     n_struct = 2 * n + mu_count
-    slack_block = np.zeros((m_total, mu_count))
-    slack_block[:mu_count, :] = np.diag(sigma[:mu_count])
+    art_rows = np.flatnonzero(np.concatenate([sigma[:mu_count] < 0,
+                                              np.ones(me_count, dtype=bool)]))
+    n_art = art_rows.size
+    ncols = n_struct + n_art
+    start = 2 * n + np.arange(m_total)
+    start[art_rows] = n_struct + np.arange(n_art)
 
-    t = np.zeros((m_total + 1, n_struct + m_total + 1))
+    t = np.zeros((m_total + 1, ncols + 1))
     t[:m_total, :n] = a_std
     t[:m_total, n:2 * n] = -a_std
-    t[:m_total, 2 * n:n_struct] = slack_block
-    t[:m_total, n_struct:n_struct + m_total] = np.eye(m_total)
+    t[np.arange(mu_count), 2 * n + np.arange(mu_count)] = sigma[:mu_count]
+    t[art_rows, n_struct + np.arange(n_art)] = 1.0
     t[:m_total, -1] = b_std
 
-    basis = np.arange(n_struct, n_struct + m_total)
-    allowed = np.zeros(n_struct + m_total, dtype=bool)
+    basis = start.copy()
+    allowed = np.zeros(ncols, dtype=bool)
     allowed[:n_struct] = True
 
     if max_iter is None:
         max_iter = 1000 + 60 * (n_struct + m_total)
 
-    # Phase 1: drive artificials to zero.
-    t[-1, n_struct:n_struct + m_total] = 1.0
-    t[-1] -= t[:m_total].sum(axis=0)
-    status, it1, _ = _run_simplex(t, basis, allowed, max_iter)
-    if status != OPTIMAL:
-        return LpOutcome(BREAKDOWN, iterations=it1,
-                         message=f"phase 1 ended with {status}")
+    def multipliers(costs):
+        """Simplex multipliers y = costs[start] - reduced costs[start] of the
+        current tableau, mapped back to the caller's rows (lam, mu)."""
+        w = -sigma * (costs[start] - t[-1, start]) / row_scale
+        return w[:mu_count], w[mu_count:]
 
-    phase1_obj = -t[-1, -1]
-    scale = max(1.0, float(np.abs(b_std).max(initial=0.0)))
-    if phase1_obj > FEAS_TOL * scale:
-        r_art = t[-1, n_struct:n_struct + m_total]
-        y = 1.0 - r_art
-        w = sigma * y
-        lam = -w[:mu_count] / row_scale[:mu_count]
-        mu = -w[mu_count:] / row_scale[mu_count:]
-        lam = np.where(lam > 0, lam, 0.0)
-        norm = max(1.0, float(np.abs(lam).max(initial=0.0)),
-                   float(np.abs(mu).max(initial=0.0)))
-        lam, mu = lam / norm, mu / norm
-        out = LpOutcome(INFEASIBLE, farkas_ub=lam, farkas_eq=mu, iterations=it1)
-        if verify_farkas(lp, lam, mu):
-            return out
-        return LpOutcome(BREAKDOWN, iterations=it1,
-                         message="phase 1 positive but certificate failed")
+    # Phase 1: drive the artificials to zero; skipped when there are none.
+    it1 = 0
+    if n_art:
+        costs = np.zeros(ncols)
+        costs[n_struct:] = 1.0
+        t[-1, :ncols] = costs
+        t[-1] -= t[art_rows].sum(axis=0)
+        status, it1, _ = _run_simplex(t, basis, allowed, max_iter)
+        if status != OPTIMAL:
+            return LpOutcome(BREAKDOWN, iterations=it1,
+                             message=f"phase 1 ended with {status}")
 
-    # Pivot leftover artificials out of the basis where possible; rows whose
-    # structural part vanished are redundant and stay inert at level zero.
-    for i in range(m_total):
-        if basis[i] >= n_struct:
-            row = t[i, :n_struct]
-            nz = np.flatnonzero(np.abs(row) > 1e-8)
-            if nz.size:
-                _pivot(t, i, int(nz[0]))
-                basis[i] = int(nz[0])
+        phase1_obj = -t[-1, -1]
+        scale = max(1.0, float(np.abs(b_std).max(initial=0.0)))
+        if phase1_obj > FEAS_TOL * scale:
+            lam, mu = multipliers(costs)
+            lam = np.where(lam > 0, lam, 0.0)
+            norm = max(1.0, float(np.abs(lam).max(initial=0.0)),
+                       float(np.abs(mu).max(initial=0.0)))
+            lam, mu = lam / norm, mu / norm
+            if verify_farkas(lp, lam, mu):
+                return LpOutcome(INFEASIBLE, farkas_ub=lam, farkas_eq=mu,
+                                 iterations=it1)
+            return LpOutcome(BREAKDOWN, iterations=it1,
+                             message="phase 1 positive but certificate failed")
+
+        # Pivot leftover artificials out of the basis where possible; rows
+        # whose structural part vanished are redundant and stay inert at
+        # level zero.
+        for i in range(m_total):
+            if basis[i] >= n_struct:
+                nz = np.flatnonzero(np.abs(t[i, :n_struct]) > 1e-8)
+                if nz.size:
+                    _pivot(t, i, int(nz[0]))
+                    basis[i] = int(nz[0])
 
     # Phase 2 with the real costs.
-    costs = np.zeros(n_struct + m_total)
+    costs = np.zeros(ncols)
     costs[:n] = lp.objective
     costs[n:2 * n] = -lp.objective
     _price(t, basis, costs)
@@ -344,36 +371,31 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None,
     iterations = it1 + it2
 
     if status == UNBOUNDED:
-        ray_std = np.zeros(n_struct + m_total)
+        ray_std = np.zeros(ncols)
         ray_std[enter] = 1.0
-        for i in range(m_total):
-            ray_std[basis[i]] = -t[i, enter]
+        ray_std[basis] = -t[:m_total, enter]
         ray = ray_std[:n] - ray_std[n:2 * n]
+        if not verify_ray(lp, ray):
+            return LpOutcome(BREAKDOWN, iterations=iterations,
+                             message="unbounded claim failed the ray audit")
         return LpOutcome(UNBOUNDED, ray=ray, iterations=iterations)
     if status != OPTIMAL:
         return LpOutcome(BREAKDOWN, iterations=iterations,
                          message="phase 2 did not terminate")
 
     x = _basic_point(t, basis, n)
-
-    if not _primal_feasible(lp, x):
-        return LpOutcome(BREAKDOWN, x=x, iterations=iterations,
-                         message="optimal claim failed feasibility audit")
-
-    r_art = t[-1, n_struct:n_struct + m_total]
-    y = -r_art
-    w = sigma * y
-    lam = -w[:mu_count] / row_scale[:mu_count]
-    mu = -w[mu_count:] / row_scale[mu_count:]
+    lam, mu = multipliers(costs)
     lam = np.where(lam > 0, lam, 0.0)
-    value = float(lp.objective @ x)
-    message = ""
-    if refine is not None:
-        x, pivots, message = _lex_refine(lp, t, basis, allowed, refine, x,
-                                         value, max_iter)
-        iterations += pivots
-    return LpOutcome(OPTIMAL, x=x, value=value, dual_ub=lam, dual_eq=mu,
-                     iterations=iterations, message=message)
+    out = LpOutcome(OPTIMAL, x=x, value=float(lp.objective @ x), dual_ub=lam,
+                    dual_eq=mu, iterations=iterations)
+    if not verify_optimal(lp, out):
+        return LpOutcome(BREAKDOWN, x=x, iterations=iterations,
+                         message="optimal claim failed the optimality audit")
+    if refine is None:
+        return out
+    x, pivots, message = _lex_refine(lp, t, basis, allowed, refine, x,
+                                     out.value, max_iter)
+    return replace(out, x=x, iterations=iterations + pivots, message=message)
 
 
 def _primal_feasible(lp: LinearProgram, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
@@ -408,6 +430,23 @@ def verify_farkas(lp: LinearProgram, lam: np.ndarray, mu: np.ndarray,
     if float(np.abs(combo).max(initial=0.0)) > 100 * tol * coeff_scale:
         return False
     return rhs < -tol
+
+
+def verify_ray(lp: LinearProgram, ray: np.ndarray, tol: float = FEAS_TOL) -> bool:
+    """Check that `ray` proves unboundedness: scaled to unit max-norm, it
+    keeps a_ub @ ray <= 0 and a_eq @ ray = 0 (both up to the tolerance
+    verify_farkas allows its row combination) and objective @ ray < 0."""
+    size = float(np.abs(ray).max(initial=0.0))
+    if not (np.isfinite(ray).all() and size > 0.0):
+        return False
+    r = ray / size
+    slack = 100 * tol * max(1.0, float(np.abs(lp.a_ub).max(initial=0.0)),
+                            float(np.abs(lp.a_eq).max(initial=0.0)))
+    if float((lp.a_ub @ r).max(initial=0.0)) > slack:
+        return False
+    if float(np.abs(lp.a_eq @ r).max(initial=0.0)) > slack:
+        return False
+    return float(lp.objective @ r) < 0.0
 
 
 def verify_optimal(lp: LinearProgram, out: LpOutcome, tol: float = 1e-7) -> bool:

@@ -248,21 +248,25 @@ def test_validate_fcmc_families():
 
 def _validate_fcmc_by_loop(f, samples, seed):
     """Scalar reference for validate_fcmc: one sample per iteration, drawn
-    with rng.uniform, stopping at the first failure of each property."""
+    with rng.uniform, stopping at the first failure of each property; an
+    inequality fails by more than 1e-9 relative to max(1, |f|)."""
+    def exceeds(lhs, rhs):
+        return lhs > rhs + 1e-9 * max(1.0, abs(lhs), abs(rhs))
+
     n = centers.f_arity(f)
     rng = np.random.default_rng(seed)
     failures = []
     for _ in range(samples):
         t1 = rng.uniform(0, 5, size=n)
         t2 = t1 + rng.uniform(0, 3, size=n)
-        if f_value(f, t1) > f_value(f, t2) + 1e-9:
+        if exceeds(f_value(f, t1), f_value(f, t2)):
             failures.append(("monotone", t1, t2))
             break
     for _ in range(samples):
         t1 = rng.uniform(0, 5, size=n)
         t2 = rng.uniform(0, 5, size=n)
         mid = f_value(f, 0.5 * (t1 + t2))
-        if mid > 0.5 * (f_value(f, t1) + f_value(f, t2)) + 1e-9:
+        if exceeds(mid, 0.5 * (f_value(f, t1) + f_value(f, t2))):
             failures.append(("convex", t1, t2))
             break
     for _ in range(max(10, samples // 10)):
@@ -276,14 +280,22 @@ def _validate_fcmc_by_loop(f, samples, seed):
             "failures": failures}
 
 
+class _ConcavePowerSum(PowerSum):
+    """sum_i w_i t_i^p with p < 1, which the constructor refuses: a concave
+    function whose sampled convexity check must fail."""
+
+    def __post_init__(self):
+        pass
+
+
 def test_validate_fcmc_matches_scalar_loop():
     families = [WeightedMax(np.array([1.0, 2.0, 0.5])),
                 WeightedSum(np.array([0.5, 2.0])),
                 PowerSum(2.5, np.array([1.0, 0.3, 2.0])),
                 Composite(uniform_max(2), power=2.0, scale=0.5),
-                # weights this large fail the sampled convexity check on
-                # rounding alone, which exercises the failure report
-                WeightedMax(np.array([1e16, 3e16]))]
+                WeightedMax(np.array([1e16, 3e16])),
+                # fails the convexity check, which exercises the failure report
+                _ConcavePowerSum(0.5, np.array([1.0, 2.0]))]
     for f in families:
         for seed in (0, 3):
             for samples in (10, 120):
@@ -296,7 +308,61 @@ def test_validate_fcmc_matches_scalar_loop():
                 for g, w in zip(got["failures"], want["failures"]):
                     assert g[0] == w[0]
                     assert all(np.array_equal(a, b) for a, b in zip(g[1:], w[1:]))
+    assert validate_fcmc(families[-2], samples=10)["ok"]
     assert not validate_fcmc(families[-1], samples=10)["ok"]
+
+
+def test_validate_fcmc_large_weights_pass():
+    # Rounding in values near 1e9 exceeds an absolute 1e-9; it is not a
+    # convexity failure.
+    for f in (WeightedMax(np.array([1e8, 2e8])),
+              WeightedSum(np.array([1e8, 2e8]))):
+        report = validate_fcmc(f)
+        assert report["ok"], report["failures"]
+
+
+# A center LP on which the simplex once claimed an optimum that failed its
+# feasibility audit: a max-combined direct sum of a 1-dim sup norm and a
+# polyhedral norm on R^4, three points in R^5.  HiGHS gives radius 4.916.
+BREAKDOWN_INSTANCE = {
+    "schema": 1,
+    "space": {"kind": "direct_sum", "components": [
+        {"kind": "lp", "p": "inf", "dim": 1},
+        {"kind": "polyhedral", "generators": [
+            [-0.689428354319475, 1.2375058673431771, -0.8566896338247137,
+             1.8947883398106646],
+            [-0.08642271583120979, -0.23261435215535475, 1.4627751369691202,
+             -1.9286944600610507],
+            [0.9759436303172669, 0.8105038656000378, 1.5706627628175966,
+             0.3693925600002923],
+            [0.4334412575653684, 0.4415067722966075, -1.445394544358909,
+             0.5836224610133662],
+            [0.1886769617697303, -0.5047608299664044, -1.234679257132643,
+             0.4548158923669755],
+            [1.048479454242903, -2.6048952218351955, -0.061608880595610135,
+             0.8651372035244128]]}],
+        "pi": {"kind": "monotone_polyhedral",
+               "generators": [[1.0, 0.0], [0.0, 1.0]]}},
+    "subspace": None,
+    "points": [
+        [0.7575230998601974, -0.11969124722119906, -1.5704404476743372,
+         0.26209743156889465, -1.9104182402952739],
+        [1.5414686769929609, -1.7910927818800593, -1.16613521051034,
+         -1.7600746039588344, 1.4922169835016246],
+        [-0.7017291012874276, -0.24696036743734373, 1.148125240949331,
+         -0.2894996883380254, 0.18044190197618315]],
+    "f": {"kind": "max"},
+}
+
+
+@pytest.mark.filterwarnings("ignore:generator set was not symmetric")
+def test_center_lp_that_broke_down_is_solved():
+    problem = problem_from_json(BREAKDOWN_INSTANCE)
+    res = solve_center(problem)
+    assert res.method == "lp"
+    assert res.rad == pytest.approx(4.916144539980734, rel=1e-12)
+    check = eval_rf(problem.space, res.minimizer, problem.points, problem.f)
+    assert abs(check - res.rad) <= 1e-9 * res.rad
 
 
 

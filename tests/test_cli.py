@@ -241,6 +241,49 @@ def test_env_seed_default(capsys, monkeypatch):
     assert report["config"]["seed"] == 123
 
 
+def test_parser_built_once_and_env_seed_read_per_run(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.delenv("CENTERLAB_SEED", raising=False)
+    code, report = run_json(capsys, "repro", "min-sum-decomposition")
+    assert report["config"]["seed"] == 0
+    monkeypatch.setenv("CENTERLAB_SEED", "41")
+    code, report = run_json(capsys, "repro", "min-sum-decomposition")
+    assert report["config"]["seed"] == 41
+    code, report = run_json(capsys, "repro", "min-sum-decomposition",
+                            "--seed", "5")
+    assert report["config"]["seed"] == 5
+    monkeypatch.setenv("CENTERLAB_SEED", "4.5")
+    assert main(["repro", "min-sum-decomposition"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "CENTERLAB_SEED" in captured.err
+
+
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_nested_ball_transfer_runs_its_projection_pair(capsys, seed):
+    # The Z1 witness lies outside Z2, so the transfer goes through the
+    # projection pair instead of the "done" shortcut.
+    code, report = run_json(capsys, "repro", "nested-ball-transfer",
+                            "--seed", seed)
+    assert code == EXIT_OK
+    assert report["verdicts"]["stage"] == "ok"
+
+
+def test_center_with_large_weights_validates(tmp_path, capsys):
+    instance = {
+        "schema": 1,
+        "space": {"kind": "lp", "p": "inf", "dim": 2},
+        "subspace": None,
+        "points": [[0, 0], [2, 0]],
+        "f": {"kind": "weighted_max", "weights": [1e9, 1e9]},
+    }
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(instance))
+    code, report = run_json(capsys, "center", str(path))
+    assert code == EXIT_OK
+    assert report["verdicts"]["f_validation_ok"] is True
+    assert report["verdicts"]["rad"] == pytest.approx(1e9, rel=1e-12)
+
+
 def test_failing_scenario_exits_3(capsys, monkeypatch):
     def broken(seed):
         report = cli.new_report("repro", {"name": "broken", "seed": seed})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from centerlab import geometry, norms, optim
+from centerlab import geometry, instances, norms, optim
 from centerlab.geometry import (
     BallFamily,
     LocallyConstrainedData,
@@ -294,6 +294,29 @@ def test_transfer_pipeline_full_run():
     assert z2.contains(res.point)
     dists = norms.eval_norm_many(space, res.point[None, :] - family.centers)
     assert (dists <= family.radii + 1e-9).all()
+
+
+def test_transfer_scenario_witness_never_in_target():
+    # Whatever vertex of the Z1 feasibility LP the simplex stops at, it lies
+    # outside Z2 and projects onto the touching point with no slack: sweep
+    # vertices with random objectives over the scenario's own LP.
+    data = instances.transfer_scenario()
+    lp = balls_intersect(data["space"], data["family"], data["z1"]).lp
+    basis = np.array(data["z1"].basis)
+    rng = np.random.default_rng(0)
+    vertices = set()
+    for _ in range(60):
+        out = optim.lp_solve(optim.LinearProgram(
+            rng.normal(size=lp.n_vars), lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq))
+        assert out.status == optim.OPTIMAL
+        z = basis @ out.x[:basis.shape[1]]
+        assert not data["z2"].contains(z)
+        image = data["p_matrix"] @ z
+        gaps = norms.eval_norm_many(data["space"],
+                                    image[None, :] - data["family"].centers)
+        assert np.abs(gaps - data["family"].radii).max() <= 1e-12
+        vertices.add(tuple(np.round(z, 9)))
+    assert vertices == {(3.0, 1.0, 0.0, 0.0), (3.0, -1.0, 0.0, 0.0)}
 
 
 def test_transfer_trivial_nesting_returns_witness():

@@ -14,6 +14,7 @@ from centerlab.optim import (
     subgradient_minimize,
     verify_farkas,
     verify_optimal,
+    verify_ray,
 )
 
 
@@ -444,4 +445,48 @@ def test_lp_solve_agrees_with_highs():
             else:
                 assert float(lp.objective @ out.ray) < 0
                 assert (lp.a_ub @ out.ray <= 1e-9).all()
+                assert verify_ray(lp, out.ray)
     assert seen == {optim.OPTIMAL, optim.INFEASIBLE, optim.UNBOUNDED}
+
+
+def test_verify_ray_accepts_solver_ray_and_rejects_corrupted_ones():
+    # min -x - y s.t. x - y <= 1, -x <= 0, x + y - 2z = 0: improves along
+    # (1, 1, 1) forever.
+    lp = make_lp([-1.0, -1.0, 0.0], a_ub=[[1.0, -1.0, 0.0], [-1.0, 0.0, 0.0]],
+                 b_ub=[1.0, 0.0], a_eq=[[1.0, 1.0, -2.0]], b_eq=[0.0])
+    out = lp_solve(lp)
+    assert out.status == optim.UNBOUNDED
+    assert verify_ray(lp, out.ray)
+    assert verify_ray(lp, 1e6 * out.ray)
+    assert not verify_ray(lp, -out.ray)                  # worsens the objective
+    assert not verify_ray(lp, np.array([1.0, 0.0, 0.5]))   # leaves a <= row
+    assert not verify_ray(lp, np.array([1.0, 1.0, 0.0]))   # breaks the equality
+    assert not verify_ray(lp, np.zeros(3))
+    assert not verify_ray(lp, np.array([np.nan, 1.0, 1.0]))
+
+
+def test_failed_audits_become_breakdowns(monkeypatch):
+    bounded = make_lp([1.0], a_ub=[[-1.0]], b_ub=[-1.0])
+    unbounded = make_lp([-1.0, 0.0], a_ub=[[0.0, 1.0]], b_ub=[1.0])
+    monkeypatch.setattr(optim, "verify_optimal", lambda lp, out: False)
+    monkeypatch.setattr(optim, "verify_ray", lambda lp, ray: False)
+    out = lp_solve(bounded)
+    assert out.status == optim.BREAKDOWN
+    assert out.message == "optimal claim failed the optimality audit"
+    out = lp_solve(unbounded)
+    assert out.status == optim.BREAKDOWN
+    assert out.message == "unbounded claim failed the ray audit"
+
+
+def test_slack_start_basis_needs_no_pivots():
+    # Every <= row has b >= 0, so the slacks form a feasible start basis at
+    # x = 0: no artificial, no phase 1, and a zero objective is optimal there.
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(7, 3))
+    lp = make_lp(np.zeros(3), a_ub=a, b_ub=rng.uniform(0.0, 2.0, size=7))
+    out = lp_solve(lp)
+    assert out.status == optim.OPTIMAL
+    assert out.iterations == 0
+    assert np.array_equal(out.x, np.zeros(3))
+    assert np.array_equal(out.dual_ub, np.zeros(7))
+    assert verify_optimal(lp, out)
