@@ -25,7 +25,7 @@ import numpy as np
 
 from . import norms, optim
 from .errors import DimensionMismatchError, OptimizationError
-from .norms import Subspace, eval_norm, eval_norm_many, norm_subgradient
+from .norms import Subspace, eval_norm, eval_norm_many
 
 FEAS_TOL = 1e-9
 
@@ -40,8 +40,8 @@ class FiniteSet:
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.shape[0] == 0:
-            raise ValueError("finite set must be nonempty")
+        if pts.ndim != 2 or pts.size == 0:
+            raise ValueError("finite set must be a nonempty list of points")
         if not np.isfinite(pts).all():
             raise ValueError("points must be finite")
         pts = np.array(pts)
@@ -62,6 +62,8 @@ class FiniteSet:
 
 def _positive_weights(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError("weights must be a nonempty list")
     if not (np.isfinite(w).all() and (w > 0).all()):
         raise ValueError("weights must be finite and positive")
     return w
@@ -280,11 +282,12 @@ def eval_rf(space, v, fs: FiniteSet, f: Scalarization) -> float:
 
 
 def eval_rf_many(space, vs: np.ndarray, fs: FiniteSet, f: Scalarization) -> np.ndarray:
+    """r_f at each row of `vs`, from one norm evaluation over all the
+    (row, point) differences."""
     vs = np.asarray(vs, dtype=float)
-    out = np.empty(vs.shape[0])
-    for i, v in enumerate(vs):
-        out[i] = eval_rf(space, v, fs, f)
-    return out
+    diffs = (vs[:, None, :] - fs.points[None, :, :]).reshape(-1, fs.dim)
+    t = norms.plan(space).value_many(diffs).reshape(vs.shape[0], fs.size)
+    return f_value_many(f, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,18 +375,29 @@ def _lp_center(problem: CenterProblem, basis: np.ndarray) -> tuple[float, np.nda
 def _subgradient_center(problem: CenterProblem, basis: np.ndarray,
                         stages: int, iters_per_stage: int) -> tuple[float, np.ndarray, optim.SubgradientResult]:
     space, fs, f = problem.space, problem.points, problem.f
+    compiled, points, basis_t = norms.plan(space), fs.points, basis.T
+    # the scalarization is resolved once: r_f and its subgradient from the
+    # norms and subgradients of the rows v - x_i (summed row by row, in order)
+    if isinstance(f, WeightedMax):
+        def combine(t, grads):
+            j = (f.weights * t).argmax()
+            return float(f.weights[j] * t[j]), f.weights[j] * grads[j]
+    elif isinstance(f, WeightedSum):
+        weights = f.weights[:, None]
+
+        def combine(t, grads):
+            return float(f.weights @ t), (weights * grads).sum(0)
+    else:
+        def combine(t, grads):
+            return f_value(f, t), (f_subgradient(f, t)[:, None] * grads).sum(0)
 
     def oracle(alpha):
-        v = basis @ alpha
-        diffs = v[None, :] - fs.points
-        t = eval_norm_many(space, diffs)
-        val = f_value(f, t)
-        ft = f_subgradient(f, t)
-        g = np.zeros(v.shape[0])
-        for i in range(fs.size):
-            if ft[i] != 0.0:
-                g += ft[i] * norm_subgradient(space, diffs[i])
-        return val, basis.T @ g
+        val, g = combine(*compiled.value_and_subgrad_many(basis @ alpha - points))
+        return val, basis_t @ g
+
+    if problem.feasible is None:  # identity basis: skip both products
+        def oracle(v):
+            return combine(*compiled.value_and_subgrad_many(v - points))
 
     centroid = fs.points.mean(axis=0)
     start = basis.T @ centroid
@@ -494,6 +508,38 @@ def _sublevel_vertices(problem: CenterProblem, basis: np.ndarray,
         return None
 
 
+SAMPLE_BLOCK = 1024
+
+
+def _rejection_samples(problem: CenterProblem, basis: np.ndarray, level: float,
+                       rng: np.random.Generator, alpha_star: np.ndarray,
+                       width: float, cfg: ProbeConfig) -> np.ndarray:
+    """The first `cfg.n_rejection` of at most `cfg.budget` uniform draws
+    around `alpha_star` whose r_f is at most `level`.
+
+    Draws are made and tested in blocks of at most SAMPLE_BLOCK.  The
+    uniforms are the ones, in the order, that one draw per iteration would
+    give; afterwards the generator is rewound and exactly the consumed draws
+    are drawn again, so it ends where that loop would have left it.
+    """
+    d = basis.shape[1]
+    state = rng.bit_generator.state
+    kept: list[np.ndarray] = []
+    n_kept = draws = 0
+    while n_kept < cfg.n_rejection and draws < cfg.budget:
+        block = alpha_star + rng.uniform(-width, width,
+                                         size=(min(SAMPLE_BLOCK, cfg.budget - draws), d))
+        hits = np.flatnonzero(eval_rf_many(problem.space, block @ basis.T,
+                                           problem.points, problem.f) <= level)
+        hits = hits[:cfg.n_rejection - n_kept]
+        kept.append(block[hits])
+        n_kept += hits.size
+        draws += block.shape[0] if n_kept < cfg.n_rejection else int(hits[-1]) + 1
+    rng.bit_generator.state = state
+    rng.uniform(-width, width, size=(draws, d))
+    return np.concatenate(kept) if kept else np.zeros((0, d))
+
+
 def delta_center_probe(problem: CenterProblem, delta: float, eps: float,
                        cfg: ProbeConfig = ProbeConfig(),
                        result: CenterResult | None = None) -> DeltaCenterProbe:
@@ -524,12 +570,8 @@ def delta_center_probe(problem: CenterProblem, delta: float, eps: float,
         spread = np.abs(basis.T @ problem.points.points.T).max(initial=1.0)
         width = cfg.box_halfwidth if cfg.box_halfwidth is not None else \
             2.0 * max(1.0, float(np.abs(alpha_star).max(initial=0.0)), float(spread))
-        draws = 0
-        while len(samples_alpha) < cfg.n_rejection and draws < cfg.budget:
-            draws += 1
-            alpha = alpha_star + rng.uniform(-width, width, size=basis.shape[1])
-            if eval_rf(problem.space, basis @ alpha, problem.points, problem.f) <= level:
-                samples_alpha.append(alpha)
+        samples_alpha.extend(_rejection_samples(problem, basis, level, rng,
+                                                alpha_star, width, cfg))
         if norms.is_lp_encodable(problem.space) and f_lp_encodable(problem.f):
             for _ in range(cfg.n_directions):
                 c = rng.normal(size=basis.shape[1])

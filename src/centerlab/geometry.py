@@ -54,6 +54,10 @@ class BallFamily:
     def from_arrays(cls, centers, radii) -> "BallFamily":
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         radii = np.asarray(radii, dtype=float).ravel()
+        if centers.ndim != 2 or centers.shape[0] != radii.shape[0]:
+            raise ValueError("a family needs one center row per radius")
+        if not (np.isfinite(centers).all() and np.isfinite(radii).all()):
+            raise ValueError("ball centers and radii must be finite")
         return cls(tuple(Ball(c, float(r)) for c, r in zip(centers, radii)))
 
     @property
@@ -128,12 +132,13 @@ def balls_intersect(space, family: BallFamily, within: Subspace | None = None
             return IntersectionResult(INFEASIBLE, None, lp, out)
         raise OptimizationError(f"feasibility LP ended with {out.status}")
 
+    compiled, basis_t = norms.plan(space), basis.T
+
     def oracle(alpha):
-        v = basis @ alpha
-        vals = eval_norm_many(space, v[None, :] - centers) - radii
-        j = int(np.argmax(vals))
-        g = norm_subgradient(space, v - centers[j])
-        return float(vals[j]), basis.T @ g
+        vals, grads = compiled.value_and_subgrad_many(basis @ alpha - centers)
+        gaps = vals - radii
+        j = int(np.argmax(gaps))
+        return float(gaps[j]), basis_t @ grads[j]
 
     start = basis.T @ centers.mean(axis=0)
     scale = max(1.0, 2.0 * float(np.linalg.norm(centers - centers.mean(axis=0),
@@ -212,6 +217,8 @@ def ac_dominator(space, sub: Subspace, a_points, x) -> IntersectionResult:
         if not sub.contains(a, tol=1e-7):
             raise ValueError("reference points must lie in the subspace")
     caps = eval_norm_many(space, x[None, :] - a_points)
+    if not np.isfinite(caps).all():
+        raise OptimizationError("dominator radii overflow")
     return balls_intersect(space, BallFamily.from_arrays(a_points, caps), sub)
 
 
@@ -452,7 +459,7 @@ def locally_constrained_transfer(space, z1: Subspace, y: Subspace,
     Stages: the family must intersect within Y; it must intersect within Z1
     (this is where centrality of Z1 is exercised); the projection pair for
     the found witness must verify; and the projected point must lie in every
-    ball with no slack.  The first failing stage is reported.
+    ball.  The first failing stage is reported.
     """
     for b in family.balls:
         if not z2.contains(b.center, tol=1e-7):

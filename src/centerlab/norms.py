@@ -8,6 +8,13 @@ weighted p-norm (an "E-sum"); both are one `SumNorm`.  Everything polyhedral
 reduces to linear programming through the epigraph encoder at the bottom of
 the module; the remaining cases go through subgradients.
 
+Each norm object is compiled once, on first use, into a `NormPlan` (see
+`plan`): generator blocks, p-values, component slices and the combiner, held
+as arrays.  `space_dim`, `eval_norm`, `eval_norm_many`, `norm_subgradient`
+and `eval_weight_norm` all read the plan, and the subgradient oracles call
+its `value_and_subgrad_many` directly, which gives the norms and one
+subgradient per row of a whole array without a Python loop over the rows.
+
 Vectors are plain numpy arrays.  All norm and subspace objects are immutable
 after construction and every operation is a pure function.
 """
@@ -96,8 +103,8 @@ def polyhedral(generators, symmetrize: bool = True) -> PolyhedralNorm:
     """Build a polyhedral norm; asymmetric generator sets are symmetrized by
     adding negations (with a warning), since the norm must be even."""
     gens = np.asarray(generators, dtype=float)
-    if gens.ndim != 2 or gens.shape[0] == 0:
-        raise InvalidNormError("generator matrix must be 2-d and nonempty")
+    if gens.ndim != 2 or gens.size == 0 or not np.isfinite(gens).all():
+        raise InvalidNormError("generator matrix must be 2-d, nonempty and finite")
     rows = [gens[i] for i in range(gens.shape[0])]
     added = []
     if symmetrize:
@@ -111,7 +118,7 @@ def polyhedral(generators, symmetrize: bool = True) -> PolyhedralNorm:
 
 def lp_norm(p, dim: int) -> LpNorm:
     p = float(p)
-    if p < 1:
+    if not p >= 1:
         raise InvalidNormError("p-norm requires p >= 1")
     if dim < 1:
         raise InvalidNormError("dimension must be positive")
@@ -132,8 +139,8 @@ def l2(dim: int) -> LpNorm:
 
 def monotone_polyhedral(generators) -> MonotonePolyhedralNorm:
     gens = np.asarray(generators, dtype=float)
-    if gens.ndim != 2 or gens.shape[0] == 0:
-        raise InvalidNormError("generator matrix must be 2-d and nonempty")
+    if gens.ndim != 2 or gens.size == 0 or not np.isfinite(gens).all():
+        raise InvalidNormError("generator matrix must be 2-d, nonempty and finite")
     if (gens < 0).any():
         raise InvalidNormError("monotone polyhedral generators must be nonnegative")
     if (gens.max(axis=0) <= 0).any():
@@ -152,10 +159,12 @@ def sum_combiner(k: int) -> MonotonePolyhedralNorm:
 def weighted_lp(p, weights) -> WeightedLpNorm:
     p = float(p)
     w = np.asarray(weights, dtype=float)
-    if p < 1:
+    if not p >= 1:
         raise InvalidNormError("p must be >= 1")
-    if (w <= 0).any():
-        raise InvalidNormError("weights must be positive")
+    if w.ndim != 1 or w.size == 0:
+        raise InvalidNormError("weights must be a nonempty list")
+    if not (np.isfinite(w).all() and (w > 0).all()):
+        raise InvalidNormError("weights must be finite and positive")
     return WeightedLpNorm(p, _frozen(w))
 
 
@@ -175,23 +184,146 @@ def make_esum(components, e_norm: WeightNorm) -> SumNorm:
     return SumNorm(components, e_norm)
 
 
+# ---------------------------------------------------------------------------
+# compiled plans
+
+class NormPlan:
+    """A norm, or a combiner on the orthant, compiled to arrays by `plan`.
+
+    `value_many(xs)` gives the norms of the rows of `xs`, and
+    `value_and_subgrad_many(xs)` also one subgradient per row: the
+    deterministic selection g with g @ x = ||x|| that takes the first
+    maximizing generator or coordinate on ties and is zero where a smooth
+    norm vanishes.  Neither loops over rows.
+    """
+
+    dim: int
+
+
+_max, _sum = np.maximum.reduce, np.add.reduce
+
+
+@dataclass(eq=False)
+class _GeneratorPlan(NormPlan):
+    """max over the rows of `gens`: a polyhedral norm or a monotone combiner."""
+
+    gens: np.ndarray
+    dim: int
+
+    def value_many(self, xs):
+        return _max(xs @ self.gens.T, 1)
+
+    def value_and_subgrad_many(self, xs):
+        prods = xs @ self.gens.T
+        return _max(prods, 1), self.gens[prods.argmax(1)]
+
+
+@dataclass(eq=False)
+class _PPlan(NormPlan):
+    """The p-norm on R^dim; `cols` is arange(dim)."""
+
+    p: float
+    dim: int
+    cols: np.ndarray
+
+    def value_many(self, xs):
+        a = np.abs(xs)
+        if self.p == np.inf:
+            return _max(a, 1)
+        if self.p == 1:
+            return _sum(a, 1)
+        return _sum(a ** self.p, 1) ** (1.0 / self.p)
+
+    def value_and_subgrad_many(self, xs):
+        p, a = self.p, np.abs(xs)
+        if p == 1:
+            return _sum(a, 1), np.sign(xs)
+        if p == np.inf:
+            return _max(a, 1), np.sign(xs) * (self.cols == a.argmax(1)[:, None])
+        vals = _sum(a ** p, 1) ** (1.0 / p)
+        live = (vals != 0)[:, None]
+        scale = np.where(live, vals[:, None], 1.0) ** (1.0 - p)
+        return vals, np.sign(xs) * a ** (p - 1.0) * scale * live
+
+
+@dataclass(eq=False)
+class _WeightedPlan(NormPlan):
+    """The weighted p-norm of an E-sum, p finite, on the nonnegative orthant."""
+
+    p: float
+    weights: np.ndarray
+    dim: int
+
+    def value_many(self, ts):
+        return (ts ** self.p @ self.weights) ** (1.0 / self.p)
+
+    def value_and_subgrad_many(self, ts):
+        vals = self.value_many(ts)
+        live = (vals > 0)[:, None]
+        scale = np.where(live, vals[:, None], 1.0) ** (1.0 - self.p)
+        return vals, self.weights * ts ** (self.p - 1.0) * scale * live
+
+
+@dataclass(eq=False)
+class _SumPlan(NormPlan):
+    """combiner(||x_1||, ..., ||x_k||); `parts` holds (slice, plan) pairs."""
+
+    parts: tuple
+    combiner: NormPlan
+    dim: int
+
+    def value_many(self, xs):
+        t = np.empty((xs.shape[0], len(self.parts)))
+        for i, (sl, part) in enumerate(self.parts):
+            t[:, i] = part.value_many(xs[:, sl])
+        return self.combiner.value_many(t)
+
+    def value_and_subgrad_many(self, xs):
+        t = np.empty((xs.shape[0], len(self.parts)))
+        grads = []
+        for i, (sl, part) in enumerate(self.parts):
+            t[:, i], g = part.value_and_subgrad_many(xs[:, sl])
+            grads.append(g)
+        vals, h = self.combiner.value_and_subgrad_many(t)
+        return vals, np.hstack([h[:, i, None] * g for i, g in enumerate(grads)])
+
+
+def plan(space) -> NormPlan:
+    """The compiled plan of a norm or combiner, built on first use and kept
+    on the (immutable) norm object."""
+    compiled = getattr(space, "_plan", None)
+    if compiled is not None:
+        return compiled
+    if isinstance(space, (PolyhedralNorm, MonotonePolyhedralNorm)):
+        compiled = _GeneratorPlan(space.generators, space.dim)
+    elif isinstance(space, LpNorm):
+        # in dimension 1 every p-norm is |x|
+        compiled = _PPlan(1.0 if space.dim == 1 else space.p, space.dim,
+                          np.arange(space.dim))
+    elif isinstance(space, WeightedLpNorm) and space.p == np.inf:
+        # max_i w_i t_i is the max over the rows of diag(w)
+        compiled = _GeneratorPlan(np.diag(space.weights), space.dim)
+    elif isinstance(space, WeightedLpNorm):
+        compiled = _WeightedPlan(space.p, space.weights, space.dim)
+    elif isinstance(space, SumNorm):
+        parts, pos = [], 0
+        for comp in space.components:
+            part = plan(comp)
+            parts.append((slice(pos, pos + part.dim), part))
+            pos += part.dim
+        compiled = _SumPlan(tuple(parts), plan(space.combiner), pos)
+    else:
+        raise TypeError(f"not a norm spec: {type(space)!r}")
+    object.__setattr__(space, "_plan", compiled)
+    return compiled
+
+
 def space_dim(space) -> int:
-    if isinstance(space, (PolyhedralNorm, MonotonePolyhedralNorm, LpNorm,
-                          WeightedLpNorm)):
-        return space.dim
-    if isinstance(space, SumNorm):
-        return sum(space_dim(c) for c in space.components)
-    raise TypeError(f"not a norm spec: {type(space)!r}")
+    return plan(space).dim
 
 
 def component_slices(space) -> list[slice]:
-    out = []
-    pos = 0
-    for comp in space.components:
-        d = space_dim(comp)
-        out.append(slice(pos, pos + d))
-        pos += d
-    return out
+    return [sl for sl, _ in plan(space).parts]
 
 
 def _check_dim(space, x: np.ndarray) -> np.ndarray:
@@ -203,30 +335,14 @@ def _check_dim(space, x: np.ndarray) -> np.ndarray:
 
 
 def eval_weight_norm(wnorm: WeightNorm, t: np.ndarray) -> float:
-    t = np.asarray(t, dtype=float)
-    if isinstance(wnorm, MonotonePolyhedralNorm):
-        return float((wnorm.generators @ t).max())
-    if np.isinf(wnorm.p):
-        return float((wnorm.weights * np.abs(t)).max())
-    return float((wnorm.weights @ np.abs(t) ** wnorm.p) ** (1.0 / wnorm.p))
+    """The combiner norm of |t|."""
+    return float(plan(wnorm).value_many(np.abs(np.asarray(t, dtype=float))[None, :])[0])
 
 
 def eval_norm(space, x) -> float:
     """Norm of a single vector under any NormSpec variant."""
     x = _check_dim(space, x)
-    if isinstance(space, PolyhedralNorm):
-        return float((space.generators @ x).max())
-    if isinstance(space, LpNorm):
-        if np.isinf(space.p):
-            return float(np.abs(x).max(initial=0.0))
-        if space.p == 1:
-            return float(np.abs(x).sum())
-        return float((np.abs(x) ** space.p).sum() ** (1.0 / space.p))
-    if isinstance(space, SumNorm):
-        t = np.array([eval_norm(c, x[sl])
-                      for c, sl in zip(space.components, component_slices(space))])
-        return eval_weight_norm(space.combiner, t)
-    raise TypeError(f"not a norm spec: {type(space)!r}")
+    return float(plan(space).value_many(x[None, :])[0])
 
 
 def eval_norm_many(space, xs: np.ndarray) -> np.ndarray:
@@ -234,72 +350,16 @@ def eval_norm_many(space, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2:
         raise DimensionMismatchError("expected a 2-d array of row vectors")
-    if xs.shape[1] != space_dim(space):
+    compiled = plan(space)
+    if xs.shape[1] != compiled.dim:
         raise DimensionMismatchError("row width does not match space dimension")
-    if isinstance(space, PolyhedralNorm):
-        return (xs @ space.generators.T).max(axis=1)
-    if isinstance(space, LpNorm):
-        if np.isinf(space.p):
-            return np.abs(xs).max(axis=1)
-        if space.p == 1:
-            return np.abs(xs).sum(axis=1)
-        return (np.abs(xs) ** space.p).sum(axis=1) ** (1.0 / space.p)
-    if isinstance(space, SumNorm):
-        cols = [eval_norm_many(c, xs[:, sl])
-                for c, sl in zip(space.components, component_slices(space))]
-        t = np.column_stack(cols)
-        combiner = space.combiner
-        if isinstance(combiner, MonotonePolyhedralNorm):
-            return (t @ combiner.generators.T).max(axis=1)
-        if np.isinf(combiner.p):
-            return (t * combiner.weights).max(axis=1)
-        return (t ** combiner.p @ combiner.weights) ** (1.0 / combiner.p)
-    raise TypeError(f"not a norm spec: {type(space)!r}")
-
-
-def _weight_norm_subgradient(wnorm: WeightNorm, t: np.ndarray) -> np.ndarray:
-    if isinstance(wnorm, MonotonePolyhedralNorm):
-        j = int(np.argmax(wnorm.generators @ t))
-        return wnorm.generators[j].copy()
-    if np.isinf(wnorm.p):
-        j = int(np.argmax(wnorm.weights * t))
-        g = np.zeros_like(t)
-        g[j] = wnorm.weights[j]
-        return g
-    val = eval_weight_norm(wnorm, t)
-    if val <= 0:
-        return np.zeros_like(t)
-    return wnorm.weights * t ** (wnorm.p - 1.0) * val ** (1.0 - wnorm.p)
+    return compiled.value_many(xs)
 
 
 def norm_subgradient(space, x) -> np.ndarray:
     """A deterministic subgradient selection g with g @ x = ||x||."""
     x = _check_dim(space, x)
-    if isinstance(space, PolyhedralNorm):
-        j = int(np.argmax(space.generators @ x))
-        return space.generators[j].copy()
-    if isinstance(space, LpNorm):
-        if np.isinf(space.p):
-            j = int(np.argmax(np.abs(x)))
-            g = np.zeros_like(x)
-            g[j] = np.sign(x[j]) if x[j] != 0 else 0.0
-            return g
-        if space.p == 1:
-            return np.sign(x)
-        nrm = eval_norm(space, x)
-        if nrm == 0:
-            return np.zeros_like(x)
-        return np.sign(x) * np.abs(x) ** (space.p - 1.0) * nrm ** (1.0 - space.p)
-    if isinstance(space, SumNorm):
-        slices = component_slices(space)
-        t = np.array([eval_norm(c, x[sl]) for c, sl in zip(space.components, slices)])
-        h = _weight_norm_subgradient(space.combiner, t)
-        g = np.zeros_like(x)
-        for i, (c, sl) in enumerate(zip(space.components, slices)):
-            if h[i] != 0:
-                g[sl] = h[i] * norm_subgradient(c, x[sl])
-        return g
-    raise TypeError(f"not a norm spec: {type(space)!r}")
+    return plan(space).value_and_subgrad_many(x[None, :])[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +660,8 @@ def subspace_from_basis(ambient, vectors) -> Subspace:
     linear span, only its dimension is used)."""
     ambient_dim = _ambient_dim(ambient)
     vecs = np.asarray(vectors, dtype=float)
+    if not np.isfinite(vecs).all():
+        raise ValueError("subspace vectors must be finite")
     if vecs.size == 0:
         return Subspace.zero(ambient_dim)
     vecs = vecs.reshape(-1, ambient_dim)
@@ -619,6 +681,8 @@ def subspace_from_kernel(ambient, functionals) -> Subspace:
     subspace_from_basis."""
     ambient_dim = _ambient_dim(ambient)
     funcs = np.asarray(functionals, dtype=float)
+    if not np.isfinite(funcs).all():
+        raise ValueError("subspace vectors must be finite")
     if funcs.size == 0:
         return Subspace.full(ambient_dim)
     funcs = funcs.reshape(-1, ambient_dim)
@@ -681,10 +745,11 @@ def dist_to_subspace(space, x, sub: Subspace) -> tuple[float, np.ndarray]:
         alpha = out.x[:sub.dim]
         return float(out.value), sub.embed(alpha)
 
+    compiled, basis, basis_t = plan(space), sub.basis, sub.basis.T
+
     def oracle(alpha):
-        v = x - sub.embed(alpha)
-        g = norm_subgradient(space, v)
-        return eval_norm(space, v), -(sub.basis.T @ g)
+        vals, grads = compiled.value_and_subgrad_many((x - basis @ alpha)[None, :])
+        return float(vals[0]), -(basis_t @ grads[0])
 
     start = sub.coords(x)
     scale = max(1.0, float(np.linalg.norm(x - sub.embed(start))))
@@ -714,6 +779,14 @@ def _p_to_json(p: float):
 
 def _p_from_json(p) -> float:
     return np.inf if p in ("inf", "Infinity") else float(p)
+
+
+def _whole(value, what: str) -> int:
+    """A count read from JSON: refuses fractions, NaN and infinities."""
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{what} must be a whole number, not {value!r}")
+    return int(number)
 
 
 def weight_norm_to_json(w: WeightNorm) -> dict:
@@ -757,7 +830,7 @@ def norm_from_json(data: dict):
             raise InvalidNormError("polyhedral generators do not span the space")
         return space
     if kind == "lp":
-        return lp_norm(_p_from_json(data["p"]), int(data["dim"]))
+        return lp_norm(_p_from_json(data["p"]), _whole(data["dim"], "dim"))
     if kind == "direct_sum":
         comps = [norm_from_json(c) for c in data["components"]]
         return make_direct_sum(comps, weight_norm_from_json(data["pi"]))
@@ -777,7 +850,7 @@ def subspace_from_json(data: dict) -> Subspace:
     rows = data.get("basis", data.get("kernel"))
     if rows is None:
         raise ValueError("subspace JSON needs a 'basis' or 'kernel' field")
-    n = int(data.get("ambient_dim", len(rows[0]) if rows else 0))
+    n = _whole(data.get("ambient_dim", len(rows[0]) if rows else 0), "ambient_dim")
     if "basis" in data:
         return subspace_from_basis(n, data["basis"])
     return subspace_from_kernel(n, data["kernel"])

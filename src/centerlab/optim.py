@@ -578,26 +578,27 @@ def subgradient_minimize(oracle: Callable[[np.ndarray], tuple[float, np.ndarray]
         x = project(x)
     value, grad = oracle(x)
     best_v = value
-    best_x = x.copy()
+    best_x = x  # iterates are fresh arrays, never written in place
     trace = [value]
     last_improve = 0
     k = 0
+    step_a, step_b, tol, patience = cfg.step_a, cfg.step_b, cfg.tol, cfg.patience
     for k in range(1, cfg.max_iter + 1):
-        gn = float(np.linalg.norm(grad))
+        gn = math.sqrt(grad @ grad)
         if gn <= 1e-300:
             return SubgradientResult(best_v, best_x, np.array(trace), True, k)
-        step = cfg.step_a / (k + cfg.step_b)
+        step = step_a / (k + step_b)
         x = x - (step / gn) * grad
         if project is not None:
             x = project(x)
         value, grad = oracle(x)
         trace.append(value)
         if value < best_v:
-            if value < best_v - cfg.tol * max(1.0, abs(best_v)):
+            if value < best_v - tol * max(1.0, abs(best_v)):
                 last_improve = k
             best_v = value
-            best_x = x.copy()
-        if k - last_improve > cfg.patience:
+            best_x = x
+        if k - last_improve > patience:
             return SubgradientResult(best_v, best_x, np.array(trace), True, k)
     return SubgradientResult(best_v, best_x, np.array(trace), False, k)
 
@@ -611,37 +612,35 @@ def _polyak_polish(oracle, project, start, best_v, iters, delta0, trace):
     piecewise-linear valleys where raw subgradients zigzag; the shrinking
     target offset then recovers fast convergence to the floor."""
     x = np.asarray(start, dtype=float).copy()
-    best_x = x.copy()
+    best_x = x  # iterates are fresh arrays, never written in place
     delta = delta0
     direction = None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, iters + 1):
             value, grad = oracle(x)
-            if not np.isfinite(value):
-                x = best_x.copy()
+            if not math.isfinite(value):
+                x = best_x
                 direction = None
                 continue
             trace.append(value)
             if value < best_v:
                 best_v = value
-                best_x = x.copy()
-            if direction is not None and float(direction @ grad) < 0:
-                beta = -1.5 * float(direction @ grad) / float(direction @ direction)
+                best_x = x
+            along = 0.0 if direction is None else float(direction @ grad)
+            if along < 0:
+                beta = -1.5 * along / float(direction @ direction)
                 direction = grad + beta * direction
             else:
                 direction = grad
             dd = float(direction @ direction)
-            if not np.isfinite(dd) or dd < 1e-150:
+            if not math.isfinite(dd) or dd < 1e-150:
                 break
-            step = (value - (best_v - delta)) / dd
-            nxt = x - step * direction
+            nxt = x - ((value - (best_v - delta)) / dd) * direction
             if not np.isfinite(nxt).all():
-                x = best_x.copy()
+                x = best_x
                 direction = None
                 continue
-            x = nxt
-            if project is not None:
-                x = project(x)
+            x = nxt if project is None else project(nxt)
             if k % 200 == 0:
                 delta = max(delta / 4.0, 1e-13)
     return best_v, best_x

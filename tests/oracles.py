@@ -38,3 +38,83 @@ def svd_rank(rows, tol=1e-9):
     if rows.size == 0:
         return 0
     return int(np.linalg.matrix_rank(rows, tol=tol))
+
+
+# ---------------------------------------------------------------------------
+# the per-variant scalar norm evaluation and subgradient selection, one
+# vector at a time, as a reference for the compiled plans
+
+def _ladder_weight_norm(wnorm, t):
+    from centerlab.norms import MonotonePolyhedralNorm
+    if isinstance(wnorm, MonotonePolyhedralNorm):
+        return float((wnorm.generators @ t).max())
+    if np.isinf(wnorm.p):
+        return float((wnorm.weights * np.abs(t)).max())
+    return float((wnorm.weights @ np.abs(t) ** wnorm.p) ** (1.0 / wnorm.p))
+
+
+def _ladder_weight_subgradient(wnorm, t):
+    from centerlab.norms import MonotonePolyhedralNorm
+    if isinstance(wnorm, MonotonePolyhedralNorm):
+        return wnorm.generators[int(np.argmax(wnorm.generators @ t))].copy()
+    if np.isinf(wnorm.p):
+        j = int(np.argmax(wnorm.weights * t))
+        g = np.zeros_like(t)
+        g[j] = wnorm.weights[j]
+        return g
+    val = _ladder_weight_norm(wnorm, t)
+    if val <= 0:
+        return np.zeros_like(t)
+    return wnorm.weights * t ** (wnorm.p - 1.0) * val ** (1.0 - wnorm.p)
+
+
+def _slices(space):
+    from centerlab.norms import space_dim
+    out, pos = [], 0
+    for comp in space.components:
+        out.append(slice(pos, pos + space_dim(comp)))
+        pos += space_dim(comp)
+    return out
+
+
+def ladder_norm(space, x):
+    from centerlab.norms import LpNorm, PolyhedralNorm
+    x = np.asarray(x, dtype=float)
+    if isinstance(space, PolyhedralNorm):
+        return float((space.generators @ x).max())
+    if isinstance(space, LpNorm):
+        if np.isinf(space.p):
+            return float(np.abs(x).max(initial=0.0))
+        if space.p == 1:
+            return float(np.abs(x).sum())
+        return float((np.abs(x) ** space.p).sum() ** (1.0 / space.p))
+    t = np.array([ladder_norm(c, x[sl])
+                  for c, sl in zip(space.components, _slices(space))])
+    return _ladder_weight_norm(space.combiner, t)
+
+
+def ladder_subgradient(space, x):
+    from centerlab.norms import LpNorm, PolyhedralNorm
+    x = np.asarray(x, dtype=float)
+    if isinstance(space, PolyhedralNorm):
+        return space.generators[int(np.argmax(space.generators @ x))].copy()
+    if isinstance(space, LpNorm):
+        if np.isinf(space.p):
+            j = int(np.argmax(np.abs(x)))
+            g = np.zeros_like(x)
+            g[j] = np.sign(x[j]) if x[j] != 0 else 0.0
+            return g
+        if space.p == 1:
+            return np.sign(x)
+        nrm = ladder_norm(space, x)
+        if nrm == 0:
+            return np.zeros_like(x)
+        return np.sign(x) * np.abs(x) ** (space.p - 1.0) * nrm ** (1.0 - space.p)
+    slices = _slices(space)
+    t = np.array([ladder_norm(c, x[sl]) for c, sl in zip(space.components, slices)])
+    h = _ladder_weight_subgradient(space.combiner, t)
+    g = np.zeros_like(x)
+    for i, (c, sl) in enumerate(zip(space.components, slices)):
+        if h[i] != 0:
+            g[sl] = h[i] * ladder_subgradient(c, x[sl])
+    return g

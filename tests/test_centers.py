@@ -21,7 +21,7 @@ from centerlab.centers import (
     uniform_max,
     validate_fcmc,
 )
-from centerlab.norms import l1, l2, linf, subspace_from_basis
+from centerlab.norms import l1, l2, linf, lp_norm, subspace_from_basis
 
 from oracles import grid_minimize
 
@@ -401,3 +401,51 @@ def test_solve_center_deterministic_minimizer():
 def test_f_value_composite_chain():
     f = Composite(WeightedSum(np.array([1.0, 1.0])), power=2.0, scale=3.0)
     assert f_value(f, np.array([1.0, 2.0])) == pytest.approx(27.0)
+
+
+def _rejection_by_loop(problem, basis, level, rng, alpha_star, width, cfg):
+    """The probe's rejection sampler as one draw per iteration."""
+    kept = []
+    draws = 0
+    while len(kept) < cfg.n_rejection and draws < cfg.budget:
+        draws += 1
+        alpha = alpha_star + rng.uniform(-width, width, size=basis.shape[1])
+        if eval_rf(problem.space, basis @ alpha, problem.points, problem.f) <= level:
+            kept.append(alpha)
+    return np.array(kept).reshape(-1, basis.shape[1])
+
+
+@pytest.mark.parametrize("case", ["accepting", "starving", "lp-encodable"])
+def test_block_sampler_matches_scalar_loop(case):
+    rng = np.random.default_rng(5)
+    if case == "accepting":
+        # needs more than one block: 300 hits at a rate well below 1/4
+        prob = CenterProblem(l2(3), None, FiniteSet(rng.normal(size=(3, 3))),
+                             WeightedSum(np.array([1.0, 0.5, 2.0])))
+        delta, cfg = 3.0, centers.ProbeConfig(n_rejection=300, budget=4000)
+    elif case == "starving":
+        prob = CenterProblem(lp_norm(2.5, 2), None,
+                             FiniteSet(rng.normal(size=(2, 2))), uniform_max(2))
+        delta, cfg = 1e-6, centers.ProbeConfig(n_rejection=200, budget=2500)
+    else:
+        prob = CenterProblem(l1(3), plane_sum_zero(), FiniteSet(Y_POINTS),
+                             WeightedSum(np.ones(3)))
+        delta, cfg = 0.3, centers.ProbeConfig()
+    res = solve_center(prob)
+    n = prob.points.dim
+    basis = np.eye(n) if prob.feasible is None else np.array(prob.feasible.basis)
+    alpha_star = basis.T @ res.minimizer
+    width = 2.0
+    level = res.rad + delta
+    blocks, loop = np.random.default_rng(11), np.random.default_rng(11)
+    got = centers._rejection_samples(prob, basis, level, blocks, alpha_star,
+                                     width, cfg)
+    want = _rejection_by_loop(prob, basis, level, loop, alpha_star, width, cfg)
+    assert np.array_equal(got, want)
+    assert blocks.bit_generator.state == loop.bit_generator.state
+    if case == "accepting":
+        assert len(want) == cfg.n_rejection
+    elif case == "starving":
+        assert len(want) < cfg.n_rejection
+    else:
+        assert 0 < len(want) <= cfg.n_rejection

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from centerlab import cli
+from centerlab import cli, geometry
 from centerlab.cli import EXIT_ASSERT, EXIT_OK, EXIT_USAGE, SCENARIOS, main
 
 
@@ -296,3 +296,49 @@ def test_failing_scenario_exits_3(capsys, monkeypatch):
     assert code == EXIT_ASSERT
     assert not report["ok"]
     assert any("assertion failure" in n for n in report["notes"])
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["property", "central", "--seed", "-1"], None),
+    (["center", "INSTANCE", "--seed", "-1"], None),
+    (["repro", "linf3-two-lines"], "-5"),
+    (["property", "mideal", "--trials", "-2"], None),
+    (["center", "INSTANCE", "--deltas", "nan"], None),
+    (["center", "INSTANCE", "--deltas", "0.1", "-0.5"], None),
+    (["center", "INSTANCE", "--deltas", "inf"], None),
+    (["center", "INSTANCE", "--tol", "nan"], None),
+    (["property", "mideal", "--tol", "inf"], None),
+])
+def test_numeric_flags_out_of_range_are_refused(tmp_path, capsys, monkeypatch,
+                                                argv, env):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(README_INSTANCE))
+    if env is not None:
+        monkeypatch.setenv("CENTERLAB_SEED", env)
+    code = main([str(path) if a == "INSTANCE" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("centerlab: ")
+
+
+@pytest.mark.parametrize("point, code", [([3.0, 0, 0, 0], EXIT_OK),
+                                         ([3.8, 0, 0, 0], EXIT_ASSERT)])
+def test_transfer_check_is_containment(capsys, monkeypatch, point, code):
+    # balls of radius 1.5 about (2,0,0,0) and (4,0,0,0): (3,0,0,0) lies
+    # strictly inside both, (3.8,0,0,0) outside the first
+    data = cli.instances.transfer_scenario()
+    data["family"] = geometry.BallFamily.from_arrays(data["family"].centers,
+                                                     [1.5, 1.5])
+    monkeypatch.setattr(cli.instances, "transfer_scenario", lambda: data)
+    monkeypatch.setattr(cli, "locally_constrained_transfer",
+                        lambda *args: geometry.TransferResult(
+                            True, "ok", np.array(point), {}))
+    got, report = run_json(capsys, "repro", "nested-ball-transfer")
+    assert got == code
+    within = next(c for c in report["checks"]
+                  if c["name"] == "output point within every radius")
+    assert within["pass"] == (code == EXIT_OK)
+    assert report["verdicts"]["slack"] == pytest.approx(
+        -0.5 if code == EXIT_OK else 0.3, abs=1e-12)

@@ -35,7 +35,7 @@ from centerlab.norms import (
     weighted_lp,
 )
 
-from oracles import grid_minimize, svd_rank
+from oracles import grid_minimize, ladder_norm, ladder_subgradient, svd_rank
 
 
 def random_polyhedral(rng, dim, n_gens=4):
@@ -169,6 +169,67 @@ def test_eval_norm_many_agrees_with_scalar_path():
         many = eval_norm_many(space, xs)
         single = np.array([eval_norm(space, x) for x in xs])
         assert np.allclose(many, single, atol=1e-12)
+
+
+def _plan_spaces(rng):
+    """Every norm variant, with weighted p in {1, 2, 2.5, inf} combiners and
+    nested sums.  Integer generators keep exact argmax ties exact."""
+    tie_gens = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0],
+                         [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    inner = make_esum([l2(1), linf(2)], weighted_lp(2.5, [1.0, 0.5]))
+    return [
+        random_polyhedral(rng, 3), polyhedral(np.vstack([tie_gens, -tie_gens]),
+                                              symmetrize=False),
+        l1(3), l2(3), lp_norm(2.5, 3), linf(3),
+        l1(1), l2(1), lp_norm(2.5, 1), linf(1),
+        make_direct_sum([l1(2), linf(1)], max_combiner(2)),
+        make_direct_sum([linf(1), linf(1), linf(1)], sum_combiner(3)),
+        make_direct_sum([random_polyhedral(rng, 2), l2(1)],
+                        monotone_polyhedral([[1.0, 2.0], [2.0, 1.0], [1.0, 1.0]])),
+        make_esum([l1(1), l2(2)], weighted_lp(1, [1.0, 2.0])),
+        make_esum([l2(2), linf(1)], weighted_lp(2, [0.5, 2.0])),
+        make_esum([lp_norm(2.5, 1), l1(2)], weighted_lp(2.5, [1.0, 3.0])),
+        make_esum([linf(1), linf(1), l1(1)], weighted_lp(np.inf, [1.0, 1.0, 0.5])),
+        make_direct_sum([inner, l1(1)], max_combiner(2)),
+        make_esum([l1(1), make_direct_sum([linf(1), l2(1)], sum_combiner(2))],
+                  weighted_lp(np.inf, [2.0, 1.0])),
+    ]
+
+
+def _plan_rows(rng, n):
+    """Seeded rows, zero rows, and rows with ties among coordinates and
+    among integer generator values."""
+    ties = np.array([[1.0, -1.0, 1.0, -1.0], [2.0, 2.0, -2.0, 2.0],
+                     [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 1.0],
+                     [-1.0, 0.0, 1.0, 0.0], [0.0, 3.0, -3.0, 3.0]])
+    return np.vstack([rng.normal(size=(40, 4)), 1e3 * rng.normal(size=(5, 4)),
+                      ties])[:, :n]
+
+
+def test_plan_matches_scalar_ladder():
+    rng = np.random.default_rng(31)
+    for space in _plan_spaces(rng):
+        n = norms.space_dim(space)
+        xs = _plan_rows(rng, n)
+        compiled = norms.plan(space)
+        assert norms.plan(space) is compiled
+        vals, grads = compiled.value_and_subgrad_many(xs)
+        assert np.array_equal(vals, compiled.value_many(xs))
+        assert grads.shape == xs.shape
+        for x, v, g in zip(xs, vals, grads):
+            ref_v, ref_g = ladder_norm(space, x), ladder_subgradient(space, x)
+            scale = max(1.0, abs(ref_v))
+            assert abs(v - ref_v) <= 1e-14 * scale, (space, x)
+            assert np.abs(g - ref_g).max() <= 1e-14 * max(1.0, np.abs(ref_g).max()), (space, x)
+            assert abs(float(g @ x) - v) <= 1e-14 * scale
+            assert norm_subgradient(space, x) == pytest.approx(ref_g, rel=1e-14, abs=1e-14)
+            assert eval_norm(space, x) == pytest.approx(ref_v, rel=1e-14, abs=1e-14)
+
+
+def test_plan_refuses_what_is_not_a_norm():
+    for bad in ({"kind": "lp"}, 3, None, "l2"):
+        with pytest.raises(TypeError, match="not a norm spec"):
+            norms.plan(bad)
 
 
 def test_triangle_and_homogeneity_large_sample():
