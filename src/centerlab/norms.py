@@ -200,6 +200,8 @@ class NormPlan:
     dim: int
 
 
+# the ufunc reductions, called with a positional axis, cost less per call
+# than the ndarray methods on the few rows an oracle passes
 _max, _sum = np.maximum.reduce, np.add.reduce
 
 
