@@ -395,10 +395,6 @@ def _subgradient_center(problem: CenterProblem, basis: np.ndarray,
         val, g = combine(*compiled.value_and_subgrad_many(basis @ alpha - points))
         return val, basis_t @ g
 
-    if problem.feasible is None:  # identity basis: skip both products
-        def oracle(v):
-            return combine(*compiled.value_and_subgrad_many(v - points))
-
     centroid = fs.points.mean(axis=0)
     start = basis.T @ centroid
     spread = np.linalg.norm(fs.points - centroid, axis=1).max(initial=0.0)
@@ -508,7 +504,7 @@ def _sublevel_vertices(problem: CenterProblem, basis: np.ndarray,
         return None
 
 
-SAMPLE_BLOCK = 1024
+SAMPLE_BLOCK, SAMPLE_CELLS = 1024, 65536
 
 
 def _rejection_samples(problem: CenterProblem, basis: np.ndarray, level: float,
@@ -517,18 +513,21 @@ def _rejection_samples(problem: CenterProblem, basis: np.ndarray, level: float,
     """The first `cfg.n_rejection` of at most `cfg.budget` uniform draws
     around `alpha_star` whose r_f is at most `level`.
 
-    Draws are made and tested in blocks of at most SAMPLE_BLOCK.  The
-    uniforms are the ones, in the order, that one draw per iteration would
-    give; afterwards the generator is rewound and exactly the consumed draws
-    are drawn again, so it ends where that loop would have left it.
+    Draws are made and tested in blocks of at most SAMPLE_BLOCK draws and
+    SAMPLE_CELLS (draw, point, coordinate) differences.  The uniforms are
+    the ones, in the order, that one draw per iteration would give;
+    afterwards the generator is rewound and exactly the consumed draws are
+    drawn again, so it ends where that loop would have left it.
     """
     d = basis.shape[1]
+    rows = max(1, min(SAMPLE_BLOCK,
+                      SAMPLE_CELLS // (problem.points.size * problem.points.dim)))
     state = rng.bit_generator.state
     kept: list[np.ndarray] = []
     n_kept = draws = 0
     while n_kept < cfg.n_rejection and draws < cfg.budget:
         block = alpha_star + rng.uniform(-width, width,
-                                         size=(min(SAMPLE_BLOCK, cfg.budget - draws), d))
+                                         size=(min(rows, cfg.budget - draws), d))
         hits = np.flatnonzero(eval_rf_many(problem.space, block @ basis.T,
                                            problem.points, problem.f) <= level)
         hits = hits[:cfg.n_rejection - n_kept]

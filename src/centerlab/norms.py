@@ -8,7 +8,7 @@ weighted p-norm (an "E-sum"); both are one `SumNorm`.  Everything polyhedral
 reduces to linear programming through the epigraph encoder at the bottom of
 the module; the remaining cases go through subgradients.
 
-Each norm object is compiled once, on first use, into a `NormPlan` (see
+Each norm object is compiled once, on first use, into a plan (see
 `plan`): generator blocks, p-values, component slices and the combiner, held
 as arrays.  `space_dim`, `eval_norm`, `eval_norm_many`, `norm_subgradient`
 and `eval_weight_norm` all read the plan, and the subgradient oracles call
@@ -187,26 +187,20 @@ def make_esum(components, e_norm: WeightNorm) -> SumNorm:
 # ---------------------------------------------------------------------------
 # compiled plans
 
-class NormPlan:
-    """A norm, or a combiner on the orthant, compiled to arrays by `plan`.
-
-    `value_many(xs)` gives the norms of the rows of `xs`, and
-    `value_and_subgrad_many(xs)` also one subgradient per row: the
-    deterministic selection g with g @ x = ||x|| that takes the first
-    maximizing generator or coordinate on ties and is zero where a smooth
-    norm vanishes.  Neither loops over rows.
-    """
-
-    dim: int
-
-
 # the ufunc reductions, called with a positional axis, cost less per call
 # than the ndarray methods on the few rows an oracle passes
 _max, _sum = np.maximum.reduce, np.add.reduce
 
 
-@dataclass(eq=False)
-class _GeneratorPlan(NormPlan):
+def _power_subgrad(coef, a, vals, p):
+    """coef * a^(p-1) * vals^(1-p): the gradient of a finite-p norm whose
+    rows have values `vals` at |x| = a, zero on the rows where it vanishes."""
+    live = (vals != 0)[:, None]
+    return coef * a ** (p - 1.0) * np.where(live, vals[:, None], 1.0) ** (1.0 - p) * live
+
+
+@dataclass(eq=False, slots=True)
+class _GeneratorPlan:
     """max over the rows of `gens`: a polyhedral norm or a monotone combiner."""
 
     gens: np.ndarray
@@ -220,13 +214,12 @@ class _GeneratorPlan(NormPlan):
         return _max(prods, 1), self.gens[prods.argmax(1)]
 
 
-@dataclass(eq=False)
-class _PPlan(NormPlan):
-    """The p-norm on R^dim; `cols` is arange(dim)."""
+@dataclass(eq=False, slots=True)
+class _PPlan:
+    """The p-norm on R^dim."""
 
     p: float
     dim: int
-    cols: np.ndarray
 
     def value_many(self, xs):
         a = np.abs(xs)
@@ -237,19 +230,17 @@ class _PPlan(NormPlan):
         return _sum(a ** self.p, 1) ** (1.0 / self.p)
 
     def value_and_subgrad_many(self, xs):
-        p, a = self.p, np.abs(xs)
+        p, a, sign = self.p, np.abs(xs), np.sign(xs)
         if p == 1:
-            return _sum(a, 1), np.sign(xs)
+            return _sum(a, 1), sign
         if p == np.inf:
-            return _max(a, 1), np.sign(xs) * (self.cols == a.argmax(1)[:, None])
+            return _max(a, 1), sign * (np.arange(a.shape[1]) == a.argmax(1)[:, None])
         vals = _sum(a ** p, 1) ** (1.0 / p)
-        live = (vals != 0)[:, None]
-        scale = np.where(live, vals[:, None], 1.0) ** (1.0 - p)
-        return vals, np.sign(xs) * a ** (p - 1.0) * scale * live
+        return vals, _power_subgrad(sign, a, vals, p)
 
 
-@dataclass(eq=False)
-class _WeightedPlan(NormPlan):
+@dataclass(eq=False, slots=True)
+class _WeightedPlan:
     """The weighted p-norm of an E-sum, p finite, on the nonnegative orthant."""
 
     p: float
@@ -261,38 +252,39 @@ class _WeightedPlan(NormPlan):
 
     def value_and_subgrad_many(self, ts):
         vals = self.value_many(ts)
-        live = (vals > 0)[:, None]
-        scale = np.where(live, vals[:, None], 1.0) ** (1.0 - self.p)
-        return vals, self.weights * ts ** (self.p - 1.0) * scale * live
+        return vals, _power_subgrad(self.weights, ts, vals, self.p)
 
 
-@dataclass(eq=False)
-class _SumPlan(NormPlan):
+@dataclass(eq=False, slots=True)
+class _SumPlan:
     """combiner(||x_1||, ..., ||x_k||); `parts` holds (slice, plan) pairs."""
 
     parts: tuple
-    combiner: NormPlan
+    combiner: object
     dim: int
 
     def value_many(self, xs):
-        t = np.empty((xs.shape[0], len(self.parts)))
-        for i, (sl, part) in enumerate(self.parts):
-            t[:, i] = part.value_many(xs[:, sl])
-        return self.combiner.value_many(t)
+        return self.combiner.value_many(np.column_stack(
+            [part.value_many(xs[:, sl]) for sl, part in self.parts]))
 
     def value_and_subgrad_many(self, xs):
-        t = np.empty((xs.shape[0], len(self.parts)))
-        grads = []
-        for i, (sl, part) in enumerate(self.parts):
-            t[:, i], g = part.value_and_subgrad_many(xs[:, sl])
-            grads.append(g)
-        vals, h = self.combiner.value_and_subgrad_many(t)
-        return vals, np.hstack([h[:, i, None] * g for i, g in enumerate(grads)])
+        pieces = [part.value_and_subgrad_many(xs[:, sl]) for sl, part in self.parts]
+        vals, h = self.combiner.value_and_subgrad_many(
+            np.column_stack([t for t, _ in pieces]))
+        return vals, np.hstack([h[:, i, None] * g for i, (_, g) in enumerate(pieces)])
 
 
-def plan(space) -> NormPlan:
+def plan(space):
     """The compiled plan of a norm or combiner, built on first use and kept
-    on the (immutable) norm object."""
+    on the (immutable) norm object.
+
+    A plan has `dim`, `value_many(xs)`, the norms of the rows of `xs`, and
+    `value_and_subgrad_many(xs)`, which also gives one subgradient per row:
+    the deterministic selection g with g @ x = ||x|| that takes the first
+    maximizing generator or coordinate on ties and is zero where a smooth
+    norm vanishes.  Neither loops over rows, and no plan holds an array whose
+    size grows with the dimension of a p-norm.
+    """
     compiled = getattr(space, "_plan", None)
     if compiled is not None:
         return compiled
@@ -300,8 +292,7 @@ def plan(space) -> NormPlan:
         compiled = _GeneratorPlan(space.generators, space.dim)
     elif isinstance(space, LpNorm):
         # in dimension 1 every p-norm is |x|
-        compiled = _PPlan(1.0 if space.dim == 1 else space.p, space.dim,
-                          np.arange(space.dim))
+        compiled = _PPlan(1.0 if space.dim == 1 else space.p, space.dim)
     elif isinstance(space, WeightedLpNorm) and space.p == np.inf:
         # max_i w_i t_i is the max over the rows of diag(w)
         compiled = _GeneratorPlan(np.diag(space.weights), space.dim)

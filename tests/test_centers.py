@@ -415,7 +415,7 @@ def _rejection_by_loop(problem, basis, level, rng, alpha_star, width, cfg):
     return np.array(kept).reshape(-1, basis.shape[1])
 
 
-@pytest.mark.parametrize("case", ["accepting", "starving", "lp-encodable"])
+@pytest.mark.parametrize("case", ["accepting", "starving", "lp-encodable", "wide"])
 def test_block_sampler_matches_scalar_loop(case):
     rng = np.random.default_rng(5)
     if case == "accepting":
@@ -427,10 +427,15 @@ def test_block_sampler_matches_scalar_loop(case):
         prob = CenterProblem(lp_norm(2.5, 2), None,
                              FiniteSet(rng.normal(size=(2, 2))), uniform_max(2))
         delta, cfg = 1e-6, centers.ProbeConfig(n_rejection=200, budget=2500)
-    else:
+    elif case == "lp-encodable":
         prob = CenterProblem(l1(3), plane_sum_zero(), FiniteSet(Y_POINTS),
                              WeightedSum(np.ones(3)))
         delta, cfg = 0.3, centers.ProbeConfig()
+    else:
+        # |F| * n = 4,800 differences per draw: blocks of 13 draws
+        prob = CenterProblem(l2(40), None, FiniteSet(rng.normal(size=(120, 40))),
+                             WeightedSum(np.full(120, 1.0 / 120)))
+        delta, cfg = 3.0, centers.ProbeConfig(n_rejection=100, budget=600)
     res = solve_center(prob)
     n = prob.points.dim
     basis = np.eye(n) if prob.feasible is None else np.array(prob.feasible.basis)
@@ -443,7 +448,7 @@ def test_block_sampler_matches_scalar_loop(case):
     want = _rejection_by_loop(prob, basis, level, loop, alpha_star, width, cfg)
     assert np.array_equal(got, want)
     assert blocks.bit_generator.state == loop.bit_generator.state
-    if case == "accepting":
+    if case in ("accepting", "wide"):
         assert len(want) == cfg.n_rejection
     elif case == "starving":
         assert len(want) < cfg.n_rejection

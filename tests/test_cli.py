@@ -323,6 +323,33 @@ def test_numeric_flags_out_of_range_are_refused(tmp_path, capsys, monkeypatch,
     assert len(lines) == 1 and lines[0].startswith("centerlab: ")
 
 
+HUGE_L2 = {"kind": "lp", "p": 2, "dim": 1e12}
+PLANE = {"basis": [[1, 0, -1], [0, 1, -1]]}
+FAMILY = {"centers": README_INSTANCE["points"], "radii": [1.5, 1.5, 1.5]}
+
+
+# 1e12 coordinates would take 8 TB: a reader that allocates anything of the
+# declared dimension before checking it fails at once, without using memory
+@pytest.mark.parametrize("command, doc", [
+    ("center", dict(README_INSTANCE, space=HUGE_L2)),
+    ("property central", {"space": HUGE_L2, "subspace": PLANE,
+                          "inject": [FAMILY]}),
+    ("replay", {"counterexample": {"schema": 1, "kind": "central",
+                                   "space": HUGE_L2, "subspace": PLANE,
+                                   "family": FAMILY,
+                                   "expected_status": "infeasible"}}),
+])
+def test_huge_declared_dimension_is_refused(tmp_path, capsys, command, doc):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code = main(command.split() + [str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("centerlab: ")
+
+
 @pytest.mark.parametrize("point, code", [([3.0, 0, 0, 0], EXIT_OK),
                                          ([3.8, 0, 0, 0], EXIT_ASSERT)])
 def test_transfer_check_is_containment(capsys, monkeypatch, point, code):

@@ -82,7 +82,7 @@ def _mutate(data, doc):
         elif op == "grow":
             new = node + node[:1] if isinstance(node, list) else {"kind": node}
         elif isinstance(node, (int, float)) and not isinstance(node, bool):
-            new = node * data.draw(st.sampled_from([1e300, -1.0, 0.0, 1e-300]))
+            new = node * data.draw(st.sampled_from([1e300, 1e12, -1.0, 0.0, 1e-300]))
         else:
             new = node
         if path:
