@@ -596,10 +596,13 @@ def cmd_replay(args) -> tuple[dict, int]:
         if sub.ambient_dim != n:
             raise ValueError("subspace does not match the space dimension")
         _in_space(family.centers, n, "family", 2)
+        expected = payload.get("expected_status")
+    statuses = (geometry.FEASIBLE, geometry.INFEASIBLE, geometry.UNRESOLVED)
+    if expected is not None and expected not in statuses:
+        raise UsageError(f"expected_status must be one of {statuses}, not {expected!r}")
     res = balls_intersect(space, family, sub)
     report = new_report("replay", {"file": args.file,
                                    "seed": args.seed})
-    expected = payload.get("expected_status")
     report["verdicts"] = {"status": res.status}
     if res.status == geometry.INFEASIBLE:
         report["verdicts"]["certificate_ok"] = optim.verify_farkas(
@@ -720,7 +723,7 @@ def main(argv=None) -> int:
             report, code = cmd_replay(args)
         finish_report(report, started)
         if not report.get("ok", True) and code == EXIT_OK and \
-                args.command == "repro":
+                args.command in ("repro", "replay"):
             code = EXIT_ASSERT
         _write(render(report, args.format), args.out)
         return code

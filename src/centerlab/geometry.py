@@ -116,10 +116,9 @@ def balls_intersect(space, family: BallFamily, within: Subspace | None = None
         builder = optim.LpBuilder()
         alphas = builder.new_vars(basis.shape[1])
         tvars = builder.new_vars(family.size)
-        for i in range(family.size):
-            norms.add_norm_epigraph(builder, space, alphas, basis,
-                                    -centers[i], tvars[i])
-            builder.add_ub({tvars[i]: 1.0}, float(radii[i]))
+        for center, radius, tv in zip(centers, radii, tvars):
+            norms.add_norm_epigraph(builder, space, alphas, basis, -center, tv)
+            builder.add_ub([tv], [[1.0]], [radius])
         lp = builder.build()
         out = optim.lp_solve(lp)
         if out.status == optim.OPTIMAL:
@@ -737,14 +736,10 @@ def decompose_min_sum(space, x, y_sub: Subspace, z_sub: Subspace
         b_vars = builder.new_vars(z_sub.dim)
         ty = builder.new_var()
         tz = builder.new_var()
-        builder.add_objective({ty: 1.0, tz: 1.0})
+        builder.set_objective([ty, tz], [1.0, 1.0])
         norms.add_norm_epigraph(builder, space, a_vars, b_mat, np.zeros(n), ty)
         norms.add_norm_epigraph(builder, space, b_vars, c_mat, np.zeros(n), tz)
-        for row in range(n):
-            terms = {a: float(b_mat[row, j]) for j, a in enumerate(a_vars)}
-            for j, b in enumerate(b_vars):
-                terms[b] = terms.get(b, 0.0) + float(c_mat[row, j])
-            builder.add_eq(terms, float(x[row]))
+        builder.add_eq([*a_vars, *b_vars], np.hstack([b_mat, c_mat]), x)
         out = optim.lp_solve(builder.build())
         if out.status != optim.OPTIMAL:
             raise OptimizationError(f"decomposition LP ended with {out.status}")

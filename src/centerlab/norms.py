@@ -5,8 +5,8 @@ generator set of linear functionals), a p-norm, or a sum gluing component
 norms with a monotone combiner on the component-norm values.  The combiner is
 either a nondecreasing polyhedral norm on the orthant (a direct sum) or a
 weighted p-norm (an "E-sum"); both are one `SumNorm`.  Everything polyhedral
-reduces to linear programming through the epigraph encoder at the bottom of
-the module; the remaining cases go through subgradients.
+reduces to linear programming through the epigraph rows its plan emits; the
+remaining cases go through subgradients.
 
 Each norm object is compiled once, on first use, into a plan (see
 `plan`): generator blocks, p-values, component slices and the combiner, held
@@ -21,6 +21,7 @@ after construction and every operation is a pure function.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Union
@@ -199,12 +200,24 @@ def _power_subgrad(coef, a, vals, p):
     return coef * a ** (p - 1.0) * np.where(live, vals[:, None], 1.0) ** (1.0 - p) * live
 
 
+def _plus_minus(mat, off, extra):
+    """The rows +-(mat[i] @ u + off[i]) <= ..., interleaved, as a block with
+    `extra` zero columns after those of `mat`, and the right-hand sides that
+    move the offsets across."""
+    n, m = mat.shape
+    block, rhs = np.zeros((2 * n, m + extra)), np.empty(2 * n)
+    block[0::2, :m], block[1::2, :m] = mat, -mat
+    rhs[0::2], rhs[1::2] = -off, off
+    return block, rhs
+
+
 @dataclass(eq=False, slots=True)
 class _GeneratorPlan:
     """max over the rows of `gens`: a polyhedral norm or a monotone combiner."""
 
     gens: np.ndarray
     dim: int
+    lp_encodable = True
 
     def value_many(self, xs):
         return _max(xs @ self.gens.T, 1)
@@ -213,13 +226,28 @@ class _GeneratorPlan:
         prods = xs @ self.gens.T
         return _max(prods, 1), self.gens[prods.argmax(1)]
 
+    def epigraph(self, builder, cols, mat, off, bound):
+        # one stacked vector product per generator: each row rounds as g @ mat
+        # does, where the matrix product gens @ mat (BLAS gemm) would not
+        stacked = self.gens[:, None, :]
+        block = np.empty((self.gens.shape[0], len(cols) + 1))
+        block[:, :-1], block[:, -1] = (stacked @ mat)[:, 0], -1.0
+        builder.add_ub([*cols, bound], block, -(stacked @ off)[:, 0])
+
+    def generators(self, cap):
+        return np.array(self.gens)
+
 
 @dataclass(eq=False, slots=True)
 class _PPlan:
-    """The p-norm on R^dim."""
+    """The p-norm on R^dim; p = inf in dimension 1, where every p-norm is |x|."""
 
     p: float
     dim: int
+
+    @property
+    def lp_encodable(self):
+        return self.p in (1.0, np.inf)
 
     def value_many(self, xs):
         a = np.abs(xs)
@@ -238,14 +266,44 @@ class _PPlan:
         vals = _sum(a ** p, 1) ** (1.0 / p)
         return vals, _power_subgrad(sign, a, vals, p)
 
+    def epigraph(self, builder, cols, mat, off, bound):
+        if self.p == np.inf:
+            block, rhs = _plus_minus(mat, off, 1)
+            block[:, -1] = -1.0
+            builder.add_ub([*cols, bound], block, rhs)
+        elif self.p == 1:
+            # |mat[i] @ u + off[i]| <= s_i and sum_i s_i <= u[bound]
+            svars = builder.new_vars(self.dim)
+            block, rhs = _plus_minus(mat, off, self.dim)
+            np.fill_diagonal(block[0::2, len(cols):], -1.0)
+            np.fill_diagonal(block[1::2, len(cols):], -1.0)
+            builder.add_ub([*cols, *svars], block, rhs)
+            builder.add_ub([*svars, bound], [[1.0] * self.dim + [-1.0]], [0.0])
+        else:
+            raise InvalidNormError(f"p = {self.p} norm has no LP epigraph")
+
+    def generators(self, cap):
+        if self.p == np.inf:
+            return np.vstack([np.eye(self.dim), -np.eye(self.dim)])
+        if self.p != 1:
+            raise InvalidNormError(f"p = {self.p} norm is not polyhedral")
+        if 2 ** self.dim > cap:
+            raise InvalidNormError("sign expansion of the 1-norm exceeds cap")
+        return np.array(np.meshgrid(*([[-1.0, 1.0]] * self.dim),
+                                    indexing="ij")).reshape(self.dim, -1).T
+
 
 @dataclass(eq=False, slots=True)
 class _WeightedPlan:
-    """The weighted p-norm of an E-sum, p finite, on the nonnegative orthant."""
+    """The weighted p-norm of an E-sum on the orthant, p finite, dim >= 2."""
 
     p: float
     weights: np.ndarray
     dim: int
+
+    @property
+    def lp_encodable(self):
+        return self.p == 1
 
     def value_many(self, ts):
         return (ts ** self.p @ self.weights) ** (1.0 / self.p)
@@ -253,6 +311,14 @@ class _WeightedPlan:
     def value_and_subgrad_many(self, ts):
         vals = self.value_many(ts)
         return vals, _power_subgrad(self.weights, ts, vals, self.p)
+
+    def epigraph(self, builder, cols, mat, off, bound):
+        _GeneratorPlan(self.generators(cap=1), self.dim).epigraph(builder, cols, mat, off, bound)
+
+    def generators(self, cap):
+        if self.p != 1:
+            raise InvalidNormError(f"weighted p = {self.p} norm is not polyhedral")
+        return self.weights[None, :]
 
 
 @dataclass(eq=False, slots=True)
@@ -263,6 +329,10 @@ class _SumPlan:
     combiner: object
     dim: int
 
+    @property
+    def lp_encodable(self):
+        return self.combiner.lp_encodable and all(part.lp_encodable for _, part in self.parts)
+
     def value_many(self, xs):
         return self.combiner.value_many(np.column_stack(
             [part.value_many(xs[:, sl]) for sl, part in self.parts]))
@@ -272,6 +342,29 @@ class _SumPlan:
         vals, h = self.combiner.value_and_subgrad_many(
             np.column_stack([t for t, _ in pieces]))
         return vals, np.hstack([h[:, i, None] * g for i, (_, g) in enumerate(pieces)])
+
+    def epigraph(self, builder, cols, mat, off, bound):
+        # ||x_i|| <= t_i for each component, then combiner(t) <= u[bound],
+        # which is exact because the combiner is monotone on the orthant
+        k = len(self.parts)
+        tvars = builder.new_vars(k)
+        for (sl, part), tv in zip(self.parts, tvars):
+            part.epigraph(builder, cols, mat[sl], off[sl], tv)
+        self.combiner.epigraph(builder, tvars, np.eye(k), np.zeros(k), bound)
+
+    def generators(self, cap):
+        """h_i * g_i on component i's slice, for every combiner generator h
+        and choice of component generators g_i (the last varies fastest)."""
+        outer = self.combiner.generators(cap)
+        inner = [part.generators(cap) for _, part in self.parts]
+        if outer.shape[0] * math.prod(g.shape[0] for g in inner) > cap:
+            raise InvalidNormError("generator product exceeds cap")
+        hs, rows = outer, np.zeros((outer.shape[0], 0))
+        for i, g in enumerate(inner):
+            hs = np.repeat(hs, g.shape[0], axis=0)
+            rows = np.hstack([np.repeat(rows, g.shape[0], axis=0),
+                              hs[:, i, None] * np.tile(g, (rows.shape[0], 1))])
+        return rows
 
 
 def plan(space):
@@ -284,6 +377,12 @@ def plan(space):
     maximizing generator or coordinate on ties and is zero where a smooth
     norm vanishes.  Neither loops over rows, and no plan holds an array whose
     size grows with the dimension of a p-norm.
+
+    The plan is the only code that writes a norm as linear constraints:
+    `lp_encodable`, `epigraph(builder, cols, mat, off, bound)`, which appends
+    rows enforcing ||mat @ u[cols] + off|| <= u[bound], and `generators(cap)`,
+    a generator set whose max is the norm; the last two raise
+    InvalidNormError where the norm is not polyhedral.
     """
     compiled = getattr(space, "_plan", None)
     if compiled is not None:
@@ -291,13 +390,13 @@ def plan(space):
     if isinstance(space, (PolyhedralNorm, MonotonePolyhedralNorm)):
         compiled = _GeneratorPlan(space.generators, space.dim)
     elif isinstance(space, LpNorm):
-        # in dimension 1 every p-norm is |x|
-        compiled = _PPlan(1.0 if space.dim == 1 else space.p, space.dim)
-    elif isinstance(space, WeightedLpNorm) and space.p == np.inf:
-        # max_i w_i t_i is the max over the rows of diag(w)
-        compiled = _GeneratorPlan(np.diag(space.weights), space.dim)
+        compiled = _PPlan(np.inf if space.dim == 1 else space.p, space.dim)
     elif isinstance(space, WeightedLpNorm):
-        compiled = _WeightedPlan(space.p, space.weights, space.dim)
+        # max_i w_i t_i is the max over the rows of diag(w), and in dimension
+        # 1 (w t^p)^(1/p) is w^(1/p) t on the orthant
+        w, p = space.weights, space.p
+        compiled = (_GeneratorPlan(np.diag(w if p == np.inf else w ** (1.0 / p)), space.dim)
+                    if p == np.inf or space.dim == 1 else _WeightedPlan(p, w, space.dim))
     elif isinstance(space, SumNorm):
         parts, pos = [], 0
         for comp in space.components:
@@ -435,7 +534,7 @@ def validate_norm(space, samples: int = 300, seed: int = 0) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# explicit generator expansion (for vertex work in small dimension)
+# LP descriptions, read off the plan
 
 def explicit_generators(space, cap: int = 100_000) -> np.ndarray:
     """Flatten any fully polyhedral NormSpec into one symmetric generator set.
@@ -444,67 +543,12 @@ def explicit_generators(space, cap: int = 100_000) -> np.ndarray:
     raise InvalidNormError.  The product construction for sums is capped to
     avoid combinatorial blowups outside the intended small-dimension uses.
     """
-    if isinstance(space, PolyhedralNorm):
-        return np.array(space.generators)
-    if isinstance(space, LpNorm):
-        if space.dim == 1:
-            return np.array([[1.0], [-1.0]])
-        if np.isinf(space.p):
-            return np.vstack([np.eye(space.dim), -np.eye(space.dim)])
-        if space.p == 1:
-            if 2 ** space.dim > cap:
-                raise InvalidNormError("sign expansion of the 1-norm exceeds cap")
-            signs = np.array(np.meshgrid(*([[-1.0, 1.0]] * space.dim),
-                                         indexing="ij")).reshape(space.dim, -1).T
-            return signs
-        raise InvalidNormError(f"p = {space.p} norm is not polyhedral")
-    if isinstance(space, SumNorm):
-        combiner = space.combiner
-        if isinstance(combiner, MonotonePolyhedralNorm):
-            outer = np.array(combiner.generators)
-        elif combiner.p == 1:
-            outer = combiner.weights[None, :]
-        elif np.isinf(combiner.p):
-            outer = np.diag(combiner.weights)
-        else:
-            raise InvalidNormError("weight norm is not polyhedral")
-        comp_gens = [explicit_generators(c, cap) for c in space.components]
-        total = outer.shape[0]
-        for g in comp_gens:
-            total *= g.shape[0]
-        if total > cap:
-            raise InvalidNormError("generator product exceeds cap")
-        slices = component_slices(space)
-        n = space_dim(space)
-        rows = []
-        for h in outer:
-            partial = [np.zeros(n)]
-            for i, (g, sl) in enumerate(zip(comp_gens, slices)):
-                new = []
-                for base in partial:
-                    for gen in g:
-                        row = base.copy()
-                        row[sl] = h[i] * gen
-                        new.append(row)
-                partial = new
-            rows.extend(partial)
-        return np.array(rows)
-    raise TypeError(f"not a norm spec: {type(space)!r}")
+    return plan(space).generators(cap)
 
 
 def is_lp_encodable(space) -> bool:
     """True when the epigraph of the norm admits an exact LP description."""
-    if isinstance(space, PolyhedralNorm):
-        return True
-    if isinstance(space, LpNorm):
-        return space.dim == 1 or space.p == 1 or np.isinf(space.p)
-    if isinstance(space, SumNorm):
-        combiner = space.combiner
-        if isinstance(combiner, WeightedLpNorm):
-            if not (combiner.p == 1 or np.isinf(combiner.p) or combiner.dim == 1):
-                return False
-        return all(is_lp_encodable(c) for c in space.components)
-    return False
+    return plan(space).lp_encodable
 
 
 def add_norm_epigraph(builder: optim.LpBuilder, space, cols, mat: np.ndarray,
@@ -520,52 +564,7 @@ def add_norm_epigraph(builder: optim.LpBuilder, space, cols, mat: np.ndarray,
     n = space_dim(space)
     if mat.shape != (n, len(cols)) or off.shape != (n,):
         raise DimensionMismatchError("affine expression shape mismatch")
-
-    def _linear_row(coeffs: np.ndarray, extra: dict, rhs: float) -> None:
-        terms = {c: float(v) for c, v in zip(cols, coeffs) if v != 0.0}
-        for k, v in extra.items():
-            terms[k] = terms.get(k, 0.0) + v
-        builder.add_ub(terms, rhs)
-
-    if isinstance(space, PolyhedralNorm):
-        for g in space.generators:
-            _linear_row(g @ mat, {bound: -1.0}, -float(g @ off))
-        return
-    if isinstance(space, LpNorm):
-        if np.isinf(space.p) or space.dim == 1:
-            for i in range(n):
-                _linear_row(mat[i], {bound: -1.0}, -float(off[i]))
-                _linear_row(-mat[i], {bound: -1.0}, float(off[i]))
-            return
-        if space.p == 1:
-            svars = builder.new_vars(n)
-            for i in range(n):
-                _linear_row(mat[i], {svars[i]: -1.0}, -float(off[i]))
-                _linear_row(-mat[i], {svars[i]: -1.0}, float(off[i]))
-            builder.add_ub({**{s: 1.0 for s in svars}, bound: -1.0}, 0.0)
-            return
-        raise InvalidNormError(f"p = {space.p} norm has no LP epigraph")
-    if isinstance(space, SumNorm):
-        combiner = space.combiner
-        tvars = builder.new_vars(len(space.components))
-        for comp, sl, tv in zip(space.components, component_slices(space), tvars):
-            add_norm_epigraph(builder, comp, cols, mat[sl], off[sl], tv)
-        if isinstance(combiner, MonotonePolyhedralNorm):
-            for h in combiner.generators:
-                terms = {tv: float(hi) for tv, hi in zip(tvars, h) if hi != 0.0}
-                terms[bound] = terms.get(bound, 0.0) - 1.0
-                builder.add_ub(terms, 0.0)
-        elif combiner.p == 1 or combiner.dim == 1:
-            terms = {tv: float(w) for tv, w in zip(tvars, combiner.weights)}
-            terms[bound] = -1.0
-            builder.add_ub(terms, 0.0)
-        elif np.isinf(combiner.p):
-            for tv, w in zip(tvars, combiner.weights):
-                builder.add_ub({tv: float(w), bound: -1.0}, 0.0)
-        else:
-            raise InvalidNormError("weight norm has no LP epigraph")
-        return
-    raise TypeError(f"not a norm spec: {type(space)!r}")
+    plan(space).epigraph(builder, cols, mat, off, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +729,7 @@ def dist_to_subspace(space, x, sub: Subspace) -> tuple[float, np.ndarray]:
         builder = optim.LpBuilder()
         alphas = builder.new_vars(sub.dim)
         t = builder.new_var()
-        builder.add_objective({t: 1.0})
+        builder.set_objective([t], [1.0])
         add_norm_epigraph(builder, space, alphas, -np.array(sub.basis), x, t)
         out = optim.lp_solve(builder.build())
         if out.status != optim.OPTIMAL:

@@ -88,51 +88,53 @@ def make_lp(objective, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LinearProg
 
 
 class LpBuilder:
-    """Incremental construction of a LinearProgram with sparse row entry."""
+    """Incremental construction of a LinearProgram from dense row blocks.
+
+    A block (cols, block, rhs) holds the rows `block @ u[cols] <= rhs` (or
+    `== rhs`), one per entry of the 1-d `rhs`, over distinct variables
+    `cols`; rows keep the order in which they were added.
+    """
 
     def __init__(self):
         self._n = 0
-        self._obj: dict[int, float] = {}
-        self._ub: list[tuple[dict[int, float], float]] = []
-        self._eq: list[tuple[dict[int, float], float]] = []
+        self._obj = None
+        self._ub, self._eq = [], []
 
     def new_var(self) -> int:
-        self._n += 1
-        return self._n - 1
+        return self.new_vars(1)[0]
 
-    def new_vars(self, k: int) -> list[int]:
-        return [self.new_var() for _ in range(k)]
+    def new_vars(self, k: int) -> range:
+        self._n += k
+        return range(self._n - k, self._n)
 
-    @property
-    def n_vars(self) -> int:
-        return self._n
+    def set_objective(self, cols, coeffs) -> None:
+        self._obj = (cols, coeffs)
 
-    def add_objective(self, terms: dict[int, float]) -> None:
-        for j, v in terms.items():
-            self._obj[j] = self._obj.get(j, 0.0) + v
+    def add_ub(self, cols, block, rhs) -> None:
+        self._ub.append((cols, block, rhs))
 
-    def add_ub(self, terms: dict[int, float], rhs: float) -> None:
-        self._ub.append((dict(terms), float(rhs)))
+    def add_eq(self, cols, block, rhs) -> None:
+        self._eq.append((cols, block, rhs))
 
-    def add_eq(self, terms: dict[int, float], rhs: float) -> None:
-        self._eq.append((dict(terms), float(rhs)))
+    def _scatter(self, blocks):
+        a = np.zeros((sum(len(rhs) for _, _, rhs in blocks), self._n))
+        b = np.empty(a.shape[0])
+        row = 0
+        for cols, block, rhs in blocks:
+            a[row:row + len(rhs), cols] = block
+            b[row:row + len(rhs)] = rhs
+            row += len(rhs)
+        # adding zero turns the -0.0 of a negated coefficient into the +0.0
+        # of an entry that no block sets
+        a += 0.0
+        return a, b
 
     def build(self) -> LinearProgram:
-        def _dense(rows):
-            a = np.zeros((len(rows), self._n))
-            b = np.zeros(len(rows))
-            for i, (terms, rhs) in enumerate(rows):
-                for j, v in terms.items():
-                    a[i, j] = v
-                b[i] = rhs
-            return a, b
-
         c = np.zeros(self._n)
-        for j, v in self._obj.items():
-            c[j] = v
-        a_ub, b_ub = _dense(self._ub)
-        a_eq, b_eq = _dense(self._eq)
-        return make_lp(c, a_ub, b_ub, a_eq, b_eq)
+        if self._obj is not None:
+            c[self._obj[0]] = self._obj[1]
+            c += 0.0
+        return make_lp(c, *self._scatter(self._ub), *self._scatter(self._eq))
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,6 +21,7 @@ from centerlab.centers import (
     uniform_max,
     validate_fcmc,
 )
+from centerlab.errors import OptimizationError
 from centerlab.norms import l1, l2, linf, lp_norm, subspace_from_basis
 
 from oracles import grid_minimize
@@ -454,3 +455,17 @@ def test_block_sampler_matches_scalar_loop(case):
         assert len(want) < cfg.n_rejection
     else:
         assert 0 < len(want) <= cfg.n_rejection
+
+
+def test_radius_audit_refuses_an_inflated_radius(monkeypatch):
+    exact = centers._lp_center
+
+    def inflated(problem, basis):
+        rad, minimizer, out = exact(problem, basis)
+        return rad + 1.0, minimizer, out
+
+    monkeypatch.setattr(centers, "_lp_center", inflated)
+    prob = CenterProblem(linf(2), None, FiniteSet([[-1.0, 0.0], [1.0, 0.0]]),
+                         uniform_max(2))
+    with pytest.raises(OptimizationError, match="radius audit"):
+        solve_center(prob)

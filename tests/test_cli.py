@@ -350,6 +350,36 @@ def test_huge_declared_dimension_is_refused(tmp_path, capsys, command, doc):
     assert len(lines) == 1 and lines[0].startswith("centerlab: ")
 
 
+REPLAY_DOC = {"counterexample": {"schema": 1, "kind": "central",
+                                 "space": {"kind": "lp", "p": "inf", "dim": 3},
+                                 "subspace": PLANE, "family": FAMILY,
+                                 "expected_status": "infeasible"}}
+
+
+@pytest.mark.parametrize("expected", [float("nan"), "infeasable"])
+def test_replay_refuses_an_unknown_expected_status(tmp_path, capsys, expected):
+    doc = json.loads(json.dumps(REPLAY_DOC))
+    doc["counterexample"]["expected_status"] = expected
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps(doc))
+    assert main(["replay", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("centerlab: ")
+
+
+def test_replay_mismatch_exits_3(tmp_path, capsys):
+    doc = json.loads(json.dumps(REPLAY_DOC))
+    doc["counterexample"]["expected_status"] = "feasible"
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "replay", str(path))
+    assert code == EXIT_ASSERT
+    assert report["verdicts"]["status"] == "infeasible"
+    assert not report["ok"]
+
+
 @pytest.mark.parametrize("point, code", [([3.0, 0, 0, 0], EXIT_OK),
                                          ([3.8, 0, 0, 0], EXIT_ASSERT)])
 def test_transfer_check_is_containment(capsys, monkeypatch, point, code):

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centerlab import norms, optim
+from centerlab.centers import CenterProblem, FiniteSet, WeightedMax, eval_rf, solve_center
 from centerlab.errors import DependentSetError, DimensionMismatchError, InvalidNormError
+from centerlab.geometry import FEASIBLE, BallFamily, balls_intersect
 from centerlab.norms import (
     Subspace,
     add_norm_epigraph,
@@ -393,6 +395,9 @@ def test_explicit_generators_reproduce_norm():
         make_esum([l1(1), linf(2)], weighted_lp(1, [1.0, 2.0])),
         make_direct_sum([l1(2), l1(1)],
                         monotone_polyhedral([[1.0, 0.5], [0.2, 1.0]])),
+        make_esum([linf(2)], weighted_lp(2, [4.0])),
+        make_direct_sum([l2(1), l1(2)], max_combiner(2)),
+        make_esum([l1(2), linf(1)], weighted_lp(np.inf, [1.0, 0.7])),
     ]
     for space in spaces:
         gens = explicit_generators(space)
@@ -413,6 +418,10 @@ def test_epigraph_encoder_exactness():
         l1(3), linf(3), random_polyhedral(rng, 3),
         make_direct_sum([l1(2), linf(1)], sum_combiner(2)),
         make_esum([l1(2), linf(1)], weighted_lp(np.inf, [1.0, 0.7])),
+        make_esum([linf(2)], weighted_lp(2, [4.0])),
+        make_direct_sum([l2(1), l1(2)], max_combiner(2)),
+        l2(1), l2(2),
+        make_esum([l1(2), linf(1)], weighted_lp(2, [1.0, 0.7])),
     ]
     for space in spaces:
         n = norms.space_dim(space)
@@ -422,8 +431,12 @@ def test_epigraph_encoder_exactness():
         builder = optim.LpBuilder()
         cols = builder.new_vars(2)
         t = builder.new_var()
-        builder.add_objective({t: 1.0})
-        add_norm_epigraph(builder, space, cols, mat, off, t)
+        builder.set_objective([t], [1.0])
+        try:
+            add_norm_epigraph(builder, space, cols, mat, off, t)
+        except InvalidNormError:
+            assert not norms.is_lp_encodable(space)
+            continue
         lp = builder.build()
         # pin u = u0 with equalities
         eq_rows = np.zeros((2, lp.n_vars))
@@ -431,8 +444,29 @@ def test_epigraph_encoder_exactness():
         eq_rows[1, cols[1]] = 1.0
         pinned = optim.make_lp(lp.objective, lp.a_ub, lp.b_ub, eq_rows, u0)
         out = optim.lp_solve(pinned)
-        assert out.status == optim.OPTIMAL
-        assert out.value == pytest.approx(eval_norm(space, mat @ u0 + off), abs=1e-8)
+        exact = out.status == optim.OPTIMAL and out.value == pytest.approx(
+            eval_norm(space, mat @ u0 + off), abs=1e-8)
+        assert norms.is_lp_encodable(space) == exact
+
+
+def test_one_component_esum_lp_matches_norm():
+    # (4 t^2)^(1/2) combines one sup norm into 2 ||x||_inf
+    space = make_esum([linf(2)], weighted_lp(2, [4.0]))
+    d, _ = dist_to_subspace(space, [3.0, 1.0], subspace_from_basis(2, [[0.0, 1.0]]))
+    assert d == pytest.approx(6.0, abs=1e-9)
+    points = FiniteSet([[0.0, 0.0], [4.0, 0.0]])
+    f = WeightedMax([1.0, 1.0])
+    res = solve_center(CenterProblem(space, None, points, f))
+    assert res.method == "lp"
+    assert res.rad == pytest.approx(4.0, abs=1e-9)
+    assert eval_rf(space, res.minimizer, points, f) == pytest.approx(4.0, abs=1e-9)
+    # (2, 0) lies in both balls; the LP's witness is a vertex of their
+    # intersection {1.75 <= x <= 2.25, |y| <= 2.25}
+    family = BallFamily.from_arrays(points.points, [4.5, 4.5])
+    out = balls_intersect(space, family)
+    assert out.status == FEASIBLE
+    assert eval_norm_many(space, out.witness - points.points).max() <= 4.5 + 1e-9
+    assert eval_norm_many(space, np.array([2.0, 0.0]) - points.points).max() <= 4.5
 
 
 def test_dimension_mismatch_raises():
