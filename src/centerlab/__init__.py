@@ -37,6 +37,7 @@ from .norms import (
     Ball,
     Subspace,
     dist_to_subspace,
+    dist_to_subspace_many,
     eval_norm,
     l1,
     l2,

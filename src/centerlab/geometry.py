@@ -24,6 +24,7 @@ from .norms import (
     Ball,
     Subspace,
     dist_to_subspace,
+    dist_to_subspace_many,
     eval_norm,
     eval_norm_many,
     intersect_subspaces,
@@ -679,6 +680,19 @@ class ThreeBallVerdict:
     note: str
 
 
+def _audit_distances(space, xs, z: Subspace, dists: np.ndarray) -> None:
+    """Raise OptimizationError unless `dists` agree with the distances
+    `dist_to_subspace` solves for the rows of `xs` within 1e-12 relative.
+    A norm without an LP description took them from it already."""
+    if not norms.is_lp_encodable(space):
+        return
+    for x, d in zip(xs, dists):
+        exact = dist_to_subspace(space, x, z)[0]
+        if abs(d - exact) > 1e-12 * max(1.0, exact):
+            raise OptimizationError(
+                f"annihilator distance {float(d)!r} disagrees with the LP distance {exact!r}")
+
+
 def mideal_three_ball_check(space, z: Subspace, trials: int, eps: float = 1e-6,
                             seed: int = 0) -> ThreeBallVerdict:
     """Sampled three-ball test: every generated triple intersects jointly and
@@ -687,6 +701,10 @@ def mideal_three_ball_check(space, z: Subspace, trials: int, eps: float = 1e-6,
 
     Failures return the triple together with the infeasibility evidence for
     the enlarged system.  A pass is only the absence of counterexamples.
+    The distances of the three centers to the subspace come from one
+    `dist_to_subspace_many` call per trial; those of a failing triple are
+    solved again as LPs, and a disagreement raises OptimizationError rather
+    than report a counterexample.
     """
     n = norms.space_dim(space)
     rng = np.random.default_rng(seed)
@@ -694,7 +712,7 @@ def mideal_three_ball_check(space, z: Subspace, trials: int, eps: float = 1e-6,
         w = rng.normal(size=n) * 1.5
         centers = rng.normal(size=(3, n)) * 1.5
         joint = eval_norm_many(space, w[None, :] - centers)
-        meet = np.array([dist_to_subspace(space, c, z)[0] for c in centers])
+        meet = dist_to_subspace_many(space, centers, z)
         tight = rng.random(size=3) < 0.5
         infl = 1.0 + rng.uniform(0.0, 0.1, size=3) * (~tight)
         radii = np.maximum(joint, meet) * infl
@@ -702,6 +720,7 @@ def mideal_three_ball_check(space, z: Subspace, trials: int, eps: float = 1e-6,
         enlarged = BallFamily.from_arrays(centers, radii + eps)
         res = balls_intersect(space, enlarged, z)
         if res.status != FEASIBLE:
+            _audit_distances(space, centers, z, meet)
             return ThreeBallVerdict(False, family, enlarged, res, trial + 1, eps,
                                     "enlarged triple misses the subspace")
     return ThreeBallVerdict(True, None, None, None, trials, eps,

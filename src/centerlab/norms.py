@@ -15,12 +15,18 @@ and `eval_weight_norm` all read the plan, and the subgradient oracles call
 its `value_and_subgrad_many` directly, which gives the norms and one
 subgradient per row of a whole array without a Python loop over the rows.
 
+A distance to a subspace is one LP (`dist_to_subspace`), or, for the rows of
+an array, a max over the vertices of the dual unit ball within the
+subspace's annihilator (`dist_to_subspace_many`), enumerated once per norm
+and subspace from the plan's generators and kept on the subspace.
+
 Vectors are plain numpy arrays.  All norm and subspace objects are immutable
 after construction and every operation is a pure function.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -749,6 +755,100 @@ def dist_to_subspace(space, x, sub: Subspace) -> tuple[float, np.ndarray]:
     if not res.converged:
         raise OptimizationError("subgradient distance solve hit iteration limit")
     return res.value, sub.embed(res.point)
+
+
+# the most generators, and the most supports, that an annihilator vertex
+# enumeration takes on; past either, distances are one LP each
+_DUAL_VERTEX_CAP = 4096
+
+
+def _enumerate_annihilator_vertices(space, basis: np.ndarray):
+    """The vertices of {phi : B^T phi = 0, ||phi||_* <= 1}, B = `basis`, one
+    per row, or None where the norm is not polyhedral or the enumeration
+    would pass _DUAL_VERTEX_CAP.
+
+    The norm is the max over the rows g_i of a symmetric generator set G, so
+    the dual unit ball is their hull and the set is the image under G^T of
+    {mu >= 0, sum(mu) <= 1, (G B)^T mu = 0}.  Its vertices are zero and the
+    basic solutions of the k + 1 equations (G B)^T mu = 0, sum(mu) = 1
+    (independent, because G is symmetric), each on a support of k + 1
+    generators; supports whose equations are singular are skipped.
+    """
+    try:
+        gens = plan(space).generators(_DUAL_VERTEX_CAP)
+    except InvalidNormError:
+        return None
+    # a sum's product construction repeats rows (a max combiner pairs a
+    # component generator with every choice for the other components); the
+    # rows are sorted and repeats dropped by hand, because np.unique(axis=0)
+    # imports numpy.ma, half a MiB of resident memory
+    gens = gens[np.lexsort(gens.T[::-1])]
+    gens = gens[np.concatenate([[True], (gens[1:] != gens[:-1]).any(axis=1)])]
+    m, k = gens.shape[0], basis.shape[1]
+    if m > _DUAL_VERTEX_CAP or math.comb(m, k + 1) > _DUAL_VERTEX_CAP:
+        return None
+    eqs = np.vstack([(gens @ basis).T, np.ones(m)])
+    supports = np.array(list(itertools.combinations(range(m), k + 1)))
+    mats = eqs[:, supports].transpose(1, 0, 2)
+    sv = np.linalg.svd(mats, compute_uv=False)
+    regular = sv[:, -1] > 1e-10 * sv[:, 0]
+    supports, mats = supports[regular], mats[regular]
+    rhs = np.zeros((k + 1, 1))
+    rhs[-1] = 1.0
+    mu = np.linalg.solve(mats, rhs)[:, :, 0]
+    # a zero weight of a degenerate vertex may come out a rounding below zero
+    feasible = mu.min(axis=1, initial=0.0) >= -1e-12
+    mu, supports = np.maximum(mu[feasible], 0.0), supports[feasible]
+    phis = np.einsum("sj,sjn->sn", mu, gens[supports])
+    # B^T phi is zero up to rounding; taking it out keeps phi(x) blind to
+    # the component of x along the subspace
+    phis -= (phis @ basis) @ basis.T
+    return np.vstack([np.zeros(gens.shape[1]), phis])
+
+
+def _annihilator_vertices(space, sub: Subspace):
+    """`_enumerate_annihilator_vertices` of the subspace's basis, built on
+    first use and kept on the (immutable) subspace, keyed by the norm object
+    as `plan` is kept on the norm."""
+    cache = getattr(sub, "_dual_vertices", None)
+    if cache is None:
+        cache = {}
+        object.__setattr__(sub, "_dual_vertices", cache)
+    if space not in cache:
+        cache[space] = _enumerate_annihilator_vertices(space, sub.basis)
+    return cache[space]
+
+
+def dist_to_subspace_many(space, xs, sub: Subspace) -> np.ndarray:
+    """The distances of the rows of `xs` to the subspace, values only.
+
+    For a polyhedral norm, dist(x, Y) = max{phi(x) : phi in the annihilator
+    of Y, ||phi||_* <= 1} (Singer, Best Approximation in Normed Linear
+    Spaces, 1970, ch. I), and that feasible set does not depend on x: its
+    vertices are enumerated once per (norm, subspace), after which every
+    distance is the max of one matrix-vector product.  Where they are not
+    enumerated (a norm that is not polyhedral, or more generators or
+    supports than _DUAL_VERTEX_CAP), each row goes through
+    `dist_to_subspace`.  As there, a zero subspace gives the norms and a row
+    in the subspace gives 0.0.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2:
+        raise DimensionMismatchError("expected a 2-d array of row vectors")
+    xs = _check_dim(space, xs)
+    if sub.ambient_dim != space_dim(space):
+        raise DimensionMismatchError("subspace ambient dim mismatch")
+    if sub.dim == 0:
+        return eval_norm_many(space, xs)
+    verts = _annihilator_vertices(space, sub)
+    if verts is None:
+        return np.array([dist_to_subspace(space, x, sub)[0] for x in xs])
+    # Subspace.contains, row by row
+    resid = _max(np.abs(xs @ sub.kernel.T), 1, initial=0.0)
+    inside = resid <= FEAS_TOL * np.maximum(1.0, _max(np.abs(xs), 1, initial=0.0))
+    dists = _max(xs @ verts.T, 1)
+    dists[inside] = 0.0
+    return dists
 
 
 @dataclass(frozen=True, eq=False)

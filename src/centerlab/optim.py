@@ -81,10 +81,13 @@ def make_lp(objective, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LinearProg
 
     a_ub, b_ub = _rows(a_ub, b_ub)
     a_eq, b_eq = _rows(a_eq, b_eq)
-    if not (np.isfinite(c).all() and np.isfinite(a_ub).all() and np.isfinite(b_ub).all()
-            and np.isfinite(a_eq).all() and np.isfinite(b_eq).all()):
+    return _finite_lp(c, a_ub, b_ub, a_eq, b_eq)
+
+
+def _finite_lp(*arrays) -> LinearProgram:
+    if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("linear program contains non-finite entries")
-    return LinearProgram(c, a_ub, b_ub, a_eq, b_eq)
+    return LinearProgram(*arrays)
 
 
 class LpBuilder:
@@ -134,7 +137,7 @@ class LpBuilder:
         if self._obj is not None:
             c[self._obj[0]] = self._obj[1]
             c += 0.0
-        return make_lp(c, *self._scatter(self._ub), *self._scatter(self._eq))
+        return _finite_lp(c, *self._scatter(self._ub), *self._scatter(self._eq))
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,23 +180,24 @@ def _run_simplex(t, basis, allowed, max_iter):
     ncols = t.shape[1] - 1
     rhs = t[:m, -1]
     no_index = np.iinfo(basis.dtype).max
-    for it in range(1, max_iter + 1):
-        entering = (t[-1, :ncols] < -_RCOST_TOL) & allowed
-        j = int(entering.argmax())
-        if not entering[j]:
-            return OPTIMAL, it - 1, -1
-        col = t[:m, j]
-        pos = col > _PIVOT_TOL
-        if not pos.any():
-            return UNBOUNDED, it - 1, j
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # rhs / col divides by the entries the ratio test then masks out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            entering = (t[-1, :ncols] < -_RCOST_TOL) & allowed
+            j = int(entering.argmax())
+            if not entering[j]:
+                return OPTIMAL, it - 1, -1
+            col = t[:m, j]
+            pos = col > _PIVOT_TOL
+            if not pos.any():
+                return UNBOUNDED, it - 1, j
             ratios = np.where(pos, rhs / col, np.inf)
-        ties = ratios <= ratios.min() + _RATIO_TIE
-        leave = int(np.where(ties, basis, no_index).argmin())
-        _pivot(t, leave, j)
-        basis[leave] = j
-        if not np.isfinite(t).all():
-            return BREAKDOWN, it, j
+            ties = ratios <= ratios.min() + _RATIO_TIE
+            leave = int(np.where(ties, basis, no_index).argmin())
+            _pivot(t, leave, j)
+            basis[leave] = j
+            if not np.isfinite(t).all():
+                return BREAKDOWN, it, j
     return BREAKDOWN, max_iter, -1
 
 

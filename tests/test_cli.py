@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from centerlab import cli, geometry
+from centerlab import cli, geometry, optim
 from centerlab.cli import EXIT_ASSERT, EXIT_OK, EXIT_USAGE, SCENARIOS, main
 
 
@@ -44,6 +44,21 @@ def test_every_scenario_passes(capsys, name):
     assert all(c["pass"] for c in report["checks"])
     for c in report["checks"]:
         assert "oracle" in c and "tol" in c
+
+
+def test_three_ball_repro_lp_count(capsys, monkeypatch):
+    calls = []
+    real = optim.lp_solve
+
+    def counted(lp, **kwargs):
+        calls.append(lp)
+        return real(lp, **kwargs)
+
+    monkeypatch.setattr(optim, "lp_solve", counted)
+    code, report = run_json(capsys, "repro", "three-ball-transfer", "--seed", "0")
+    assert code == EXIT_OK and report["ok"]
+    # 500 passing trials, 4 to the failing one, and its 3 audited distances
+    assert len(calls) == 507
 
 
 def test_reports_are_reproducible(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from centerlab import geometry, instances, norms, optim
+from centerlab.errors import OptimizationError
 from centerlab.geometry import (
     BallFamily,
     LocallyConstrainedData,
@@ -453,6 +454,17 @@ def test_three_ball_sum_summand_fails_with_certificate():
     assert res.status == geometry.INFEASIBLE
     assert optim.verify_farkas(res.lp, res.outcome.farkas_ub,
                                res.outcome.farkas_eq)
+
+
+def test_three_ball_audit_refuses_a_wrong_distance():
+    space = make_direct_sum([l1(1), l1(1)], sum_combiner(2))
+    z = subspace_from_basis(2, [[1.0, 0.0]])
+    verts = norms._annihilator_vertices(space, z)
+    # without its maximizing vertex (0, 1) the set gives 0 for every point
+    # above the axis
+    z._dual_vertices[space] = np.delete(verts, verts[:, 1].argmax(), axis=0)
+    with pytest.raises(OptimizationError):
+        mideal_three_ball_check(space, z, trials=500, eps=1e-6, seed=0)
 
 
 def test_three_ball_handcrafted_l1_counterexample():

@@ -11,6 +11,7 @@ from centerlab.norms import (
     Subspace,
     add_norm_epigraph,
     dist_to_subspace,
+    dist_to_subspace_many,
     eval_norm,
     eval_norm_many,
     explicit_generators,
@@ -385,6 +386,56 @@ def test_dist_subgradient_path_for_l2():
     d, nearest = dist_to_subspace(space, x, sub)
     assert d == pytest.approx(5.0, abs=1e-6)
     assert np.allclose(nearest[:2], [3.0, -2.0], atol=1e-4)
+
+
+ANNIHILATOR_SPACES = {
+    "linf": lambda rng: linf(4),
+    "l1": lambda rng: l1(4),
+    "polyhedral": lambda rng: random_polyhedral(rng, 4),
+    "max-sum": lambda rng: make_direct_sum([l1(2), random_polyhedral(rng, 2)],
+                                           max_combiner(2)),
+    "sum-sum": lambda rng: make_direct_sum([linf(2), l1(2)], sum_combiner(2)),
+    "weighted-inf-esum": lambda rng: make_esum([linf(1), l1(3)],
+                                               weighted_lp(np.inf, [1.0, 0.6])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ANNIHILATOR_SPACES))
+def test_dist_to_subspace_many_matches_the_lp(kind):
+    rng = np.random.default_rng(21)
+    space = ANNIHILATOR_SPACES[kind](rng)
+    subs = [Subspace.zero(4)]
+    for k in range(1, 4):
+        subs.append(subspace_from_basis(4, rng.normal(size=(k, 4))))
+        # signed coordinate subspaces: their vertices have degenerate supports
+        signed = np.zeros((k, 4))
+        signed[np.arange(k), rng.permutation(4)[:k]] = rng.choice([-1.0, 1.0], size=k)
+        subs.append(subspace_from_basis(4, signed))
+    for sub in subs:
+        if sub.dim:
+            assert norms._annihilator_vertices(space, sub) is not None
+        xs = rng.normal(size=(8, 4)) * 1.5
+        xs[0] = sub.embed(rng.normal(size=sub.dim))
+        got = dist_to_subspace_many(space, xs, sub)
+        assert got[0] == 0.0
+        for x, d in zip(xs, got):
+            exact, _ = dist_to_subspace(space, x, sub)
+            assert abs(d - exact) <= 1e-12 * max(1.0, exact)
+
+
+def test_dist_to_subspace_many_l1_50_solves_lps(monkeypatch):
+    calls = []
+    real = optim.lp_solve
+
+    def counted(lp, **kwargs):
+        calls.append(lp)
+        return real(lp, **kwargs)
+
+    monkeypatch.setattr(optim, "lp_solve", counted)
+    sub = subspace_from_basis(50, np.eye(50)[:4])
+    dists = dist_to_subspace_many(l1(50), np.eye(50)[4:7], sub)
+    assert dists == pytest.approx([1.0, 1.0, 1.0], abs=1e-9)
+    assert len(calls) == 3
 
 
 def test_explicit_generators_reproduce_norm():

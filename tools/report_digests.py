@@ -1,0 +1,98 @@
+"""Digests of centerlab's deterministic reports, one `label sha256` line each.
+
+    python tools/report_digests.py [SRC]
+
+Imports centerlab from SRC (default: the `src/` next to this directory) and
+runs, in one process:
+
+- every `repro` scenario at `--seed 0` and `--seed 7`;
+- `property central|ac|almost-constrained|mideal` on the default instances
+  at both seeds;
+- `replay` of each of those property reports that carries a counterexample;
+- `center` on the README instance, in json and md.
+
+A digest covers the exit code and the report with `wall_clock_s` removed.
+Two checkouts give the same lines exactly when their reports agree, so
+
+    diff <(python tools/report_digests.py old/src) <(python tools/report_digests.py)
+
+lists the reports a change moves; rerun a listed command by hand to see
+what moved in it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = ("0", "7")
+PROPERTY_KINDS = ("central", "ac", "almost-constrained", "mideal")
+README_INSTANCE = {"schema": 1,
+                   "space": {"kind": "lp", "p": "inf", "dim": 3},
+                   "subspace": {"basis": [[1, 0, -1], [0, 1, -1]]},
+                   "points": [[-2, 1, 1], [1, 1, -2], [1, -2, 1]],
+                   "f": {"kind": "max"}}
+
+
+def load_cli(src: Path):
+    sys.path.insert(0, str(src))
+    from centerlab import cli
+    origin = Path(cli.__file__).resolve()
+    if src.resolve() not in origin.parents:
+        raise SystemExit(f"centerlab imported from {origin}, not {src}")
+    return cli
+
+
+def digest(cli, label: str, args: list[str], fmt: str = "json") -> dict | None:
+    """Run one command into `<label>.<fmt>` and print its digest; returns the
+    parsed json report."""
+    out = Path(f"{label}.{fmt}")
+    code = cli.main(args + ["--format", fmt, "--out", str(out)])
+    text = out.read_text(encoding="utf-8") if out.exists() else ""
+    report = None
+    if fmt == "json" and text:
+        report = json.loads(text)
+        report.pop("wall_clock_s", None)
+        text = json.dumps(report, indent=2) + "\n"
+    body = f"exit {code}\n{text}".encode("utf-8")
+    print(f"{label} {hashlib.sha256(body).hexdigest()}", flush=True)
+    return report
+
+
+def run_all(cli) -> None:
+    for name in sorted(cli.SCENARIOS):
+        for seed in SEEDS:
+            digest(cli, f"repro-{name}-seed{seed}", ["repro", name, "--seed", seed])
+    for kind in PROPERTY_KINDS:
+        for seed in SEEDS:
+            label = f"property-{kind}-seed{seed}"
+            report = digest(cli, label, ["property", kind, "--seed", seed])
+            if report and "counterexample" in report.get("verdicts", {}):
+                digest(cli, f"replay-{label}", ["replay", f"{label}.json"])
+    Path("readme-instance.json").write_text(json.dumps(README_INSTANCE),
+                                            encoding="utf-8")
+    for fmt in ("json", "md"):
+        digest(cli, f"center-readme-{fmt}", ["center", "readme-instance.json"], fmt)
+
+
+def main(argv: list[str]) -> int:
+    src = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src"
+    cli = load_cli(src)
+    home = Path.cwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        # reports echo the file names they were given: relative names keep
+        # the temporary directory out of them
+        os.chdir(tmp)
+        try:
+            run_all(cli)
+        finally:
+            os.chdir(home)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
