@@ -307,7 +307,8 @@ class CentFace:
             return np.eye(self.points.dim)
         return np.array(self.feasible.basis)
 
-    def distance_to(self, v, slack: float = FEAS_TOL) -> float:
+    def distance_to(self, v) -> float:
+        """Distance from v to the face, its level relaxed by FEAS_TOL."""
         v = np.asarray(v, dtype=float)
         builder = optim.LpBuilder()
         basis = self._basis()
@@ -315,7 +316,7 @@ class CentFace:
         s = builder.new_var()
         builder.set_objective([s], [1.0])
         _add_rf_level_rows(builder, self.space, self.points, self.f, alphas,
-                           basis, self.rad + slack * max(1.0, abs(self.rad)))
+                           basis, self.rad + FEAS_TOL * max(1.0, abs(self.rad)))
         norms.add_norm_epigraph(builder, self.space, alphas, -basis, v, s)
         out = optim.lp_solve(builder.build())
         if out.status != optim.OPTIMAL:
@@ -373,8 +374,8 @@ def _lp_center(problem: CenterProblem, basis: np.ndarray) -> tuple[float, np.nda
     return float(out.value), basis @ alpha, out
 
 
-def _subgradient_center(problem: CenterProblem, basis: np.ndarray,
-                        stages: int, iters_per_stage: int) -> tuple[float, np.ndarray, optim.SubgradientResult]:
+def _subgradient_center(problem: CenterProblem, basis: np.ndarray
+                        ) -> tuple[float, np.ndarray, optim.SubgradientResult]:
     space, fs, f = problem.space, problem.points, problem.f
     compiled, points, basis_t = norms.plan(space), fs.points, basis.T
     # the scalarization is resolved once: r_f and its subgradient from the
@@ -400,21 +401,21 @@ def _subgradient_center(problem: CenterProblem, basis: np.ndarray,
     start = basis.T @ centroid
     spread = np.linalg.norm(fs.points - centroid, axis=1).max(initial=0.0)
     scale = max(1.0, 2.0 * spread)
-    res = optim.staged_subgradient(oracle, None, start, scale=scale,
-                                   stages=stages, iters_per_stage=iters_per_stage)
+    res = optim.staged_subgradient(oracle, start, scale=scale,
+                                   stages=12, iters_per_stage=700)
     return res.value, basis @ res.point, res
 
 
 def solve_center(problem: CenterProblem, method: str = "auto", seed: int = 0,
-                 stages: int = 12, iters_per_stage: int = 700,
                  validation_samples: int = 120) -> CenterResult:
     """Compute the restricted radius and a minimizer.
 
     method "auto" picks the exact LP route whenever the norm and the
     scalarization admit one (ties among optimal vertices broken toward the
     lexicographically smallest minimizer), and staged subgradient descent
-    otherwise.  Membership of f in the convex/monotone/coercive class is
-    sampled, not proved; the result records the sample count and seed.
+    (12 stages of at most 700 steps) otherwise.  Membership of f in the
+    convex/monotone/coercive class is sampled, not proved; the result
+    records the sample count and seed.
     """
     f_report = validate_fcmc(problem.f, samples=validation_samples, seed=seed)
 
@@ -424,8 +425,7 @@ def solve_center(problem: CenterProblem, method: str = "auto", seed: int = 0,
             sub = CenterProblem(problem.space, norms.subspace_from_basis(
                 problem.points.dim, [d]), FiniteSet(problem.points.points - p),
                 problem.f)
-            res = solve_center(sub, method=method, seed=seed, stages=stages,
-                               iters_per_stage=iters_per_stage,
+            res = solve_center(sub, method=method, seed=seed,
                                validation_samples=10)
             if best is None or res.rad < best.rad - 1e-12:
                 best = CenterResult(res.rad, p + res.minimizer, None,
@@ -446,8 +446,7 @@ def solve_center(problem: CenterProblem, method: str = "auto", seed: int = 0,
                         problem.f, rad)
         result_method = "lp"
     else:
-        rad, minimizer, certificate = _subgradient_center(
-            problem, basis, stages, iters_per_stage)
+        rad, minimizer, certificate = _subgradient_center(problem, basis)
         face = None
         result_method = "subgradient"
 
@@ -464,9 +463,7 @@ def solve_center(problem: CenterProblem, method: str = "auto", seed: int = 0,
 @dataclass(frozen=True)
 class ProbeConfig:
     n_rejection: int = 200
-    n_directions: int = 32
     budget: int = 4000
-    box_halfwidth: float | None = None
     seed: int = 0
 
 
@@ -547,7 +544,7 @@ def delta_center_probe(problem: CenterProblem, delta: float, eps: float,
 
     Exact mode enumerates the sublevel vertices (the extreme points carry the
     maximum of the convex distance function); otherwise rejection samples over
-    a box plus LP-extremal points in random directions.  The minimizer itself
+    a box plus LP-extremal points in 32 random directions.  The minimizer itself
     always qualifies, so the sampler cannot starve.
     """
     if isinstance(problem.feasible, UnionOfLines):
@@ -567,12 +564,12 @@ def delta_center_probe(problem: CenterProblem, delta: float, eps: float,
         rng = np.random.default_rng(cfg.seed)
         alpha_star = basis.T @ result.minimizer
         spread = np.abs(basis.T @ problem.points.points.T).max(initial=1.0)
-        width = cfg.box_halfwidth if cfg.box_halfwidth is not None else \
-            2.0 * max(1.0, float(np.abs(alpha_star).max(initial=0.0)), float(spread))
+        width = 2.0 * max(1.0, float(np.abs(alpha_star).max(initial=0.0)),
+                          float(spread))
         samples_alpha.extend(_rejection_samples(problem, basis, level, rng,
                                                 alpha_star, width, cfg))
         if norms.is_lp_encodable(problem.space) and f_lp_encodable(problem.f):
-            for _ in range(cfg.n_directions):
+            for _ in range(32):
                 c = rng.normal(size=basis.shape[1])
                 builder = optim.LpBuilder()
                 alphas = builder.new_vars(basis.shape[1])

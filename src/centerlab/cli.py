@@ -515,20 +515,34 @@ def _parse_property_instance(kind: str, data: dict) -> dict:
     return out
 
 
+# the defaults of the optional flags each property kind reads; the parser
+# leaves them None, and a kind refuses a flag it does not read
+PROPERTY_FLAGS = {"central": {"trials": 200}, "ac": {}, "almost-constrained": {},
+                  "mideal": {"trials": 200, "tol": 1e-9}}
+
+
 def cmd_property(args) -> tuple[dict, int]:
-    kind = args.kind
+    kind, flags = args.kind, PROPERTY_FLAGS[args.kind]
+    unread = [f"--{flag}" for flag in ("trials", "tol")
+              if getattr(args, flag) is not None and flag not in flags]
+    if unread:
+        raise UsageError(f"property {kind} does not read {', '.join(unread)}")
+    config = {"kind": kind, "instance": args.instance, "seed": args.seed}
+    for flag, default in flags.items():
+        value = getattr(args, flag)
+        config[flag] = default if value is None else value
+    if kind == "mideal" and config["tol"] <= 0:
+        config["tol"] = 1e-6  # the eps that runs for a tolerance <= 0
     if args.instance is not None:
         data = _load_json(args.instance)
         with _malformed("property instance"):
             inst = _parse_property_instance(kind, data)
     else:
         inst = _default_property_instance(kind)
-    report = new_report("property", {"kind": kind, "instance": args.instance,
-                                     "seed": args.seed, "trials": args.trials,
-                                     "tol": args.tol})
+    report = new_report("property", config)
     space, sub = inst["space"], inst["subspace"]
     if kind == "central":
-        verdict = central_subspace_check(space, sub, trials=args.trials,
+        verdict = central_subspace_check(space, sub, trials=config["trials"],
                                          seed=args.seed,
                                          within=inst.get("within"),
                                          inject=inst.get("inject", ()))
@@ -562,9 +576,8 @@ def cmd_property(args) -> tuple[dict, int]:
             report["verdicts"]["image"] = out.image
         report["checks"].append(check("checker completed", True, True))
     elif kind == "mideal":
-        verdict = mideal_three_ball_check(space, sub, trials=args.trials,
-                                          eps=args.tol if args.tol > 0 else 1e-6,
-                                          seed=args.seed)
+        verdict = mideal_three_ball_check(space, sub, trials=config["trials"],
+                                          eps=config["tol"], seed=args.seed)
         report["verdicts"] = {"passed": verdict.passed, "note": verdict.note}
         if verdict.witness_family is not None:
             report["verdicts"]["counterexample"] = {
@@ -575,8 +588,6 @@ def cmd_property(args) -> tuple[dict, int]:
                 "expected_status": "infeasible",
             }
         report["checks"].append(check("checker completed", True, True))
-    else:
-        raise UsageError(f"unknown property kind {kind!r}")
     return report, EXIT_OK
 
 
@@ -647,12 +658,8 @@ def build_parser() -> _Parser:
                                  "diagnostics in finite-dimensional normed spaces")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, tol: bool = False, trials: bool = False):
+    def common(p):
         p.add_argument("--seed", type=int, default=None)
-        if tol:
-            p.add_argument("--tol", type=float, default=1e-9)
-        if trials:
-            p.add_argument("--trials", type=int, default=200)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "csv", "md"),
                        default="json")
@@ -661,13 +668,15 @@ def build_parser() -> _Parser:
     p_center.add_argument("instance")
     p_center.add_argument("--deltas", type=float, nargs="+",
                           default=[0.1, 0.01, 0.001])
-    common(p_center, tol=True)
+    p_center.add_argument("--tol", type=float, default=1e-9)
+    common(p_center)
 
     p_prop = sub.add_parser("property", help="run a subspace property checker")
-    p_prop.add_argument("kind", choices=("central", "ac", "almost-constrained",
-                                         "mideal"))
+    p_prop.add_argument("kind", choices=tuple(PROPERTY_FLAGS))
     p_prop.add_argument("instance", nargs="?", default=None)
-    common(p_prop, tol=True, trials=True)
+    p_prop.add_argument("--trials", type=int, default=None)
+    p_prop.add_argument("--tol", type=float, default=None)
+    common(p_prop)
 
     p_repro = sub.add_parser("repro", help="run a built-in reproduction")
     p_repro.add_argument("name", nargs="?", default=None)
@@ -686,10 +695,11 @@ def _check_ranges(args) -> None:
     """Refuse numeric flags outside the ranges the README lists."""
     if args.seed < 0:
         raise UsageError(f"--seed must be a non-negative integer, not {args.seed}")
-    if getattr(args, "trials", 0) < 0:
-        raise UsageError(f"--trials must be >= 0, not {args.trials}")
-    if not math.isfinite(getattr(args, "tol", 0.0)):
-        raise UsageError(f"--tol must be finite, not {args.tol}")
+    trials, tol = getattr(args, "trials", None), getattr(args, "tol", None)
+    if trials is not None and trials < 0:
+        raise UsageError(f"--trials must be >= 0, not {trials}")
+    if tol is not None and not math.isfinite(tol):
+        raise UsageError(f"--tol must be finite, not {tol}")
     for delta in getattr(args, "deltas", ()):
         if not (math.isfinite(delta) and delta >= 0):
             raise UsageError(f"--deltas must be finite and >= 0, not {delta}")

@@ -143,7 +143,7 @@ def balls_intersect(space, family: BallFamily, within: Subspace | None = None
     start = basis.T @ centers.mean(axis=0)
     scale = max(1.0, 2.0 * float(np.linalg.norm(centers - centers.mean(axis=0),
                                                 axis=1).max(initial=0.0)))
-    res = optim.staged_subgradient(oracle, None, start, scale=scale)
+    res = optim.staged_subgradient(oracle, start, scale=scale)
     witness = basis @ res.point
     gaps = eval_norm_many(space, witness[None, :] - centers) - radii
     if gaps.max(initial=0.0) <= FEAS_TOL * max(1.0, float(radii.max(initial=1.0))):
@@ -166,16 +166,14 @@ class CentralVerdict:
 
 def central_subspace_check(space, sub: Subspace, trials: int, seed: int,
                            within: Subspace | None = None,
-                           inject: Sequence[BallFamily] = (),
-                           family_size: tuple[int, int] = (2, 5),
-                           slack: float = 0.2) -> CentralVerdict:
+                           inject: Sequence[BallFamily] = ()) -> CentralVerdict:
     """Randomized search for a family of balls with centers in `sub` that
     intersects in `within` (default: the whole space) but not in `sub`.
 
-    Families are generated witness-first: the witness is drawn from `within`,
-    centers from `sub`, and each radius is the witness distance inflated by a
-    factor in [1, 1 + slack], so feasibility in `within` holds by
-    construction.  Known families can be injected and are tested first.
+    Families of 2-4 balls are generated witness-first: the witness is drawn
+    from `within`, centers from `sub`, and each radius is the witness
+    distance inflated by a factor in [1, 1.2], so feasibility in `within`
+    holds by construction.  Injected families are tested first.
     """
     n = norms.space_dim(space)
     rng = np.random.default_rng(seed)
@@ -186,12 +184,12 @@ def central_subspace_check(space, sub: Subspace, trials: int, seed: int,
                                   "injected family fails to intersect in the subspace")
     w_basis = np.eye(n) if within is None else np.array(within.basis)
     for trial in range(trials):
-        k = int(rng.integers(family_size[0], family_size[1]))
+        k = int(rng.integers(2, 5))
         w = w_basis @ rng.normal(size=w_basis.shape[1]) * 1.5
         centers = (sub.basis @ rng.normal(size=(sub.dim, k)) * 1.5).T \
             if sub.dim else np.zeros((k, n))
         radii = eval_norm_many(space, w[None, :] - centers) * \
-            (1.0 + rng.uniform(0.0, slack, size=k))
+            (1.0 + rng.uniform(0.0, 0.2, size=k))
         fam = BallFamily.from_arrays(centers, radii)
         res = balls_intersect(space, fam, sub)
         if res.status != FEASIBLE:
@@ -269,27 +267,25 @@ class ProjectionVerdict:
     mode: str
 
 
-def verify_norm1_projection(space, pd: ProjectionData, mode: str = "auto",
-                            trials: int = 200, seed: int = 0) -> ProjectionVerdict:
+def verify_norm1_projection(space, pd: ProjectionData, trials: int = 200,
+                            seed: int = 0) -> ProjectionVerdict:
     """Check ||image + y|| <= ||transversal + y|| for all y in the subspace
     (equivalent, by homogeneity, to the projection having norm one).
 
     Exact mode enumerates the extreme points of the unit ball of
-    span{transversal, Y} (polyhedral norms, span dimension <= 4); otherwise a
-    seeded sample plus local ascent on the violation gap.  Rejections carry
-    the violating y.
+    span{transversal, Y} (polyhedral norms, span dimension <= 4); otherwise
+    `trials` seeded samples plus local ascent on the violation gap, labelled
+    "sampled-fallback" when the span is too large.  Rejections carry the
+    violating y.
     """
     x, p, sub = pd.transversal, pd.image, pd.subspace
     span_dim = sub.dim + 1
-    exact_ok = mode != "sampled" and span_dim <= 4
     gens = None
-    if exact_ok:
+    if span_dim <= 4:
         try:
             gens = norms.explicit_generators(space, cap=20_000)
         except norms.InvalidNormError:
             gens = None
-    if mode == "exact" and gens is None:
-        raise ValueError("exact mode needs a polyhedral norm and span dim <= 4")
 
     if gens is not None:
         s_mat = np.column_stack([x, sub.basis])
@@ -330,8 +326,7 @@ def verify_norm1_projection(space, pd: ProjectionData, mode: str = "auto",
             v = violation(y)
             if v > best:
                 best, best_y = v, y
-    fell_back = mode == "auto" and span_dim > 4
-    label = "sampled-fallback" if fell_back else "sampled"
+    label = "sampled-fallback" if span_dim > 4 else "sampled"
     if best <= 1e-9 * scale:
         return ProjectionVerdict(True, best, None, label)
     return ProjectionVerdict(False, best, best_y, label)
@@ -347,11 +342,10 @@ class NetProbeResult:
 
 
 def almost_constrained_probe(space, sub: Subspace, x, seed: int = 0,
-                             initial_net: int = 8, growth: float = 2.0,
-                             max_rounds: int = 7,
                              inject: Sequence[np.ndarray] = ()) -> NetProbeResult:
     """Search for a norm-1 projection image for span{x, Y} -> Y via dominators
-    over growing finite nets in Y.
+    over growing finite nets in Y: 8 points at first, doubled in each of at
+    most 7 rounds.
 
     Falsification is sound: a finite net with a certified empty dominator set
     refutes the projection's existence outright.  Acceptance is net-limited:
@@ -368,8 +362,8 @@ def almost_constrained_probe(space, sub: Subspace, x, seed: int = 0,
     net: list[np.ndarray] = []
     for arr in inject:
         net.extend(np.atleast_2d(np.asarray(arr, dtype=float)))
-    size = initial_net
-    for round_no in range(max_rounds):
+    size = 8
+    for round_no in range(7):
         while len(net) < size:
             net.append(sub.basis @ rng.normal(size=sub.dim) * scale *
                        rng.choice([0.5, 1.0, 2.0]))
@@ -386,8 +380,8 @@ def almost_constrained_probe(space, sub: Subspace, x, seed: int = 0,
                                   verdict, round_no + 1)
         if verdict.witness is not None:
             net.append(-verdict.witness)
-        size = int(size * growth)
-    return NetProbeResult("inconclusive", None, np.array(net), None, max_rounds)
+        size *= 2
+    return NetProbeResult("inconclusive", None, np.array(net), None, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +415,9 @@ class LocalVerdict:
     outer: ProjectionVerdict | None
 
 
-def locally_constrained_verify(space, data: LocallyConstrainedData,
-                               trials: int = 200, seed: int = 0) -> LocalVerdict:
-    """Both projections must have norm one and share the image of z exactly."""
+def locally_constrained_verify(space, data: LocallyConstrainedData) -> LocalVerdict:
+    """Both projections must have norm one (`verify_norm1_projection` with
+    its defaults) and share the image of z exactly."""
     if not data.inner.subspace.is_subspace_of(data.outer.subspace):
         raise ValueError("inner target must be nested inside the outer target")
     if not (np.array_equal(data.inner.transversal, data.z)
@@ -431,10 +425,10 @@ def locally_constrained_verify(space, data: LocallyConstrainedData,
         return LocalVerdict(False, "transversal vectors disagree with z", None, None)
     if not np.array_equal(data.inner.image, data.outer.image):
         return LocalVerdict(False, "images of z differ", None, None)
-    inner_v = verify_norm1_projection(space, data.inner, trials=trials, seed=seed)
+    inner_v = verify_norm1_projection(space, data.inner)
     if not inner_v.accepted:
         return LocalVerdict(False, "inner projection exceeds norm one", inner_v, None)
-    outer_v = verify_norm1_projection(space, data.outer, trials=trials, seed=seed)
+    outer_v = verify_norm1_projection(space, data.outer)
     if not outer_v.accepted:
         return LocalVerdict(False, "outer projection exceeds norm one",
                             inner_v, outer_v)
@@ -451,15 +445,15 @@ class TransferResult:
 
 def locally_constrained_transfer(space, z1: Subspace, y: Subspace,
                                  z2: Subspace, family: BallFamily,
-                                 data: LocallyConstrainedData | Callable,
+                                 factory: Callable[[np.ndarray], LocallyConstrainedData],
                                  ) -> TransferResult:
     """Route a ball family with centers in Z2 through a Z1 witness and the
     locally constrained projection pair, landing a common point in Z2.
 
     Stages: the family must intersect within Y; it must intersect within Z1
-    (this is where centrality of Z1 is exercised); the projection pair for
-    the found witness must verify; and the projected point must lie in every
-    ball.  The first failing stage is reported.
+    (this is where centrality of Z1 is exercised); the projection pair that
+    `factory` builds for the found witness must verify; and the projected
+    point must lie in every ball.  The first failing stage is reported.
     """
     for b in family.balls:
         if not z2.contains(b.center, tol=1e-7):
@@ -475,8 +469,7 @@ def locally_constrained_transfer(space, z1: Subspace, y: Subspace,
     if z2.contains(z_wit):
         return TransferResult(True, "done", z_wit,
                               {"note": "witness already lies in the target"})
-    if callable(data):
-        data = data(z_wit)
+    data = factory(z_wit)
     if np.abs(data.z - z_wit).max() > 1e-7 * max(1.0, np.abs(z_wit).max()):
         return TransferResult(False, "projection-data", None,
                               {"reason": "data built for a different witness"})
@@ -514,14 +507,13 @@ def _lift_subspace(parts: Sequence[Subspace], n_total: int,
 
 def compose_direct_sum_projections(space: norms.SumNorm,
                                    pairs: Sequence[tuple[ProjectionData, ProjectionData]],
-                                   z0, samples: int = 10_000, seed: int = 0,
-                                   verify_components: bool = True) -> tuple:
+                                   z0, samples: int = 10_000, seed: int = 0) -> tuple:
     """Assemble componentwise projection pairs into a pair on the direct sum.
 
-    Component images of z0 must agree bit-for-bit, which makes the composed
-    images identical arrays; the norm-1 property of the outer composition is
-    then sampled, since the monotone combiner transfers componentwise
-    contraction.
+    Each component projection must pass `verify_norm1_projection`, and their
+    images of z0 must agree bit-for-bit, which makes the composed images
+    identical arrays; the norm-1 property of the outer composition is then
+    sampled, since the monotone combiner transfers componentwise contraction.
     """
     z0 = np.asarray(z0, dtype=float)
     slices = norms.component_slices(space)
@@ -535,11 +527,10 @@ def compose_direct_sum_projections(space: norms.SumNorm,
             raise ValueError("component transversal must equal the z0 slice")
         if not np.array_equal(p_i.image, q_i.image):
             raise ValueError("component images of z0 must agree exactly")
-        if verify_components:
-            for pd in (p_i, q_i):
-                verdict = verify_norm1_projection(comp, pd, trials=80, seed=seed)
-                if not verdict.accepted:
-                    raise ValueError("component projection is not norm one")
+        for pd in (p_i, q_i):
+            verdict = verify_norm1_projection(comp, pd, trials=80, seed=seed)
+            if not verdict.accepted:
+                raise ValueError("component projection is not norm one")
         image[sl] = p_i.image
         inner_parts.append(p_i.subspace)
         outer_parts.append(q_i.subspace)
@@ -567,9 +558,9 @@ def compose_direct_sum_projections(space: norms.SumNorm,
 
 
 def esum_dominator(space: norms.SumNorm, y_components: Sequence[Subspace],
-                   x, a_points, component_oracle: Callable | None = None
-                   ) -> tuple[np.ndarray, dict]:
-    """Assemble a dominator in a monotone sum from componentwise dominators.
+                   x, a_points) -> tuple[np.ndarray, dict]:
+    """Assemble a dominator in a monotone sum from componentwise dominators,
+    each an `ac_dominator` witness.
 
     Zero is adjoined to every component reference set, which pins the
     component norms of the dominator under those of x; the assembled
@@ -585,16 +576,12 @@ def esum_dominator(space: norms.SumNorm, y_components: Sequence[Subspace],
     for idx, (comp, sub, sl) in enumerate(zip(space.components, y_components,
                                               slices)):
         refs = np.vstack([a_points[:, sl], np.zeros((1, sl.stop - sl.start))])
-        if component_oracle is not None:
-            y_n = component_oracle(idx, comp, sub, x[sl], refs)
-        else:
-            res = ac_dominator(comp, sub, refs, x[sl])
-            if res.status != FEASIBLE:
-                raise OptimizationError(
-                    f"component {idx} produced no dominator ({res.status})")
-            y_n = res.witness
-        y[sl] = y_n
-        comp_bounds.append((eval_norm(comp, y_n), eval_norm(comp, x[sl])))
+        res = ac_dominator(comp, sub, refs, x[sl])
+        if res.status != FEASIBLE:
+            raise OptimizationError(
+                f"component {idx} produced no dominator ({res.status})")
+        y[sl] = res.witness
+        comp_bounds.append((eval_norm(comp, res.witness), eval_norm(comp, x[sl])))
     lhs = eval_norm_many(space, y[None, :] - a_points)
     rhs = eval_norm_many(space, x[None, :] - a_points)
     report = {
@@ -617,11 +604,11 @@ class LiftResult:
 
 
 def lift_projection_linf_sum(base_space, p_matrix, z1: Subspace, k: int,
-                             trials: int = 200, seed: int = 0,
-                             samples: int = 2000) -> LiftResult:
+                             trials: int = 200, seed: int = 0) -> LiftResult:
     """Lift a full norm-1 projection componentwise to the sup-normed sum of k
     copies of the base space, and re-run the central-subspace check on the
-    lifted intersection subspace inside the lifted range.
+    lifted intersection subspace inside the lifted range.  Both norm-one
+    checks sample 2000 vectors.
 
     The size-k sup-sum stands in for continuous functions on a k-point
     compact space with values in the base space.
@@ -631,7 +618,7 @@ def lift_projection_linf_sum(base_space, p_matrix, z1: Subspace, k: int,
     rng = np.random.default_rng(seed)
     checks: dict = {}
     checks["idempotent"] = bool(np.abs(p_matrix @ p_matrix - p_matrix).max() <= 1e-9)
-    xs = rng.normal(size=(samples, n))
+    xs = rng.normal(size=(2000, n))
     ratios = eval_norm_many(base_space, xs @ p_matrix.T) / \
         np.maximum(eval_norm_many(base_space, xs), 1e-300)
     checks["base_norm_le_1"] = bool(ratios.max() <= 1.0 + 1e-9)
@@ -643,7 +630,7 @@ def lift_projection_linf_sum(base_space, p_matrix, z1: Subspace, k: int,
     lifted_space = norms.make_direct_sum([base_space] * k, norms.max_combiner(k))
     lifted = np.kron(np.eye(k), p_matrix)
     checks["lift_idempotent_bitexact"] = np.array_equal(lifted @ lifted, lifted)
-    xs_big = rng.normal(size=(samples, k * n))
+    xs_big = rng.normal(size=(2000, k * n))
     ratios = eval_norm_many(lifted_space, xs_big @ lifted.T) / \
         np.maximum(eval_norm_many(lifted_space, xs_big), 1e-300)
     checks["lift_norm_le_1"] = bool(ratios.max() <= 1.0 + 1e-9)
@@ -781,7 +768,7 @@ def decompose_min_sum(space, x, y_sub: Subspace, z_sub: Subspace
             gz = c_mat.T @ norm_subgradient(space, zv)
             return val, null.T @ np.concatenate([gy, gz])
 
-        res = optim.staged_subgradient(oracle, None, np.zeros(null.shape[1]),
+        res = optim.staged_subgradient(oracle, np.zeros(null.shape[1]),
                                        scale=max(1.0, float(np.abs(w0).max(initial=0.0))))
         w = w0 + null @ res.point
         y_vec = b_mat @ w[:y_sub.dim]

@@ -543,13 +543,20 @@ def validate_norm(space, samples: int = 300, seed: int = 0) -> ValidationReport:
 # LP descriptions, read off the plan
 
 def explicit_generators(space, cap: int = 100_000) -> np.ndarray:
-    """Flatten any fully polyhedral NormSpec into one symmetric generator set.
+    """Flatten any fully polyhedral NormSpec into one symmetric generator set,
+    its rows sorted and distinct.
 
     p-norms other than 1/inf (except in dimension 1) are not polyhedral and
     raise InvalidNormError.  The product construction for sums is capped to
     avoid combinatorial blowups outside the intended small-dimension uses.
     """
-    return plan(space).generators(cap)
+    # a sum's product construction repeats rows (a max combiner pairs a
+    # component generator with every choice for the other components); the
+    # rows are sorted and repeats dropped by hand, because np.unique(axis=0)
+    # imports numpy.ma, half a MiB of resident memory
+    gens = plan(space).generators(cap)
+    gens = gens[np.lexsort(gens.T[::-1])]
+    return gens[np.concatenate([[True], (gens[1:] != gens[:-1]).any(axis=1)])]
 
 
 def is_lp_encodable(space) -> bool:
@@ -751,7 +758,7 @@ def dist_to_subspace(space, x, sub: Subspace) -> tuple[float, np.ndarray]:
 
     start = sub.coords(x)
     scale = max(1.0, float(np.linalg.norm(x - sub.embed(start))))
-    res = optim.staged_subgradient(oracle, None, start, scale=scale)
+    res = optim.staged_subgradient(oracle, start, scale=scale)
     if not res.converged:
         raise OptimizationError("subgradient distance solve hit iteration limit")
     return res.value, sub.embed(res.point)
@@ -775,15 +782,9 @@ def _enumerate_annihilator_vertices(space, basis: np.ndarray):
     generators; supports whose equations are singular are skipped.
     """
     try:
-        gens = plan(space).generators(_DUAL_VERTEX_CAP)
+        gens = explicit_generators(space, _DUAL_VERTEX_CAP)
     except InvalidNormError:
         return None
-    # a sum's product construction repeats rows (a max combiner pairs a
-    # component generator with every choice for the other components); the
-    # rows are sorted and repeats dropped by hand, because np.unique(axis=0)
-    # imports numpy.ma, half a MiB of resident memory
-    gens = gens[np.lexsort(gens.T[::-1])]
-    gens = gens[np.concatenate([[True], (gens[1:] != gens[:-1]).any(axis=1)])]
     m, k = gens.shape[0], basis.shape[1]
     if m > _DUAL_VERTEX_CAP or math.comb(m, k + 1) > _DUAL_VERTEX_CAP:
         return None

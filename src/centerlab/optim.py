@@ -2,8 +2,8 @@
 
 Two pieces live here: a dense two-phase simplex solver that always returns a
 certificate (dual multipliers at optimality, Farkas multipliers on
-infeasibility, an improving ray when unbounded), and a projected subgradient
-method for nonsmooth convex objectives.
+infeasibility, an improving ray when unbounded), and a subgradient method
+for nonsmooth convex objectives.
 
 Problem sizes in this project are tiny (tens of variables), so clarity and
 determinism win over speed.  Pivoting follows Bland's rule with
@@ -255,8 +255,7 @@ def _lex_refine(lp, t, basis, allowed, refine, x, value, max_iter):
     return x, pivots, "lexicographic refinement"
 
 
-def lp_solve(lp: LinearProgram, max_iter: int | None = None,
-             refine: Sequence[int] | None = None) -> LpOutcome:
+def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None) -> LpOutcome:
     """Two-phase dense simplex with certificates.
 
     Deterministic: identical inputs yield bit-identical outcomes.  Numerical
@@ -322,8 +321,7 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None,
     allowed = np.zeros(ncols, dtype=bool)
     allowed[:n_struct] = True
 
-    if max_iter is None:
-        max_iter = 1000 + 60 * (n_struct + m_total)
+    max_iter = 1000 + 60 * (n_struct + m_total)
 
     def multipliers(costs):
         """Simplex multipliers y = costs[start] - reduced costs[start] of the
@@ -497,36 +495,22 @@ def lp_solve_lex(lp: LinearProgram,
     return lp_solve(lp, refine=range(lp.n_vars) if refine is None else refine)
 
 
-def enumerate_vertices(a_ub, b_ub, a_eq=None, b_eq=None, tol: float = FEAS_TOL,
-                       cap: int = 2_000_000) -> np.ndarray:
-    """All vertices of {u : a_ub u <= b_ub, a_eq u = b_eq} by basis enumeration.
+def enumerate_vertices(a_ub, b_ub, cap: int = 2_000_000) -> np.ndarray:
+    """All vertices of {u : a_ub u <= b_ub} by basis enumeration, one per
+    7-digit rounding, in sorted order.
 
     Intended for small dimensions (<= 4 in this project); raises ValueError
     when the subset count would exceed `cap`.
     """
     a_ub = np.asarray(a_ub, dtype=float)
     b_ub = np.asarray(b_ub, dtype=float).ravel()
-    d = a_ub.shape[1]
-    if a_eq is None or len(a_eq) == 0:
-        a_eq = np.zeros((0, d))
-        b_eq = np.zeros(0)
-    else:
-        a_eq = np.asarray(a_eq, dtype=float).reshape(-1, d)
-        b_eq = np.asarray(b_eq, dtype=float).ravel()
-    m_eq = a_eq.shape[0]
-    if m_eq and np.linalg.matrix_rank(a_eq) < m_eq:
-        raise ValueError("equality rows must be independent")
-    need = d - m_eq
-    if need < 0:
-        raise ValueError("more equalities than dimensions")
-    m = a_ub.shape[0]
-    if math.comb(m, need) > cap:
+    m, d = a_ub.shape
+    if math.comb(m, d) > cap:
         raise ValueError("combination count exceeds cap")
     scale = np.maximum(1.0, np.abs(b_ub))
     found: dict[tuple, np.ndarray] = {}
-    for subset in itertools.combinations(range(m), need):
-        mat = np.vstack([a_eq, a_ub[list(subset)]])
-        rhs = np.concatenate([b_eq, b_ub[list(subset)]])
+    for subset in itertools.combinations(range(m), d):
+        mat, rhs = a_ub[list(subset)], b_ub[list(subset)]
         try:
             v = np.linalg.solve(mat, rhs)
         except np.linalg.LinAlgError:
@@ -535,7 +519,7 @@ def enumerate_vertices(a_ub, b_ub, a_eq=None, b_eq=None, tol: float = FEAS_TOL,
             continue
         if np.abs(mat @ v - rhs).max(initial=0.0) > 1e-7:
             continue
-        if m and (a_ub @ v - b_ub > 100 * tol * scale).any():
+        if m and (a_ub @ v - b_ub > 100 * FEAS_TOL * scale).any():
             continue
         key = tuple(np.round(v, 7).tolist())
         if key not in found:
@@ -547,14 +531,11 @@ def enumerate_vertices(a_ub, b_ub, a_eq=None, b_eq=None, tol: float = FEAS_TOL,
 
 @dataclass(frozen=True)
 class SubgradientConfig:
-    """Diminishing-step schedule step_a / (k + step_b); standard guarantee for
-    convex nonsmooth objectives.  All defaults overridable."""
+    """One run of `subgradient_minimize`: at most `max_iter` steps, the k-th
+    of length step_a / (k + 10)."""
 
     max_iter: int = 1500
     step_a: float = 1.0
-    step_b: float = 10.0
-    tol: float = 1e-9
-    patience: int = 250
 
 
 @dataclass(frozen=True, eq=False)
@@ -567,49 +548,43 @@ class SubgradientResult:
 
 
 def subgradient_minimize(oracle: Callable[[np.ndarray], tuple[float, np.ndarray]],
-                         project: Callable[[np.ndarray], np.ndarray] | None,
                          start: np.ndarray,
                          cfg: SubgradientConfig = SubgradientConfig()) -> SubgradientResult:
-    """Projected subgradient descent for a convex objective oracle.
+    """Subgradient descent for a convex objective oracle.
 
-    The schedule step_a / (k + step_b) is the step length along the
-    normalized subgradient, which keeps iterates bounded even when gradients
-    grow superlinearly far from the minimum.  Returns the best point seen;
-    the trace holds the value at every iterate, so its running minimum is
-    nonincreasing by construction.  Hitting the iteration cap while still
-    improving is flagged as unconverged.
+    The schedule step_a / (k + 10) is the step length along the normalized
+    subgradient, which keeps iterates bounded even when gradients grow
+    superlinearly far from the minimum.  Returns the best point seen; the
+    trace holds the value at every iterate, so its running minimum is
+    nonincreasing by construction.  A run stops, converged, after 250 steps
+    without a relative improvement above 1e-9; hitting the iteration cap
+    while still improving is flagged as unconverged.
     """
     x = np.asarray(start, dtype=float).copy()
-    if project is not None:
-        x = project(x)
     value, grad = oracle(x)
     best_v = value
     best_x = x  # iterates are fresh arrays, never written in place
     trace = [value]
     last_improve = 0
     k = 0
-    step_a, step_b, tol, patience = cfg.step_a, cfg.step_b, cfg.tol, cfg.patience
     for k in range(1, cfg.max_iter + 1):
         gn = math.sqrt(grad @ grad)
         if gn <= 1e-300:
             return SubgradientResult(best_v, best_x, np.array(trace), True, k)
-        step = step_a / (k + step_b)
-        x = x - (step / gn) * grad
-        if project is not None:
-            x = project(x)
+        x = x - (cfg.step_a / (k + 10.0) / gn) * grad
         value, grad = oracle(x)
         trace.append(value)
         if value < best_v:
-            if value < best_v - tol * max(1.0, abs(best_v)):
+            if value < best_v - 1e-9 * max(1.0, abs(best_v)):
                 last_improve = k
             best_v = value
             best_x = x
-        if k - last_improve > patience:
+        if k - last_improve > 250:
             return SubgradientResult(best_v, best_x, np.array(trace), True, k)
     return SubgradientResult(best_v, best_x, np.array(trace), False, k)
 
 
-def _polyak_polish(oracle, project, start, best_v, iters, delta0, trace):
+def _polyak_polish(oracle, start, best_v, iters, delta0, trace):
     """Deflected subgradient steps with a Polyak-style length against a
     moving target slightly below the best value seen.
 
@@ -646,28 +621,25 @@ def _polyak_polish(oracle, project, start, best_v, iters, delta0, trace):
                 x = best_x
                 direction = None
                 continue
-            x = nxt if project is None else project(nxt)
+            x = nxt
             if k % 200 == 0:
                 delta = max(delta / 4.0, 1e-13)
     return best_v, best_x
 
 
 def staged_subgradient(oracle: Callable[[np.ndarray], tuple[float, np.ndarray]],
-                       project: Callable[[np.ndarray], np.ndarray] | None,
                        start: np.ndarray,
                        scale: float = 1.0,
                        stages: int = 10,
-                       shrink: float = 4.0,
-                       iters_per_stage: int = 1200,
-                       polish_iters: int = 2500,
-                       cfg: SubgradientConfig = SubgradientConfig()) -> SubgradientResult:
+                       iters_per_stage: int = 1200) -> SubgradientResult:
     """Repeated subgradient runs with a geometrically shrinking step scale,
-    followed by a Polyak-step polish.
+    followed by a Polyak-step polish of at most 2500 oracle calls.
 
-    Each stage restarts from the best point found so far with step_a divided
-    by `shrink`, which recovers fast local convergence on the sharp minima
-    typical of max-of-norms objectives.  The concatenated trace keeps the
-    running-minimum monotonicity of the single-run method.
+    Each of the `stages` runs takes at most `iters_per_stage` steps and
+    restarts from the best point found so far with step_a, which starts at
+    `scale`, divided by 4; this recovers fast local convergence on the sharp
+    minima typical of max-of-norms objectives.  The concatenated trace keeps
+    the running-minimum monotonicity of the single-run method.
     """
     x = np.asarray(start, dtype=float)
     traces = []
@@ -677,25 +649,20 @@ def staged_subgradient(oracle: Callable[[np.ndarray], tuple[float, np.ndarray]],
     iterations = 0
     step_a = max(scale, 1e-12)
     for _ in range(stages):
-        stage_cfg = SubgradientConfig(max_iter=iters_per_stage, step_a=step_a,
-                                      step_b=cfg.step_b, tol=cfg.tol,
-                                      patience=cfg.patience)
-        res = subgradient_minimize(oracle, project, best_x, stage_cfg)
+        res = subgradient_minimize(oracle, best_x, SubgradientConfig(
+            max_iter=iters_per_stage, step_a=step_a))
         traces.append(res.trace)
         iterations += res.iterations
         if best_v is None or res.value < best_v:
             best_v = res.value
             best_x = res.point
         converged = res.converged
-        step_a /= shrink
-    if polish_iters > 0:
-        tail: list[float] = []
-        best_v, best_x = _polyak_polish(oracle, project, best_x, best_v,
-                                        polish_iters,
-                                        delta0=1e-3 * max(1.0, abs(best_v)),
-                                        trace=tail)
-        traces.append(np.array(tail))
-        iterations += len(tail)
+        step_a /= 4.0
+    tail: list[float] = []
+    best_v, best_x = _polyak_polish(oracle, best_x, best_v, 2500,
+                                    delta0=1e-3 * max(1.0, abs(best_v)),
+                                    trace=tail)
+    traces.append(np.array(tail))
+    iterations += len(tail)
     return SubgradientResult(best_v, best_x, np.concatenate(traces),
                              converged, iterations)
-

@@ -469,3 +469,24 @@ def test_radius_audit_refuses_an_inflated_radius(monkeypatch):
                          uniform_max(2))
     with pytest.raises(OptimizationError, match="radius audit"):
         solve_center(prob)
+
+
+def test_probe_of_a_max_sum_enumerates_its_vertices(monkeypatch):
+    # the max combiner's product construction gives 48 generator rows, of
+    # which 10 are distinct; with the repeats kept, three points make 144
+    # sublevel rows and C(144, 3) supports, past the enumeration cap
+    space = norms.make_direct_sum([l1(2), linf(3)], norms.max_combiner(2))
+    assert norms.explicit_generators(space).shape == (10, 5)
+    rng = np.random.default_rng(0)
+    sub = subspace_from_basis(5, rng.normal(size=(3, 5)))
+    prob = CenterProblem(space, sub, FiniteSet(rng.normal(size=(3, 5))),
+                         uniform_max(3))
+    res = solve_center(prob)
+    exact = delta_center_probe(prob, 0.1, eps=np.inf, result=res)
+    assert exact.mode == "vertex-exact"
+    # the vertices carry the maximum of the convex distance, so no sampled
+    # point of the sublevel set lies farther out
+    monkeypatch.setattr(centers, "_sublevel_vertices", lambda *args: None)
+    sampled = delta_center_probe(prob, 0.1, eps=np.inf, result=res)
+    assert sampled.mode == "sampled"
+    assert sampled.excess <= exact.excess + 1e-9

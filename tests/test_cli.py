@@ -414,3 +414,28 @@ def test_transfer_check_is_containment(capsys, monkeypatch, point, code):
     assert within["pass"] == (code == EXIT_OK)
     assert report["verdicts"]["slack"] == pytest.approx(
         -0.5 if code == EXIT_OK else 0.3, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["property", "ac", "--tol", "5"],
+    ["property", "almost-constrained", "--trials", "3"],
+    ["property", "central", "--tol", "5"],
+])
+def test_property_refuses_flags_its_kind_does_not_read(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("centerlab: ")
+
+
+def test_property_config_echoes_what_ran(capsys):
+    code, out = run(capsys, "property", "mideal", "--trials", "1", "--tol", "0")
+    assert code == EXIT_OK
+    assert json.loads(out)["config"]["tol"] == 1e-6
+    assert '"tol": 1e-06' in out
+    code, report = run_json(capsys, "property", "mideal", "--trials", "1")
+    assert report["config"]["tol"] == 1e-9
+    code, report = run_json(capsys, "property", "ac")
+    assert code == EXIT_OK
+    assert sorted(report["config"]) == ["instance", "kind", "seed"]

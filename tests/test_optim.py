@@ -152,21 +152,13 @@ def test_enumerate_vertices_square():
     assert got == expected
 
 
-def test_enumerate_vertices_with_equality():
-    a = np.vstack([np.eye(2), -np.eye(2)])
-    b = np.ones(4)
-    verts = enumerate_vertices(a, b, a_eq=[[1.0, 1.0]], b_eq=[0.0])
-    got = {tuple(np.round(v, 9)) for v in verts}
-    assert got == {(-1.0, 1.0), (1.0, -1.0)}
-
-
 def test_subgradient_euclidean_norm_to_zero():
     def oracle(v):
         nrm = float(np.linalg.norm(v))
         grad = v / nrm if nrm > 0 else np.zeros_like(v)
         return nrm, grad
 
-    res = subgradient_minimize(oracle, None, np.array([3.0, -4.0]),
+    res = subgradient_minimize(oracle, np.array([3.0, -4.0]),
                                SubgradientConfig(max_iter=4000, step_a=2.0))
     assert res.value < 1e-3
     running = np.minimum.accumulate(res.trace)
@@ -185,7 +177,7 @@ def test_subgradient_two_point_midpoint():
         g = (v - x2) / d2 if d2 > 0 else np.zeros(2)
         return float(d2), g
 
-    res = subgradient_minimize(oracle, None, np.array([0.7, 0.9]),
+    res = subgradient_minimize(oracle, np.array([0.7, 0.9]),
                                SubgradientConfig(max_iter=6000))
     assert res.value == pytest.approx(1.0, abs=2e-3)
 
@@ -208,7 +200,7 @@ def test_subgradient_agrees_with_lp_on_polyhedral_instance():
         j = int(np.argmax(vals))
         return float(vals[j]), gens[j]
 
-    res = optim.staged_subgradient(oracle, None, np.array([2.0, -3.0]), scale=4.0)
+    res = optim.staged_subgradient(oracle, np.array([2.0, -3.0]), scale=4.0)
     assert res.value == pytest.approx(out.value, abs=1e-4)
 
 

@@ -9,7 +9,11 @@ runs, in one process:
 - `property central|ac|almost-constrained|mideal` on the default instances
   at both seeds;
 - `replay` of each of those property reports that carries a counterexample;
-- `center` on the README instance, in json and md.
+- `center` on the README instance, in json and md;
+- under the Euclidean norm, where the subgradient route does the work, at
+  both seeds: `center` on the README points and `property central
+  --trials 3`, `property almost-constrained` and `property mideal --trials 3`
+  on the README plane.
 
 A digest covers the exit code and the report with `wall_clock_s` removed.
 Two checkouts give the same lines exactly when their reports agree, so
@@ -36,6 +40,13 @@ README_INSTANCE = {"schema": 1,
                    "subspace": {"basis": [[1, 0, -1], [0, 1, -1]]},
                    "points": [[-2, 1, 1], [1, 1, -2], [1, -2, 1]],
                    "f": {"kind": "max"}}
+L2 = {"kind": "lp", "p": 2, "dim": 3}
+L2_PROPERTY = {"schema": 1, "space": L2, "subspace": README_INSTANCE["subspace"],
+               "x": [-0.5, -0.5, -0.5], "inject": [README_INSTANCE["points"]]}
+# kind -> (the instance fields it reads, its flags)
+L2_KINDS = {"central": (("space", "subspace"), ["--trials", "3"]),
+            "almost-constrained": (("space", "subspace", "x", "inject"), []),
+            "mideal": (("space", "subspace"), ["--trials", "3"])}
 
 
 def load_cli(src: Path):
@@ -77,6 +88,17 @@ def run_all(cli) -> None:
                                             encoding="utf-8")
     for fmt in ("json", "md"):
         digest(cli, f"center-readme-{fmt}", ["center", "readme-instance.json"], fmt)
+    Path("l2-instance.json").write_text(json.dumps(dict(README_INSTANCE, space=L2)),
+                                        encoding="utf-8")
+    for kind, (fields, _) in L2_KINDS.items():
+        Path(f"l2-{kind}.json").write_text(
+            json.dumps({k: L2_PROPERTY[k] for k in fields}), encoding="utf-8")
+    for seed in SEEDS:
+        digest(cli, f"center-l2-seed{seed}",
+               ["center", "l2-instance.json", "--seed", seed])
+        for kind, (_, flags) in L2_KINDS.items():
+            digest(cli, f"property-l2-{kind}-seed{seed}",
+                   ["property", kind, f"l2-{kind}.json", "--seed", seed, *flags])
 
 
 def main(argv: list[str]) -> int:
