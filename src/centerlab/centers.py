@@ -11,6 +11,14 @@ center set.  Polyhedral instances reduce exactly to linear programs; the rest
 run staged subgradient descent.  Delta-center probes, the modulus curve of
 the delta-center collapse, and minimizing-sequence experiments live here too.
 
+Each scalarization (WeightedMax, WeightedSum, PowerSum, Composite) carries
+its own arithmetic: `arity`; `value_many(ts)`, f at each row of ts;
+`combine(t, grads)`, f(t) and sum_i s_i grads[i] for a subgradient s of f at
+t; `lp_encodable`, and when it holds `lp_level(builder, tvars, level)` and
+`lp_objective(builder, tvars)`, the LP rows of f(t) <= level and of min f(t);
+and `to_json()`.  The solvers read nothing else of f but the weights of a
+WeightedMax, whose sublevel vertices the delta-center probe enumerates.
+
 Weak-topology variants collapse to the norm topology in finite dimension;
 every report records that collapse.
 """
@@ -60,36 +68,76 @@ class FiniteSet:
 # ---------------------------------------------------------------------------
 # scalarizations
 
-def _positive_weights(weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a nonempty list")
-    if not (np.isfinite(w).all() and (w > 0).all()):
-        raise ValueError("weights must be finite and positive")
-    return w
+class _Weighted:
+    """One positive weight w_i per point, and the LP rows of sum_i w_i t_i
+    (WeightedMax writes its own)."""
+
+    lp_encodable = True
+
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=float)
+        if w.ndim != 1 or w.size == 0:
+            raise ValueError("weights must be a nonempty list")
+        if not (np.isfinite(w).all() and (w > 0).all()):
+            raise ValueError("weights must be finite and positive")
+        object.__setattr__(self, "weights", w)
+
+    @property
+    def arity(self) -> int:
+        return self.weights.shape[0]
+
+    def lp_level(self, builder, tvars, level: float) -> None:
+        builder.add_ub(tvars, self.weights[None, :], [level])
+
+    def lp_objective(self, builder, tvars) -> None:
+        builder.set_objective(tvars, self.weights)
 
 
 @dataclass(frozen=True, eq=False)
-class WeightedMax:
+class WeightedMax(_Weighted):
     """f(t) = max_i w_i t_i, weights positive."""
 
     weights: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _positive_weights(self.weights))
+    def value_many(self, ts: np.ndarray) -> np.ndarray:
+        return (ts * self.weights).max(axis=1)
+
+    def combine(self, t: np.ndarray, grads: np.ndarray) -> tuple[float, np.ndarray]:
+        j = (self.weights * t).argmax()
+        return float(self.weights[j] * t[j]), self.weights[j] * grads[j]
+
+    def lp_level(self, builder, tvars, level: float) -> None:
+        builder.add_ub(tvars, np.diag(self.weights), np.full(self.arity, level))
+
+    def lp_objective(self, builder, tvars) -> None:
+        top = builder.new_var()
+        builder.set_objective([top], [1.0])
+        builder.add_ub([*tvars, top], np.column_stack(
+            [np.diag(self.weights), np.full(self.arity, -1.0)]), np.zeros(self.arity))
+
+    def to_json(self) -> dict:
+        return {"kind": "weighted_max", "weights": self.weights.tolist()}
 
 
 @dataclass(frozen=True, eq=False)
-class WeightedSum:
+class WeightedSum(_Weighted):
+    """f(t) = sum_i w_i t_i, weights positive."""
+
     weights: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _positive_weights(self.weights))
+    def value_many(self, ts: np.ndarray) -> np.ndarray:
+        return ts @ self.weights
+
+    def combine(self, t: np.ndarray, grads: np.ndarray) -> tuple[float, np.ndarray]:
+        return float(self.weights @ t), (self.weights[:, None] * grads).sum(0)
+
+    def to_json(self) -> dict:
+        return {"kind": "weighted_sum", "weights": self.weights.tolist()}
 
 
 @dataclass(frozen=True, eq=False)
-class PowerSum:
-    """f(t) = sum_i w_i t_i^p with p >= 1."""
+class PowerSum(_Weighted):
+    """f(t) = sum_i w_i t_i^p with p >= 1; LP rows only for p == 1."""
 
     p: float
     weights: np.ndarray
@@ -97,7 +145,21 @@ class PowerSum:
     def __post_init__(self):
         if not (np.isfinite(self.p) and self.p >= 1):
             raise ValueError("power must be finite and >= 1")
-        object.__setattr__(self, "weights", _positive_weights(self.weights))
+        super().__post_init__()
+
+    @property
+    def lp_encodable(self) -> bool:
+        return self.p == 1.0
+
+    def value_many(self, ts: np.ndarray) -> np.ndarray:
+        return ts ** self.p @ self.weights
+
+    def combine(self, t: np.ndarray, grads: np.ndarray) -> tuple[float, np.ndarray]:
+        s = self.p * self.weights * t ** (self.p - 1.0)
+        return float(self.weights @ t ** self.p), (s[:, None] * grads).sum(0)
+
+    def to_json(self) -> dict:
+        return {"kind": "power_sum", "p": self.p, "weights": self.weights.tolist()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +169,7 @@ class Composite:
     inner: "Scalarization"
     power: float
     scale: float
+    lp_encodable = False
 
     def __post_init__(self):
         if not (np.isfinite(self.power) and np.isfinite(self.scale)
@@ -114,70 +177,32 @@ class Composite:
             raise ValueError("power must be finite and >= 1, scale finite and "
                              "positive")
 
+    @property
+    def arity(self) -> int:
+        return self.inner.arity
+
+    def value_many(self, ts: np.ndarray) -> np.ndarray:
+        return self.scale * self.inner.value_many(ts) ** self.power
+
+    def combine(self, t: np.ndarray, grads: np.ndarray) -> tuple[float, np.ndarray]:
+        # the inner subgradient as a vector, scaled by the chain rule; powers
+        # of an np.float64 overflow to inf where Python floats would raise
+        val, s = self.inner.combine(t, np.eye(t.shape[0]))
+        val = np.float64(val)
+        slope = self.scale * self.power * val ** (self.power - 1.0)
+        return (float(self.scale * val ** self.power),
+                ((slope * s)[:, None] * grads).sum(0))
+
+    def to_json(self) -> dict:
+        return {"kind": "composite", "inner": self.inner.to_json(),
+                "power": self.power, "scale": self.scale}
+
 
 Scalarization = Union[WeightedMax, WeightedSum, PowerSum, Composite]
 
 
 def uniform_max(n: int) -> WeightedMax:
     return WeightedMax(np.ones(n))
-
-
-def f_value(f: Scalarization, t: np.ndarray) -> float:
-    t = np.asarray(t, dtype=float)
-    if isinstance(f, WeightedMax):
-        return float((f.weights * t).max())
-    if isinstance(f, WeightedSum):
-        return float(f.weights @ t)
-    if isinstance(f, PowerSum):
-        return float(f.weights @ t ** f.p)
-    if isinstance(f, Composite):
-        return f.scale * f_value(f.inner, t) ** f.power
-    raise TypeError(f"not a scalarization: {type(f)!r}")
-
-
-def f_value_many(f: Scalarization, ts: np.ndarray) -> np.ndarray:
-    ts = np.asarray(ts, dtype=float)
-    if isinstance(f, WeightedMax):
-        return (ts * f.weights).max(axis=1)
-    if isinstance(f, WeightedSum):
-        return ts @ f.weights
-    if isinstance(f, PowerSum):
-        return ts ** f.p @ f.weights
-    if isinstance(f, Composite):
-        return f.scale * f_value_many(f.inner, ts) ** f.power
-    raise TypeError(f"not a scalarization: {type(f)!r}")
-
-
-def f_subgradient(f: Scalarization, t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if isinstance(f, WeightedMax):
-        j = int(np.argmax(f.weights * t))
-        g = np.zeros_like(t)
-        g[j] = f.weights[j]
-        return g
-    if isinstance(f, WeightedSum):
-        return f.weights.copy()
-    if isinstance(f, PowerSum):
-        return f.p * f.weights * t ** (f.p - 1.0)
-    if isinstance(f, Composite):
-        inner_val = f_value(f.inner, t)
-        return (f.scale * f.power * inner_val ** (f.power - 1.0)
-                * f_subgradient(f.inner, t))
-    raise TypeError(f"not a scalarization: {type(f)!r}")
-
-
-def f_arity(f: Scalarization) -> int:
-    if isinstance(f, Composite):
-        return f_arity(f.inner)
-    return f.weights.shape[0]
-
-
-def f_lp_encodable(f: Scalarization) -> bool:
-    if isinstance(f, (WeightedMax, WeightedSum)):
-        return True
-    if isinstance(f, PowerSum):
-        return f.p == 1.0
-    return False
 
 
 def validate_fcmc(f: Scalarization, samples: int = 150, seed: int = 0) -> dict:
@@ -193,27 +218,27 @@ def validate_fcmc(f: Scalarization, samples: int = 150, seed: int = 0) -> dict:
         return lhs > rhs + 1e-9 * np.maximum(1.0, np.maximum(np.abs(lhs),
                                                              np.abs(rhs)))
 
-    n = f_arity(f)
+    n = f.arity
     rng = np.random.default_rng(seed)
     failures = []
     draws = rng.random((samples, 2, n))
     t1 = 5.0 * draws[:, 0]
     t2 = t1 + 3.0 * draws[:, 1]
-    bad = np.flatnonzero(exceeds(f_value_many(f, t1), f_value_many(f, t2)))
+    bad = np.flatnonzero(exceeds(f.value_many(t1), f.value_many(t2)))
     if bad.size:
         failures.append(("monotone", t1[bad[0]], t2[bad[0]]))
     draws = 5.0 * rng.random((samples, 2, n))
     t1, t2 = draws[:, 0], draws[:, 1]
-    mid = f_value_many(f, 0.5 * (t1 + t2))
-    bad = np.flatnonzero(
-        exceeds(mid, 0.5 * (f_value_many(f, t1) + f_value_many(f, t2))))
+    mid = f.value_many(0.5 * (t1 + t2))
+    bad = np.flatnonzero(exceeds(mid, 0.5 * (f.value_many(t1) + f.value_many(t2))))
     if bad.size:
         failures.append(("convex", t1[bad[0]], t2[bad[0]]))
+    near_far = np.array([[1.0], [1e6]])
     for _ in range(max(10, samples // 10)):
         u = rng.uniform(0, 1, size=n)
         u[int(rng.integers(n))] = 1.0
-        base = f_value(f, u)
-        if not (base > 0 and f_value(f, 1e6 * u) >= 100 * base):
+        base, far = f.value_many(near_far * u)
+        if not (base > 0 and far >= 100 * base):
             failures.append(("coercive", u))
             break
     return {"ok": not failures, "samples": samples, "seed": seed,
@@ -270,7 +295,7 @@ class CenterProblem:
             raise DimensionMismatchError("feasible subspace ambient dim mismatch")
         if isinstance(self.feasible, UnionOfLines) and self.feasible.dim != n:
             raise DimensionMismatchError("feasible line set dim mismatch")
-        if f_arity(self.f) != self.points.size:
+        if self.f.arity != self.points.size:
             raise DimensionMismatchError("scalarization arity differs from |F|")
 
 
@@ -278,7 +303,7 @@ def eval_rf(space, v, fs: FiniteSet, f: Scalarization) -> float:
     """r_f(v, F): scalarized distance profile of v against the finite set."""
     v = np.asarray(v, dtype=float)
     t = eval_norm_many(space, v[None, :] - fs.points)
-    return f_value(f, t)
+    return float(f.value_many(t[None])[0])
 
 
 def eval_rf_many(space, vs: np.ndarray, fs: FiniteSet, f: Scalarization) -> np.ndarray:
@@ -287,7 +312,7 @@ def eval_rf_many(space, vs: np.ndarray, fs: FiniteSet, f: Scalarization) -> np.n
     vs = np.asarray(vs, dtype=float)
     diffs = (vs[:, None, :] - fs.points[None, :, :]).reshape(-1, fs.dim)
     t = norms.plan(space).value_many(diffs).reshape(vs.shape[0], fs.size)
-    return f_value_many(f, t)
+    return f.value_many(t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,27 +371,16 @@ def _distance_rows(builder, space, points: FiniteSet, alphas, basis) -> range:
 def _add_rf_level_rows(builder, space, points: FiniteSet, f: Scalarization,
                        alphas, basis, level: float) -> None:
     """Rows forcing r_f(basis @ alpha, F) <= level."""
-    tvars = _distance_rows(builder, space, points, alphas, basis)
-    if isinstance(f, WeightedMax):
-        builder.add_ub(tvars, np.diag(f.weights), np.full(points.size, level))
-    elif isinstance(f, (WeightedSum, PowerSum)):
-        builder.add_ub(tvars, f.weights[None, :], [level])
-    else:
+    if not f.lp_encodable:
         raise OptimizationError("scalarization has no LP level description")
+    f.lp_level(builder, _distance_rows(builder, space, points, alphas, basis), level)
 
 
 def _lp_center(problem: CenterProblem, basis: np.ndarray) -> tuple[float, np.ndarray, optim.LpOutcome]:
     builder = optim.LpBuilder()
     alphas = builder.new_vars(basis.shape[1])
-    tvars = _distance_rows(builder, problem.space, problem.points, alphas, basis)
-    f = problem.f
-    if isinstance(f, WeightedMax):
-        top = builder.new_var()
-        builder.set_objective([top], [1.0])
-        builder.add_ub([*tvars, top], np.column_stack(
-            [np.diag(f.weights), np.full(len(tvars), -1.0)]), np.zeros(len(tvars)))
-    else:
-        builder.set_objective(tvars, f.weights)
+    problem.f.lp_objective(builder, _distance_rows(
+        builder, problem.space, problem.points, alphas, basis))
     out = optim.lp_solve_lex(builder.build(), refine=alphas)
     if out.status != optim.OPTIMAL:
         raise OptimizationError(f"center LP ended with status {out.status}")
@@ -378,23 +392,9 @@ def _subgradient_center(problem: CenterProblem, basis: np.ndarray
                         ) -> tuple[float, np.ndarray, optim.SubgradientResult]:
     space, fs, f = problem.space, problem.points, problem.f
     compiled, points, basis_t = norms.plan(space), fs.points, basis.T
-    # the scalarization is resolved once: r_f and its subgradient from the
-    # norms and subgradients of the rows v - x_i (summed row by row, in order)
-    if isinstance(f, WeightedMax):
-        def combine(t, grads):
-            j = (f.weights * t).argmax()
-            return float(f.weights[j] * t[j]), f.weights[j] * grads[j]
-    elif isinstance(f, WeightedSum):
-        weights = f.weights[:, None]
-
-        def combine(t, grads):
-            return float(f.weights @ t), (weights * grads).sum(0)
-    else:
-        def combine(t, grads):
-            return f_value(f, t), (f_subgradient(f, t)[:, None] * grads).sum(0)
 
     def oracle(alpha):
-        val, g = combine(*compiled.value_and_subgrad_many(basis @ alpha - points))
+        val, g = f.combine(*compiled.value_and_subgrad_many(basis @ alpha - points))
         return val, basis_t @ g
 
     centroid = fs.points.mean(axis=0)
@@ -435,7 +435,7 @@ def solve_center(problem: CenterProblem, method: str = "auto", seed: int = 0,
 
     basis = (np.eye(problem.points.dim) if problem.feasible is None
              else np.array(problem.feasible.basis))
-    lp_ok = norms.is_lp_encodable(problem.space) and f_lp_encodable(problem.f)
+    lp_ok = norms.is_lp_encodable(problem.space) and problem.f.lp_encodable
     if method == "lp" and not lp_ok:
         raise OptimizationError("no exact LP formulation for this instance")
     use_lp = lp_ok if method == "auto" else (method == "lp")
@@ -568,7 +568,7 @@ def delta_center_probe(problem: CenterProblem, delta: float, eps: float,
                           float(spread))
         samples_alpha.extend(_rejection_samples(problem, basis, level, rng,
                                                 alpha_star, width, cfg))
-        if norms.is_lp_encodable(problem.space) and f_lp_encodable(problem.f):
+        if norms.is_lp_encodable(problem.space) and problem.f.lp_encodable:
             for _ in range(32):
                 c = rng.normal(size=basis.shape[1])
                 builder = optim.LpBuilder()
@@ -681,19 +681,6 @@ def sacp_experiment(problem: CenterProblem, sequence: Iterable[np.ndarray],
 # ---------------------------------------------------------------------------
 # JSON wire format
 
-def fcmc_to_json(f: Scalarization) -> dict:
-    if isinstance(f, WeightedMax):
-        return {"kind": "weighted_max", "weights": f.weights.tolist()}
-    if isinstance(f, WeightedSum):
-        return {"kind": "weighted_sum", "weights": f.weights.tolist()}
-    if isinstance(f, PowerSum):
-        return {"kind": "power_sum", "p": f.p, "weights": f.weights.tolist()}
-    if isinstance(f, Composite):
-        return {"kind": "composite", "inner": fcmc_to_json(f.inner),
-                "power": f.power, "scale": f.scale}
-    raise TypeError(f"not a scalarization: {type(f)!r}")
-
-
 def fcmc_from_json(data: dict, n_points: int) -> Scalarization:
     kind = data["kind"]
     if kind == "max":
@@ -722,7 +709,7 @@ def problem_to_json(problem: CenterProblem) -> dict:
             "space": norms.norm_to_json(problem.space),
             "subspace": feas,
             "points": problem.points.points.tolist(),
-            "f": fcmc_to_json(problem.f)}
+            "f": problem.f.to_json()}
 
 
 def problem_from_json(data: dict) -> CenterProblem:

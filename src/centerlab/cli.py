@@ -401,7 +401,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"cannot read instance file {path!r}: {exc}") from exc
 
 
@@ -410,7 +410,8 @@ def _malformed(what: str):
     """Turn an error raised while parsing a file into a usage error."""
     try:
         yield
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError,
+            RecursionError) as exc:
         raise UsageError(f"malformed {what}: {exc}") from exc
 
 
@@ -521,6 +522,14 @@ PROPERTY_FLAGS = {"central": {"trials": 200}, "ac": {}, "almost-constrained": {}
                   "mideal": {"trials": 200, "tol": 1e-9}}
 
 
+def _counterexample(kind: str, space, sub, family: BallFamily) -> dict:
+    """A record that `replay` re-checks: a ball family whose intersection
+    with the subspace is empty."""
+    return {"schema": 1, "kind": kind, "space": norms.norm_to_json(space),
+            "subspace": norms.subspace_to_json(sub),
+            "family": family_to_json(family), "expected_status": "infeasible"}
+
+
 def cmd_property(args) -> tuple[dict, int]:
     kind, flags = args.kind, PROPERTY_FLAGS[args.kind]
     unread = [f"--{flag}" for flag in ("trials", "tol")
@@ -549,14 +558,8 @@ def cmd_property(args) -> tuple[dict, int]:
         report["verdicts"] = {"passed": verdict.passed, "note": verdict.note,
                               "trials_run": verdict.trials_run}
         if verdict.counterexample is not None:
-            report["verdicts"]["counterexample"] = {
-                "schema": 1, "kind": "central",
-                "space": norms.norm_to_json(space),
-                "subspace": norms.subspace_to_json(sub),
-                "family": family_to_json(verdict.counterexample),
-                "expected_status": "infeasible",
-            }
-        report["checks"].append(check("checker completed", True, True))
+            report["verdicts"]["counterexample"] = _counterexample(
+                kind, space, sub, verdict.counterexample)
     elif kind == "ac":
         res = ac_dominator(space, sub, inst["points"], inst["x"])
         report["verdicts"] = {"status": res.status}
@@ -565,7 +568,6 @@ def cmd_property(args) -> tuple[dict, int]:
         if res.status == geometry.INFEASIBLE:
             report["verdicts"]["certificate_ok"] = optim.verify_farkas(
                 res.lp, res.outcome.farkas_ub, res.outcome.farkas_eq)
-        report["checks"].append(check("checker completed", True, True))
     elif kind == "almost-constrained":
         out = almost_constrained_probe(space, sub, inst["x"], seed=args.seed,
                                        inject=inst.get("inject", ()))
@@ -574,20 +576,14 @@ def cmd_property(args) -> tuple[dict, int]:
             report["verdicts"]["falsifying_net"] = out.net
         if out.image is not None:
             report["verdicts"]["image"] = out.image
-        report["checks"].append(check("checker completed", True, True))
     elif kind == "mideal":
         verdict = mideal_three_ball_check(space, sub, trials=config["trials"],
                                           eps=config["tol"], seed=args.seed)
         report["verdicts"] = {"passed": verdict.passed, "note": verdict.note}
         if verdict.witness_family is not None:
-            report["verdicts"]["counterexample"] = {
-                "schema": 1, "kind": "mideal",
-                "space": norms.norm_to_json(space),
-                "subspace": norms.subspace_to_json(sub),
-                "family": family_to_json(verdict.enlarged_family),
-                "expected_status": "infeasible",
-            }
-        report["checks"].append(check("checker completed", True, True))
+            report["verdicts"]["counterexample"] = _counterexample(
+                kind, space, sub, verdict.enlarged_family)
+    report["checks"].append(check("checker completed", True, True))
     return report, EXIT_OK
 
 

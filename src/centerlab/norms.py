@@ -658,48 +658,39 @@ def _ambient_dim(ambient) -> int:
     return ambient if isinstance(ambient, (int, np.integer)) else space_dim(ambient)
 
 
+def _split(ambient, rows, what: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, orthonormal rows spanning the given rows, orthonormal rows spanning
+    their orthogonal complement), from one SVD; raises DependentSetError
+    when the given rows are dependent."""
+    n = _ambient_dim(ambient)
+    rows = np.asarray(rows, dtype=float)
+    if not np.isfinite(rows).all():
+        raise ValueError("subspace vectors must be finite")
+    if rows.size == 0:
+        return n, np.zeros((0, n)), np.eye(n)
+    rows = rows.reshape(-1, n)
+    _, s, vt = np.linalg.svd(rows, full_matrices=True)
+    tol = max(rows.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    rank = int((s > max(tol, 1e-12)).sum())
+    if rank < rows.shape[0]:
+        raise DependentSetError(f"{what} are linearly dependent")
+    return n, vt[:rank], vt[rank:]
+
+
 def subspace_from_basis(ambient, vectors) -> Subspace:
     """Span of the given vectors; raises DependentSetError on dependence.
 
     `ambient` may be a dimension or a NormSpec (the norm plays no role in the
     linear span, only its dimension is used)."""
-    ambient_dim = _ambient_dim(ambient)
-    vecs = np.asarray(vectors, dtype=float)
-    if not np.isfinite(vecs).all():
-        raise ValueError("subspace vectors must be finite")
-    if vecs.size == 0:
-        return Subspace.zero(ambient_dim)
-    vecs = vecs.reshape(-1, ambient_dim)
-    k = vecs.shape[0]
-    u, s, vt = np.linalg.svd(vecs, full_matrices=True)
-    tol = max(vecs.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int((s > max(tol, 1e-12)).sum())
-    if rank < k:
-        raise DependentSetError("basis vectors are linearly dependent")
-    basis = vt[:rank].T
-    kernel = vt[rank:]
-    return Subspace(ambient_dim, _frozen(basis), _frozen(kernel))
+    n, span, complement = _split(ambient, vectors, "basis vectors")
+    return Subspace(n, _frozen(span.T), _frozen(complement))
 
 
 def subspace_from_kernel(ambient, functionals) -> Subspace:
     """Common kernel of the given functionals; `ambient` as in
     subspace_from_basis."""
-    ambient_dim = _ambient_dim(ambient)
-    funcs = np.asarray(functionals, dtype=float)
-    if not np.isfinite(funcs).all():
-        raise ValueError("subspace vectors must be finite")
-    if funcs.size == 0:
-        return Subspace.full(ambient_dim)
-    funcs = funcs.reshape(-1, ambient_dim)
-    m = funcs.shape[0]
-    u, s, vt = np.linalg.svd(funcs, full_matrices=True)
-    tol = max(funcs.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int((s > max(tol, 1e-12)).sum())
-    if rank < m:
-        raise DependentSetError("kernel functionals are linearly dependent")
-    kernel = vt[:rank]
-    basis = vt[rank:].T
-    return Subspace(ambient_dim, _frozen(basis), _frozen(kernel))
+    n, span, complement = _split(ambient, functionals, "kernel functionals")
+    return Subspace(n, _frozen(complement.T), _frozen(span))
 
 
 def sum_subspaces(y: Subspace, z: Subspace) -> Subspace:

@@ -18,7 +18,6 @@ from centerlab.centers import (
     FiniteSet,
     WeightedMax,
     WeightedSum,
-    f_value_many,
     p1_modulus,
     sacp_experiment,
     solve_center,
@@ -64,7 +63,7 @@ def random_polyhedral(rng, dim, n_gens=4):
 
 def _grid_values(space, pts, f, grid):
     t_cols = np.column_stack([eval_norm_many(space, grid - p) for p in pts])
-    return f_value_many(f, t_cols)
+    return f.value_many(t_cols)
 
 
 def vector_grid_min(space, pts, f, center, halfwidth, steps=17,

@@ -12,7 +12,6 @@ from centerlab.centers import (
     WeightedSum,
     delta_center_probe,
     eval_rf,
-    f_value,
     p1_modulus,
     problem_from_json,
     problem_to_json,
@@ -254,27 +253,30 @@ def _validate_fcmc_by_loop(f, samples, seed):
     def exceeds(lhs, rhs):
         return lhs > rhs + 1e-9 * max(1.0, abs(lhs), abs(rhs))
 
-    n = centers.f_arity(f)
+    def f_value(t):
+        return f.value_many(t[None])[0]
+
+    n = f.arity
     rng = np.random.default_rng(seed)
     failures = []
     for _ in range(samples):
         t1 = rng.uniform(0, 5, size=n)
         t2 = t1 + rng.uniform(0, 3, size=n)
-        if exceeds(f_value(f, t1), f_value(f, t2)):
+        if exceeds(f_value(t1), f_value(t2)):
             failures.append(("monotone", t1, t2))
             break
     for _ in range(samples):
         t1 = rng.uniform(0, 5, size=n)
         t2 = rng.uniform(0, 5, size=n)
-        mid = f_value(f, 0.5 * (t1 + t2))
-        if exceeds(mid, 0.5 * (f_value(f, t1) + f_value(f, t2))):
+        mid = f_value(0.5 * (t1 + t2))
+        if exceeds(mid, 0.5 * (f_value(t1) + f_value(t2))):
             failures.append(("convex", t1, t2))
             break
     for _ in range(max(10, samples // 10)):
         u = rng.uniform(0, 1, size=n)
         u[int(rng.integers(n))] = 1.0
-        base = f_value(f, u)
-        if not (base > 0 and f_value(f, 1e6 * u) >= 100 * base):
+        base = f_value(u)
+        if not (base > 0 and f_value(1e6 * u) >= 100 * base):
             failures.append(("coercive", u))
             break
     return {"ok": not failures, "samples": samples, "seed": seed,
@@ -401,7 +403,43 @@ def test_solve_center_deterministic_minimizer():
 
 def test_f_value_composite_chain():
     f = Composite(WeightedSum(np.array([1.0, 1.0])), power=2.0, scale=3.0)
-    assert f_value(f, np.array([1.0, 2.0])) == pytest.approx(27.0)
+    assert f.value_many(np.array([[1.0, 2.0]]))[0] == pytest.approx(27.0)
+
+
+SCALARIZATIONS = {
+    "weighted_max": WeightedMax(np.array([1.0, 2.0, 0.5])),
+    "weighted_sum": WeightedSum(np.array([0.5, 2.0, 1.0])),
+    "power_sum_1": PowerSum(1.0, np.array([1.0, 0.3, 2.0])),
+    "power_sum_2.5": PowerSum(2.5, np.array([1.0, 0.3, 2.0])),
+    "composite_max": Composite(WeightedMax(np.array([1.0, 2.0, 0.5])),
+                               power=2.0, scale=0.5),
+    "composite_sum": Composite(WeightedSum(np.array([1.0, 0.5, 2.0])),
+                               power=1.5, scale=3.0),
+    "composite_composite": Composite(
+        Composite(PowerSum(2.0, np.ones(3)), power=1.5, scale=2.0),
+        power=2.0, scale=0.25),
+}
+
+
+@pytest.mark.parametrize("name", SCALARIZATIONS)
+def test_combine_is_value_and_subgradient(name):
+    """combine(t, grads) is f(t) and sum_i s_i grads[i] for one s that
+    satisfies f(t') >= f(t) + s.(t' - t) on seeded t'."""
+    f = SCALARIZATIONS[name]
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        t = rng.uniform(0.1, 4.0, size=f.arity)
+        grads = rng.normal(size=(f.arity, 4))
+        val, g = f.combine(t, grads)
+        _, s = f.combine(t, np.eye(f.arity))
+        # a composite's power runs on a scalar here and on an array in
+        # value_many, which may round differently
+        assert val == pytest.approx(f.value_many(t[None])[0],
+                                    rel=4 * np.finfo(float).eps)
+        np.testing.assert_allclose(g, s @ grads, rtol=1e-12, atol=1e-12 * abs(val))
+        t_prime = rng.uniform(0.0, 5.0, size=(50, f.arity))
+        slack = f.value_many(t_prime) - val - (t_prime - t) @ s
+        assert (slack >= -1e-9 * max(1.0, abs(val))).all()
 
 
 def _rejection_by_loop(problem, basis, level, rng, alpha_star, width, cfg):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from centerlab import cli, geometry, optim
-from centerlab.cli import EXIT_ASSERT, EXIT_OK, EXIT_USAGE, SCENARIOS, main
+from centerlab.cli import (EXIT_ASSERT, EXIT_COMPUTE, EXIT_OK, EXIT_USAGE,
+                           SCENARIOS, main)
 
 
 README_INSTANCE = {
@@ -336,6 +337,42 @@ def test_numeric_flags_out_of_range_are_refused(tmp_path, capsys, monkeypatch,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("centerlab: ")
+
+
+@pytest.mark.parametrize("power, scale", [(1e308, 1.0), (400.0, 1e300)])
+def test_overflowing_composite_power_is_a_computational_failure(
+        tmp_path, capsys, power, scale):
+    instance = {"schema": 1, "space": {"kind": "lp", "p": "inf", "dim": 2},
+                "subspace": None, "points": [[0, 0], [3, 1]],
+                "f": {"kind": "composite", "inner": {"kind": "max"},
+                      "power": power, "scale": scale}}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(instance))
+    code = main(["center", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_COMPUTE
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("centerlab: computational failure")
+
+
+def test_deeply_nested_input_is_a_usage_error(tmp_path, capsys):
+    brackets = tmp_path / "brackets.json"
+    brackets.write_text("[" * 100_000)
+    # written as text: json.dumps itself would hit the recursion limit
+    depth = 990
+    nested_f = ('{"kind": "composite", "power": 1, "scale": 1, "inner": ' * depth
+                + '{"kind": "max"}' + "}" * depth)
+    nested = tmp_path / "nested.json"
+    nested.write_text(json.dumps(dict(README_INSTANCE, f="F")).replace('"F"', nested_f))
+    capsys.readouterr()
+    for argv in (["center", str(brackets)], ["center", str(nested)],
+                 ["property", "central", str(brackets)], ["replay", str(brackets)]):
+        assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 4 and all(line.startswith("centerlab: ") for line in lines)
 
 
 HUGE_L2 = {"kind": "lp", "p": 2, "dim": 1e12}

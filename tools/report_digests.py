@@ -13,7 +13,10 @@ runs, in one process:
 - under the Euclidean norm, where the subgradient route does the work, at
   both seeds: `center` on the README points and `property central
   --trials 3`, `property almost-constrained` and `property mideal --trials 3`
-  on the README plane.
+  on the README plane;
+- `center` on the README points and plane under l-inf and l2, at both
+  seeds, for each of SCALARIZATIONS: together they reach both LP row forms
+  and the `combine` of every scalarization class.
 
 A digest covers the exit code and the report with `wall_clock_s` removed.
 Two checkouts give the same lines exactly when their reports agree, so
@@ -43,6 +46,16 @@ README_INSTANCE = {"schema": 1,
 L2 = {"kind": "lp", "p": 2, "dim": 3}
 L2_PROPERTY = {"schema": 1, "space": L2, "subspace": README_INSTANCE["subspace"],
                "x": [-0.5, -0.5, -0.5], "inject": [README_INSTANCE["points"]]}
+WEIGHTS = [1.0, 1.3, 0.8]
+SCALARIZATIONS = {
+    "weighted_sum": {"kind": "weighted_sum", "weights": WEIGHTS},
+    "power_sum-p1": {"kind": "power_sum", "p": 1, "weights": WEIGHTS},
+    "power_sum-p2": {"kind": "power_sum", "p": 2, "weights": WEIGHTS},
+    "composite-weighted_max": {"kind": "composite", "power": 2, "scale": 0.5,
+                               "inner": {"kind": "weighted_max", "weights": WEIGHTS}},
+    "composite-weighted_sum": {"kind": "composite", "power": 1.5, "scale": 1,
+                               "inner": {"kind": "weighted_sum", "weights": WEIGHTS}},
+}
 # kind -> (the instance fields it reads, its flags)
 L2_KINDS = {"central": (("space", "subspace"), ["--trials", "3"]),
             "almost-constrained": (("space", "subspace", "x", "inject"), []),
@@ -99,6 +112,14 @@ def run_all(cli) -> None:
         for kind, (_, flags) in L2_KINDS.items():
             digest(cli, f"property-l2-{kind}-seed{seed}",
                    ["property", kind, f"l2-{kind}.json", "--seed", seed, *flags])
+    for name, f in SCALARIZATIONS.items():
+        for norm, space in (("linf", README_INSTANCE["space"]), ("l2", L2)):
+            path = f"{norm}-{name}.json"
+            Path(path).write_text(json.dumps(dict(README_INSTANCE, space=space, f=f)),
+                                  encoding="utf-8")
+            for seed in SEEDS:
+                digest(cli, f"center-{norm}-{name}-seed{seed}",
+                       ["center", path, "--seed", seed])
 
 
 def main(argv: list[str]) -> int:
