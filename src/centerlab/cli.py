@@ -422,7 +422,7 @@ def cmd_center(args) -> tuple[dict, int]:
     report = new_report("center", {"instance": args.instance,
                                    "seed": args.seed, "tol": args.tol,
                                    "deltas": args.deltas})
-    result = solve_center(problem, seed=args.seed)
+    result = solve_center(problem)
     report["verdicts"] = {
         "rad": result.rad,
         "minimizer": result.minimizer,
@@ -437,7 +437,7 @@ def cmd_center(args) -> tuple[dict, int]:
         result.rad, tol=max(args.tol, 1e-6 * max(1.0, result.rad)),
         oracle="derived:re-evaluation"))
     if result.method == "lp":
-        sg = solve_center(problem, method="subgradient", seed=args.seed)
+        sg = solve_center(problem, method="subgradient")
         report["verdicts"]["rad_subgradient"] = sg.rad
         report["checks"].append(check(
             "subgradient radius agrees with the exact route",

@@ -30,8 +30,7 @@ from .norms import (
     intersect_subspaces,
     norm_subgradient,
 )
-
-FEAS_TOL = 1e-9
+from .optim import FEAS_TOL
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"

@@ -41,14 +41,20 @@ from .errors import (
     InvalidNormError,
     OptimizationError,
 )
-
-FEAS_TOL = 1e-9
+from .optim import FEAS_TOL
 
 
 def _frozen(a, dtype=float) -> np.ndarray:
     arr = np.array(a, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _checked_generators(generators) -> np.ndarray:
+    gens = np.asarray(generators, dtype=float)
+    if gens.ndim != 2 or gens.size == 0 or not np.isfinite(gens).all():
+        raise InvalidNormError("generator matrix must be 2-d, nonempty and finite")
+    return gens
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +73,13 @@ class LpNorm:
     p: float
     dim: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "p", float(self.p))
+        if not self.p >= 1:
+            raise InvalidNormError("p-norm requires p >= 1")
+        if self.dim < 1:
+            raise InvalidNormError("dimension must be positive")
+
 
 @dataclass(frozen=True, eq=False)
 class MonotonePolyhedralNorm:
@@ -74,6 +87,14 @@ class MonotonePolyhedralNorm:
     generator coefficients, hence componentwise nondecreasing there."""
 
     generators: np.ndarray
+
+    def __post_init__(self):
+        gens = _checked_generators(self.generators)
+        if (gens < 0).any():
+            raise InvalidNormError("monotone polyhedral generators must be nonnegative")
+        if (gens.max(axis=0) <= 0).any():
+            raise InvalidNormError("some coordinate has no positive generator coefficient")
+        object.__setattr__(self, "generators", _frozen(gens))
 
     @property
     def dim(self) -> int:
@@ -86,6 +107,17 @@ class WeightedLpNorm:
 
     p: float
     weights: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", float(self.p))
+        w = np.asarray(self.weights, dtype=float)
+        if not self.p >= 1:
+            raise InvalidNormError("p must be >= 1")
+        if w.ndim != 1 or w.size == 0:
+            raise InvalidNormError("weights must be a nonempty list")
+        if not (np.isfinite(w).all() and (w > 0).all()):
+            raise InvalidNormError("weights must be finite and positive")
+        object.__setattr__(self, "weights", _frozen(w))
 
     @property
     def dim(self) -> int:
@@ -102,6 +134,14 @@ class SumNorm:
     components: tuple
     combiner: WeightNorm
 
+    def __post_init__(self):
+        object.__setattr__(self, "components", tuple(self.components))
+        if not isinstance(self.combiner, (MonotonePolyhedralNorm, WeightedLpNorm)):
+            raise InvalidNormError("combiner must be a monotone polyhedral or "
+                                   "weighted p-norm")
+        if self.combiner.dim != len(self.components):
+            raise DimensionMismatchError("combiner dimension must equal component count")
+
 
 NormSpec = Union[PolyhedralNorm, LpNorm, SumNorm]
 
@@ -109,9 +149,7 @@ NormSpec = Union[PolyhedralNorm, LpNorm, SumNorm]
 def polyhedral(generators, symmetrize: bool = True) -> PolyhedralNorm:
     """Build a polyhedral norm; asymmetric generator sets are symmetrized by
     adding negations (with a warning), since the norm must be even."""
-    gens = np.asarray(generators, dtype=float)
-    if gens.ndim != 2 or gens.size == 0 or not np.isfinite(gens).all():
-        raise InvalidNormError("generator matrix must be 2-d, nonempty and finite")
+    gens = _checked_generators(generators)
     rows = [gens[i] for i in range(gens.shape[0])]
     added = []
     if symmetrize:
@@ -124,11 +162,6 @@ def polyhedral(generators, symmetrize: bool = True) -> PolyhedralNorm:
 
 
 def lp_norm(p, dim: int) -> LpNorm:
-    p = float(p)
-    if not p >= 1:
-        raise InvalidNormError("p-norm requires p >= 1")
-    if dim < 1:
-        raise InvalidNormError("dimension must be positive")
     return LpNorm(p, dim)
 
 
@@ -145,14 +178,7 @@ def l2(dim: int) -> LpNorm:
 
 
 def monotone_polyhedral(generators) -> MonotonePolyhedralNorm:
-    gens = np.asarray(generators, dtype=float)
-    if gens.ndim != 2 or gens.size == 0 or not np.isfinite(gens).all():
-        raise InvalidNormError("generator matrix must be 2-d, nonempty and finite")
-    if (gens < 0).any():
-        raise InvalidNormError("monotone polyhedral generators must be nonnegative")
-    if (gens.max(axis=0) <= 0).any():
-        raise InvalidNormError("some coordinate has no positive generator coefficient")
-    return MonotonePolyhedralNorm(_frozen(gens))
+    return MonotonePolyhedralNorm(generators)
 
 
 def max_combiner(k: int) -> MonotonePolyhedralNorm:
@@ -164,30 +190,16 @@ def sum_combiner(k: int) -> MonotonePolyhedralNorm:
 
 
 def weighted_lp(p, weights) -> WeightedLpNorm:
-    p = float(p)
-    w = np.asarray(weights, dtype=float)
-    if not p >= 1:
-        raise InvalidNormError("p must be >= 1")
-    if w.ndim != 1 or w.size == 0:
-        raise InvalidNormError("weights must be a nonempty list")
-    if not (np.isfinite(w).all() and (w > 0).all()):
-        raise InvalidNormError("weights must be finite and positive")
-    return WeightedLpNorm(p, _frozen(w))
+    return WeightedLpNorm(p, weights)
 
 
 def make_direct_sum(components, pi: MonotonePolyhedralNorm) -> SumNorm:
     if not isinstance(pi, MonotonePolyhedralNorm):
         raise InvalidNormError("direct sum combiner must be monotone polyhedral")
-    return make_esum(components, pi)
+    return SumNorm(components, pi)
 
 
 def make_esum(components, e_norm: WeightNorm) -> SumNorm:
-    components = tuple(components)
-    if e_norm.dim != len(components):
-        raise DimensionMismatchError("combiner dimension must equal component count")
-    report = validate_norm(e_norm)
-    if not report.ok:
-        raise InvalidNormError(f"combiner failed validation: {report.failures}")
     return SumNorm(components, e_norm)
 
 
@@ -469,30 +481,11 @@ class ValidationReport:
     failures: tuple
 
 
-def _sampled_axioms(space, samples: int, seed: int, failures: list) -> None:
-    n = space_dim(space)
-    rng = np.random.default_rng(seed)
-    xs = rng.normal(size=(samples, n))
-    ys = rng.normal(size=(samples, n))
-    cs = rng.uniform(-3.0, 3.0, size=samples)
-    nx = eval_norm_many(space, xs)
-    ny = eval_norm_many(space, ys)
-    nxy = eval_norm_many(space, xs + ys)
-    ncx = eval_norm_many(space, cs[:, None] * xs)
-    tri = nxy - (nx + ny)
-    scale = np.maximum(1.0, nx + ny)
-    bad = np.flatnonzero(tri > 1e-9 * scale)
-    if bad.size:
-        failures.append(("triangle inequality", (xs[bad[0]], ys[bad[0]])))
-    hom = np.abs(ncx - np.abs(cs) * nx)
-    bad = np.flatnonzero(hom > 1e-9 * np.maximum(1.0, np.abs(cs) * nx))
-    if bad.size:
-        failures.append(("homogeneity", (cs[bad[0]], xs[bad[0]])))
-
-
-def validate_norm(space, samples: int = 300, seed: int = 0) -> ValidationReport:
-    """Structural axioms checked exactly; triangle inequality and homogeneity
-    smoke-tested on a seeded sample (1e-9 relative)."""
+def validate_norm(space) -> ValidationReport:
+    """The axioms that construction leaves unchecked, checked exactly: the
+    generators of a polyhedral norm, and of each polyhedral component of a
+    sum, must be symmetric and span the space (definiteness).  Every other
+    kind refuses a non-norm when it is built, so it always passes."""
     failures: list = []
     if isinstance(space, PolyhedralNorm):
         gens = space.generators
@@ -505,36 +498,10 @@ def validate_norm(space, samples: int = 300, seed: int = 0) -> ValidationReport:
         if rank < space.dim:
             _, _, vt = np.linalg.svd(gens)
             failures.append(("definiteness", vt[-1]))
-        if not failures:
-            _sampled_axioms(space, samples, seed, failures)
-    elif isinstance(space, MonotonePolyhedralNorm):
-        gens = space.generators
-        if (gens < 0).any():
-            i, j = np.argwhere(gens < 0)[0]
-            failures.append(("nonnegative coefficients", (int(i), int(j))))
-        cols = gens.max(axis=0)
-        if (cols <= 0).any():
-            failures.append(("per-coordinate positivity", int(np.argmax(cols <= 0))))
-    elif isinstance(space, WeightedLpNorm):
-        if space.p < 1:
-            failures.append(("p >= 1", space.p))
-        if (space.weights <= 0).any():
-            failures.append(("positive weights", space.weights))
-    elif isinstance(space, LpNorm):
-        if space.p < 1:
-            failures.append(("p >= 1", space.p))
     elif isinstance(space, SumNorm):
-        combiner = space.combiner
-        if combiner.dim != len(space.components):
-            failures.append(("combiner dimension", combiner.dim))
-        sub = validate_norm(combiner, samples, seed)
-        failures.extend(sub.failures)
         for comp in space.components:
-            sub = validate_norm(comp, samples, seed)
-            failures.extend(sub.failures)
-        if not failures:
-            _sampled_axioms(space, samples, seed, failures)
-    else:
+            failures.extend(validate_norm(comp).failures)
+    elif not isinstance(space, (LpNorm, MonotonePolyhedralNorm, WeightedLpNorm)):
         failures.append(("unknown norm kind", type(space).__name__))
     return ValidationReport(not failures, tuple(failures))
 
@@ -908,8 +875,7 @@ def norm_from_json(data: dict):
     kind = data["kind"]
     if kind == "polyhedral":
         space = polyhedral(data["generators"])
-        # a seminorm is refused by rank alone; a full validate_norm would add
-        # sampled evaluations to every parse
+        # polyhedral() symmetrizes, so rank is all validate_norm would add
         if np.linalg.matrix_rank(space.generators) < space.dim:
             raise InvalidNormError("polyhedral generators do not span the space")
         return space

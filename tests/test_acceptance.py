@@ -187,11 +187,10 @@ def test_criterion_04_center_oracle_equivalence():
         else:
             f = WeightedSum(rng.uniform(0.6, 1.5, size=n_pts))
         problem = CenterProblem(space, None, FiniteSet(pts), f)
-        lp_res = solve_center(problem, method="lp", validation_samples=20)
+        lp_res = solve_center(problem, method="lp")
         grid_val, _ = vector_grid_min(space, pts, f, pts.mean(axis=0), 3.0)
         worst_grid = max(worst_grid, abs(lp_res.rad - grid_val))
-        sg_res = solve_center(problem, method="subgradient", seed=i,
-                              validation_samples=20)
+        sg_res = solve_center(problem, method="subgradient")
         worst_sub = max(worst_sub, abs(sg_res.rad - lp_res.rad))
     elapsed = time.monotonic() - started
     ok = worst_grid <= 1e-3 and worst_sub <= 1e-4 and elapsed < 30.0
@@ -217,7 +216,7 @@ def test_criterion_05_two_point_identity_all_norms():
         x2 = rng.uniform(-2, 2, size=dim)
         problem = CenterProblem(space, None, FiniteSet([x1, x2]),
                                 uniform_max(2))
-        res = solve_center(problem, seed=i, validation_samples=20)
+        res = solve_center(problem)
         half = 0.5 * eval_norm(space, x1 - x2)
         mid = 0.5 * (x1 + x2)
         mid_val = centers.eval_rf(space, mid, problem.points, problem.f)

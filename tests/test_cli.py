@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -348,12 +349,16 @@ def test_overflowing_composite_power_is_a_computational_failure(
                       "power": power, "scale": scale}}
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(instance))
-    code = main(["center", str(path)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["center", str(path)])
     captured = capsys.readouterr()
     assert code == EXIT_COMPUTE
     assert captured.out == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("centerlab: computational failure")
+    assert len(lines) == 1 and lines[0].startswith(
+        "centerlab: computational failure: objective r_f is not finite: inf")
 
 
 def test_deeply_nested_input_is_a_usage_error(tmp_path, capsys):

@@ -89,7 +89,25 @@ def test_validate_random_symmetric_full_rank_ok():
     rng = np.random.default_rng(42)
     for _ in range(10):
         space = random_polyhedral(rng, 3)
-        assert validate_norm(space, samples=200, seed=7).ok
+        assert validate_norm(space).ok
+
+
+def test_validate_norm_reaches_sum_components():
+    seminorm = polyhedral([[1.0, 0.0], [-1.0, 0.0]], symmetrize=False)
+    report = validate_norm(make_direct_sum([seminorm, l1(1)], max_combiner(2)))
+    assert not report.ok
+    assert [axiom for axiom, _ in report.failures] == ["definiteness"]
+
+
+def test_direct_construction_enforces_invariants():
+    with pytest.raises(InvalidNormError, match="p >= 1"):
+        norms.LpNorm(0.5, 3)
+    with pytest.raises(InvalidNormError, match="finite and positive"):
+        norms.WeightedLpNorm(2, [-1.0, 1.0])
+    with pytest.raises(InvalidNormError, match="nonnegative"):
+        norms.MonotonePolyhedralNorm([[-1.0, 1.0]])
+    with pytest.raises(DimensionMismatchError, match="component count"):
+        norms.SumNorm((l1(1),), max_combiner(2))
 
 
 def test_symmetrization_warns_and_fixes():
