@@ -246,9 +246,46 @@ def test_validate_fcmc_families():
         pytest.approx(0.5, abs=1e-6)
 
 
+def _validate_fcmc_by_loop(f, samples, seed):
+    """Sampled scalar reference for validate_fcmc: one sample per iteration,
+    drawn with rng.uniform, stopping at the first failure of each property;
+    an inequality fails by more than 1e-9 relative to max(1, |f|)."""
+    def exceeds(lhs, rhs):
+        return lhs > rhs + 1e-9 * max(1.0, abs(lhs), abs(rhs))
+
+    def f_value(t):
+        return f.value_many(t[None])[0]
+
+    n = f.arity
+    rng = np.random.default_rng(seed)
+    failures = []
+    for _ in range(samples):
+        t1 = rng.uniform(0, 5, size=n)
+        t2 = t1 + rng.uniform(0, 3, size=n)
+        if exceeds(f_value(t1), f_value(t2)):
+            failures.append(("monotone", t1, t2))
+            break
+    for _ in range(samples):
+        t1 = rng.uniform(0, 5, size=n)
+        t2 = rng.uniform(0, 5, size=n)
+        mid = f_value(0.5 * (t1 + t2))
+        if exceeds(mid, 0.5 * (f_value(t1) + f_value(t2))):
+            failures.append(("convex", t1, t2))
+            break
+    for _ in range(max(10, samples // 10)):
+        u = rng.uniform(0, 1, size=n)
+        u[int(rng.integers(n))] = 1.0
+        base = f_value(u)
+        if not (base > 0 and f_value(1e6 * u) >= 100 * base):
+            failures.append(("coercive", u))
+            break
+    return {"ok": not failures, "failures": failures}
+
+
 class _ConcavePowerSum(PowerSum):
     """sum_i w_i t_i^p with p < 1, which the constructor refuses: a concave
-    function that validate_fcmc must refuse by its type."""
+    function that validate_fcmc must refuse by its type and whose sampled
+    convexity check fails."""
 
     def __post_init__(self):
         pass
@@ -269,6 +306,33 @@ def test_validate_fcmc_is_structural():
         assert validate_fcmc(f) == {
             "ok": False,
             "failures": [("not a built-in scalarization", "_ConcavePowerSum")]}
+
+
+def test_validate_fcmc_matches_scalar_loop():
+    # The verdict by type agrees with a sampled scalar check of monotonicity,
+    # convexity and coercivity: built scalarizations pass both, and the
+    # concave power sum fails the sampled convexity check as well.
+    families = [WeightedMax(np.array([1.0, 2.0, 0.5])),
+                WeightedSum(np.array([0.5, 2.0])),
+                PowerSum(2.5, np.array([1.0, 0.3, 2.0])),
+                Composite(uniform_max(2), power=2.0, scale=0.5),
+                WeightedMax(np.array([1e16, 3e16])),
+                _ConcavePowerSum(0.5, np.array([1.0, 2.0]))]
+    for f in families:
+        for seed in (0, 3):
+            for samples in (10, 120):
+                want = _validate_fcmc_by_loop(f, samples, seed)
+                assert validate_fcmc(f)["ok"] == want["ok"]
+    assert [name for name, *_ in
+            _validate_fcmc_by_loop(families[-1], 120, 0)["failures"]] == \
+        ["convex"]
+
+
+def test_validate_fcmc_large_weights_pass():
+    for f in (WeightedMax(np.array([1e8, 2e8])),
+              WeightedSum(np.array([1e8, 2e8]))):
+        report = validate_fcmc(f)
+        assert report["ok"], report["failures"]
 
 
 # A center LP on which the simplex once claimed an optimum that failed its
