@@ -293,7 +293,7 @@ def eval_rf_many(space, vs: np.ndarray, fs: FiniteSet, f: Scalarization) -> np.n
     (row, point) differences."""
     vs = np.asarray(vs, dtype=float)
     diffs = (vs[:, None, :] - fs.points[None, :, :]).reshape(-1, fs.dim)
-    t = norms.plan(space).value_many(diffs).reshape(vs.shape[0], fs.size)
+    t = space.value_many(diffs).reshape(vs.shape[0], fs.size)
     return f.value_many(t)
 
 
@@ -373,10 +373,10 @@ def _lp_center(problem: CenterProblem, basis: np.ndarray) -> tuple[float, np.nda
 def _subgradient_center(problem: CenterProblem, basis: np.ndarray
                         ) -> tuple[float, np.ndarray, optim.SubgradientResult]:
     space, fs, f = problem.space, problem.points, problem.f
-    compiled, points, basis_t = norms.plan(space), fs.points, basis.T
+    points, basis_t = fs.points, basis.T
 
     def oracle(alpha):
-        val, g = f.combine(*compiled.value_and_subgrad_many(basis @ alpha - points))
+        val, g = f.combine(*space.value_and_subgrad_many(basis @ alpha - points))
         return val, basis_t @ g
 
     centroid = fs.points.mean(axis=0)

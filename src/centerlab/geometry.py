@@ -131,10 +131,10 @@ def balls_intersect(space, family: BallFamily, within: Subspace | None = None
             return IntersectionResult(INFEASIBLE, None, lp, out)
         raise OptimizationError(f"feasibility LP ended with {out.status}")
 
-    compiled, basis_t = norms.plan(space), basis.T
+    basis_t = basis.T
 
     def oracle(alpha):
-        vals, grads = compiled.value_and_subgrad_many(basis @ alpha - centers)
+        vals, grads = space.value_and_subgrad_many(basis @ alpha - centers)
         gaps = vals - radii
         j = int(np.argmax(gaps))
         return float(gaps[j]), basis_t @ grads[j]

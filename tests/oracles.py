@@ -42,7 +42,7 @@ def svd_rank(rows, tol=1e-9):
 
 # ---------------------------------------------------------------------------
 # the per-variant scalar norm evaluation and subgradient selection, one
-# vector at a time, as a reference for the compiled plans
+# vector at a time, as a reference for the norm classes
 
 def _ladder_weight_norm(wnorm, t):
     from centerlab.norms import MonotonePolyhedralNorm
@@ -118,3 +118,26 @@ def ladder_subgradient(space, x):
         if h[i] != 0:
             g[sl] = h[i] * ladder_subgradient(c, x[sl])
     return g
+
+
+# ---------------------------------------------------------------------------
+# the pairwise np.allclose loops that once symmetrized and checked polyhedral
+# generator sets, as a reference for their vectorized replacement
+
+def symmetrized_by_loop(gens):
+    """The rows `polyhedral` keeps, and whether it added any negations."""
+    rows = [gens[i] for i in range(gens.shape[0])]
+    added = []
+    for g in rows:
+        if not any(np.allclose(-g, h, atol=1e-12) for h in rows + added):
+            added.append(-g)
+    return (np.vstack(rows + added) if added else gens), bool(added)
+
+
+def first_asymmetric_by_loop(gens):
+    """The first generator whose negation no generator matches, or None."""
+    for i in range(gens.shape[0]):
+        if not any(np.allclose(-gens[i], gens[j], atol=1e-12)
+                   for j in range(gens.shape[0])):
+            return gens[i]
+    return None

@@ -1,3 +1,6 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,7 +41,14 @@ from centerlab.norms import (
     weighted_lp,
 )
 
-from oracles import grid_minimize, ladder_norm, ladder_subgradient, svd_rank
+from oracles import (
+    first_asymmetric_by_loop,
+    grid_minimize,
+    ladder_norm,
+    ladder_subgradient,
+    svd_rank,
+    symmetrized_by_loop,
+)
 
 
 def random_polyhedral(rng, dim, n_gens=4):
@@ -117,6 +127,50 @@ def test_symmetrization_warns_and_fixes():
     assert eval_norm(space, [-2.0, 0.0]) == 2.0
 
 
+def _edge_generator_sets(rng, count):
+    """Seeded generator sets with exact and near repeats, exact and near
+    negations (perturbed across the atol 1e-12 and rtol 1e-5 bounds of
+    np.allclose), zero rows, and partly symmetric mixtures."""
+    steps = [0.0, 1e-13, 5e-13, 2e-12, 5e-6, 2e-5, 1e-3]
+    for _ in range(count):
+        m, n = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        base = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-13, 3, size=(m, 1))
+        if rng.random() < 0.3:
+            base = rng.integers(-2, 3, size=(m, n)).astype(float)
+        rows = []
+        for g in base:
+            for _ in range(int(rng.integers(1, 4))):
+                sign = rng.choice([1.0, -1.0])
+                step = steps[int(rng.integers(len(steps)))]
+                rows.append(sign * g * (1.0 + step * rng.choice([-1.0, 1.0]))
+                            + step * rng.normal(size=n) * (rng.random() < 0.5))
+        if rng.random() < 0.4:
+            step = steps[int(rng.integers(3))]
+            rows += [-r * (1.0 + step) for r in rows]
+        if rng.random() < 0.1:
+            rows.append(np.zeros(n))
+        yield np.array(rows)[rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("block", [None, 5])
+def test_symmetrization_and_symmetry_check_match_the_pairwise_loop(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(norms, "_CLOSE_BLOCK", block)
+    rng = np.random.default_rng(77)
+    for gens in _edge_generator_sets(rng, 300):
+        expected, added = symmetrized_by_loop(gens)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = polyhedral(gens).generators
+        assert np.array_equal(got, expected), gens
+        assert [str(w.message) for w in caught] == (
+            ["generator set was not symmetric; negations added"] if added else [])
+        lone = first_asymmetric_by_loop(gens)
+        symmetry = [w for axiom, w in polyhedral(gens, symmetrize=False).axiom_failures()
+                    if axiom == "symmetry"]
+        assert (symmetry == []) if lone is None else np.array_equal(symmetry[0], lone)
+
+
 def test_direct_sum_max_combiner_matches_flat_linf_exactly():
     comps = [l1(2), l2(2), linf(1)]
     space = make_direct_sum(comps, max_combiner(3))
@@ -192,7 +246,7 @@ def test_eval_norm_many_agrees_with_scalar_path():
         assert np.allclose(many, single, atol=1e-12)
 
 
-def _plan_spaces(rng):
+def _all_kinds(rng):
     """Every norm variant, with weighted p in {1, 2, 2.5, inf} combiners and
     nested sums.  Integer generators keep exact argmax ties exact."""
     tie_gens = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0],
@@ -217,7 +271,7 @@ def _plan_spaces(rng):
     ]
 
 
-def _plan_rows(rng, n):
+def _tie_rows(rng, n):
     """Seeded rows, zero rows, and rows with ties among coordinates and
     among integer generator values."""
     ties = np.array([[1.0, -1.0, 1.0, -1.0], [2.0, 2.0, -2.0, 2.0],
@@ -229,13 +283,11 @@ def _plan_rows(rng, n):
 
 def test_plan_matches_scalar_ladder():
     rng = np.random.default_rng(31)
-    for space in _plan_spaces(rng):
+    for space in _all_kinds(rng):
         n = norms.space_dim(space)
-        xs = _plan_rows(rng, n)
-        compiled = norms.plan(space)
-        assert norms.plan(space) is compiled
-        vals, grads = compiled.value_and_subgrad_many(xs)
-        assert np.array_equal(vals, compiled.value_many(xs))
+        xs = _tie_rows(rng, n)
+        vals, grads = space.value_and_subgrad_many(xs)
+        assert np.array_equal(vals, space.value_many(xs))
         assert grads.shape == xs.shape
         for x, v, g in zip(xs, vals, grads):
             ref_v, ref_g = ladder_norm(space, x), ladder_subgradient(space, x)
@@ -250,7 +302,9 @@ def test_plan_matches_scalar_ladder():
 def test_plan_refuses_what_is_not_a_norm():
     for bad in ({"kind": "lp"}, 3, None, "l2"):
         with pytest.raises(TypeError, match="not a norm spec"):
-            norms.plan(bad)
+            norms.space_dim(bad)
+        with pytest.raises(TypeError, match="not a norm spec"):
+            eval_norm(bad, [1.0])
 
 
 def test_triangle_and_homogeneity_large_sample():
@@ -563,6 +617,25 @@ def test_json_roundtrip_norms():
     # direct sum with that combiner, and is written as one
     assert norm_to_json(spaces[-1])["kind"] == "direct_sum"
     assert norm_to_json(spaces[-2])["kind"] == "esum"
+
+
+def test_json_roundtrip_is_exact_for_every_kind():
+    rng = np.random.default_rng(53)
+    spaces = _all_kinds(rng) + [
+        make_esum([l2(2), linf(1)], monotone_polyhedral([[1.0, 0.5], [0.3, 1.0]])),
+        make_esum([make_direct_sum([random_polyhedral(rng, 2), l1(1)], sum_combiner(2)),
+                   make_esum([lp_norm(3.0, 1)], weighted_lp(1.5, [2.0]))],
+                  weighted_lp(2, [0.5, 1.5])),
+    ]
+    for space in spaces:
+        data = norm_to_json(space)
+        back = norm_from_json(json.loads(json.dumps(data)))
+        assert norm_to_json(back) == data
+        xs = _tie_rows(rng, norms.space_dim(space))
+        assert xs.shape[1] == norms.space_dim(space)
+        vals, grads = space.value_and_subgrad_many(xs)
+        back_vals, back_grads = back.value_and_subgrad_many(xs)
+        assert np.array_equal(back_vals, vals) and np.array_equal(back_grads, grads), data
 
 
 def test_direct_sum_rejects_weighted_lp_combiner():
