@@ -29,7 +29,7 @@ every report records that collapse.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 import numpy as np
@@ -232,18 +232,25 @@ def validate_fcmc(f: Scalarization) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class UnionOfLines:
-    """Countable feasible set made of lines point + span{direction}."""
+    """Countable feasible set of lines point + span{direction}; building each
+    span once refuses a zero, vanishing or non-finite direction."""
 
     points: np.ndarray
     directions: np.ndarray
+    spans: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
-        if pts.shape != dirs.shape:
-            raise DimensionMismatchError("points and directions must align")
+        if pts.ndim != 2 or pts.shape != dirs.shape:
+            raise DimensionMismatchError("points and directions must be aligned "
+                                         "lists of vectors")
+        if not np.isfinite(pts).all():
+            raise ValueError("line points must be finite")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "directions", dirs)
+        object.__setattr__(self, "spans", tuple(
+            norms.subspace_from_basis(pts.shape[1], [d]) for d in dirs))
 
     @property
     def dim(self) -> int:
@@ -403,10 +410,9 @@ def solve_center(problem: CenterProblem, method: str = "auto") -> CenterResult:
 
     if isinstance(problem.feasible, UnionOfLines):
         best = None
-        for p, d in zip(problem.feasible.points, problem.feasible.directions):
-            sub = CenterProblem(problem.space, norms.subspace_from_basis(
-                problem.points.dim, [d]), FiniteSet(problem.points.points - p),
-                problem.f)
+        for p, span in zip(problem.feasible.points, problem.feasible.spans):
+            sub = CenterProblem(problem.space, span,
+                                FiniteSet(problem.points.points - p), problem.f)
             res = solve_center(sub, method=method)
             if best is None or res.rad < best.rad - 1e-12:
                 best = CenterResult(res.rad, p + res.minimizer, None,

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import norms, optim
-from .centers import FiniteSet
+from .centers import CenterProblem, FiniteSet, WeightedSum, solve_center
 from .errors import DimensionMismatchError, OptimizationError
 from .norms import (
     Ball,
@@ -727,59 +727,29 @@ class DecompositionResult:
 def decompose_min_sum(space, x, y_sub: Subspace, z_sub: Subspace
                       ) -> DecompositionResult:
     """Minimize ||y|| + ||z|| over decompositions x = y + z with y in Y and
-    z in Z (LP for polyhedral norms)."""
+    z in Z.  Given one split x = y0 + z0 (least squares on the stacked
+    bases), the others are (y0 + v, z0 - v) with v in Y ∩ Z, and by symmetry
+    of the norm the minimum is the weighted-sum restricted center of -y0 and
+    z0 within Y ∩ Z: one `solve_center` call, an LP for polyhedral norms."""
     x = np.asarray(x, dtype=float)
-    total = norms.sum_subspaces(y_sub, z_sub)
-    if not total.contains(x, tol=1e-7):
+    n = norms.space_dim(space)
+    if x.shape != (n,) or y_sub.ambient_dim != n or z_sub.ambient_dim != n:
+        raise DimensionMismatchError(
+            f"x of shape {x.shape}, Y in dim {y_sub.ambient_dim} and Z in dim "
+            f"{z_sub.ambient_dim} do not all match the space dim {n}")
+    if not norms.sum_subspaces(y_sub, z_sub).contains(x, tol=1e-7):
         raise ValueError("x does not lie in Y + Z")
-    n = x.shape[0]
-    b_mat, c_mat = np.array(y_sub.basis), np.array(z_sub.basis)
-
-    if norms.is_lp_encodable(space):
-        builder = optim.LpBuilder()
-        a_vars = builder.new_vars(y_sub.dim)
-        b_vars = builder.new_vars(z_sub.dim)
-        ty = builder.new_var()
-        tz = builder.new_var()
-        builder.set_objective([ty, tz], [1.0, 1.0])
-        norms.add_norm_epigraph(builder, space, a_vars, b_mat, np.zeros(n), ty)
-        norms.add_norm_epigraph(builder, space, b_vars, c_mat, np.zeros(n), tz)
-        builder.add_eq([*a_vars, *b_vars], np.hstack([b_mat, c_mat]), x)
-        out = optim.lp_solve(builder.build())
-        if out.status != optim.OPTIMAL:
-            raise OptimizationError(f"decomposition LP ended with {out.status}")
-        y_vec = b_mat @ out.x[:y_sub.dim]
-        z_vec = c_mat @ out.x[y_sub.dim:y_sub.dim + z_sub.dim]
-        value = float(out.value)
-    else:
-        stacked = np.column_stack([b_mat, c_mat]) if y_sub.dim + z_sub.dim \
-            else np.zeros((n, 0))
-        w0, *_ = np.linalg.lstsq(stacked, x, rcond=None)
-        _, s, vt = np.linalg.svd(stacked)
-        rank = int((s > 1e-12).sum())
-        null = vt[rank:].T
-
-        def oracle(xi):
-            w = w0 + null @ xi
-            yv, zv = b_mat @ w[:y_sub.dim], c_mat @ w[y_sub.dim:]
-            val = eval_norm(space, yv) + eval_norm(space, zv)
-            gy = b_mat.T @ norm_subgradient(space, yv)
-            gz = c_mat.T @ norm_subgradient(space, zv)
-            return val, null.T @ np.concatenate([gy, gz])
-
-        res = optim.staged_subgradient(oracle, np.zeros(null.shape[1]),
-                                       scale=max(1.0, float(np.abs(w0).max(initial=0.0))))
-        w = w0 + null @ res.point
-        y_vec = b_mat @ w[:y_sub.dim]
-        z_vec = c_mat @ w[y_sub.dim:]
-        value = res.value
-
-    resid = np.abs(y_vec + z_vec - x).max(initial=0.0)
+    b_mat, c_mat = y_sub.basis, z_sub.basis
+    w, *_ = np.linalg.lstsq(np.column_stack([b_mat, c_mat]), x, rcond=None)
+    y0, z0 = b_mat @ w[:y_sub.dim], c_mat @ w[y_sub.dim:]
+    resid = np.abs(y0 + z0 - x).max(initial=0.0)
     if resid > 1e-6 * max(1.0, np.abs(x).max(initial=0.0)):
         raise OptimizationError("decomposition does not reassemble x")
+    res = solve_center(CenterProblem(space, intersect_subspaces(y_sub, z_sub),
+                                     FiniteSet([-y0, z0]), WeightedSum([1.0, 1.0])))
     nx = eval_norm(space, x)
-    ratio = value / nx if nx > 1e-300 else 1.0
-    return DecompositionResult(y_vec, z_vec, value, ratio)
+    ratio = res.rad / nx if nx > 1e-300 else 1.0
+    return DecompositionResult(y0 + res.minimizer, z0 - res.minimizer, res.rad, ratio)
 
 
 def gamma_estimate(space, y_sub: Subspace, z_sub: Subspace, samples: int,

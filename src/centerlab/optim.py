@@ -93,15 +93,16 @@ def _finite_lp(*arrays) -> LinearProgram:
 class LpBuilder:
     """Incremental construction of a LinearProgram from dense row blocks.
 
-    A block (cols, block, rhs) holds the rows `block @ u[cols] <= rhs` (or
-    `== rhs`), one per entry of the 1-d `rhs`, over distinct variables
-    `cols`; rows keep the order in which they were added.
+    A block (cols, block, rhs) holds the rows `block @ u[cols] <= rhs`, one
+    per entry of the 1-d `rhs`, over distinct variables `cols`; rows keep
+    the order in which they were added.  The programs it builds have no
+    equality rows; `make_lp` takes those.
     """
 
     def __init__(self):
         self._n = 0
         self._obj = None
-        self._ub, self._eq = [], []
+        self._ub = []
 
     def new_var(self) -> int:
         return self.new_vars(1)[0]
@@ -116,28 +117,22 @@ class LpBuilder:
     def add_ub(self, cols, block, rhs) -> None:
         self._ub.append((cols, block, rhs))
 
-    def add_eq(self, cols, block, rhs) -> None:
-        self._eq.append((cols, block, rhs))
-
-    def _scatter(self, blocks):
-        a = np.zeros((sum(len(rhs) for _, _, rhs in blocks), self._n))
+    def build(self) -> LinearProgram:
+        c = np.zeros(self._n)
+        if self._obj is not None:
+            c[self._obj[0]] = self._obj[1]
+            c += 0.0
+        a = np.zeros((sum(len(rhs) for _, _, rhs in self._ub), self._n))
         b = np.empty(a.shape[0])
         row = 0
-        for cols, block, rhs in blocks:
+        for cols, block, rhs in self._ub:
             a[row:row + len(rhs), cols] = block
             b[row:row + len(rhs)] = rhs
             row += len(rhs)
         # adding zero turns the -0.0 of a negated coefficient into the +0.0
         # of an entry that no block sets
         a += 0.0
-        return a, b
-
-    def build(self) -> LinearProgram:
-        c = np.zeros(self._n)
-        if self._obj is not None:
-            c[self._obj[0]] = self._obj[1]
-            c += 0.0
-        return _finite_lp(c, *self._scatter(self._ub), *self._scatter(self._eq))
+        return _finite_lp(c, a, b, np.zeros((0, self._n)), np.zeros(0))
 
 
 @dataclass(frozen=True, eq=False)

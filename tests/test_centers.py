@@ -235,6 +235,19 @@ def test_union_of_lines_center():
     assert res.cent_face is None
 
 
+def test_center_over_zero_subspace_is_the_origin():
+    # both routes; a decomposition with Y ∩ Z = {0} takes this path
+    pts = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]])
+    for space, method in ((linf(3), "lp"), (l1(3), "lp"), (l2(3), "subgradient")):
+        for f in (WeightedSum(np.array([1.0, 2.0])), WeightedMax(np.array([1.0, 2.0]))):
+            res = solve_center(CenterProblem(space, norms.Subspace.zero(3),
+                                             FiniteSet(pts), f))
+            assert res.method == method
+            expected = f.value_many(norms.eval_norm_many(space, pts)[None])[0]
+            assert res.rad == pytest.approx(expected, rel=1e-12)
+            assert not res.minimizer.any()
+
+
 def test_validate_fcmc_families():
     assert validate_fcmc(uniform_max(3))["ok"]
     assert validate_fcmc(WeightedSum(np.array([0.5, 2.0])))["ok"]

@@ -144,6 +144,28 @@ def test_center_malformed_instance(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 5
 
 
+def test_center_refuses_degenerate_lines(tmp_path, capsys):
+    linf = {"kind": "lp", "p": "inf", "dim": 2}
+    l2 = {"kind": "lp", "p": 2, "dim": 2}
+    cases = [(linf, [[0, 0]], [[0, 0]]),
+             (l2, [[0, 0]], [[1e-320, 0]]),
+             (linf, [[float("nan"), 0]], [[1, 0]]),
+             (l2, [[0, 0]], [[float("inf"), 1]]),
+             (linf, [[[0, 1], [3, 2]]], [[[1, 0], [0, 1]]])]
+    capsys.readouterr()
+    for idx, (space, points, directions) in enumerate(cases):
+        path = tmp_path / f"lines{idx}.json"
+        path.write_text(json.dumps(
+            {"schema": 1, "space": space,
+             "subspace": {"lines": {"points": points, "directions": directions}},
+             "points": [[0, 0], [2, 1]], "f": {"kind": "max"}}))
+        assert main(["center", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("centerlab: malformed center instance")
+        assert len(captured.err.splitlines()) == 1
+
+
 def test_property_instance_breaking_checker_preconditions(tmp_path, capsys):
     plane = {"space": {"kind": "lp", "p": "inf", "dim": 3},
              "subspace": {"basis": [[1, 0, -1], [0, 1, -1]]}}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from centerlab import geometry, instances, norms, optim
-from centerlab.errors import OptimizationError
+from centerlab.errors import DimensionMismatchError, OptimizationError
 from centerlab.geometry import (
     BallFamily,
     LocallyConstrainedData,
@@ -525,6 +525,43 @@ def test_decompose_matches_grid_oracle():
             oracle, _ = grid_minimize(fun, np.zeros(1), 6.0, steps=41,
                                       refinements=6)
             assert dec.value == pytest.approx(oracle, abs=1e-3)
+
+
+def test_decompose_non_polyhedral_matches_scalar_minimum():
+    # the subgradient route of solve_center; Y ∩ Z = span{e2}, so the
+    # decompositions are y = (x1, s, 0), z = x - y, one scalar s each
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(21)
+    y = subspace_from_basis(3, [[1, 0, 0], [0, 1, 0.0]])
+    z = subspace_from_basis(3, [[0, 1, 0], [0, 0, 1.0]])
+    for space in (l2(3), norms.lp_norm(2.5, 3),
+                  norms.make_esum([linf(1), l2(2)], weighted_lp(2, [1.0, 1.5]))):
+        for _ in range(5):
+            x = rng.normal(size=3)
+            dec = decompose_min_sum(space, x, y, z)
+
+            def fun(s):
+                yv = np.array([x[0], s, 0.0])
+                return norms.eval_norm(space, yv) + norms.eval_norm(space, x - yv)
+
+            ref = optimize.minimize_scalar(fun, bounds=(-10.0, 10.0), method="bounded",
+                                           options={"xatol": 1e-12}).fun
+            assert dec.value == pytest.approx(ref, rel=1e-9)
+            assert y.contains(dec.y) and z.contains(dec.z)
+            assert np.allclose(dec.y + dec.z, x, rtol=0.0, atol=1e-12)
+
+
+def test_decompose_checks_dimensions():
+    space = linf(3)
+    y = subspace_from_basis(3, [[1.0, 0.0, -1.0]])
+    z = subspace_from_basis(3, [[0.0, 1.0, -1.0]])
+    off = subspace_from_basis(2, [[1.0, 0.0]])
+    with pytest.raises(DimensionMismatchError, match="x of shape \\(2,\\)"):
+        decompose_min_sum(space, np.zeros(2), y, z)
+    with pytest.raises(DimensionMismatchError, match="Y in dim 2 and Z in dim 3"):
+        decompose_min_sum(space, np.zeros(3), off, z)
+    with pytest.raises(DimensionMismatchError, match="Y in dim 3 and Z in dim 2"):
+        decompose_min_sum(space, np.zeros(3), y, off)
 
 
 def test_decompose_rejects_x_outside_sum():

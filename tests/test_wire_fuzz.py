@@ -21,6 +21,8 @@ CENTER = {"schema": 1, "space": {"kind": "lp", "p": "inf", "dim": 2},
           "subspace": {"basis": [[1, 1]]},
           "points": [[0, 0], [2, 1]], "f": {"kind": "weighted_max",
                                             "weights": [1.0, 2.0]}}
+LINES_CENTER = dict(CENTER, subspace={"lines": {"points": [[0, 1], [3, 2]],
+                                                "directions": [[1, 0], [1, 1]]}})
 PROPERTY = {
     "central": {"space": LINF3, "subspace": PLANE, "inject": [FAMILY]},
     "ac": {"space": LINF3, "subspace": PLANE, "points": FAMILY["centers"],
@@ -114,6 +116,8 @@ def _write(workdir, name, doc) -> str:
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
+# a lines file fails fast; 300 mutations reach a zero or non-finite line
+LINES_FUZZ = settings(FUZZ, max_examples=300)
 
 
 @pytest.mark.filterwarnings("ignore")
@@ -121,6 +125,14 @@ FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
 @given(data=st.data())
 def test_fuzzed_center_files(workdir, data):
     path = _write(workdir, "center.json", _mutate(data, CENTER))
+    _run(["center", path, "--deltas", "0.1", "--out", str(workdir / "out")])
+
+
+@pytest.mark.filterwarnings("ignore")
+@LINES_FUZZ
+@given(data=st.data())
+def test_fuzzed_lines_center_files(workdir, data):
+    path = _write(workdir, "lines.json", _mutate(data, LINES_CENTER))
     _run(["center", path, "--deltas", "0.1", "--out", str(workdir / "out")])
 
 

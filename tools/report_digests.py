@@ -16,7 +16,11 @@ runs, in one process:
   on the README plane;
 - `center` on the README points and plane under l-inf and l2, at both
   seeds, for each of SCALARIZATIONS: together they reach both LP row forms
-  and the `combine` of every scalarization class.
+  and the `combine` of every scalarization class;
+- `center` on the README points over the union of two lines, through
+  (0, 0, 1) along (1, -1, 0) and through (1, 0, 0) along (0, 1, -1), under
+  l-inf and l2 at both seeds: the line loop of `solve_center` on both
+  routes.
 
 A digest covers the exit code and the report with `wall_clock_s` removed.
 Two checkouts give the same lines exactly when their reports agree, so
@@ -46,6 +50,9 @@ README_INSTANCE = {"schema": 1,
 L2 = {"kind": "lp", "p": 2, "dim": 3}
 L2_PROPERTY = {"schema": 1, "space": L2, "subspace": README_INSTANCE["subspace"],
                "x": [-0.5, -0.5, -0.5], "inject": [README_INSTANCE["points"]]}
+LINES_INSTANCE = dict(README_INSTANCE, subspace={
+    "lines": {"points": [[0, 0, 1], [1, 0, 0]],
+              "directions": [[1, -1, 0], [0, 1, -1]]}})
 WEIGHTS = [1.0, 1.3, 0.8]
 SCALARIZATIONS = {
     "weighted_sum": {"kind": "weighted_sum", "weights": WEIGHTS},
@@ -120,6 +127,13 @@ def run_all(cli) -> None:
             for seed in SEEDS:
                 digest(cli, f"center-{norm}-{name}-seed{seed}",
                        ["center", path, "--seed", seed])
+    for norm, space in (("linf", README_INSTANCE["space"]), ("l2", L2)):
+        path = f"lines-{norm}.json"
+        Path(path).write_text(json.dumps(dict(LINES_INSTANCE, space=space)),
+                              encoding="utf-8")
+        for seed in SEEDS:
+            digest(cli, f"center-lines-{norm}-seed{seed}",
+                   ["center", path, "--seed", seed])
 
 
 def main(argv: list[str]) -> int:
