@@ -386,12 +386,9 @@ def _subgradient_center(problem: CenterProblem, basis: np.ndarray
         val, g = f.combine(*space.value_and_subgrad_many(basis @ alpha - points))
         return val, basis_t @ g
 
-    centroid = fs.points.mean(axis=0)
-    start = basis.T @ centroid
-    spread = np.linalg.norm(fs.points - centroid, axis=1).max(initial=0.0)
-    scale = max(1.0, 2.0 * spread)
-    res = optim.staged_subgradient(oracle, start, scale=scale,
-                                   stages=12, iters_per_stage=700)
+    start = basis_t @ points.mean(axis=0)
+    spread = np.linalg.norm(basis @ start - points, axis=1).max(initial=0.0)
+    res = optim.staged_subgradient(oracle, start, scale=max(1.0, 2.0 * spread))
     return res.value, basis @ res.point, res
 
 
@@ -401,7 +398,9 @@ def solve_center(problem: CenterProblem, method: str = "auto") -> CenterResult:
     method "auto" picks the exact LP route whenever the norm and the
     scalarization admit one (ties among optimal vertices broken toward the
     lexicographically smallest minimizer), and staged subgradient descent
-    (12 stages of at most 700 steps) otherwise.  The result records
+    (12 stages of at most 700 steps) otherwise, with its step scale twice the
+    largest Euclidean distance from the start, the projected centroid, to a
+    point of F.  The result records
     `validate_fcmc(f)`, the membership of f in the convex/monotone/coercive
     class decided by its type.  A radius or re-evaluated r_f that is not
     finite (a composite whose power overflows) raises OptimizationError.

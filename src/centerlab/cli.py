@@ -419,9 +419,15 @@ def cmd_center(args) -> tuple[dict, int]:
     data = _load_json(args.instance)
     with _malformed("center instance"):
         problem = problem_from_json(data)
-    report = new_report("center", {"instance": args.instance,
-                                   "seed": args.seed, "tol": args.tol,
-                                   "deltas": args.deltas})
+    # no modulus runs over a union of lines, so it refuses --deltas, which
+    # the parser leaves None when it is not given
+    lines = isinstance(problem.feasible, centers.UnionOfLines)
+    if lines and args.deltas is not None:
+        raise UsageError("center over a union of lines does not read --deltas")
+    config = {"instance": args.instance, "seed": args.seed, "tol": args.tol}
+    if not lines:
+        config["deltas"] = args.deltas or [0.1, 0.01, 0.001]
+    report = new_report("center", config)
     result = solve_center(problem)
     report["verdicts"] = {
         "rad": result.rad,
@@ -436,14 +442,14 @@ def cmd_center(args) -> tuple[dict, int]:
                         problem.f),
         result.rad, tol=max(args.tol, 1e-6 * max(1.0, result.rad)),
         oracle="derived:re-evaluation"))
-    if result.method == "lp":
+    if result.method.startswith("lp"):
         sg = solve_center(problem, method="subgradient")
         report["verdicts"]["rad_subgradient"] = sg.rad
         report["checks"].append(check(
             "subgradient radius agrees with the exact route",
             sg.rad, result.rad, tol=1e-4, oracle="derived:subgradient"))
-    if not isinstance(problem.feasible, centers.UnionOfLines):
-        curve = p1_modulus(problem, args.deltas,
+    if not lines:
+        curve = p1_modulus(problem, config["deltas"],
                            cfg=ProbeConfig(seed=args.seed), result=result)
         report["verdicts"]["modulus"] = [
             {"delta": d, "excess": e, "samples": s} for d, e, s in curve]
@@ -662,8 +668,7 @@ def build_parser() -> _Parser:
 
     p_center = sub.add_parser("center", help="solve a center instance file")
     p_center.add_argument("instance")
-    p_center.add_argument("--deltas", type=float, nargs="+",
-                          default=[0.1, 0.01, 0.001])
+    p_center.add_argument("--deltas", type=float, nargs="+", default=None)
     p_center.add_argument("--tol", type=float, default=1e-9)
     common(p_center)
 
@@ -696,7 +701,7 @@ def _check_ranges(args) -> None:
         raise UsageError(f"--trials must be >= 0, not {trials}")
     if tol is not None and not math.isfinite(tol):
         raise UsageError(f"--tol must be finite, not {tol}")
-    for delta in getattr(args, "deltas", ()):
+    for delta in getattr(args, "deltas", None) or ():
         if not (math.isfinite(delta) and delta >= 0):
             raise UsageError(f"--deltas must be finite and >= 0, not {delta}")
 

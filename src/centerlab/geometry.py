@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import norms, optim
-from .centers import CenterProblem, FiniteSet, WeightedSum, solve_center
+from .centers import (CenterProblem, FiniteSet, WeightedMax, WeightedSum,
+                      solve_center)
 from .errors import DimensionMismatchError, OptimizationError
 from .norms import (
     Ball,
@@ -90,8 +91,10 @@ class IntersectionResult:
     """Outcome of a ball-intersection query, with replayable evidence.
 
     `lp` and `outcome` hold the feasibility program and its certificate for
-    polyhedral norms; non-polyhedral infeasibility is only ever reported as
-    "unresolved" (nothing found below tolerance), never as certified."""
+    polyhedral norms.  For other norms `lp` is None and `outcome` is the
+    `CenterResult` of the ratio center whose minimizer is the witness;
+    non-polyhedral infeasibility is only ever reported as "unresolved"
+    (nothing found below tolerance), never as certified."""
 
     status: str
     witness: np.ndarray | None
@@ -102,17 +105,19 @@ class IntersectionResult:
 def balls_intersect(space, family: BallFamily, within: Subspace | None = None
                     ) -> IntersectionResult:
     """Decide whether the balls share a point of `within` (whole space when
-    None)."""
+    None): by one feasibility LP for polyhedral norms, else by the center
+    of max_i ||y - c_i|| / (r_i + slack) over `within`, which is FEASIBLE
+    when every ball holds it within the audit's slack."""
     n = norms.space_dim(space)
     if family.dim != n:
         raise DimensionMismatchError("family does not match the space dimension")
     if within is not None and within.ambient_dim != n:
         raise DimensionMismatchError("subspace ambient dim mismatch")
-    basis = np.eye(n) if within is None else np.array(within.basis)
     centers = family.centers
     radii = family.radii
 
     if norms.is_lp_encodable(space):
+        basis = np.eye(n) if within is None else np.array(within.basis)
         builder = optim.LpBuilder()
         alphas = builder.new_vars(basis.shape[1])
         tvars = builder.new_vars(family.size)
@@ -131,21 +136,13 @@ def balls_intersect(space, family: BallFamily, within: Subspace | None = None
             return IntersectionResult(INFEASIBLE, None, lp, out)
         raise OptimizationError(f"feasibility LP ended with {out.status}")
 
-    basis_t = basis.T
-
-    def oracle(alpha):
-        vals, grads = space.value_and_subgrad_many(basis @ alpha - centers)
-        gaps = vals - radii
-        j = int(np.argmax(gaps))
-        return float(gaps[j]), basis_t @ grads[j]
-
-    start = basis.T @ centers.mean(axis=0)
-    scale = max(1.0, 2.0 * float(np.linalg.norm(centers - centers.mean(axis=0),
-                                                axis=1).max(initial=0.0)))
-    res = optim.staged_subgradient(oracle, start, scale=scale)
-    witness = basis @ res.point
+    # the slack also keeps the weights of zero and tiny radii finite
+    slack = FEAS_TOL * max(1.0, float(radii.max()))
+    res = solve_center(CenterProblem(space, within, FiniteSet(centers),
+                                     WeightedMax(1.0 / (radii + slack))))
+    witness = res.minimizer
     gaps = eval_norm_many(space, witness[None, :] - centers) - radii
-    if gaps.max(initial=0.0) <= FEAS_TOL * max(1.0, float(radii.max(initial=1.0))):
+    if gaps.max(initial=0.0) <= slack:
         return IntersectionResult(FEASIBLE, witness, None, res)
     return IntersectionResult(UNRESOLVED, witness, None, res)
 

@@ -16,10 +16,11 @@ and `eval_weight_norm` call its methods, and the subgradient oracles call its
 `value_and_subgrad_many` directly, which gives the norms and one subgradient
 per row of a whole array without a Python loop over the rows.
 
-A distance to a subspace is one LP (`dist_to_subspace`), or, for the rows of
-an array, a max over the vertices of the dual unit ball within the
-subspace's annihilator (`dist_to_subspace_many`), enumerated once per norm
-and subspace from the norm's generators and kept on the subspace.
+A distance to a subspace is the restricted radius of one point, solved by
+`centers.solve_center` (`dist_to_subspace`), or, for the rows of an array, a
+max over the vertices of the dual unit ball within the subspace's
+annihilator (`dist_to_subspace_many`), enumerated once per norm and subspace
+from the norm's generators and kept on the subspace.
 
 Vectors are plain numpy arrays.  All norm and subspace objects are immutable
 after construction and every operation is a pure function.
@@ -689,8 +690,10 @@ def intersect_subspaces(y: Subspace, z: Subspace) -> Subspace:
 def dist_to_subspace(space, x, sub: Subspace) -> tuple[float, np.ndarray]:
     """min over y in the subspace of ||x - y||, with a minimizer.
 
-    Polyhedral norms go through the LP kernel; other norms use staged
-    subgradient descent and raise OptimizationError if unconverged.
+    The distance is the restricted radius of {x} in the subspace: one
+    `centers.solve_center` call, an LP for polyhedral norms (its minimizer
+    the lexicographically smallest nearest point) and staged subgradient
+    descent otherwise, which raises OptimizationError if unconverged.
     """
     x = _check_dim(space, x)
     if sub.ambient_dim != space_dim(space):
@@ -699,30 +702,12 @@ def dist_to_subspace(space, x, sub: Subspace) -> tuple[float, np.ndarray]:
         return eval_norm(space, x), np.zeros_like(x)
     if sub.contains(x):
         return 0.0, x.copy()
-    if is_lp_encodable(space):
-        builder = optim.LpBuilder()
-        alphas = builder.new_vars(sub.dim)
-        t = builder.new_var()
-        builder.set_objective([t], [1.0])
-        add_norm_epigraph(builder, space, alphas, -np.array(sub.basis), x, t)
-        out = optim.lp_solve(builder.build())
-        if out.status != optim.OPTIMAL:
-            raise OptimizationError(f"distance LP ended with status {out.status}")
-        alpha = out.x[:sub.dim]
-        return float(out.value), sub.embed(alpha)
-
-    basis, basis_t = sub.basis, sub.basis.T
-
-    def oracle(alpha):
-        vals, grads = space.value_and_subgrad_many((x - basis @ alpha)[None, :])
-        return float(vals[0]), -(basis_t @ grads[0])
-
-    start = sub.coords(x)
-    scale = max(1.0, float(np.linalg.norm(x - sub.embed(start))))
-    res = optim.staged_subgradient(oracle, start, scale=scale)
-    if not res.converged:
+    from . import centers  # centers imports norms
+    res = centers.solve_center(centers.CenterProblem(
+        space, sub, centers.FiniteSet([x]), centers.WeightedSum([1.0])))
+    if res.method == "subgradient" and not res.certificate.converged:
         raise OptimizationError("subgradient distance solve hit iteration limit")
-    return res.value, sub.embed(res.point)
+    return res.rad, res.minimizer
 
 
 # the most generators, and the most supports, that an annihilator vertex

@@ -3,7 +3,9 @@
 Two pieces live here: a dense two-phase simplex solver that always returns a
 certificate (dual multipliers at optimality, Farkas multipliers on
 infeasibility, an improving ray when unbounded), and a subgradient method
-for nonsmooth convex objectives.
+for nonsmooth convex objectives, `staged_subgradient`, whose one caller is
+the non-LP route of `centers.solve_center`: distances and non-polyhedral
+ball searches reach it as restricted centers.
 
 Problem sizes in this project are tiny (tens of variables), so clarity and
 determinism win over speed.  Pivoting follows Bland's rule with
@@ -622,19 +624,21 @@ def _polyak_polish(oracle, start, best_v, iters, delta0, trace):
     return best_v, best_x
 
 
+_STAGES, _ITERS_PER_STAGE = 12, 700
+
+
 def staged_subgradient(oracle: Callable[[np.ndarray], tuple[float, np.ndarray]],
                        start: np.ndarray,
-                       scale: float = 1.0,
-                       stages: int = 10,
-                       iters_per_stage: int = 1200) -> SubgradientResult:
+                       scale: float = 1.0) -> SubgradientResult:
     """Repeated subgradient runs with a geometrically shrinking step scale,
     followed by a Polyak-step polish of at most 2500 oracle calls.
 
-    Each of the `stages` runs takes at most `iters_per_stage` steps and
+    Each of the _STAGES runs takes at most _ITERS_PER_STAGE steps and
     restarts from the best point found so far with step_a, which starts at
     `scale`, divided by 4; this recovers fast local convergence on the sharp
     minima typical of max-of-norms objectives.  The concatenated trace keeps
-    the running-minimum monotonicity of the single-run method.
+    the running-minimum monotonicity of the single-run method.  The
+    schedule is the one of `centers.solve_center`, its only caller.
     """
     x = np.asarray(start, dtype=float)
     traces = []
@@ -643,9 +647,9 @@ def staged_subgradient(oracle: Callable[[np.ndarray], tuple[float, np.ndarray]],
     converged = True
     iterations = 0
     step_a = max(scale, 1e-12)
-    for _ in range(stages):
+    for _ in range(_STAGES):
         res = subgradient_minimize(oracle, best_x, SubgradientConfig(
-            max_iter=iters_per_stage, step_a=step_a))
+            max_iter=_ITERS_PER_STAGE, step_a=step_a))
         traces.append(res.trace)
         iterations += res.iterations
         if best_v is None or res.value < best_v:

@@ -166,6 +166,43 @@ def test_center_refuses_degenerate_lines(tmp_path, capsys):
         assert len(captured.err.splitlines()) == 1
 
 
+LINES_INSTANCE = dict(README_INSTANCE, subspace={
+    "lines": {"points": [[0, 0, 1], [1, 0, 0]],
+              "directions": [[1, -1, 0], [0, 1, -1]]}})
+
+
+def test_center_over_lines_cross_checks_the_exact_route(tmp_path, capsys):
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps(LINES_INSTANCE))
+    code, report = run_json(capsys, "center", str(path))
+    assert code == EXIT_OK
+    verdicts = report["verdicts"]
+    assert verdicts["method"] == "lp+lines"
+    assert verdicts["rad_subgradient"] == pytest.approx(verdicts["rad"], abs=1e-9)
+    assert "subgradient radius agrees with the exact route" in \
+        [c["name"] for c in report["checks"]]
+    assert "modulus" not in verdicts
+    assert sorted(report["config"]) == ["instance", "seed", "tol"]
+
+
+def test_center_over_lines_refuses_deltas(tmp_path, capsys):
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps(LINES_INSTANCE))
+    assert main(["center", str(path), "--deltas", "0.1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("centerlab: ")
+    # over a subspace the modulus runs, on the deltas given or the default
+    plane = tmp_path / "plane.json"
+    plane.write_text(json.dumps(README_INSTANCE))
+    _, report = run_json(capsys, "center", str(plane), "--deltas", "0.2")
+    assert report["config"]["deltas"] == [0.2]
+    assert [m["delta"] for m in report["verdicts"]["modulus"]] == [0.2]
+    _, report = run_json(capsys, "center", str(plane))
+    assert report["config"]["deltas"] == [0.1, 0.01, 0.001]
+
+
 def test_property_instance_breaking_checker_preconditions(tmp_path, capsys):
     plane = {"space": {"kind": "lp", "p": "inf", "dim": 3},
              "subspace": {"basis": [[1, 0, -1], [0, 1, -1]]}}

@@ -102,6 +102,56 @@ def test_l2_intersection_semi_decision():
     assert res2.status == geometry.UNRESOLVED  # never certified infeasible
 
 
+def test_l2_zero_radius_ball_in_the_whole_space_is_feasible():
+    fam = BallFamily.from_arrays([[0.0, 0.0], [1.0, 0.0]], [0.0, 1.0])
+    res = balls_intersect(l2(2), fam)
+    assert res.status == geometry.FEASIBLE
+    assert np.allclose(res.witness, [0.0, 0.0], atol=1e-8)
+
+
+def test_l2_zero_radius_ball_off_the_subspace_is_never_feasible():
+    # the point ball (1, 0) lies off span{e2}, so no witness on the line may
+    # be reported, its center least of all
+    line = subspace_from_basis(2, [[0.0, 1.0]])
+    fam = BallFamily.from_arrays([[1.0, 0.0], [1.0, 1.0]], [0.0, 1.0])
+    res = balls_intersect(l2(2), fam, line)
+    assert res.status == geometry.UNRESOLVED
+    assert line.contains(res.witness)
+
+
+NON_POLYHEDRAL = (l2, lambda n: norms.lp_norm(2.5, n),
+                  lambda n: norms.make_esum([linf(1), l2(n - 1)],
+                                            weighted_lp(2, [1.0, 1.5])))
+
+
+@pytest.mark.parametrize("make_space", NON_POLYHEDRAL, ids=["l2", "l2.5", "esum"])
+def test_inflated_witness_first_families_are_feasible(make_space):
+    rng = np.random.default_rng(23)
+    for trial in range(4):
+        n = 2 + trial % 2
+        space = make_space(n)
+        within = (None if trial == 0
+                  else subspace_from_basis(n, rng.normal(size=(n - 1, n))))
+        basis = np.eye(n) if within is None else within.basis
+        w = basis @ rng.normal(size=basis.shape[1])
+        centers = rng.normal(size=(3, n)) * 2.0
+        radii = norms.eval_norm_many(space, w[None, :] - centers) * \
+            (1.0 + rng.uniform(1e-3, 0.2, size=3))
+        res = balls_intersect(space, BallFamily.from_arrays(centers, radii),
+                              within)
+        assert res.status == geometry.FEASIBLE
+        assert within is None or within.contains(res.witness)
+
+
+@pytest.mark.parametrize("make_space", NON_POLYHEDRAL, ids=["l2", "l2.5", "esum"])
+def test_separated_balls_are_unresolved(make_space):
+    space = make_space(2)
+    far = np.array([3.0, 1.0])
+    gap = norms.eval_norm(space, far)
+    fam = BallFamily.from_arrays([np.zeros(2), far], [0.4 * gap, 0.6 * gap - 2e-3])
+    assert balls_intersect(space, fam).status == geometry.UNRESOLVED
+
+
 def test_central_check_whole_space_passes():
     verdict = central_subspace_check(linf(3), Subspace.full(3), trials=40, seed=1)
     assert verdict.passed

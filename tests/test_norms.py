@@ -460,6 +460,20 @@ def test_dist_subgradient_path_for_l2():
     assert np.allclose(nearest[:2], [3.0, -2.0], atol=1e-4)
 
 
+def test_l2_distance_equals_the_euclidean_projection_distance():
+    rng = np.random.default_rng(31)
+    for _ in range(6):
+        n = int(rng.integers(2, 5))
+        sub = subspace_from_basis(n, rng.normal(size=(int(rng.integers(1, n)), n)))
+        x0 = rng.normal(size=n)
+        for scale in (1.0, 10.0, 100.0):
+            x = scale * x0
+            d, nearest = dist_to_subspace(l2(n), x, sub)
+            exact = float(np.linalg.norm(x - sub.project_euclid(x)))
+            assert d == pytest.approx(exact, rel=1e-12, abs=0.0)
+            assert sub.contains(nearest)
+
+
 ANNIHILATOR_SPACES = {
     "linf": lambda rng: linf(4),
     "l1": lambda rng: l1(4),

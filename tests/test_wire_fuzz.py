@@ -133,7 +133,7 @@ def test_fuzzed_center_files(workdir, data):
 @given(data=st.data())
 def test_fuzzed_lines_center_files(workdir, data):
     path = _write(workdir, "lines.json", _mutate(data, LINES_CENTER))
-    _run(["center", path, "--deltas", "0.1", "--out", str(workdir / "out")])
+    _run(["center", path, "--out", str(workdir / "out")])
 
 
 @pytest.mark.filterwarnings("ignore")

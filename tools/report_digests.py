@@ -12,8 +12,9 @@ runs, in one process:
 - `center` on the README instance, in json and md;
 - under the Euclidean norm, where the subgradient route does the work, at
   both seeds: `center` on the README points and `property central
-  --trials 3`, `property almost-constrained` and `property mideal --trials 3`
-  on the README plane;
+  --trials 3`, `property ac`, `property almost-constrained` and `property
+  mideal --trials 3` on the README plane (the dominator of `property ac` is
+  the witness of the non-polyhedral ball search);
 - `center` on the README points and plane under l-inf and l2, at both
   seeds, for each of SCALARIZATIONS: together they reach both LP row forms
   and the `combine` of every scalarization class;
@@ -49,7 +50,8 @@ README_INSTANCE = {"schema": 1,
                    "f": {"kind": "max"}}
 L2 = {"kind": "lp", "p": 2, "dim": 3}
 L2_PROPERTY = {"schema": 1, "space": L2, "subspace": README_INSTANCE["subspace"],
-               "x": [-0.5, -0.5, -0.5], "inject": [README_INSTANCE["points"]]}
+               "points": README_INSTANCE["points"], "x": [-0.5, -0.5, -0.5],
+               "inject": [README_INSTANCE["points"]]}
 LINES_INSTANCE = dict(README_INSTANCE, subspace={
     "lines": {"points": [[0, 0, 1], [1, 0, 0]],
               "directions": [[1, -1, 0], [0, 1, -1]]}})
@@ -65,6 +67,7 @@ SCALARIZATIONS = {
 }
 # kind -> (the instance fields it reads, its flags)
 L2_KINDS = {"central": (("space", "subspace"), ["--trials", "3"]),
+            "ac": (("space", "subspace", "points", "x"), []),
             "almost-constrained": (("space", "subspace", "x", "inject"), []),
             "mideal": (("space", "subspace"), ["--trials", "3"])}
 
