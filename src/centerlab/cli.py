@@ -30,15 +30,11 @@ import numpy as np
 
 from . import centers, geometry, instances, norms, optim, sequences
 from .centers import (
-    CenterProblem,
-    FiniteSet,
     ProbeConfig,
-    delta_center_probe,
     p1_modulus,
     problem_from_json,
     sacp_experiment,
     solve_center,
-    uniform_max,
 )
 from .errors import OptimizationError
 from .geometry import (

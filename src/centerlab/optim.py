@@ -10,25 +10,30 @@ ball searches reach it as restricted centers.
 Problem sizes in this project are tiny (tens of variables), so clarity and
 determinism win over speed.  Pivoting follows Bland's rule with
 smallest-basic-index tie-breaking in the ratio test, which makes every solve
-reproducible bit for bit and rules out cycling.  Variables are free reals;
-the standard-form rewrite (variable splitting, slacks, artificials) is
-internal and certificates are mapped back to the caller's constraint system.
+reproducible bit for bit and rules out cycling.  Variables are free reals,
+and certificates are mapped back to the caller's constraint system.
 
-Phase 1 starts from the slack basis (Bixby's crash basis): rows are scaled
-and flipped to a nonnegative right-hand side, a <= row that needed no flip
-starts with its slack basic, and only flipped <= rows and equalities get an
-artificial.  Phase 1 minimizes the sum of those artificials and is skipped
-when there are none.  The simplex multipliers are read off the starting
-identity columns, y = c[start] - t[-1, start] with slack cost 0 and
-artificial cost 1 in phase 1 (Farkas multipliers) or 0 in phase 2 (duals).
-Every verdict is audited before it is returned: an optimum by
-`verify_optimal`, an infeasible verdict by `verify_farkas` and an unbounded
-one by `verify_ray`; a failed audit is returned as "breakdown".
+`lp_solve` runs the simplex on the dual standard form, min b.y subject to
+A^T y = -c with y >= 0 on the <= rows and an equality row's dual split in
+two.  Its tableau has one row per variable, n_vars + 1 in all, however many
+constraints there are, and it needs no slacks, no variable splitting and
+one artificial per variable.  Phase 1 drives the artificials out of the
+basis; it is skipped when c = 0, where y = 0 is feasible at once.  An
+artificial left basic at level zero is held there.  The outcome is read
+from the final basis: the duals are its basic values, the optimum x solves
+the n rows the basis holds tight (one `np.linalg.solve`, then one step of
+iterative refinement), an unbounded dual ray gives Farkas multipliers, and
+when the dual is infeasible its phase-1 multipliers are an improving ray,
+after the same tableau with c = 0 has shown the primal feasible.  Every
+verdict is audited before it is returned: an optimum by `verify_optimal`,
+an infeasible verdict by `verify_farkas` and an unbounded one by
+`verify_ray`; a failed audit is returned as "breakdown".
 
 A lexicographic tie-break among optimal points runs on the final tableau of
-the same solve: each stage bars every column whose reduced cost is positive,
-which pins the current optimal face exactly, then re-prices the cost row to
-one coordinate and pivots on from the current basis.  Phase 1 runs once, and
+the same solve as dual-simplex stages: each stage sets the right-hand side
+to -e_idx, the dual of min u_idx, and keeps every positive dual basic and
+free to go negative, so the rows it holds stay tight and, by complementary
+slackness, the point stays on the optimal face.  Phase 1 runs once, and
 each stage costs a few pivots.
 """
 
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -163,87 +168,215 @@ class LpOutcome:
 
 
 def _pivot(t: np.ndarray, row: int, col: int) -> None:
-    t[row] = t[row] / t[row, col]
+    prow = t[row]
+    prow /= prow[col]
     column = t[:, col].copy()
     column[row] = 0.0
-    t -= column[:, None] * t[row]
+    t -= column[:, None] * prow
     t[:, col] = 0.0
     t[row, col] = 1.0
 
 
-def _run_simplex(t, basis, allowed, max_iter):
-    """Bland-rule tableau iteration; returns (status, iterations, entering)."""
+def _run_simplex(t, basis, n_struct, max_iter, phase_1=False):
+    """Bland-rule tableau iteration; returns (status, pivots, entering).
+
+    Columns below `n_struct` may enter; the others are artificials.  An
+    artificial basic at level zero is held there: a nonzero entry in its row
+    blocks the entering column at ratio zero, whatever its sign, so the
+    artificial leaves rather than grows, and its level is reset to zero
+    after every pivot.
+
+    Phase 1 (`phase_1`) is bounded below by zero, so an entering column
+    with no pivot there is flat up to the tolerances, not a ray: it is
+    barred for the rest of the phase.  The phase also ends, optimal, as
+    soon as no artificial is left basic above zero: their sum is then
+    exactly zero, whatever the drift of the objective row.
+    """
     m = basis.shape[0]
-    ncols = t.shape[1] - 1
     rhs = t[:m, -1]
-    no_index = np.iinfo(basis.dtype).max
-    # rhs / col divides by the entries the ratio test then masks out
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for it in range(1, max_iter + 1):
-            entering = (t[-1, :ncols] < -_RCOST_TOL) & allowed
-            j = int(entering.argmax())
-            if not entering[j]:
-                return OPTIMAL, it - 1, -1
-            col = t[:m, j]
-            pos = col > _PIVOT_TOL
-            if not pos.any():
-                return UNBOUNDED, it - 1, j
-            ratios = np.where(pos, rhs / col, np.inf)
-            ties = ratios <= ratios.min() + _RATIO_TIE
-            leave = int(np.where(ties, basis, no_index).argmin())
-            _pivot(t, leave, j)
-            basis[leave] = j
-            if not np.isfinite(t).all():
-                return BREAKDOWN, it, j
-    return BREAKDOWN, max_iter, -1
+    costs = t[-1, :n_struct]
+    no_index = t.shape[1]  # above every column index
+    art_rows = basis >= n_struct
+    open_cols = None
+    pivots = 0
+    for _ in range(max_iter):
+        entering = costs < -_RCOST_TOL
+        if open_cols is not None:
+            entering &= open_cols
+        j = int(entering.argmax())
+        if not entering[j]:
+            return OPTIMAL, pivots, -1
+        col = t[:m, j]
+        ratios = np.full(m, np.inf)
+        np.divide(rhs, col, out=ratios, where=col > _PIVOT_TOL)
+        held = None
+        if art_rows.any():
+            held = art_rows & (rhs == 0.0)
+            ratios[held & (np.abs(col) > _PIVOT_TOL)] = 0.0
+        least = ratios.min()
+        if least == np.inf:
+            if not phase_1:
+                return UNBOUNDED, pivots, j
+            if open_cols is None:
+                open_cols = np.ones(n_struct, dtype=bool)
+            open_cols[j] = False
+            continue
+        leave = int(np.where(ratios <= least + _RATIO_TIE, basis,
+                             no_index).argmin())
+        _pivot(t, leave, j)
+        pivots += 1
+        basis[leave] = j
+        art_rows[leave] = False
+        if held is not None:
+            rhs[held] = 0.0
+        if not np.isfinite(t).all():
+            return BREAKDOWN, pivots, j
+        if phase_1 and not (rhs[art_rows] > 0.0).any():
+            return OPTIMAL, pivots, -1
+    return BREAKDOWN, pivots, -1
+
+
+def _dual_simplex(t, basis, n_struct, free, max_iter):
+    """Bland-rule dual simplex on a tableau whose reduced costs are >= 0;
+    returns (status, pivots).
+
+    A basic column is out of bounds when it is a structural column, not
+    `free` and negative, or an artificial and nonzero.  The out-of-bounds
+    row with the smallest basic index leaves, and the entering structural
+    column, the smallest index among the ratio-test ties, keeps every
+    reduced cost >= 0.  A row that no column can mend is reported
+    "unbounded": the primal problem whose dual this is has no lower bound.
+    """
+    m = basis.shape[0]
+    rhs = t[:m, -1]
+    costs = t[-1, :n_struct]
+    no_index = t.shape[1]  # above every column index
+    for it in range(max_iter):
+        out = np.where(basis < n_struct,
+                       (rhs < -_RCOST_TOL) & ~free[basis],
+                       np.abs(rhs) > _RCOST_TOL)
+        if not out.any():
+            return OPTIMAL, it
+        leave = int(np.where(out, basis, no_index).argmin())
+        row = t[leave, :n_struct] * (1.0 if rhs[leave] > 0 else -1.0)
+        ratios = np.full(n_struct, np.inf)
+        np.divide(np.maximum(costs, 0.0), row, out=ratios,
+                  where=row > _PIVOT_TOL)
+        least = ratios.min()
+        if least == np.inf:
+            return UNBOUNDED, it
+        j = int((ratios <= least + _RATIO_TIE).argmax())
+        _pivot(t, leave, j)
+        basis[leave] = j
+        if not np.isfinite(t).all():
+            return BREAKDOWN, it + 1
+    return BREAKDOWN, max_iter
 
 
 def _price(t, basis, costs) -> None:
     """Load `costs` into the objective row and price out the basic columns."""
     t[-1, :-1] = costs
     t[-1, -1] = 0.0
-    for i in range(basis.shape[0]):
-        cb = costs[basis[i]]
-        if cb != 0.0:
-            t[-1] -= cb * t[i]
-
-
-def _basic_point(t, basis, n: int) -> np.ndarray:
-    """The caller's variables u = u+ - u- at the current basic solution."""
-    x_std = np.zeros(t.shape[1] - 1)
-    x_std[basis] = t[:basis.shape[0], -1]
-    return x_std[:n] - x_std[n:2 * n]
+    t[-1] -= costs[basis] @ t[:-1]
 
 
 def _stopped(idx: int, status: str) -> str:
     return f"lexicographic refinement stopped at coordinate {idx}: {status}"
 
 
-def _lex_refine(lp, t, basis, allowed, refine, x, value, max_iter):
-    """Lexicographic refinement on an optimal phase-2 tableau.
+class _DualTableau:
+    """The dual standard form of an LP, min b.y s.t. A^T y = -c, y_ub >= 0,
+    on an (n_vars + 1)-row tableau.
 
-    Each stage bars the columns whose reduced cost exceeds _RCOST_TOL, so
-    the remaining columns span the current optimal face, then re-prices the
-    objective row to e_idx (+1 on u+_idx, -1 on u-_idx) and runs Bland's
-    rule from the current basis.  A stage's point is kept only when it is
-    feasible and its objective is within FEAS_TOL * max(1, |value|) of the
-    phase-2 value; otherwise the last kept point is returned with a message
-    naming the stage.  Returns (x, pivots, message).
+    Column j < n_cols is the dual of a constraint row: each <= row, then
+    each equality row twice, as +a and -a, so that its free dual is the
+    difference of two columns.  Each constraint row is scaled by the power
+    of two that brings its largest entry, b included, into [0.5, 1): that
+    keeps pivots well conditioned and the scaled rows exact.  Tableau row i
+    belongs to primal variable i, flipped by tau_i so that its right-hand
+    side |c_i| is >= 0.  Column n_cols + i is its artificial; those identity
+    columns hold the inverse of the current basis throughout.
     """
-    n = lp.n_vars
-    ncols = t.shape[1] - 1
+
+    def __init__(self, lp: LinearProgram):
+        n = lp.n_vars
+        self.n_ub, n_eq = lp.a_ub.shape[0], lp.a_eq.shape[0]
+        self.n_cols = self.n_ub + 2 * n_eq
+        self.tau = np.where(lp.objective > 0, -1.0, 1.0)
+        rows = np.vstack([lp.a_ub, lp.a_eq, -lp.a_eq])
+        costs = np.concatenate([lp.b_ub, lp.b_eq, -lp.b_eq])
+        size = np.maximum(np.abs(rows).max(axis=1), np.abs(costs))
+        scale = np.where(size > _PIVOT_TOL, np.ldexp(1.0, np.frexp(size)[1]),
+                         1.0)
+        # the columns, costs and scales in the caller's units, artificials
+        # included
+        self.columns = np.hstack([rows.T * self.tau[:, None], np.eye(n)])
+        self.costs = np.concatenate([costs, np.zeros(n)])
+        self.scale = np.concatenate([scale, np.ones(n)])
+
+        self.t = np.zeros((n + 1, self.n_cols + n + 1))
+        self.t[:n, :-1] = self.columns / self.scale
+        self.t[:n, -1] = np.abs(lp.objective)
+        self.basis = self.n_cols + np.arange(n)
+        self.max_iter = 1000 + 60 * self.t.shape[1]
+
+    def duals(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The caller's (lam, mu) for the scaled dual columns y."""
+        w = y[:self.n_cols] / self.scale[:self.n_cols]
+        eq = self.n_ub + (self.n_cols - self.n_ub) // 2
+        return w[:self.n_ub], w[self.n_ub:eq] - w[eq:]
+
+    def tight_point(self) -> np.ndarray | None:
+        """The primal point that the basis holds tight: a_j x = b_j for
+        each basic dual column j, and x_i = 0 for each artificial left basic
+        in row i; None when that system is numerically singular.
+
+        The system is the transposed basis with its rows unflipped, solved
+        afresh from the scaled rows, then given one step of iterative
+        refinement: the residual of the caller's rows, scaled, mapped
+        through the basis inverse that the artificial columns carry."""
+        b = self.basis
+        rows = self.columns[:, b].T * self.tau
+        scale = self.scale[b]
+        try:
+            x = np.linalg.solve(rows / scale[:, None], self.costs[b] / scale)
+        except np.linalg.LinAlgError:
+            return None
+        ext = np.longdouble
+        resid = self.costs[b].astype(ext) - rows.astype(ext) @ x.astype(ext)
+        x += self.tau * ((resid.astype(float) / scale)
+                         @ self.t[:-1, self.n_cols:-1])
+        return x if np.isfinite(x).all() else None
+
+
+def _lex_refine(lp, dual, refine, x, value):
+    """Lexicographic refinement on an optimal dual tableau.
+
+    Each stage sets the right-hand side to -e_idx, the dual of min u_idx,
+    and runs the dual simplex from the current basis.  Every dual that is
+    positive at the start of a stage is free to go negative and so stays
+    basic: its row stays tight, which by complementary slackness keeps the
+    point on the optimal face of the stages before.  A stage's point is
+    kept only when it is feasible and its objective is within
+    FEAS_TOL * max(1, |value|) of the phase-2 value; otherwise the last kept
+    point is returned with a message naming the stage.  Returns
+    (x, pivots, message).
+    """
+    t, basis, n_cols = dual.t, dual.basis, dual.n_cols
+    free = np.zeros(t.shape[1] - 1, dtype=bool)
     pivots = 0
     for idx in refine:
-        allowed &= t[-1, :ncols] <= _RCOST_TOL
-        costs = np.zeros(ncols)
-        costs[idx] = 1.0
-        costs[n + idx] = -1.0
-        _price(t, basis, costs)
-        status, it, _ = _run_simplex(t, basis, allowed, max_iter)
+        free[basis[(t[:-1, -1] > _RCOST_TOL) & (basis < n_cols)]] = True
+        t[:-1, -1] = -dual.tau[idx] * t[:-1, n_cols + idx]
+        status, it = _dual_simplex(t, basis, n_cols, free, dual.max_iter)
         pivots += it
         if status != OPTIMAL:
             return x, pivots, _stopped(idx, status)
-        cand = _basic_point(t, basis, n)
+        if it == 0:
+            continue
+        cand = dual.tight_point()
+        if cand is None:
+            return x, pivots, _stopped(idx, "singular basis")
         drift = abs(float(lp.objective @ cand) - value)
         if not (_primal_feasible(lp, cand)
                 and drift <= FEAS_TOL * max(1.0, abs(value))):
@@ -253,7 +386,7 @@ def _lex_refine(lp, t, basis, allowed, refine, x, value, max_iter):
 
 
 def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None) -> LpOutcome:
-    """Two-phase dense simplex with certificates.
+    """Two-phase dense simplex on the dual, with certificates.
 
     Deterministic: identical inputs yield bit-identical outcomes.  Numerical
     failure surfaces as status "breakdown" and is never folded into
@@ -262,17 +395,22 @@ def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None) -> LpOutcom
     `verify_optimal`, Farkas multipliers by `verify_farkas`, a ray by
     `verify_ray`; a failed audit is a breakdown whose message says which.
 
+    The simplex runs on the dual standard form (see `_DualTableau`), whose
+    tableau has n_vars + 1 rows however many constraints there are.  An
+    optimal basis gives the duals as its basic values and the optimum x as
+    the solution of the n rows it holds tight; an unbounded dual ray gives
+    Farkas multipliers.  When the dual is infeasible its phase-1
+    multipliers are an improving ray, and the same tableau with c = 0 then
+    decides whether the primal is infeasible or unbounded.  `iterations`
+    counts the pivots of every phase.
+
     With `refine`, an optimal x is moved to the lexicographically smallest
     point of the optimal face over those coordinates, on the final tableau
     (see `lp_solve_lex`); value and duals stay those of phase 2, and
     `iterations` counts the refinement pivots too.
     """
     n = lp.n_vars
-    mu_count = lp.a_ub.shape[0]
-    me_count = lp.a_eq.shape[0]
-    m_total = mu_count + me_count
-
-    if m_total == 0:
+    if lp.a_ub.shape[0] + lp.a_eq.shape[0] == 0:
         if float(np.abs(lp.objective).max(initial=0.0)) <= _RCOST_TOL:
             # Every refined coordinate is free on the whole space.
             message = "" if not refine else _stopped(refine[0], UNBOUNDED)
@@ -282,110 +420,71 @@ def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None) -> LpOutcom
         return LpOutcome(UNBOUNDED, ray=-lp.objective.copy(),
                          message="no constraints")
 
-    a_all = np.vstack([lp.a_ub, lp.a_eq])
-    b_all = np.concatenate([lp.b_ub, lp.b_eq])
+    dual = _DualTableau(lp)
+    t, basis, n_cols = dual.t, dual.basis, dual.n_cols
 
-    # Row scaling keeps pivots well conditioned; certificates are unscaled on
-    # the way out.
-    row_scale = np.maximum(np.abs(a_all).max(axis=1), np.abs(b_all))
-    row_scale = np.where(row_scale > _PIVOT_TOL, row_scale, 1.0)
-    a_all = a_all / row_scale[:, None]
-    b_all = b_all / row_scale
-
-    sigma = np.where(b_all < 0, -1.0, 1.0)
-    a_std = a_all * sigma[:, None]
-    b_std = b_all * sigma
-
-    # Start basis: the slack of a <= row whose scaled rhs is >= 0 is already
-    # an identity column; only flipped <= rows and equalities get an
-    # artificial.  start[i] is the column that is e_i in the first tableau.
-    n_struct = 2 * n + mu_count
-    art_rows = np.flatnonzero(np.concatenate([sigma[:mu_count] < 0,
-                                              np.ones(me_count, dtype=bool)]))
-    n_art = art_rows.size
-    ncols = n_struct + n_art
-    start = 2 * n + np.arange(m_total)
-    start[art_rows] = n_struct + np.arange(n_art)
-
-    t = np.zeros((m_total + 1, ncols + 1))
-    t[:m_total, :n] = a_std
-    t[:m_total, n:2 * n] = -a_std
-    t[np.arange(mu_count), 2 * n + np.arange(mu_count)] = sigma[:mu_count]
-    t[art_rows, n_struct + np.arange(n_art)] = 1.0
-    t[:m_total, -1] = b_std
-
-    basis = start.copy()
-    allowed = np.zeros(ncols, dtype=bool)
-    allowed[:n_struct] = True
-
-    max_iter = 1000 + 60 * (n_struct + m_total)
-
-    def multipliers(costs):
-        """Simplex multipliers y = costs[start] - reduced costs[start] of the
-        current tableau, mapped back to the caller's rows (lam, mu)."""
-        w = -sigma * (costs[start] - t[-1, start]) / row_scale
-        return w[:mu_count], w[mu_count:]
-
-    # Phase 1: drive the artificials to zero; skipped when there are none.
+    # Phase 1: drive the artificials to zero; skipped when c = 0, where
+    # y = 0 is a feasible start with every artificial at level zero.
     it1 = 0
-    if n_art:
-        costs = np.zeros(ncols)
-        costs[n_struct:] = 1.0
-        t[-1, :ncols] = costs
-        t[-1] -= t[art_rows].sum(axis=0)
-        status, it1, _ = _run_simplex(t, basis, allowed, max_iter)
+    ray = None
+    level = float(t[:-1, -1].max())
+    if level > 0.0:
+        costs = np.zeros(t.shape[1] - 1)
+        costs[n_cols:] = 1.0
+        _price(t, basis, costs)
+        status, it1, _ = _run_simplex(t, basis, n_cols, dual.max_iter,
+                                      phase_1=True)
         if status != OPTIMAL:
             return LpOutcome(BREAKDOWN, iterations=it1,
                              message=f"phase 1 ended with {status}")
+        if t[:-1, -1][basis >= n_cols].sum() > FEAS_TOL * max(1.0, level):
+            # No dual point: the phase-1 multipliers are a primal ray, and
+            # the dual of the feasibility problem (c = 0) starts from this
+            # basis with every basic value zero.
+            ray = dual.tau * (1.0 - t[-1, n_cols:-1])
+            t[:-1, -1] = 0.0
+        # artificials left basic are zero up to the phase-1 tolerance; from
+        # here on they are held at zero
+        t[:-1, -1][basis >= n_cols] = 0.0
 
-        phase1_obj = -t[-1, -1]
-        scale = max(1.0, float(np.abs(b_std).max(initial=0.0)))
-        if phase1_obj > FEAS_TOL * scale:
-            lam, mu = multipliers(costs)
-            lam = np.where(lam > 0, lam, 0.0)
-            norm = max(1.0, float(np.abs(lam).max(initial=0.0)),
-                       float(np.abs(mu).max(initial=0.0)))
-            lam, mu = lam / norm, mu / norm
-            if verify_farkas(lp, lam, mu):
-                return LpOutcome(INFEASIBLE, farkas_ub=lam, farkas_eq=mu,
-                                 iterations=it1)
-            return LpOutcome(BREAKDOWN, iterations=it1,
-                             message="phase 1 positive but certificate failed")
-
-        # Pivot leftover artificials out of the basis where possible; rows
-        # whose structural part vanished are redundant and stay inert at
-        # level zero.
-        for i in range(m_total):
-            if basis[i] >= n_struct:
-                nz = np.flatnonzero(np.abs(t[i, :n_struct]) > 1e-8)
-                if nz.size:
-                    _pivot(t, i, int(nz[0]))
-                    basis[i] = int(nz[0])
-
-    # Phase 2 with the real costs.
-    costs = np.zeros(ncols)
-    costs[:n] = lp.objective
-    costs[n:2 * n] = -lp.objective
-    _price(t, basis, costs)
-
-    status, it2, enter = _run_simplex(t, basis, allowed, max_iter)
+    # Phase 2 with the dual costs b.
+    _price(t, basis, dual.costs / dual.scale)
+    status, it2, enter = _run_simplex(t, basis, n_cols, dual.max_iter)
     iterations = it1 + it2
 
     if status == UNBOUNDED:
-        ray_std = np.zeros(ncols)
-        ray_std[enter] = 1.0
-        ray_std[basis] = -t[:m_total, enter]
-        ray = ray_std[:n] - ray_std[n:2 * n]
+        # A dual ray: y >= 0 with A^T y = 0 and b.y < 0, given one step of
+        # iterative refinement through the basis inverse.
+        y = np.zeros(t.shape[1] - 1)
+        y[enter] = 1.0
+        y[basis] = -t[:-1, enter]
+        y[basis] -= t[:-1, n_cols:-1] @ (dual.columns / dual.scale @ y)
+        lam, mu = dual.duals(y)
+        lam = np.where(lam > 0, lam, 0.0)
+        norm = max(1.0, float(np.abs(lam).max(initial=0.0)),
+                   float(np.abs(mu).max(initial=0.0)))
+        lam, mu = lam / norm, mu / norm
+        if verify_farkas(lp, lam, mu):
+            return LpOutcome(INFEASIBLE, farkas_ub=lam, farkas_eq=mu,
+                             iterations=iterations)
+        return LpOutcome(BREAKDOWN, iterations=iterations,
+                         message="infeasible claim failed the Farkas audit")
+    if status != OPTIMAL:
+        return LpOutcome(BREAKDOWN, iterations=iterations,
+                         message="phase 2 did not terminate")
+    if ray is not None:
         if not verify_ray(lp, ray):
             return LpOutcome(BREAKDOWN, iterations=iterations,
                              message="unbounded claim failed the ray audit")
         return LpOutcome(UNBOUNDED, ray=ray, iterations=iterations)
-    if status != OPTIMAL:
-        return LpOutcome(BREAKDOWN, iterations=iterations,
-                         message="phase 2 did not terminate")
 
-    x = _basic_point(t, basis, n)
-    lam, mu = multipliers(costs)
+    x = dual.tight_point()
+    if x is None:
+        return LpOutcome(BREAKDOWN, iterations=iterations,
+                         message="optimal basis is singular")
+    y = np.zeros(t.shape[1] - 1)
+    y[basis] = t[:-1, -1]
+    lam, mu = dual.duals(y)
     lam = np.where(lam > 0, lam, 0.0)
     out = LpOutcome(OPTIMAL, x=x, value=float(lp.objective @ x), dual_ub=lam,
                     dual_eq=mu, iterations=iterations)
@@ -394,9 +493,9 @@ def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None) -> LpOutcom
                          message="optimal claim failed the optimality audit")
     if refine is None:
         return out
-    x, pivots, message = _lex_refine(lp, t, basis, allowed, refine, x,
-                                     out.value, max_iter)
-    return replace(out, x=x, iterations=iterations + pivots, message=message)
+    x, pivots, message = _lex_refine(lp, dual, refine, x, out.value)
+    return LpOutcome(OPTIMAL, x=x, value=out.value, dual_ub=lam, dual_eq=mu,
+                     iterations=iterations + pivots, message=message)
 
 
 def _primal_feasible(lp: LinearProgram, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
@@ -481,10 +580,12 @@ def lp_solve_lex(lp: LinearProgram,
     coordinates in `refine` (all variables by default).
 
     One `lp_solve` call does both: after phase 2 each coordinate in turn is
-    minimized over the optimal face by re-pricing the final tableau, with
-    the columns of positive reduced cost barred so the face cannot move.
-    The point is exact up to the reduced-cost tolerance; value and duals are
-    those of the first optimum.  A stage that ends other than optimal, or
+    minimized over the optimal face by a dual-simplex stage on the final
+    tableau, whose right-hand side becomes -e_idx while every positive dual
+    stays basic, so its row stays tight and the face cannot move.  The
+    point is exact up to the tolerance of 1e-10 on a dual's sign; value and
+    duals are those of the first optimum.  A stage that ends other than
+    optimal, or
     whose point fails the feasibility and objective audit, stops the
     refinement: the last audited point is returned and `message` names the
     coordinate and the status.

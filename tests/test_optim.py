@@ -441,6 +441,130 @@ def test_lp_solve_agrees_with_highs():
     assert seen == {optim.OPTIMAL, optim.INFEASIBLE, optim.UNBOUNDED}
 
 
+def _highs(lp):
+    """(status, value) of the LP by HiGHS."""
+    from scipy.optimize import linprog
+
+    ref = linprog(
+        lp.objective,
+        A_ub=lp.a_ub if lp.a_ub.shape[0] else None,
+        b_ub=lp.b_ub if lp.a_ub.shape[0] else None,
+        A_eq=lp.a_eq if lp.a_eq.shape[0] else None,
+        b_eq=lp.b_eq if lp.a_eq.shape[0] else None,
+        bounds=[(None, None)] * lp.n_vars, method="highs")
+    status = {0: optim.OPTIMAL, 2: optim.INFEASIBLE, 3: optim.UNBOUNDED}
+    return status[ref.status], ref.fun
+
+
+def _near_parallel_lp(rng, trial):
+    """Clusters of rows whose normals differ by 1e-6 to 1e-10, over a box;
+    every third LP adds the cluster again, reversed and shifted, which
+    leaves it empty."""
+    n = int(rng.integers(2, 5))
+    spread = 10.0 ** -float(rng.choice([6, 8, 10]))
+    rows, rhs = [], []
+    for _ in range(int(rng.integers(1, 4))):
+        base = rng.normal(size=n)
+        size = (int(rng.integers(4, 12)), n)
+        cluster = base + spread * rng.normal(size=size)
+        cluster /= np.linalg.norm(cluster, axis=1, keepdims=True)
+        level = 1.0 + spread * rng.normal(size=cluster.shape[0])
+        rows.append(cluster)
+        rhs.append(level)
+        if trial % 3 == 2:
+            rows.append(-cluster)
+            rhs.append(-level - 0.5)
+    a = np.vstack(rows + [np.eye(n), -np.eye(n)])
+    b = np.concatenate(rhs + [np.full(2 * n, 10.0)])
+    return make_lp(rng.normal(size=n), a_ub=a, b_ub=b)
+
+
+def _heavy_epigraph_lp(rng, trial):
+    """min s over x in R^d with rows +-(x - p_i) <= t_i and w t_i <= s, the
+    rows with b = 0 carrying the weight w = 1e9 (integer points keep the
+    optimum representable); every third LP adds s <= -w / 2, which leaves
+    it empty."""
+    d = int(rng.integers(1, 4))
+    k = int(rng.integers(2, 5))
+    points = rng.integers(-3, 4, size=(k, d)).astype(float)
+    w = 1e9
+    n = d + k + 1
+    rows, rhs = [], []
+    for i, p in enumerate(points):
+        for sign in (1.0, -1.0):
+            block = np.zeros((d, n))
+            block[:, :d] = sign * np.eye(d)
+            block[:, d + i] = -1.0
+            rows.append(block)
+            rhs.append(sign * p)
+        row = np.zeros((1, n))
+        row[0, d + i] = w
+        row[0, -1] = -1.0
+        rows.append(row)
+        rhs.append([0.0])
+    if trial % 3 == 2:
+        row = np.zeros((1, n))
+        row[0, -1] = 1.0
+        rows.append(row)
+        rhs.append([-w / 2])
+    c = np.zeros(n)
+    c[-1] = 1.0
+    return make_lp(c, a_ub=np.vstack(rows), b_ub=np.concatenate(rhs))
+
+
+@pytest.mark.parametrize("family", [_near_parallel_lp, _heavy_epigraph_lp])
+def test_lp_solve_agrees_with_highs_on_ill_conditioned_rows(family):
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(15)
+    seen = set()
+    for trial in range(60):
+        lp = family(rng, trial)
+        want, fun = _highs(lp)
+        seen.add(want)
+        out = lp_solve(lp)
+        assert out.status == want, trial
+        if want == optim.OPTIMAL:
+            assert abs(out.value - fun) <= 1e-7 * max(1.0, abs(fun)), trial
+            assert verify_optimal(lp, out)
+        else:
+            assert verify_farkas(lp, out.farkas_ub, out.farkas_eq)
+    assert seen == {optim.OPTIMAL, optim.INFEASIBLE}
+
+
+POLYGON_SWEEP = [((2, 16), 20), ((2, 64), 20), ((3, 32), 20), ((3, 64), 10),
+                 ((2, 128), 6), ((4, 64), 6), ((2, 256), 6)]
+
+
+def test_polygon_norm_centers_agree_with_highs(monkeypatch):
+    """Centers under symmetric polygon norms with many near-parallel
+    generators: k normalized Gaussian generators and their negations, three
+    points uniform in [-2, 2]^dim, weighted max on even trials and weighted
+    sum on odd ones.  The simplex once broke down on 15 of the first 82."""
+    pytest.importorskip("scipy")
+    solved = []
+    real = optim.lp_solve_lex
+
+    def capture(lp, refine=None):
+        solved.append(lp)
+        return real(lp, refine=refine)
+
+    monkeypatch.setattr(optim, "lp_solve_lex", capture)
+    rng = np.random.default_rng(0)
+    for (dim, k), trials in POLYGON_SWEEP:
+        for trial in range(trials):
+            gens = rng.normal(size=(k, dim))
+            gens /= np.linalg.norm(gens, axis=1, keepdims=True)
+            space = norms.polyhedral(np.vstack([gens, -gens]))
+            points = centers.FiniteSet(rng.uniform(-2, 2, size=(3, dim)))
+            f = (centers.WeightedMax if trial % 2 == 0
+                 else centers.WeightedSum)([1.0, 1.0, 1.0])
+            res = centers.solve_center(
+                centers.CenterProblem(space, None, points, f), method="lp")
+            want, fun = _highs(solved[-1])
+            assert want == optim.OPTIMAL
+            assert abs(res.rad - fun) <= 1e-9, (dim, k, trial)
+
+
 def test_verify_ray_accepts_solver_ray_and_rejects_corrupted_ones():
     # min -x - y s.t. x - y <= 1, -x <= 0, x + y - 2z = 0: improves along
     # (1, 1, 1) forever.
