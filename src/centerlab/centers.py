@@ -2,14 +2,17 @@
 scalarizations.
 
 For a finite set F = {x_1, ..., x_N}, a scalarization f, and a feasible set V
-(a subspace, a union of lines, or the whole space), the objective is
+(a subspace or a union of lines), the objective is
 
     r_f(v, F) = f(||v - x_1||, ..., ||v - x_N||),
 
 its infimum over V is the restricted radius, and the minimizer set is the
-center set.  Polyhedral instances reduce exactly to linear programs; the rest
-run staged subgradient descent.  Delta-center probes, the modulus curve of
-the delta-center collapse, and minimizing-sequence experiments live here too.
+center set.  The whole space is the subspace `Subspace.full(n)`, which a
+`CenterProblem` built with `feasible=None` holds, so an ordinary Chebyshev
+center is a restricted center like any other and {0} is one too.
+Polyhedral instances reduce exactly to linear programs; the rest run staged
+subgradient descent.  Delta-center probes, the modulus curve of the
+delta-center collapse, and minimizing-sequence experiments live here too.
 
 Each scalarization (WeightedMax, WeightedSum, PowerSum, Composite) carries
 its own arithmetic: `arity`; `value_many(ts)`, f at each row of ts;
@@ -253,7 +256,7 @@ class UnionOfLines:
             norms.subspace_from_basis(pts.shape[1], [d]) for d in dirs))
 
     @property
-    def dim(self) -> int:
+    def ambient_dim(self) -> int:
         return self.points.shape[1]
 
     def contains(self, x, tol: float = FEAS_TOL) -> bool:
@@ -266,13 +269,16 @@ class UnionOfLines:
         return False
 
 
-FeasibleSet = Union[Subspace, UnionOfLines, None]
+FeasibleSet = Union[Subspace, UnionOfLines]
 
 
 @dataclass(frozen=True, eq=False)
 class CenterProblem:
+    """A restricted-center question; `feasible=None` is the whole space and
+    is held as `Subspace.full(n)`."""
+
     space: object
-    feasible: FeasibleSet
+    feasible: FeasibleSet | None
     points: FiniteSet
     f: Scalarization
 
@@ -280,10 +286,10 @@ class CenterProblem:
         n = norms.space_dim(self.space)
         if self.points.dim != n:
             raise DimensionMismatchError("points do not match the space dimension")
-        if isinstance(self.feasible, Subspace) and self.feasible.ambient_dim != n:
-            raise DimensionMismatchError("feasible subspace ambient dim mismatch")
-        if isinstance(self.feasible, UnionOfLines) and self.feasible.dim != n:
-            raise DimensionMismatchError("feasible line set dim mismatch")
+        if self.feasible is None:
+            object.__setattr__(self, "feasible", Subspace.full(n))
+        if self.feasible.ambient_dim != n:
+            raise DimensionMismatchError("feasible set ambient dim mismatch")
         if self.f.arity != self.points.size:
             raise DimensionMismatchError("scalarization arity differs from |F|")
 
@@ -307,31 +313,25 @@ def eval_rf_many(space, vs: np.ndarray, fs: FiniteSet, f: Scalarization) -> np.n
 @dataclass(frozen=True, eq=False)
 class CentFace:
     """LP description of the full center set: the rad-sublevel set of r_f
-    inside V.  Distances to it are again LPs, so nonunique centers (common
-    under max norms) are handled without collapsing to a single point."""
+    inside the problem's feasible subspace.  Distances to it are again LPs,
+    so nonunique centers (common under max norms) are handled without
+    collapsing to a single point."""
 
-    space: object
-    feasible: Subspace | None
-    points: FiniteSet
-    f: Scalarization
+    problem: CenterProblem
     rad: float
-
-    def _basis(self) -> np.ndarray:
-        if self.feasible is None:
-            return np.eye(self.points.dim)
-        return np.array(self.feasible.basis)
 
     def distance_to(self, v) -> float:
         """Distance from v to the face, its level relaxed by FEAS_TOL."""
         v = np.asarray(v, dtype=float)
+        p = self.problem
         builder = optim.LpBuilder()
-        basis = self._basis()
+        basis = p.feasible.basis
         alphas = builder.new_vars(basis.shape[1])
         s = builder.new_var()
         builder.set_objective([s], [1.0])
-        _add_rf_level_rows(builder, self.space, self.points, self.f, alphas,
-                           basis, self.rad + FEAS_TOL * max(1.0, abs(self.rad)))
-        norms.add_norm_epigraph(builder, self.space, alphas, -basis, v, s)
+        _add_rf_level_rows(builder, p.space, p.points, p.f, alphas, basis,
+                           self.rad + FEAS_TOL * max(1.0, abs(self.rad)))
+        norms.add_norm_epigraph(builder, p.space, alphas, -basis, v, s)
         out = optim.lp_solve(builder.build())
         if out.status != optim.OPTIMAL:
             raise OptimizationError(f"distance-to-center LP: {out.status}")
@@ -419,8 +419,7 @@ def solve_center(problem: CenterProblem, method: str = "auto") -> CenterResult:
                                     f_report)
         return best
 
-    basis = (np.eye(problem.points.dim) if problem.feasible is None
-             else np.array(problem.feasible.basis))
+    basis = problem.feasible.basis
     lp_ok = norms.is_lp_encodable(problem.space) and problem.f.lp_encodable
     if method == "lp" and not lp_ok:
         raise OptimizationError("no exact LP formulation for this instance")
@@ -428,8 +427,7 @@ def solve_center(problem: CenterProblem, method: str = "auto") -> CenterResult:
 
     if use_lp:
         rad, minimizer, certificate = _lp_center(problem, basis)
-        face = CentFace(problem.space, problem.feasible, problem.points,
-                        problem.f, rad)
+        face = CentFace(problem, rad)
         result_method = "lp"
     else:
         rad, minimizer, certificate = _subgradient_center(problem, basis)
@@ -449,20 +447,11 @@ def solve_center(problem: CenterProblem, method: str = "auto") -> CenterResult:
 # ---------------------------------------------------------------------------
 # delta centers and the collapse modulus
 
-@dataclass(frozen=True)
-class ProbeConfig:
-    n_rejection: int = 200
-    budget: int = 4000
-    seed: int = 0
-
-
 @dataclass(frozen=True, eq=False)
 class DeltaCenterProbe:
     delta: float
-    eps: float
     samples: np.ndarray
     excess: float
-    within: bool
     mode: str
     topology: str = TOPOLOGY_NOTE
 
@@ -491,13 +480,14 @@ def _sublevel_vertices(problem: CenterProblem, basis: np.ndarray,
 
 
 SAMPLE_BLOCK, SAMPLE_CELLS = 1024, 65536
+N_REJECTION, BUDGET = 200, 4000
 
 
 def _rejection_samples(problem: CenterProblem, basis: np.ndarray, level: float,
                        rng: np.random.Generator, alpha_star: np.ndarray,
-                       width: float, cfg: ProbeConfig) -> np.ndarray:
-    """The first `cfg.n_rejection` of at most `cfg.budget` uniform draws
-    around `alpha_star` whose r_f is at most `level`.
+                       width: float) -> np.ndarray:
+    """The first N_REJECTION of at most BUDGET uniform draws around
+    `alpha_star` whose r_f is at most `level`.
 
     Draws are made and tested in blocks of at most SAMPLE_BLOCK draws and
     SAMPLE_CELLS (draw, point, coordinate) differences.  The uniforms are
@@ -511,37 +501,35 @@ def _rejection_samples(problem: CenterProblem, basis: np.ndarray, level: float,
     state = rng.bit_generator.state
     kept: list[np.ndarray] = []
     n_kept = draws = 0
-    while n_kept < cfg.n_rejection and draws < cfg.budget:
+    while n_kept < N_REJECTION and draws < BUDGET:
         block = alpha_star + rng.uniform(-width, width,
-                                         size=(min(rows, cfg.budget - draws), d))
+                                         size=(min(rows, BUDGET - draws), d))
         hits = np.flatnonzero(eval_rf_many(problem.space, block @ basis.T,
                                            problem.points, problem.f) <= level)
-        hits = hits[:cfg.n_rejection - n_kept]
+        hits = hits[:N_REJECTION - n_kept]
         kept.append(block[hits])
         n_kept += hits.size
-        draws += block.shape[0] if n_kept < cfg.n_rejection else int(hits[-1]) + 1
+        draws += block.shape[0] if n_kept < N_REJECTION else int(hits[-1]) + 1
     rng.bit_generator.state = state
     rng.uniform(-width, width, size=(draws, d))
     return np.concatenate(kept) if kept else np.zeros((0, d))
 
 
-def delta_center_probe(problem: CenterProblem, delta: float, eps: float,
-                       cfg: ProbeConfig = ProbeConfig(),
+def delta_center_probe(problem: CenterProblem, delta: float, seed: int = 0,
                        result: CenterResult | None = None) -> DeltaCenterProbe:
     """Sample the delta-center set and measure how far it sticks out of the
-    center set (`eps` is the probe radius of the neighborhood being tested).
+    center set.
 
     Exact mode enumerates the sublevel vertices (the extreme points carry the
     maximum of the convex distance function); otherwise rejection samples over
-    a box plus LP-extremal points in 32 random directions.  The minimizer itself
-    always qualifies, so the sampler cannot starve.
+    a box, seeded by `seed`, plus LP-extremal points in 32 random directions.
+    The minimizer itself always qualifies, so the sampler cannot starve.
     """
     if isinstance(problem.feasible, UnionOfLines):
         raise ValueError("probe requires a convex feasible set")
     if result is None:
         result = solve_center(problem)
-    basis = (np.eye(problem.points.dim) if problem.feasible is None
-             else np.array(problem.feasible.basis))
+    basis = problem.feasible.basis
     level = result.rad + delta
     samples_alpha: list[np.ndarray] = []
 
@@ -550,13 +538,13 @@ def delta_center_probe(problem: CenterProblem, delta: float, eps: float,
     if verts is not None:
         samples_alpha.extend(verts)
     else:
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(seed)
         alpha_star = basis.T @ result.minimizer
         spread = np.abs(basis.T @ problem.points.points.T).max(initial=1.0)
         width = 2.0 * max(1.0, float(np.abs(alpha_star).max(initial=0.0)),
                           float(spread))
         samples_alpha.extend(_rejection_samples(problem, basis, level, rng,
-                                                alpha_star, width, cfg))
+                                                alpha_star, width))
         if norms.is_lp_encodable(problem.space) and problem.f.lp_encodable:
             for _ in range(32):
                 c = rng.normal(size=basis.shape[1])
@@ -582,11 +570,10 @@ def delta_center_probe(problem: CenterProblem, delta: float, eps: float,
     else:
         dists = eval_norm_many(problem.space, samples - result.minimizer)
     excess = float(dists.max(initial=0.0))
-    return DeltaCenterProbe(delta, eps, samples, excess, excess <= eps, mode)
+    return DeltaCenterProbe(delta, samples, excess, mode)
 
 
-def p1_modulus(problem: CenterProblem, deltas: Iterable[float],
-               cfg: ProbeConfig = ProbeConfig(),
+def p1_modulus(problem: CenterProblem, deltas: Iterable[float], seed: int = 0,
                result: CenterResult | None = None) -> list[tuple[float, float, int]]:
     """Modulus curve delta -> excess; shares one sampler seed across deltas so
     sampled curves inherit the nesting of the delta-center sets."""
@@ -594,8 +581,7 @@ def p1_modulus(problem: CenterProblem, deltas: Iterable[float],
         result = solve_center(problem)
     curve = []
     for delta in deltas:
-        probe = delta_center_probe(problem, float(delta), eps=np.inf, cfg=cfg,
-                                   result=result)
+        probe = delta_center_probe(problem, float(delta), seed, result)
         curve.append((float(delta), probe.excess, int(probe.samples.shape[0])))
     return curve
 
@@ -630,10 +616,8 @@ def sacp_experiment(problem: CenterProblem, sequence: Iterable[np.ndarray],
                 for v in itertools.islice(iter(sequence), horizon)]
     if not elements:
         raise ValueError("empty sequence")
-    feas = problem.feasible
     for i, v in enumerate(elements):
-        inside = True if feas is None else feas.contains(v)
-        if not inside:
+        if not problem.feasible.contains(v):
             raise ValueError(f"sequence element {i} lies outside the feasible set")
     if result is None:
         result = solve_center(problem)
@@ -690,7 +674,7 @@ def problem_to_json(problem: CenterProblem) -> dict:
     if isinstance(problem.feasible, UnionOfLines):
         feas = {"lines": {"points": problem.feasible.points.tolist(),
                           "directions": problem.feasible.directions.tolist()}}
-    elif isinstance(problem.feasible, Subspace):
+    elif problem.feasible.kernel.shape[0]:
         feas = norms.subspace_to_json(problem.feasible)
     else:
         feas = None
@@ -706,7 +690,7 @@ def problem_from_json(data: dict) -> CenterProblem:
     pts = FiniteSet(np.asarray(data["points"], dtype=float))
     feas_data = data.get("subspace")
     if feas_data is None:
-        feasible: FeasibleSet = None
+        feasible = None
     elif "lines" in feas_data:
         feasible = UnionOfLines(np.asarray(feas_data["lines"]["points"], dtype=float),
                                 np.asarray(feas_data["lines"]["directions"], dtype=float))

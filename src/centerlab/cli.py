@@ -30,7 +30,6 @@ import numpy as np
 
 from . import centers, geometry, instances, norms, optim, sequences
 from .centers import (
-    ProbeConfig,
     p1_modulus,
     problem_from_json,
     sacp_experiment,
@@ -445,8 +444,8 @@ def cmd_center(args) -> tuple[dict, int]:
             "subgradient radius agrees with the exact route",
             sg.rad, result.rad, tol=1e-4, oracle="derived:subgradient"))
     if not lines:
-        curve = p1_modulus(problem, config["deltas"],
-                           cfg=ProbeConfig(seed=args.seed), result=result)
+        curve = p1_modulus(problem, config["deltas"], seed=args.seed,
+                           result=result)
         report["verdicts"]["modulus"] = [
             {"delta": d, "excess": e, "samples": s} for d, e, s in curve]
         report["checks"].append(check(

@@ -57,8 +57,6 @@ class BallFamily:
         radii = np.asarray(radii, dtype=float).ravel()
         if centers.ndim != 2 or centers.shape[0] != radii.shape[0]:
             raise ValueError("a family needs one center row per radius")
-        if not (np.isfinite(centers).all() and np.isfinite(radii).all()):
-            raise ValueError("ball centers and radii must be finite")
         return cls(tuple(Ball(c, float(r)) for c, r in zip(centers, radii)))
 
     @property
@@ -182,8 +180,7 @@ def central_subspace_check(space, sub: Subspace, trials: int, seed: int,
     for trial in range(trials):
         k = int(rng.integers(2, 5))
         w = w_basis @ rng.normal(size=w_basis.shape[1]) * 1.5
-        centers = (sub.basis @ rng.normal(size=(sub.dim, k)) * 1.5).T \
-            if sub.dim else np.zeros((k, n))
+        centers = (sub.basis @ rng.normal(size=(sub.dim, k)) * 1.5).T
         radii = eval_norm_many(space, w[None, :] - centers) * \
             (1.0 + rng.uniform(0.0, 0.2, size=k))
         fam = BallFamily.from_arrays(centers, radii)
@@ -497,8 +494,7 @@ def _lift_subspace(parts: Sequence[Subspace], n_total: int,
             col = np.zeros(n_total)
             col[sl] = part.basis[:, j]
             cols.append(col)
-    return norms.subspace_from_basis(n_total, np.array(cols)) if cols \
-        else Subspace.zero(n_total)
+    return norms.subspace_from_basis(n_total, np.array(cols))
 
 
 def compose_direct_sum_projections(space: norms.SumNorm,
@@ -538,8 +534,7 @@ def compose_direct_sum_projections(space: norms.SumNorm,
 
     rng = np.random.default_rng(seed)
     alphas = rng.normal(size=samples)
-    ys = (y_sum.basis @ rng.normal(size=(y_sum.dim, samples))).T \
-        if y_sum.dim else np.zeros((samples, n))
+    ys = (y_sum.basis @ rng.normal(size=(y_sum.dim, samples))).T
     w = alphas[:, None] * z0 + ys
     qw = alphas[:, None] * image + ys
     ratios = eval_norm_many(space, qw) / np.maximum(eval_norm_many(space, w), 1e-300)
@@ -631,8 +626,7 @@ def lift_projection_linf_sum(base_space, p_matrix, z1: Subspace, k: int,
         np.maximum(eval_norm_many(lifted_space, xs_big), 1e-300)
     checks["lift_norm_le_1"] = bool(ratios.max() <= 1.0 + 1e-9)
 
-    y_base = norms.subspace_from_basis(n, _column_space(p_matrix).T) \
-        if np.abs(p_matrix).max() > 0 else Subspace.zero(n)
+    y_base = norms.subspace_from_basis(n, _column_space(p_matrix))
     z2_base = intersect_subspaces(z1, y_base)
     slices = [slice(i * n, (i + 1) * n) for i in range(k)]
     lifted_y = _lift_subspace([y_base] * k, k * n, slices)

@@ -11,8 +11,8 @@ remaining cases go through subgradients.
 Each kind of norm or combiner is one class that carries its own arithmetic,
 LP rows, JSON and unchecked axioms (see `_Norm`), with everything it needs
 (generator blocks, p-values, component slices) built when it is
-constructed.  `space_dim`, `eval_norm`, `eval_norm_many`, `norm_subgradient`
-and `eval_weight_norm` call its methods, and the subgradient oracles call its
+constructed.  `space_dim`, `eval_norm`, `eval_norm_many` and
+`norm_subgradient` call its methods, and the subgradient oracles call its
 `value_and_subgrad_many` directly, which gives the norms and one subgradient
 per row of a whole array without a Python loop over the rows.
 
@@ -470,11 +470,6 @@ def _check_dim(space, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def eval_weight_norm(wnorm: WeightNorm, t: np.ndarray) -> float:
-    """The combiner norm of |t|."""
-    return float(_norm(wnorm).value_many(np.abs(np.asarray(t, dtype=float))[None, :])[0])
-
-
 def eval_norm(space, x) -> float:
     """Norm of a single vector under any NormSpec variant."""
     x = _check_dim(space, x)
@@ -613,13 +608,8 @@ class Subspace:
 
     def contains(self, x, tol: float = FEAS_TOL) -> bool:
         x = np.asarray(x, dtype=float)
-        if self.kernel.shape[0] == 0:
-            return True
         resid = np.abs(self.kernel @ x).max(initial=0.0)
         return resid <= tol * max(1.0, float(np.abs(x).max(initial=0.0)))
-
-    def coords(self, x) -> np.ndarray:
-        return self.basis.T @ np.asarray(x, dtype=float)
 
     def embed(self, alpha) -> np.ndarray:
         return self.basis @ np.asarray(alpha, dtype=float)
@@ -672,8 +662,6 @@ def sum_subspaces(y: Subspace, z: Subspace) -> Subspace:
         raise DimensionMismatchError("ambient dimensions differ")
     stacked = np.vstack([y.basis.T, z.basis.T])
     keep = _independent_rows(np.array(stacked))
-    if not keep:
-        return Subspace.zero(y.ambient_dim)
     return subspace_from_basis(y.ambient_dim, stacked[keep])
 
 
@@ -681,8 +669,6 @@ def intersect_subspaces(y: Subspace, z: Subspace) -> Subspace:
     if y.ambient_dim != z.ambient_dim:
         raise DimensionMismatchError("ambient dimensions differ")
     stacked = np.vstack([y.kernel, z.kernel])
-    if stacked.shape[0] == 0:
-        return Subspace.full(y.ambient_dim)
     keep = _independent_rows(np.array(stacked))
     return subspace_from_kernel(y.ambient_dim, stacked[keep])
 
@@ -801,7 +787,9 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _frozen(self.center))
-        if self.radius < 0:
+        if not (np.isfinite(self.center).all() and np.isfinite(self.radius)):
+            raise ValueError("ball centers and radii must be finite")
+        if not self.radius >= 0:
             raise ValueError("ball radius must be nonnegative")
 
 

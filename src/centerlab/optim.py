@@ -533,18 +533,17 @@ def verify_farkas(lp: LinearProgram, lam: np.ndarray, mu: np.ndarray,
 
 
 def verify_ray(lp: LinearProgram, ray: np.ndarray, tol: float = FEAS_TOL) -> bool:
-    """Check that `ray` proves unboundedness: scaled to unit max-norm, it
-    keeps a_ub @ ray <= 0 and a_eq @ ray = 0 (both up to the tolerance
-    verify_farkas allows its row combination) and objective @ ray < 0."""
+    """Check that `ray` proves unboundedness: scaled to unit max-norm, each
+    row a_j keeps a_j @ ray <= tol * (|a_j| @ |ray|) for a_ub and
+    |a_j @ ray| <= tol * (|a_j| @ |ray|) for a_eq, a slack on the scale of
+    that row's own products, and objective @ ray < 0."""
     size = float(np.abs(ray).max(initial=0.0))
     if not (np.isfinite(ray).all() and size > 0.0):
         return False
     r = ray / size
-    slack = 100 * tol * max(1.0, float(np.abs(lp.a_ub).max(initial=0.0)),
-                            float(np.abs(lp.a_eq).max(initial=0.0)))
-    if float((lp.a_ub @ r).max(initial=0.0)) > slack:
+    if (lp.a_ub @ r > tol * (np.abs(lp.a_ub) @ np.abs(r))).any():
         return False
-    if float(np.abs(lp.a_eq @ r).max(initial=0.0)) > slack:
+    if (np.abs(lp.a_eq @ r) > tol * (np.abs(lp.a_eq) @ np.abs(r))).any():
         return False
     return float(lp.objective @ r) < 0.0
 

@@ -149,9 +149,8 @@ def test_delta_probe_zero_delta_zero_excess():
     prob = CenterProblem(linf(3), plane_sum_zero(), FiniteSet(Y_POINTS),
                          uniform_max(3))
     res = solve_center(prob)
-    probe = delta_center_probe(prob, delta=0.0, eps=1e-6, result=res)
+    probe = delta_center_probe(prob, delta=0.0, result=res)
     assert probe.excess <= 1e-6
-    assert probe.within
 
 
 def test_delta_probe_segment_center_set():
@@ -161,7 +160,7 @@ def test_delta_probe_segment_center_set():
                          uniform_max(2))
     res = solve_center(prob)
     assert res.rad == pytest.approx(1.0, abs=1e-12)
-    probe = delta_center_probe(prob, delta=0.25, eps=np.inf, result=res)
+    probe = delta_center_probe(prob, delta=0.25, result=res)
     assert probe.samples.shape[0] >= 4
     for v in probe.samples:
         a, b = v
@@ -176,7 +175,7 @@ def test_delta_probe_samples_stay_in_sublevel():
     prob = CenterProblem(l1(2), None, pts, uniform_max(3))
     res = solve_center(prob)
     for delta in (0.5, 0.05):
-        probe = delta_center_probe(prob, delta, eps=np.inf, result=res)
+        probe = delta_center_probe(prob, delta, result=res)
         vals = centers.eval_rf_many(l1(2), probe.samples, pts, prob.f)
         assert (vals <= res.rad + delta + 1e-6).all()
 
@@ -466,11 +465,11 @@ def test_combine_is_value_and_subgradient(name):
         assert (slack >= -1e-9 * max(1.0, abs(val))).all()
 
 
-def _rejection_by_loop(problem, basis, level, rng, alpha_star, width, cfg):
+def _rejection_by_loop(problem, basis, level, rng, alpha_star, width):
     """The probe's rejection sampler as one draw per iteration."""
     kept = []
     draws = 0
-    while len(kept) < cfg.n_rejection and draws < cfg.budget:
+    while len(kept) < centers.N_REJECTION and draws < centers.BUDGET:
         draws += 1
         alpha = alpha_star + rng.uniform(-width, width, size=basis.shape[1])
         if eval_rf(problem.space, basis @ alpha, problem.points, problem.f) <= level:
@@ -479,44 +478,45 @@ def _rejection_by_loop(problem, basis, level, rng, alpha_star, width, cfg):
 
 
 @pytest.mark.parametrize("case", ["accepting", "starving", "lp-encodable", "wide"])
-def test_block_sampler_matches_scalar_loop(case):
+def test_block_sampler_matches_scalar_loop(case, monkeypatch):
     rng = np.random.default_rng(5)
     if case == "accepting":
         # needs more than one block: 300 hits at a rate well below 1/4
         prob = CenterProblem(l2(3), None, FiniteSet(rng.normal(size=(3, 3))),
                              WeightedSum(np.array([1.0, 0.5, 2.0])))
-        delta, cfg = 3.0, centers.ProbeConfig(n_rejection=300, budget=4000)
+        delta, cutoffs = 3.0, (300, 4000)
     elif case == "starving":
         prob = CenterProblem(lp_norm(2.5, 2), None,
                              FiniteSet(rng.normal(size=(2, 2))), uniform_max(2))
-        delta, cfg = 1e-6, centers.ProbeConfig(n_rejection=200, budget=2500)
+        delta, cutoffs = 1e-6, (200, 2500)
     elif case == "lp-encodable":
         prob = CenterProblem(l1(3), plane_sum_zero(), FiniteSet(Y_POINTS),
                              WeightedSum(np.ones(3)))
-        delta, cfg = 0.3, centers.ProbeConfig()
+        delta, cutoffs = 0.3, (centers.N_REJECTION, centers.BUDGET)
     else:
         # |F| * n = 4,800 differences per draw: blocks of 13 draws
         prob = CenterProblem(l2(40), None, FiniteSet(rng.normal(size=(120, 40))),
                              WeightedSum(np.full(120, 1.0 / 120)))
-        delta, cfg = 3.0, centers.ProbeConfig(n_rejection=100, budget=600)
+        delta, cutoffs = 3.0, (100, 600)
+    monkeypatch.setattr(centers, "N_REJECTION", cutoffs[0])
+    monkeypatch.setattr(centers, "BUDGET", cutoffs[1])
     res = solve_center(prob)
-    n = prob.points.dim
-    basis = np.eye(n) if prob.feasible is None else np.array(prob.feasible.basis)
+    basis = prob.feasible.basis
     alpha_star = basis.T @ res.minimizer
     width = 2.0
     level = res.rad + delta
     blocks, loop = np.random.default_rng(11), np.random.default_rng(11)
     got = centers._rejection_samples(prob, basis, level, blocks, alpha_star,
-                                     width, cfg)
-    want = _rejection_by_loop(prob, basis, level, loop, alpha_star, width, cfg)
+                                     width)
+    want = _rejection_by_loop(prob, basis, level, loop, alpha_star, width)
     assert np.array_equal(got, want)
     assert blocks.bit_generator.state == loop.bit_generator.state
     if case in ("accepting", "wide"):
-        assert len(want) == cfg.n_rejection
+        assert len(want) == cutoffs[0]
     elif case == "starving":
-        assert len(want) < cfg.n_rejection
+        assert len(want) < cutoffs[0]
     else:
-        assert 0 < len(want) <= cfg.n_rejection
+        assert 0 < len(want) <= cutoffs[0]
 
 
 def test_radius_audit_refuses_an_inflated_radius(monkeypatch):
@@ -544,11 +544,38 @@ def test_probe_of_a_max_sum_enumerates_its_vertices(monkeypatch):
     prob = CenterProblem(space, sub, FiniteSet(rng.normal(size=(3, 5))),
                          uniform_max(3))
     res = solve_center(prob)
-    exact = delta_center_probe(prob, 0.1, eps=np.inf, result=res)
+    exact = delta_center_probe(prob, 0.1, result=res)
     assert exact.mode == "vertex-exact"
     # the vertices carry the maximum of the convex distance, so no sampled
     # point of the sublevel set lies farther out
     monkeypatch.setattr(centers, "_sublevel_vertices", lambda *args: None)
-    sampled = delta_center_probe(prob, 0.1, eps=np.inf, result=res)
+    sampled = delta_center_probe(prob, 0.1, result=res)
     assert sampled.mode == "sampled"
     assert sampled.excess <= exact.excess + 1e-9
+
+
+@pytest.mark.parametrize("space", [linf(3), l2(3)], ids=["linf", "l2"])
+def test_whole_space_as_none_and_as_full_subspace_agree(space):
+    # both spellings of the whole space take one code path: bit-identical
+    # radii, minimizers, center-face distances, moduli and sequence verdicts
+    pts = FiniteSet(Y_POINTS + np.array([0.5, 0.0, -0.25]))
+    f = WeightedMax(np.array([1.0, 2.0, 0.5]))
+    as_none = CenterProblem(space, None, pts, f)
+    as_full = CenterProblem(space, norms.Subspace.full(3), pts, f)
+    a, b = solve_center(as_none), solve_center(as_full)
+    assert a.rad == b.rad and a.method == b.method
+    assert a.minimizer.tobytes() == b.minimizer.tobytes()
+    if a.cent_face is not None:
+        for v in (np.zeros(3), np.array([1.0, -2.0, 0.5])):
+            assert a.cent_face.distance_to(v) == b.cent_face.distance_to(v)
+    deltas = [0.3, 0.01]
+    assert p1_modulus(as_none, deltas, seed=3, result=a) == \
+        p1_modulus(as_full, deltas, seed=3, result=b)
+    seq = [a.minimizer + np.array([1.0, 0.5, -1.0]) / (k + 1) for k in range(8)]
+    va = sacp_experiment(as_none, seq, horizon=8, cluster_tol=0.3, result=a)
+    vb = sacp_experiment(as_full, seq, horizon=8, cluster_tol=0.3, result=b)
+    assert va.values.tobytes() == vb.values.tobytes()
+    assert (va.minimizing, va.min_pairwise, va.verdict) == \
+        (vb.minimizing, vb.min_pairwise, vb.verdict)
+    assert problem_to_json(as_none)["subspace"] is None
+    assert problem_to_json(as_full) == problem_to_json(as_none)

@@ -485,6 +485,20 @@ def test_replay_refuses_an_unknown_expected_status(tmp_path, capsys, expected):
     assert len(lines) == 1 and lines[0].startswith("centerlab: ")
 
 
+@pytest.mark.parametrize("field, index, value", [
+    ("radii", 1, float("nan")), ("centers", 0, [float("inf"), 0.0, 0.0])])
+def test_replay_refuses_a_non_finite_ball(tmp_path, capsys, field, index, value):
+    doc = json.loads(json.dumps(REPLAY_DOC))
+    doc["counterexample"]["family"][field][index] = value
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps(doc))
+    assert main(["replay", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("centerlab: malformed")
+
+
 def test_replay_mismatch_exits_3(tmp_path, capsys):
     doc = json.loads(json.dumps(REPLAY_DOC))
     doc["counterexample"]["expected_status"] = "feasible"

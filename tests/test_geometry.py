@@ -75,6 +75,19 @@ def test_single_ball_witness_is_center():
     assert np.allclose(res.witness, [1.0, 2.0], atol=1e-9)
 
 
+@pytest.mark.parametrize("center, radius, message", [
+    (np.zeros(2), np.nan, "must be finite"),
+    ([np.inf, 0.0], 1.0, "must be finite"),
+    (np.zeros(2), np.inf, "must be finite"),
+    ([np.nan, 0.0], 1.0, "must be finite"),
+    (np.zeros(2), -1.0, "nonnegative")])
+def test_balls_refuse_malformed_centers_and_radii(center, radius, message):
+    with pytest.raises(ValueError, match=message):
+        norms.Ball(center, radius)
+    with pytest.raises(ValueError, match=message):
+        BallFamily.from_arrays([center], [radius])
+
+
 def test_balls_intersect_monotone_in_feasible_set():
     rng = np.random.default_rng(2)
     space = linf(3)
@@ -470,6 +483,17 @@ def test_lift_projection_k3_coordinate():
     res = lift_projection_linf_sum(base, p, z1, k=3, trials=60, seed=7)
     assert all(res.checks.values())
     assert res.matrix.shape == (6, 6)
+
+
+def test_lift_projection_of_rank_two():
+    # the range of a rank-2 projection is spanned by its two column-space
+    # rows; read as columns they would make a dependent pair
+    base = linf(3)
+    p = np.diag([1.0, 1.0, 0.0])
+    res = lift_projection_linf_sum(base, p, Subspace.full(3), k=2, trials=20,
+                                   seed=1)
+    assert all(res.checks.values())
+    assert res.central.passed
 
 
 def test_lift_projection_reports_hypothesis_violation():

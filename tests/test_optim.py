@@ -581,6 +581,32 @@ def test_verify_ray_accepts_solver_ray_and_rejects_corrupted_ones():
     assert not verify_ray(lp, np.array([np.nan, 1.0, 1.0]))
 
 
+def test_verify_ray_scales_each_row_by_its_own_products():
+    # min s s.t. +-(x - p_i) <= t_i and w_i t_i - s <= 0 (an l-inf weighted
+    # max center, 3 points in R^3) is bounded below by 0.  The ray lowering s
+    # alone breaks each w_i t_i - s <= 0 row by 1 at unit size, which a slack
+    # scaled by the largest coefficient (1e9 here) would let through.
+    points = np.array([[0.0, 1.0, 2.0], [1.0, -1.0, 0.5], [-2.0, 0.0, 1.0]])
+    weights = np.array([2.44e9, 1.69e9, 1.91e9])
+    a_ub, b_ub = [], []
+    for i, p in enumerate(points):
+        for k in range(3):
+            for sign in (1.0, -1.0):
+                row = np.zeros(7)
+                row[k], row[3 + i] = sign, -1.0
+                a_ub.append(row)
+                b_ub.append(sign * p[k])
+        row = np.zeros(7)
+        row[3 + i], row[6] = weights[i], -1.0
+        a_ub.append(row)
+        b_ub.append(0.0)
+    lp = make_lp(np.eye(7)[6], a_ub=a_ub, b_ub=b_ub)
+    ray = np.zeros(7)
+    ray[6] = -1.1e-7
+    assert float(lp.objective @ ray) < 0.0
+    assert not verify_ray(lp, ray)
+
+
 def test_failed_audits_become_breakdowns(monkeypatch):
     bounded = make_lp([1.0], a_ub=[[-1.0]], b_ub=[-1.0])
     unbounded = make_lp([-1.0, 0.0], a_ub=[[0.0, 1.0]], b_ub=[1.0])
