@@ -12,6 +12,7 @@ the radii), since independently random radii almost never intersect.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -106,6 +107,15 @@ def balls_intersect(space, family: BallFamily, within: Subspace | None = None
     None): by one feasibility LP for polyhedral norms, else by the center
     of max_i ||y - c_i|| / (r_i + slack) over `within`, which is FEASIBLE
     when every ball holds it within the audit's slack."""
+    return _intersect(space, family, within, None)
+
+
+def _intersect(space, family: BallFamily, within: Subspace | None,
+               start: optim.LpStart | None) -> IntersectionResult:
+    """`balls_intersect`, whose feasibility LP is solved with `start`: a
+    checker keeps one per chain of families whose LPs share their rows
+    (same space, subspace and size), so that each trial is re-solved from
+    the basis of the one before."""
     n = norms.space_dim(space)
     if family.dim != n:
         raise DimensionMismatchError("family does not match the space dimension")
@@ -123,7 +133,7 @@ def balls_intersect(space, family: BallFamily, within: Subspace | None = None
             norms.add_norm_epigraph(builder, space, alphas, basis, -center, tv)
             builder.add_ub([tv], [[1.0]], [radius])
         lp = builder.build()
-        out = optim.lp_solve(lp)
+        out = optim.lp_solve(lp, start=start)
         if out.status == optim.OPTIMAL:
             witness = basis @ out.x[:basis.shape[1]]
             gaps = eval_norm_many(space, witness[None, :] - centers) - radii
@@ -167,10 +177,15 @@ def central_subspace_check(space, sub: Subspace, trials: int, seed: int,
     Families of 2-4 balls are generated witness-first: the witness is drawn
     from `within`, centers from `sub`, and each radius is the witness
     distance inflated by a factor in [1, 1.2], so feasibility in `within`
-    holds by construction.  Injected families are tested first.
+    holds by construction.  Injected families are tested first.  The
+    trials' feasibility LPs are solved warm, with one `optim.LpStart` per
+    family size: families of one size share their LP rows, which differ
+    only in the right-hand side, so each re-solve starts from the basis of
+    the last trial of that size (see `optim.lp_solve`).
     """
     n = norms.space_dim(space)
     rng = np.random.default_rng(seed)
+    starts = defaultdict(optim.LpStart)
     for fam in inject:
         res = balls_intersect(space, fam, sub)
         if res.status != FEASIBLE:
@@ -184,7 +199,7 @@ def central_subspace_check(space, sub: Subspace, trials: int, seed: int,
         radii = eval_norm_many(space, w[None, :] - centers) * \
             (1.0 + rng.uniform(0.0, 0.2, size=k))
         fam = BallFamily.from_arrays(centers, radii)
-        res = balls_intersect(space, fam, sub)
+        res = _intersect(space, fam, sub, starts[k])
         if res.status != FEASIBLE:
             certified = res.status == INFEASIBLE
             note = ("counterexample with Farkas certificate" if certified
@@ -681,10 +696,13 @@ def mideal_three_ball_check(space, z: Subspace, trials: int, eps: float = 1e-6,
     The distances of the three centers to the subspace come from one
     `dist_to_subspace_many` call per trial; those of a failing triple are
     solved again as LPs, and a disagreement raises OptimizationError rather
-    than report a counterexample.
+    than report a counterexample.  The trials' feasibility LPs share their
+    rows and differ only in the right-hand side, so each is re-solved from
+    the basis of the one before, through one `optim.LpStart`.
     """
     n = norms.space_dim(space)
     rng = np.random.default_rng(seed)
+    start = optim.LpStart()
     for trial in range(trials):
         w = rng.normal(size=n) * 1.5
         centers = rng.normal(size=(3, n)) * 1.5
@@ -693,11 +711,11 @@ def mideal_three_ball_check(space, z: Subspace, trials: int, eps: float = 1e-6,
         tight = rng.random(size=3) < 0.5
         infl = 1.0 + rng.uniform(0.0, 0.1, size=3) * (~tight)
         radii = np.maximum(joint, meet) * infl
-        family = BallFamily.from_arrays(centers, radii)
         enlarged = BallFamily.from_arrays(centers, radii + eps)
-        res = balls_intersect(space, enlarged, z)
+        res = _intersect(space, enlarged, z, start)
         if res.status != FEASIBLE:
             _audit_distances(space, centers, z, meet)
+            family = BallFamily.from_arrays(centers, radii)
             return ThreeBallVerdict(False, family, enlarged, res, trial + 1, eps,
                                     "enlarged triple misses the subspace")
     return ThreeBallVerdict(True, None, None, None, trials, eps,

@@ -29,6 +29,18 @@ verdict is audited before it is returned: an optimum by `verify_optimal`,
 an infeasible verdict by `verify_farkas` and an unbounded one by
 `verify_ray`; a failed audit is returned as "breakdown".
 
+A chain of LPs that share their rows and objective and differ only in b
+(the checkers' ball LPs, one per trial) can be solved warm.  The caller
+keeps an `LpStart` and passes it to every `lp_solve` call of the chain.  In
+the dual form b is the cost row, so the basis of the last solve stays
+feasible for the next one: the new b is loaded as costs and phase 2 runs
+from that basis, with no phase 1.  A row whose power-of-two scale moves
+with its b has its column rescaled by the exact ratio, so a warm tableau is
+scaled as a fresh one would be.  Only a solve that leaves a feasible dual
+basis behind is kept: an unrefined optimum or an infeasible verdict.  A
+warm outcome is audited as a fresh one is, and a warm solve that ends in
+"breakdown" is solved again afresh before anything is returned.
+
 A lexicographic tie-break among optimal points runs on the final tableau of
 the same solve as dual-simplex stages: each stage sets the right-hand side
 to -e_idx, the dual of min u_idx, and keeps every positive dual basic and
@@ -41,7 +53,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -280,6 +292,10 @@ def _price(t, basis, costs) -> None:
     t[-1] -= costs[basis] @ t[:-1]
 
 
+def _dual_costs(lp: LinearProgram) -> np.ndarray:
+    return np.concatenate([lp.b_ub, lp.b_eq, -lp.b_eq])
+
+
 def _stopped(idx: int, status: str) -> str:
     return f"lexicographic refinement stopped at coordinate {idx}: {status}"
 
@@ -304,21 +320,44 @@ class _DualTableau:
         self.n_cols = self.n_ub + 2 * n_eq
         self.tau = np.where(lp.objective > 0, -1.0, 1.0)
         rows = np.vstack([lp.a_ub, lp.a_eq, -lp.a_eq])
-        costs = np.concatenate([lp.b_ub, lp.b_eq, -lp.b_eq])
-        size = np.maximum(np.abs(rows).max(axis=1), np.abs(costs))
-        scale = np.where(size > _PIVOT_TOL, np.ldexp(1.0, np.frexp(size)[1]),
-                         1.0)
+        self.row_size = np.abs(rows).max(axis=1)
+        costs = _dual_costs(lp)
         # the columns, costs and scales in the caller's units, artificials
         # included
         self.columns = np.hstack([rows.T * self.tau[:, None], np.eye(n)])
         self.costs = np.concatenate([costs, np.zeros(n)])
-        self.scale = np.concatenate([scale, np.ones(n)])
+        self.scale = np.concatenate([self._scale(costs), np.ones(n)])
 
         self.t = np.zeros((n + 1, self.n_cols + n + 1))
         self.t[:n, :-1] = self.columns / self.scale
         self.t[:n, -1] = np.abs(lp.objective)
         self.basis = self.n_cols + np.arange(n)
         self.max_iter = 1000 + 60 * self.t.shape[1]
+
+    def _scale(self, costs: np.ndarray) -> np.ndarray:
+        size = np.maximum(self.row_size, np.abs(costs))
+        return np.where(size > _PIVOT_TOL, np.ldexp(1.0, np.frexp(size)[1]),
+                        1.0)
+
+    def load_costs(self, lp: LinearProgram) -> None:
+        """Take the right-hand side of `lp`, whose rows and objective are
+        this tableau's, as the dual costs, keeping the basis.
+
+        A row whose scale moves with its b has its column multiplied by the
+        ratio of the old scale to the new, and when that column is basic,
+        its tableau row divided by the same ratio, which keeps the column a
+        unit vector and rescales the basic value and the basis inverse with
+        it.  The ratios are powers of two, so this is exact, and the
+        tableau is scaled as a fresh build of `lp` would be."""
+        costs = _dual_costs(lp)
+        scale = self._scale(costs)
+        ratio = self.scale[:self.n_cols] / scale
+        t, basis = self.t, self.basis
+        t[:-1, :self.n_cols] *= ratio
+        basic = basis < self.n_cols
+        t[:-1][basic] /= ratio[basis[basic]][:, None]
+        self.costs[:self.n_cols] = costs
+        self.scale[:self.n_cols] = scale
 
     def duals(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The caller's (lam, mu) for the scaled dual columns y."""
@@ -385,7 +424,24 @@ def _lex_refine(lp, dual, refine, x, value):
     return x, pivots, "lexicographic refinement"
 
 
-def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None) -> LpOutcome:
+class LpStart:
+    """The warm start of a chain of `lp_solve` calls (see there): the dual
+    tableau of the chain's last solve, when that solve left a feasible dual
+    basis behind, with the rows and objective it was built from; else
+    nothing."""
+
+    def __init__(self):
+        self._key: tuple | None = None
+        self._dual: _DualTableau | None = None
+
+
+def _rows_key(lp: LinearProgram) -> tuple:
+    return (lp.a_ub.shape, lp.a_eq.shape, lp.objective.tobytes(),
+            lp.a_ub.tobytes(), lp.a_eq.tobytes())
+
+
+def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None,
+             start: LpStart | None = None) -> LpOutcome:
     """Two-phase dense simplex on the dual, with certificates.
 
     Deterministic: identical inputs yield bit-identical outcomes.  Numerical
@@ -408,8 +464,30 @@ def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None) -> LpOutcom
     point of the optimal face over those coordinates, on the final tableau
     (see `lp_solve_lex`); value and duals stay those of phase 2, and
     `iterations` counts the refinement pivots too.
+
+    With `start` (an `LpStart`), the solve is warm when `start` holds the
+    tableau of an LP with the same a_ub, a_eq and objective, bit for bit:
+    b changes only the dual costs, so the held basis is still dual
+    feasible.  The new b is loaded as the cost row, each column whose
+    scale moves being rescaled by its exact power-of-two ratio (see
+    `_DualTableau.load_costs`), and phase 2 runs from the held basis with
+    no phase 1.  Without a held tableau, or with other rows, the solve is
+    fresh, as without `start`.  Afterwards `start` holds this solve's
+    tableau if it leaves a feasible dual basis, which an unrefined optimum
+    and an infeasible verdict do, and nothing otherwise: a refined solve
+    has moved its right-hand side, an unbounded verdict has zeroed it, and
+    a breakdown proves nothing.  A warm outcome is audited as a fresh one
+    is; when it ends in "breakdown", the LP is solved again afresh and that
+    outcome is returned, its `iterations` counting the pivots of both.
     """
     n = lp.n_vars
+    held = None
+    if start is not None:
+        key = _rows_key(lp)
+        if start._key == key:
+            held = start._dual
+            held.load_costs(lp)
+        start._key = start._dual = None
     if lp.a_ub.shape[0] + lp.a_eq.shape[0] == 0:
         if float(np.abs(lp.objective).max(initial=0.0)) <= _RCOST_TOL:
             # Every refined coordinate is free on the whole space.
@@ -420,14 +498,35 @@ def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None) -> LpOutcom
         return LpOutcome(UNBOUNDED, ray=-lp.objective.copy(),
                          message="no constraints")
 
-    dual = _DualTableau(lp)
+    dual = held if held is not None else _DualTableau(lp)
+    out = _solve(lp, refine, dual)
+    if held is not None and out.status == BREAKDOWN:
+        # a warm start never reports a breakdown that a fresh solve would not
+        spent = out.iterations
+        dual = _DualTableau(lp)
+        out = _solve(lp, refine, dual)
+        out = replace(out, iterations=spent + out.iterations)
+    if start is not None and (out.status == INFEASIBLE
+                              or (out.status == OPTIMAL and refine is None)):
+        start._key, start._dual = key, dual
+    return out
+
+
+def _solve(lp: LinearProgram, refine: Sequence[int] | None,
+           dual: _DualTableau) -> LpOutcome:
+    """The solve of `lp_solve` on `dual`, a fresh tableau of `lp` or a
+    warm one of the same rows and objective with the costs of `lp` loaded.
+
+    Phase 1 runs when an artificial is basic above zero, which on a fresh
+    tableau means c != 0 and on a warm one never happens: its artificials
+    left basic are held at zero."""
     t, basis, n_cols = dual.t, dual.basis, dual.n_cols
+    it1 = 0
+    ray = None
+    level = float(t[:-1, -1][basis >= n_cols].max(initial=0.0))
 
     # Phase 1: drive the artificials to zero; skipped when c = 0, where
     # y = 0 is a feasible start with every artificial at level zero.
-    it1 = 0
-    ray = None
-    level = float(t[:-1, -1].max())
     if level > 0.0:
         costs = np.zeros(t.shape[1] - 1)
         costs[n_cols:] = 1.0

@@ -659,3 +659,29 @@ def test_family_json_roundtrip():
     back = family_from_json(family_to_json(fam))
     assert np.array_equal(back.centers, fam.centers)
     assert np.array_equal(back.radii, fam.radii)
+
+
+def test_three_ball_checker_re_solves_its_trials_warm(monkeypatch):
+    # The checker's LPs share their rows, so all but the first start from
+    # the last basis: each keeps the status of a fresh solve, and together
+    # they take at most half the pivots.  Reuse that silently stops (say,
+    # rebuilt rows that differ in a -0.0) costs the fresh pivot count.
+    data = instances.mideal_scenarios()
+    real = optim.lp_solve
+    seen = []
+
+    def capture(lp, **kwargs):
+        out = real(lp, **kwargs)
+        seen.append((lp, kwargs.get("refine"), out))
+        return out
+
+    monkeypatch.setattr(optim, "lp_solve", capture)
+    for key in ("max_space", "sum_space"):
+        mideal_three_ball_check(data[key], data["first_summand"], trials=200,
+                                eps=1e-6, seed=0)
+    monkeypatch.undo()
+    fresh = [real(lp, refine) for lp, refine, _ in seen]
+    assert [out.status for *_, out in seen] == [out.status for out in fresh]
+    fresh_pivots = sum(out.iterations for out in fresh)
+    assert fresh_pivots > 0
+    assert 2 * sum(out.iterations for *_, out in seen) <= fresh_pivots

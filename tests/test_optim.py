@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centerlab import centers, norms, optim
 from centerlab.optim import (
@@ -632,3 +634,90 @@ def test_slack_start_basis_needs_no_pivots():
     assert np.array_equal(out.x, np.zeros(3))
     assert np.array_equal(out.dual_ub, np.zeros(7))
     assert verify_optimal(lp, out)
+
+
+def _chain_lp(rng, a_ub, a_eq, c, infeasible):
+    """An LP over the fixed rows (a box, then random rows, then a_eq)
+    whose right-hand side holds a random point p; when `infeasible`, the
+    box's lower bound on u_0 is moved above its upper bound."""
+    n = c.shape[0]
+    p = rng.normal(size=n) * rng.choice([0.1, 1.0, 30.0])
+    b_ub = a_ub @ p + rng.uniform(0.0, 2.0, size=a_ub.shape[0])
+    if infeasible:
+        b_ub[n] = -(b_ub[0] + rng.uniform(0.5, 2.0))
+    return optim.LinearProgram(c, a_ub, b_ub, a_eq, a_eq @ p)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4),
+       extra=st.integers(0, 6), n_eq=st.integers(0, 1),
+       length=st.integers(2, 50), zero_c=st.booleans())
+def test_warm_chain_agrees_with_fresh_solves(seed, n, extra, n_eq, length,
+                                             zero_c):
+    # One start carried along a chain of right-hand sides over fixed rows:
+    # every warm solve agrees with a fresh solve of the same LP, in status
+    # and value, passes its own audit, and keeps the tableau it started
+    # from, so none of them fell back to a fresh solve.
+    rng = np.random.default_rng(seed)
+    a_ub = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(extra, n))])
+    a_eq = rng.normal(size=(n_eq, n))
+    c = np.zeros(n) if zero_c else rng.normal(size=n)
+    start = optim.LpStart()
+    for _ in range(length):
+        lp = _chain_lp(rng, a_ub, a_eq, c, infeasible=rng.random() < 0.25)
+        held = start._dual
+        warm = lp_solve(lp, start=start)
+        fresh = lp_solve(lp)
+        assert start._dual is not None
+        assert held is None or start._dual is held
+        assert warm.status == fresh.status
+        assert warm.status in (optim.OPTIMAL, optim.INFEASIBLE)
+        if warm.status == optim.OPTIMAL:
+            assert verify_optimal(lp, warm)
+            assert abs(warm.value - fresh.value) <= 1e-9 * max(1.0, abs(fresh.value))
+        else:
+            assert verify_farkas(lp, warm.farkas_ub, warm.farkas_eq)
+
+
+def test_warm_start_needs_the_same_rows_bit_for_bit():
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    c = np.array([-1.0, -2.0])
+    start = optim.LpStart()
+    first = lp_solve(make_lp(c, a_ub=a, b_ub=[1.0, 1.0, 0.0]), start=start)
+    assert first.iterations > 0
+    # the same rows: the held basis is optimal at once
+    again = lp_solve(make_lp(c, a_ub=a, b_ub=[2.0, 3.0, 0.0]), start=start)
+    assert again.status == optim.OPTIMAL and again.iterations == 0
+    assert np.allclose(again.x, [2.0, 3.0])
+    # a row that differs only in the sign of a zero is another row
+    moved = a.copy()
+    moved[0, 1] = -0.0
+    other = lp_solve(make_lp(c, a_ub=moved, b_ub=[2.0, 3.0, 0.0]), start=start)
+    assert other.iterations == first.iterations
+    # a refined solve leaves nothing behind
+    lp_solve(make_lp(c, a_ub=moved, b_ub=[2.0, 3.0, 0.0]), refine=[0],
+             start=start)
+    after = lp_solve(make_lp(c, a_ub=moved, b_ub=[2.0, 3.0, 0.0]), start=start)
+    assert after.iterations == first.iterations
+
+
+def test_warm_breakdown_is_solved_again_afresh(monkeypatch):
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    c = np.array([-1.0, -2.0])
+    start = optim.LpStart()
+    lp_solve(make_lp(c, a_ub=a, b_ub=[1.0, 1.0, 0.0]), start=start)
+    lp = make_lp(c, a_ub=a, b_ub=[2.0, 3.0, 0.0])
+    fresh = lp_solve(lp)
+    real = optim.verify_optimal
+    audits = []
+
+    def fail_first(lp, out):
+        audits.append(out)
+        return len(audits) > 1 and real(lp, out)
+
+    monkeypatch.setattr(optim, "verify_optimal", fail_first)
+    out = lp_solve(lp, start=start)
+    assert len(audits) == 2
+    assert out.status == optim.OPTIMAL
+    assert np.array_equal(out.x, fresh.x)
+    assert out.iterations == fresh.iterations

@@ -8,6 +8,11 @@ runs, in one process:
 - every `repro` scenario at `--seed 0` and `--seed 7`;
 - `property central|ac|almost-constrained|mideal` on the default instances
   at both seeds;
+- at both seeds, the passing property runs of the benchmark's `cli`
+  workload: `property central --trials 25` on a 2-dimensional coordinate
+  subspace of l-inf in R^5 and `property mideal --trials 20` on a
+  1-dimensional coordinate subspace of l-inf in R^3, whose trials are
+  chains of warm-started feasibility LPs;
 - `replay` of each of those property reports that carries a counterexample;
 - `center` on the README instance, in json and md;
 - under the Euclidean norm, where the subgradient route does the work, at
@@ -65,6 +70,17 @@ SCALARIZATIONS = {
     "composite-weighted_sum": {"kind": "composite", "power": 1.5, "scale": 1,
                                "inner": {"kind": "weighted_sum", "weights": WEIGHTS}},
 }
+# coordinate subspaces of the sup norm, each the range of a norm-one
+# projection, so both properties pass: label -> (kind, instance, trials)
+PASSING = {
+    "central-linf5-plane": ("central", {
+        "schema": 1, "space": {"kind": "lp", "p": "inf", "dim": 5},
+        "subspace": {"ambient_dim": 5,
+                     "basis": [[0, 0, -1, 0, 0], [1, 0, 0, 0, 0]]}}, "25"),
+    "mideal-linf3-axis": ("mideal", {
+        "schema": 1, "space": {"kind": "lp", "p": "inf", "dim": 3},
+        "subspace": {"ambient_dim": 3, "basis": [[0, -1, 0]]}}, "20"),
+}
 # kind -> (the instance fields it reads, its flags)
 L2_KINDS = {"central": (("space", "subspace"), ["--trials", "3"]),
             "ac": (("space", "subspace", "points", "x"), []),
@@ -107,6 +123,12 @@ def run_all(cli) -> None:
             report = digest(cli, label, ["property", kind, "--seed", seed])
             if report and "counterexample" in report.get("verdicts", {}):
                 digest(cli, f"replay-{label}", ["replay", f"{label}.json"])
+    for label, (kind, instance, trials) in PASSING.items():
+        Path(f"{label}.json").write_text(json.dumps(instance), encoding="utf-8")
+        for seed in SEEDS:
+            digest(cli, f"property-{label}-seed{seed}",
+                   ["property", kind, f"{label}.json", "--seed", seed,
+                    "--trials", trials])
     Path("readme-instance.json").write_text(json.dumps(README_INSTANCE),
                                             encoding="utf-8")
     for fmt in ("json", "md"):
