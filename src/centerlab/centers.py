@@ -10,8 +10,11 @@ its infimum over V is the restricted radius, and the minimizer set is the
 center set.  The whole space is the subspace `Subspace.full(n)`, which a
 `CenterProblem` built with `feasible=None` holds, so an ordinary Chebyshev
 center is a restricted center like any other and {0} is one too.
-Polyhedral instances reduce exactly to linear programs; the rest run staged
-subgradient descent.  Delta-center probes, the modulus curve of the
+Polyhedral instances reduce exactly to linear programs.  The rest take the
+subgradient route: Kelley's cutting planes, warm-started LP rounds that
+close a certified bracket, when the norm is polyhedral and f is
+LP-encodable under its Composite wrappers; staged subgradient descent when
+the norm or f is smooth.  Delta-center probes, the modulus curve of the
 delta-center collapse, and minimizing-sequence experiments live here too.
 
 Each scalarization (WeightedMax, WeightedSum, PowerSum, Composite) carries
@@ -20,7 +23,9 @@ its own arithmetic: `arity`; `value_many(ts)`, f at each row of ts;
 t; `lp_encodable`, and when it holds `lp_level(builder, tvars, level)` and
 `lp_objective(builder, tvars)`, the LP rows of f(t) <= level and of min f(t);
 and `to_json()`.  The solvers read nothing else of f but the weights of a
-WeightedMax, whose sublevel vertices the delta-center probe enumerates.
+WeightedMax, whose sublevel vertices the delta-center probe enumerates, and
+the inner scalarization, power and scale of a Composite, which the cutting
+planes unwrap (`_unwrap_composite`).
 Each class refuses parameters outside the convex, monotone, coercive class
 when it is built, so `validate_fcmc` decides membership by type alone and
 nothing samples f.
@@ -32,7 +37,7 @@ every report records that collapse.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Union
 
 import numpy as np
@@ -213,6 +218,26 @@ def uniform_max(n: int) -> WeightedMax:
     return WeightedMax(np.ones(n))
 
 
+def _unwrap_composite(f: Scalarization) -> tuple[Scalarization, list]:
+    """The scalarization under f's Composite wrappers, and the wrappers,
+    outermost first."""
+    wrappers = []
+    while type(f) is Composite:
+        wrappers.append(f)
+        f = f.inner
+    return f, wrappers
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _through(wrappers: list, v: float) -> float:
+    """f's value where the scalarization under its Composite `wrappers` has
+    value v: their increasing map, applied innermost first."""
+    v = np.float64(v)
+    for w in reversed(wrappers):
+        v = w.scale * v ** w.power
+    return float(v)
+
+
 def validate_fcmc(f: Scalarization) -> dict:
     """Decide by type whether f is in the convex, monotone, coercive class.
 
@@ -221,9 +246,7 @@ def validate_fcmc(f: Scalarization) -> dict:
     when, under its Composite wrappers, it is a WeightedMax, WeightedSum or
     PowerSum.  Any other type, a subclass included, is refused by name.
     """
-    inner = f
-    while type(inner) is Composite:
-        inner = inner.inner
+    inner, _ = _unwrap_composite(f)
     if type(inner) in (WeightedMax, WeightedSum, PowerSum):
         return {"ok": True, "failures": []}
     return {"ok": False,
@@ -377,9 +400,111 @@ def _lp_center(problem: CenterProblem, basis: np.ndarray) -> tuple[float, np.nda
     return float(out.value), basis @ alpha, out
 
 
+@dataclass(frozen=True, eq=False)
+class CutCertificate:
+    """The bracket lower <= rad <= upper of a cutting-plane solve.
+
+    `lower` is the audited optimum of the last round's LP, whose norm is the
+    max over the collected subgradients, a minorant of the true norm, so it
+    bounds rad up to rounding; `upper` is r_f at the minimizer.  Both are in the units of f, through
+    its Composite wrappers.  `rounds` LPs took `pivots` simplex pivots and
+    hold `cuts` subgradient rows.  `converged` when the bracket closed to
+    CUT_TOL * max(1, upper); the loop also stops, unconverged, after
+    MAX_ROUNDS rounds, on a non-finite upper bound, or when a round adds no
+    cut."""
+
+    lower: float
+    upper: float
+    rounds: int
+    cuts: int
+    pivots: int
+    converged: bool
+
+
+CUT_TOL, MAX_ROUNDS = 1e-9, 500
+
+
+def _cutting_plane_center(problem: CenterProblem, basis: np.ndarray, core,
+                          wrappers: list) -> tuple[float, np.ndarray, CutCertificate]:
+    """Kelley's cutting planes on the norm: each round minimizes the LP
+    objective of `core` over rows g.(B alpha - x_i) <= t_i, one set of
+    subgradients g per point, then adds the subgradients at the minimizer's
+    residuals that point does not hold yet.  The sets start from the
+    subgradients at +-e_j; a round that ends unbounded adds the ones at
+    B ray instead.  Rows are only appended, so every round after the first
+    bounded one is a warm re-solve."""
+    space, fs = problem.space, problem.points
+    points, d = fs.points, basis.shape[1]
+    builder = optim.LpBuilder()
+    builder.new_vars(d)
+    tvars = builder.new_vars(fs.size)
+    core.lp_objective(builder, tvars)
+    lp = builder.build()
+    held = [set() for _ in range(fs.size)]
+
+    def with_cuts(lp, grads: np.ndarray):
+        """lp with the rows of the subgradients grads[i] that point i does
+        not hold yet; lp itself when there are none."""
+        rows, rhs = [], []
+        for i, gs in enumerate(grads):
+            for g in gs + 0.0:
+                if g.tobytes() not in held[i]:
+                    held[i].add(g.tobytes())
+                    row = np.zeros(lp.n_vars)
+                    row[:d], row[tvars[i]] = g @ basis, -1.0
+                    rows.append(row)
+                    rhs.append(g @ points[i])
+        if not rows:
+            return lp
+        return replace(lp, a_ub=np.vstack([lp.a_ub, rows]),
+                       b_ub=np.concatenate([lp.b_ub, rhs]))
+
+    n = fs.dim
+    seeds = space.value_and_subgrad_many(np.vstack([np.eye(n), -np.eye(n)]))[1]
+    lp = with_cuts(lp, np.broadcast_to(seeds, (fs.size, *seeds.shape)))
+    start = optim.LpStart()
+    best_value, best_alpha = np.inf, np.zeros(d)
+    lower = upper = np.inf
+    pivots = rounds = 0
+    converged = False
+    while rounds < MAX_ROUNDS:
+        rounds += 1
+        out = optim.lp_solve(lp, start=start)
+        pivots += out.iterations
+        if out.status == optim.UNBOUNDED:
+            g = space.value_and_subgrad_many((basis @ out.ray[:d])[None])[1]
+            grown = with_cuts(lp, np.broadcast_to(g, (fs.size, *g.shape)))
+            if grown is lp:
+                raise OptimizationError("cutting-plane LP stays unbounded")
+            lp = grown
+            continue
+        if out.status != optim.OPTIMAL:
+            raise OptimizationError(f"cutting-plane LP ended with status "
+                                    f"{out.status}")
+        alpha = out.x[:d]
+        ts, grads = space.value_and_subgrad_many(basis @ alpha - points)
+        value = float(core.value_many(ts[None])[0])
+        if value < best_value:
+            best_value, best_alpha = value, alpha
+        lower, upper = _through(wrappers, out.value), _through(wrappers, best_value)
+        converged = upper - lower <= CUT_TOL * max(1.0, upper)
+        if converged or not np.isfinite(upper):
+            break
+        grown = with_cuts(lp, grads[:, None, :])
+        if grown is lp:
+            break
+        lp = grown
+    cuts = sum(len(h) for h in held)
+    return upper, basis @ best_alpha, CutCertificate(lower, upper, rounds, cuts,
+                                                     pivots, converged)
+
+
 def _subgradient_center(problem: CenterProblem, basis: np.ndarray
-                        ) -> tuple[float, np.ndarray, optim.SubgradientResult]:
+                        ) -> tuple[float, np.ndarray, object]:
     space, fs, f = problem.space, problem.points, problem.f
+    core, wrappers = _unwrap_composite(f)
+    if norms.is_lp_encodable(space) and core.lp_encodable:
+        return _cutting_plane_center(problem, basis, core, wrappers)
     points, basis_t = fs.points, basis.T
 
     def oracle(alpha):
@@ -397,10 +522,16 @@ def solve_center(problem: CenterProblem, method: str = "auto") -> CenterResult:
 
     method "auto" picks the exact LP route whenever the norm and the
     scalarization admit one (ties among optimal vertices broken toward the
-    lexicographically smallest minimizer), and staged subgradient descent
-    (12 stages of at most 700 steps) otherwise, with its step scale twice the
-    largest Euclidean distance from the start, the projected centroid, to a
-    point of F.  The result records
+    lexicographically smallest minimizer), and the subgradient route
+    otherwise; "lp" and "subgradient" force a route.  On the subgradient
+    route a polyhedral norm with an LP-encodable scalarization under its
+    Composite wrappers (a piecewise-linear objective) is solved by cutting
+    planes (`_cutting_plane_center`), and its certificate is a
+    `CutCertificate`, the bracket on the radius.  Any other instance runs
+    staged subgradient descent (12 stages of at most 700 steps), with its
+    step scale twice the largest Euclidean distance from the start, the
+    projected centroid, to a point of F; its certificate is the
+    `optim.SubgradientResult`.  The result records
     `validate_fcmc(f)`, the membership of f in the convex/monotone/coercive
     class decided by its type.  A radius or re-evaluated r_f that is not
     finite (a composite whose power overflows) raises OptimizationError.

@@ -4,8 +4,10 @@ Two pieces live here: a dense two-phase simplex solver that always returns a
 certificate (dual multipliers at optimality, Farkas multipliers on
 infeasibility, an improving ray when unbounded), and a subgradient method
 for nonsmooth convex objectives, `staged_subgradient`, whose one caller is
-the non-LP route of `centers.solve_center`: distances and non-polyhedral
-ball searches reach it as restricted centers.
+the non-LP route of `centers.solve_center` on smooth objectives: distances
+and non-polyhedral ball searches reach it as restricted centers.  That
+route's piecewise-linear objectives are solved by cutting planes, a chain
+of warm `lp_solve` calls.
 
 Problem sizes in this project are tiny (tens of variables), so clarity and
 determinism win over speed.  Pivoting follows Bland's rule with
@@ -29,17 +31,21 @@ verdict is audited before it is returned: an optimum by `verify_optimal`,
 an infeasible verdict by `verify_farkas` and an unbounded one by
 `verify_ray`; a failed audit is returned as "breakdown".
 
-A chain of LPs that share their rows and objective and differ only in b
-(the checkers' ball LPs, one per trial) can be solved warm.  The caller
-keeps an `LpStart` and passes it to every `lp_solve` call of the chain.  In
-the dual form b is the cost row, so the basis of the last solve stays
-feasible for the next one: the new b is loaded as costs and phase 2 runs
-from that basis, with no phase 1.  A row whose power-of-two scale moves
-with its b has its column rescaled by the exact ratio, so a warm tableau is
-scaled as a fresh one would be.  Only a solve that leaves a feasible dual
-basis behind is kept: an unrefined optimum or an infeasible verdict.  A
-warm outcome is audited as a fresh one is, and a warm solve that ends in
-"breakdown" is solved again afresh before anything is returned.
+A chain of LPs that share their objective and equality rows, and each of
+whose <= rows begin with the last LP's, can be solved warm: the checkers'
+ball LPs (one per trial, differing only in b) and the cutting-plane rounds
+of `centers.solve_center` (each appending cuts).  The caller keeps an
+`LpStart` and passes it to every `lp_solve` call of the chain.  In the dual
+form b is the cost row and a new row is a new column at level zero, so the
+basis of the last solve stays feasible for the next one: each new row
+enters as B^-1 a, read off the artificial columns, the new b is loaded as
+costs, and phase 2 runs from that basis, with no phase 1.  A row whose
+power-of-two scale moves with its b has its column rescaled by the exact
+ratio, so a warm tableau is scaled as a fresh one would be.  Only a solve
+that leaves a feasible dual basis behind is kept: an unrefined optimum or
+an infeasible verdict.  A warm outcome is audited as a fresh one is, and a
+warm solve that ends in "breakdown" is solved again afresh before anything
+is returned.
 
 A lexicographic tie-break among optimal points runs on the final tableau of
 the same solve as dual-simplex stages: each stage sets the right-hand side
@@ -296,6 +302,13 @@ def _dual_costs(lp: LinearProgram) -> np.ndarray:
     return np.concatenate([lp.b_ub, lp.b_eq, -lp.b_eq])
 
 
+def _scale(row_size: np.ndarray, costs: np.ndarray) -> np.ndarray:
+    """The power of two that brings each row's largest entry, b included,
+    into [0.5, 1); 1 for a row of zeros."""
+    size = np.maximum(row_size, np.abs(costs))
+    return np.where(size > _PIVOT_TOL, np.ldexp(1.0, np.frexp(size)[1]), 1.0)
+
+
 def _stopped(idx: int, status: str) -> str:
     return f"lexicographic refinement stopped at coordinate {idx}: {status}"
 
@@ -326,7 +339,7 @@ class _DualTableau:
         # included
         self.columns = np.hstack([rows.T * self.tau[:, None], np.eye(n)])
         self.costs = np.concatenate([costs, np.zeros(n)])
-        self.scale = np.concatenate([self._scale(costs), np.ones(n)])
+        self.scale = np.concatenate([_scale(self.row_size, costs), np.ones(n)])
 
         self.t = np.zeros((n + 1, self.n_cols + n + 1))
         self.t[:n, :-1] = self.columns / self.scale
@@ -334,10 +347,35 @@ class _DualTableau:
         self.basis = self.n_cols + np.arange(n)
         self.max_iter = 1000 + 60 * self.t.shape[1]
 
-    def _scale(self, costs: np.ndarray) -> np.ndarray:
-        size = np.maximum(self.row_size, np.abs(costs))
-        return np.where(size > _PIVOT_TOL, np.ldexp(1.0, np.frexp(size)[1]),
-                        1.0)
+    def add_rows(self, a_ub: np.ndarray, b_ub: np.ndarray) -> None:
+        """Append the <= rows a_ub @ u <= b_ub after this tableau's own <=
+        rows, keeping the basis.
+
+        Each row is a new dual column at level zero, so the basic values
+        stay feasible.  It enters the tableau as B^-1 times its scaled
+        column, B^-1 read off the artificial columns, with its own
+        power-of-two scale, as a fresh build would give it; the columns
+        behind it (the equality rows' and the artificials) move up by the
+        number of rows added.  The cost row is stale until the next
+        `_price`."""
+        k, at, n = a_ub.shape[0], self.n_ub, self.tau.shape[0]
+        if k == 0:
+            return
+        size = np.abs(a_ub).max(axis=1, initial=0.0)
+        scale = _scale(size, b_ub)
+        cols = a_ub.T * self.tau[:, None]
+        block = np.zeros((n + 1, k))
+        block[:-1] = self.t[:-1, self.n_cols:-1] @ (cols / scale)
+        self.t = np.concatenate([self.t[:, :at], block, self.t[:, at:]], axis=1)
+        self.columns = np.concatenate(
+            [self.columns[:, :at], cols, self.columns[:, at:]], axis=1)
+        self.row_size = np.insert(self.row_size, at, size)
+        self.costs = np.insert(self.costs, at, b_ub)
+        self.scale = np.insert(self.scale, at, scale)
+        self.basis[self.basis >= at] += k
+        self.n_ub += k
+        self.n_cols += k
+        self.max_iter = 1000 + 60 * self.t.shape[1]
 
     def load_costs(self, lp: LinearProgram) -> None:
         """Take the right-hand side of `lp`, whose rows and objective are
@@ -350,7 +388,7 @@ class _DualTableau:
         it.  The ratios are powers of two, so this is exact, and the
         tableau is scaled as a fresh build of `lp` would be."""
         costs = _dual_costs(lp)
-        scale = self._scale(costs)
+        scale = _scale(self.row_size, costs)
         ratio = self.scale[:self.n_cols] / scale
         t, basis = self.t, self.basis
         t[:-1, :self.n_cols] *= ratio
@@ -427,8 +465,9 @@ def _lex_refine(lp, dual, refine, x, value):
 class LpStart:
     """The warm start of a chain of `lp_solve` calls (see there): the dual
     tableau of the chain's last solve, when that solve left a feasible dual
-    basis behind, with the rows and objective it was built from; else
-    nothing."""
+    basis behind, with the bytes of the rows and objective it was built
+    from; else nothing.  The next LP of the chain may change b and append
+    <= rows."""
 
     def __init__(self):
         self._key: tuple | None = None
@@ -436,8 +475,17 @@ class LpStart:
 
 
 def _rows_key(lp: LinearProgram) -> tuple:
-    return (lp.a_ub.shape, lp.a_eq.shape, lp.objective.tobytes(),
-            lp.a_ub.tobytes(), lp.a_eq.tobytes())
+    return lp.objective.tobytes(), lp.a_eq.tobytes(), lp.a_ub.tobytes()
+
+
+def _extends(lp: LinearProgram, key: tuple) -> bool:
+    """Whether `lp` has the objective and equality rows of the LP that
+    `key` was taken from, and that LP's <= rows as the first of its own,
+    all bit for bit.  Equal objectives have the same length, so the rows
+    have the same width and compare row by row."""
+    objective, eq, ub = key
+    return (lp.objective.tobytes() == objective and lp.a_eq.tobytes() == eq
+            and lp.a_ub.tobytes().startswith(ub))
 
 
 def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None,
@@ -466,13 +514,16 @@ def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None,
     `iterations` counts the refinement pivots too.
 
     With `start` (an `LpStart`), the solve is warm when `start` holds the
-    tableau of an LP with the same a_ub, a_eq and objective, bit for bit:
-    b changes only the dual costs, so the held basis is still dual
-    feasible.  The new b is loaded as the cost row, each column whose
-    scale moves being rescaled by its exact power-of-two ratio (see
-    `_DualTableau.load_costs`), and phase 2 runs from the held basis with
-    no phase 1.  Without a held tableau, or with other rows, the solve is
-    fresh, as without `start`.  Afterwards `start` holds this solve's
+    tableau of an LP with the same a_eq and objective, bit for bit, whose
+    a_ub is, bit for bit, the first rows of this one's: b changes only the
+    dual costs and an appended row is a dual column at level zero, so the
+    held basis is still dual feasible.  Each appended row enters as B^-1 a,
+    read off the artificial columns (`_DualTableau.add_rows`); the new b is
+    loaded as the cost row, each column whose scale moves being rescaled by
+    its exact power-of-two ratio (`_DualTableau.load_costs`); and phase 2
+    runs from the held basis with no phase 1, pricing the new columns in.
+    Without a held tableau, or with other rows, the solve is fresh, as
+    without `start`.  Afterwards `start` holds this solve's
     tableau if it leaves a feasible dual basis, which an unrefined optimum
     and an infeasible verdict do, and nothing otherwise: a refined solve
     has moved its right-hand side, an unbounded verdict has zeroed it, and
@@ -483,9 +534,9 @@ def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None,
     n = lp.n_vars
     held = None
     if start is not None:
-        key = _rows_key(lp)
-        if start._key == key:
+        if start._key is not None and _extends(lp, start._key):
             held = start._dual
+            held.add_rows(lp.a_ub[held.n_ub:], lp.b_ub[held.n_ub:])
             held.load_costs(lp)
         start._key = start._dual = None
     if lp.a_ub.shape[0] + lp.a_eq.shape[0] == 0:
@@ -508,7 +559,7 @@ def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None,
         out = replace(out, iterations=spent + out.iterations)
     if start is not None and (out.status == INFEASIBLE
                               or (out.status == OPTIMAL and refine is None)):
-        start._key, start._dual = key, dual
+        start._key, start._dual = _rows_key(lp), dual
     return out
 
 

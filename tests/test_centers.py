@@ -579,3 +579,115 @@ def test_whole_space_as_none_and_as_full_subspace_agree(space):
         (vb.minimizing, vb.min_pairwise, vb.verdict)
     assert problem_to_json(as_none)["subspace"] is None
     assert problem_to_json(as_full) == problem_to_json(as_none)
+
+
+# A sum-combined direct sum of two polyhedral components whose cuts at
+# +-e_j leave the first cutting-plane LP unbounded.
+UNBOUNDED_SEED_QUESTION = {
+    "schema": 1,
+    "space": {"kind": "direct_sum", "components": [
+        {"kind": "polyhedral", "generators": [
+            [-0.9349762618687502, -0.7296952681832494, 0.5642394331680308],
+            [0.9864998861106795, 0.7532546907537343, 1.2089702496885697],
+            [0.7144889121895972, 0.02846183335685169, 0.8365259894445134],
+            [0.5936032404079788, -0.10057526654145102, 0.726072718540168],
+            [1.285697394529069, 0.2345713239341999, -0.35620509743082307]]},
+        {"kind": "polyhedral", "generators": [
+            [0.7187113729613218], [1.9007217378325845], [-0.2105620431624384]]}],
+        "pi": {"kind": "monotone_polyhedral", "generators": [[1.0, 1.0]]}},
+    "subspace": None,
+    "points": [
+        [-1.14987927108908, 1.4708192668327253, -0.027680228388623274, 0.6309113353115516],
+        [1.1100897600296435, 0.5463902357834849, 0.9355797778105885, 0.18256888002182992],
+        [-1.082689591965769, -1.2516227934007604, 1.9741545493558847, -1.9579711400813617],
+        [0.763648631687289, 1.5226169015818773, -1.0743671739986742, -1.8058392565740973],
+        [-0.40301272205084127, -0.6801651612446036, -0.1536426759775824, -0.2903366622895698]],
+    "f": {"kind": "weighted_sum", "weights": [
+        0.8835203933302729, 1.0098869655687766, 1.3292926338282425,
+        1.2467434606177825, 0.5641192984094314]}}
+
+
+def _lp_encodable_sweep():
+    """Seeded LP-encodable questions: l-inf, l1, polyhedral and max- and
+    sum-combined direct sums in R^2..R^6, on the whole space and on random
+    subspaces, under every LP-encodable scalarization and Composite
+    wrappers of them."""
+    rng = np.random.default_rng(1818)
+
+    def leaf(kind, dim):
+        if kind == 2:
+            gens = rng.normal(size=(dim + 2, dim))
+            return norms.polyhedral(np.vstack([gens, -gens]))
+        return (linf, l1)[kind](dim)
+
+    problems = []
+    for i in range(40):
+        dim, kind, size = 2 + i % 5, i % 5, 2 + i % 3
+        if kind < 3:
+            space = leaf(kind, dim)
+        else:
+            a = 1 + int(rng.integers(dim - 1))
+            space = norms.make_direct_sum(
+                [leaf(int(rng.integers(3)), a), leaf(int(rng.integers(3)), dim - a)],
+                (norms.max_combiner, norms.sum_combiner)[kind - 3](2))
+        sub = None
+        if i // 5 % 2:
+            sub = subspace_from_basis(dim, rng.normal(size=(int(rng.integers(1, dim)), dim)))
+        w = rng.uniform(0.5, 1.5, size=size)
+        f = (uniform_max(size), WeightedMax(w), WeightedSum(w),
+             PowerSum(1.0, w))[i % 4]
+        if i % 3 == 0:
+            f = Composite(f, float(rng.uniform(1.0, 3.0)),
+                          float(rng.uniform(0.5, 2.0)))
+        pts = FiniteSet(rng.uniform(-2, 2, size=(size, dim)))
+        problems.append(CenterProblem(space, sub, pts, f))
+    # its generators are drawn as they are, without their negations
+    with pytest.warns(UserWarning, match="not symmetric"):
+        problems.append(problem_from_json(UNBOUNDED_SEED_QUESTION))
+    return problems
+
+
+def test_cutting_planes_close_on_lp_encodable_questions(monkeypatch):
+    # The non-LP route of an LP-encodable norm and scalarization (under
+    # Composite wrappers) is the cutting-plane loop: its radius is the LP
+    # route's to 1e-12 relative, its bracket holds that radius up to
+    # rounding, and staged subgradient descent runs only for a smooth norm.
+    from centerlab import optim
+    real_staged, real_solve = optim.staged_subgradient, optim.lp_solve
+    staged, statuses = [], []
+
+    def counted_staged(*args, **kwargs):
+        staged.append(args)
+        return real_staged(*args, **kwargs)
+
+    def counted_solve(lp, **kwargs):
+        out = real_solve(lp, **kwargs)
+        statuses.append(out.status)
+        return out
+
+    monkeypatch.setattr(optim, "staged_subgradient", counted_staged)
+    for prob in _lp_encodable_sweep():
+        f, wrappers = prob.f, []
+        while isinstance(f, Composite):
+            wrappers.append(f)
+            f = f.inner
+        exact = solve_center(CenterProblem(prob.space, prob.feasible,
+                                           prob.points, f), method="lp").rad
+        for w in reversed(wrappers):
+            exact = w.scale * exact ** w.power
+        statuses.clear()
+        monkeypatch.setattr(optim, "lp_solve", counted_solve)
+        res = solve_center(prob, method="subgradient")
+        monkeypatch.setattr(optim, "lp_solve", real_solve)
+        cert = res.certificate
+        assert res.method == "subgradient" and cert.converged
+        assert cert.upper - cert.lower <= 1e-9 * max(1.0, cert.upper)
+        assert cert.rounds == len(statuses)
+        assert abs(res.rad - exact) <= 1e-12 * max(1.0, exact)
+        slack = 1e-14 * max(1.0, exact)
+        assert cert.lower <= exact + slack and exact <= cert.upper + slack
+    # the last question's first round was unbounded
+    assert statuses[0] == optim.UNBOUNDED and statuses[-1] == optim.OPTIMAL
+    assert not staged
+    smooth = CenterProblem(l2(3), None, FiniteSet(Y_POINTS), uniform_max(3))
+    assert solve_center(smooth).method == "subgradient" and len(staged) == 1

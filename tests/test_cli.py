@@ -185,6 +185,36 @@ def test_center_over_lines_cross_checks_the_exact_route(tmp_path, capsys):
     assert sorted(report["config"]) == ["instance", "seed", "tol"]
 
 
+# A restricted sup-norm question (a 3-dimensional subspace of l-inf in R^4,
+# three points, weighted max) on which staged subgradient descent stopped
+# 2.6e-4 above the exact radius 1.11192 and failed the cross-check.
+SUP_NORM_QUESTION = {
+    "schema": 1, "space": {"kind": "lp", "p": "inf", "dim": 4},
+    "subspace": {"ambient_dim": 4, "basis": [
+        [0.14390380290572577, 2.855718914874633, 1.1266627519399368, 1.1667018477905837],
+        [0.25854069618193143, 1.0995466511273868, -0.021394471613905473, -1.1606914012476668],
+        [0.662475680030359, 1.2600557743013692, -0.5250640050971424, 2.048703643919919]]},
+    "points": [
+        [0.9528012301005595, -1.1631171882377984, 1.5657989553457785, -0.8104306668136938],
+        [1.8110462076099751, 0.26230581873681524, 1.8005209912323354, 0.4627161949123373],
+        [-1.3446138244260135, 0.43253252993581226, -0.13873866460931739, -1.5566850138776616]],
+    "f": {"kind": "weighted_max",
+          "weights": [0.9313727479977575, 0.5573325708921483, 0.5398196595752789]}}
+
+
+def test_center_cross_check_closes_on_a_restricted_sup_norm_question(
+        tmp_path, capsys):
+    path = tmp_path / "sup.json"
+    path.write_text(json.dumps(SUP_NORM_QUESTION))
+    code, report = run_json(capsys, "center", str(path))
+    assert code == EXIT_OK and report["ok"]
+    assert all(c["pass"] for c in report["checks"])
+    verdicts = report["verdicts"]
+    assert verdicts["method"] == "lp"
+    assert abs(verdicts["rad_subgradient"] - verdicts["rad"]) <= \
+        1e-12 * abs(verdicts["rad"])
+
+
 def test_center_over_lines_refuses_deltas(tmp_path, capsys):
     path = tmp_path / "lines.json"
     path.write_text(json.dumps(LINES_INSTANCE))

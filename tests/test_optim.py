@@ -721,3 +721,75 @@ def test_warm_breakdown_is_solved_again_afresh(monkeypatch):
     assert out.status == optim.OPTIMAL
     assert np.array_equal(out.x, fresh.x)
     assert out.iterations == fresh.iterations
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4),
+       n_eq=st.integers(0, 1), length=st.integers(2, 30),
+       zero_c=st.booleans())
+def test_warm_chain_of_appended_rows_agrees_with_fresh_solves(seed, n, n_eq,
+                                                              length, zero_c):
+    # Each LP of the chain holds the rows of the last and 0-3 more, which
+    # enter the held tableau as new dual columns: every warm outcome agrees
+    # with a fresh solve of the same LP, passes its own audit, and kept the
+    # tableau it started from.
+    rng = np.random.default_rng(seed)
+    p = rng.normal(size=n)
+    a_ub = np.vstack([np.eye(n), -np.eye(n)])
+    b_ub = a_ub @ p + rng.uniform(0.5, 3.0, size=2 * n)
+    a_eq = rng.normal(size=(n_eq, n))
+    b_eq = a_eq @ (p + rng.uniform(-0.2, 0.2, size=n))
+    c = np.zeros(n) if zero_c else rng.normal(size=n)
+    start = optim.LpStart()
+    for _ in range(length):
+        rows = rng.normal(size=(int(rng.integers(0, 4)), n))
+        a_ub = np.vstack([a_ub, rows])
+        b_ub = np.concatenate([b_ub, rows @ p + rng.uniform(-0.5, 2.0,
+                                                            size=len(rows))])
+        lp = optim.LinearProgram(c, a_ub, b_ub, a_eq, b_eq)
+        held = start._dual
+        warm = lp_solve(lp, start=start)
+        fresh = lp_solve(lp)
+        assert held is None or start._dual is held
+        assert warm.status == fresh.status
+        assert warm.status in (optim.OPTIMAL, optim.INFEASIBLE)
+        if warm.status == optim.OPTIMAL:
+            assert verify_optimal(lp, warm)
+            assert abs(warm.value - fresh.value) <= 1e-9 * max(1.0, abs(fresh.value))
+        else:
+            assert verify_farkas(lp, warm.farkas_ub, warm.farkas_eq)
+
+
+def test_appended_rows_are_warm_only_after_the_same_prefix():
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    c = np.array([-1.0, -2.0])
+    b = np.array([2.0, 3.0, 0.0])
+    grown = make_lp(c, a_ub=np.vstack([a, [[1.0, 1.0]]]), b_ub=[*b, 4.0])
+
+    def solved_after(first, grown, **kwargs):
+        start = optim.LpStart()
+        lp_solve(first, start=start, **kwargs)
+        held = start._dual
+        return lp_solve(grown, start=start), held is not None and start._dual is held
+
+    # the same prefix: the new row is priced into the held basis
+    warm, kept = solved_after(make_lp(c, a_ub=a, b_ub=b), grown)
+    fresh = lp_solve(grown)
+    assert kept and warm.iterations < fresh.iterations
+    assert warm.status == optim.OPTIMAL and np.allclose(warm.x, [1.0, 3.0])
+    # a prefix that differs only in the sign of a zero, a refined solve and
+    # an unbounded one (the box row u_0 <= 2 comes last) leave a fresh solve
+    moved = a.copy()
+    moved[0, 1] = -0.0
+    bounded_last = make_lp(c, a_ub=np.roll(a, -1, axis=0), b_ub=np.roll(b, -1))
+    unbounded = make_lp(c, a_ub=bounded_last.a_ub[:2], b_ub=bounded_last.b_ub[:2])
+    assert lp_solve(unbounded).status == optim.UNBOUNDED
+    for first, then, kwargs in ((make_lp(c, a_ub=moved, b_ub=b), grown, {}),
+                                (make_lp(c, a_ub=a, b_ub=b), grown,
+                                 {"refine": [0]}),
+                                (unbounded, bounded_last, {})):
+        out, kept = solved_after(first, then, **kwargs)
+        fresh = lp_solve(then)
+        assert not kept
+        assert out.iterations == fresh.iterations
+        assert np.array_equal(out.x, fresh.x)
