@@ -10,22 +10,21 @@ its infimum over V is the restricted radius, and the minimizer set is the
 center set.  The whole space is the subspace `Subspace.full(n)`, which a
 `CenterProblem` built with `feasible=None` holds, so an ordinary Chebyshev
 center is a restricted center like any other and {0} is one too.
-Polyhedral instances reduce exactly to linear programs.  The rest take the
-subgradient route: Kelley's cutting planes, warm-started LP rounds that
-close a certified bracket, when the norm is polyhedral and f is
-LP-encodable under its Composite wrappers; staged subgradient descent when
-the norm or f is smooth.  Delta-center probes, the modulus curve of the
+Polyhedral instances reduce exactly to linear programs; a forced subgradient
+solve of one runs Kelley's cutting planes, warm-started LP rounds that close
+a certified bracket, and the rest run staged subgradient descent.  A
+Composite f = scale * h ** power has h's centers, so every route solves h and
+maps the radius back.  Delta-center probes, the modulus curve of the
 delta-center collapse, and minimizing-sequence experiments live here too.
 
-Each scalarization (WeightedMax, WeightedSum, PowerSum, Composite) carries
-its own arithmetic: `arity`; `value_many(ts)`, f at each row of ts;
+Each scalarization WeightedMax, WeightedSum and PowerSum carries its own
+arithmetic: `arity`; `value_many(ts)`, f at each row of ts;
 `combine(t, grads)`, f(t) and sum_i s_i grads[i] for a subgradient s of f at
 t; `lp_encodable`, and when it holds `lp_level(builder, tvars, level)` and
 `lp_objective(builder, tvars)`, the LP rows of f(t) <= level and of min f(t);
-and `to_json()`.  The solvers read nothing else of f but the weights of a
-WeightedMax, whose sublevel vertices the delta-center probe enumerates, and
-the inner scalarization, power and scale of a Composite, which the cutting
-planes unwrap (`_unwrap_composite`).
+and `to_json()`.  A Composite carries only `arity`, `value_many` and
+`to_json()`.  The solvers read nothing else of f but the weights of a
+WeightedMax, whose sublevel vertices the delta-center probe enumerates.
 Each class refuses parameters outside the convex, monotone, coercive class
 when it is built, so `validate_fcmc` decides membership by type alone and
 nothing samples f.
@@ -174,12 +173,11 @@ class PowerSum(_Weighted):
 
 @dataclass(frozen=True, eq=False)
 class Composite:
-    """f(t) = scale * inner(t) ** power, an outer convex increasing rescaling."""
+    """f(t) = scale * inner(t) ** power, an increasing rescaling with inner's centers."""
 
     inner: "Scalarization"
     power: float
     scale: float
-    lp_encodable = False
 
     def __post_init__(self):
         if not (np.isfinite(self.power) and np.isfinite(self.scale)
@@ -195,16 +193,6 @@ class Composite:
     @np.errstate(over="ignore", invalid="ignore")
     def value_many(self, ts: np.ndarray) -> np.ndarray:
         return self.scale * self.inner.value_many(ts) ** self.power
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def combine(self, t: np.ndarray, grads: np.ndarray) -> tuple[float, np.ndarray]:
-        # the inner subgradient as a vector, scaled by the chain rule; powers
-        # of an np.float64 overflow to inf where Python floats would raise
-        val, s = self.inner.combine(t, np.eye(t.shape[0]))
-        val = np.float64(val)
-        slope = self.scale * self.power * val ** (self.power - 1.0)
-        return (float(self.scale * val ** self.power),
-                ((slope * s)[:, None] * grads).sum(0))
 
     def to_json(self) -> dict:
         return {"kind": "composite", "inner": self.inner.to_json(),
@@ -235,6 +223,15 @@ def _through(wrappers: list, v: float) -> float:
     v = np.float64(v)
     for w in reversed(wrappers):
         v = w.scale * v ** w.power
+    return float(v)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _through_inverse(wrappers: list, v: float) -> float:
+    """The inverse of `_through`, applied outermost first."""
+    v = np.float64(v)
+    for w in wrappers:
+        v = (v / w.scale) ** (1.0 / w.power)
     return float(v)
 
 
@@ -406,12 +403,12 @@ class CutCertificate:
 
     `lower` is the audited optimum of the last round's LP, whose norm is the
     max over the collected subgradients, a minorant of the true norm, so it
-    bounds rad up to rounding; `upper` is r_f at the minimizer.  Both are in the units of f, through
-    its Composite wrappers.  `rounds` LPs took `pivots` simplex pivots and
-    hold `cuts` subgradient rows.  `converged` when the bracket closed to
-    CUT_TOL * max(1, upper); the loop also stops, unconverged, after
-    MAX_ROUNDS rounds, on a non-finite upper bound, or when a round adds no
-    cut."""
+    bounds rad up to rounding; `upper` is r_f at the minimizer.  Both are in
+    the units of f's inner scalarization, as the LP route's outcome is.
+    `rounds` LPs took `pivots` simplex pivots and hold `cuts` subgradient
+    rows.  `converged` when the bracket closed to CUT_TOL * max(1, upper);
+    the loop also stops, unconverged, after MAX_ROUNDS rounds, on a
+    non-finite upper bound, or when a round adds no cut."""
 
     lower: float
     upper: float
@@ -424,21 +421,21 @@ class CutCertificate:
 CUT_TOL, MAX_ROUNDS = 1e-9, 500
 
 
-def _cutting_plane_center(problem: CenterProblem, basis: np.ndarray, core,
-                          wrappers: list) -> tuple[float, np.ndarray, CutCertificate]:
+def _cutting_plane_center(problem: CenterProblem, basis: np.ndarray
+                          ) -> tuple[float, np.ndarray, CutCertificate]:
     """Kelley's cutting planes on the norm: each round minimizes the LP
-    objective of `core` over rows g.(B alpha - x_i) <= t_i, one set of
+    objective of f over rows g.(B alpha - x_i) <= t_i, one set of
     subgradients g per point, then adds the subgradients at the minimizer's
     residuals that point does not hold yet.  The sets start from the
     subgradients at +-e_j; a round that ends unbounded adds the ones at
     B ray instead.  Rows are only appended, so every round after the first
     bounded one is a warm re-solve."""
-    space, fs = problem.space, problem.points
+    space, fs, f = problem.space, problem.points, problem.f
     points, d = fs.points, basis.shape[1]
     builder = optim.LpBuilder()
     builder.new_vars(d)
     tvars = builder.new_vars(fs.size)
-    core.lp_objective(builder, tvars)
+    f.lp_objective(builder, tvars)
     lp = builder.build()
     held = [set() for _ in range(fs.size)]
 
@@ -483,10 +480,10 @@ def _cutting_plane_center(problem: CenterProblem, basis: np.ndarray, core,
                                     f"{out.status}")
         alpha = out.x[:d]
         ts, grads = space.value_and_subgrad_many(basis @ alpha - points)
-        value = float(core.value_many(ts[None])[0])
+        value = float(f.value_many(ts[None])[0])
         if value < best_value:
             best_value, best_alpha = value, alpha
-        lower, upper = _through(wrappers, out.value), _through(wrappers, best_value)
+        lower, upper = float(out.value), best_value
         converged = upper - lower <= CUT_TOL * max(1.0, upper)
         if converged or not np.isfinite(upper):
             break
@@ -501,11 +498,8 @@ def _cutting_plane_center(problem: CenterProblem, basis: np.ndarray, core,
 
 def _subgradient_center(problem: CenterProblem, basis: np.ndarray
                         ) -> tuple[float, np.ndarray, object]:
-    space, fs, f = problem.space, problem.points, problem.f
-    core, wrappers = _unwrap_composite(f)
-    if norms.is_lp_encodable(space) and core.lp_encodable:
-        return _cutting_plane_center(problem, basis, core, wrappers)
-    points, basis_t = fs.points, basis.T
+    space, f = problem.space, problem.f
+    points, basis_t = problem.points.points, basis.T
 
     def oracle(alpha):
         val, g = f.combine(*space.value_and_subgrad_many(basis @ alpha - points))
@@ -520,21 +514,22 @@ def _subgradient_center(problem: CenterProblem, basis: np.ndarray
 def solve_center(problem: CenterProblem, method: str = "auto") -> CenterResult:
     """Compute the restricted radius and a minimizer.
 
-    method "auto" picks the exact LP route whenever the norm and the
-    scalarization admit one (ties among optimal vertices broken toward the
+    A Composite f is solved on the scalarization h under its wrappers: the
+    solver, certificate and `CentFace` see that problem and h's radius, which
+    is then mapped back.  method "auto" picks the exact LP route whenever the
+    norm and h admit one (ties among optimal vertices broken toward the
     lexicographically smallest minimizer), and the subgradient route
-    otherwise; "lp" and "subgradient" force a route.  On the subgradient
-    route a polyhedral norm with an LP-encodable scalarization under its
-    Composite wrappers (a piecewise-linear objective) is solved by cutting
-    planes (`_cutting_plane_center`), and its certificate is a
-    `CutCertificate`, the bracket on the radius.  Any other instance runs
-    staged subgradient descent (12 stages of at most 700 steps), with its
-    step scale twice the largest Euclidean distance from the start, the
-    projected centroid, to a point of F; its certificate is the
-    `optim.SubgradientResult`.  The result records
-    `validate_fcmc(f)`, the membership of f in the convex/monotone/coercive
-    class decided by its type.  A radius or re-evaluated r_f that is not
-    finite (a composite whose power overflows) raises OptimizationError.
+    otherwise; "lp" and "subgradient" force a route.  On the subgradient route
+    a polyhedral norm with an LP-encodable h (a piecewise-linear objective) is
+    solved by cutting planes (`_cutting_plane_center`), and its certificate is
+    a `CutCertificate`, the bracket on the radius.  Any other instance runs
+    staged subgradient descent (12 stages of at most 700 steps), with its step
+    scale twice the largest Euclidean distance from the start, the projected
+    centroid, to a point of F; its certificate is the
+    `optim.SubgradientResult`.  The result records `validate_fcmc(f)`, the
+    membership of f in the convex/monotone/coercive class decided by its type.
+    A radius, or an r_f re-evaluated with f, that is not finite (a composite
+    whose power overflows) raises OptimizationError.
     """
     f_report = validate_fcmc(problem.f)
 
@@ -551,19 +546,20 @@ def solve_center(problem: CenterProblem, method: str = "auto") -> CenterResult:
         return best
 
     basis = problem.feasible.basis
-    lp_ok = norms.is_lp_encodable(problem.space) and problem.f.lp_encodable
+    f, wrappers = _unwrap_composite(problem.f)
+    inner = replace(problem, f=f) if wrappers else problem
+    lp_ok = norms.is_lp_encodable(problem.space) and f.lp_encodable
     if method == "lp" and not lp_ok:
         raise OptimizationError("no exact LP formulation for this instance")
-    use_lp = lp_ok if method == "auto" else (method == "lp")
 
-    if use_lp:
-        rad, minimizer, certificate = _lp_center(problem, basis)
-        face = CentFace(problem, rad)
-        result_method = "lp"
+    if lp_ok and method in ("auto", "lp"):
+        rad, minimizer, certificate = _lp_center(inner, basis)
+        face, result_method = CentFace(inner, rad), "lp"
     else:
-        rad, minimizer, certificate = _subgradient_center(problem, basis)
-        face = None
-        result_method = "subgradient"
+        solver = _cutting_plane_center if lp_ok else _subgradient_center
+        rad, minimizer, certificate = solver(inner, basis)
+        face, result_method = None, "subgradient"
+    rad = _through(wrappers, rad)
 
     check = eval_rf(problem.space, minimizer, problem.points, problem.f)
     if not np.isfinite([rad, check]).all():
@@ -654,14 +650,18 @@ def delta_center_probe(problem: CenterProblem, delta: float, seed: int = 0,
     Exact mode enumerates the sublevel vertices (the extreme points carry the
     maximum of the convex distance function); otherwise rejection samples over
     a box, seeded by `seed`, plus LP-extremal points in 32 random directions.
-    The minimizer itself always qualifies, so the sampler cannot starve.
+    The minimizer itself always qualifies, so the sampler cannot starve.  A
+    Composite f is probed on its inner scalarization, at the level that its
+    wrappers map to result.rad + delta: the sublevel set is the same.
     """
     if isinstance(problem.feasible, UnionOfLines):
         raise ValueError("probe requires a convex feasible set")
     if result is None:
         result = solve_center(problem)
+    f, wrappers = _unwrap_composite(problem.f)
+    problem = replace(problem, f=f) if wrappers else problem
     basis = problem.feasible.basis
-    level = result.rad + delta
+    level = _through_inverse(wrappers, result.rad + delta)
     samples_alpha: list[np.ndarray] = []
 
     verts = _sublevel_vertices(problem, basis, level)

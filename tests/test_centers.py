@@ -434,13 +434,6 @@ SCALARIZATIONS = {
     "weighted_sum": WeightedSum(np.array([0.5, 2.0, 1.0])),
     "power_sum_1": PowerSum(1.0, np.array([1.0, 0.3, 2.0])),
     "power_sum_2.5": PowerSum(2.5, np.array([1.0, 0.3, 2.0])),
-    "composite_max": Composite(WeightedMax(np.array([1.0, 2.0, 0.5])),
-                               power=2.0, scale=0.5),
-    "composite_sum": Composite(WeightedSum(np.array([1.0, 0.5, 2.0])),
-                               power=1.5, scale=3.0),
-    "composite_composite": Composite(
-        Composite(PowerSum(2.0, np.ones(3)), power=1.5, scale=2.0),
-        power=2.0, scale=0.25),
 }
 
 
@@ -455,8 +448,6 @@ def test_combine_is_value_and_subgradient(name):
         grads = rng.normal(size=(f.arity, 4))
         val, g = f.combine(t, grads)
         _, s = f.combine(t, np.eye(f.arity))
-        # a composite's power runs on a scalar here and on an array in
-        # value_many, which may round differently
         assert val == pytest.approx(f.value_many(t[None])[0],
                                     rel=4 * np.finfo(float).eps)
         np.testing.assert_allclose(g, s @ grads, rtol=1e-12, atol=1e-12 * abs(val))
@@ -671,8 +662,8 @@ def test_cutting_planes_close_on_lp_encodable_questions(monkeypatch):
         while isinstance(f, Composite):
             wrappers.append(f)
             f = f.inner
-        exact = solve_center(CenterProblem(prob.space, prob.feasible,
-                                           prob.points, f), method="lp").rad
+        inner_exact = exact = solve_center(CenterProblem(
+            prob.space, prob.feasible, prob.points, f), method="lp").rad
         for w in reversed(wrappers):
             exact = w.scale * exact ** w.power
         statuses.clear()
@@ -684,10 +675,88 @@ def test_cutting_planes_close_on_lp_encodable_questions(monkeypatch):
         assert cert.upper - cert.lower <= 1e-9 * max(1.0, cert.upper)
         assert cert.rounds == len(statuses)
         assert abs(res.rad - exact) <= 1e-12 * max(1.0, exact)
-        slack = 1e-14 * max(1.0, exact)
-        assert cert.lower <= exact + slack and exact <= cert.upper + slack
+        # the bracket is in the units of the scalarization under the wrappers
+        slack = 1e-14 * max(1.0, inner_exact)
+        assert cert.lower <= inner_exact + slack and inner_exact <= cert.upper + slack
     # the last question's first round was unbounded
     assert statuses[0] == optim.UNBOUNDED and statuses[-1] == optim.OPTIMAL
     assert not staged
     smooth = CenterProblem(l2(3), None, FiniteSet(Y_POINTS), uniform_max(3))
     assert solve_center(smooth).method == "subgradient" and len(staged) == 1
+
+
+def _inner_and_wrappers(f):
+    """The scalarization under f's Composite wrappers, and the wrappers,
+    outermost first."""
+    wrappers = []
+    while isinstance(f, Composite):
+        wrappers.append(f)
+        f = f.inner
+    return f, wrappers
+
+
+def test_lp_route_solves_a_composite_on_its_inner_scalarization():
+    # A Composite of an LP-encodable scalarization under a polyhedral norm
+    # takes the exact LP route on the scalarization under its wrappers: the
+    # radius is the inner LP radius taken through the wrappers, the
+    # minimizer is the inner LP minimizer, and the CentFace is the inner one.
+    composites = [p for p in _lp_encodable_sweep() if isinstance(p.f, Composite)]
+    assert len(composites) == 14
+    for prob in composites:
+        f, wrappers = _inner_and_wrappers(prob.f)
+        inner = solve_center(CenterProblem(prob.space, prob.feasible,
+                                           prob.points, f), method="lp")
+        for method in ("lp", "auto"):
+            res = solve_center(prob, method=method)
+            assert res.method == "lp"
+            assert res.rad == centers._through(wrappers, inner.rad)
+            assert res.minimizer.tobytes() == inner.minimizer.tobytes()
+            assert res.cent_face.problem.f is f
+            assert res.cent_face.rad == inner.rad
+
+
+def test_staged_descent_of_a_composite_runs_on_its_inner_scalarization(
+        monkeypatch):
+    from centerlab import optim
+    inner_f = WeightedSum(np.array([1.0, 0.5, 2.0]))
+    f = Composite(Composite(inner_f, power=1.5, scale=2.0), power=2.0, scale=0.25)
+    fs = FiniteSet(Y_POINTS)
+    prob = CenterProblem(l2(3), None, fs, f)
+    real_staged, starts = optim.staged_subgradient, []
+
+    def spy(oracle, start, **kwargs):
+        starts.append((oracle(start)[0], start))
+        return real_staged(oracle, start, **kwargs)
+
+    monkeypatch.setattr(optim, "staged_subgradient", spy)
+    res = solve_center(prob)
+    [(value, start)] = starts
+    v = prob.feasible.basis @ start
+    assert value == pytest.approx(eval_rf(l2(3), v, fs, inner_f), rel=1e-12)
+    assert value != pytest.approx(eval_rf(l2(3), v, fs, f), rel=1e-3)
+    assert res.method == "subgradient"
+    assert res.rad == centers._through([f, f.inner], res.certificate.value)
+
+
+def test_lp_route_refuses_a_composite_of_a_smooth_scalarization():
+    f = Composite(PowerSum(2.0, np.ones(3)), power=1.5, scale=2.0)
+    prob = CenterProblem(linf(3), None, FiniteSet(Y_POINTS), f)
+    with pytest.raises(OptimizationError, match="no exact LP formulation"):
+        solve_center(prob, method="lp")
+
+
+def test_through_inverse_round_trips_nested_wrappers():
+    rng = np.random.default_rng(19)
+    for depth in (1, 2, 3):
+        for _ in range(200):
+            f = uniform_max(2)
+            for _ in range(depth):
+                f = Composite(f, float(rng.uniform(1.0, 3.0)),
+                              float(rng.uniform(0.5, 2.0)))
+            _, wrappers = _inner_and_wrappers(f)
+            v = float(rng.uniform(0.1, 10.0))
+            there = centers._through(wrappers, v)
+            assert there == pytest.approx(f.value_many(np.array([[v, 0.0]]))[0],
+                                          rel=1e-14)
+            assert centers._through_inverse(wrappers, there) == \
+                pytest.approx(v, rel=1e-15)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from centerlab import cli, geometry, optim
+from centerlab import centers, cli, geometry, optim
 from centerlab.cli import (EXIT_ASSERT, EXIT_COMPUTE, EXIT_OK, EXIT_USAGE,
                            SCENARIOS, main)
 
@@ -213,6 +213,45 @@ def test_center_cross_check_closes_on_a_restricted_sup_norm_question(
     assert verdicts["method"] == "lp"
     assert abs(verdicts["rad_subgradient"] - verdicts["rad"]) <= \
         1e-12 * abs(verdicts["rad"])
+
+
+COMPOSITE_WEIGHTS = [1.0, 1.3, 0.8]
+
+
+def test_center_of_a_sup_norm_composite_measures_the_modulus_on_its_center_set(
+        tmp_path, capsys):
+    # A Composite is solved and probed on its inner scalarization, so under
+    # the sup norm it takes the exact LP route and has a CentFace: its
+    # modulus rows are the vertex-exact probe of the inner weighted max at
+    # the level the wrapper maps to rad + delta.
+    f = {"kind": "composite", "power": 2, "scale": 0.5,
+         "inner": {"kind": "weighted_max", "weights": COMPOSITE_WEIGHTS}}
+    path = tmp_path / "composite-max.json"
+    path.write_text(json.dumps(dict(README_INSTANCE, f=f)))
+    code, report = run_json(capsys, "center", str(path))
+    assert code == EXIT_OK and report["ok"]
+    verdicts = report["verdicts"]
+    assert verdicts["method"] == "lp"
+    assert abs(verdicts["rad_subgradient"] - verdicts["rad"]) <= \
+        1e-12 * abs(verdicts["rad"])
+    inner = centers.problem_from_json(dict(README_INSTANCE, f=f["inner"]))
+    inner_result = centers.solve_center(inner)
+    rows = verdicts["modulus"]
+    assert [row["delta"] for row in rows] == [0.1, 0.01, 0.001]
+    for row in rows:
+        level = np.sqrt((verdicts["rad"] + row["delta"]) / 0.5)
+        probe = centers.delta_center_probe(inner, level - inner_result.rad,
+                                           result=inner_result)
+        assert probe.mode == "vertex-exact"
+        assert row["samples"] == probe.samples.shape[0] == 3
+        assert abs(row["excess"] - probe.excess) <= 1e-12 * probe.excess
+    f = {"kind": "composite", "power": 1.5, "scale": 1,
+         "inner": {"kind": "weighted_sum", "weights": COMPOSITE_WEIGHTS}}
+    path.write_text(json.dumps(dict(README_INSTANCE, f=f)))
+    code, report = run_json(capsys, "center", str(path))
+    assert code == EXIT_OK and report["ok"]
+    assert report["verdicts"]["method"] == "lp"
+    assert all(row["samples"] > 1 for row in report["verdicts"]["modulus"])
 
 
 def test_center_over_lines_refuses_deltas(tmp_path, capsys):

@@ -21,8 +21,10 @@ runs, in one process:
   mideal --trials 3` on the README plane (the dominator of `property ac` is
   the witness of the non-polyhedral ball search);
 - `center` on the README points and plane under l-inf and l2, at both
-  seeds, for each of SCALARIZATIONS: together they reach both LP row forms
-  and the `combine` of every scalarization class;
+  seeds, for each of SCALARIZATIONS: together they reach both LP row forms,
+  the `combine` of every class that staged descent runs on, and a
+  `Composite` on each route its inner scalarization takes, the staged one
+  under a polyhedral norm included;
 - `center` on the README points over the union of two lines, through
   (0, 0, 1) along (1, -1, 0) and through (1, 0, 0) along (0, 1, -1), under
   l-inf and l2 at both seeds: the line loop of `solve_center` on both
@@ -69,6 +71,9 @@ SCALARIZATIONS = {
                                "inner": {"kind": "weighted_max", "weights": WEIGHTS}},
     "composite-weighted_sum": {"kind": "composite", "power": 1.5, "scale": 1,
                                "inner": {"kind": "weighted_sum", "weights": WEIGHTS}},
+    "composite-power_sum-p2": {"kind": "composite", "power": 1.5, "scale": 1,
+                               "inner": {"kind": "power_sum", "p": 2,
+                                         "weights": WEIGHTS}},
 }
 # coordinate subspaces of the sup norm, each the range of a norm-one
 # projection, so both properties pass: label -> (kind, instance, trials)
