@@ -12,7 +12,9 @@ center set.  The whole space is the subspace `Subspace.full(n)`, which a
 center is a restricted center like any other and {0} is one too.
 Polyhedral instances reduce exactly to linear programs; a forced subgradient
 solve of one runs Kelley's cutting planes, warm-started LP rounds that close
-a certified bracket, and the rest run staged subgradient descent.  A
+a certified bracket.  The rest stop at their start, the projected centroid,
+when one LP over f's linear minorants there closes a bracket on the
+radius, and run staged subgradient descent otherwise.  A
 Composite f = scale * h ** power has h's centers, so every route solves h and
 maps the radius back.  Delta-center probes, the modulus curve of the
 delta-center collapse, and minimizing-sequence experiments live here too.
@@ -21,9 +23,10 @@ Each scalarization WeightedMax, WeightedSum and PowerSum carries its own
 arithmetic: `arity`; `value_many(ts)`, f at each row of ts;
 `combine(t, grads)`, f(t) and sum_i s_i grads[i] for a subgradient s of f at
 t; `lp_encodable`, and when it holds `lp_level(builder, tvars, level)` and
-`lp_objective(builder, tvars)`, the LP rows of f(t) <= level and of min f(t);
-and `to_json()`.  A Composite carries only `arity`, `value_many` and
-`to_json()`.  The solvers read nothing else of f but the weights of a
+`lp_objective(builder, tvars)`, the LP rows of f(t) <= level and of min f(t),
+and `minorants(t)`, nonnegative rows c with f(t') >= c.t' for all t' >= 0
+and c.t = f(t) (None where f is not LP-encodable); and `to_json()`.  A
+Composite carries only `arity`, `value_many` and `to_json()`.  The solvers read nothing else of f but the weights of a
 WeightedMax, whose sublevel vertices the delta-center probe enumerates.
 Each class refuses parameters outside the convex, monotone, coercive class
 when it is built, so `validate_fcmc` decides membership by type alone and
@@ -77,9 +80,14 @@ class FiniteSet:
 # ---------------------------------------------------------------------------
 # scalarizations
 
+# how far below f(t) a WeightedMax piece w_i t_i may sit and still be one of
+# the minorants it gives at t
+MINORANT_TIE = 1e-12
+
+
 class _Weighted:
-    """One positive weight w_i per point, and the LP rows of sum_i w_i t_i
-    (WeightedMax writes its own)."""
+    """One positive weight w_i per point, and the LP rows and the minorant
+    of sum_i w_i t_i (WeightedMax writes its own)."""
 
     lp_encodable = True
 
@@ -100,6 +108,9 @@ class _Weighted:
 
     def lp_objective(self, builder, tvars) -> None:
         builder.set_objective(tvars, self.weights)
+
+    def minorants(self, t: np.ndarray) -> np.ndarray:
+        return self.weights[None, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,6 +134,13 @@ class WeightedMax(_Weighted):
         builder.set_objective([top], [1.0])
         builder.add_ub([*tvars, top], np.column_stack(
             [np.diag(self.weights), np.full(self.arity, -1.0)]), np.zeros(self.arity))
+
+    def minorants(self, t: np.ndarray) -> np.ndarray:
+        # the pieces w_i t_i within MINORANT_TIE of the max; dropping the
+        # others keeps a minorant
+        wt = self.weights * t
+        top = wt.max()
+        return np.diag(self.weights)[wt >= top - MINORANT_TIE * max(1.0, top)]
 
     def to_json(self) -> dict:
         return {"kind": "weighted_max", "weights": self.weights.tolist()}
@@ -166,6 +184,9 @@ class PowerSum(_Weighted):
     def combine(self, t: np.ndarray, grads: np.ndarray) -> tuple[float, np.ndarray]:
         s = self.p * self.weights * t ** (self.p - 1.0)
         return float(self.weights @ t ** self.p), (s[:, None] * grads).sum(0)
+
+    def minorants(self, t: np.ndarray) -> np.ndarray | None:
+        return super().minorants(t) if self.lp_encodable else None
 
     def to_json(self) -> dict:
         return {"kind": "power_sum", "p": self.p, "weights": self.weights.tolist()}
@@ -408,7 +429,10 @@ class CutCertificate:
     `rounds` LPs took `pivots` simplex pivots and hold `cuts` subgradient
     rows.  `converged` when the bracket closed to CUT_TOL * max(1, upper);
     the loop also stops, unconverged, after MAX_ROUNDS rounds, on a
-    non-finite upper bound, or when a round adds no cut."""
+    non-finite upper bound, or when a round adds no cut.
+
+    `_minorant_bracket` gives one too, from one LP (`rounds` 1) at a single
+    point, `converged` when it closes to START_TOL * max(1, upper)."""
 
     lower: float
     upper: float
@@ -419,6 +443,11 @@ class CutCertificate:
 
 
 CUT_TOL, MAX_ROUNDS = 1e-9, 500
+
+
+def _axis_subgradients(space, n: int) -> np.ndarray:
+    """The norm's subgradients at e_1, ..., e_n, then at -e_1, ..., -e_n."""
+    return space.value_and_subgrad_many(np.vstack([np.eye(n), -np.eye(n)]))[1]
 
 
 def _cutting_plane_center(problem: CenterProblem, basis: np.ndarray
@@ -456,8 +485,7 @@ def _cutting_plane_center(problem: CenterProblem, basis: np.ndarray
         return replace(lp, a_ub=np.vstack([lp.a_ub, rows]),
                        b_ub=np.concatenate([lp.b_ub, rhs]))
 
-    n = fs.dim
-    seeds = space.value_and_subgrad_many(np.vstack([np.eye(n), -np.eye(n)]))[1]
+    seeds = _axis_subgradients(space, fs.dim)
     lp = with_cuts(lp, np.broadcast_to(seeds, (fs.size, *seeds.shape)))
     start = optim.LpStart()
     best_value, best_alpha = np.inf, np.zeros(d)
@@ -496,8 +524,60 @@ def _cutting_plane_center(problem: CenterProblem, basis: np.ndarray
                                                      pivots, converged)
 
 
+START_TOL = 1e-12
+
+
+def _minorant_bracket(problem: CenterProblem, basis: np.ndarray, upper: float,
+                      ts: np.ndarray, grads: np.ndarray) -> CutCertificate | None:
+    """A bracket lower <= rad <= upper from one point alpha, where r_f is
+    `upper` and the distances to F and their norm subgradients are `ts` and
+    `grads`; None when f gives no linear minorants or the LP below does not
+    end optimal.  It is `converged` when it closes to
+    START_TOL * max(1, upper), and then alpha is a center.
+
+    Each row c of `f.minorants(ts)` is a linear minorant of f on t >= 0,
+    and ||y - x_i|| >= g_i.(y - x_i), so r_f(B beta) >= sum_i c_i
+    g_i.(B beta - x_i).  The minimizer lies in {r_f <= upper}, where
+    c_k ||B beta - x_k|| <= upper for the largest entry c_k of the rows, so
+    the rows s.(B beta - x_k) <= upper / c_k, one for the subgradient s at
+    each of +-e_j, hold it.  `lower` is the optimum of the LP min T over
+    beta and T, with T >= each minorant, inside those rows: d + 1
+    variables."""
+    f, space = problem.f, problem.space
+    coefs = f.minorants(ts)
+    if coefs is None:
+        return None
+    points, (n, d) = problem.points.points, basis.shape
+    heaviest = coefs.max(axis=0)
+    k = int(heaviest.argmax())
+    seeds = _axis_subgradients(space, n)
+    builder = optim.LpBuilder()
+    beta = builder.new_vars(d)
+    top = builder.new_var()
+    builder.set_objective([top], [1.0])
+    # a non-finite upper or subgradient, or a row that overflows, leaves a
+    # non-finite entry, which `build` refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        builder.add_ub([*beta, top], np.column_stack(
+            [coefs @ (grads @ basis), -np.ones(len(coefs))]),
+            coefs @ (grads * points).sum(axis=1))
+        builder.add_ub(beta, seeds @ basis, upper / heaviest[k] + seeds @ points[k])
+    try:
+        lp = builder.build()
+    except ValueError:
+        return None
+    out = optim.lp_solve(lp)
+    if out.status != optim.OPTIMAL:
+        return None
+    return CutCertificate(out.value, upper, 1, lp.a_ub.shape[0], out.iterations,
+                          upper - out.value <= START_TOL * max(1.0, upper))
+
+
 def _subgradient_center(problem: CenterProblem, basis: np.ndarray
                         ) -> tuple[float, np.ndarray, object]:
+    """Staged subgradient descent from the projected centroid, unless the
+    bracket of `_minorant_bracket` there closes: then the centroid is the
+    center and that bracket its certificate."""
     space, f = problem.space, problem.f
     points, basis_t = problem.points.points, basis.T
 
@@ -506,6 +586,11 @@ def _subgradient_center(problem: CenterProblem, basis: np.ndarray
         return val, basis_t @ g
 
     start = basis_t @ points.mean(axis=0)
+    ts, grads = space.value_and_subgrad_many(basis @ start - points)
+    value = f.combine(ts, grads)[0]
+    bracket = _minorant_bracket(problem, basis, value, ts, grads)
+    if bracket is not None and bracket.converged:
+        return value, basis @ start, bracket
     spread = np.linalg.norm(basis @ start - points, axis=1).max(initial=0.0)
     res = optim.staged_subgradient(oracle, start, scale=max(1.0, 2.0 * spread))
     return res.value, basis @ res.point, res
@@ -522,10 +607,19 @@ def solve_center(problem: CenterProblem, method: str = "auto") -> CenterResult:
     otherwise; "lp" and "subgradient" force a route.  On the subgradient route
     a polyhedral norm with an LP-encodable h (a piecewise-linear objective) is
     solved by cutting planes (`_cutting_plane_center`), and its certificate is
-    a `CutCertificate`, the bracket on the radius.  Any other instance runs
-    staged subgradient descent (12 stages of at most 700 steps), with its step
-    scale twice the largest Euclidean distance from the start, the projected
-    centroid, to a point of F; its certificate is the
+    a `CutCertificate`, the bracket on the radius.  Any other instance starts
+    at the projected centroid.  When h is LP-encodable, one LP over h's
+    linear minorants at that start, inside rows that hold the sublevel set
+    there (`_minorant_bracket`), bounds the radius from below; when that
+    bound is within START_TOL = 1e-12 relative of r_f at the start, the
+    start is returned with the bracket as a `CutCertificate` of one round.
+    The start is then the answer, so the bracket must be as tight as the
+    1e-12 that Euclidean distances are held to, not CUT_TOL; it is a float
+    bracket, as the cutting planes' is, but its rounding is a few units in
+    the last place.  It closes on every two-point max question in the whole
+    space under a p-norm.  Otherwise staged subgradient descent runs (12 stages
+    of at most 700 steps), with its step scale twice the largest Euclidean
+    distance from the start to a point of F; its certificate is the
     `optim.SubgradientResult`.  The result records `validate_fcmc(f)`, the
     membership of f in the convex/monotone/coercive class decided by its type.
     A radius, or an r_f re-evaluated with f, that is not finite (a composite

@@ -7,7 +7,12 @@ for nonsmooth convex objectives, `staged_subgradient`, whose one caller is
 the non-LP route of `centers.solve_center` on smooth objectives: distances
 and non-polyhedral ball searches reach it as restricted centers.  That
 route's piecewise-linear objectives are solved by cutting planes, a chain
-of warm `lp_solve` calls.
+of warm `lp_solve` calls.  Before it descends, that route solves one LP
+over linear minorants at its start, and when their lower bound comes
+within 1e-12 relative of the start's value (a float bracket, like the
+cutting planes') it returns the start and does not call
+`staged_subgradient` at all: every two-point max question in the whole
+space under a p-norm stops there.
 
 Problem sizes in this project are tiny (tens of variables), so clarity and
 determinism win over speed.  Pivoting follows Bland's rule with

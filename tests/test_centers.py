@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centerlab import centers, norms
 from centerlab.centers import (
@@ -681,7 +683,10 @@ def test_cutting_planes_close_on_lp_encodable_questions(monkeypatch):
     # the last question's first round was unbounded
     assert statuses[0] == optim.UNBOUNDED and statuses[-1] == optim.OPTIMAL
     assert not staged
-    smooth = CenterProblem(l2(3), None, FiniteSet(Y_POINTS), uniform_max(3))
+    # Y_POINTS' centroid is their l2 center, where descent does not run at
+    # all; these weights move the center off it
+    smooth = CenterProblem(l2(3), None, FiniteSet(Y_POINTS),
+                           WeightedMax(np.array([1.0, 2.0, 0.5])))
     assert solve_center(smooth).method == "subgradient" and len(staged) == 1
 
 
@@ -760,3 +765,116 @@ def test_through_inverse_round_trips_nested_wrappers():
                                           rel=1e-14)
             assert centers._through_inverse(wrappers, there) == \
                 pytest.approx(v, rel=1e-15)
+
+
+def _two_point_questions():
+    """Two-point max questions whose projected centroid is the center: the
+    midpoint, under l2, l2.5 and criterion 05's two E-sums in the whole
+    space, and under l2 in a coordinate plane through the midpoint."""
+    rng = np.random.default_rng(20)
+    x1, x2 = rng.uniform(-2, 2, size=(2, 3))
+    spaces = [l2(3), lp_norm(2.5, 3),
+              norms.make_esum([l1(2), l2(1)], norms.weighted_lp(1, [1.0, 2.0])),
+              norms.make_esum([linf(2), l2(1)], norms.weighted_lp(2, [1.0, 1.5]))]
+    questions = [CenterProblem(s, None, FiniteSet([x1, x2]), uniform_max(2))
+                 for s in spaces]
+    plane = subspace_from_basis(3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    mirrored = x2 * np.array([1.0, 1.0, 0.0]) - x1 * np.array([0.0, 0.0, 1.0])
+    questions.append(CenterProblem(l2(3), plane, FiniteSet([x1, mirrored]),
+                                   uniform_max(2)))
+    return questions
+
+
+def _staged_from_the_start(prob):
+    """What staged descent returns from `_subgradient_center`'s start and
+    scale: (value, minimizer)."""
+    from centerlab import optim
+    basis, pts = prob.feasible.basis, prob.points.points
+
+    def oracle(alpha):
+        val, g = prob.f.combine(*prob.space.value_and_subgrad_many(
+            basis @ alpha - pts))
+        return val, basis.T @ g
+
+    start = basis.T @ pts.mean(axis=0)
+    spread = np.linalg.norm(basis @ start - pts, axis=1).max()
+    res = optim.staged_subgradient(oracle, start, scale=max(1.0, 2.0 * spread))
+    return res.value, basis @ res.point
+
+
+def test_subgradient_route_stops_at_a_centroid_that_is_the_center():
+    # The bracket at the start closes in one LP, and the answer is the one
+    # staged descent gives from the same start and scale, bit for bit.  The
+    # first E-sum is LP-encodable, so solve_center takes the LP route on it;
+    # the subgradient route is called directly on every question.
+    for prob in _two_point_questions():
+        rad, minimizer, cert = centers._subgradient_center(prob, prob.feasible.basis)
+        assert isinstance(cert, centers.CutCertificate)
+        assert cert.rounds == 1 and cert.converged
+        assert cert.upper - cert.lower <= 1e-12 * max(1.0, cert.upper)
+        assert cert.upper == rad
+        value, point = _staged_from_the_start(prob)
+        assert rad == value and minimizer.tobytes() == point.tobytes()
+        if not norms.is_lp_encodable(prob.space):
+            assert vars(solve_center(prob).certificate) == vars(cert)
+
+
+def test_stop_at_the_centroid_of_an_oblique_plane_is_within_the_bracket():
+    # In a plane that is not a coordinate plane the projected midpoint is
+    # rounded, and descent may end a few ulps below its value; the stop
+    # answer stays within the bracket's width of descent's.
+    rng = np.random.default_rng(20)
+    x1, x2 = rng.uniform(-2, 2, size=(2, 3))
+    for seed in range(4):
+        plane = subspace_from_basis(3, [0.5 * (x1 + x2),
+                                        np.random.default_rng(seed).normal(size=3)])
+        prob = CenterProblem(l2(3), plane, FiniteSet([x1, x2]), uniform_max(2))
+        res = solve_center(prob)
+        assert res.certificate.converged and res.certificate.rounds == 1
+        value, _ = _staged_from_the_start(prob)
+        assert abs(res.rad - value) <= 1e-12 * max(1.0, res.rad)
+
+
+def _polyhedral_question(seed: int) -> CenterProblem:
+    """A seeded LP-encodable question: l-inf, l1 or a random polyhedral norm
+    in R^2..R^4, two to four points, max, weighted-max or weighted-sum, in
+    the whole space or a random subspace."""
+    rng = np.random.default_rng(seed)
+    dim, size = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    kind = int(rng.integers(3))
+    if kind == 2:
+        gens = rng.normal(size=(dim + 2, dim))
+        space = norms.polyhedral(np.vstack([gens, -gens]))
+    else:
+        space = (linf, l1)[kind](dim)
+    w = rng.uniform(0.5, 1.5, size=size)
+    f = (uniform_max(size), WeightedMax(w), WeightedSum(w))[int(rng.integers(3))]
+    sub = None
+    if rng.integers(2):
+        sub = subspace_from_basis(dim, rng.normal(size=(int(rng.integers(1, dim)), dim)))
+    return CenterProblem(space, sub, FiniteSet(rng.uniform(-2, 2, size=(size, dim))), f)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from([0.0, 1e-9, 1e-3, 1.0]))
+def test_minorant_bracket_lower_bound_is_sound(seed, spread):
+    # At any alpha the bracket's lower end is below the exact radius, up to
+    # rounding: its minorant rows, near-maximal max pieces only, and the
+    # rows holding the sublevel set cut off no minimizer.  alpha is drawn
+    # around the LP route's minimizer, where many pieces tie, and farther.
+    prob = _polyhedral_question(seed)
+    exact = solve_center(prob, method="lp")
+    basis, pts = prob.feasible.basis, prob.points.points
+    rng = np.random.default_rng(seed)
+    alpha = basis.T @ exact.minimizer + spread * rng.normal(size=basis.shape[1])
+    ts, grads = prob.space.value_and_subgrad_many(basis @ alpha - pts)
+    upper = prob.f.combine(ts, grads)[0]
+    cert = centers._minorant_bracket(prob, basis, upper, ts, grads)
+    if cert is None:
+        # the subgradients at +-e_j of a random polyhedral norm need not
+        # span R^n, and then the LP can be unbounded
+        assert isinstance(prob.space, norms.PolyhedralNorm)
+        return
+    assert cert.lower <= exact.rad + 1e-12 * max(1.0, exact.rad)
+    assert exact.rad <= cert.upper + 1e-12 * max(1.0, exact.rad)

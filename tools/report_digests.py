@@ -28,7 +28,11 @@ runs, in one process:
 - `center` on the README points over the union of two lines, through
   (0, 0, 1) along (1, -1, 0) and through (1, 0, 0) along (0, 1, -1), under
   l-inf and l2 at both seeds: the line loop of `solve_center` on both
-  routes.
+  routes;
+- `center` on the first two README points in the whole space, under l2
+  and under the E-sum of l-inf(2) and l2(1) with weighted 2-norm weights
+  (1, 1.5), at both seeds: two-point max questions whose centroid is the
+  center, where the subgradient route stops at its start.
 
 A digest covers the exit code and the report with `wall_clock_s` removed.
 Two checkouts give the same lines exactly when their reports agree, so
@@ -62,6 +66,13 @@ L2_PROPERTY = {"schema": 1, "space": L2, "subspace": README_INSTANCE["subspace"]
 LINES_INSTANCE = dict(README_INSTANCE, subspace={
     "lines": {"points": [[0, 0, 1], [1, 0, 0]],
               "directions": [[1, -1, 0], [0, 1, -1]]}})
+TWO_POINT_SPACES = {
+    "l2": L2,
+    "esum": {"kind": "esum",
+             "components": [{"kind": "lp", "p": "inf", "dim": 2},
+                            {"kind": "lp", "p": 2, "dim": 1}],
+             "e_norm": {"kind": "weighted_lp", "p": 2, "weights": [1.0, 1.5]}},
+}
 WEIGHTS = [1.0, 1.3, 0.8]
 SCALARIZATIONS = {
     "weighted_sum": {"kind": "weighted_sum", "weights": WEIGHTS},
@@ -163,6 +174,14 @@ def run_all(cli) -> None:
                               encoding="utf-8")
         for seed in SEEDS:
             digest(cli, f"center-lines-{norm}-seed{seed}",
+                   ["center", path, "--seed", seed])
+    for norm, space in TWO_POINT_SPACES.items():
+        path = f"two-point-{norm}.json"
+        Path(path).write_text(json.dumps(dict(
+            README_INSTANCE, space=space, subspace=None,
+            points=README_INSTANCE["points"][:2])), encoding="utf-8")
+        for seed in SEEDS:
+            digest(cli, f"center-two-point-{norm}-seed{seed}",
                    ["center", path, "--seed", seed])
 
 
