@@ -542,7 +542,10 @@ def _minorant_bracket(problem: CenterProblem, basis: np.ndarray, upper: float,
     the rows s.(B beta - x_k) <= upper / c_k, one for the subgradient s at
     each of +-e_j, hold it.  `lower` is the optimum of the LP min T over
     beta and T, with T >= each minorant, inside those rows: d + 1
-    variables."""
+    variables.  While those rows leave the LP unbounded, the row of the
+    subgradient s at B ray, which holds the sublevel set too, is added and
+    the LP solved again (an unbounded verdict leaves no basis to start
+    from), at most n times; `rounds` counts the solves."""
     f, space = problem.f, problem.space
     coefs = f.minorants(ts)
     if coefs is None:
@@ -550,7 +553,6 @@ def _minorant_bracket(problem: CenterProblem, basis: np.ndarray, upper: float,
     points, (n, d) = problem.points.points, basis.shape
     heaviest = coefs.max(axis=0)
     k = int(heaviest.argmax())
-    seeds = _axis_subgradients(space, n)
     builder = optim.LpBuilder()
     beta = builder.new_vars(d)
     top = builder.new_var()
@@ -561,15 +563,24 @@ def _minorant_bracket(problem: CenterProblem, basis: np.ndarray, upper: float,
         builder.add_ub([*beta, top], np.column_stack(
             [coefs @ (grads @ basis), -np.ones(len(coefs))]),
             coefs @ (grads * points).sum(axis=1))
-        builder.add_ub(beta, seeds @ basis, upper / heaviest[k] + seeds @ points[k])
-    try:
-        lp = builder.build()
-    except ValueError:
-        return None
-    out = optim.lp_solve(lp)
+    rows, pivots = _axis_subgradients(space, n), 0
+    for rounds in range(1, n + 2):
+        with np.errstate(over="ignore", invalid="ignore"):
+            builder.add_ub(beta, rows @ basis, upper / heaviest[k] + rows @ points[k])
+        try:
+            lp = builder.build()
+        except ValueError:
+            return None
+        out = optim.lp_solve(lp)
+        pivots += out.iterations
+        if out.status != optim.UNBOUNDED:
+            break
+        # the subgradients at +-e_j need not span R^n; s.(B ray) > 0 cuts
+        # the ray off
+        rows = space.value_and_subgrad_many((basis @ out.ray[:d])[None])[1]
     if out.status != optim.OPTIMAL:
         return None
-    return CutCertificate(out.value, upper, 1, lp.a_ub.shape[0], out.iterations,
+    return CutCertificate(out.value, upper, rounds, lp.a_ub.shape[0], pivots,
                           upper - out.value <= START_TOL * max(1.0, upper))
 
 

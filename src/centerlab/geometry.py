@@ -8,11 +8,14 @@ violating vector.  Positive verdicts from randomized checkers are always
 
 Random ball families are generated witness-first (pick the witness, derive
 the radii), since independently random radii almost never intersect.
+
+Every ball-intersection LP is made by `_BallLps`.  The LPs of families of
+one size in one space and subspace differ only in b, so a checker builds
+their rows once and each trial computes b from its centers and radii.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -107,52 +110,94 @@ def balls_intersect(space, family: BallFamily, within: Subspace | None = None
     None): by one feasibility LP for polyhedral norms, else by the center
     of max_i ||y - c_i|| / (r_i + slack) over `within`, which is FEASIBLE
     when every ball holds it within the audit's slack."""
-    return _intersect(space, family, within, None)
-
-
-def _intersect(space, family: BallFamily, within: Subspace | None,
-               start: optim.LpStart | None) -> IntersectionResult:
-    """`balls_intersect`, whose feasibility LP is solved with `start`: a
-    checker keeps one per chain of families whose LPs share their rows
-    (same space, subspace and size), so that each trial is re-solved from
-    the basis of the one before."""
-    n = norms.space_dim(space)
-    if family.dim != n:
+    if family.dim != norms.space_dim(space):
         raise DimensionMismatchError("family does not match the space dimension")
-    if within is not None and within.ambient_dim != n:
-        raise DimensionMismatchError("subspace ambient dim mismatch")
-    centers = family.centers
-    radii = family.radii
+    return _BallLps(space, within).intersect(family.centers, family.radii)
 
-    if norms.is_lp_encodable(space):
-        basis = np.eye(n) if within is None else np.array(within.basis)
-        builder = optim.LpBuilder()
-        alphas = builder.new_vars(basis.shape[1])
-        tvars = builder.new_vars(family.size)
-        for center, radius, tv in zip(centers, radii, tvars):
-            norms.add_norm_epigraph(builder, space, alphas, basis, -center, tv)
-            builder.add_ub([tv], [[1.0]], [radius])
-        lp = builder.build()
-        out = optim.lp_solve(lp, start=start)
-        if out.status == optim.OPTIMAL:
-            witness = basis @ out.x[:basis.shape[1]]
-            gaps = eval_norm_many(space, witness[None, :] - centers) - radii
-            if gaps.max(initial=0.0) > 1e-8 * max(1.0, float(radii.max(initial=1.0))):
-                raise OptimizationError("witness failed the ball audit")
-            return IntersectionResult(FEASIBLE, witness, lp, out)
-        if out.status == optim.INFEASIBLE:
-            return IntersectionResult(INFEASIBLE, None, lp, out)
-        raise OptimizationError(f"feasibility LP ended with {out.status}")
 
-    # the slack also keeps the weights of zero and tiny radii finite
-    slack = FEAS_TOL * max(1.0, float(radii.max()))
-    res = solve_center(CenterProblem(space, within, FiniteSet(centers),
-                                     WeightedMax(1.0 / (radii + slack))))
-    witness = res.minimizer
-    gaps = eval_norm_many(space, witness[None, :] - centers) - radii
-    if gaps.max(initial=0.0) <= slack:
-        return IntersectionResult(FEASIBLE, witness, None, res)
-    return IntersectionResult(UNRESOLVED, witness, None, res)
+def _ball_lp(space, basis: np.ndarray, centers: np.ndarray, radii: np.ndarray
+             ) -> optim.LinearProgram:
+    """The feasibility LP of the balls over the span of `basis`: per ball,
+    the epigraph rows of ||basis @ alpha - c_i|| <= t_i, then t_i <= r_i."""
+    builder = optim.LpBuilder()
+    alphas = builder.new_vars(basis.shape[1])
+    tvars = builder.new_vars(len(radii))
+    for center, radius, tv in zip(centers, radii, tvars):
+        norms.add_norm_epigraph(builder, space, alphas, basis, -center, tv)
+        builder.add_ub([tv], [[1.0]], [radius])
+    return builder.build()
+
+
+class _BallLps:
+    """The feasibility LPs of ball families in one space and subspace: the
+    one LP path of `balls_intersect` and of the checkers' trials.
+
+    Families of one size form a chain whose LPs share rows and objective;
+    a ball's block of b is its epigraph rows' right-hand side, linear in
+    the offset -c_i, and then r_i.  Each size's LP is built once, from its
+    first family, and a later family's is that LP with b_ub replaced, b
+    from the offset map's matrix.  One build with the n unit offsets as n
+    balls gives that matrix; it is made for the second LP, so a one-shot
+    query builds once.  Its rows are dot products like the epigraph's, so
+    b is a fresh build's as floats, up to the sign of a zero, except that
+    in a sum norm of 16 or more coordinates the BLAS may round a
+    component's row an ulp apart.  Each chain has its own `optim.LpStart`."""
+
+    def __init__(self, space, within: Subspace | None):
+        n = norms.space_dim(space)
+        if within is not None and within.ambient_dim != n:
+            raise DimensionMismatchError("subspace ambient dim mismatch")
+        self.space, self.within = space, within
+        self.basis = np.eye(n) if within is None else np.array(within.basis)
+        self.chains: dict = {}   # size -> (its first LP, its LpStart)
+        self.offset_map = None   # epigraph rows x n
+
+    def lp(self, centers: np.ndarray, radii: np.ndarray) -> optim.LinearProgram:
+        k = len(radii)
+        if k not in self.chains:
+            lp = _ball_lp(self.space, self.basis, centers, radii)
+            self.chains[k] = (lp, optim.LpStart())
+            return lp
+        if self.offset_map is None:
+            n = self.basis.shape[0]
+            unit = _ball_lp(self.space, self.basis, -np.eye(n), np.zeros(n))
+            self.offset_map = unit.b_ub.reshape(n, -1)[:, :-1].T.copy()
+        # C order, as the epigraph's offsets: BLAS sums a strided one otherwise
+        offs = np.negative(centers, order="C")[:, None, :, None]
+        b = np.empty((k, self.offset_map.shape[0] + 1))
+        b[:, :-1], b[:, -1] = (self.offset_map[:, None, :] @ offs)[..., 0, 0], radii
+        first = self.chains[k][0]
+        return optim.LinearProgram(first.objective, first.a_ub, b.ravel(),
+                                   first.a_eq, first.b_eq)
+
+    def intersect(self, centers: np.ndarray, radii: np.ndarray) -> IntersectionResult:
+        """`balls_intersect` of the balls (centers[i], radii[i]), a row of
+        n coordinates per radius, as the caller has checked."""
+        if not (np.isfinite(centers).all() and np.isfinite(radii).all()):
+            raise ValueError("ball centers and radii must be finite")
+        space = self.space
+        if norms.is_lp_encodable(space):
+            lp = self.lp(centers, radii)
+            out = optim.lp_solve(lp, start=self.chains[len(radii)][1])
+            if out.status == optim.OPTIMAL:
+                witness = self.basis @ out.x[:self.basis.shape[1]]
+                gaps = eval_norm_many(space, witness[None, :] - centers) - radii
+                if gaps.max(initial=0.0) > 1e-8 * max(1.0, float(radii.max(initial=1.0))):
+                    raise OptimizationError("witness failed the ball audit")
+                return IntersectionResult(FEASIBLE, witness, lp, out)
+            if out.status == optim.INFEASIBLE:
+                return IntersectionResult(INFEASIBLE, None, lp, out)
+            raise OptimizationError(f"feasibility LP ended with {out.status}")
+
+        # the slack also keeps the weights of zero and tiny radii finite
+        slack = FEAS_TOL * max(1.0, float(radii.max()))
+        res = solve_center(CenterProblem(space, self.within, FiniteSet(centers),
+                                         WeightedMax(1.0 / (radii + slack))))
+        witness = res.minimizer
+        gaps = eval_norm_many(space, witness[None, :] - centers) - radii
+        if gaps.max(initial=0.0) <= slack:
+            return IntersectionResult(FEASIBLE, witness, None, res)
+        return IntersectionResult(UNRESOLVED, witness, None, res)
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +222,15 @@ def central_subspace_check(space, sub: Subspace, trials: int, seed: int,
     Families of 2-4 balls are generated witness-first: the witness is drawn
     from `within`, centers from `sub`, and each radius is the witness
     distance inflated by a factor in [1, 1.2], so feasibility in `within`
-    holds by construction.  Injected families are tested first.  The
-    trials' feasibility LPs are solved warm, with one `optim.LpStart` per
-    family size: families of one size share their LP rows, which differ
-    only in the right-hand side, so each re-solve starts from the basis of
-    the last trial of that size (see `optim.lp_solve`).
+    holds by construction.  Injected families are tested first, each by
+    `balls_intersect`.  The trials form one chain of LPs per family size
+    (see `_BallLps`): each size's rows are built once, a trial supplies
+    only b, and its LP is re-solved from the basis of the last trial of
+    that size.  A `BallFamily` is built only for a counterexample.
     """
     n = norms.space_dim(space)
     rng = np.random.default_rng(seed)
-    starts = defaultdict(optim.LpStart)
+    lps = _BallLps(space, sub)
     for fam in inject:
         res = balls_intersect(space, fam, sub)
         if res.status != FEASIBLE:
@@ -198,13 +243,13 @@ def central_subspace_check(space, sub: Subspace, trials: int, seed: int,
         centers = (sub.basis @ rng.normal(size=(sub.dim, k)) * 1.5).T
         radii = eval_norm_many(space, w[None, :] - centers) * \
             (1.0 + rng.uniform(0.0, 0.2, size=k))
-        fam = BallFamily.from_arrays(centers, radii)
-        res = _intersect(space, fam, sub, starts[k])
+        res = lps.intersect(centers, radii)
         if res.status != FEASIBLE:
             certified = res.status == INFEASIBLE
             note = ("counterexample with Farkas certificate" if certified
                     else "candidate counterexample (semi-decided norm)")
-            return CentralVerdict(False, fam, res, trial + 1, False, note)
+            return CentralVerdict(False, BallFamily.from_arrays(centers, radii),
+                                  res, trial + 1, False, note)
     return CentralVerdict(True, None, None, trials, False,
                           f"no counterexample found in {trials} trials")
 
@@ -696,13 +741,14 @@ def mideal_three_ball_check(space, z: Subspace, trials: int, eps: float = 1e-6,
     The distances of the three centers to the subspace come from one
     `dist_to_subspace_many` call per trial; those of a failing triple are
     solved again as LPs, and a disagreement raises OptimizationError rather
-    than report a counterexample.  The trials' feasibility LPs share their
-    rows and differ only in the right-hand side, so each is re-solved from
-    the basis of the one before, through one `optim.LpStart`.
+    than report a counterexample.  The trials' LPs form one chain (see
+    `_BallLps`): their rows are built once, a trial supplies only b, and
+    each is re-solved from the basis of the one before.  The two families
+    of the verdict are built only for a failing trial.
     """
     n = norms.space_dim(space)
     rng = np.random.default_rng(seed)
-    start = optim.LpStart()
+    lps = _BallLps(space, z)
     for trial in range(trials):
         w = rng.normal(size=n) * 1.5
         centers = rng.normal(size=(3, n)) * 1.5
@@ -711,12 +757,12 @@ def mideal_three_ball_check(space, z: Subspace, trials: int, eps: float = 1e-6,
         tight = rng.random(size=3) < 0.5
         infl = 1.0 + rng.uniform(0.0, 0.1, size=3) * (~tight)
         radii = np.maximum(joint, meet) * infl
-        enlarged = BallFamily.from_arrays(centers, radii + eps)
-        res = _intersect(space, enlarged, z, start)
+        res = lps.intersect(centers, radii + eps)
         if res.status != FEASIBLE:
             _audit_distances(space, centers, z, meet)
-            family = BallFamily.from_arrays(centers, radii)
-            return ThreeBallVerdict(False, family, enlarged, res, trial + 1, eps,
+            return ThreeBallVerdict(False, BallFamily.from_arrays(centers, radii),
+                                    BallFamily.from_arrays(centers, radii + eps),
+                                    res, trial + 1, eps,
                                     "enlarged triple misses the subspace")
     return ThreeBallVerdict(True, None, None, None, trials, eps,
                             f"no counterexample found in {trials} trials")

@@ -38,8 +38,9 @@ an infeasible verdict by `verify_farkas` and an unbounded one by
 
 A chain of LPs that share their objective and equality rows, and each of
 whose <= rows begin with the last LP's, can be solved warm: the checkers'
-ball LPs (one per trial, differing only in b) and the cutting-plane rounds
-of `centers.solve_center` (each appending cuts).  The caller keeps an
+ball LPs (one per trial, each the chain's one compiled LP with only b_ub
+replaced; see `geometry._BallLps`) and the cutting-plane rounds of
+`centers.solve_center` (each appending cuts).  The caller keeps an
 `LpStart` and passes it to every `lp_solve` call of the chain.  In the dual
 form b is the cost row and a new row is a new column at level zero, so the
 basis of the last solve stays feasible for the next one: each new row

@@ -878,3 +878,22 @@ def test_minorant_bracket_lower_bound_is_sound(seed, spread):
         return
     assert cert.lower <= exact.rad + 1e-12 * max(1.0, exact.rad)
     assert exact.rad <= cert.upper + 1e-12 * max(1.0, exact.rad)
+
+
+@pytest.mark.parametrize("seed,spread", [(1, 0.0), (7, 0.0), (55, 0.0), (141, 0.0),
+                                         (155, 0.0), (188, 0.0), (99, 1e-3)])
+def test_minorant_bracket_cuts_the_ray_of_an_unbounded_lp(seed, spread):
+    # In these questions the subgradients at +-e_j of a random polyhedral
+    # norm do not span, and the first LP is unbounded; the rows at B ray
+    # bound it, and the bracket is sound.
+    prob = _polyhedral_question(seed)
+    exact = solve_center(prob, method="lp")
+    basis, pts = prob.feasible.basis, prob.points.points
+    rng = np.random.default_rng(seed)
+    alpha = basis.T @ exact.minimizer + spread * rng.normal(size=basis.shape[1])
+    ts, grads = prob.space.value_and_subgrad_many(basis @ alpha - pts)
+    upper = prob.f.combine(ts, grads)[0]
+    cert = centers._minorant_bracket(prob, basis, upper, ts, grads)
+    assert cert is not None and cert.rounds >= 2
+    assert cert.lower <= exact.rad + 1e-12 * max(1.0, exact.rad)
+    assert exact.rad <= cert.upper + 1e-12 * max(1.0, exact.rad)

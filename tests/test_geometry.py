@@ -1,5 +1,9 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centerlab import geometry, instances, norms, optim
 from centerlab.errors import DimensionMismatchError, OptimizationError
@@ -685,3 +689,207 @@ def test_three_ball_checker_re_solves_its_trials_warm(monkeypatch):
     fresh_pivots = sum(out.iterations for out in fresh)
     assert fresh_pivots > 0
     assert 2 * sum(out.iterations for *_, out in seen) <= fresh_pivots
+
+
+def _fresh_ball_lp(space, basis, centers, radii):
+    """The ball LP of `balls_intersect`, rebuilt row by row as every trial
+    built it before its chain kept one compiled LP."""
+    builder = optim.LpBuilder()
+    alphas = builder.new_vars(basis.shape[1])
+    tvars = builder.new_vars(len(radii))
+    for center, radius, tv in zip(centers, radii, tvars):
+        norms.add_norm_epigraph(builder, space, alphas, basis, -center, tv)
+        builder.add_ub([tv], [[1.0]], [radius])
+    return builder.build()
+
+
+def _outcome_bytes(out):
+    return tuple(None if a is None else a.tobytes()
+                 for a in (out.x, out.dual_ub, out.farkas_ub)) + (out.status,)
+
+
+def _chain_space(kind, n, rng):
+    def poly(m):
+        gens = rng.normal(size=(m + 1, m))
+        return norms.polyhedral(np.vstack([gens, -gens]))
+    if kind in ("linf", "l1"):
+        return (linf, l1)[kind == "l1"](n)
+    if kind == "poly":
+        return poly(n)
+    split = int(rng.integers(1, n))
+    combiner = (max_combiner, sum_combiner)[kind == "sum-sum"]
+    return make_direct_sum([linf(split), (l1, poly)[int(rng.integers(2))](n - split)],
+                           combiner(2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6), k=st.integers(1, 4),
+       kind=st.sampled_from(["linf", "l1", "poly", "max-sum", "sum-sum"]),
+       within=st.sampled_from(["whole", "random", "coordinate"]))
+def test_ball_lp_chain_matches_fresh_builds(seed, n, k, kind, within):
+    # A chain's LP after its first is the first one with b from the offset
+    # map: its rows are a fresh build's byte for byte, its b equal as
+    # floats, and it solves to the same bytes.  Centers in a coordinate
+    # subspace put exact (signed) zeros into the offsets.
+    rng = np.random.default_rng(seed)
+    space = _chain_space(kind, n, rng)
+    sub = None
+    if within == "random":
+        sub = subspace_from_basis(n, rng.normal(size=(int(rng.integers(1, n)), n)))
+    elif within == "coordinate":
+        picked = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+        sub = subspace_from_basis(n, np.eye(n)[picked])
+    lps = geometry._BallLps(space, sub)
+    basis = lps.basis
+    for trial in range(4):
+        w = basis @ rng.normal(size=basis.shape[1])
+        centers = rng.normal(size=(k, n)) * 1.5
+        if trial % 2:
+            centers = (basis @ rng.normal(size=(basis.shape[1], k))).T
+        radii = norms.eval_norm_many(space, w[None, :] - centers) * \
+            rng.uniform(0.7, 1.2, size=k)
+        chain = lps.lp(centers, radii)
+        fresh = _fresh_ball_lp(space, basis, centers, radii)
+        assert chain.a_ub.tobytes() == fresh.a_ub.tobytes()
+        assert chain.objective.tobytes() == fresh.objective.tobytes()
+        assert np.array_equal(chain.b_ub, fresh.b_ub)
+        assert _outcome_bytes(optim.lp_solve(chain)) == \
+            _outcome_bytes(optim.lp_solve(fresh))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a non-finite ball reached the solver")
+
+    bad_centers, bad_radii = centers.copy(), radii.copy()
+    bad_centers[0, -1], bad_radii[-1] = np.nan, np.inf
+    real, optim.lp_solve = optim.lp_solve, no_solve
+    try:
+        for c, r in ((bad_centers, radii), (centers, bad_radii)):
+            with pytest.raises(ValueError):
+                lps.intersect(c, r)
+    finally:
+        optim.lp_solve = real
+
+
+def _reference_central(space, sub, trials, seed):
+    """`central_subspace_check`'s trials with every LP built afresh and one
+    warm start per family size: (trials run, failing family or None)."""
+    n = norms.space_dim(space)
+    rng = np.random.default_rng(seed)
+    starts = defaultdict(optim.LpStart)
+    basis = np.array(sub.basis)
+    for trial in range(trials):
+        k = int(rng.integers(2, 5))
+        w = np.eye(n) @ rng.normal(size=n) * 1.5
+        centers = (sub.basis @ rng.normal(size=(sub.dim, k)) * 1.5).T
+        radii = norms.eval_norm_many(space, w[None, :] - centers) * \
+            (1.0 + rng.uniform(0.0, 0.2, size=k))
+        fam = BallFamily.from_arrays(centers, radii)
+        lp = _fresh_ball_lp(space, basis, fam.centers, fam.radii)
+        if optim.lp_solve(lp, start=starts[k]).status != optim.OPTIMAL:
+            return trial + 1, fam
+    return trials, None
+
+
+def _reference_three_ball(space, z, trials, eps, seed):
+    """`mideal_three_ball_check`'s trials with every LP built afresh and one
+    warm start, and the distance audit of a failing triple: (trials run,
+    failing un-enlarged family or None)."""
+    n = norms.space_dim(space)
+    rng = np.random.default_rng(seed)
+    start = optim.LpStart()
+    basis = np.array(z.basis)
+    for trial in range(trials):
+        w = rng.normal(size=n) * 1.5
+        centers = rng.normal(size=(3, n)) * 1.5
+        joint = norms.eval_norm_many(space, w[None, :] - centers)
+        meet = norms.dist_to_subspace_many(space, centers, z)
+        tight = rng.random(size=3) < 0.5
+        radii = np.maximum(joint, meet) * \
+            (1.0 + rng.uniform(0.0, 0.1, size=3) * (~tight))
+        enlarged = BallFamily.from_arrays(centers, radii + eps)
+        lp = _fresh_ball_lp(space, basis, enlarged.centers, enlarged.radii)
+        if optim.lp_solve(lp, start=start).status != optim.OPTIMAL:
+            for x in centers:  # the checker's distance audit
+                norms.dist_to_subspace(space, x, z)
+            return trial + 1, BallFamily.from_arrays(centers, radii)
+    return trials, None
+
+
+def _checker_cases():
+    data = instances.mideal_scenarios()
+    rng = np.random.default_rng(5)
+    gens = rng.normal(size=(4, 3))
+    plane = subspace_from_basis(3, [[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
+    return [
+        ("max-sum", data["max_space"], data["first_summand"]),
+        ("sum-sum", data["sum_space"], data["first_summand"]),
+        ("linf-axes", linf(4), subspace_from_basis(4, [[0, 1, 0, 0], [0, 0, 0, 1]])),
+        ("poly-line", norms.polyhedral(np.vstack([gens, -gens])),
+         subspace_from_basis(3, [[1.0, -0.5, 0.25]])),
+        ("linf-plane", linf(3), plane),
+        ("l1-plane", l1(3), plane),
+    ]
+
+
+@pytest.mark.parametrize("name,space,sub",
+                         [pytest.param(*case, id=case[0]) for case in _checker_cases()])
+def test_checkers_match_a_fresh_build_of_every_trial(monkeypatch, name, space, sub):
+    # Both checkers solve, from the same bases, the LPs that a fresh build
+    # of every trial gives, so every outcome is the same to the byte; and
+    # their verdicts are the reference's.  The three-ball check fails on
+    # the sum summand, the polyhedral line and the sup-norm plane, the
+    # central check on the two planes.
+    real = optim.lp_solve
+    seen = []
+
+    def capture(lp, **kwargs):
+        out = real(lp, **kwargs)
+        seen.append((lp.a_ub.tobytes(), lp.b_ub, out.iterations, _outcome_bytes(out)))
+        return out
+
+    monkeypatch.setattr(optim, "lp_solve", capture)
+    central = central_subspace_check(space, sub, trials=400, seed=0)
+    three = mideal_three_ball_check(space, sub, trials=200, eps=1e-6, seed=0)
+    checked, seen = seen, []
+    ref_central = _reference_central(space, sub, 400, 0)
+    ref_three = _reference_three_ball(space, sub, 200, 1e-6, 0)
+    monkeypatch.undo()
+    assert len(checked) == len(seen)
+    for (rows, b, pivots, out), (rows_ref, b_ref, pivots_ref, out_ref) in \
+            zip(checked, seen):
+        assert rows == rows_ref and np.array_equal(b, b_ref)
+        assert (pivots, out) == (pivots_ref, out_ref)
+    for verdict, family, (runs, ref) in (
+            (central, central.counterexample, ref_central),
+            (three, three.witness_family, ref_three)):
+        assert verdict.trials_run == runs
+        assert verdict.passed == (ref is None)
+        if ref is not None:
+            assert family.centers.tobytes() == ref.centers.tobytes()
+            assert family.radii.tobytes() == ref.radii.tobytes()
+            assert verdict.result.status == geometry.INFEASIBLE
+            assert optim.verify_farkas(verdict.result.lp, verdict.result.outcome.farkas_ub,
+                                       verdict.result.outcome.farkas_eq)
+    assert (name in ("linf-plane", "l1-plane")) == (not central.passed)
+    assert (name in ("sum-sum", "poly-line", "linf-plane")) == (not three.passed)
+
+
+def test_a_three_ball_check_builds_its_rows_at_most_twice(monkeypatch):
+    # One build for the first trial's LP and one for the offset map; every
+    # later trial only computes b.  A one-shot query builds once.
+    data = instances.mideal_scenarios()
+    real = optim.LpBuilder.build
+    builds = []
+
+    def counted(self):
+        builds.append(1)
+        return real(self)
+
+    monkeypatch.setattr(optim.LpBuilder, "build", counted)
+    verdict = mideal_three_ball_check(data["max_space"], data["first_summand"],
+                                      trials=200, eps=1e-6, seed=0)
+    assert verdict.passed and verdict.trials_run == 200
+    assert len(builds) <= 2
+    builds.clear()
+    balls_intersect(linf(3), reference_family(), plane())
+    assert len(builds) == 1

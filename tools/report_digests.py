@@ -13,6 +13,11 @@ runs, in one process:
   subspace of l-inf in R^5 and `property mideal --trials 20` on a
   1-dimensional coordinate subspace of l-inf in R^3, whose trials are
   chains of warm-started feasibility LPs;
+- at both seeds, `property central --trials 25` and `property mideal
+  --trials 20` on the line through (1, 1, 1) under a polyhedral norm whose
+  generators are not +-e_j and under the 1-norm, whose ball LPs'
+  right-hand sides are not single +-1 entries of the centers (each
+  three-ball check fails);
 - `replay` of each of those property reports that carries a counterexample;
 - `center` on the README instance, in json and md;
 - under the Euclidean norm, where the subgradient route does the work, at
@@ -97,6 +102,16 @@ PASSING = {
         "schema": 1, "space": {"kind": "lp", "p": "inf", "dim": 3},
         "subspace": {"ambient_dim": 3, "basis": [[0, -1, 0]]}}, "20"),
 }
+# a polyhedral norm whose generators are not +-e_j, and the 1-norm, each on
+# the line through (1, 1, 1): the right-hand side of their ball LPs' rows is
+# not one +-1 entry per row, and each three-ball check fails
+POLY_GENERATORS = [[1.0, 0.5, 0.0], [0.3, 1.0, -0.4], [0.2, -0.7, 1.0],
+                   [1.0, 1.0, 1.0]]
+GENERAL_ROWS = {
+    "poly3-line": {"kind": "polyhedral", "generators": POLY_GENERATORS + [
+        [-x for x in g] for g in POLY_GENERATORS]},
+    "l13-line": {"kind": "lp", "p": 1, "dim": 3},
+}
 # kind -> (the instance fields it reads, its flags)
 L2_KINDS = {"central": (("space", "subspace"), ["--trials", "3"]),
             "ac": (("space", "subspace", "points", "x"), []),
@@ -145,6 +160,17 @@ def run_all(cli) -> None:
             digest(cli, f"property-{label}-seed{seed}",
                    ["property", kind, f"{label}.json", "--seed", seed,
                     "--trials", trials])
+    for name, space in GENERAL_ROWS.items():
+        Path(f"{name}.json").write_text(json.dumps(
+            {"schema": 1, "space": space, "subspace": {"basis": [[1, 1, 1]]}}),
+            encoding="utf-8")
+        for kind, trials in (("central", "25"), ("mideal", "20")):
+            for seed in SEEDS:
+                label = f"property-{kind}-{name}-seed{seed}"
+                report = digest(cli, label, ["property", kind, f"{name}.json",
+                                             "--seed", seed, "--trials", trials])
+                if report and "counterexample" in report.get("verdicts", {}):
+                    digest(cli, f"replay-{label}", ["replay", f"{label}.json"])
     Path("readme-instance.json").write_text(json.dumps(README_INSTANCE),
                                             encoding="utf-8")
     for fmt in ("json", "md"):
