@@ -167,8 +167,7 @@ class _BallLps:
         b = np.empty((k, self.offset_map.shape[0] + 1))
         b[:, :-1], b[:, -1] = (self.offset_map[:, None, :] @ offs)[..., 0, 0], radii
         first = self.chains[k][0]
-        return optim.LinearProgram(first.objective, first.a_ub, b.ravel(),
-                                   first.a_eq, first.b_eq)
+        return optim.LinearProgram(first.objective, first.a_ub, b.ravel())
 
     def intersect(self, centers: np.ndarray, radii: np.ndarray) -> IntersectionResult:
         """`balls_intersect` of the balls (centers[i], radii[i]), a row of

@@ -20,26 +20,27 @@ smallest-basic-index tie-breaking in the ratio test, which makes every solve
 reproducible bit for bit and rules out cycling.  Variables are free reals,
 and certificates are mapped back to the caller's constraint system.
 
-`lp_solve` runs the simplex on the dual standard form, min b.y subject to
-A^T y = -c with y >= 0 on the <= rows and an equality row's dual split in
-two.  Its tableau has one row per variable, n_vars + 1 in all, however many
-constraints there are, and it needs no slacks, no variable splitting and
-one artificial per variable.  Phase 1 drives the artificials out of the
-basis; it is skipped when c = 0, where y = 0 is feasible at once.  An
-artificial left basic at level zero is held there.  The outcome is read
-from the final basis: the duals are its basic values, the optimum x solves
-the n rows the basis holds tight (one `np.linalg.solve`, then one step of
-iterative refinement), an unbounded dual ray gives Farkas multipliers, and
-when the dual is infeasible its phase-1 multipliers are an improving ray,
-after the same tableau with c = 0 has shown the primal feasible.  Every
-verdict is audited before it is returned: an optimum by `verify_optimal`,
-an infeasible verdict by `verify_farkas` and an unbounded one by
-`verify_ray`; a failed audit is returned as "breakdown".
+Every LP has only <= rows, a_ub u <= b_ub over free u: an equality is
+written as two opposed <= rows.  `lp_solve` runs the simplex on the dual
+standard form, min b.y subject to A^T y = -c, y >= 0.  Its tableau has one
+row per variable, n_vars + 1 in all, however many rows the LP has, and it
+needs no slacks, no variable splitting and one artificial per variable.
+Phase 1 drives the artificials out of the basis; it is skipped when c = 0,
+where y = 0 is feasible at once.  An artificial left basic at level zero is
+held there.  The outcome is read from the final basis: the duals are its
+basic values, the optimum x solves the n rows the basis holds tight (one
+`np.linalg.solve`, then one step of iterative refinement), an unbounded
+dual ray gives Farkas multipliers, and when the dual is infeasible its
+phase-1 multipliers are an improving ray, after the same tableau with c = 0
+has shown the primal feasible.  Every verdict is audited before it is
+returned: an optimum by `verify_optimal`, an infeasible verdict by
+`verify_farkas` and an unbounded one by `verify_ray`; a failed audit is
+returned as "breakdown".
 
-A chain of LPs that share their objective and equality rows, and each of
-whose <= rows begin with the last LP's, can be solved warm: the checkers'
-ball LPs (one per trial, each the chain's one compiled LP with only b_ub
-replaced; see `geometry._BallLps`) and the cutting-plane rounds of
+A chain of LPs that share their objective, and each of whose rows begin
+with the last LP's, can be solved warm: the checkers' ball LPs (one per
+trial, each the chain's one compiled LP with only b_ub replaced; see
+`geometry._BallLps`) and the cutting-plane rounds of
 `centers.solve_center` (each appending cuts).  The caller keeps an
 `LpStart` and passes it to every `lp_solve` call of the chain.  In the dual
 form b is the cost row and a new row is a new column at level zero, so the
@@ -71,6 +72,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 FEAS_TOL = 1e-9
+_OPT_TOL = 1e-7
 
 _PIVOT_TOL = 1e-10
 _RCOST_TOL = 1e-10
@@ -84,35 +86,27 @@ BREAKDOWN = "breakdown"
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """min objective @ u  s.t.  a_ub @ u <= b_ub  and  a_eq @ u == b_eq, u free."""
+    """min objective @ u  s.t.  a_ub @ u <= b_ub, u free."""
 
     objective: np.ndarray
     a_ub: np.ndarray
     b_ub: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
 
     @property
     def n_vars(self) -> int:
         return self.objective.shape[0]
 
 
-def make_lp(objective, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LinearProgram:
+def make_lp(objective, a_ub=None, b_ub=None) -> LinearProgram:
     c = np.asarray(objective, dtype=float).ravel()
     n = c.shape[0]
-
-    def _rows(a, b):
-        if a is None or len(a) == 0:
-            return np.zeros((0, n)), np.zeros(0)
-        a = np.asarray(a, dtype=float).reshape(-1, n)
-        b = np.asarray(b, dtype=float).ravel()
-        if a.shape[0] != b.shape[0]:
-            raise ValueError("constraint matrix and rhs row counts differ")
-        return a, b
-
-    a_ub, b_ub = _rows(a_ub, b_ub)
-    a_eq, b_eq = _rows(a_eq, b_eq)
-    return _finite_lp(c, a_ub, b_ub, a_eq, b_eq)
+    if a_ub is None or len(a_ub) == 0:
+        return _finite_lp(c, np.zeros((0, n)), np.zeros(0))
+    a_ub = np.asarray(a_ub, dtype=float).reshape(-1, n)
+    b_ub = np.asarray(b_ub, dtype=float).ravel()
+    if a_ub.shape[0] != b_ub.shape[0]:
+        raise ValueError("constraint matrix and rhs row counts differ")
+    return _finite_lp(c, a_ub, b_ub)
 
 
 def _finite_lp(*arrays) -> LinearProgram:
@@ -126,8 +120,7 @@ class LpBuilder:
 
     A block (cols, block, rhs) holds the rows `block @ u[cols] <= rhs`, one
     per entry of the 1-d `rhs`, over distinct variables `cols`; rows keep
-    the order in which they were added.  The programs it builds have no
-    equality rows; `make_lp` takes those.
+    the order in which they were added.
     """
 
     def __init__(self):
@@ -163,17 +156,17 @@ class LpBuilder:
         # adding zero turns the -0.0 of a negated coefficient into the +0.0
         # of an entry that no block sets
         a += 0.0
-        return _finite_lp(c, a, b, np.zeros((0, self._n)), np.zeros(0))
+        return _finite_lp(c, a, b)
 
 
 @dataclass(frozen=True, eq=False)
 class LpOutcome:
     """Solver verdict plus the evidence backing it.
 
-    status "optimal": x, value, dual_ub (>= 0) and dual_eq satisfy
-        objective + a_ub.T @ dual_ub + a_eq.T @ dual_eq = 0.
-    status "infeasible": farkas_ub (>= 0) and farkas_eq combine the
-        constraints into 0 <= negative, proving emptiness.
+    status "optimal": x, value and dual_ub (>= 0) satisfy
+        objective + a_ub.T @ dual_ub = 0.
+    status "infeasible": farkas_ub (>= 0) combines the rows into
+        0 <= negative, proving emptiness.
     status "unbounded": ray is an improving feasible direction.
     status "breakdown": numerical failure or a failed audit of one of the
         above; never reported as infeasible.
@@ -183,9 +176,7 @@ class LpOutcome:
     x: np.ndarray | None = None
     value: float | None = None
     dual_ub: np.ndarray | None = None
-    dual_eq: np.ndarray | None = None
     farkas_ub: np.ndarray | None = None
-    farkas_eq: np.ndarray | None = None
     ray: np.ndarray | None = None
     iterations: int = 0
     message: str = ""
@@ -304,10 +295,6 @@ def _price(t, basis, costs) -> None:
     t[-1] -= costs[basis] @ t[:-1]
 
 
-def _dual_costs(lp: LinearProgram) -> np.ndarray:
-    return np.concatenate([lp.b_ub, lp.b_eq, -lp.b_eq])
-
-
 def _scale(row_size: np.ndarray, costs: np.ndarray) -> np.ndarray:
     """The power of two that brings each row's largest entry, b included,
     into [0.5, 1); 1 for a row of zeros."""
@@ -320,12 +307,10 @@ def _stopped(idx: int, status: str) -> str:
 
 
 class _DualTableau:
-    """The dual standard form of an LP, min b.y s.t. A^T y = -c, y_ub >= 0,
-    on an (n_vars + 1)-row tableau.
+    """The dual standard form of an LP, min b.y s.t. A^T y = -c, y >= 0, on
+    an (n_vars + 1)-row tableau.
 
-    Column j < n_cols is the dual of a constraint row: each <= row, then
-    each equality row twice, as +a and -a, so that its free dual is the
-    difference of two columns.  Each constraint row is scaled by the power
+    Column j < n_cols is the dual of row j.  Each row is scaled by the power
     of two that brings its largest entry, b included, into [0.5, 1): that
     keeps pivots well conditioned and the scaled rows exact.  Tableau row i
     belongs to primal variable i, flipped by tau_i so that its right-hand
@@ -335,17 +320,14 @@ class _DualTableau:
 
     def __init__(self, lp: LinearProgram):
         n = lp.n_vars
-        self.n_ub, n_eq = lp.a_ub.shape[0], lp.a_eq.shape[0]
-        self.n_cols = self.n_ub + 2 * n_eq
+        self.n_cols = lp.a_ub.shape[0]
         self.tau = np.where(lp.objective > 0, -1.0, 1.0)
-        rows = np.vstack([lp.a_ub, lp.a_eq, -lp.a_eq])
-        self.row_size = np.abs(rows).max(axis=1)
-        costs = _dual_costs(lp)
+        self.row_size = np.abs(lp.a_ub).max(axis=1)
         # the columns, costs and scales in the caller's units, artificials
         # included
-        self.columns = np.hstack([rows.T * self.tau[:, None], np.eye(n)])
-        self.costs = np.concatenate([costs, np.zeros(n)])
-        self.scale = np.concatenate([_scale(self.row_size, costs), np.ones(n)])
+        self.columns = np.hstack([lp.a_ub.T * self.tau[:, None], np.eye(n)])
+        self.costs = np.concatenate([lp.b_ub, np.zeros(n)])
+        self.scale = np.concatenate([_scale(self.row_size, lp.b_ub), np.ones(n)])
 
         self.t = np.zeros((n + 1, self.n_cols + n + 1))
         self.t[:n, :-1] = self.columns / self.scale
@@ -354,17 +336,16 @@ class _DualTableau:
         self.max_iter = 1000 + 60 * self.t.shape[1]
 
     def add_rows(self, a_ub: np.ndarray, b_ub: np.ndarray) -> None:
-        """Append the <= rows a_ub @ u <= b_ub after this tableau's own <=
-        rows, keeping the basis.
+        """Append the rows a_ub @ u <= b_ub after this tableau's own rows,
+        keeping the basis.
 
         Each row is a new dual column at level zero, so the basic values
         stay feasible.  It enters the tableau as B^-1 times its scaled
         column, B^-1 read off the artificial columns, with its own
-        power-of-two scale, as a fresh build would give it; the columns
-        behind it (the equality rows' and the artificials) move up by the
-        number of rows added.  The cost row is stale until the next
-        `_price`."""
-        k, at, n = a_ub.shape[0], self.n_ub, self.tau.shape[0]
+        power-of-two scale, as a fresh build would give it; the artificial
+        columns behind it move up by the number of rows added.  The cost row
+        is stale until the next `_price`."""
+        k, at, n = a_ub.shape[0], self.n_cols, self.tau.shape[0]
         if k == 0:
             return
         size = np.abs(a_ub).max(axis=1, initial=0.0)
@@ -379,7 +360,6 @@ class _DualTableau:
         self.costs = np.insert(self.costs, at, b_ub)
         self.scale = np.insert(self.scale, at, scale)
         self.basis[self.basis >= at] += k
-        self.n_ub += k
         self.n_cols += k
         self.max_iter = 1000 + 60 * self.t.shape[1]
 
@@ -393,21 +373,18 @@ class _DualTableau:
         unit vector and rescales the basic value and the basis inverse with
         it.  The ratios are powers of two, so this is exact, and the
         tableau is scaled as a fresh build of `lp` would be."""
-        costs = _dual_costs(lp)
-        scale = _scale(self.row_size, costs)
+        scale = _scale(self.row_size, lp.b_ub)
         ratio = self.scale[:self.n_cols] / scale
         t, basis = self.t, self.basis
         t[:-1, :self.n_cols] *= ratio
         basic = basis < self.n_cols
         t[:-1][basic] /= ratio[basis[basic]][:, None]
-        self.costs[:self.n_cols] = costs
+        self.costs[:self.n_cols] = lp.b_ub
         self.scale[:self.n_cols] = scale
 
-    def duals(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The caller's (lam, mu) for the scaled dual columns y."""
-        w = y[:self.n_cols] / self.scale[:self.n_cols]
-        eq = self.n_ub + (self.n_cols - self.n_ub) // 2
-        return w[:self.n_ub], w[self.n_ub:eq] - w[eq:]
+    def duals(self, y: np.ndarray) -> np.ndarray:
+        """The caller's multipliers for the scaled dual columns y."""
+        return y[:self.n_cols] / self.scale[:self.n_cols]
 
     def tight_point(self) -> np.ndarray | None:
         """The primal point that the basis holds tight: a_j x = b_j for
@@ -473,7 +450,7 @@ class LpStart:
     tableau of the chain's last solve, when that solve left a feasible dual
     basis behind, with the bytes of the rows and objective it was built
     from; else nothing.  The next LP of the chain may change b and append
-    <= rows."""
+    rows."""
 
     def __init__(self):
         self._key: tuple | None = None
@@ -481,17 +458,17 @@ class LpStart:
 
 
 def _rows_key(lp: LinearProgram) -> tuple:
-    return lp.objective.tobytes(), lp.a_eq.tobytes(), lp.a_ub.tobytes()
+    return lp.objective.tobytes(), lp.a_ub.tobytes()
 
 
 def _extends(lp: LinearProgram, key: tuple) -> bool:
-    """Whether `lp` has the objective and equality rows of the LP that
-    `key` was taken from, and that LP's <= rows as the first of its own,
-    all bit for bit.  Equal objectives have the same length, so the rows
-    have the same width and compare row by row."""
-    objective, eq, ub = key
-    return (lp.objective.tobytes() == objective and lp.a_eq.tobytes() == eq
-            and lp.a_ub.tobytes().startswith(ub))
+    """Whether `lp` has the objective of the LP that `key` was taken from,
+    and that LP's rows as the first of its own, all bit for bit.  Equal
+    objectives have the same length, so the rows have the same width and
+    compare row by row."""
+    objective, rows = key
+    return (lp.objective.tobytes() == objective
+            and lp.a_ub.tobytes().startswith(rows))
 
 
 def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None,
@@ -520,8 +497,8 @@ def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None,
     `iterations` counts the refinement pivots too.
 
     With `start` (an `LpStart`), the solve is warm when `start` holds the
-    tableau of an LP with the same a_eq and objective, bit for bit, whose
-    a_ub is, bit for bit, the first rows of this one's: b changes only the
+    tableau of an LP with the same objective, bit for bit, whose a_ub is,
+    bit for bit, the first rows of this one's: b changes only the
     dual costs and an appended row is a dual column at level zero, so the
     held basis is still dual feasible.  Each appended row enters as B^-1 a,
     read off the artificial columns (`_DualTableau.add_rows`); the new b is
@@ -542,16 +519,15 @@ def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None,
     if start is not None:
         if start._key is not None and _extends(lp, start._key):
             held = start._dual
-            held.add_rows(lp.a_ub[held.n_ub:], lp.b_ub[held.n_ub:])
+            held.add_rows(lp.a_ub[held.n_cols:], lp.b_ub[held.n_cols:])
             held.load_costs(lp)
         start._key = start._dual = None
-    if lp.a_ub.shape[0] + lp.a_eq.shape[0] == 0:
+    if lp.a_ub.shape[0] == 0:
         if float(np.abs(lp.objective).max(initial=0.0)) <= _RCOST_TOL:
             # Every refined coordinate is free on the whole space.
             message = "" if not refine else _stopped(refine[0], UNBOUNDED)
             return LpOutcome(OPTIMAL, x=np.zeros(n), value=0.0,
-                             dual_ub=np.zeros(0), dual_eq=np.zeros(0),
-                             message=message)
+                             dual_ub=np.zeros(0), message=message)
         return LpOutcome(UNBOUNDED, ray=-lp.objective.copy(),
                          message="no constraints")
 
@@ -615,14 +591,11 @@ def _solve(lp: LinearProgram, refine: Sequence[int] | None,
         y[enter] = 1.0
         y[basis] = -t[:-1, enter]
         y[basis] -= t[:-1, n_cols:-1] @ (dual.columns / dual.scale @ y)
-        lam, mu = dual.duals(y)
+        lam = dual.duals(y)
         lam = np.where(lam > 0, lam, 0.0)
-        norm = max(1.0, float(np.abs(lam).max(initial=0.0)),
-                   float(np.abs(mu).max(initial=0.0)))
-        lam, mu = lam / norm, mu / norm
-        if verify_farkas(lp, lam, mu):
-            return LpOutcome(INFEASIBLE, farkas_ub=lam, farkas_eq=mu,
-                             iterations=iterations)
+        lam = lam / max(1.0, float(lam.max(initial=0.0)))
+        if verify_farkas(lp, lam):
+            return LpOutcome(INFEASIBLE, farkas_ub=lam, iterations=iterations)
         return LpOutcome(BREAKDOWN, iterations=iterations,
                          message="infeasible claim failed the Farkas audit")
     if status != OPTIMAL:
@@ -640,93 +613,67 @@ def _solve(lp: LinearProgram, refine: Sequence[int] | None,
                          message="optimal basis is singular")
     y = np.zeros(t.shape[1] - 1)
     y[basis] = t[:-1, -1]
-    lam, mu = dual.duals(y)
+    lam = dual.duals(y)
     lam = np.where(lam > 0, lam, 0.0)
     out = LpOutcome(OPTIMAL, x=x, value=float(lp.objective @ x), dual_ub=lam,
-                    dual_eq=mu, iterations=iterations)
+                    iterations=iterations)
     if not verify_optimal(lp, out):
         return LpOutcome(BREAKDOWN, x=x, iterations=iterations,
                          message="optimal claim failed the optimality audit")
     if refine is None:
         return out
     x, pivots, message = _lex_refine(lp, dual, refine, x, out.value)
-    return LpOutcome(OPTIMAL, x=x, value=out.value, dual_ub=lam, dual_eq=mu,
+    return LpOutcome(OPTIMAL, x=x, value=out.value, dual_ub=lam,
                      iterations=iterations + pivots, message=message)
 
 
-def _primal_feasible(lp: LinearProgram, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
-    if lp.a_ub.shape[0]:
-        slack = lp.a_ub @ x - lp.b_ub
-        if (slack > tol * np.maximum(1.0, np.abs(lp.b_ub))).any():
-            return False
-    if lp.a_eq.shape[0]:
-        resid = np.abs(lp.a_eq @ x - lp.b_eq)
-        if (resid > tol * np.maximum(1.0, np.abs(lp.b_eq))).any():
-            return False
-    return True
+def _primal_feasible(lp: LinearProgram, x: np.ndarray) -> bool:
+    slack = lp.a_ub @ x - lp.b_ub
+    return not (slack > FEAS_TOL * np.maximum(1.0, np.abs(lp.b_ub))).any()
 
 
-def verify_farkas(lp: LinearProgram, lam: np.ndarray, mu: np.ndarray,
-                  tol: float = FEAS_TOL) -> bool:
-    """Check that (lam, mu) prove infeasibility: lam >= 0, the combination of
-    constraint rows vanishes, and the combined right-hand side is < -tol."""
-    if lam.shape[0] and float(lam.min(initial=0.0)) < -tol:
+def verify_farkas(lp: LinearProgram, lam: np.ndarray) -> bool:
+    """Check that lam proves infeasibility: lam >= 0, the combination of
+    the rows vanishes, and the combined right-hand side is < -FEAS_TOL."""
+    if float(lam.min(initial=0.0)) < -FEAS_TOL:
         return False
-    combo = np.zeros(lp.n_vars)
-    rhs = 0.0
-    if lam.shape[0]:
-        combo += lam @ lp.a_ub
-        rhs += float(lam @ lp.b_ub)
-    if mu.shape[0]:
-        combo += mu @ lp.a_eq
-        rhs += float(mu @ lp.b_eq)
-    coeff_scale = max(1.0,
-                      float(np.abs(lp.a_ub).max(initial=0.0)),
-                      float(np.abs(lp.a_eq).max(initial=0.0)))
-    if float(np.abs(combo).max(initial=0.0)) > 100 * tol * coeff_scale:
+    combo = lam @ lp.a_ub
+    coeff_scale = max(1.0, float(np.abs(lp.a_ub).max(initial=0.0)))
+    if float(np.abs(combo).max(initial=0.0)) > 100 * FEAS_TOL * coeff_scale:
         return False
-    return rhs < -tol
+    return float(lam @ lp.b_ub) < -FEAS_TOL
 
 
-def verify_ray(lp: LinearProgram, ray: np.ndarray, tol: float = FEAS_TOL) -> bool:
+def verify_ray(lp: LinearProgram, ray: np.ndarray) -> bool:
     """Check that `ray` proves unboundedness: scaled to unit max-norm, each
-    row a_j keeps a_j @ ray <= tol * (|a_j| @ |ray|) for a_ub and
-    |a_j @ ray| <= tol * (|a_j| @ |ray|) for a_eq, a slack on the scale of
-    that row's own products, and objective @ ray < 0."""
+    row a_j keeps a_j @ ray <= FEAS_TOL * (|a_j| @ |ray|), a slack on the
+    scale of that row's own products, and objective @ ray < 0."""
     size = float(np.abs(ray).max(initial=0.0))
     if not (np.isfinite(ray).all() and size > 0.0):
         return False
     r = ray / size
-    if (lp.a_ub @ r > tol * (np.abs(lp.a_ub) @ np.abs(r))).any():
-        return False
-    if (np.abs(lp.a_eq @ r) > tol * (np.abs(lp.a_eq) @ np.abs(r))).any():
+    if (lp.a_ub @ r > FEAS_TOL * (np.abs(lp.a_ub) @ np.abs(r))).any():
         return False
     return float(lp.objective @ r) < 0.0
 
 
-def verify_optimal(lp: LinearProgram, out: LpOutcome, tol: float = 1e-7) -> bool:
-    """Primal feasibility, dual sign, stationarity, and zero duality gap."""
+def verify_optimal(lp: LinearProgram, out: LpOutcome) -> bool:
+    """Primal feasibility, dual sign, stationarity, and zero duality gap,
+    the last two to _OPT_TOL relative."""
     if out.status != OPTIMAL or out.x is None:
         return False
-    if not _primal_feasible(lp, out.x, FEAS_TOL):
+    if not _primal_feasible(lp, out.x):
         return False
-    lam = out.dual_ub if out.dual_ub is not None else np.zeros(0)
-    mu = out.dual_eq if out.dual_eq is not None else np.zeros(0)
-    if lam.shape[0] and float(lam.min(initial=0.0)) < -1e-9:
+    lam = out.dual_ub if out.dual_ub is not None else np.zeros(lp.a_ub.shape[0])
+    if float(lam.min(initial=0.0)) < -FEAS_TOL:
         return False
-    grad = lp.objective.copy()
-    if lam.shape[0]:
-        grad += lam @ lp.a_ub
-    if mu.shape[0]:
-        grad += mu @ lp.a_eq
+    grad = lp.objective + lam @ lp.a_ub
     scale = max(1.0, float(np.abs(lp.objective).max(initial=0.0)),
-                float(np.abs(lam).max(initial=0.0)),
-                float(np.abs(mu).max(initial=0.0)))
-    if float(np.abs(grad).max(initial=0.0)) > tol * scale:
+                float(np.abs(lam).max(initial=0.0)))
+    if float(np.abs(grad).max(initial=0.0)) > _OPT_TOL * scale:
         return False
-    dual_val = -(float(lam @ lp.b_ub) if lam.shape[0] else 0.0) \
-        - (float(mu @ lp.b_eq) if mu.shape[0] else 0.0)
-    return abs(dual_val - out.value) <= tol * max(1.0, abs(out.value))
+    dual_val = -float(lam @ lp.b_ub)
+    return abs(dual_val - out.value) <= _OPT_TOL * max(1.0, abs(out.value))
 
 
 def lp_solve_lex(lp: LinearProgram,

@@ -120,7 +120,7 @@ def test_criterion_01_sup_norm_counterexample_reproduction():
          <= family.radii + 1e-9).all())
     res_plane = balls_intersect(space, family, plane)
     cert_ok = res_plane.status == geometry.INFEASIBLE and optim.verify_farkas(
-        res_plane.lp, res_plane.outcome.farkas_ub, res_plane.outcome.farkas_eq)
+        res_plane.lp, res_plane.outcome.farkas_ub)
     elapsed = time.monotonic() - started
     report_line(1, norms_ok and witness_ok and cert_ok and elapsed < 1.0,
                 f"three distances 3/2 (1e-12), feasible in R^3, certified "
@@ -264,8 +264,7 @@ def test_criterion_08_three_ball_summands():
                                   trials=500, eps=1e-6, seed=0)
     cert_ok = (not bad.passed and bad.result.status == geometry.INFEASIBLE
                and optim.verify_farkas(bad.result.lp,
-                                       bad.result.outcome.farkas_ub,
-                                       bad.result.outcome.farkas_eq))
+                                       bad.result.outcome.farkas_ub))
     ok = good.passed and cert_ok and bad.witness_family is not None
     report_line(8, ok, f"sup-summand passes 500 trials at eps=1e-6; "
                        f"sum-summand fails at trial {bad.trials_run} with a "

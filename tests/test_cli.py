@@ -7,6 +7,7 @@ import pytest
 from centerlab import centers, cli, geometry, optim
 from centerlab.cli import (EXIT_ASSERT, EXIT_COMPUTE, EXIT_OK, EXIT_USAGE,
                            SCENARIOS, main)
+from centerlab.errors import OptimizationError
 
 
 README_INSTANCE = {
@@ -90,6 +91,31 @@ def test_center_command(tmp_path, capsys):
     excesses = [m["excess"] for m in report["verdicts"]["modulus"]]
     assert all(excesses[i] >= excesses[i + 1] - 1e-9
                for i in range(len(excesses) - 1))
+
+
+def test_center_writes_its_report_when_only_the_cross_check_fails(
+        tmp_path, capsys, monkeypatch):
+    # The exact answer and the modulus stand; the failed cross-check is a
+    # failing check with a note, and the exit code stays 2.
+    def broken(problem, basis):
+        raise OptimizationError("cutting-plane LP ended with status breakdown")
+
+    monkeypatch.setattr(centers, "_cutting_plane_center", broken)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(README_INSTANCE))
+    out = tmp_path / "report.json"
+    code = main(["center", str(path), "--out", str(out)])
+    assert code == EXIT_COMPUTE
+    report = json.loads(out.read_text())
+    assert report["verdicts"]["rad"] == pytest.approx(2.0, abs=1e-9)
+    assert "rad_subgradient" not in report["verdicts"]
+    assert report["verdicts"]["modulus"]
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == [
+        "subgradient radius agrees with the exact route"]
+    assert report["notes"] == ["subgradient cross-check failed: cutting-plane "
+                               "LP ended with status breakdown"]
+    assert report["ok"] is False
 
 
 def test_center_two_point_instance(tmp_path, capsys):

@@ -69,7 +69,7 @@ def test_reference_family_feasible_in_whole_space():
 def test_reference_family_infeasible_on_plane_with_certificate():
     res = balls_intersect(linf(3), reference_family(), plane())
     assert res.status == geometry.INFEASIBLE
-    assert optim.verify_farkas(res.lp, res.outcome.farkas_ub, res.outcome.farkas_eq)
+    assert optim.verify_farkas(res.lp, res.outcome.farkas_ub)
 
 
 def test_single_ball_witness_is_center():
@@ -205,8 +205,7 @@ def test_ac_dominator_reference_counterexample():
     res = ac_dominator(linf(3), plane(), Y_CENTERS,
                        np.array([-0.5, -0.5, -0.5]))
     assert res.status == geometry.INFEASIBLE
-    assert optim.verify_farkas(res.lp, res.outcome.farkas_ub,
-                               res.outcome.farkas_eq)
+    assert optim.verify_farkas(res.lp, res.outcome.farkas_ub)
 
 
 def test_ac_dominator_from_projection_image():
@@ -375,7 +374,7 @@ def test_transfer_scenario_witness_never_in_target():
     vertices = set()
     for _ in range(60):
         out = optim.lp_solve(optim.LinearProgram(
-            rng.normal(size=lp.n_vars), lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq))
+            rng.normal(size=lp.n_vars), lp.a_ub, lp.b_ub))
         assert out.status == optim.OPTIMAL
         z = basis @ out.x[:basis.shape[1]]
         assert not data["z2"].contains(z)
@@ -530,8 +529,7 @@ def test_three_ball_sum_summand_fails_with_certificate():
     assert verdict.witness_family is not None
     res = verdict.result
     assert res.status == geometry.INFEASIBLE
-    assert optim.verify_farkas(res.lp, res.outcome.farkas_ub,
-                               res.outcome.farkas_eq)
+    assert optim.verify_farkas(res.lp, res.outcome.farkas_ub)
 
 
 def test_three_ball_audit_refuses_a_wrong_distance():
@@ -868,8 +866,8 @@ def test_checkers_match_a_fresh_build_of_every_trial(monkeypatch, name, space, s
             assert family.centers.tobytes() == ref.centers.tobytes()
             assert family.radii.tobytes() == ref.radii.tobytes()
             assert verdict.result.status == geometry.INFEASIBLE
-            assert optim.verify_farkas(verdict.result.lp, verdict.result.outcome.farkas_ub,
-                                       verdict.result.outcome.farkas_eq)
+            assert optim.verify_farkas(verdict.result.lp,
+                                       verdict.result.outcome.farkas_ub)
     assert (name in ("linf-plane", "l1-plane")) == (not central.passed)
     assert (name in ("sum-sum", "poly-line", "linf-plane")) == (not three.passed)
 

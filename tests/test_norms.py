@@ -576,11 +576,12 @@ def test_epigraph_encoder_exactness():
             assert not norms.is_lp_encodable(space)
             continue
         lp = builder.build()
-        # pin u = u0 with equalities
-        eq_rows = np.zeros((2, lp.n_vars))
-        eq_rows[0, cols[0]] = 1.0
-        eq_rows[1, cols[1]] = 1.0
-        pinned = optim.make_lp(lp.objective, lp.a_ub, lp.b_ub, eq_rows, u0)
+        # pin u = u0 with two opposed <= rows per coordinate
+        pin = np.zeros((2, lp.n_vars))
+        pin[0, cols[0]] = 1.0
+        pin[1, cols[1]] = 1.0
+        pinned = optim.make_lp(lp.objective, np.vstack([lp.a_ub, pin, -pin]),
+                               np.concatenate([lp.b_ub, u0, -u0]))
         out = optim.lp_solve(pinned)
         exact = out.status == optim.OPTIMAL and out.value == pytest.approx(
             eval_norm(space, mat @ u0 + off), abs=1e-8)

@@ -37,6 +37,13 @@ def brute_force_lp_2var(c, a_ub, b_ub):
     return best
 
 
+def _eq_pairs(a_eq, b_eq):
+    """The equality rows a_eq u = b_eq as <= rows, each written twice:
+    a u <= b and -a u <= -b."""
+    a_eq, b_eq = np.asarray(a_eq, dtype=float), np.asarray(b_eq, dtype=float)
+    return np.vstack([a_eq, -a_eq]), np.concatenate([b_eq, -b_eq])
+
+
 def test_min_u_geq_one():
     # min u s.t. -u <= -1
     lp = make_lp([1.0], a_ub=[[-1.0]], b_ub=[-1.0])
@@ -61,13 +68,14 @@ def test_infeasible_box_has_verified_certificate():
     lp = make_lp([0.0], a_ub=[[1.0], [-1.0]], b_ub=[0.0, -1.0])
     out = lp_solve(lp)
     assert out.status == optim.INFEASIBLE
-    assert verify_farkas(lp, out.farkas_ub, out.farkas_eq)
+    assert verify_farkas(lp, out.farkas_ub)
 
 
 def test_equality_constraints():
     # min x+y s.t. x+y = 2, x <= 5, y <= 5
-    lp = make_lp([1.0, 1.0], a_ub=[[1, 0], [0, 1]], b_ub=[5, 5],
-                 a_eq=[[1.0, 1.0]], b_eq=[2.0])
+    a_eq, b_eq = _eq_pairs([[1.0, 1.0]], [2.0])
+    lp = make_lp([1.0, 1.0], a_ub=np.vstack([[[1, 0], [0, 1]], a_eq]),
+                 b_ub=[5, 5, *b_eq])
     out = lp_solve(lp)
     assert out.status == optim.OPTIMAL
     assert out.value == pytest.approx(2.0, abs=1e-9)
@@ -75,10 +83,32 @@ def test_equality_constraints():
 
 
 def test_infeasible_equalities_certificate():
-    lp = make_lp([0.0, 0.0], a_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[1.0, 3.0])
+    # x + y = 1 and x + y = 3
+    lp = make_lp([0.0, 0.0], *_eq_pairs([[1.0, 1.0], [1.0, 1.0]], [1.0, 3.0]))
     out = lp_solve(lp)
     assert out.status == optim.INFEASIBLE
-    assert verify_farkas(lp, out.farkas_ub, out.farkas_eq)
+    assert verify_farkas(lp, out.farkas_ub)
+
+
+def test_lp_entry_checks_refuse_bad_input():
+    with pytest.raises(ValueError, match="non-finite"):
+        make_lp([np.nan, 0.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        make_lp([1.0, 0.0], a_ub=[[np.inf, 1.0]], b_ub=[1.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        make_lp([1.0, 0.0], a_ub=[[1.0, 1.0]], b_ub=[-np.inf])
+    with pytest.raises(ValueError, match="row counts differ"):
+        make_lp([1.0, 0.0], a_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[1.0])
+    builder = LpBuilder()
+    cols = builder.new_vars(2)
+    builder.set_objective(cols, [1.0, np.nan])
+    with pytest.raises(ValueError, match="non-finite"):
+        builder.build()
+    builder = LpBuilder()
+    cols = builder.new_vars(2)
+    builder.add_ub(cols, np.array([[1.0, 2.0]]), np.array([np.inf]))
+    with pytest.raises(ValueError, match="non-finite"):
+        builder.build()
 
 
 def test_random_2var_lps_match_vertex_oracle():
@@ -248,9 +278,9 @@ def test_lex_refinement_keeps_last_audited_point(monkeypatch):
     audits = []
     real = optim._primal_feasible
 
-    def audit(lp_, x, tol=optim.FEAS_TOL):
+    def audit(lp_, x):
         audits.append(x)
-        return real(lp_, x, tol) and len(audits) == 1
+        return real(lp_, x) and len(audits) == 1
 
     monkeypatch.setattr(optim, "_primal_feasible", audit)
     out = lp_solve_lex(lp)
@@ -292,7 +322,7 @@ def _lex_by_resolving(lp, refine, slack=0.0):
     for idx in refine:
         c = np.zeros(lp.n_vars)
         c[idx] = 1.0
-        out = lp_solve(optim.LinearProgram(c, cut_a, cut_b, lp.a_eq, lp.b_eq))
+        out = lp_solve(optim.LinearProgram(c, cut_a, cut_b))
         if out.status != optim.OPTIMAL:
             break
         x = out.x
@@ -403,7 +433,10 @@ def _random_lp(rng, kind):
         return make_lp(c, a_ub=a, b_ub=b), n
     a = np.vstack([a, np.eye(n), -np.eye(n)])
     b = np.concatenate([b, np.full(2 * n, 10.0 + np.abs(x0).max())])
-    return make_lp(c, a_ub=a, b_ub=b, a_eq=a_eq, b_eq=b_eq), n
+    if a_eq is not None:
+        a_eq, b_eq = _eq_pairs(a_eq, b_eq)
+        a, b = np.vstack([a, a_eq]), np.concatenate([b, b_eq])
+    return make_lp(c, a_ub=a, b_ub=b), n
 
 
 def test_lp_solve_agrees_with_highs():
@@ -422,8 +455,6 @@ def test_lp_solve_agrees_with_highs():
             lp.objective,
             A_ub=lp.a_ub if lp.a_ub.shape[0] else None,
             b_ub=lp.b_ub if lp.a_ub.shape[0] else None,
-            A_eq=lp.a_eq if lp.a_eq.shape[0] else None,
-            b_eq=lp.b_eq if lp.a_eq.shape[0] else None,
             bounds=[(None, None)] * n, method="highs")
         want = status_of[ref.status]
         seen.add(want)
@@ -435,7 +466,7 @@ def test_lp_solve_agrees_with_highs():
                 assert abs(float(lp.objective @ out.x) - ref.fun) <= tol
                 assert verify_optimal(lp, out)
             elif want == optim.INFEASIBLE:
-                assert verify_farkas(lp, out.farkas_ub, out.farkas_eq)
+                assert verify_farkas(lp, out.farkas_ub)
             else:
                 assert float(lp.objective @ out.ray) < 0
                 assert (lp.a_ub @ out.ray <= 1e-9).all()
@@ -451,8 +482,6 @@ def _highs(lp):
         lp.objective,
         A_ub=lp.a_ub if lp.a_ub.shape[0] else None,
         b_ub=lp.b_ub if lp.a_ub.shape[0] else None,
-        A_eq=lp.a_eq if lp.a_eq.shape[0] else None,
-        b_eq=lp.b_eq if lp.a_eq.shape[0] else None,
         bounds=[(None, None)] * lp.n_vars, method="highs")
     status = {0: optim.OPTIMAL, 2: optim.INFEASIBLE, 3: optim.UNBOUNDED}
     return status[ref.status], ref.fun
@@ -529,7 +558,7 @@ def test_lp_solve_agrees_with_highs_on_ill_conditioned_rows(family):
             assert abs(out.value - fun) <= 1e-7 * max(1.0, abs(fun)), trial
             assert verify_optimal(lp, out)
         else:
-            assert verify_farkas(lp, out.farkas_ub, out.farkas_eq)
+            assert verify_farkas(lp, out.farkas_ub)
     assert seen == {optim.OPTIMAL, optim.INFEASIBLE}
 
 
@@ -570,8 +599,10 @@ def test_polygon_norm_centers_agree_with_highs(monkeypatch):
 def test_verify_ray_accepts_solver_ray_and_rejects_corrupted_ones():
     # min -x - y s.t. x - y <= 1, -x <= 0, x + y - 2z = 0: improves along
     # (1, 1, 1) forever.
-    lp = make_lp([-1.0, -1.0, 0.0], a_ub=[[1.0, -1.0, 0.0], [-1.0, 0.0, 0.0]],
-                 b_ub=[1.0, 0.0], a_eq=[[1.0, 1.0, -2.0]], b_eq=[0.0])
+    a_eq, b_eq = _eq_pairs([[1.0, 1.0, -2.0]], [0.0])
+    lp = make_lp([-1.0, -1.0, 0.0],
+                 a_ub=np.vstack([[[1.0, -1.0, 0.0], [-1.0, 0.0, 0.0]], a_eq]),
+                 b_ub=[1.0, 0.0, *b_eq])
     out = lp_solve(lp)
     assert out.status == optim.UNBOUNDED
     assert verify_ray(lp, out.ray)
@@ -637,15 +668,18 @@ def test_slack_start_basis_needs_no_pivots():
 
 
 def _chain_lp(rng, a_ub, a_eq, c, infeasible):
-    """An LP over the fixed rows (a box, then random rows, then a_eq)
-    whose right-hand side holds a random point p; when `infeasible`, the
-    box's lower bound on u_0 is moved above its upper bound."""
+    """An LP over the fixed rows (a box, then random rows, then the
+    equalities a_eq u = a_eq p as <= pairs) whose right-hand side holds a
+    random point p; when `infeasible`, the box's lower bound on u_0 is moved
+    above its upper bound."""
     n = c.shape[0]
     p = rng.normal(size=n) * rng.choice([0.1, 1.0, 30.0])
     b_ub = a_ub @ p + rng.uniform(0.0, 2.0, size=a_ub.shape[0])
     if infeasible:
         b_ub[n] = -(b_ub[0] + rng.uniform(0.5, 2.0))
-    return optim.LinearProgram(c, a_ub, b_ub, a_eq, a_eq @ p)
+    pairs, rhs = _eq_pairs(a_eq, a_eq @ p)
+    return optim.LinearProgram(c, np.vstack([a_ub, pairs]),
+                               np.concatenate([b_ub, rhs]))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -676,7 +710,7 @@ def test_warm_chain_agrees_with_fresh_solves(seed, n, extra, n_eq, length,
             assert verify_optimal(lp, warm)
             assert abs(warm.value - fresh.value) <= 1e-9 * max(1.0, abs(fresh.value))
         else:
-            assert verify_farkas(lp, warm.farkas_ub, warm.farkas_eq)
+            assert verify_farkas(lp, warm.farkas_ub)
 
 
 def test_warm_start_needs_the_same_rows_bit_for_bit():
@@ -739,6 +773,10 @@ def test_warm_chain_of_appended_rows_agrees_with_fresh_solves(seed, n, n_eq,
     b_ub = a_ub @ p + rng.uniform(0.5, 3.0, size=2 * n)
     a_eq = rng.normal(size=(n_eq, n))
     b_eq = a_eq @ (p + rng.uniform(-0.2, 0.2, size=n))
+    # the equalities as <= pairs, in the prefix that every LP of the chain
+    # shares
+    pairs, rhs = _eq_pairs(a_eq, b_eq)
+    a_ub, b_ub = np.vstack([a_ub, pairs]), np.concatenate([b_ub, rhs])
     c = np.zeros(n) if zero_c else rng.normal(size=n)
     start = optim.LpStart()
     for _ in range(length):
@@ -746,7 +784,7 @@ def test_warm_chain_of_appended_rows_agrees_with_fresh_solves(seed, n, n_eq,
         a_ub = np.vstack([a_ub, rows])
         b_ub = np.concatenate([b_ub, rows @ p + rng.uniform(-0.5, 2.0,
                                                             size=len(rows))])
-        lp = optim.LinearProgram(c, a_ub, b_ub, a_eq, b_eq)
+        lp = optim.LinearProgram(c, a_ub, b_ub)
         held = start._dual
         warm = lp_solve(lp, start=start)
         fresh = lp_solve(lp)
@@ -757,7 +795,7 @@ def test_warm_chain_of_appended_rows_agrees_with_fresh_solves(seed, n, n_eq,
             assert verify_optimal(lp, warm)
             assert abs(warm.value - fresh.value) <= 1e-9 * max(1.0, abs(fresh.value))
         else:
-            assert verify_farkas(lp, warm.farkas_ub, warm.farkas_eq)
+            assert verify_farkas(lp, warm.farkas_ub)
 
 
 def test_appended_rows_are_warm_only_after_the_same_prefix():
