@@ -628,10 +628,11 @@ def solve_center(problem: CenterProblem, method: str = "auto") -> CenterResult:
     1e-12 that Euclidean distances are held to, not CUT_TOL; it is a float
     bracket, as the cutting planes' is, but its rounding is a few units in
     the last place.  It closes on every two-point max question in the whole
-    space under a p-norm.  Otherwise staged subgradient descent runs (12 stages
-    of at most 700 steps), with its step scale twice the largest Euclidean
-    distance from the start to a point of F; its certificate is the
-    `optim.SubgradientResult`.  The result records `validate_fcmc(f)`, the
+    space under a p-norm.  Otherwise `optim.staged_subgradient` runs, with
+    its step scale twice the largest Euclidean distance from the start to a
+    point of F; its certificate, an `optim.SubgradientResult`, holds the
+    best point evaluated, its value and whether the last stage converged,
+    and bounds nothing.  The result records `validate_fcmc(f)`, the
     membership of f in the convex/monotone/coercive class decided by its type.
     A radius, or an r_f re-evaluated with f, that is not finite (a composite
     whose power overflows) raises OptimizationError.
@@ -705,10 +706,7 @@ def _sublevel_vertices(problem: CenterProblem, basis: np.ndarray,
         for g in gens:
             rows.append(w * (g @ basis))
             rhs.append(level + w * float(g @ problem.points.points[i]))
-    try:
-        return optim.enumerate_vertices(np.array(rows), np.array(rhs), cap=400_000)
-    except ValueError:
-        return None
+    return optim.enumerate_vertices(np.array(rows), np.array(rhs), cap=400_000)
 
 
 SAMPLE_BLOCK, SAMPLE_CELLS = 1024, 65536

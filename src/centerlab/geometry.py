@@ -327,21 +327,22 @@ def verify_norm1_projection(space, pd: ProjectionData, trials: int = 200,
     Exact mode enumerates the extreme points of the unit ball of
     span{transversal, Y} (polyhedral norms, span dimension <= 4); otherwise
     `trials` seeded samples plus local ascent on the violation gap, labelled
-    "sampled-fallback" when the span is too large.  Rejections carry the
-    violating y.
+    "sampled-fallback" when the span is too large or its enumeration passes
+    the cap of `optim.enumerate_vertices`.  Rejections carry the violating y.
     """
     x, p, sub = pd.transversal, pd.image, pd.subspace
     span_dim = sub.dim + 1
-    gens = None
+    verts = gens = None
     if span_dim <= 4:
         try:
             gens = norms.explicit_generators(space, cap=20_000)
         except norms.InvalidNormError:
-            gens = None
+            pass
+        else:
+            s_mat = np.column_stack([x, sub.basis])
+            verts = optim.enumerate_vertices(gens @ s_mat, np.ones(gens.shape[0]))
 
-    if gens is not None:
-        s_mat = np.column_stack([x, sub.basis])
-        verts = optim.enumerate_vertices(gens @ s_mat, np.ones(gens.shape[0]))
+    if verts is not None:
         worst = 0.0
         witness = None
         for u in verts:
@@ -378,7 +379,7 @@ def verify_norm1_projection(space, pd: ProjectionData, trials: int = 200,
             v = violation(y)
             if v > best:
                 best, best_y = v, y
-    label = "sampled-fallback" if span_dim > 4 else "sampled"
+    label = "sampled-fallback" if span_dim > 4 or gens is not None else "sampled"
     if best <= 1e-9 * scale:
         return ProjectionVerdict(True, best, None, label)
     return ProjectionVerdict(False, best, best_y, label)

@@ -5,12 +5,15 @@ certificate (dual multipliers at optimality, Farkas multipliers on
 infeasibility, an improving ray when unbounded), and a subgradient method
 for nonsmooth convex objectives, `staged_subgradient`, whose one caller is
 the non-LP route of `centers.solve_center` on smooth objectives: distances
-and non-polyhedral ball searches reach it as restricted centers.  That
-route's piecewise-linear objectives are solved by cutting planes, a chain
-of warm `lp_solve` calls.  Before it descends, that route solves one LP
-over linear minorants at its start, and when their lower bound comes
-within 1e-12 relative of the start's value (a float bracket, like the
-cutting planes') it returns the start and does not call
+and non-polyhedral ball searches reach it as restricted centers.  Its
+schedule is fixed: 12 stages of at most 700 steps, each stopping after 250
+steps without progress, then a deflected Polyak polish of at most 2,500
+oracle calls; it returns the best point evaluated, with no bound on the
+gap.  That route's piecewise-linear objectives are solved by cutting
+planes, a chain of warm `lp_solve` calls.  Before it descends, that route
+solves one LP over linear minorants at its start, and when their lower
+bound comes within 1e-12 relative of the start's value (a float bracket,
+like the cutting planes') it returns the start and does not call
 `staged_subgradient` at all: every two-point max question in the whole
 space under a p-norm stops there.
 
@@ -695,18 +698,18 @@ def lp_solve_lex(lp: LinearProgram,
     return lp_solve(lp, refine=range(lp.n_vars) if refine is None else refine)
 
 
-def enumerate_vertices(a_ub, b_ub, cap: int = 2_000_000) -> np.ndarray:
+def enumerate_vertices(a_ub, b_ub, cap: int = 2_000_000) -> np.ndarray | None:
     """All vertices of {u : a_ub u <= b_ub} by basis enumeration, one per
     7-digit rounding, in sorted order.
 
-    Intended for small dimensions (<= 4 in this project); raises ValueError
-    when the subset count would exceed `cap`.
+    Intended for small dimensions (<= 4 in this project); returns None when
+    the subset count would exceed `cap`.
     """
     a_ub = np.asarray(a_ub, dtype=float)
     b_ub = np.asarray(b_ub, dtype=float).ravel()
     m, d = a_ub.shape
     if math.comb(m, d) > cap:
-        raise ValueError("combination count exceeds cap")
+        return None
     scale = np.maximum(1.0, np.abs(b_ub))
     found: dict[tuple, np.ndarray] = {}
     for subset in itertools.combinations(range(m), d):
@@ -729,81 +732,62 @@ def enumerate_vertices(a_ub, b_ub, cap: int = 2_000_000) -> np.ndarray:
     return np.array([found[k] for k in sorted(found)])
 
 
-@dataclass(frozen=True)
-class SubgradientConfig:
-    """One run of `subgradient_minimize`: at most `max_iter` steps, the k-th
-    of length step_a / (k + 10)."""
-
-    max_iter: int = 1500
-    step_a: float = 1.0
+_STAGES, _STAGE_STEPS, _STALL_STEPS, _POLISH_CALLS = 12, 700, 250, 2500
 
 
 @dataclass(frozen=True, eq=False)
 class SubgradientResult:
     value: float
     point: np.ndarray
-    trace: np.ndarray
     converged: bool
-    iterations: int
 
 
-def subgradient_minimize(oracle: Callable[[np.ndarray], tuple[float, np.ndarray]],
-                         start: np.ndarray,
-                         cfg: SubgradientConfig = SubgradientConfig()) -> SubgradientResult:
-    """Subgradient descent for a convex objective oracle.
-
-    The schedule step_a / (k + 10) is the step length along the normalized
-    subgradient, which keeps iterates bounded even when gradients grow
-    superlinearly far from the minimum.  Returns the best point seen; the
-    trace holds the value at every iterate, so its running minimum is
-    nonincreasing by construction.  A run stops, converged, after 250 steps
-    without a relative improvement above 1e-9; hitting the iteration cap
-    while still improving is flagged as unconverged.
-    """
-    x = np.asarray(start, dtype=float).copy()
+def _stage(oracle, start, step_a):
+    """One run of at most _STAGE_STEPS steps along the normalized
+    subgradient, the k-th of length step_a / (k + 10), which keeps iterates
+    bounded even when gradients grow superlinearly far from the minimum.
+    Returns (best value, best point, converged): a run converges after
+    _STALL_STEPS steps without a relative improvement above 1e-9, or at a
+    zero subgradient; one that uses every step while still improving does
+    not."""
+    x = start
     value, grad = oracle(x)
-    best_v = value
-    best_x = x  # iterates are fresh arrays, never written in place
-    trace = [value]
+    best_v, best_x = value, x  # iterates are fresh arrays, never written in place
     last_improve = 0
-    k = 0
-    for k in range(1, cfg.max_iter + 1):
+    for k in range(1, _STAGE_STEPS + 1):
         gn = math.sqrt(grad @ grad)
         if gn <= 1e-300:
-            return SubgradientResult(best_v, best_x, np.array(trace), True, k)
-        x = x - (cfg.step_a / (k + 10.0) / gn) * grad
+            return best_v, best_x, True
+        x = x - (step_a / (k + 10.0) / gn) * grad
         value, grad = oracle(x)
-        trace.append(value)
         if value < best_v:
             if value < best_v - 1e-9 * max(1.0, abs(best_v)):
                 last_improve = k
-            best_v = value
-            best_x = x
-        if k - last_improve > 250:
-            return SubgradientResult(best_v, best_x, np.array(trace), True, k)
-    return SubgradientResult(best_v, best_x, np.array(trace), False, k)
+            best_v, best_x = value, x
+        if k - last_improve > _STALL_STEPS:
+            return best_v, best_x, True
+    return best_v, best_x, False
 
 
-def _polyak_polish(oracle, start, best_v, iters, delta0, trace):
-    """Deflected subgradient steps with a Polyak-style length against a
-    moving target slightly below the best value seen.
+def _polyak_polish(oracle, start, best_v):
+    """_POLISH_CALLS deflected subgradient steps with a Polyak-style length
+    against a moving target below the best value seen, 1e-3 relative at
+    first and divided by 4 every 200 steps down to 1e-13.
 
     The deflection (Camerini-Fratta-Maffioli: fold the previous direction in
     whenever it opposes the new subgradient) steers along narrow
     piecewise-linear valleys where raw subgradients zigzag; the shrinking
     target offset then recovers fast convergence to the floor."""
-    x = np.asarray(start, dtype=float).copy()
-    best_x = x  # iterates are fresh arrays, never written in place
-    delta = delta0
+    x = best_x = start  # iterates are fresh arrays, never written in place
+    delta = 1e-3 * max(1.0, abs(best_v))
     direction = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, iters + 1):
+        for k in range(1, _POLISH_CALLS + 1):
             value, grad = oracle(x)
             if not math.isfinite(value):
                 x = best_x
                 direction = None
                 continue
-            trace.append(value)
             if value < best_v:
                 best_v = value
                 best_x = x
@@ -827,44 +811,23 @@ def _polyak_polish(oracle, start, best_v, iters, delta0, trace):
     return best_v, best_x
 
 
-_STAGES, _ITERS_PER_STAGE = 12, 700
-
-
 def staged_subgradient(oracle: Callable[[np.ndarray], tuple[float, np.ndarray]],
-                       start: np.ndarray,
-                       scale: float = 1.0) -> SubgradientResult:
-    """Repeated subgradient runs with a geometrically shrinking step scale,
-    followed by a Polyak-step polish of at most 2500 oracle calls.
+                       start: np.ndarray, scale: float) -> SubgradientResult:
+    """Minimize a convex objective, given as an oracle x -> (value,
+    subgradient), by _STAGES subgradient runs (`_stage`) and a Polyak polish.
 
-    Each of the _STAGES runs takes at most _ITERS_PER_STAGE steps and
-    restarts from the best point found so far with step_a, which starts at
-    `scale`, divided by 4; this recovers fast local convergence on the sharp
-    minima typical of max-of-norms objectives.  The concatenated trace keeps
-    the running-minimum monotonicity of the single-run method.  The
-    schedule is the one of `centers.solve_center`, its only caller.
+    Each run restarts from the best point found so far, its step scale that
+    of the run before divided by 4, starting at `scale`; this recovers fast
+    local convergence on the sharp minima typical of max-of-norms
+    objectives.  Returns the best point evaluated; `converged` is the last
+    run's.
     """
-    x = np.asarray(start, dtype=float)
-    traces = []
-    best_v = None
-    best_x = x.copy()
-    converged = True
-    iterations = 0
+    best_v, best_x = None, np.asarray(start, dtype=float).copy()
     step_a = max(scale, 1e-12)
     for _ in range(_STAGES):
-        res = subgradient_minimize(oracle, best_x, SubgradientConfig(
-            max_iter=_ITERS_PER_STAGE, step_a=step_a))
-        traces.append(res.trace)
-        iterations += res.iterations
-        if best_v is None or res.value < best_v:
-            best_v = res.value
-            best_x = res.point
-        converged = res.converged
+        value, point, converged = _stage(oracle, best_x, step_a)
+        if best_v is None or value < best_v:
+            best_v, best_x = value, point
         step_a /= 4.0
-    tail: list[float] = []
-    best_v, best_x = _polyak_polish(oracle, best_x, best_v, 2500,
-                                    delta0=1e-3 * max(1.0, abs(best_v)),
-                                    trace=tail)
-    traces.append(np.array(tail))
-    iterations += len(tail)
-    return SubgradientResult(best_v, best_x, np.concatenate(traces),
-                             converged, iterations)
+    best_v, best_x = _polyak_polish(oracle, best_x, best_v)
+    return SubgradientResult(best_v, best_x, converged)

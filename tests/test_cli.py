@@ -351,6 +351,21 @@ def test_property_defaults(capsys):
     assert report["verdicts"]["status"] == "falsified"
 
 
+def test_almost_constrained_past_the_vertex_enumeration_cap(tmp_path, capsys):
+    # the projection check of this l1 instance cannot enumerate its vertices
+    # (C(256, 4) row subsets) and samples instead of failing
+    instance = {"space": {"kind": "lp", "p": 1, "dim": 8},
+                "subspace": {"ambient_dim": 8, "basis": np.eye(8)[:3].tolist()},
+                "x": [0, 0, 0, 1, 1, 0, 0, 0]}
+    path, out = tmp_path / "ac.json", tmp_path / "report.json"
+    path.write_text(json.dumps(instance))
+    code = main(["property", "almost-constrained", str(path), "--out", str(out)])
+    assert code == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["ok"]
+    assert report["verdicts"]["status"] == "candidate"
+
+
 def test_property_instance_file_and_replay(tmp_path, capsys):
     instance = {
         "schema": 1,

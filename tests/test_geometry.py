@@ -271,6 +271,18 @@ def test_verify_projection_sampled_mode_flags():
     assert verdict.mode == "sampled"  # no polyhedral generators for l2
 
 
+def test_verify_projection_samples_past_the_vertex_enumeration_cap():
+    # l1 on R^8 over a coordinate 3-space: the span has dimension 4, but its
+    # 256 generators give C(256, 4) ~ 1.7e8 row subsets, past the cap of
+    # optim.enumerate_vertices, so the check is sampled
+    space = l1(8)
+    y = subspace_from_basis(8, np.eye(8)[:3])
+    pd = ProjectionData(y, np.eye(8)[3] + np.eye(8)[4], np.zeros(8))
+    verdict = verify_norm1_projection(space, pd)
+    assert verdict.mode == "sampled-fallback"
+    assert verdict.accepted
+
+
 def test_almost_constrained_probe_finds_candidate():
     space = linf(3)
     y = subspace_from_basis(3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from centerlab import norms, optim
 from centerlab.centers import CenterProblem, FiniteSet, WeightedMax, eval_rf, solve_center
-from centerlab.errors import DependentSetError, DimensionMismatchError, InvalidNormError
+from centerlab.errors import (DependentSetError, DimensionMismatchError,
+                              InvalidNormError, OptimizationError)
 from centerlab.geometry import FEASIBLE, BallFamily, balls_intersect
 from centerlab.norms import (
     Subspace,
@@ -473,6 +474,24 @@ def test_l2_distance_equals_the_euclidean_projection_distance():
             exact = float(np.linalg.norm(x - sub.project_euclid(x)))
             assert d == pytest.approx(exact, rel=1e-12, abs=0.0)
             assert sub.contains(nearest)
+
+
+def test_unconverged_subgradient_distance_raises(monkeypatch):
+    # l3 has no LP route, and the start of this question is not its center,
+    # so the distance is a staged solve; one that reports no convergence is
+    # an error, not a distance
+    real_staged, calls = optim.staged_subgradient, []
+
+    def unconverged(oracle, start, scale):
+        res = real_staged(oracle, start, scale)
+        calls.append(res)
+        return optim.SubgradientResult(res.value, res.point, False)
+
+    monkeypatch.setattr(optim, "staged_subgradient", unconverged)
+    sub = subspace_from_basis(3, [[1.0, 2.0, 0.0]])
+    with pytest.raises(OptimizationError, match="iteration limit"):
+        dist_to_subspace(lp_norm(3.0, 3), np.array([1.0, 0.3, 2.0]), sub)
+    assert len(calls) == 1
 
 
 ANNIHILATOR_SPACES = {

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from centerlab import centers, norms, optim
 from centerlab.optim import (
     LpBuilder,
-    SubgradientConfig,
     enumerate_vertices,
     lp_solve,
     lp_solve_lex,
     make_lp,
-    subgradient_minimize,
     verify_farkas,
     verify_optimal,
     verify_ray,
@@ -182,19 +180,24 @@ def test_enumerate_vertices_square():
     expected = {(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)}
     got = {tuple(np.round(v, 9)) for v in verts}
     assert got == expected
+    assert enumerate_vertices(a, b, cap=5) is None  # C(4, 2) = 6 subsets
 
 
 def test_subgradient_euclidean_norm_to_zero():
+    # the answer is the best point evaluated: its value is the oracle's at
+    # that point, bit for bit, and no value the oracle returned is lower
+    values = []
+
     def oracle(v):
         nrm = float(np.linalg.norm(v))
         grad = v / nrm if nrm > 0 else np.zeros_like(v)
+        values.append(nrm)
         return nrm, grad
 
-    res = subgradient_minimize(oracle, np.array([3.0, -4.0]),
-                               SubgradientConfig(max_iter=4000, step_a=2.0))
+    res = optim.staged_subgradient(oracle, np.array([3.0, -4.0]), scale=2.0)
     assert res.value < 1e-3
-    running = np.minimum.accumulate(res.trace)
-    assert (np.diff(running) <= 0).all()
+    assert min(values) == res.value
+    assert oracle(res.point)[0] == res.value
 
 
 def test_subgradient_two_point_midpoint():
@@ -209,8 +212,7 @@ def test_subgradient_two_point_midpoint():
         g = (v - x2) / d2 if d2 > 0 else np.zeros(2)
         return float(d2), g
 
-    res = subgradient_minimize(oracle, np.array([0.7, 0.9]),
-                               SubgradientConfig(max_iter=6000))
+    res = optim.staged_subgradient(oracle, np.array([0.7, 0.9]), scale=1.0)
     assert res.value == pytest.approx(1.0, abs=2e-3)
 
 

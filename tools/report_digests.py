@@ -37,7 +37,10 @@ runs, in one process:
 - `center` on the first two README points in the whole space, under l2
   and under the E-sum of l-inf(2) and l2(1) with weighted 2-norm weights
   (1, 1.5), at both seeds: two-point max questions whose centroid is the
-  center, where the subgradient route stops at its start.
+  center, where the subgradient route stops at its start;
+- `property almost-constrained` at both seeds on l1 in R^8 over a
+  coordinate 3-space, whose norm-one projection check passes the vertex
+  enumeration's cap and is sampled.
 
 A digest covers the exit code and the report with `wall_clock_s` removed.
 Two checkouts give the same lines exactly when their reports agree, so
@@ -112,6 +115,13 @@ GENERAL_ROWS = {
         [-x for x in g] for g in POLY_GENERATORS]},
     "l13-line": {"kind": "lp", "p": 1, "dim": 3},
 }
+# the projection check of this instance would enumerate C(256, 4) row subsets
+AC_PAST_CAP = {"schema": 1, "space": {"kind": "lp", "p": 1, "dim": 8},
+               "subspace": {"ambient_dim": 8,
+                            "basis": [[1, 0, 0, 0, 0, 0, 0, 0],
+                                      [0, 1, 0, 0, 0, 0, 0, 0],
+                                      [0, 0, 1, 0, 0, 0, 0, 0]]},
+               "x": [0, 0, 0, 1, 1, 0, 0, 0]}
 # kind -> (the instance fields it reads, its flags)
 L2_KINDS = {"central": (("space", "subspace"), ["--trials", "3"]),
             "ac": (("space", "subspace", "points", "x"), []),
@@ -209,6 +219,10 @@ def run_all(cli) -> None:
         for seed in SEEDS:
             digest(cli, f"center-two-point-{norm}-seed{seed}",
                    ["center", path, "--seed", seed])
+    Path("ac-past-cap.json").write_text(json.dumps(AC_PAST_CAP), encoding="utf-8")
+    for seed in SEEDS:
+        digest(cli, f"property-almost-constrained-l1-8-seed{seed}",
+               ["property", "almost-constrained", "ac-past-cap.json", "--seed", seed])
 
 
 def main(argv: list[str]) -> int:
