@@ -580,7 +580,11 @@ def cmd_property(args) -> tuple[dict, int]:
     elif kind == "almost-constrained":
         out = almost_constrained_probe(space, sub, inst["x"], seed=args.seed,
                                        inject=inst.get("inject", ()))
-        report["verdicts"] = {"status": out.status, "rounds": out.rounds}
+        # how the last projection check ran: "exact", "sampled" or
+        # "sampled-fallback", None when the verdict rests on no check
+        report["verdicts"] = {
+            "status": out.status, "rounds": out.rounds,
+            "projection_check": None if out.verdict is None else out.verdict.mode}
         if out.status == "falsified":
             report["verdicts"]["falsifying_net"] = out.net
         if out.image is not None:

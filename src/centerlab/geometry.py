@@ -405,7 +405,8 @@ def almost_constrained_probe(space, sub: Subspace, x, seed: int = 0,
     a candidate that survives verification is returned, otherwise the
     verification witness is fed back into the net (the violating y enters as
     the reference point -y) and the search continues until the budget runs
-    out.
+    out.  `verdict` is the last projection check made, the rejected one when
+    the budget runs out, and None when the result rests on no check.
     """
     x = np.asarray(x, dtype=float)
     if sub.contains(x, tol=1e-7):
@@ -434,7 +435,7 @@ def almost_constrained_probe(space, sub: Subspace, x, seed: int = 0,
         if verdict.witness is not None:
             net.append(-verdict.witness)
         size *= 2
-    return NetProbeResult("inconclusive", None, np.array(net), None, 7)
+    return NetProbeResult("inconclusive", None, np.array(net), verdict, 7)
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,7 @@ def test_property_defaults(capsys):
     code, report = run_json(capsys, "property", "almost-constrained")
     assert code == EXIT_OK
     assert report["verdicts"]["status"] == "falsified"
+    assert report["verdicts"]["projection_check"] is None
 
 
 def test_almost_constrained_past_the_vertex_enumeration_cap(tmp_path, capsys):
@@ -364,6 +365,7 @@ def test_almost_constrained_past_the_vertex_enumeration_cap(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["ok"]
     assert report["verdicts"]["status"] == "candidate"
+    assert report["verdicts"]["projection_check"] == "sampled-fallback"
 
 
 def test_property_instance_file_and_replay(tmp_path, capsys):
