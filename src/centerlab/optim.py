@@ -18,10 +18,12 @@ like the cutting planes') it returns the start and does not call
 space under a p-norm stops there.
 
 Problem sizes in this project are tiny (tens of variables), so clarity and
-determinism win over speed.  Pivoting follows Bland's rule with
-smallest-basic-index tie-breaking in the ratio test, which makes every solve
-reproducible bit for bit and rules out cycling.  Variables are free reals,
-and certificates are mapped back to the caller's constraint system.
+determinism win over speed.  The entering column has the most negative
+reduced cost (Dantzig's rule), and the ratio test breaks ties by the
+smallest basic index; after 50 consecutive degenerate pivots pricing falls
+back to Bland's rule until the next nondegenerate pivot, which rules out
+cycling.  Every solve is reproducible bit for bit.  Variables are free
+reals, and certificates are mapped back to the caller's constraint system.
 
 Every LP has only <= rows, a_ub u <= b_ub over free u: an equality is
 written as two opposed <= rows.  `lp_solve` runs the simplex on the dual
@@ -29,13 +31,15 @@ standard form, min b.y subject to A^T y = -c, y >= 0.  Its tableau has one
 row per variable, n_vars + 1 in all, however many rows the LP has, and it
 needs no slacks, no variable splitting and one artificial per variable.
 Phase 1 drives the artificials out of the basis; it is skipped when c = 0,
-where y = 0 is feasible at once.  An artificial left basic at level zero is
-held there.  The outcome is read from the final basis: the duals are its
-basic values, the optimum x solves the n rows the basis holds tight (one
-`np.linalg.solve`, then one step of iterative refinement), an unbounded
-dual ray gives Farkas multipliers, and when the dual is infeasible its
-phase-1 multipliers are an improving ray, after the same tableau with c = 0
-has shown the primal feasible.  Every verdict is audited before it is
+where y = 0 is feasible at once.  Before it is priced, each artificial that
+starts at level zero (a variable with c_i = 0) is crashed out: pivoted on
+the largest entry of its row, which moves no basic value.  An artificial
+left basic at level zero is held there.  The outcome is read from the final
+basis: the duals are its basic values, the optimum x solves the n rows the
+basis holds tight (one `np.linalg.solve`, then one step of iterative
+refinement), an unbounded dual ray gives Farkas multipliers, and when the
+dual is infeasible its phase-1 multipliers are an improving ray, after the
+same tableau with c = 0 has shown the primal feasible.  Every verdict is audited before it is
 returned: an optimum by `verify_optimal`, an infeasible verdict by
 `verify_farkas` and an unbounded one by `verify_ray`; a failed audit is
 returned as "breakdown".
@@ -80,6 +84,8 @@ _OPT_TOL = 1e-7
 _PIVOT_TOL = 1e-10
 _RCOST_TOL = 1e-10
 _RATIO_TIE = 1e-12
+# consecutive degenerate pivots after which pricing falls back to Bland's rule
+_DEGENERATE_RUN = 50
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -195,8 +201,30 @@ def _pivot(t: np.ndarray, row: int, col: int) -> None:
     t[row, col] = 1.0
 
 
+def _crash(t, basis, n_struct) -> int:
+    """Pivot each artificial basic at level zero out on the structural
+    column with the largest |entry| in its row, when that entry is above
+    _PIVOT_TOL; returns the number of pivots.  The row's right-hand side is
+    zero, so no basic value moves and no ratio test is needed."""
+    pivots = 0
+    for row in np.flatnonzero((basis >= n_struct) & (t[:-1, -1] == 0.0)):
+        j = int(np.abs(t[row, :n_struct]).argmax())
+        if abs(t[row, j]) > _PIVOT_TOL:
+            _pivot(t, row, j)
+            basis[row] = j
+            pivots += 1
+    return pivots
+
+
 def _run_simplex(t, basis, n_struct, max_iter, phase_1=False):
-    """Bland-rule tableau iteration; returns (status, pivots, entering).
+    """Tableau iteration; returns (status, pivots, entering).
+
+    The entering column is the one with the most negative reduced cost
+    (Dantzig's rule, the smallest index among ties).  After _DEGENERATE_RUN
+    consecutive degenerate pivots (ratio <= _RATIO_TIE) it is the smallest
+    index with a negative reduced cost (Bland's rule) until the next
+    nondegenerate pivot; with the leaving row's smallest basic index among
+    ratio ties, that rules out cycling.
 
     Columns below `n_struct` may enter; the others are artificials.  An
     artificial basic at level zero is held there: a nonzero entry in its row
@@ -216,13 +244,14 @@ def _run_simplex(t, basis, n_struct, max_iter, phase_1=False):
     no_index = t.shape[1]  # above every column index
     art_rows = basis >= n_struct
     open_cols = None
-    pivots = 0
+    pivots = degenerate = 0
     for _ in range(max_iter):
-        entering = costs < -_RCOST_TOL
-        if open_cols is not None:
-            entering &= open_cols
-        j = int(entering.argmax())
-        if not entering[j]:
+        priced = costs if open_cols is None else np.where(open_cols, costs, 0.0)
+        if degenerate < _DEGENERATE_RUN:
+            j = int(priced.argmin())
+        else:
+            j = int((priced < -_RCOST_TOL).argmax())
+        if not priced[j] < -_RCOST_TOL:
             return OPTIMAL, pivots, -1
         col = t[:m, j]
         ratios = np.full(m, np.inf)
@@ -239,6 +268,7 @@ def _run_simplex(t, basis, n_struct, max_iter, phase_1=False):
                 open_cols = np.ones(n_struct, dtype=bool)
             open_cols[j] = False
             continue
+        degenerate = degenerate + 1 if least <= _RATIO_TIE else 0
         leave = int(np.where(ratios <= least + _RATIO_TIE, basis,
                              no_index).argmin())
         _pivot(t, leave, j)
@@ -492,7 +522,7 @@ def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None,
     Farkas multipliers.  When the dual is infeasible its phase-1
     multipliers are an improving ray, and the same tableau with c = 0 then
     decides whether the primal is infeasible or unbounded.  `iterations`
-    counts the pivots of every phase.
+    counts the pivots of every phase, phase 1's crash pivots included.
 
     With `refine`, an optimal x is moved to the lexicographically smallest
     point of the optimal face over those coordinates, on the final tableau
@@ -562,13 +592,17 @@ def _solve(lp: LinearProgram, refine: Sequence[int] | None,
     level = float(t[:-1, -1][basis >= n_cols].max(initial=0.0))
 
     # Phase 1: drive the artificials to zero; skipped when c = 0, where
-    # y = 0 is a feasible start with every artificial at level zero.
+    # y = 0 is a feasible start with every artificial at level zero.  The
+    # artificials that start at level zero (rows with c_i = 0) are crashed
+    # out first.
     if level > 0.0:
+        crashed = _crash(t, basis, n_cols)
         costs = np.zeros(t.shape[1] - 1)
         costs[n_cols:] = 1.0
         _price(t, basis, costs)
         status, it1, _ = _run_simplex(t, basis, n_cols, dual.max_iter,
                                       phase_1=True)
+        it1 += crashed
         if status != OPTIMAL:
             return LpOutcome(BREAKDOWN, iterations=it1,
                              message=f"phase 1 ended with {status}")

@@ -564,7 +564,76 @@ def test_lp_solve_agrees_with_highs_on_ill_conditioned_rows(family):
     assert seen == {optim.OPTIMAL, optim.INFEASIBLE}
 
 
-POLYGON_SWEEP = [((2, 16), 20), ((2, 64), 20), ((3, 32), 20), ((3, 64), 10),
+def _degenerate_vertex_lp(rng):
+    """20 to 40 rows with entries in {-1, 0, 1} in R^3..R^5, all tight at one
+    integer vertex, and c = -lam @ a_ub for random lam >= 0 on fewer rows
+    than variables: the vertex is optimal, and many of the bases that hold
+    it have duals at zero."""
+    n, m = int(rng.integers(3, 6)), int(rng.integers(20, 41))
+    a = rng.integers(-1, 2, size=(m, n)).astype(float)
+    b = a @ rng.integers(-2, 3, size=n).astype(float)
+    lam = np.zeros(m)
+    support = rng.choice(m, size=int(rng.integers(1, n)), replace=False)
+    lam[support] = rng.uniform(0.5, 2.0, size=support.size)
+    return make_lp(-(lam @ a), a_ub=a, b_ub=b)
+
+
+def test_degenerate_pivots_fall_back_to_blands_rule(monkeypatch):
+    # With a degenerate run of 2, pricing falls back to Bland's rule on some
+    # of these LPs: their entering columns differ from pure Dantzig
+    # pricing's.  Either way the optimum is HiGHS's.
+    pytest.importorskip("scipy")
+    real_pivot = optim._pivot
+    entering = []
+
+    def spy(t, row, col):
+        entering.append(col)
+        real_pivot(t, row, col)
+
+    monkeypatch.setattr(optim, "_pivot", spy)
+
+    def solve(lp, run):
+        monkeypatch.setattr(optim, "_DEGENERATE_RUN", run)
+        entering.clear()
+        return lp_solve(lp), list(entering)
+
+    rng = np.random.default_rng(0)
+    fell_back = 0
+    for trial in range(20):
+        lp = _degenerate_vertex_lp(rng)
+        want, fun = _highs(lp)
+        assert want == optim.OPTIMAL
+        out, with_fallback = solve(lp, 2)
+        _, dantzig_only = solve(lp, 10 ** 9)
+        fell_back += with_fallback != dantzig_only
+        assert out.status == optim.OPTIMAL, trial
+        assert abs(out.value - fun) <= 1e-9 * max(1.0, abs(fun)), trial
+    assert fell_back
+
+
+def test_crash_pivots_only_zero_level_artificials_of_a_phase_1(monkeypatch):
+    # min u_0 over the box |u_i| <= 1 in R^3: the rows of u_1 and u_2 have
+    # c_i = 0, and their artificials are crashed out before phase 1; with
+    # c = 0 there is no phase 1, no crash and not a single pivot.
+    real_crash = optim._crash
+    crashed = []
+
+    def spy(t, basis, n_struct):
+        crashed.append(real_crash(t, basis, n_struct))
+        return crashed[-1]
+
+    monkeypatch.setattr(optim, "_crash", spy)
+    box = np.vstack([np.eye(3), -np.eye(3)])
+    out = lp_solve(make_lp([1.0, 0.0, 0.0], a_ub=box, b_ub=np.ones(6)))
+    assert out.status == optim.OPTIMAL and out.value == -1.0
+    assert crashed == [2] and out.iterations >= 2
+    crashed.clear()
+    out = lp_solve(make_lp(np.zeros(3), a_ub=box, b_ub=np.ones(6)))
+    assert out.status == optim.OPTIMAL and out.iterations == 0
+    assert crashed == []
+
+
+POLYGON_SWEEP =[((2, 16), 20), ((2, 64), 20), ((3, 32), 20), ((3, 64), 10),
                  ((2, 128), 6), ((4, 64), 6), ((2, 256), 6)]
 
 
