@@ -592,7 +592,8 @@ def cmd_property(args) -> tuple[dict, int]:
     elif kind == "mideal":
         verdict = mideal_three_ball_check(space, sub, trials=config["trials"],
                                           eps=config["tol"], seed=args.seed)
-        report["verdicts"] = {"passed": verdict.passed, "note": verdict.note}
+        report["verdicts"] = {"passed": verdict.passed, "note": verdict.note,
+                              "trials_run": verdict.trials_run}
         if verdict.witness_family is not None:
             report["verdicts"]["counterexample"] = _counterexample(
                 kind, space, sub, verdict.enlarged_family)
