@@ -16,6 +16,7 @@ their rows once and each trial computes b from its centers and radii.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -138,10 +139,11 @@ class _BallLps:
     first family, and a later family's is that LP with b_ub replaced, b
     from the offset map's matrix.  One build with the n unit offsets as n
     balls gives that matrix; it is made for the second LP, so a one-shot
-    query builds once.  Its rows are dot products like the epigraph's, so
-    b is a fresh build's as floats, up to the sign of a zero, except that
-    in a sum norm of 16 or more coordinates the BLAS may round a
-    component's row an ulp apart.  Each chain has its own `optim.LpStart`."""
+    query builds once.  Each row of the map is applied to the coordinates
+    of its own component of a sum norm (the slice of `SumNorm.parts` that
+    its epigraph row reads), in dot products like the epigraph's, so b is a
+    fresh build's as floats, up to the sign of a zero.  Each chain has its
+    own `optim.LpStart`."""
 
     def __init__(self, space, within: Subspace | None):
         n = norms.space_dim(space)
@@ -150,43 +152,47 @@ class _BallLps:
         self.space, self.within = space, within
         self.basis = np.eye(n) if within is None else np.array(within.basis)
         self.chains: dict = {}   # size -> (its first LP, its LpStart)
-        self.offset_map = None   # epigraph rows x n
+        self.offset_map = None   # (epigraph rows, their slice, map block) runs
 
     def lp(self, centers: np.ndarray, radii: np.ndarray) -> optim.LinearProgram:
-        k = len(radii)
+        return self.lps(centers[None], radii[None])[0]
+
+    def lps(self, centers: np.ndarray, radii: np.ndarray) -> list:
+        """The LPs of the families (centers[i], radii[i]), all of one size."""
+        k = radii.shape[1]
+        lps = []
         if k not in self.chains:
-            lp = _ball_lp(self.space, self.basis, centers, radii)
-            self.chains[k] = (lp, optim.LpStart())
-            return lp
+            lps.append(_ball_lp(self.space, self.basis, centers[0], radii[0]))
+            self.chains[k] = (lps[0], optim.LpStart())
+            centers, radii = centers[1:], radii[1:]
+        if not len(radii):
+            return lps
         if self.offset_map is None:
-            n = self.basis.shape[0]
-            unit = _ball_lp(self.space, self.basis, -np.eye(n), np.zeros(n))
-            self.offset_map = unit.b_ub.reshape(n, -1)[:, :-1].T.copy()
+            self.offset_map = _offset_map(self.space, self.basis)
         # C order, as the epigraph's offsets: BLAS sums a strided one otherwise
-        offs = np.negative(centers, order="C")[:, None, :, None]
-        b = np.empty((k, self.offset_map.shape[0] + 1))
-        b[:, :-1], b[:, -1] = (self.offset_map[:, None, :] @ offs)[..., 0, 0], radii
+        offs = np.negative(centers, order="C")[:, :, None, :, None]
+        b = np.empty(radii.shape + (self.offset_map[-1][0].stop + 1,))
+        for rows, sl, block in self.offset_map:
+            b[:, :, rows] = (block[:, None, :] @ offs[..., sl, :])[..., 0, 0]
+        b[:, :, -1] = radii
         first = self.chains[k][0]
-        return optim.LinearProgram(first.objective, first.a_ub, b.ravel())
+        return lps + [optim.LinearProgram(first.objective, first.a_ub, row)
+                      for row in b.reshape(len(radii), -1)]
 
     def intersect(self, centers: np.ndarray, radii: np.ndarray) -> IntersectionResult:
         """`balls_intersect` of the balls (centers[i], radii[i]), a row of
         n coordinates per radius, as the caller has checked."""
-        if not (np.isfinite(centers).all() and np.isfinite(radii).all()):
-            raise ValueError("ball centers and radii must be finite")
+        _check_finite(centers, radii)
         space = self.space
         if norms.is_lp_encodable(space):
             lp = self.lp(centers, radii)
             out = optim.lp_solve(lp, start=self.chains[len(radii)][1])
+            witness = None
             if out.status == optim.OPTIMAL:
                 witness = self.basis @ out.x[:self.basis.shape[1]]
                 gaps = eval_norm_many(space, witness[None, :] - centers) - radii
-                if gaps.max(initial=0.0) > 1e-8 * max(1.0, float(radii.max(initial=1.0))):
-                    raise OptimizationError("witness failed the ball audit")
-                return IntersectionResult(FEASIBLE, witness, lp, out)
-            if out.status == optim.INFEASIBLE:
-                return IntersectionResult(INFEASIBLE, None, lp, out)
-            raise OptimizationError(f"feasibility LP ended with {out.status}")
+                _audit_gap(gaps.max(initial=0.0), radii)
+            return _lp_result(lp, out, witness)
 
         # the slack also keeps the weights of zero and tiny radii finite
         slack = FEAS_TOL * max(1.0, float(radii.max()))
@@ -197,6 +203,120 @@ class _BallLps:
         if gaps.max(initial=0.0) <= slack:
             return IntersectionResult(FEASIBLE, witness, None, res)
         return IntersectionResult(UNRESOLVED, witness, None, res)
+
+    def intersect_all(self, families: list):
+        """`intersect` of each family (centers, radii) of the list, yielded
+        in order.  Under a polyhedral norm the families of one size are
+        solved as one `optim.lp_solve_lockstep` batch on their chain when
+        the first of them is reached.  What `intersect` would raise for a
+        family (a non-finite ball, an LP that ends other than optimal or
+        infeasible, a witness that fails the ball audit) is raised when its
+        turn comes, so a caller that stops at an earlier family never meets
+        it."""
+        if not norms.is_lp_encodable(self.space):
+            for centers, radii in families:
+                yield self.intersect(centers, radii)
+            return
+        runs: dict = {}
+        for _, radii in families:
+            k = len(radii)
+            if k not in runs:
+                runs[k] = self._lockstep([f for f in families if len(f[1]) == k])
+            yield next(runs[k])
+
+    def _lockstep(self, families: list):
+        centers = np.array([c for c, _ in families])
+        radii = np.array([r for _, r in families])
+        finite = np.isfinite(centers).all(axis=(1, 2)) & np.isfinite(radii).all(axis=1)
+        solved = len(families) if finite.all() else int(finite.argmin())
+        if solved:
+            centers, radii = centers[:solved], radii[:solved]
+            lps = self.lps(centers, radii)
+            outs = optim.lp_solve_lockstep(lps, self.chains[radii.shape[1]][1])
+            d = self.basis.shape[1]
+            witness = np.array([self.basis @ out.x[:d] if out.x is not None
+                                else np.zeros(self.basis.shape[0]) for out in outs])
+            gaps = eval_norm_many(self.space, (witness[:, None, :] - centers)
+                                  .reshape(-1, centers.shape[2])).reshape(radii.shape)
+            for lp, out, w, gap, r in zip(lps, outs, witness, gaps - radii, radii):
+                if out.status == optim.OPTIMAL:
+                    _audit_gap(gap.max(initial=0.0), r)
+                yield _lp_result(lp, out, w)
+        if solved < len(families):
+            _check_finite(*families[solved])
+
+
+def _check_finite(centers: np.ndarray, radii: np.ndarray) -> None:
+    if not (np.isfinite(centers).all() and np.isfinite(radii).all()):
+        raise ValueError("ball centers and radii must be finite")
+
+
+def _audit_gap(gap: float, radii: np.ndarray) -> None:
+    """The ball audit of an LP witness: no ball misses it by more than 1e-8
+    relative to the largest radius."""
+    if gap > 1e-8 * max(1.0, float(radii.max(initial=1.0))):
+        raise OptimizationError("witness failed the ball audit")
+
+
+def _lp_result(lp, out, witness) -> IntersectionResult:
+    """The result of a ball LP's outcome, with `witness` if it is optimal."""
+    if out.status == optim.OPTIMAL:
+        return IntersectionResult(FEASIBLE, witness, lp, out)
+    if out.status == optim.INFEASIBLE:
+        return IntersectionResult(INFEASIBLE, None, lp, out)
+    raise OptimizationError(f"feasibility LP ended with {out.status}")
+
+
+def _offset_map(space, basis: np.ndarray) -> list:
+    """The offset map of `_BallLps` as runs (rows, slice, block): the
+    epigraph rows `rows` read the offset's coordinates `slice` alone, with
+    the coefficients `block`.  A row that reads no coordinate (a combiner's
+    or a 1-norm's sum row, b = 0 whatever the offset) joins the run before
+    it."""
+    n = basis.shape[0]
+    unit = _ball_lp(space, basis, -np.eye(n), np.zeros(n))
+    matrix = unit.b_ub.reshape(n, -1)[:, :-1].T
+    slices = _component_slices(space, 0)
+    component = np.empty(n, dtype=int)
+    for i, sl in enumerate(slices):
+        component[sl] = i
+    reads = [0]
+    for coeffs in matrix:
+        nonzero = np.flatnonzero(coeffs)
+        reads.append(component[nonzero[0]] if nonzero.size else reads[-1])
+    runs, row = [], 0
+    for i, group in itertools.groupby(reads[1:]):
+        rows = slice(row, row + len(list(group)))
+        runs.append((rows, slices[i], np.ascontiguousarray(matrix[rows, slices[i]])))
+        row = rows.stop
+    return runs
+
+
+def _component_slices(space, start: int) -> list:
+    """The coordinate slice of each component of a sum norm that is not
+    itself a sum, in order; the whole space for a norm that is no sum."""
+    if not isinstance(space, norms.SumNorm):
+        return [slice(start, start + norms.space_dim(space))]
+    return [leaf for sl, comp in space.parts
+            for leaf in _component_slices(comp, start + sl.start)]
+
+
+# Trials drawn ahead of their solves, at most this many at a time.
+_DRAW_AHEAD = 64
+
+
+def _solved_ahead(lps: _BallLps, trials: int, draw: Callable[[], tuple]):
+    """Yield (trial number from 1, what `draw` returned, the result of
+    intersecting its first two entries, centers and radii) for `trials`
+    draws, in order.  Draws are made min(remaining, _DRAW_AHEAD) at a time
+    and solved by `_BallLps.intersect_all`, so a caller that stops at a
+    trial has drawn and solved the rest of its chunk for nothing."""
+    done = 0
+    while done < trials:
+        drawn = [draw() for _ in range(min(_DRAW_AHEAD, trials - done))]
+        for item, res in zip(drawn, lps.intersect_all([d[:2] for d in drawn])):
+            done += 1
+            yield done, item, res
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +356,22 @@ def central_subspace_check(space, sub: Subspace, trials: int, seed: int,
             return CentralVerdict(False, fam, res, 0, True,
                                   "injected family fails to intersect in the subspace")
     w_basis = np.eye(n) if within is None else np.array(within.basis)
-    for trial in range(trials):
+
+    def draw():
         k = int(rng.integers(2, 5))
         w = w_basis @ rng.normal(size=w_basis.shape[1]) * 1.5
         centers = (sub.basis @ rng.normal(size=(sub.dim, k)) * 1.5).T
         radii = eval_norm_many(space, w[None, :] - centers) * \
             (1.0 + rng.uniform(0.0, 0.2, size=k))
-        res = lps.intersect(centers, radii)
+        return centers, radii
+
+    for trial, (centers, radii), res in _solved_ahead(lps, trials, draw):
         if res.status != FEASIBLE:
             certified = res.status == INFEASIBLE
             note = ("counterexample with Farkas certificate" if certified
                     else "candidate counterexample (semi-decided norm)")
             return CentralVerdict(False, BallFamily.from_arrays(centers, radii),
-                                  res, trial + 1, False, note)
+                                  res, trial, False, note)
     return CentralVerdict(True, None, None, trials, False,
                           f"no counterexample found in {trials} trials")
 
@@ -750,7 +873,8 @@ def mideal_three_ball_check(space, z: Subspace, trials: int, eps: float = 1e-6,
     n = norms.space_dim(space)
     rng = np.random.default_rng(seed)
     lps = _BallLps(space, z)
-    for trial in range(trials):
+
+    def draw():
         w = rng.normal(size=n) * 1.5
         centers = rng.normal(size=(3, n)) * 1.5
         joint = eval_norm_many(space, w[None, :] - centers)
@@ -758,12 +882,14 @@ def mideal_three_ball_check(space, z: Subspace, trials: int, eps: float = 1e-6,
         tight = rng.random(size=3) < 0.5
         infl = 1.0 + rng.uniform(0.0, 0.1, size=3) * (~tight)
         radii = np.maximum(joint, meet) * infl
-        res = lps.intersect(centers, radii + eps)
+        return centers, radii + eps, radii, meet
+
+    for trial, (centers, enlarged, radii, meet), res in _solved_ahead(lps, trials, draw):
         if res.status != FEASIBLE:
             _audit_distances(space, centers, z, meet)
             return ThreeBallVerdict(False, BallFamily.from_arrays(centers, radii),
-                                    BallFamily.from_arrays(centers, radii + eps),
-                                    res, trial + 1, eps,
+                                    BallFamily.from_arrays(centers, enlarged),
+                                    res, trial, eps,
                                     "enlarged triple misses the subspace")
     return ThreeBallVerdict(True, None, None, None, trials, eps,
                             f"no counterexample found in {trials} trials")

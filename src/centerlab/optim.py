@@ -71,6 +71,7 @@ each stage costs a few pivots.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -201,6 +202,19 @@ def _pivot(t: np.ndarray, row: int, col: int) -> None:
     t[row, col] = 1.0
 
 
+def _pivot_stack(t: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """`_pivot` on each tableau t[i] of a stack, on rows[i] and cols[i]:
+    the same arithmetic, element for element."""
+    at = np.arange(t.shape[0])
+    prow = t[at, rows] / t[at, rows, cols][:, None]
+    t[at, rows] = prow
+    column = t[at, :, cols]
+    column[at, rows] = 0.0
+    t -= column[:, :, None] * prow[:, None, :]
+    t[at, :, cols] = 0.0
+    t[at, rows, cols] = 1.0
+
+
 def _crash(t, basis, n_struct) -> int:
     """Pivot each artificial basic at level zero out on the structural
     column with the largest |entry| in its row, when that entry is above
@@ -282,6 +296,67 @@ def _run_simplex(t, basis, n_struct, max_iter, phase_1=False):
         if phase_1 and not (rhs[art_rows] > 0.0).any():
             return OPTIMAL, pivots, -1
     return BREAKDOWN, pivots, -1
+
+
+def _run_stack(t, basis, n_struct, max_iter):
+    """`_run_simplex`'s phase 2 on every tableau of the stack t at once, in
+    place; returns (status, pivots, entering), one entry per tableau.
+
+    Each tableau prices, takes its ratio test and pivots as `_run_simplex`
+    would on it alone, with its own count of consecutive degenerate pivots
+    for the fallback to Bland's rule; one that finishes leaves the working
+    set."""
+    k, m = basis.shape
+    width = t.shape[2]  # above every column index
+    status = np.full(k, BREAKDOWN, dtype=object)
+    pivots = np.zeros(k, dtype=int)
+    enter = np.full(k, -1)
+    live, work, wbasis = np.arange(k), t, basis
+    degenerate = np.zeros(k, dtype=int)
+    for _ in range(max_iter):
+        at = np.arange(live.size)
+        costs = work[:, -1, :n_struct]
+        j = costs.argmin(1)
+        if degenerate.max() >= _DEGENERATE_RUN:
+            j = np.where(degenerate < _DEGENERATE_RUN, j,
+                         (costs < -_RCOST_TOL).argmax(1))
+        improving = costs[at, j] < -_RCOST_TOL
+        col, rhs = work[at, :m, j], work[:, :m, -1]
+        ratios = np.full(col.shape, np.inf)
+        np.divide(rhs, col, out=ratios, where=col > _PIVOT_TOL)
+        held = (wbasis >= n_struct) & (rhs == 0.0)
+        ratios[held & (np.abs(col) > _PIVOT_TOL)] = 0.0
+        least = ratios.min(1)
+        unbounded = improving & (least == np.inf)
+        done = ~improving | unbounded
+        if done.any():
+            status[live[~improving]] = OPTIMAL
+            status[live[unbounded]] = UNBOUNDED
+            enter[live[unbounded]] = j[unbounded]
+            t[live[done]], basis[live[done]] = work[done], wbasis[done]
+            keep = ~done
+            live, work, wbasis = live[keep], work[keep], wbasis[keep]
+            degenerate, j, ratios, least, held = (
+                a[keep] for a in (degenerate, j, ratios, least, held))
+            if not live.size:
+                return status, pivots, enter
+        degenerate = np.where(least <= _RATIO_TIE, degenerate + 1, 0)
+        leave = np.where(ratios <= least[:, None] + _RATIO_TIE, wbasis,
+                         width).argmin(1)
+        _pivot_stack(work, leave, j)
+        pivots[live] += 1
+        wbasis[np.arange(live.size), leave] = j
+        work[:, :m, -1][held] = 0.0
+        broken = ~np.isfinite(work).all(axis=(1, 2))
+        if broken.any():
+            t[live[broken]], basis[live[broken]] = work[broken], wbasis[broken]
+            keep = ~broken
+            live, work, wbasis, degenerate = (
+                live[keep], work[keep], wbasis[keep], degenerate[keep])
+            if not live.size:
+                return status, pivots, enter
+    t[live], basis[live] = work, wbasis
+    return status, pivots, enter
 
 
 def _dual_simplex(t, basis, n_struct, free, max_iter):
@@ -664,21 +739,172 @@ def _solve(lp: LinearProgram, refine: Sequence[int] | None,
                      iterations=iterations + pivots, message=message)
 
 
+def lp_solve_lockstep(lps: Sequence[LinearProgram], start: LpStart
+                      ) -> list[LpOutcome]:
+    """`lp_solve(lp, start=start)` of each LP of a chain, in order, for LPs
+    that share their objective and rows bit for bit and differ only in b:
+    the same verdicts, each audited as `lp_solve` audits it, from one
+    stacked phase 2.
+
+    An LP that the tableau held in `start` cannot start (none is held, or
+    it was built from other rows) is solved alone by `lp_solve`, which
+    leaves its basis in `start`.  The rest start together from the held
+    basis, which is dual feasible for every b: the held tableau is copied
+    into a (K, n_vars + 1, cols) stack, each LP's b is loaded as that LP's
+    own cost row with `_DualTableau.load_costs`' exact power-of-two
+    rescaling, and every unfinished LP pivots at once (`_run_stack`).  Each
+    LP's tight point, with its one refinement step, its duals or its Farkas
+    multipliers are read off its own tableau and audited as `_solve` audits
+    them, on stacked arrays.  An LP that breaks down or fails its audit is
+    solved again alone and fresh by `lp_solve`, and its `iterations` count
+    the pivots of both; every other outcome's `iterations` count that LP's
+    own pivots.  Afterwards `start` holds the tableau of the last LP, in
+    order, that left a feasible dual basis.
+    """
+    lps = list(lps)
+    if any(not _same_rows(lp, lps[0]) for lp in lps[1:]):
+        raise ValueError("a lockstep chain needs one objective and one set of rows")
+    outs = []
+    while lps and not (start._key is not None and _rows_key(lps[0]) == start._key):
+        outs.append(lp_solve(lps.pop(0), start=start))
+    if lps:
+        outs += _solve_stack(lps, start)
+    return outs
+
+
+def _same_rows(lp: LinearProgram, other: LinearProgram) -> bool:
+    return all(a is b or a.tobytes() == b.tobytes()
+               for a, b in ((lp.objective, other.objective), (lp.a_ub, other.a_ub)))
+
+
+def _solve_stack(lps: list, start: LpStart) -> list[LpOutcome]:
+    """The stacked solve of `lp_solve_lockstep`, from the tableau that
+    `start` holds, whose rows and objective are those of `lps`."""
+    held, k = start._dual, len(lps)
+    n_cols, n = held.n_cols, held.tau.shape[0]
+    b = np.array([lp.b_ub for lp in lps])
+    # load_costs on each copy of the held tableau
+    scale = _scale(held.row_size, b)
+    ratio = held.scale[:n_cols] / scale
+    t = np.repeat(held.t[None], k, axis=0)
+    t[:, :-1, :n_cols] *= ratio[:, None, :]
+    basic = held.basis < n_cols
+    t[:, :-1][:, basic] /= ratio[:, held.basis[basic]][:, :, None]
+    costs = np.concatenate([b, np.zeros((k, n))], axis=1)
+    scale = np.concatenate([scale, np.ones((k, n))], axis=1)
+    basis = np.repeat(held.basis[None], k, axis=0)
+    # _price on each
+    priced = costs / scale
+    t[:, -1, :-1], t[:, -1, -1] = priced, 0.0
+    t[:, -1] -= (np.take_along_axis(priced, basis, 1)[:, None, :] @ t[:, :-1])[:, 0]
+    status, pivots, enter = _run_stack(t, basis, n_cols, held.max_iter)
+
+    objective, a_ub = lps[0].objective, lps[0].a_ub
+    outs: list = [None] * k
+    opt = np.flatnonzero(status == OPTIMAL)
+    if opt.size:
+        x = _tight_points(held, t[opt], basis[opt], costs[opt], scale[opt])
+        y = np.zeros((opt.size, t.shape[2] - 1))
+        np.put_along_axis(y, basis[opt], t[opt, :-1, -1], 1)
+        lam = y[:, :n_cols] / scale[opt, :n_cols]
+        lam = np.where(lam > 0, lam, 0.0)
+        value = np.vecdot(x, objective)
+        good = (np.isfinite(x).all(1) & _feasible(a_ub, b[opt], x)
+                & _dual_holds(objective, a_ub, b[opt], lam, value))
+        for i, ok, xi, li, vi in zip(opt, good, x, lam, value):
+            if ok:
+                outs[i] = LpOutcome(OPTIMAL, x=xi, value=float(vi), dual_ub=li,
+                                    iterations=int(pivots[i]))
+    ray = np.flatnonzero(status == UNBOUNDED)
+    if ray.size:
+        lam = _farkas_multipliers(held, t[ray], basis[ray], enter[ray], scale[ray])
+        for i, ok, li in zip(ray, _farkas_holds(a_ub, b[ray], lam), lam):
+            if ok:
+                outs[i] = LpOutcome(INFEASIBLE, farkas_ub=li,
+                                    iterations=int(pivots[i]))
+
+    # the tableau each LP leaves when it leaves a feasible dual basis
+    left = {i: None for i in range(k) if outs[i] is not None}
+    for i in range(k):
+        if outs[i] is None:
+            # a breakdown or a failed audit: solved again alone and fresh
+            alone = LpStart()
+            out = lp_solve(lps[i], start=alone)
+            outs[i] = replace(out, iterations=int(pivots[i]) + out.iterations)
+            if alone._dual is not None:
+                left[i] = alone._dual
+    if left:
+        last = max(left)
+        dual = left[last]
+        if dual is None:
+            dual = copy.copy(held)
+            dual.t, dual.basis = t[last].copy(), basis[last].copy()
+            dual.costs, dual.scale = costs[last].copy(), scale[last].copy()
+        start._dual = dual
+    return outs
+
+
+def _tight_points(held, t, basis, costs, scale):
+    """`_DualTableau.tight_point` of each tableau of a stack with the rows
+    of `held`, its bases, costs and scales; a row of NaN where that system
+    is numerically singular."""
+    rows = held.columns[:, basis].transpose(1, 2, 0) * held.tau
+    s, c = np.take_along_axis(scale, basis, 1), np.take_along_axis(costs, basis, 1)
+    lhs, rhs = rows / s[..., None], (c / s)[..., None]
+    try:
+        x = np.linalg.solve(lhs, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.full(c.shape, np.nan)
+        for i in range(len(x)):
+            try:
+                x[i] = np.linalg.solve(lhs[i], rhs[i])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+    ext = np.longdouble
+    resid = c.astype(ext) - (rows.astype(ext) @ x.astype(ext)[..., None])[..., 0]
+    fix = ((resid.astype(float) / s)[:, None, :] @ t[:, :-1, held.n_cols:-1])[:, 0]
+    return x + held.tau * fix
+
+
+def _farkas_multipliers(held, t, basis, enter, scale):
+    """The Farkas multipliers that `_solve` reads off an unbounded dual
+    ray, for each tableau of a stack with the rows of `held`, entering
+    columns `enter`, bases and scales."""
+    at, n_cols = np.arange(len(enter)), held.n_cols
+    y = np.zeros((len(enter), t.shape[2] - 1))
+    y[at, enter] = 1.0
+    np.put_along_axis(y, basis, -t[at, :-1, enter], 1)
+    fix = t[:, :-1, n_cols:-1] @ ((held.columns / scale[:, None, :]) @ y[..., None])
+    np.put_along_axis(y, basis, np.take_along_axis(y, basis, 1) - fix[..., 0], 1)
+    lam = y[:, :n_cols] / scale[:, :n_cols]
+    lam = np.where(lam > 0, lam, 0.0)
+    return lam / np.maximum(1.0, lam.max(1, initial=0.0))[:, None]
+
+
+# The audits below take one LP's arrays or, over a leading axis, those of a
+# stack of LPs that share their objective and rows (`lp_solve_lockstep`).
+
+def _feasible(a_ub, b_ub, x):
+    slack = (a_ub @ x[..., None])[..., 0] - b_ub
+    return ~(slack > FEAS_TOL * np.maximum(1.0, np.abs(b_ub))).any(-1)
+
+
 def _primal_feasible(lp: LinearProgram, x: np.ndarray) -> bool:
-    slack = lp.a_ub @ x - lp.b_ub
-    return not (slack > FEAS_TOL * np.maximum(1.0, np.abs(lp.b_ub))).any()
+    return bool(_feasible(lp.a_ub, lp.b_ub, x))
+
+
+def _farkas_holds(a_ub, b_ub, lam):
+    coeff_scale = max(1.0, float(np.abs(a_ub).max(initial=0.0)))
+    return (~(lam.min(-1, initial=0.0) < -FEAS_TOL)
+            & ~(np.abs(lam @ a_ub).max(-1, initial=0.0)
+                > 100 * FEAS_TOL * coeff_scale)
+            & (np.vecdot(lam, b_ub) < -FEAS_TOL))
 
 
 def verify_farkas(lp: LinearProgram, lam: np.ndarray) -> bool:
     """Check that lam proves infeasibility: lam >= 0, the combination of
     the rows vanishes, and the combined right-hand side is < -FEAS_TOL."""
-    if float(lam.min(initial=0.0)) < -FEAS_TOL:
-        return False
-    combo = lam @ lp.a_ub
-    coeff_scale = max(1.0, float(np.abs(lp.a_ub).max(initial=0.0)))
-    if float(np.abs(combo).max(initial=0.0)) > 100 * FEAS_TOL * coeff_scale:
-        return False
-    return float(lam @ lp.b_ub) < -FEAS_TOL
+    return bool(_farkas_holds(lp.a_ub, lp.b_ub, lam))
 
 
 def verify_ray(lp: LinearProgram, ray: np.ndarray) -> bool:
@@ -694,6 +920,17 @@ def verify_ray(lp: LinearProgram, ray: np.ndarray) -> bool:
     return float(lp.objective @ r) < 0.0
 
 
+def _dual_holds(objective, a_ub, b_ub, lam, value):
+    """Dual sign, stationarity and zero duality gap, as `verify_optimal`."""
+    grad = objective + lam @ a_ub
+    scale = np.maximum(max(1.0, float(np.abs(objective).max(initial=0.0))),
+                       np.abs(lam).max(-1, initial=0.0))
+    gap = np.abs(-np.vecdot(lam, b_ub) - value)
+    return (~(lam.min(-1, initial=0.0) < -FEAS_TOL)
+            & ~(np.abs(grad).max(-1, initial=0.0) > _OPT_TOL * scale)
+            & (gap <= _OPT_TOL * np.maximum(1.0, np.abs(value))))
+
+
 def verify_optimal(lp: LinearProgram, out: LpOutcome) -> bool:
     """Primal feasibility, dual sign, stationarity, and zero duality gap,
     the last two to _OPT_TOL relative."""
@@ -702,15 +939,7 @@ def verify_optimal(lp: LinearProgram, out: LpOutcome) -> bool:
     if not _primal_feasible(lp, out.x):
         return False
     lam = out.dual_ub if out.dual_ub is not None else np.zeros(lp.a_ub.shape[0])
-    if float(lam.min(initial=0.0)) < -FEAS_TOL:
-        return False
-    grad = lp.objective + lam @ lp.a_ub
-    scale = max(1.0, float(np.abs(lp.objective).max(initial=0.0)),
-                float(np.abs(lam).max(initial=0.0)))
-    if float(np.abs(grad).max(initial=0.0)) > _OPT_TOL * scale:
-        return False
-    dual_val = -float(lam @ lp.b_ub)
-    return abs(dual_val - out.value) <= _OPT_TOL * max(1.0, abs(out.value))
+    return bool(_dual_holds(lp.objective, lp.a_ub, lp.b_ub, lam, out.value))
 
 
 def lp_solve_lex(lp: LinearProgram,

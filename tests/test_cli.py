@@ -51,17 +51,25 @@ def test_every_scenario_passes(capsys, name):
 
 def test_three_ball_repro_lp_count(capsys, monkeypatch):
     calls = []
-    real = optim.lp_solve
+    real_solve, real_lockstep = optim.lp_solve, optim.lp_solve_lockstep
 
     def counted(lp, **kwargs):
         calls.append(lp)
-        return real(lp, **kwargs)
+        return real_solve(lp, **kwargs)
+
+    def counted_lockstep(lps, start):
+        calls.extend(lps)
+        return real_lockstep(lps, start)
 
     monkeypatch.setattr(optim, "lp_solve", counted)
+    monkeypatch.setattr(optim, "lp_solve_lockstep", counted_lockstep)
     code, report = run_json(capsys, "repro", "three-ball-transfer", "--seed", "0")
     assert code == EXIT_OK and report["ok"]
-    # 500 passing trials, 4 to the failing one, and its 3 audited distances
-    assert len(calls) == 507
+    # Every LP counts once, through whichever entry point it reaches first
+    # (a chain's first LP goes through both): 500 passing trials; the whole
+    # first chunk of 64 trials drawn ahead by the failing check, which fails
+    # at its 4th; and the 3 audited distances of the failing triple.
+    assert len({id(lp) for lp in calls}) == 500 + 64 + 3
 
 
 def test_reports_are_reproducible(capsys):

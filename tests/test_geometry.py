@@ -675,30 +675,38 @@ def test_family_json_roundtrip():
     assert np.array_equal(back.radii, fam.radii)
 
 
-def test_three_ball_checker_re_solves_its_trials_warm(monkeypatch):
-    # The checker's LPs share their rows, so all but the first start from
-    # the last basis: each keeps the status of a fresh solve, and together
-    # they take at most half the pivots.  Reuse that silently stops (say,
-    # rebuilt rows that differ in a -0.0) costs the fresh pivot count.
-    data = instances.mideal_scenarios()
-    real = optim.lp_solve
+def _lockstep_spy(monkeypatch):
+    """Record (lp, outcome) of every LP that `optim.lp_solve_lockstep`
+    solves, each chain's first included."""
+    real = optim.lp_solve_lockstep
     seen = []
 
-    def capture(lp, **kwargs):
-        out = real(lp, **kwargs)
-        seen.append((lp, kwargs.get("refine"), out))
-        return out
+    def capture(lps, start):
+        outs = real(lps, start)
+        seen.extend(zip(lps, outs))
+        return outs
 
-    monkeypatch.setattr(optim, "lp_solve", capture)
+    monkeypatch.setattr(optim, "lp_solve_lockstep", capture)
+    return seen
+
+
+def test_three_ball_checker_re_solves_its_trials_warm(monkeypatch):
+    # The checker's LPs share their rows, so all but the first start in
+    # lockstep from a held basis: each keeps the status of a fresh solve,
+    # and together, counted per LP, they take at most half the pivots.
+    # Reuse that silently stops (say, rebuilt rows that differ in a -0.0)
+    # costs the fresh pivot count.
+    data = instances.mideal_scenarios()
+    seen = _lockstep_spy(monkeypatch)
     for key in ("max_space", "sum_space"):
         mideal_three_ball_check(data[key], data["first_summand"], trials=200,
                                 eps=1e-6, seed=0)
     monkeypatch.undo()
-    fresh = [real(lp, refine) for lp, refine, _ in seen]
-    assert [out.status for *_, out in seen] == [out.status for out in fresh]
+    fresh = [optim.lp_solve(lp) for lp, _ in seen]
+    assert [out.status for _, out in seen] == [out.status for out in fresh]
     fresh_pivots = sum(out.iterations for out in fresh)
     assert fresh_pivots > 0
-    assert 2 * sum(out.iterations for *_, out in seen) <= fresh_pivots
+    assert 2 * sum(out.iterations for _, out in seen) <= fresh_pivots
 
 
 def _fresh_ball_lp(space, basis, centers, radii):
@@ -726,6 +734,15 @@ def _chain_space(kind, n, rng):
         return (linf, l1)[kind == "l1"](n)
     if kind == "poly":
         return poly(n)
+    if kind == "wide-sum":
+        # 16-40 coordinates, where BLAS sums a row over the whole offset in
+        # another order than over its component's slice
+        total, dims = int(rng.integers(16, 41)), []
+        while total - sum(dims) > 11:
+            dims.append(int(rng.integers(2, 10)))
+        dims.append(total - sum(dims))
+        combiner = (max_combiner, sum_combiner)[int(rng.integers(2))]
+        return make_direct_sum([poly(d) for d in dims], combiner(len(dims)))
     split = int(rng.integers(1, n))
     combiner = (max_combiner, sum_combiner)[kind == "sum-sum"]
     return make_direct_sum([linf(split), (l1, poly)[int(rng.integers(2))](n - split)],
@@ -734,15 +751,18 @@ def _chain_space(kind, n, rng):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6), k=st.integers(1, 4),
-       kind=st.sampled_from(["linf", "l1", "poly", "max-sum", "sum-sum"]),
+       kind=st.sampled_from(["linf", "l1", "poly", "max-sum", "sum-sum",
+                             "wide-sum"]),
        within=st.sampled_from(["whole", "random", "coordinate"]))
 def test_ball_lp_chain_matches_fresh_builds(seed, n, k, kind, within):
     # A chain's LP after its first is the first one with b from the offset
     # map: its rows are a fresh build's byte for byte, its b equal as
-    # floats, and it solves to the same bytes.  Centers in a coordinate
-    # subspace put exact (signed) zeros into the offsets.
+    # floats (bit for bit but for the sign of a zero), and it solves to the
+    # same bytes, also in sum norms of 16-40 coordinates.  Centers in a
+    # coordinate subspace put exact (signed) zeros into the offsets.
     rng = np.random.default_rng(seed)
     space = _chain_space(kind, n, rng)
+    n = norms.space_dim(space)
     sub = None
     if within == "random":
         sub = subspace_from_basis(n, rng.normal(size=(int(rng.integers(1, n)), n)))
@@ -782,11 +802,13 @@ def test_ball_lp_chain_matches_fresh_builds(seed, n, k, kind, within):
 
 def _reference_central(space, sub, trials, seed):
     """`central_subspace_check`'s trials with every LP built afresh and one
-    warm start per family size: (trials run, failing family or None)."""
+    warm start per family size: (trials run, failing family or None, the
+    LPs built)."""
     n = norms.space_dim(space)
     rng = np.random.default_rng(seed)
     starts = defaultdict(optim.LpStart)
     basis = np.array(sub.basis)
+    built = []
     for trial in range(trials):
         k = int(rng.integers(2, 5))
         w = np.eye(n) @ rng.normal(size=n) * 1.5
@@ -794,20 +816,21 @@ def _reference_central(space, sub, trials, seed):
         radii = norms.eval_norm_many(space, w[None, :] - centers) * \
             (1.0 + rng.uniform(0.0, 0.2, size=k))
         fam = BallFamily.from_arrays(centers, radii)
-        lp = _fresh_ball_lp(space, basis, fam.centers, fam.radii)
-        if optim.lp_solve(lp, start=starts[k]).status != optim.OPTIMAL:
-            return trial + 1, fam
-    return trials, None
+        built.append(_fresh_ball_lp(space, basis, fam.centers, fam.radii))
+        if optim.lp_solve(built[-1], start=starts[k]).status != optim.OPTIMAL:
+            return trial + 1, fam, built
+    return trials, None, built
 
 
 def _reference_three_ball(space, z, trials, eps, seed):
     """`mideal_three_ball_check`'s trials with every LP built afresh and one
     warm start, and the distance audit of a failing triple: (trials run,
-    failing un-enlarged family or None)."""
+    failing un-enlarged family or None, the LPs built)."""
     n = norms.space_dim(space)
     rng = np.random.default_rng(seed)
     start = optim.LpStart()
     basis = np.array(z.basis)
+    built = []
     for trial in range(trials):
         w = rng.normal(size=n) * 1.5
         centers = rng.normal(size=(3, n)) * 1.5
@@ -817,12 +840,12 @@ def _reference_three_ball(space, z, trials, eps, seed):
         radii = np.maximum(joint, meet) * \
             (1.0 + rng.uniform(0.0, 0.1, size=3) * (~tight))
         enlarged = BallFamily.from_arrays(centers, radii + eps)
-        lp = _fresh_ball_lp(space, basis, enlarged.centers, enlarged.radii)
-        if optim.lp_solve(lp, start=start).status != optim.OPTIMAL:
+        built.append(_fresh_ball_lp(space, basis, enlarged.centers, enlarged.radii))
+        if optim.lp_solve(built[-1], start=start).status != optim.OPTIMAL:
             for x in centers:  # the checker's distance audit
                 norms.dist_to_subspace(space, x, z)
-            return trial + 1, BallFamily.from_arrays(centers, radii)
-    return trials, None
+            return trial + 1, BallFamily.from_arrays(centers, radii), built
+    return trials, None, built
 
 
 def _checker_cases():
@@ -844,35 +867,27 @@ def _checker_cases():
 @pytest.mark.parametrize("name,space,sub",
                          [pytest.param(*case, id=case[0]) for case in _checker_cases()])
 def test_checkers_match_a_fresh_build_of_every_trial(monkeypatch, name, space, sub):
-    # Both checkers solve, from the same bases, the LPs that a fresh build
-    # of every trial gives, so every outcome is the same to the byte; and
-    # their verdicts are the reference's.  The three-ball check fails on
-    # the sum summand, the polyhedral line and the sup-norm plane, the
-    # central check on the two planes.
-    real = optim.lp_solve
-    seen = []
-
-    def capture(lp, **kwargs):
-        out = real(lp, **kwargs)
-        seen.append((lp.a_ub.tobytes(), lp.b_ub, out.iterations, _outcome_bytes(out)))
-        return out
-
-    monkeypatch.setattr(optim, "lp_solve", capture)
+    # Both checkers solve, in lockstep, the LPs that a fresh build of every
+    # trial gives (rows byte for byte, b as floats), up to their verdict and
+    # on to the end of its chunk; every outcome has the status of a fresh
+    # solve of its LP; and their verdicts, trials run and failing families
+    # are those of a reference that builds and solves one trial at a time.
+    # The three-ball check fails on the sum summand, the polyhedral line and
+    # the sup-norm plane, the central check on the two planes.
+    seen = _lockstep_spy(monkeypatch)
     central = central_subspace_check(space, sub, trials=400, seed=0)
     three = mideal_three_ball_check(space, sub, trials=200, eps=1e-6, seed=0)
-    checked, seen = seen, []
-    ref_central = _reference_central(space, sub, 400, 0)
-    ref_three = _reference_three_ball(space, sub, 200, 1e-6, 0)
     monkeypatch.undo()
-    assert len(checked) == len(seen)
-    for (rows, b, pivots, out), (rows_ref, b_ref, pivots_ref, out_ref) in \
-            zip(checked, seen):
-        assert rows == rows_ref and np.array_equal(b, b_ref)
-        assert (pivots, out) == (pivots_ref, out_ref)
-    for verdict, family, (runs, ref) in (
-            (central, central.counterexample, ref_central),
-            (three, three.witness_family, ref_three)):
-        assert verdict.trials_run == runs
+    for lp, out in seen:
+        assert out.status == optim.lp_solve(lp).status
+    solved = {(lp.a_ub.tobytes(), (lp.b_ub + 0.0).tobytes()) for lp, _ in seen}
+    for verdict, family, (runs, ref, built) in (
+            (central, central.counterexample, _reference_central(space, sub, 400, 0)),
+            (three, three.witness_family,
+             _reference_three_ball(space, sub, 200, 1e-6, 0))):
+        assert all((lp.a_ub.tobytes(), (lp.b_ub + 0.0).tobytes()) in solved
+                   for lp in built)
+        assert verdict.trials_run == runs == len(built)
         assert verdict.passed == (ref is None)
         if ref is not None:
             assert family.centers.tobytes() == ref.centers.tobytes()

@@ -902,3 +902,135 @@ def test_appended_rows_are_warm_only_after_the_same_prefix():
         assert not kept
         assert out.iterations == fresh.iterations
         assert np.array_equal(out.x, fresh.x)
+
+
+def _lockstep_chains():
+    """Seeded chains for `lp_solve_lockstep`, each a list of LPs that share
+    their objective and rows: ball LPs (c = 0) of two sup-norm spaces and a
+    sum norm, some of whose radii are shrunk until the balls miss each
+    other, and LPs over a box and random rows with c != 0 whose box is
+    sometimes empty."""
+    from centerlab import geometry
+    rng = np.random.default_rng(27)
+    poly = rng.normal(size=(4, 3))
+    spaces = [(norms.lp_norm(np.inf, 4), norms.subspace_from_basis(4, np.eye(4)[[0, 2]])),
+              (norms.polyhedral(np.vstack([poly, -poly])), None),
+              (norms.make_direct_sum([norms.lp_norm(1, 1), norms.lp_norm(1, 2)],
+                                     norms.sum_combiner(2)),
+               norms.subspace_from_basis(3, np.eye(3)[[0]]))]
+    chains = []
+    for space, sub in spaces:
+        lps = geometry._BallLps(space, sub)
+        n = norms.space_dim(space)
+        centers = rng.normal(size=(40, 3, n)) * 1.5
+        w = rng.normal(size=(40, n))
+        radii = norms.eval_norm_many(space, (w[:, None, :] - centers).reshape(-1, n))
+        radii = radii.reshape(40, 3) * rng.choice([0.3, 1.0, 1.2], size=(40, 1))
+        chains.append(lps.lps(centers, radii))
+    for n in (2, 3, 4):
+        a_ub = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(5, n))])
+        c = rng.normal(size=n)
+        chains.append([_chain_lp(rng, a_ub, np.zeros((0, n)), c,
+                                 infeasible=rng.random() < 0.25)
+                       for _ in range(40)])
+    return chains
+
+
+def test_lockstep_chain_agrees_with_fresh_solves(monkeypatch):
+    # Each chain's first LP is solved alone and the rest in lockstep from its
+    # basis: every outcome has a fresh solve's status and value and passes
+    # its own audit, none needed a fresh solve, and the chain keeps the
+    # basis of its last LP, which is optimal for that LP at once.
+    alone = []
+    real = optim.lp_solve
+
+    def counted(lp, **kwargs):
+        alone.append(lp)
+        return real(lp, **kwargs)
+
+    for lps in _lockstep_chains():
+        statuses = {real(lp).status for lp in lps}
+        assert statuses == {optim.OPTIMAL, optim.INFEASIBLE}
+        start = optim.LpStart()
+        monkeypatch.setattr(optim, "lp_solve", counted)
+        alone.clear()
+        outs = optim.lp_solve_lockstep(lps, start)
+        monkeypatch.undo()
+        assert alone == [lps[0]]
+        assert len(outs) == len(lps)
+        for lp, out in zip(lps, outs):
+            fresh = lp_solve(lp)
+            assert out.status == fresh.status
+            if out.status == optim.OPTIMAL:
+                assert verify_optimal(lp, out)
+                assert abs(out.value - fresh.value) <= 1e-9 * max(1.0, abs(fresh.value))
+            else:
+                assert verify_farkas(lp, out.farkas_ub)
+        assert sum(out.iterations for out in outs[1:]) > 0
+        again = lp_solve(lps[-1], start=start)
+        assert again.status == outs[-1].status and again.iterations == 0
+
+
+def test_lockstep_falls_back_to_blands_rule(monkeypatch):
+    # With a degenerate run of 2, some LP of the stack enters the first
+    # column with a negative reduced cost where the most negative one is
+    # another: each LP keeps its own count of degenerate pivots.  Every
+    # pivot of a c = 0 LP is degenerate.  The outcomes stay a fresh
+    # solve's.
+    real = optim._pivot_stack
+    bland = []
+
+    def spy(t, rows, cols):
+        costs = t[:, -1, :n_cols]
+        first = (costs < -optim._RCOST_TOL).argmax(1)
+        bland.append(int(((cols == first) & (cols != costs.argmin(1))).sum()))
+        real(t, rows, cols)
+
+    monkeypatch.setattr(optim, "_pivot_stack", spy)
+    monkeypatch.setattr(optim, "_DEGENERATE_RUN", 2)
+    lps = _lockstep_chains()[2]
+    n_cols = lps[0].a_ub.shape[0]
+    outs = optim.lp_solve_lockstep(lps, optim.LpStart())
+    assert sum(bland) > 0
+    for lp, out in zip(lps, outs):
+        assert out.status == lp_solve(lp).status
+
+
+def test_lockstep_solves_a_failed_audit_again_alone(monkeypatch):
+    # The dual audit of the stack fails for one optimal LP only: that LP is
+    # solved again by lp_solve, alone and fresh, and its iterations count
+    # the pivots of both solves.
+    lps = _lockstep_chains()[4][:8]
+    reference = optim.lp_solve_lockstep(lps, optim.LpStart())
+    target = next(i for i in range(1, 8) if reference[i].status == optim.OPTIMAL)
+    real_audit, real_solve = optim._dual_holds, optim.lp_solve
+    calls = []
+
+    def audit(objective, a_ub, b_ub, lam, value):
+        holds = real_audit(objective, a_ub, b_ub, lam, value)
+        if lam.ndim == 2:
+            holds[(b_ub == lps[target].b_ub).all(1)] = False
+        return holds
+
+    def solve(lp, **kwargs):
+        start = kwargs.get("start")
+        calls.append((lp, start is not None and start._key is not None))
+        return real_solve(lp, **kwargs)
+
+    monkeypatch.setattr(optim, "_dual_holds", audit)
+    monkeypatch.setattr(optim, "lp_solve", solve)
+    outs = optim.lp_solve_lockstep(lps, optim.LpStart())
+    assert [(lp, warm) for lp, warm in calls] == [(lps[0], False), (lps[target], False)]
+    fresh = real_solve(lps[target])
+    assert np.array_equal(outs[target].x, fresh.x)
+    assert outs[target].iterations == reference[target].iterations + fresh.iterations
+    for out, ref in zip(outs, reference):
+        assert out.status == ref.status
+
+
+def test_lockstep_needs_one_set_of_rows():
+    lps = _lockstep_chains()[3][:3]
+    other = optim.LinearProgram(lps[0].objective, lps[0].a_ub.copy(), lps[0].b_ub)
+    other.a_ub[0, 0] += 1.0
+    with pytest.raises(ValueError):
+        optim.lp_solve_lockstep([*lps, other], optim.LpStart())
