@@ -12,6 +12,16 @@ the radii), since independently random radii almost never intersect.
 Every ball-intersection LP is made by `_BallLps`.  The LPs of families of
 one size in one space and subspace differ only in b, so a checker builds
 their rows once and each trial computes b from its centers and radii.
+
+The checkers draw their trials ahead, min(remaining, _DRAW_AHEAD) at a
+time, with the same random calls in the same order as one at a time, and
+`_BallLps.intersect_all` solves the trials of one family size in a chunk
+as one `optim.lp_solve_lockstep` batch, when the first of them is reached.
+The verdict is decided by the first trial, in seed order, that does not
+intersect, so `trials_run`, the counterexample and the note are those of a
+trial-by-trial search.  The chunk is a trade-off: a check that fails early
+has drawn and solved the rest of its chunk for nothing, while smaller
+chunks give up the batch's gain on short passing checks.
 """
 
 from __future__ import annotations
@@ -171,7 +181,8 @@ class _BallLps:
             self.offset_map = _offset_map(self.space, self.basis)
         # C order, as the epigraph's offsets: BLAS sums a strided one otherwise
         offs = np.negative(centers, order="C")[:, :, None, :, None]
-        b = np.empty(radii.shape + (self.offset_map[-1][0].stop + 1,))
+        epigraph_rows = self.offset_map[-1][0].stop
+        b = np.empty(radii.shape + (epigraph_rows + 1,))
         for rows, sl, block in self.offset_map:
             b[:, :, rows] = (block[:, None, :] @ offs[..., sl, :])[..., 0, 0]
         b[:, :, -1] = radii
@@ -209,10 +220,9 @@ class _BallLps:
         in order.  Under a polyhedral norm the families of one size are
         solved as one `optim.lp_solve_lockstep` batch on their chain when
         the first of them is reached.  What `intersect` would raise for a
-        family (a non-finite ball, an LP that ends other than optimal or
-        infeasible, a witness that fails the ball audit) is raised when its
-        turn comes, so a caller that stops at an earlier family never meets
-        it."""
+        solved family (an LP that ends other than optimal or infeasible, a
+        witness that fails the ball audit) is raised when its turn comes,
+        so a caller that stops at an earlier family never meets it."""
         if not norms.is_lp_encodable(self.space):
             for centers, radii in families:
                 yield self.intersect(centers, radii)
@@ -227,23 +237,18 @@ class _BallLps:
     def _lockstep(self, families: list):
         centers = np.array([c for c, _ in families])
         radii = np.array([r for _, r in families])
-        finite = np.isfinite(centers).all(axis=(1, 2)) & np.isfinite(radii).all(axis=1)
-        solved = len(families) if finite.all() else int(finite.argmin())
-        if solved:
-            centers, radii = centers[:solved], radii[:solved]
-            lps = self.lps(centers, radii)
-            outs = optim.lp_solve_lockstep(lps, self.chains[radii.shape[1]][1])
-            d = self.basis.shape[1]
-            witness = np.array([self.basis @ out.x[:d] if out.x is not None
-                                else np.zeros(self.basis.shape[0]) for out in outs])
-            gaps = eval_norm_many(self.space, (witness[:, None, :] - centers)
-                                  .reshape(-1, centers.shape[2])).reshape(radii.shape)
-            for lp, out, w, gap, r in zip(lps, outs, witness, gaps - radii, radii):
-                if out.status == optim.OPTIMAL:
-                    _audit_gap(gap.max(initial=0.0), r)
-                yield _lp_result(lp, out, w)
-        if solved < len(families):
-            _check_finite(*families[solved])
+        _check_finite(centers, radii)
+        lps = self.lps(centers, radii)
+        outs = optim.lp_solve_lockstep(lps, self.chains[radii.shape[1]][1])
+        n, d = self.basis.shape
+        witness = np.array([self.basis @ out.x[:d] if out.x is not None
+                            else np.zeros(n) for out in outs])
+        gaps = eval_norm_many(self.space, (witness[:, None, :] - centers)
+                              .reshape(-1, n)).reshape(radii.shape) - radii
+        for lp, out, w, gap, r in zip(lps, outs, witness, gaps, radii):
+            if out.status == optim.OPTIMAL:
+                _audit_gap(gap.max(initial=0.0), r)
+            yield _lp_result(lp, out, w)
 
 
 def _check_finite(centers: np.ndarray, radii: np.ndarray) -> None:
@@ -344,8 +349,9 @@ def central_subspace_check(space, sub: Subspace, trials: int, seed: int,
     holds by construction.  Injected families are tested first, each by
     `balls_intersect`.  The trials form one chain of LPs per family size
     (see `_BallLps`): each size's rows are built once, a trial supplies
-    only b, and its LP is re-solved from the basis of the last trial of
-    that size.  A `BallFamily` is built only for a counterexample.
+    only b, and the trials of one size in a chunk drawn ahead are solved in
+    lockstep from the chain's held basis (see the module docstring).  A
+    `BallFamily` is built only for a counterexample.
     """
     n = norms.space_dim(space)
     rng = np.random.default_rng(seed)
@@ -867,8 +873,9 @@ def mideal_three_ball_check(space, z: Subspace, trials: int, eps: float = 1e-6,
     solved again as LPs, and a disagreement raises OptimizationError rather
     than report a counterexample.  The trials' LPs form one chain (see
     `_BallLps`): their rows are built once, a trial supplies only b, and
-    each is re-solved from the basis of the one before.  The two families
-    of the verdict are built only for a failing trial.
+    each chunk drawn ahead is solved in lockstep from the chain's held
+    basis (see the module docstring).  The two families of the verdict are
+    built only for a failing trial.
     """
     n = norms.space_dim(space)
     rng = np.random.default_rng(seed)

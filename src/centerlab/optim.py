@@ -61,6 +61,18 @@ an infeasible verdict.  A warm outcome is audited as a fresh one is, and a
 warm solve that ends in "breakdown" is solved again afresh before anything
 is returned.
 
+A chain whose LPs share their rows and objective bit for bit and differ
+only in b can also be solved in lockstep (`lp_solve_lockstep`, the
+checkers' batches of trials): the held basis is dual feasible for every b,
+so it is copied into one (K, n_vars + 1, cols) stack, each LP's b becomes
+that LP's own cost row, and every unfinished LP pivots at once under
+`_run_simplex`'s rules, each with its own count of degenerate pivots
+(`_run_stack`).  Tight points, duals, Farkas multipliers and the audits
+are computed on stacked arrays (the audit functions take a leading axis);
+an LP that breaks down or fails its audit is solved again alone and fresh.
+The chain then keeps the basis of its last LP, in order, that left a
+feasible dual basis.
+
 A lexicographic tie-break among optimal points runs on the final tableau of
 the same solve as dual-simplex stages: each stage sets the right-hand side
 to -e_idx, the dual of min u_idx, and keeps every positive dual basic and
