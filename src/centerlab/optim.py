@@ -64,7 +64,8 @@ is returned.
 A chain whose LPs share their rows and objective bit for bit and differ
 only in b can also be solved in lockstep (`lp_solve_lockstep`, the
 checkers' batches of trials): the held basis is dual feasible for every b,
-so it is copied into one (K, n_vars + 1, cols) stack, each LP's b becomes
+as is a fresh tableau's when c = 0, so it is copied into one
+(K, n_vars + 1, cols) stack, each LP's b becomes
 that LP's own cost row, and every unfinished LP pivots at once under
 `_run_simplex`'s rules, each with its own count of degenerate pivots
 (`_run_stack`).  Tight points, duals, Farkas multipliers and the audits
@@ -216,15 +217,14 @@ def _pivot(t: np.ndarray, row: int, col: int) -> None:
 
 def _pivot_stack(t: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
     """`_pivot` on each tableau t[i] of a stack, on rows[i] and cols[i]:
-    the same arithmetic, element for element."""
+    the same values, element for element, while they are finite.  The
+    pivot column needs no reset: x - x * (p / p) is exactly +0.0."""
     at = np.arange(t.shape[0])
     prow = t[at, rows] / t[at, rows, cols][:, None]
-    t[at, rows] = prow
     column = t[at, :, cols]
     column[at, rows] = 0.0
     t -= column[:, :, None] * prow[:, None, :]
-    t[at, :, cols] = 0.0
-    t[at, rows, cols] = 1.0
+    t[at, rows] = prow
 
 
 def _crash(t, basis, n_struct) -> int:
@@ -324,9 +324,10 @@ def _run_stack(t, basis, n_struct, max_iter):
     pivots = np.zeros(k, dtype=int)
     enter = np.full(k, -1)
     live, work, wbasis = np.arange(k), t, basis
+    at = live
     degenerate = np.zeros(k, dtype=int)
-    for _ in range(max_iter):
-        at = np.arange(live.size)
+    for it in range(max_iter):
+        # every live tableau has pivoted `it` times
         costs = work[:, -1, :n_struct]
         j = costs.argmin(1)
         if degenerate.max() >= _DEGENERATE_RUN:
@@ -337,7 +338,8 @@ def _run_stack(t, basis, n_struct, max_iter):
         ratios = np.full(col.shape, np.inf)
         np.divide(rhs, col, out=ratios, where=col > _PIVOT_TOL)
         held = (wbasis >= n_struct) & (rhs == 0.0)
-        ratios[held & (np.abs(col) > _PIVOT_TOL)] = 0.0
+        # a held row with col > _PIVOT_TOL has ratio 0 already
+        ratios[held & (col < -_PIVOT_TOL)] = 0.0
         least = ratios.min(1)
         unbounded = improving & (least == np.inf)
         done = ~improving | unbounded
@@ -345,6 +347,7 @@ def _run_stack(t, basis, n_struct, max_iter):
             status[live[~improving]] = OPTIMAL
             status[live[unbounded]] = UNBOUNDED
             enter[live[unbounded]] = j[unbounded]
+            pivots[live[done]] = it
             t[live[done]], basis[live[done]] = work[done], wbasis[done]
             keep = ~done
             live, work, wbasis = live[keep], work[keep], wbasis[keep]
@@ -352,21 +355,24 @@ def _run_stack(t, basis, n_struct, max_iter):
                 a[keep] for a in (degenerate, j, ratios, least, held))
             if not live.size:
                 return status, pivots, enter
+            at = np.arange(live.size)
         degenerate = np.where(least <= _RATIO_TIE, degenerate + 1, 0)
         leave = np.where(ratios <= least[:, None] + _RATIO_TIE, wbasis,
                          width).argmin(1)
         _pivot_stack(work, leave, j)
-        pivots[live] += 1
-        wbasis[np.arange(live.size), leave] = j
+        wbasis[at, leave] = j
         work[:, :m, -1][held] = 0.0
         broken = ~np.isfinite(work).all(axis=(1, 2))
         if broken.any():
+            pivots[live[broken]] = it + 1
             t[live[broken]], basis[live[broken]] = work[broken], wbasis[broken]
             keep = ~broken
             live, work, wbasis, degenerate = (
                 live[keep], work[keep], wbasis[keep], degenerate[keep])
             if not live.size:
                 return status, pivots, enter
+            at = np.arange(live.size)
+    pivots[live] = max_iter
     t[live], basis[live] = work, wbasis
     return status, pivots, enter
 
@@ -758,8 +764,10 @@ def lp_solve_lockstep(lps: Sequence[LinearProgram], start: LpStart
     the same verdicts, each audited as `lp_solve` audits it, from one
     stacked phase 2.
 
-    An LP that the tableau held in `start` cannot start (none is held, or
-    it was built from other rows) is solved alone by `lp_solve`, which
+    When the tableau held in `start` cannot start the first LP (none is
+    held, or it was built from other rows), a fresh tableau of that LP
+    takes its place if c = 0, since its artificial basis is dual feasible
+    for every b; otherwise the LP is solved alone by `lp_solve`, which
     leaves its basis in `start`.  The rest start together from the held
     basis, which is dual feasible for every b: the held tableau is copied
     into a (K, n_vars + 1, cols) stack, each LP's b is loaded as that LP's
@@ -778,6 +786,9 @@ def lp_solve_lockstep(lps: Sequence[LinearProgram], start: LpStart
         raise ValueError("a lockstep chain needs one objective and one set of rows")
     outs = []
     while lps and not (start._key is not None and _rows_key(lps[0]) == start._key):
+        if lps[0].a_ub.shape[0] and not lps[0].objective.any():
+            start._key, start._dual = _rows_key(lps[0]), _DualTableau(lps[0])
+            break
         outs.append(lp_solve(lps.pop(0), start=start))
     if lps:
         outs += _solve_stack(lps, start)

@@ -65,10 +65,10 @@ def test_three_ball_repro_lp_count(capsys, monkeypatch):
     monkeypatch.setattr(optim, "lp_solve_lockstep", counted_lockstep)
     code, report = run_json(capsys, "repro", "three-ball-transfer", "--seed", "0")
     assert code == EXIT_OK and report["ok"]
-    # Every LP counts once, through whichever entry point it reaches first
-    # (a chain's first LP goes through both): 500 passing trials; the whole
-    # first chunk of 64 trials drawn ahead by the failing check, which fails
-    # at its 4th; and the 3 audited distances of the failing triple.
+    # Every LP counts once, whichever entry point it goes through (one that
+    # the lockstep solves alone goes through both): 500 passing trials; the
+    # whole first chunk of 64 trials drawn ahead by the failing check, which
+    # fails at its 4th; and the 3 audited distances of the failing triple.
     assert len({id(lp) for lp in calls}) == 500 + 64 + 3
 
 

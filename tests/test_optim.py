@@ -937,7 +937,8 @@ def _lockstep_chains():
 
 
 def test_lockstep_chain_agrees_with_fresh_solves(monkeypatch):
-    # Each chain's first LP is solved alone and the rest in lockstep from its
+    # A c = 0 chain starts in lockstep from a fresh tableau, and the first
+    # LP of another is solved alone and the rest in lockstep from its
     # basis: every outcome has a fresh solve's status and value and passes
     # its own audit, none needed a fresh solve, and the chain keeps the
     # basis of its last LP, which is optimal for that LP at once.
@@ -956,7 +957,7 @@ def test_lockstep_chain_agrees_with_fresh_solves(monkeypatch):
         alone.clear()
         outs = optim.lp_solve_lockstep(lps, start)
         monkeypatch.undo()
-        assert alone == [lps[0]]
+        assert alone == ([] if not lps[0].objective.any() else [lps[0]])
         assert len(outs) == len(lps)
         for lp, out in zip(lps, outs):
             fresh = lp_solve(lp)
@@ -1021,6 +1022,7 @@ def test_lockstep_solves_a_failed_audit_again_alone(monkeypatch):
     monkeypatch.setattr(optim, "lp_solve", solve)
     outs = optim.lp_solve_lockstep(lps, optim.LpStart())
     assert [(lp, warm) for lp, warm in calls] == [(lps[0], False), (lps[target], False)]
+    assert lps[0].objective.any()
     fresh = real_solve(lps[target])
     assert np.array_equal(outs[target].x, fresh.x)
     assert outs[target].iterations == reference[target].iterations + fresh.iterations
