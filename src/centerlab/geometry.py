@@ -285,12 +285,13 @@ def _offset_map(space, basis: np.ndarray) -> list:
     component = np.empty(n, dtype=int)
     for i, sl in enumerate(slices):
         component[sl] = i
-    reads = [0]
+    reads = []
     for coeffs in matrix:
         nonzero = np.flatnonzero(coeffs)
-        reads.append(component[nonzero[0]] if nonzero.size else reads[-1])
+        reads.append(component[nonzero[0]] if nonzero.size
+                     else reads[-1] if reads else 0)
     runs, row = [], 0
-    for i, group in itertools.groupby(reads[1:]):
+    for i, group in itertools.groupby(reads):
         rows = slice(row, row + len(list(group)))
         runs.append((rows, slices[i], np.ascontiguousarray(matrix[rows, slices[i]])))
         row = rows.stop

@@ -330,7 +330,7 @@ def _run_stack(t, basis, n_struct, max_iter):
         # every live tableau has pivoted `it` times
         costs = work[:, -1, :n_struct]
         j = costs.argmin(1)
-        if degenerate.max() >= _DEGENERATE_RUN:
+        if it >= _DEGENERATE_RUN and degenerate.max() >= _DEGENERATE_RUN:
             j = np.where(degenerate < _DEGENERATE_RUN, j,
                          (costs < -_RCOST_TOL).argmax(1))
         improving = costs[at, j] < -_RCOST_TOL
@@ -362,8 +362,8 @@ def _run_stack(t, basis, n_struct, max_iter):
         _pivot_stack(work, leave, j)
         wbasis[at, leave] = j
         work[:, :m, -1][held] = 0.0
-        broken = ~np.isfinite(work).all(axis=(1, 2))
-        if broken.any():
+        if not np.isfinite(work).all():
+            broken = ~np.isfinite(work).all(axis=(1, 2))
             pivots[live[broken]] = it + 1
             t[live[broken]], basis[live[broken]] = work[broken], wbasis[broken]
             keep = ~broken
@@ -819,7 +819,8 @@ def _solve_stack(lps: list, start: LpStart) -> list[LpOutcome]:
     # _price on each
     priced = costs / scale
     t[:, -1, :-1], t[:, -1, -1] = priced, 0.0
-    t[:, -1] -= (np.take_along_axis(priced, basis, 1)[:, None, :] @ t[:, :-1])[:, 0]
+    at = np.arange(k)[:, None]
+    t[:, -1] -= (priced[at, basis][:, None, :] @ t[:, :-1])[:, 0]
     status, pivots, enter = _run_stack(t, basis, n_cols, held.max_iter)
 
     objective, a_ub = lps[0].objective, lps[0].a_ub
@@ -828,7 +829,7 @@ def _solve_stack(lps: list, start: LpStart) -> list[LpOutcome]:
     if opt.size:
         x = _tight_points(held, t[opt], basis[opt], costs[opt], scale[opt])
         y = np.zeros((opt.size, t.shape[2] - 1))
-        np.put_along_axis(y, basis[opt], t[opt, :-1, -1], 1)
+        y[at[:opt.size], basis[opt]] = t[opt, :-1, -1]
         lam = y[:, :n_cols] / scale[opt, :n_cols]
         lam = np.where(lam > 0, lam, 0.0)
         value = np.vecdot(x, objective)
@@ -872,7 +873,8 @@ def _tight_points(held, t, basis, costs, scale):
     of `held`, its bases, costs and scales; a row of NaN where that system
     is numerically singular."""
     rows = held.columns[:, basis].transpose(1, 2, 0) * held.tau
-    s, c = np.take_along_axis(scale, basis, 1), np.take_along_axis(costs, basis, 1)
+    at = np.arange(len(basis))[:, None]
+    s, c = scale[at, basis], costs[at, basis]
     lhs, rhs = rows / s[..., None], (c / s)[..., None]
     try:
         x = np.linalg.solve(lhs, rhs)[..., 0]
@@ -896,9 +898,9 @@ def _farkas_multipliers(held, t, basis, enter, scale):
     at, n_cols = np.arange(len(enter)), held.n_cols
     y = np.zeros((len(enter), t.shape[2] - 1))
     y[at, enter] = 1.0
-    np.put_along_axis(y, basis, -t[at, :-1, enter], 1)
+    y[at[:, None], basis] = -t[at, :-1, enter]
     fix = t[:, :-1, n_cols:-1] @ ((held.columns / scale[:, None, :]) @ y[..., None])
-    np.put_along_axis(y, basis, np.take_along_axis(y, basis, 1) - fix[..., 0], 1)
+    y[at[:, None], basis] -= fix[..., 0]
     lam = y[:, :n_cols] / scale[:, :n_cols]
     lam = np.where(lam > 0, lam, 0.0)
     return lam / np.maximum(1.0, lam.max(1, initial=0.0))[:, None]
