@@ -69,7 +69,7 @@ as is a fresh tableau's when c = 0, so it is copied into one
 that LP's own cost row, and every unfinished LP pivots at once under
 `_run_simplex`'s rules, each with its own count of degenerate pivots
 (`_run_stack`).  Tight points, duals, Farkas multipliers and the audits
-are computed on stacked arrays (the audit functions take a leading axis);
+are computed on stacked arrays, with the conditions of the scalar audits;
 an LP that breaks down or fails its audit is solved again alone and fresh.
 The chain then keeps the basis of its last LP, in order, that left a
 feasible dual basis.
@@ -833,8 +833,7 @@ def _solve_stack(lps: list, start: LpStart) -> list[LpOutcome]:
         lam = y[:, :n_cols] / scale[opt, :n_cols]
         lam = np.where(lam > 0, lam, 0.0)
         value = np.vecdot(x, objective)
-        good = (np.isfinite(x).all(1) & _feasible(a_ub, b[opt], x)
-                & _dual_holds(objective, a_ub, b[opt], lam, value))
+        good = _optimal_stack(objective, a_ub, b[opt], x, lam, value)
         for i, ok, xi, li, vi in zip(opt, good, x, lam, value):
             if ok:
                 outs[i] = LpOutcome(OPTIMAL, x=xi, value=float(vi), dual_ub=li,
@@ -842,7 +841,7 @@ def _solve_stack(lps: list, start: LpStart) -> list[LpOutcome]:
     ray = np.flatnonzero(status == UNBOUNDED)
     if ray.size:
         lam = _farkas_multipliers(held, t[ray], basis[ray], enter[ray], scale[ray])
-        for i, ok, li in zip(ray, _farkas_holds(a_ub, b[ray], lam), lam):
+        for i, ok, li in zip(ray, _farkas_stack(a_ub, b[ray], lam), lam):
             if ok:
                 outs[i] = LpOutcome(INFEASIBLE, farkas_ub=li,
                                     iterations=int(pivots[i]))
@@ -866,6 +865,31 @@ def _solve_stack(lps: list, start: LpStart) -> list[LpOutcome]:
             dual.costs, dual.scale = costs[last].copy(), scale[last].copy()
         start._dual = dual
     return outs
+
+
+def _optimal_stack(objective, a_ub, b_ub, x, lam, value):
+    """`verify_optimal`'s conditions, with x finite, for each LP of a stack
+    with this objective and these rows: b_ub, x, lam and value carry one
+    LP per row."""
+    slack = x @ a_ub.T - b_ub
+    grad = objective + lam @ a_ub
+    scale = np.maximum(max(1.0, float(np.abs(objective).max(initial=0.0))),
+                       np.abs(lam).max(1, initial=0.0))
+    gap = np.abs(-np.vecdot(lam, b_ub) - value)
+    return (np.isfinite(x).all(1)
+            & ~(slack > FEAS_TOL * np.maximum(1.0, np.abs(b_ub))).any(1)
+            & ~(lam.min(1, initial=0.0) < -FEAS_TOL)
+            & ~(np.abs(grad).max(1, initial=0.0) > _OPT_TOL * scale)
+            & (gap <= _OPT_TOL * np.maximum(1.0, np.abs(value))))
+
+
+def _farkas_stack(a_ub, b_ub, lam):
+    """`verify_farkas`'s conditions for each LP of a stack with these rows:
+    b_ub and lam carry one LP per row."""
+    coeff_scale = max(1.0, float(np.abs(a_ub).max(initial=0.0)))
+    return (~(lam.min(1, initial=0.0) < -FEAS_TOL)
+            & ~(np.abs(lam @ a_ub).max(1, initial=0.0) > 100 * FEAS_TOL * coeff_scale)
+            & (np.vecdot(lam, b_ub) < -FEAS_TOL))
 
 
 def _tight_points(held, t, basis, costs, scale):
@@ -906,30 +930,21 @@ def _farkas_multipliers(held, t, basis, enter, scale):
     return lam / np.maximum(1.0, lam.max(1, initial=0.0))[:, None]
 
 
-# The audits below take one LP's arrays or, over a leading axis, those of a
-# stack of LPs that share their objective and rows (`lp_solve_lockstep`).
-
-def _feasible(a_ub, b_ub, x):
-    slack = (a_ub @ x[..., None])[..., 0] - b_ub
-    return ~(slack > FEAS_TOL * np.maximum(1.0, np.abs(b_ub))).any(-1)
-
-
 def _primal_feasible(lp: LinearProgram, x: np.ndarray) -> bool:
-    return bool(_feasible(lp.a_ub, lp.b_ub, x))
-
-
-def _farkas_holds(a_ub, b_ub, lam):
-    coeff_scale = max(1.0, float(np.abs(a_ub).max(initial=0.0)))
-    return (~(lam.min(-1, initial=0.0) < -FEAS_TOL)
-            & ~(np.abs(lam @ a_ub).max(-1, initial=0.0)
-                > 100 * FEAS_TOL * coeff_scale)
-            & (np.vecdot(lam, b_ub) < -FEAS_TOL))
+    slack = lp.a_ub @ x - lp.b_ub
+    return not (slack > FEAS_TOL * np.maximum(1.0, np.abs(lp.b_ub))).any()
 
 
 def verify_farkas(lp: LinearProgram, lam: np.ndarray) -> bool:
     """Check that lam proves infeasibility: lam >= 0, the combination of
     the rows vanishes, and the combined right-hand side is < -FEAS_TOL."""
-    return bool(_farkas_holds(lp.a_ub, lp.b_ub, lam))
+    if float(lam.min(initial=0.0)) < -FEAS_TOL:
+        return False
+    combo = lam @ lp.a_ub
+    coeff_scale = max(1.0, float(np.abs(lp.a_ub).max(initial=0.0)))
+    if float(np.abs(combo).max(initial=0.0)) > 100 * FEAS_TOL * coeff_scale:
+        return False
+    return float(lam @ lp.b_ub) < -FEAS_TOL
 
 
 def verify_ray(lp: LinearProgram, ray: np.ndarray) -> bool:
@@ -945,17 +960,6 @@ def verify_ray(lp: LinearProgram, ray: np.ndarray) -> bool:
     return float(lp.objective @ r) < 0.0
 
 
-def _dual_holds(objective, a_ub, b_ub, lam, value):
-    """Dual sign, stationarity and zero duality gap, as `verify_optimal`."""
-    grad = objective + lam @ a_ub
-    scale = np.maximum(max(1.0, float(np.abs(objective).max(initial=0.0))),
-                       np.abs(lam).max(-1, initial=0.0))
-    gap = np.abs(-np.vecdot(lam, b_ub) - value)
-    return (~(lam.min(-1, initial=0.0) < -FEAS_TOL)
-            & ~(np.abs(grad).max(-1, initial=0.0) > _OPT_TOL * scale)
-            & (gap <= _OPT_TOL * np.maximum(1.0, np.abs(value))))
-
-
 def verify_optimal(lp: LinearProgram, out: LpOutcome) -> bool:
     """Primal feasibility, dual sign, stationarity, and zero duality gap,
     the last two to _OPT_TOL relative."""
@@ -964,7 +968,15 @@ def verify_optimal(lp: LinearProgram, out: LpOutcome) -> bool:
     if not _primal_feasible(lp, out.x):
         return False
     lam = out.dual_ub if out.dual_ub is not None else np.zeros(lp.a_ub.shape[0])
-    return bool(_dual_holds(lp.objective, lp.a_ub, lp.b_ub, lam, out.value))
+    if float(lam.min(initial=0.0)) < -FEAS_TOL:
+        return False
+    grad = lp.objective + lam @ lp.a_ub
+    scale = max(1.0, float(np.abs(lp.objective).max(initial=0.0)),
+                float(np.abs(lam).max(initial=0.0)))
+    if float(np.abs(grad).max(initial=0.0)) > _OPT_TOL * scale:
+        return False
+    dual_val = -float(lam @ lp.b_ub)
+    return abs(dual_val - out.value) <= _OPT_TOL * max(1.0, abs(out.value))
 
 
 def lp_solve_lex(lp: LinearProgram,

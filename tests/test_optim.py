@@ -998,19 +998,18 @@ def test_lockstep_falls_back_to_blands_rule(monkeypatch):
 
 
 def test_lockstep_solves_a_failed_audit_again_alone(monkeypatch):
-    # The dual audit of the stack fails for one optimal LP only: that LP is
+    # The stacked audit fails for one optimal LP only: that LP is
     # solved again by lp_solve, alone and fresh, and its iterations count
     # the pivots of both solves.
     lps = _lockstep_chains()[4][:8]
     reference = optim.lp_solve_lockstep(lps, optim.LpStart())
     target = next(i for i in range(1, 8) if reference[i].status == optim.OPTIMAL)
-    real_audit, real_solve = optim._dual_holds, optim.lp_solve
+    real_audit, real_solve = optim._optimal_stack, optim.lp_solve
     calls = []
 
-    def audit(objective, a_ub, b_ub, lam, value):
-        holds = real_audit(objective, a_ub, b_ub, lam, value)
-        if lam.ndim == 2:
-            holds[(b_ub == lps[target].b_ub).all(1)] = False
+    def audit(objective, a_ub, b_ub, x, lam, value):
+        holds = real_audit(objective, a_ub, b_ub, x, lam, value)
+        holds[(b_ub == lps[target].b_ub).all(1)] = False
         return holds
 
     def solve(lp, **kwargs):
@@ -1018,7 +1017,7 @@ def test_lockstep_solves_a_failed_audit_again_alone(monkeypatch):
         calls.append((lp, start is not None and start._key is not None))
         return real_solve(lp, **kwargs)
 
-    monkeypatch.setattr(optim, "_dual_holds", audit)
+    monkeypatch.setattr(optim, "_optimal_stack", audit)
     monkeypatch.setattr(optim, "lp_solve", solve)
     outs = optim.lp_solve_lockstep(lps, optim.LpStart())
     assert [(lp, warm) for lp, warm in calls] == [(lps[0], False), (lps[target], False)]
