@@ -316,16 +316,28 @@ def _run_stack(t, basis, n_struct, max_iter):
 
     Each tableau prices, takes its ratio test and pivots as `_run_simplex`
     would on it alone, with its own count of consecutive degenerate pivots
-    for the fallback to Bland's rule; one that finishes leaves the working
-    set."""
+    for the fallback to Bland's rule; one that finishes, or turns
+    non-finite, leaves the working set."""
     k, m = basis.shape
     width = t.shape[2]  # above every column index
     status = np.full(k, BREAKDOWN, dtype=object)
-    pivots = np.zeros(k, dtype=int)
+    pivots = np.full(k, max_iter)
     enter = np.full(k, -1)
     live, work, wbasis = np.arange(k), t, basis
-    at = live
-    degenerate = np.zeros(k, dtype=int)
+    at, degenerate = live, np.zeros(k, dtype=int)
+
+    def retire(out, count):
+        """Write the tableaus `out` back with `count` pivots and drop them
+        from the working set; returns the mask of those kept."""
+        nonlocal live, work, wbasis, at, degenerate
+        pivots[live[out]] = count
+        t[live[out]], basis[live[out]] = work[out], wbasis[out]
+        keep = ~out
+        live, work, wbasis, degenerate = (
+            live[keep], work[keep], wbasis[keep], degenerate[keep])
+        at = np.arange(live.size)
+        return keep
+
     for it in range(max_iter):
         # every live tableau has pivoted `it` times
         costs = work[:, -1, :n_struct]
@@ -347,15 +359,10 @@ def _run_stack(t, basis, n_struct, max_iter):
             status[live[~improving]] = OPTIMAL
             status[live[unbounded]] = UNBOUNDED
             enter[live[unbounded]] = j[unbounded]
-            pivots[live[done]] = it
-            t[live[done]], basis[live[done]] = work[done], wbasis[done]
-            keep = ~done
-            live, work, wbasis = live[keep], work[keep], wbasis[keep]
-            degenerate, j, ratios, least, held = (
-                a[keep] for a in (degenerate, j, ratios, least, held))
+            keep = retire(done, it)
             if not live.size:
-                return status, pivots, enter
-            at = np.arange(live.size)
+                break
+            j, ratios, least, held = (a[keep] for a in (j, ratios, least, held))
         degenerate = np.where(least <= _RATIO_TIE, degenerate + 1, 0)
         leave = np.where(ratios <= least[:, None] + _RATIO_TIE, wbasis,
                          width).argmin(1)
@@ -363,17 +370,11 @@ def _run_stack(t, basis, n_struct, max_iter):
         wbasis[at, leave] = j
         work[:, :m, -1][held] = 0.0
         if not np.isfinite(work).all():
-            broken = ~np.isfinite(work).all(axis=(1, 2))
-            pivots[live[broken]] = it + 1
-            t[live[broken]], basis[live[broken]] = work[broken], wbasis[broken]
-            keep = ~broken
-            live, work, wbasis, degenerate = (
-                live[keep], work[keep], wbasis[keep], degenerate[keep])
+            retire(~np.isfinite(work).all(axis=(1, 2)), it + 1)
             if not live.size:
-                return status, pivots, enter
-            at = np.arange(live.size)
-    pivots[live] = max_iter
-    t[live], basis[live] = work, wbasis
+                break
+    else:
+        t[live], basis[live] = work, wbasis
     return status, pivots, enter
 
 
@@ -846,23 +847,25 @@ def _solve_stack(lps: list, start: LpStart) -> list[LpOutcome]:
                 outs[i] = LpOutcome(INFEASIBLE, farkas_ub=li,
                                     iterations=int(pivots[i]))
 
-    # the tableau each LP leaves when it leaves a feasible dual basis
-    left = {i: None for i in range(k) if outs[i] is not None}
+    # the last LP that left a feasible dual basis, and its fresh tableau
+    # when it was solved alone
+    kept = None
     for i in range(k):
-        if outs[i] is None:
-            # a breakdown or a failed audit: solved again alone and fresh
-            alone = LpStart()
-            out = lp_solve(lps[i], start=alone)
-            outs[i] = replace(out, iterations=int(pivots[i]) + out.iterations)
-            if alone._dual is not None:
-                left[i] = alone._dual
-    if left:
-        last = max(left)
-        dual = left[last]
+        if outs[i] is not None:
+            kept = i, None
+            continue
+        # a breakdown or a failed audit: solved again alone and fresh
+        alone = LpStart()
+        out = lp_solve(lps[i], start=alone)
+        outs[i] = replace(out, iterations=int(pivots[i]) + out.iterations)
+        if alone._dual is not None:
+            kept = i, alone._dual
+    if kept is not None:
+        i, dual = kept
         if dual is None:
             dual = copy.copy(held)
-            dual.t, dual.basis = t[last].copy(), basis[last].copy()
-            dual.costs, dual.scale = costs[last].copy(), scale[last].copy()
+            dual.t, dual.basis = t[i].copy(), basis[i].copy()
+            dual.costs, dual.scale = costs[i].copy(), scale[i].copy()
         start._dual = dual
     return outs
 
