@@ -164,9 +164,6 @@ class _BallLps:
         self.chains: dict = {}   # size -> (its first LP, its LpStart)
         self.offset_map = None   # (epigraph rows, their slice, map block) runs
 
-    def lp(self, centers: np.ndarray, radii: np.ndarray) -> optim.LinearProgram:
-        return self.lps(centers[None], radii[None])[0]
-
     def lps(self, centers: np.ndarray, radii: np.ndarray) -> list:
         """The LPs of the families (centers[i], radii[i]), all of one size."""
         k = radii.shape[1]
@@ -196,7 +193,7 @@ class _BallLps:
         _check_finite(centers, radii)
         space = self.space
         if norms.is_lp_encodable(space):
-            lp = self.lp(centers, radii)
+            lp = self.lps(centers[None], radii[None])[0]
             out = optim.lp_solve(lp, start=self.chains[len(radii)][1])
             witness = None
             if out.status == optim.OPTIMAL:

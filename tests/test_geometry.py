@@ -788,7 +788,7 @@ def test_ball_lp_chain_matches_fresh_builds(seed, n, k, kind, within):
             centers = (basis @ rng.normal(size=(basis.shape[1], k))).T
         radii = norms.eval_norm_many(space, w[None, :] - centers) * \
             rng.uniform(0.7, 1.2, size=k)
-        chain = lps.lp(centers, radii)
+        chain = lps.lps(centers[None], radii[None])[0]
         fresh = _fresh_ball_lp(space, basis, centers, radii)
         assert chain.a_ub.tobytes() == fresh.a_ub.tobytes()
         assert chain.objective.tobytes() == fresh.objective.tobytes()
