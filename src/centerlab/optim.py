@@ -65,14 +65,13 @@ A chain whose LPs share their rows and objective bit for bit and differ
 only in b can also be solved in lockstep (`lp_solve_lockstep`, the
 checkers' batches of trials): the held basis is dual feasible for every b,
 as is a fresh tableau's when c = 0, so it is copied into one
-(K, n_vars + 1, cols) stack, each LP's b becomes
-that LP's own cost row, and every unfinished LP pivots at once under
-`_run_simplex`'s rules, each with its own count of degenerate pivots
-(`_run_stack`).  Tight points, duals, Farkas multipliers and the audits
-are computed on stacked arrays, with the conditions of the scalar audits;
-an LP that breaks down or fails its audit is solved again alone and fresh.
-The chain then keeps the basis of its last LP, in order, that left a
-feasible dual basis.
+(K, n_vars + 1, cols) stack, each LP's b becomes that LP's own cost row,
+and every unfinished LP pivots at once under `_run_simplex`'s rules, each
+with its own count of degenerate pivots (`_run_stack`).  Tight points,
+duals, Farkas multipliers and the audits are computed on stacked arrays,
+with the conditions of the scalar audits; an LP that breaks down or fails
+its audit is solved again alone and fresh.  The chain then keeps the basis
+of its last LP, in order, that left a feasible dual basis.
 
 A lexicographic tie-break among optimal points runs on the final tableau of
 the same solve as dual-simplex stages: each stage sets the right-hand side
