@@ -63,11 +63,12 @@ is returned.
 
 A chain whose LPs share their rows and objective bit for bit and differ
 only in b can also be solved in lockstep (`lp_solve_lockstep`, the
-checkers' batches of trials): the held basis is dual feasible for every b,
-as is a fresh tableau's when c = 0, so it is copied into one
-(K, n_vars + 1, cols) stack, each LP's b becomes that LP's own cost row,
-and every unfinished LP pivots at once under `_run_simplex`'s rules, each
-with its own count of degenerate pivots (`_run_stack`).  Tight points,
+checkers' batches of trials): the chain's first LP is solved alone, and
+the basis the chain holds, dual feasible for every b, is copied into one
+(K, n_vars + 1, cols) stack for the rest, each LP's b becomes that LP's
+own cost row, and every unfinished LP pivots at once under
+`_run_simplex`'s rules, each with its own count of degenerate pivots
+(`_run_stack`).  Tight points,
 duals, Farkas multipliers and the audits are computed on stacked arrays,
 with the conditions of the scalar audits; an LP that breaks down or fails
 its audit is solved again alone and fresh.  The chain then keeps the basis
@@ -765,11 +766,10 @@ def lp_solve_lockstep(lps: Sequence[LinearProgram], start: LpStart
     stacked phase 2.
 
     When the tableau held in `start` cannot start the first LP (none is
-    held, or it was built from other rows), a fresh tableau of that LP
-    takes its place if c = 0, since its artificial basis is dual feasible
-    for every b; otherwise the LP is solved alone by `lp_solve`, which
-    leaves its basis in `start`.  The rest start together from the held
-    basis, which is dual feasible for every b: the held tableau is copied
+    held, or it was built from other rows), that LP is solved alone by
+    `lp_solve`, which leaves its basis in `start`.  The rest start together
+    from the held basis, which is dual feasible for every b: the held
+    tableau is copied
     into a (K, n_vars + 1, cols) stack, each LP's b is loaded as that LP's
     own cost row with `_DualTableau.load_costs`' exact power-of-two
     rescaling, and every unfinished LP pivots at once (`_run_stack`).  Each
@@ -786,9 +786,6 @@ def lp_solve_lockstep(lps: Sequence[LinearProgram], start: LpStart
         raise ValueError("a lockstep chain needs one objective and one set of rows")
     outs = []
     while lps and not (start._key is not None and _rows_key(lps[0]) == start._key):
-        if lps[0].a_ub.shape[0] and not lps[0].objective.any():
-            start._key, start._dual = _rows_key(lps[0]), _DualTableau(lps[0])
-            break
         outs.append(lp_solve(lps.pop(0), start=start))
     if lps:
         outs += _solve_stack(lps, start)

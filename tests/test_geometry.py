@@ -690,33 +690,23 @@ def _lockstep_spy(monkeypatch):
 
 
 def test_three_ball_checker_re_solves_its_trials_warm(monkeypatch):
-    # The checker's LPs share their rows and have c = 0.  The first chunk
-    # starts in lockstep from a fresh tableau and pivots as fresh solves
-    # do, LP for LP; every later chunk starts from the basis the chain
-    # held, and, counted per LP, takes at most half the pivots of fresh
-    # solves.  Reuse that silently stops (say, rebuilt rows that differ in
-    # a -0.0) costs the fresh pivot count.  Every LP keeps the status of a
-    # fresh solve.
+    # The checker's LPs share their rows, so all but the first start in
+    # lockstep from a held basis: each keeps the status of a fresh solve,
+    # and together, counted per LP, they take at most half the pivots.
+    # Reuse that silently stops (say, rebuilt rows that differ in a -0.0)
+    # costs the fresh pivot count.
     data = instances.mideal_scenarios()
     calls = _lockstep_spy(monkeypatch)
-    firsts = []
     for key in ("max_space", "sum_space"):
-        firsts.append(len(calls))
         mideal_three_ball_check(data[key], data["first_summand"], trials=200,
                                 eps=1e-6, seed=0)
     monkeypatch.undo()
-    later = warm = 0
-    for i, call in enumerate(calls):
-        fresh = [optim.lp_solve(lp) for lp, _ in call]
-        assert [out.status for _, out in call] == [out.status for out in fresh]
-        if i in firsts:
-            assert [out.iterations for _, out in call] == \
-                [out.iterations for out in fresh]
-        else:
-            later += sum(out.iterations for out in fresh)
-            warm += sum(out.iterations for _, out in call)
-    assert len(calls) > len(firsts) and later > 0
-    assert 2 * warm <= later
+    seen = [pair for call in calls for pair in call]
+    fresh = [optim.lp_solve(lp) for lp, _ in seen]
+    assert [out.status for _, out in seen] == [out.status for out in fresh]
+    fresh_pivots = sum(out.iterations for out in fresh)
+    assert fresh_pivots > 0
+    assert 2 * sum(out.iterations for _, out in seen) <= fresh_pivots
 
 
 def _fresh_ball_lp(space, basis, centers, radii):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import numpy as np
@@ -937,11 +938,10 @@ def _lockstep_chains():
 
 
 def test_lockstep_chain_agrees_with_fresh_solves(monkeypatch):
-    # A c = 0 chain starts in lockstep from a fresh tableau, and the first
-    # LP of another is solved alone and the rest in lockstep from its
-    # basis: every outcome has a fresh solve's status and value and passes
-    # its own audit, none needed a fresh solve, and the chain keeps the
-    # basis of its last LP, which is optimal for that LP at once.
+    # The first LP of a chain is solved alone and the rest in lockstep from
+    # its basis: every outcome has a fresh solve's status and value and
+    # passes its own audit, none needed a fresh solve, and the chain keeps
+    # the basis of its last LP, which is optimal for that LP at once.
     alone = []
     real = optim.lp_solve
 
@@ -957,7 +957,7 @@ def test_lockstep_chain_agrees_with_fresh_solves(monkeypatch):
         alone.clear()
         outs = optim.lp_solve_lockstep(lps, start)
         monkeypatch.undo()
-        assert alone == ([] if not lps[0].objective.any() else [lps[0]])
+        assert alone == [lps[0]]
         assert len(outs) == len(lps)
         for lp, out in zip(lps, outs):
             fresh = lp_solve(lp)
@@ -970,6 +970,47 @@ def test_lockstep_chain_agrees_with_fresh_solves(monkeypatch):
         assert sum(out.iterations for out in outs[1:]) > 0
         again = lp_solve(lps[-1], start=start)
         assert again.status == outs[-1].status and again.iterations == 0
+
+
+@pytest.mark.parametrize("degenerate_run", [optim._DEGENERATE_RUN, 2])
+def test_lockstep_pivots_as_a_warm_scalar_solve(monkeypatch, degenerate_run):
+    # The stacked phase 2 repeats the scalar one: from the same held basis
+    # each LP of the stack enters and leaves, pivot for pivot, the column
+    # and row that `_run_simplex` picks for it alone, with the Bland
+    # fallback too, and reads off the same point or Farkas multipliers.
+    monkeypatch.setattr(optim, "_DEGENERATE_RUN", degenerate_run)
+    real_pivot, real_stack = optim._pivot, optim._pivot_stack
+    scalar, stacked = [], []
+
+    def pivot(t, row, col):
+        scalar.append((row, col))
+        real_pivot(t, row, col)
+
+    def pivot_stack(t, rows, cols):
+        stacked.append(list(zip(rows.tolist(), cols.tolist())))
+        real_stack(t, rows, cols)
+
+    monkeypatch.setattr(optim, "_pivot", pivot)
+    monkeypatch.setattr(optim, "_pivot_stack", pivot_stack)
+    for lps in _lockstep_chains():
+        start = optim.LpStart()
+        lp_solve(lps[0], start=start)
+        sequences, warm = [], []
+        for lp in lps[1:]:
+            scalar.clear()
+            warm.append(lp_solve(lp, start=copy.deepcopy(start)))
+            sequences.append(list(scalar))
+        stacked.clear()
+        outs = optim.lp_solve_lockstep(lps[1:], start)
+        # the stack's i-th pivot moves every LP that pivots i times or more
+        assert stacked == [[seq[i] for seq in sequences if len(seq) > i]
+                           for i in range(max(map(len, sequences)))]
+        assert sum(map(len, sequences)) > 0
+        for out, ref in zip(outs, warm):
+            assert ref.status in (optim.OPTIMAL, optim.INFEASIBLE)
+            assert (out.status, out.iterations) == (ref.status, ref.iterations)
+            for a, b in ((out.x, ref.x), (out.farkas_ub, ref.farkas_ub)):
+                assert (a is None and b is None) or np.array_equal(a, b)
 
 
 def test_lockstep_falls_back_to_blands_rule(monkeypatch):
