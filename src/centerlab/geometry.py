@@ -13,10 +13,12 @@ Every ball-intersection LP is made by `_BallLps`.  The LPs of families of
 one size in one space and subspace differ only in b, so a checker builds
 their rows once and each trial computes b from its centers and radii.
 
-The checkers draw their trials ahead, min(remaining, _DRAW_AHEAD) at a
-time, with the same random calls in the same order as one at a time, and
-`_BallLps.intersect_all` solves the trials of one family size in a chunk
-as one `optim.lp_solve_lockstep` batch, when the first of them is reached.
+Under a polyhedral norm the checkers draw their trials ahead,
+min(remaining, _DRAW_AHEAD) at a time, with the same random calls in the
+same order as one at a time, and `_BallLps.intersect_all` solves the
+trials of one family size in a chunk as one `optim.lp_solve_lockstep`
+batch, when the first of them is reached.  Under any other norm there is
+no batch to gain, and each trial is drawn when its turn comes.
 The verdict is decided by the first trial, in seed order, that does not
 intersect, so `trials_run`, the counterexample and the note are those of a
 trial-by-trial search.  The chunk is a trade-off: a check that fails early
@@ -189,7 +191,9 @@ class _BallLps:
 
     def intersect(self, centers: np.ndarray, radii: np.ndarray) -> IntersectionResult:
         """`balls_intersect` of the balls (centers[i], radii[i]), a row of
-        n coordinates per radius, as the caller has checked."""
+        n coordinates per radius, as the caller has checked.  Its LP goes
+        to `optim.lp_solve` directly: as a batch of one in `intersect_all`
+        this one-shot query, the whole of a `replay`, ran 5 % slower."""
         _check_finite(centers, radii)
         space = self.space
         if norms.is_lp_encodable(space):
@@ -304,19 +308,23 @@ def _component_slices(space, start: int) -> list:
             for leaf in _component_slices(comp, start + sl.start)]
 
 
-# Trials drawn ahead of their solves, at most this many at a time.
+# Trials drawn ahead of their solves under a polyhedral norm, at most this
+# many at a time.
 _DRAW_AHEAD = 64
 
 
 def _solved_ahead(lps: _BallLps, trials: int, draw: Callable[[], tuple]):
     """Yield (trial number from 1, what `draw` returned, the result of
     intersecting its first two entries, centers and radii) for `trials`
-    draws, in order.  Draws are made min(remaining, _DRAW_AHEAD) at a time
-    and solved by `_BallLps.intersect_all`, so a caller that stops at a
-    trial has drawn and solved the rest of its chunk for nothing."""
+    draws, in order.  Under a polyhedral norm draws are made
+    min(remaining, _DRAW_AHEAD) at a time and solved by
+    `_BallLps.intersect_all`, so a caller that stops at a trial has drawn
+    and solved the rest of its chunk for nothing.  Under any other norm
+    nothing is batched, and each trial is drawn when its turn comes."""
+    chunk = _DRAW_AHEAD if norms.is_lp_encodable(lps.space) else 1
     done = 0
     while done < trials:
-        drawn = [draw() for _ in range(min(_DRAW_AHEAD, trials - done))]
+        drawn = [draw() for _ in range(min(chunk, trials - done))]
         for item, res in zip(drawn, lps.intersect_all([d[:2] for d in drawn])):
             done += 1
             yield done, item, res

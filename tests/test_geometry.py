@@ -544,6 +544,23 @@ def test_three_ball_sum_summand_fails_with_certificate():
     assert optim.verify_farkas(res.lp, res.outcome.farkas_ub)
 
 
+def test_non_polyhedral_three_ball_check_draws_no_trial_ahead(monkeypatch):
+    # Under l2 the trials are not batched, so a failing check computes the
+    # distances of its trials up to the failing one and of none after it.
+    real = geometry.dist_to_subspace_many
+    drawn = []
+
+    def spy(space, xs, z):
+        drawn.append(len(xs))
+        return real(space, xs, z)
+
+    monkeypatch.setattr(geometry, "dist_to_subspace_many", spy)
+    verdict = mideal_three_ball_check(l2(3), subspace_from_basis(3, [[1.0, 0.0, 0.0]]),
+                                      trials=200, eps=1e-6, seed=0)
+    assert not verdict.passed and 1 < verdict.trials_run < geometry._DRAW_AHEAD
+    assert drawn == [3] * verdict.trials_run
+
+
 def test_three_ball_audit_refuses_a_wrong_distance():
     space = make_direct_sum([l1(1), l1(1)], sum_combiner(2))
     z = subspace_from_basis(2, [[1.0, 0.0]])
