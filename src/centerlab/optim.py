@@ -215,15 +215,18 @@ def _pivot(t: np.ndarray, row: int, col: int) -> None:
     t[row, col] = 1.0
 
 
-def _pivot_stack(t: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
-    """`_pivot` on each tableau t[i] of a stack, on rows[i] and cols[i]:
-    the same values, element for element, while they are finite.  The
-    pivot column needs no reset: x - x * (p / p) is exactly +0.0."""
+def _pivot_stack(t: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 live: np.ndarray) -> None:
+    """`_pivot` on each tableau t[i] of a stack with live[i], on rows[i]
+    and cols[i]: the same values, element for element, while they are
+    finite; the other tableaus are left as they are.  The pivot column
+    needs no reset: x - x * (p / p) is exactly +0.0."""
     at = np.arange(t.shape[0])
-    prow = t[at, rows] / t[at, rows, cols][:, None]
+    prow = t[at, rows] / np.where(live, t[at, rows, cols], 1.0)[:, None]
     column = t[at, :, cols]
     column[at, rows] = 0.0
-    t -= column[:, :, None] * prow[:, None, :]
+    np.subtract(t, column[:, :, None] * prow[:, None, :], out=t,
+                where=live[:, None, None])
     t[at, rows] = prow
 
 
@@ -316,65 +319,49 @@ def _run_stack(t, basis, n_struct, max_iter):
 
     Each tableau prices, takes its ratio test and pivots as `_run_simplex`
     would on it alone, with its own count of consecutive degenerate pivots
-    for the fallback to Bland's rule; one that finishes, or turns
-    non-finite, leaves the working set."""
+    for the fallback to Bland's rule.  One that finishes is left as it is
+    while the others go on; one that turns non-finite is zeroed."""
     k, m = basis.shape
     width = t.shape[2]  # above every column index
+    at = np.arange(k)
     status = np.full(k, BREAKDOWN, dtype=object)
     pivots = np.full(k, max_iter)
     enter = np.full(k, -1)
-    live, work, wbasis = np.arange(k), t, basis
-    at, degenerate = live, np.zeros(k, dtype=int)
-
-    def retire(out, count):
-        """Write the tableaus `out` back with `count` pivots and drop them
-        from the working set; returns the mask of those kept."""
-        nonlocal live, work, wbasis, at, degenerate
-        pivots[live[out]] = count
-        t[live[out]], basis[live[out]] = work[out], wbasis[out]
-        keep = ~out
-        live, work, wbasis, degenerate = (
-            live[keep], work[keep], wbasis[keep], degenerate[keep])
-        at = np.arange(live.size)
-        return keep
-
+    live, degenerate = np.ones(k, dtype=bool), np.zeros(k, dtype=int)
+    costs, rhs = t[:, -1, :n_struct], t[:, :m, -1]
     for it in range(max_iter):
         # every live tableau has pivoted `it` times
-        costs = work[:, -1, :n_struct]
         j = costs.argmin(1)
         if it >= _DEGENERATE_RUN and degenerate.max() >= _DEGENERATE_RUN:
             j = np.where(degenerate < _DEGENERATE_RUN, j,
                          (costs < -_RCOST_TOL).argmax(1))
         improving = costs[at, j] < -_RCOST_TOL
-        col, rhs = work[at, :m, j], work[:, :m, -1]
+        col = t[at, :m, j]
         ratios = np.full(col.shape, np.inf)
         np.divide(rhs, col, out=ratios, where=col > _PIVOT_TOL)
-        held = (wbasis >= n_struct) & (rhs == 0.0)
+        held = (basis >= n_struct) & (rhs == 0.0)
         # a held row with col > _PIVOT_TOL has ratio 0 already
         ratios[held & (col < -_PIVOT_TOL)] = 0.0
         least = ratios.min(1)
-        unbounded = improving & (least == np.inf)
-        done = ~improving | unbounded
+        done = live & ~(improving & (least < np.inf))
         if done.any():
-            status[live[~improving]] = OPTIMAL
-            status[live[unbounded]] = UNBOUNDED
-            enter[live[unbounded]] = j[unbounded]
-            keep = retire(done, it)
-            if not live.size:
+            ray = done & improving
+            status[done], status[ray] = OPTIMAL, UNBOUNDED
+            enter[ray], pivots[done] = j[ray], it
+            live &= ~done
+            if not live.any():
                 break
-            j, ratios, least, held = (a[keep] for a in (j, ratios, least, held))
         degenerate = np.where(least <= _RATIO_TIE, degenerate + 1, 0)
-        leave = np.where(ratios <= least[:, None] + _RATIO_TIE, wbasis,
+        leave = np.where(ratios <= least[:, None] + _RATIO_TIE, basis,
                          width).argmin(1)
-        _pivot_stack(work, leave, j)
-        wbasis[at, leave] = j
-        work[:, :m, -1][held] = 0.0
-        if not np.isfinite(work).all():
-            retire(~np.isfinite(work).all(axis=(1, 2)), it + 1)
-            if not live.size:
+        _pivot_stack(t, leave, j, live)
+        basis[at[live], leave[live]] = j[live]
+        rhs[held & live[:, None]] = 0.0
+        broken = ~np.isfinite(t).all(axis=(1, 2))
+        if broken.any():
+            pivots[broken], live[broken], t[broken] = it + 1, False, 0.0
+            if not live.any():
                 break
-    else:
-        t[live], basis[live] = work, wbasis
     return status, pivots, enter
 
 

@@ -986,9 +986,9 @@ def test_lockstep_pivots_as_a_warm_scalar_solve(monkeypatch, degenerate_run):
         scalar.append((row, col))
         real_pivot(t, row, col)
 
-    def pivot_stack(t, rows, cols):
-        stacked.append(list(zip(rows.tolist(), cols.tolist())))
-        real_stack(t, rows, cols)
+    def pivot_stack(t, rows, cols, live):
+        stacked.append(list(zip(rows[live].tolist(), cols[live].tolist())))
+        real_stack(t, rows, cols, live)
 
     monkeypatch.setattr(optim, "_pivot", pivot)
     monkeypatch.setattr(optim, "_pivot_stack", pivot_stack)
@@ -1022,11 +1022,11 @@ def test_lockstep_falls_back_to_blands_rule(monkeypatch):
     real = optim._pivot_stack
     bland = []
 
-    def spy(t, rows, cols):
+    def spy(t, rows, cols, live):
         costs = t[:, -1, :n_cols]
         first = (costs < -optim._RCOST_TOL).argmax(1)
-        bland.append(int(((cols == first) & (cols != costs.argmin(1))).sum()))
-        real(t, rows, cols)
+        bland.append(int((live & (cols == first) & (cols != costs.argmin(1))).sum()))
+        real(t, rows, cols, live)
 
     monkeypatch.setattr(optim, "_pivot_stack", spy)
     monkeypatch.setattr(optim, "_DEGENERATE_RUN", 2)
