@@ -68,10 +68,10 @@ the basis the chain holds, dual feasible for every b, is copied into one
 (K, n_vars + 1, cols) stack for the rest, each LP's b becomes that LP's
 own cost row, and every unfinished LP pivots at once under
 `_run_simplex`'s rules, each with its own count of degenerate pivots
-(`_run_stack`).  Tight points,
-duals, Farkas multipliers and the audits are computed on stacked arrays,
-with the conditions of the scalar audits; an LP that breaks down or fails
-its audit is solved again alone and fresh.  The chain then keeps the basis
+(`_run_stack`).  Tight points, duals, Farkas multipliers and the audits
+are computed on stacked arrays, with the conditions of the scalar audits;
+an LP that breaks down or fails its audit is solved again alone and
+fresh.  The chain then keeps the basis
 of its last LP, in order, that left a feasible dual basis.
 
 A lexicographic tie-break among optimal points runs on the final tableau of
