@@ -11,7 +11,8 @@ the radii), since independently random radii almost never intersect.
 
 Every ball-intersection LP is made by `_BallLps`.  The LPs of families of
 one size in one space and subspace differ only in b, so a checker builds
-their rows once and each trial computes b from its centers and radii.
+their rows once and each trial computes b from its centers and radii, by
+the norm's `epigraph_rhs`, as the build does.
 
 Under a polyhedral norm the checkers draw their trials ahead,
 min(remaining, _DRAW_AHEAD) at a time, with the same random calls in the
@@ -28,7 +29,6 @@ chunks give up the batch's gain on short passing checks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -146,16 +146,11 @@ class _BallLps:
     one LP path of `balls_intersect` and of the checkers' trials.
 
     Families of one size form a chain whose LPs share rows and objective;
-    a ball's block of b is its epigraph rows' right-hand side, linear in
-    the offset -c_i, and then r_i.  Each size's LP is built once, from its
-    first family, and a later family's is that LP with b_ub replaced, b
-    from the offset map's matrix.  One build with the n unit offsets as n
-    balls gives that matrix; it is made for the second LP, so a one-shot
-    query builds once.  Each row of the map is applied to the coordinates
-    of its own component of a sum norm (the slice of `SumNorm.parts` that
-    its epigraph row reads), in dot products like the epigraph's, so b is a
-    fresh build's as floats, up to the sign of a zero.  Each chain has its
-    own `optim.LpStart`."""
+    a ball's block of b is the right-hand side of its epigraph rows for the
+    offset -c_i, then r_i.  Each size's LP is built once, from its first
+    family, and a later family's is that LP with b_ub replaced, b from the
+    norm's own `epigraph_rhs`, where a build takes it from too, so b is a
+    fresh build's byte for byte.  Each chain has its own `optim.LpStart`."""
 
     def __init__(self, space, within: Subspace | None):
         n = norms.space_dim(space)
@@ -164,7 +159,6 @@ class _BallLps:
         self.space, self.within = space, within
         self.basis = np.eye(n) if within is None else np.array(within.basis)
         self.chains: dict = {}   # size -> (its first LP, its LpStart)
-        self.offset_map = None   # (epigraph rows, their slice, map block) runs
 
     def lps(self, centers: np.ndarray, radii: np.ndarray) -> list:
         """The LPs of the families (centers[i], radii[i]), all of one size."""
@@ -176,15 +170,9 @@ class _BallLps:
             centers, radii = centers[1:], radii[1:]
         if not len(radii):
             return lps
-        if self.offset_map is None:
-            self.offset_map = _offset_map(self.space, self.basis)
         # C order, as the epigraph's offsets: BLAS sums a strided one otherwise
-        offs = np.negative(centers, order="C")[:, :, None, :, None]
-        epigraph_rows = self.offset_map[-1][0].stop
-        b = np.empty(radii.shape + (epigraph_rows + 1,))
-        for rows, sl, block in self.offset_map:
-            b[:, :, rows] = (block[:, None, :] @ offs[..., sl, :])[..., 0, 0]
-        b[:, :, -1] = radii
+        rhs = self.space.epigraph_rhs(np.negative(centers, order="C"))
+        b = np.concatenate([rhs, radii[..., None]], axis=-1)
         first = self.chains[k][0]
         return lps + [optim.LinearProgram(first.objective, first.a_ub, row)
                       for row in b.reshape(len(radii), -1)]
@@ -192,13 +180,14 @@ class _BallLps:
     def intersect(self, centers: np.ndarray, radii: np.ndarray) -> IntersectionResult:
         """`balls_intersect` of the balls (centers[i], radii[i]), a row of
         n coordinates per radius, as the caller has checked.  Its LP goes
-        to `optim.lp_solve` directly: as a batch of one in `intersect_all`
-        this one-shot query, the whole of a `replay`, ran 5 % slower."""
+        to `optim.lp_solve` directly, with no start (the `_BallLps` of a
+        `balls_intersect` is one-shot): as a batch of one in `intersect_all`
+        this query, the whole of a `replay`, ran 5 % slower."""
         _check_finite(centers, radii)
         space = self.space
         if norms.is_lp_encodable(space):
             lp = self.lps(centers[None], radii[None])[0]
-            out = optim.lp_solve(lp, start=self.chains[len(radii)][1])
+            out = optim.lp_solve(lp)
             witness = None
             if out.status == optim.OPTIMAL:
                 witness = self.basis @ out.x[:self.basis.shape[1]]
@@ -271,41 +260,6 @@ def _lp_result(lp, out, witness) -> IntersectionResult:
     if out.status == optim.INFEASIBLE:
         return IntersectionResult(INFEASIBLE, None, lp, out)
     raise OptimizationError(f"feasibility LP ended with {out.status}")
-
-
-def _offset_map(space, basis: np.ndarray) -> list:
-    """The offset map of `_BallLps` as runs (rows, slice, block): the
-    epigraph rows `rows` read the offset's coordinates `slice` alone, with
-    the coefficients `block`.  A row that reads no coordinate (a combiner's
-    or a 1-norm's sum row, b = 0 whatever the offset) joins the run before
-    it."""
-    n = basis.shape[0]
-    unit = _ball_lp(space, basis, -np.eye(n), np.zeros(n))
-    matrix = unit.b_ub.reshape(n, -1)[:, :-1].T
-    slices = _component_slices(space, 0)
-    component = np.empty(n, dtype=int)
-    for i, sl in enumerate(slices):
-        component[sl] = i
-    reads = []
-    for coeffs in matrix:
-        nonzero = np.flatnonzero(coeffs)
-        reads.append(component[nonzero[0]] if nonzero.size
-                     else reads[-1] if reads else 0)
-    runs, row = [], 0
-    for i, group in itertools.groupby(reads):
-        rows = slice(row, row + len(list(group)))
-        runs.append((rows, slices[i], np.ascontiguousarray(matrix[rows, slices[i]])))
-        row = rows.stop
-    return runs
-
-
-def _component_slices(space, start: int) -> list:
-    """The coordinate slice of each component of a sum norm that is not
-    itself a sum, in order; the whole space for a norm that is no sum."""
-    if not isinstance(space, norms.SumNorm):
-        return [slice(start, start + norms.space_dim(space))]
-    return [leaf for sl, comp in space.parts
-            for leaf in _component_slices(comp, start + sl.start)]
 
 
 # Trials drawn ahead of their solves under a polyhedral norm, at most this

@@ -95,17 +95,6 @@ def _power_subgrad(coef, a, vals, p):
     return coef * a ** (p - 1.0) * np.where(live, vals[:, None], 1.0) ** (1.0 - p) * live
 
 
-def _plus_minus(mat, off, extra):
-    """The rows +-(mat[i] @ u + off[i]) <= ..., interleaved, as a block with
-    `extra` zero columns after those of `mat`, and the right-hand sides that
-    move the offsets across."""
-    n, m = mat.shape
-    block, rhs = np.zeros((2 * n, m + extra)), np.empty(2 * n)
-    block[0::2, :m], block[1::2, :m] = mat, -mat
-    rhs[0::2], rhs[1::2] = -off, off
-    return block, rhs
-
-
 class _Norm:
     """What every norm and combiner kind carries: `dim`; `value_many(xs)`,
     the norms of the rows of `xs`; `value_and_subgrad_many(xs)`, which also
@@ -113,9 +102,11 @@ class _Norm:
     g @ x = ||x|| that takes the first maximizing generator or coordinate on
     ties and is zero where a smooth norm vanishes; `lp_encodable`;
     `epigraph(builder, cols, mat, off, bound)`, the rows enforcing
-    ||mat @ u[cols] + off|| <= u[bound]; `generator_set(cap)`, generators
-    whose max is the norm (these two raise InvalidNormError where it is not
-    polyhedral); `to_json()`; and `axiom_failures()` (see `validate_norm`).
+    ||mat @ u[cols] + off|| <= u[bound]; `epigraph_rhs(off)`, the right-hand
+    side of those rows, the one place `epigraph` takes it from, over any
+    leading axes of `off`; `generator_set(cap)`, generators whose max is the
+    norm (these three raise InvalidNormError where it is not polyhedral);
+    `to_json()`; and `axiom_failures()` (see `validate_norm`).
     No method loops over rows, and no norm holds an array whose size grows
     with the dimension of a p-norm."""
 
@@ -146,7 +137,13 @@ class _GeneratorNorm(_Norm):
         stacked = self.generators[:, None, :]
         block = np.empty((self.generators.shape[0], len(cols) + 1))
         block[:, :-1], block[:, -1] = (stacked @ mat)[:, 0], -1.0
-        builder.add_ub([*cols, bound], block, -(stacked @ off)[:, 0])
+        builder.add_ub([*cols, bound], block, self.epigraph_rhs(off))
+
+    def epigraph_rhs(self, off):
+        # one vector product g @ off per generator and offset, whatever the
+        # leading axes of `off`: vecdot, like a stacked matmul of a row and
+        # a column, takes each with one BLAS dot
+        return -np.vecdot(self.generators, off[..., None, :])
 
     def generator_set(self, cap):
         return np.array(self.generators)
@@ -210,20 +207,29 @@ class LpNorm(_Norm):
         return vals, _power_subgrad(sign, a, vals, p)
 
     def epigraph(self, builder, cols, mat, off, bound):
+        # the rows +-(mat[i] @ u + off[i]) <= ..., interleaved, with one
+        # column for u[bound] (p = inf) or one for each s_i (p = 1)
+        rhs, m = self.epigraph_rhs(off), len(cols)
+        block = np.zeros((2 * self.dim, m + (1 if self._p == np.inf else self.dim)))
+        block[0::2, :m], block[1::2, :m] = mat, -mat
         if self._p == np.inf:
-            block, rhs = _plus_minus(mat, off, 1)
             block[:, -1] = -1.0
             builder.add_ub([*cols, bound], block, rhs)
-        elif self._p == 1:
+        else:
             # |mat[i] @ u + off[i]| <= s_i and sum_i s_i <= u[bound]
             svars = builder.new_vars(self.dim)
-            block, rhs = _plus_minus(mat, off, self.dim)
-            np.fill_diagonal(block[0::2, len(cols):], -1.0)
-            np.fill_diagonal(block[1::2, len(cols):], -1.0)
-            builder.add_ub([*cols, *svars], block, rhs)
-            builder.add_ub([*svars, bound], [[1.0] * self.dim + [-1.0]], [0.0])
-        else:
+            np.fill_diagonal(block[0::2, m:], -1.0)
+            np.fill_diagonal(block[1::2, m:], -1.0)
+            builder.add_ub([*cols, *svars], block, rhs[:-1])
+            builder.add_ub([*svars, bound], [[1.0] * self.dim + [-1.0]], rhs[-1:])
+
+    def epigraph_rhs(self, off):
+        # -off[i] and off[i], interleaved, then 0 for the 1-norm's sum row
+        if not self.lp_encodable:
             raise InvalidNormError(f"p = {self.p} norm has no LP epigraph")
+        rhs = np.zeros(off.shape[:-1] + (2 * self.dim + (self._p == 1),))
+        rhs[..., 0:2 * self.dim:2], rhs[..., 1:2 * self.dim:2] = -off, off
+        return rhs
 
     def generator_set(self, cap):
         if self._p == np.inf:
@@ -307,6 +313,9 @@ class WeightedLpNorm(_Norm):
     def epigraph(self, builder, cols, mat, off, bound):
         MonotonePolyhedralNorm(self.generator_set(cap=1)).epigraph(builder, cols, mat, off, bound)
 
+    def epigraph_rhs(self, off):
+        return MonotonePolyhedralNorm(self.generator_set(cap=1)).epigraph_rhs(off)
+
     def generator_set(self, cap):
         if self._diag is not None:
             return self._diag.generator_set(cap)
@@ -365,6 +374,13 @@ class SumNorm(_Norm):
         for (sl, comp), tv in zip(self.parts, tvars):
             comp.epigraph(builder, cols, mat[sl], off[sl], tv)
         self.combiner.epigraph(builder, tvars, np.eye(k), np.zeros(k), bound)
+
+    def epigraph_rhs(self, off):
+        # the components' rows in order, then the combiner's, as `epigraph`
+        # adds them
+        zeros = np.zeros(off.shape[:-1] + (len(self.parts),))
+        return np.concatenate([comp.epigraph_rhs(off[..., sl]) for sl, comp in self.parts]
+                              + [self.combiner.epigraph_rhs(zeros)], axis=-1)
 
     def generator_set(self, cap):
         """h_i * g_i on component i's slice, for every combiner generator h

@@ -44,29 +44,25 @@ returned: an optimum by `verify_optimal`, an infeasible verdict by
 `verify_farkas` and an unbounded one by `verify_ray`; a failed audit is
 returned as "breakdown".
 
-A chain of LPs that share their objective, and each of whose rows begin
-with the last LP's, can be solved warm: the checkers' ball LPs (one per
-trial, each the chain's one compiled LP with only b_ub replaced; see
-`geometry._BallLps`) and the cutting-plane rounds of
-`centers.solve_center` (each appending cuts).  The caller keeps an
-`LpStart` and passes it to every `lp_solve` call of the chain.  In the dual
-form b is the cost row and a new row is a new column at level zero, so the
-basis of the last solve stays feasible for the next one: each new row
-enters as B^-1 a, read off the artificial columns, the new b is loaded as
-costs, and phase 2 runs from that basis, with no phase 1.  A row whose
-power-of-two scale moves with its b has its column rescaled by the exact
-ratio, so a warm tableau is scaled as a fresh one would be.  Only a solve
-that leaves a feasible dual basis behind is kept: an unrefined optimum or
-an infeasible verdict.  A warm outcome is audited as a fresh one is, and a
-warm solve that ends in "breakdown" is solved again afresh before anything
-is returned.
+A chain of LPs that share their objective, and each of whose rows and b
+begin with the last LP's, can be solved warm: the cutting-plane rounds of
+`centers.solve_center`, each appending cuts.  The caller keeps an `LpStart`
+and passes it to every `lp_solve` call of the chain.  In the dual form a new
+row is a new column at level zero, so the basis of the last solve stays
+feasible for the next one: each new row enters as B^-1 a, read off the
+artificial columns, and phase 2 runs from that basis, with no phase 1.  Only
+a solve that leaves a feasible dual basis behind is kept: an unrefined
+optimum or an infeasible verdict.  A warm outcome is audited as a fresh one
+is, and a warm solve that ends in "breakdown" is solved again afresh before
+anything is returned.
 
 A chain whose LPs share their rows and objective bit for bit and differ
-only in b can also be solved in lockstep (`lp_solve_lockstep`, the
-checkers' batches of trials): the chain's first LP is solved alone, and
-the basis the chain holds, dual feasible for every b, is copied into one
-(K, n_vars + 1, cols) stack for the rest, each LP's b becomes that LP's
-own cost row, and every unfinished LP pivots at once under
+only in b is solved in lockstep (`lp_solve_lockstep`, the checkers' batches
+of trials; see `geometry._BallLps`): the chain's first LP is solved alone,
+and the basis the chain holds, dual feasible for every b, is copied into
+one (K, n_vars + 1, cols) stack for the rest, each LP's b loaded as that
+LP's own cost row (`_DualTableau.load_stack`, the one code that loads a new
+b into a held tableau), and every unfinished LP pivots at once under
 `_run_simplex`'s rules, each with its own count of degenerate pivots
 (`_run_stack`).  Tight points, duals, Farkas multipliers and the audits
 are computed on stacked arrays, with the conditions of the scalar audits;
@@ -477,24 +473,34 @@ class _DualTableau:
         self.n_cols += k
         self.max_iter = 1000 + 60 * self.t.shape[1]
 
-    def load_costs(self, lp: LinearProgram) -> None:
-        """Take the right-hand side of `lp`, whose rows and objective are
-        this tableau's, as the dual costs, keeping the basis.
+    def load_stack(self, b: np.ndarray) -> tuple:
+        """K copies of this tableau, one per row of b (K, n_cols), each with
+        that row as its right-hand side loaded as the dual costs and priced,
+        keeping the basis, which is dual feasible for every b: the stacked
+        (t, basis, costs, scale).
 
         A row whose scale moves with its b has its column multiplied by the
         ratio of the old scale to the new, and when that column is basic,
         its tableau row divided by the same ratio, which keeps the column a
         unit vector and rescales the basic value and the basis inverse with
-        it.  The ratios are powers of two, so this is exact, and the
-        tableau is scaled as a fresh build of `lp` would be."""
-        scale = _scale(self.row_size, lp.b_ub)
-        ratio = self.scale[:self.n_cols] / scale
-        t, basis = self.t, self.basis
-        t[:-1, :self.n_cols] *= ratio
-        basic = basis < self.n_cols
-        t[:-1][basic] /= ratio[basis[basic]][:, None]
-        self.costs[:self.n_cols] = lp.b_ub
-        self.scale[:self.n_cols] = scale
+        it.  The ratios are powers of two, so this is exact, and each copy
+        is scaled as a fresh build of its b would be."""
+        k, n_cols, n = len(b), self.n_cols, self.tau.shape[0]
+        scale = _scale(self.row_size, b)
+        ratio = self.scale[:n_cols] / scale
+        t = np.repeat(self.t[None], k, axis=0)
+        t[:, :-1, :n_cols] *= ratio[:, None, :]
+        basic = self.basis < n_cols
+        t[:, :-1][:, basic] /= ratio[:, self.basis[basic]][:, :, None]
+        costs = np.concatenate([b, np.zeros((k, n))], axis=1)
+        scale = np.concatenate([scale, np.ones((k, n))], axis=1)
+        basis = np.repeat(self.basis[None], k, axis=0)
+        # _price on each
+        priced = costs / scale
+        t[:, -1, :-1], t[:, -1, -1] = priced, 0.0
+        at = np.arange(k)[:, None]
+        t[:, -1] -= (priced[at, basis][:, None, :] @ t[:, :-1])[:, 0]
+        return t, basis, costs, scale
 
     def duals(self, y: np.ndarray) -> np.ndarray:
         """The caller's multipliers for the scaled dual columns y."""
@@ -562,27 +568,29 @@ def _lex_refine(lp, dual, refine, x, value):
 class LpStart:
     """The warm start of a chain of `lp_solve` calls (see there): the dual
     tableau of the chain's last solve, when that solve left a feasible dual
-    basis behind, with the bytes of the rows and objective it was built
-    from; else nothing.  The next LP of the chain may change b and append
-    rows."""
+    basis behind, with the bytes of the objective, rows and b it was built
+    from; else nothing.  The next LP of the chain may append rows; one
+    that changes the b of a held row is solved fresh by `lp_solve`, and in
+    lockstep from the held basis by `lp_solve_lockstep`."""
 
     def __init__(self):
         self._key: tuple | None = None
         self._dual: _DualTableau | None = None
 
 
-def _rows_key(lp: LinearProgram) -> tuple:
-    return lp.objective.tobytes(), lp.a_ub.tobytes()
+def _key(lp: LinearProgram) -> tuple:
+    return lp.objective.tobytes(), lp.a_ub.tobytes(), lp.b_ub.tobytes()
 
 
 def _extends(lp: LinearProgram, key: tuple) -> bool:
     """Whether `lp` has the objective of the LP that `key` was taken from,
-    and that LP's rows as the first of its own, all bit for bit.  Equal
-    objectives have the same length, so the rows have the same width and
-    compare row by row."""
-    objective, rows = key
+    and that LP's rows and their b as the first of its own, all bit for
+    bit.  Equal objectives have the same length, so the rows have the same
+    width and compare row by row."""
+    objective, rows, b = key
     return (lp.objective.tobytes() == objective
-            and lp.a_ub.tobytes().startswith(rows))
+            and lp.a_ub.tobytes().startswith(rows)
+            and lp.b_ub.tobytes().startswith(b))
 
 
 def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None,
@@ -611,16 +619,15 @@ def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None,
     `iterations` counts the refinement pivots too.
 
     With `start` (an `LpStart`), the solve is warm when `start` holds the
-    tableau of an LP with the same objective, bit for bit, whose a_ub is,
-    bit for bit, the first rows of this one's: b changes only the
-    dual costs and an appended row is a dual column at level zero, so the
-    held basis is still dual feasible.  Each appended row enters as B^-1 a,
-    read off the artificial columns (`_DualTableau.add_rows`); the new b is
-    loaded as the cost row, each column whose scale moves being rescaled by
-    its exact power-of-two ratio (`_DualTableau.load_costs`); and phase 2
-    runs from the held basis with no phase 1, pricing the new columns in.
-    Without a held tableau, or with other rows, the solve is fresh, as
-    without `start`.  Afterwards `start` holds this solve's
+    tableau of an LP with the same objective, bit for bit, whose a_ub and
+    b_ub are, bit for bit, the first rows of this one's and their b: an
+    appended row is a dual column at level zero, so the held basis is still
+    dual feasible.  Each appended row enters as B^-1 a, read off the
+    artificial columns (`_DualTableau.add_rows`), and phase 2 runs from the
+    held basis with no phase 1, pricing the new columns in.  Without a held
+    tableau, or with other rows or another b on the held rows, the solve is
+    fresh, as without `start`; a chain that changes only b is solved by
+    `lp_solve_lockstep`.  Afterwards `start` holds this solve's
     tableau if it leaves a feasible dual basis, which an unrefined optimum
     and an infeasible verdict do, and nothing otherwise: a refined solve
     has moved its right-hand side, an unbounded verdict has zeroed it, and
@@ -634,7 +641,6 @@ def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None,
         if start._key is not None and _extends(lp, start._key):
             held = start._dual
             held.add_rows(lp.a_ub[held.n_cols:], lp.b_ub[held.n_cols:])
-            held.load_costs(lp)
         start._key = start._dual = None
     if lp.a_ub.shape[0] == 0:
         if float(np.abs(lp.objective).max(initial=0.0)) <= _RCOST_TOL:
@@ -655,14 +661,14 @@ def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None,
         out = replace(out, iterations=spent + out.iterations)
     if start is not None and (out.status == INFEASIBLE
                               or (out.status == OPTIMAL and refine is None)):
-        start._key, start._dual = _rows_key(lp), dual
+        start._key, start._dual = _key(lp), dual
     return out
 
 
 def _solve(lp: LinearProgram, refine: Sequence[int] | None,
            dual: _DualTableau) -> LpOutcome:
     """The solve of `lp_solve` on `dual`, a fresh tableau of `lp` or a
-    warm one of the same rows and objective with the costs of `lp` loaded.
+    warm one of its rows, objective and b.
 
     Phase 1 runs when an artificial is basic above zero, which on a fresh
     tableau means c != 0 and on a warm one never happens: its artificials
@@ -747,32 +753,30 @@ def _solve(lp: LinearProgram, refine: Sequence[int] | None,
 
 def lp_solve_lockstep(lps: Sequence[LinearProgram], start: LpStart
                       ) -> list[LpOutcome]:
-    """`lp_solve(lp, start=start)` of each LP of a chain, in order, for LPs
-    that share their objective and rows bit for bit and differ only in b:
-    the same verdicts, each audited as `lp_solve` audits it, from one
-    stacked phase 2.
+    """Each LP of a chain, in order, for LPs that share their objective and
+    rows bit for bit and differ only in b: a fresh solve's verdict for
+    each, audited as `lp_solve` audits it, from one stacked phase 2.
 
     When the tableau held in `start` cannot start the first LP (none is
     held, or it was built from other rows), that LP is solved alone by
     `lp_solve`, which leaves its basis in `start`.  The rest start together
     from the held basis, which is dual feasible for every b: the held
-    tableau is copied
-    into a (K, n_vars + 1, cols) stack, each LP's b is loaded as that LP's
-    own cost row with `_DualTableau.load_costs`' exact power-of-two
-    rescaling, and every unfinished LP pivots at once (`_run_stack`).  Each
-    LP's tight point, with its one refinement step, its duals or its Farkas
-    multipliers are read off its own tableau and audited as `_solve` audits
-    them, on stacked arrays.  An LP that breaks down or fails its audit is
-    solved again alone and fresh by `lp_solve`, and its `iterations` count
-    the pivots of both; every other outcome's `iterations` count that LP's
-    own pivots.  Afterwards `start` holds the tableau of the last LP, in
-    order, that left a feasible dual basis.
+    tableau is copied into a (K, n_vars + 1, cols) stack, each LP's b
+    loaded as that LP's own cost row with its exact power-of-two rescaling
+    (`_DualTableau.load_stack`), and every unfinished LP pivots at once
+    (`_run_stack`).  Each LP's tight point, with its one refinement step,
+    its duals or its Farkas multipliers are read off its own tableau and
+    audited as `_solve` audits them, on stacked arrays.  An LP that breaks
+    down or fails its audit is solved again alone and fresh by `lp_solve`,
+    and its `iterations` count the pivots of both; every other outcome's
+    `iterations` count that LP's own pivots.  Afterwards `start` holds the
+    tableau of the last LP, in order, that left a feasible dual basis.
     """
     lps = list(lps)
     if any(not _same_rows(lp, lps[0]) for lp in lps[1:]):
         raise ValueError("a lockstep chain needs one objective and one set of rows")
     outs = []
-    while lps and not (start._key is not None and _rows_key(lps[0]) == start._key):
+    while lps and not (start._key is not None and _key(lps[0])[:2] == start._key[:2]):
         outs.append(lp_solve(lps.pop(0), start=start))
     if lps:
         outs += _solve_stack(lps, start)
@@ -788,23 +792,9 @@ def _solve_stack(lps: list, start: LpStart) -> list[LpOutcome]:
     """The stacked solve of `lp_solve_lockstep`, from the tableau that
     `start` holds, whose rows and objective are those of `lps`."""
     held, k = start._dual, len(lps)
-    n_cols, n = held.n_cols, held.tau.shape[0]
+    n_cols = held.n_cols
     b = np.array([lp.b_ub for lp in lps])
-    # load_costs on each copy of the held tableau
-    scale = _scale(held.row_size, b)
-    ratio = held.scale[:n_cols] / scale
-    t = np.repeat(held.t[None], k, axis=0)
-    t[:, :-1, :n_cols] *= ratio[:, None, :]
-    basic = held.basis < n_cols
-    t[:, :-1][:, basic] /= ratio[:, held.basis[basic]][:, :, None]
-    costs = np.concatenate([b, np.zeros((k, n))], axis=1)
-    scale = np.concatenate([scale, np.ones((k, n))], axis=1)
-    basis = np.repeat(held.basis[None], k, axis=0)
-    # _price on each
-    priced = costs / scale
-    t[:, -1, :-1], t[:, -1, -1] = priced, 0.0
-    at = np.arange(k)[:, None]
-    t[:, -1] -= (priced[at, basis][:, None, :] @ t[:, :-1])[:, 0]
+    t, basis, costs, scale = held.load_stack(b)
     status, pivots, enter = _run_stack(t, basis, n_cols, held.max_iter)
 
     objective, a_ub = lps[0].objective, lps[0].a_ub
@@ -813,7 +803,7 @@ def _solve_stack(lps: list, start: LpStart) -> list[LpOutcome]:
     if opt.size:
         x = _tight_points(held, t[opt], basis[opt], costs[opt], scale[opt])
         y = np.zeros((opt.size, t.shape[2] - 1))
-        y[at[:opt.size], basis[opt]] = t[opt, :-1, -1]
+        y[np.arange(opt.size)[:, None], basis[opt]] = t[opt, :-1, -1]
         lam = y[:, :n_cols] / scale[opt, :n_cols]
         lam = np.where(lam > 0, lam, 0.0)
         value = np.vecdot(x, objective)
@@ -849,7 +839,7 @@ def _solve_stack(lps: list, start: LpStart) -> list[LpOutcome]:
             dual = copy.copy(held)
             dual.t, dual.basis = t[i].copy(), basis[i].copy()
             dual.costs, dual.scale = costs[i].copy(), scale[i].copy()
-        start._dual = dual
+        start._key, start._dual = _key(lps[i]), dual
     return outs
 
 

@@ -1,5 +1,6 @@
 import copy
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -760,51 +761,66 @@ def _chain_lp(rng, a_ub, a_eq, c, infeasible):
        length=st.integers(2, 50), zero_c=st.booleans())
 def test_warm_chain_agrees_with_fresh_solves(seed, n, extra, n_eq, length,
                                              zero_c):
-    # One start carried along a chain of right-hand sides over fixed rows:
-    # every warm solve agrees with a fresh solve of the same LP, in status
-    # and value, passes its own audit, and keeps the tableau it started
-    # from, so none of them fell back to a fresh solve.
+    # One start carried along a chain of right-hand sides over fixed rows,
+    # one LP per `lp_solve_lockstep` call: each LP after the first starts
+    # from the basis that the one before left, agrees with a fresh solve of
+    # the same LP, in status and value, and passes its own audit, and none
+    # of them was solved alone, so none fell back to a fresh solve.
     rng = np.random.default_rng(seed)
     a_ub = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(extra, n))])
     a_eq = rng.normal(size=(n_eq, n))
     c = np.zeros(n) if zero_c else rng.normal(size=n)
     start = optim.LpStart()
-    for _ in range(length):
-        lp = _chain_lp(rng, a_ub, a_eq, c, infeasible=rng.random() < 0.25)
-        held = start._dual
-        warm = lp_solve(lp, start=start)
-        fresh = lp_solve(lp)
-        assert start._dual is not None
-        assert held is None or start._dual is held
-        assert warm.status == fresh.status
-        assert warm.status in (optim.OPTIMAL, optim.INFEASIBLE)
-        if warm.status == optim.OPTIMAL:
-            assert verify_optimal(lp, warm)
-            assert abs(warm.value - fresh.value) <= 1e-9 * max(1.0, abs(fresh.value))
-        else:
-            assert verify_farkas(lp, warm.farkas_ub)
+    lps = []
+    with mock.patch.object(optim, "lp_solve", wraps=optim.lp_solve) as alone:
+        for _ in range(length):
+            lps.append(_chain_lp(rng, a_ub, a_eq, c, infeasible=rng.random() < 0.25))
+            warm, = optim.lp_solve_lockstep(lps[-1:], start)
+            fresh = lp_solve(lps[-1])
+            assert start._dual is not None
+            assert warm.status == fresh.status
+            assert warm.status in (optim.OPTIMAL, optim.INFEASIBLE)
+            if warm.status == optim.OPTIMAL:
+                assert verify_optimal(lps[-1], warm)
+                assert abs(warm.value - fresh.value) <= 1e-9 * max(1.0, abs(fresh.value))
+            else:
+                assert verify_farkas(lps[-1], warm.farkas_ub)
+    assert [call.args[0] for call in alone.call_args_list] == lps[:1]
+
+
+def _outcome_bytes(out):
+    arrays = (out.x, out.dual_ub, out.farkas_ub)
+    return (*(None if a is None else a.tobytes() for a in arrays),
+            out.status, out.iterations)
 
 
 def test_warm_start_needs_the_same_rows_bit_for_bit():
     a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
     c = np.array([-1.0, -2.0])
+    b = [1.0, 1.0, 0.0]
+    grown = np.vstack([a, [[1.0, 1.0]]])
     start = optim.LpStart()
-    first = lp_solve(make_lp(c, a_ub=a, b_ub=[1.0, 1.0, 0.0]), start=start)
+    first = lp_solve(make_lp(c, a_ub=a, b_ub=b), start=start)
     assert first.iterations > 0
-    # the same rows: the held basis is optimal at once
-    again = lp_solve(make_lp(c, a_ub=a, b_ub=[2.0, 3.0, 0.0]), start=start)
+    # the same rows and b, and a row that the held point keeps: the held
+    # basis is optimal at once
+    again = lp_solve(make_lp(c, a_ub=grown, b_ub=[*b, 4.0]), start=start)
     assert again.status == optim.OPTIMAL and again.iterations == 0
-    assert np.allclose(again.x, [2.0, 3.0])
+    assert np.allclose(again.x, [1.0, 1.0])
+    # a changed b on the held rows is solved afresh
+    lp = make_lp(c, a_ub=grown, b_ub=[2.0, 3.0, 0.0, 4.0])
+    assert _outcome_bytes(lp_solve(lp, start=start)) == _outcome_bytes(lp_solve(lp))
     # a row that differs only in the sign of a zero is another row
-    moved = a.copy()
+    moved = grown.copy()
     moved[0, 1] = -0.0
-    other = lp_solve(make_lp(c, a_ub=moved, b_ub=[2.0, 3.0, 0.0]), start=start)
-    assert other.iterations == first.iterations
+    lp = make_lp(c, a_ub=np.vstack([moved, [[1.0, 2.0]]]), b_ub=[2.0, 3.0, 0.0, 4.0, 9.0])
+    fresh = lp_solve(lp)
+    assert fresh.iterations > 0
+    assert lp_solve(lp, start=start).iterations == fresh.iterations
     # a refined solve leaves nothing behind
-    lp_solve(make_lp(c, a_ub=moved, b_ub=[2.0, 3.0, 0.0]), refine=[0],
+    lp_solve(make_lp(c, a_ub=moved, b_ub=[2.0, 3.0, 0.0, 4.0]), refine=[0],
              start=start)
-    after = lp_solve(make_lp(c, a_ub=moved, b_ub=[2.0, 3.0, 0.0]), start=start)
-    assert after.iterations == first.iterations
+    assert lp_solve(lp, start=start).iterations == fresh.iterations
 
 
 def test_warm_breakdown_is_solved_again_afresh(monkeypatch):
@@ -812,7 +828,8 @@ def test_warm_breakdown_is_solved_again_afresh(monkeypatch):
     c = np.array([-1.0, -2.0])
     start = optim.LpStart()
     lp_solve(make_lp(c, a_ub=a, b_ub=[1.0, 1.0, 0.0]), start=start)
-    lp = make_lp(c, a_ub=a, b_ub=[2.0, 3.0, 0.0])
+    # the appended row cuts the held point off: one warm pivot
+    lp = make_lp(c, a_ub=np.vstack([a, [[1.0, 1.0]]]), b_ub=[1.0, 1.0, 0.0, 1.5])
     fresh = lp_solve(lp)
     real = optim.verify_optimal
     audits = []
@@ -826,7 +843,8 @@ def test_warm_breakdown_is_solved_again_afresh(monkeypatch):
     assert len(audits) == 2
     assert out.status == optim.OPTIMAL
     assert np.array_equal(out.x, fresh.x)
-    assert out.iterations == fresh.iterations
+    assert out.iterations == audits[0].iterations + fresh.iterations
+    assert audits[0].iterations > 0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -974,10 +992,11 @@ def test_lockstep_chain_agrees_with_fresh_solves(monkeypatch):
 
 @pytest.mark.parametrize("degenerate_run", [optim._DEGENERATE_RUN, 2])
 def test_lockstep_pivots_as_a_warm_scalar_solve(monkeypatch, degenerate_run):
-    # The stacked phase 2 repeats the scalar one: from the same held basis
-    # each LP of the stack enters and leaves, pivot for pivot, the column
-    # and row that `_run_simplex` picks for it alone, with the Bland
-    # fallback too, and reads off the same point or Farkas multipliers.
+    # The stacked phase 2 repeats the scalar one: from the same held basis,
+    # each LP's b loaded by `_DualTableau.load_stack`, each LP of the stack
+    # enters and leaves, pivot for pivot, the column and row that
+    # `_run_simplex` picks for it alone, with the Bland fallback too, and
+    # reads off the same point or Farkas multipliers as `_solve`.
     monkeypatch.setattr(optim, "_DEGENERATE_RUN", degenerate_run)
     real_pivot, real_stack = optim._pivot, optim._pivot_stack
     scalar, stacked = [], []
@@ -995,10 +1014,14 @@ def test_lockstep_pivots_as_a_warm_scalar_solve(monkeypatch, degenerate_run):
     for lps in _lockstep_chains():
         start = optim.LpStart()
         lp_solve(lps[0], start=start)
+        held = start._dual
         sequences, warm = [], []
         for lp in lps[1:]:
             scalar.clear()
-            warm.append(lp_solve(lp, start=copy.deepcopy(start)))
+            dual = copy.copy(held)
+            dual.t, dual.basis, dual.costs, dual.scale = (
+                a[0] for a in held.load_stack(lp.b_ub[None]))
+            warm.append(optim._solve(lp, None, dual))
             sequences.append(list(scalar))
         stacked.clear()
         outs = optim.lp_solve_lockstep(lps[1:], start)
