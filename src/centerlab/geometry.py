@@ -9,17 +9,17 @@ violating vector.  Positive verdicts from randomized checkers are always
 Random ball families are generated witness-first (pick the witness, derive
 the radii), since independently random radii almost never intersect.
 
-Every ball-intersection LP is made by `_BallLps`.  The LPs of families of
-one size in one space and subspace differ only in b, so a checker builds
-their rows once and each trial computes b from its centers and radii, by
-the norm's `epigraph_rhs`, as the build does.
+Every ball-intersection LP is made by `_BallLps`.  A checker's trials,
+each family padded to one size, are one LP that differs only in b, so
+their rows are built once and each trial computes b from its centers and
+radii, by the norm's `epigraph_rhs`, as the build does.
 
 Under a polyhedral norm the checkers draw their trials ahead,
 min(remaining, _DRAW_AHEAD) at a time, with the same random calls in the
-same order as one at a time, and `_BallLps.intersect_all` solves the
-trials of one family size in a chunk as one `optim.lp_solve_lockstep`
-batch, when the first of them is reached.  Under any other norm there is
-no batch to gain, and each trial is drawn when its turn comes.
+same order as one at a time, and `_BallLps.intersect_all` solves each
+chunk, when its first trial is reached, as one `optim.lp_solve_lockstep`
+batch.  Under any other norm there is no batch to gain, and each trial is
+drawn when its turn comes.
 The verdict is decided by the first trial, in seed order, that does not
 intersect, so `trials_run`, the counterexample and the note are those of a
 trial-by-trial search.  The chunk is a trade-off: a check that fails early
@@ -29,7 +29,7 @@ chunks give up the batch's gain on short passing checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -125,7 +125,7 @@ def balls_intersect(space, family: BallFamily, within: Subspace | None = None
     when every ball holds it within the audit's slack."""
     if family.dim != norms.space_dim(space):
         raise DimensionMismatchError("family does not match the space dimension")
-    return _BallLps(space, within).intersect(family.centers, family.radii)
+    return _BallLps(space, within, family.size).intersect(family.centers, family.radii)
 
 
 def _ball_lp(space, basis: np.ndarray, centers: np.ndarray, radii: np.ndarray
@@ -145,48 +145,33 @@ class _BallLps:
     """The feasibility LPs of ball families in one space and subspace: the
     one LP path of `balls_intersect` and of the checkers' trials.
 
-    Families of one size form a chain whose LPs share rows and objective;
-    a ball's block of b is the right-hand side of its epigraph rows for the
-    offset -c_i, then r_i.  Each size's LP is built once, from its first
-    family, and a later family's is that LP with b_ub replaced, b from the
-    norm's own `epigraph_rhs`, where a build takes it from too, so b is a
-    fresh build's byte for byte.  Each chain has its own `optim.LpStart`."""
+    A checker's families form one chain: each is padded to `size` balls,
+    its caller's largest family, by repeating its own balls in turn, which
+    leaves the set where they meet as it is, so all have the rows of one
+    LP, `lp`, built from the first.  A ball's block of b is the right-hand
+    side of its epigraph rows for the offset -c_i, from the norm's own
+    `epigraph_rhs`, where a build takes it from too, then r_i, so b is a
+    fresh build's byte for byte.  `start` holds the tableau of `lp`."""
 
-    def __init__(self, space, within: Subspace | None):
+    def __init__(self, space, within: Subspace | None, size: int):
         n = norms.space_dim(space)
         if within is not None and within.ambient_dim != n:
             raise DimensionMismatchError("subspace ambient dim mismatch")
-        self.space, self.within = space, within
+        self.space, self.within, self.size = space, within, size
         self.basis = np.eye(n) if within is None else np.array(within.basis)
-        self.chains: dict = {}   # size -> (its first LP, its LpStart)
-
-    def lps(self, centers: np.ndarray, radii: np.ndarray) -> list:
-        """The LPs of the families (centers[i], radii[i]), all of one size."""
-        k = radii.shape[1]
-        lps = []
-        if k not in self.chains:
-            lps.append(_ball_lp(self.space, self.basis, centers[0], radii[0]))
-            self.chains[k] = (lps[0], optim.LpStart())
-            centers, radii = centers[1:], radii[1:]
-        if not len(radii):
-            return lps
-        # C order, as the epigraph's offsets: BLAS sums a strided one otherwise
-        rhs = self.space.epigraph_rhs(np.negative(centers, order="C"))
-        b = np.concatenate([rhs, radii[..., None]], axis=-1)
-        first = self.chains[k][0]
-        return lps + [optim.LinearProgram(first.objective, first.a_ub, row)
-                      for row in b.reshape(len(radii), -1)]
+        self.lp: optim.LinearProgram | None = None
+        self.start = optim.LpStart()
 
     def intersect(self, centers: np.ndarray, radii: np.ndarray) -> IntersectionResult:
         """`balls_intersect` of the balls (centers[i], radii[i]), a row of
-        n coordinates per radius, as the caller has checked.  Its LP goes
-        to `optim.lp_solve` directly, with no start (the `_BallLps` of a
-        `balls_intersect` is one-shot): as a batch of one in `intersect_all`
-        this query, the whole of a `replay`, ran 5 % slower."""
+        n coordinates per radius, as the caller has checked.  Its LP, not
+        padded, goes to `optim.lp_solve` directly, with no start (the
+        `_BallLps` of a `balls_intersect` is one-shot): as a batch of one in
+        `intersect_all` this query, the whole of a `replay`, ran 5 % slower."""
         _check_finite(centers, radii)
         space = self.space
         if norms.is_lp_encodable(space):
-            lp = self.lps(centers[None], radii[None])[0]
+            lp = _ball_lp(space, self.basis, centers, radii)
             out = optim.lp_solve(lp)
             witness = None
             if out.status == optim.OPTIMAL:
@@ -207,9 +192,9 @@ class _BallLps:
 
     def intersect_all(self, families: list):
         """`intersect` of each family (centers, radii) of the list, yielded
-        in order.  Under a polyhedral norm the families of one size are
-        solved as one `optim.lp_solve_lockstep` batch on their chain when
-        the first of them is reached.  What `intersect` would raise for a
+        in order.  Under a polyhedral norm the families are padded and
+        solved as one `optim.lp_solve_lockstep` batch, and each result's
+        `lp` is its padded LP.  What `intersect` would raise for a
         solved family (an LP that ends other than optimal or infeasible, a
         witness that fails the ball audit) is raised when its turn comes,
         so a caller that stops at an earlier family never meets it."""
@@ -217,28 +202,25 @@ class _BallLps:
             for centers, radii in families:
                 yield self.intersect(centers, radii)
             return
-        runs: dict = {}
-        for _, radii in families:
-            k = len(radii)
-            if k not in runs:
-                runs[k] = self._lockstep([f for f in families if len(f[1]) == k])
-            yield next(runs[k])
-
-    def _lockstep(self, families: list):
-        centers = np.array([c for c, _ in families])
-        radii = np.array([r for _, r in families])
+        turn = [np.arange(self.size) % len(r) for _, r in families]
+        centers = np.array([c[i] for (c, _), i in zip(families, turn)])
+        radii = np.array([r[i] for (_, r), i in zip(families, turn)])
         _check_finite(centers, radii)
-        lps = self.lps(centers, radii)
-        outs = optim.lp_solve_lockstep(lps, self.chains[radii.shape[1]][1])
+        if self.lp is None:
+            self.lp = _ball_lp(self.space, self.basis, centers[0], radii[0])
+        # C order, as the epigraph's offsets: BLAS sums a strided one otherwise
+        rhs = self.space.epigraph_rhs(np.negative(centers, order="C"))
+        b = np.concatenate([rhs, radii[..., None]], axis=-1).reshape(len(radii), -1)
+        outs = optim.lp_solve_lockstep(self.lp, b, self.start)
         n, d = self.basis.shape
         witness = np.array([self.basis @ out.x[:d] if out.x is not None
                             else np.zeros(n) for out in outs])
         gaps = eval_norm_many(self.space, (witness[:, None, :] - centers)
                               .reshape(-1, n)).reshape(radii.shape) - radii
-        for lp, out, w, gap, r in zip(lps, outs, witness, gaps, radii):
+        for row, out, w, gap, r in zip(b, outs, witness, gaps, radii):
             if out.status == optim.OPTIMAL:
                 _audit_gap(gap.max(initial=0.0), r)
-            yield _lp_result(lp, out, w)
+            yield _lp_result(replace(self.lp, b_ub=row), out, w)
 
 
 def _check_finite(centers: np.ndarray, radii: np.ndarray) -> None:
@@ -287,8 +269,15 @@ def _solved_ahead(lps: _BallLps, trials: int, draw: Callable[[], tuple]):
 # ---------------------------------------------------------------------------
 # central subspaces
 
+# the most balls of a central family, and the size each is padded to
+_CENTRAL_BALLS = 4
+
+
 @dataclass(frozen=True, eq=False)
 class CentralVerdict:
+    """A central check's verdict.  A counterexample holds the k balls its
+    trial drew, and `result.lp` is their LP padded to _CENTRAL_BALLS balls."""
+
     passed: bool
     counterexample: BallFamily | None
     result: IntersectionResult | None
@@ -307,15 +296,15 @@ def central_subspace_check(space, sub: Subspace, trials: int, seed: int,
     from `within`, centers from `sub`, and each radius is the witness
     distance inflated by a factor in [1, 1.2], so feasibility in `within`
     holds by construction.  Injected families are tested first, each by
-    `balls_intersect`.  The trials form one chain of LPs per family size
-    (see `_BallLps`): each size's rows are built once, a trial supplies
-    only b, and the trials of one size in a chunk drawn ahead are solved in
-    lockstep from the chain's held basis (see the module docstring).  A
-    `BallFamily` is built only for a counterexample.
+    `balls_intersect`.  The trials form one chain of LPs (see `_BallLps`):
+    each family is padded to _CENTRAL_BALLS balls, the rows are built once,
+    a trial supplies only b, and each chunk drawn ahead is solved in
+    lockstep from the basis of the chain's first LP (see the module
+    docstring).  A `BallFamily` is built only for a counterexample.
     """
     n = norms.space_dim(space)
     rng = np.random.default_rng(seed)
-    lps = _BallLps(space, sub)
+    lps = _BallLps(space, sub, _CENTRAL_BALLS)
     for fam in inject:
         res = balls_intersect(space, fam, sub)
         if res.status != FEASIBLE:
@@ -324,7 +313,7 @@ def central_subspace_check(space, sub: Subspace, trials: int, seed: int,
     w_basis = np.eye(n) if within is None else np.array(within.basis)
 
     def draw():
-        k = int(rng.integers(2, 5))
+        k = int(rng.integers(2, _CENTRAL_BALLS + 1))
         w = w_basis @ rng.normal(size=w_basis.shape[1]) * 1.5
         centers = (sub.basis @ rng.normal(size=(sub.dim, k)) * 1.5).T
         radii = eval_norm_many(space, w[None, :] - centers) * \
@@ -833,13 +822,13 @@ def mideal_three_ball_check(space, z: Subspace, trials: int, eps: float = 1e-6,
     solved again as LPs, and a disagreement raises OptimizationError rather
     than report a counterexample.  The trials' LPs form one chain (see
     `_BallLps`): their rows are built once, a trial supplies only b, and
-    each chunk drawn ahead is solved in lockstep from the chain's held
-    basis (see the module docstring).  The two families of the verdict are
-    built only for a failing trial.
+    each chunk drawn ahead is solved in lockstep from the basis of the
+    chain's first LP (see the module docstring).  The two families of the
+    verdict are built only for a failing trial.
     """
     n = norms.space_dim(space)
     rng = np.random.default_rng(seed)
-    lps = _BallLps(space, z)
+    lps = _BallLps(space, z, 3)
 
     def draw():
         w = rng.normal(size=n) * 1.5

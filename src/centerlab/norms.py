@@ -270,11 +270,14 @@ class MonotonePolyhedralNorm(_GeneratorNorm):
 class WeightedLpNorm(_Norm):
     """(sum_i w_i |t_i|^p)^(1/p), or max_i w_i |t_i| for p = inf.  That max
     is the max over the rows of diag(w), and in dimension 1 the norm is
-    w^(1/p) |t|, so in both cases it computes as such a max (`_diag`)."""
+    w^(1/p) |t|, so in both cases it computes as such a max (`_diag`).
+    `_poly` is its polyhedral form, built once: `_diag`, or for p = 1 the
+    one row of weights; None for any other p."""
 
     p: float
     weights: np.ndarray
     _diag: MonotonePolyhedralNorm = field(init=False, repr=False)
+    _poly: MonotonePolyhedralNorm = field(init=False, repr=False)
     _sum_json = ("esum", "e_norm")
 
     def __post_init__(self):
@@ -290,6 +293,8 @@ class WeightedLpNorm(_Norm):
         object.__setattr__(self, "_diag", MonotonePolyhedralNorm(
             np.diag(w if self.p == np.inf else w ** (1.0 / self.p)))
             if self.p == np.inf or w.size == 1 else None)
+        object.__setattr__(self, "_poly", self._diag if self._diag is not None
+                           or self.p != 1 else MonotonePolyhedralNorm(w[None, :]))
 
     @property
     def dim(self) -> int:
@@ -297,7 +302,7 @@ class WeightedLpNorm(_Norm):
 
     @property
     def lp_encodable(self):
-        return self._diag is not None or self.p == 1
+        return self._poly is not None
 
     def value_many(self, ts):
         if self._diag is not None:
@@ -311,17 +316,18 @@ class WeightedLpNorm(_Norm):
         return vals, _power_subgrad(self.weights, ts, vals, self.p)
 
     def epigraph(self, builder, cols, mat, off, bound):
-        MonotonePolyhedralNorm(self.generator_set(cap=1)).epigraph(builder, cols, mat, off, bound)
+        self._polyhedral().epigraph(builder, cols, mat, off, bound)
 
     def epigraph_rhs(self, off):
-        return MonotonePolyhedralNorm(self.generator_set(cap=1)).epigraph_rhs(off)
+        return self._polyhedral().epigraph_rhs(off)
 
     def generator_set(self, cap):
-        if self._diag is not None:
-            return self._diag.generator_set(cap)
-        if self.p != 1:
+        return self._polyhedral().generator_set(cap)
+
+    def _polyhedral(self) -> MonotonePolyhedralNorm:
+        if self._poly is None:
             raise InvalidNormError(f"weighted p = {self.p} norm is not polyhedral")
-        return self.weights[None, :]
+        return self._poly
 
     def to_json(self) -> dict:
         return {"kind": "weighted_lp", "p": _p_to_json(self.p), "weights": self.weights.tolist()}

@@ -56,19 +56,18 @@ optimum or an infeasible verdict.  A warm outcome is audited as a fresh one
 is, and a warm solve that ends in "breakdown" is solved again afresh before
 anything is returned.
 
-A chain whose LPs share their rows and objective bit for bit and differ
-only in b is solved in lockstep (`lp_solve_lockstep`, the checkers' batches
-of trials; see `geometry._BallLps`): the chain's first LP is solved alone,
-and the basis the chain holds, dual feasible for every b, is copied into
-one (K, n_vars + 1, cols) stack for the rest, each LP's b loaded as that
-LP's own cost row (`_DualTableau.load_stack`, the one code that loads a new
-b into a held tableau), and every unfinished LP pivots at once under
-`_run_simplex`'s rules, each with its own count of degenerate pivots
-(`_run_stack`).  Tight points, duals, Farkas multipliers and the audits
-are computed on stacked arrays, with the conditions of the scalar audits;
-an LP that breaks down or fails its audit is solved again alone and
-fresh.  The chain then keeps the basis
-of its last LP, in order, that left a feasible dual basis.
+A chain of LPs that share rows and objective and differ only in b, given
+as one LP and a (K, m) array of right-hand sides, is solved in lockstep
+(`lp_solve_lockstep`, the checkers' batches of trials; see
+`geometry._BallLps`): its first LP is solved alone, and every batch copies
+that basis, dual feasible for every b, into one (K, n_vars + 1, cols)
+stack, loads each b as its LP's own cost row (`_DualTableau.load_stack`,
+the one code that loads a new b into a held tableau) and pivots every
+unfinished LP at once under `_run_simplex`'s rules, each with its own count
+of degenerate pivots (`_run_stack`).  Tight points, duals, Farkas
+multipliers and the audits are computed on stacked arrays, with the
+conditions of the scalar audits; an LP that breaks down or fails its audit
+is solved again alone and fresh.
 
 A lexicographic tie-break among optimal points runs on the final tableau of
 the same solve as dual-simplex stages: each stage sets the right-hand side
@@ -80,7 +79,6 @@ each stage costs a few pivots.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -570,8 +568,8 @@ class LpStart:
     tableau of the chain's last solve, when that solve left a feasible dual
     basis behind, with the bytes of the objective, rows and b it was built
     from; else nothing.  The next LP of the chain may append rows; one
-    that changes the b of a held row is solved fresh by `lp_solve`, and in
-    lockstep from the held basis by `lp_solve_lockstep`."""
+    that changes the b of a held row is solved fresh.  A chain of
+    `lp_solve_lockstep` calls keeps the tableau of its first LP in it."""
 
     def __init__(self):
         self._key: tuple | None = None
@@ -751,53 +749,40 @@ def _solve(lp: LinearProgram, refine: Sequence[int] | None,
                      iterations=iterations + pivots, message=message)
 
 
-def lp_solve_lockstep(lps: Sequence[LinearProgram], start: LpStart
+def lp_solve_lockstep(lp: LinearProgram, b: np.ndarray, start: LpStart
                       ) -> list[LpOutcome]:
-    """Each LP of a chain, in order, for LPs that share their objective and
-    rows bit for bit and differ only in b: a fresh solve's verdict for
-    each, audited as `lp_solve` audits it, from one stacked phase 2.
+    """The LP with the objective and rows of `lp` and each row of b, a
+    (K, m) array, as its b_ub, in order: a fresh solve's verdict for each,
+    audited as `lp_solve` audits it, from one stacked phase 2.
 
-    When the tableau held in `start` cannot start the first LP (none is
-    held, or it was built from other rows), that LP is solved alone by
-    `lp_solve`, which leaves its basis in `start`.  The rest start together
-    from the held basis, which is dual feasible for every b: the held
-    tableau is copied into a (K, n_vars + 1, cols) stack, each LP's b
-    loaded as that LP's own cost row with its exact power-of-two rescaling
-    (`_DualTableau.load_stack`), and every unfinished LP pivots at once
+    `start` holds nothing or the tableau of this chain's first LP.  When it
+    holds nothing, the LPs are solved alone by `lp_solve`, in order, until
+    one leaves its tableau there; `start` keeps it for the whole chain.
+    The rest start from that basis, dual feasible for every b, copied into
+    a (K, n_vars + 1, cols) stack with each b loaded as its LP's own cost
+    row (`_DualTableau.load_stack`), and every unfinished LP pivots at once
     (`_run_stack`).  Each LP's tight point, with its one refinement step,
     its duals or its Farkas multipliers are read off its own tableau and
-    audited as `_solve` audits them, on stacked arrays.  An LP that breaks
-    down or fails its audit is solved again alone and fresh by `lp_solve`,
-    and its `iterations` count the pivots of both; every other outcome's
-    `iterations` count that LP's own pivots.  Afterwards `start` holds the
-    tableau of the last LP, in order, that left a feasible dual basis.
+    audited as `_solve` audits them.  An LP that breaks down or fails its
+    audit is solved again alone and fresh by `lp_solve`, and its
+    `iterations` count the pivots of both.
     """
-    lps = list(lps)
-    if any(not _same_rows(lp, lps[0]) for lp in lps[1:]):
-        raise ValueError("a lockstep chain needs one objective and one set of rows")
     outs = []
-    while lps and not (start._key is not None and _key(lps[0])[:2] == start._key[:2]):
-        outs.append(lp_solve(lps.pop(0), start=start))
-    if lps:
-        outs += _solve_stack(lps, start)
+    while len(outs) < len(b) and start._dual is None:
+        outs.append(lp_solve(replace(lp, b_ub=b[len(outs)]), start=start))
+    if len(outs) < len(b):
+        outs += _solve_stack(lp, b[len(outs):], start._dual)
     return outs
 
 
-def _same_rows(lp: LinearProgram, other: LinearProgram) -> bool:
-    return all(a is b or a.tobytes() == b.tobytes()
-               for a, b in ((lp.objective, other.objective), (lp.a_ub, other.a_ub)))
-
-
-def _solve_stack(lps: list, start: LpStart) -> list[LpOutcome]:
-    """The stacked solve of `lp_solve_lockstep`, from the tableau that
-    `start` holds, whose rows and objective are those of `lps`."""
-    held, k = start._dual, len(lps)
-    n_cols = held.n_cols
-    b = np.array([lp.b_ub for lp in lps])
+def _solve_stack(lp: LinearProgram, b: np.ndarray, held) -> list[LpOutcome]:
+    """The stacked solve of `lp_solve_lockstep`, from `held`, a tableau of
+    the rows and objective of `lp`, which it leaves as it is."""
+    k, n_cols = len(b), held.n_cols
     t, basis, costs, scale = held.load_stack(b)
     status, pivots, enter = _run_stack(t, basis, n_cols, held.max_iter)
 
-    objective, a_ub = lps[0].objective, lps[0].a_ub
+    objective, a_ub = lp.objective, lp.a_ub
     outs: list = [None] * k
     opt = np.flatnonzero(status == OPTIMAL)
     if opt.size:
@@ -819,27 +804,11 @@ def _solve_stack(lps: list, start: LpStart) -> list[LpOutcome]:
             if ok:
                 outs[i] = LpOutcome(INFEASIBLE, farkas_ub=li,
                                     iterations=int(pivots[i]))
-
-    # the last LP that left a feasible dual basis, and its fresh tableau
-    # when it was solved alone
-    kept = None
     for i in range(k):
-        if outs[i] is not None:
-            kept = i, None
-            continue
-        # a breakdown or a failed audit: solved again alone and fresh
-        alone = LpStart()
-        out = lp_solve(lps[i], start=alone)
-        outs[i] = replace(out, iterations=int(pivots[i]) + out.iterations)
-        if alone._dual is not None:
-            kept = i, alone._dual
-    if kept is not None:
-        i, dual = kept
-        if dual is None:
-            dual = copy.copy(held)
-            dual.t, dual.basis = t[i].copy(), basis[i].copy()
-            dual.costs, dual.scale = costs[i].copy(), scale[i].copy()
-        start._key, start._dual = _key(lps[i]), dual
+        if outs[i] is None:
+            # a breakdown or a failed audit: solved again alone and fresh
+            out = lp_solve(replace(lp, b_ub=b[i]))
+            outs[i] = replace(out, iterations=int(pivots[i]) + out.iterations)
     return outs
 
 

@@ -50,26 +50,32 @@ def test_every_scenario_passes(capsys, name):
 
 
 def test_three_ball_repro_lp_count(capsys, monkeypatch):
-    calls = []
+    solved, inside = [], []
     real_solve, real_lockstep = optim.lp_solve, optim.lp_solve_lockstep
 
     def counted(lp, **kwargs):
-        calls.append(lp)
+        if not inside:
+            solved.append(lp)
         return real_solve(lp, **kwargs)
 
-    def counted_lockstep(lps, start):
-        calls.extend(lps)
-        return real_lockstep(lps, start)
+    def counted_lockstep(lp, b, start):
+        solved.extend(b)
+        inside.append(lp)
+        try:
+            return real_lockstep(lp, b, start)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(optim, "lp_solve", counted)
     monkeypatch.setattr(optim, "lp_solve_lockstep", counted_lockstep)
     code, report = run_json(capsys, "repro", "three-ball-transfer", "--seed", "0")
     assert code == EXIT_OK and report["ok"]
-    # Every LP counts once, whichever entry point it goes through (one that
-    # the lockstep solves alone goes through both): 500 passing trials; the
-    # whole first chunk of 64 trials drawn ahead by the failing check, which
-    # fails at its 4th; and the 3 audited distances of the failing triple.
-    assert len({id(lp) for lp in calls}) == 500 + 64 + 3
+    # Every LP counts once, as a row of b given to the lockstep or as an
+    # `lp_solve` call from outside it (one that the lockstep solves alone is
+    # one of its rows): 500 passing trials; the whole first chunk of 64
+    # trials drawn ahead by the failing check, which fails at its 4th; and
+    # the 3 audited distances of the failing triple.
+    assert len(solved) == 500 + 64 + 3
 
 
 def test_reports_are_reproducible(capsys):

@@ -1,5 +1,3 @@
-from collections import defaultdict
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -693,13 +691,15 @@ def test_family_json_roundtrip():
 
 
 def _lockstep_spy(monkeypatch):
-    """Record [(lp, outcome), ...] of each `optim.lp_solve_lockstep` call."""
+    """Record [(lp, outcome), ...] of each `optim.lp_solve_lockstep` call,
+    one LP with each row of its b."""
     real = optim.lp_solve_lockstep
     calls = []
 
-    def capture(lps, start):
-        outs = real(lps, start)
-        calls.append(list(zip(lps, outs)))
+    def capture(lp, b, start):
+        outs = real(lp, b, start)
+        calls.append([(optim.LinearProgram(lp.objective, lp.a_ub, row), out)
+                      for row, out in zip(b, outs)])
         return outs
 
     monkeypatch.setattr(optim, "lp_solve_lockstep", capture)
@@ -708,7 +708,7 @@ def _lockstep_spy(monkeypatch):
 
 def test_three_ball_checker_re_solves_its_trials_warm(monkeypatch):
     # The checker's LPs share their rows, so all but the first start in
-    # lockstep from a held basis: each keeps the status of a fresh solve,
+    # lockstep from the first's basis: each keeps the status of a fresh solve,
     # and together, counted per LP, they take at most half the pivots.
     # Reuse that silently stops (say, rebuilt rows that differ in a -0.0)
     # costs the fresh pivot count.
@@ -736,11 +736,6 @@ def _fresh_ball_lp(space, basis, centers, radii):
         norms.add_norm_epigraph(builder, space, alphas, basis, -center, tv)
         builder.add_ub([tv], [[1.0]], [radius])
     return builder.build()
-
-
-def _outcome_bytes(out):
-    return tuple(None if a is None else a.tobytes()
-                 for a in (out.x, out.dual_ub, out.farkas_ub)) + (out.status,)
 
 
 def _chain_space(kind, n, rng):
@@ -773,10 +768,12 @@ def _chain_space(kind, n, rng):
        within=st.sampled_from(["whole", "random", "coordinate"]))
 def test_ball_lp_chain_matches_fresh_builds(seed, n, k, kind, within):
     # A chain's LP after its first is the first one with b from the norm's
-    # `epigraph_rhs`: its rows and its b are a fresh build's byte for byte,
-    # the sign of a zero included, and it solves to the same bytes, also in
-    # sum norms of 16-40 coordinates.  Centers in a coordinate subspace put
-    # exact (signed) zeros into the offsets.
+    # `epigraph_rhs`: its rows and its b are a fresh build's of the family
+    # padded to 4 balls byte for byte, the sign of a zero included, so it
+    # solves to the same bytes, also in sum norms of 16-40 coordinates.
+    # Centers in a coordinate subspace put exact (signed) zeros into the
+    # offsets.  The lockstep is a stub that finds every LP infeasible: each
+    # result's `lp` is the LP the chain gave it.
     rng = np.random.default_rng(seed)
     space = _chain_space(kind, n, rng)
     n = norms.space_dim(space)
@@ -786,44 +783,54 @@ def test_ball_lp_chain_matches_fresh_builds(seed, n, k, kind, within):
     elif within == "coordinate":
         picked = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
         sub = subspace_from_basis(n, np.eye(n)[picked])
-    lps = geometry._BallLps(space, sub)
-    basis = lps.basis
-    for trial in range(4):
-        w = basis @ rng.normal(size=basis.shape[1])
-        centers = rng.normal(size=(k, n)) * 1.5
-        if trial % 2:
-            centers = (basis @ rng.normal(size=(basis.shape[1], k))).T
-        radii = norms.eval_norm_many(space, w[None, :] - centers) * \
-            rng.uniform(0.7, 1.2, size=k)
-        chain = lps.lps(centers[None], radii[None])[0]
-        fresh = _fresh_ball_lp(space, basis, centers, radii)
+    lps = geometry._BallLps(space, sub, 4)
+    basis, pad = lps.basis, np.arange(4) % k
+    chains = []
+    stub = optim.LpOutcome(optim.INFEASIBLE)
+    real, optim.lp_solve_lockstep = optim.lp_solve_lockstep, \
+        lambda lp, b, start: [stub] * len(b)
+    try:
+        for trial in range(4):
+            w = basis @ rng.normal(size=basis.shape[1])
+            centers = rng.normal(size=(k, n)) * 1.5
+            if trial % 2:
+                centers = (basis @ rng.normal(size=(basis.shape[1], k))).T
+            radii = norms.eval_norm_many(space, w[None, :] - centers) * \
+                rng.uniform(0.7, 1.2, size=k)
+            chains.append((next(lps.intersect_all([(centers, radii)])).lp,
+                           centers, radii))
+    finally:
+        optim.lp_solve_lockstep = real
+    for chain, centers, radii in chains:
+        fresh = _fresh_ball_lp(space, basis, centers[pad], radii[pad])
         assert chain.a_ub.tobytes() == fresh.a_ub.tobytes()
         assert chain.objective.tobytes() == fresh.objective.tobytes()
         assert chain.b_ub.tobytes() == fresh.b_ub.tobytes()
-        assert _outcome_bytes(optim.lp_solve(chain)) == \
-            _outcome_bytes(optim.lp_solve(fresh))
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a non-finite ball reached the solver")
 
     bad_centers, bad_radii = centers.copy(), radii.copy()
     bad_centers[0, -1], bad_radii[-1] = np.nan, np.inf
-    real, optim.lp_solve = optim.lp_solve, no_solve
+    real = optim.lp_solve, optim.lp_solve_lockstep
+    optim.lp_solve = optim.lp_solve_lockstep = no_solve
     try:
         for c, r in ((bad_centers, radii), (centers, bad_radii)):
             with pytest.raises(ValueError):
                 lps.intersect(c, r)
+            with pytest.raises(ValueError):
+                next(lps.intersect_all([(c, r)]))
     finally:
-        optim.lp_solve = real
+        optim.lp_solve, optim.lp_solve_lockstep = real
 
 
 def _reference_central(space, sub, trials, seed):
-    """`central_subspace_check`'s trials with every LP built afresh and one
-    warm start per family size: (trials run, failing family or None, the
-    LPs built)."""
+    """`central_subspace_check`'s trials with the LP of every family, padded
+    to 4 balls by repeating its own, built afresh and solved fresh: (trials
+    run, failing family or None, the LPs built).  The LP of each family
+    unpadded has the padded LP's status."""
     n = norms.space_dim(space)
     rng = np.random.default_rng(seed)
-    starts = defaultdict(optim.LpStart)
     basis = np.array(sub.basis)
     built = []
     for trial in range(trials):
@@ -833,8 +840,12 @@ def _reference_central(space, sub, trials, seed):
         radii = norms.eval_norm_many(space, w[None, :] - centers) * \
             (1.0 + rng.uniform(0.0, 0.2, size=k))
         fam = BallFamily.from_arrays(centers, radii)
-        built.append(_fresh_ball_lp(space, basis, fam.centers, fam.radii))
-        if optim.lp_solve(built[-1], start=starts[k]).status != optim.OPTIMAL:
+        pad = np.arange(4) % k
+        built.append(_fresh_ball_lp(space, basis, fam.centers[pad], fam.radii[pad]))
+        status = optim.lp_solve(built[-1]).status
+        unpadded = _fresh_ball_lp(space, basis, fam.centers, fam.radii)
+        assert optim.lp_solve(unpadded).status == status
+        if status != optim.OPTIMAL:
             return trial + 1, fam, built
     return trials, None, built
 
@@ -885,10 +896,12 @@ def _checker_cases():
                          [pytest.param(*case, id=case[0]) for case in _checker_cases()])
 def test_checkers_match_a_fresh_build_of_every_trial(monkeypatch, name, space, sub):
     # Both checkers solve, in lockstep, the LPs that a fresh build of every
-    # trial gives (rows byte for byte, b as floats), up to their verdict and
-    # on to the end of its chunk; every outcome has the status of a fresh
-    # solve of its LP; and their verdicts, trials run and failing families
-    # are those of a reference that builds and solves one trial at a time.
+    # trial's padded family gives (rows byte for byte, b as floats), up to
+    # their verdict and on to the end of its chunk; every outcome has the
+    # status of a fresh solve of its LP, and up to the verdict every padded
+    # LP has the unpadded LP's status; and their verdicts, trials run and
+    # failing families are those of a reference that builds and solves one
+    # trial at a time.
     # The three-ball check fails on the sum summand, the polyhedral line and
     # the sup-norm plane, the central check on the two planes.
     calls = _lockstep_spy(monkeypatch)
@@ -919,20 +932,34 @@ def test_checkers_match_a_fresh_build_of_every_trial(monkeypatch, name, space, s
 
 def test_a_three_ball_check_builds_its_rows_once(monkeypatch):
     # One build for the first trial's LP; every later trial only computes b.
-    # A one-shot query builds once too.
+    # A central check pads its families of 2-4 balls to 4, so it too is one
+    # chain: one build and one LP solved alone, its first.  A one-shot
+    # query builds once too.
     data = instances.mideal_scenarios()
-    real = optim.LpBuilder.build
-    builds = []
+    real_build, real_solve = optim.LpBuilder.build, optim.lp_solve
+    builds, solves = [], []
 
     def counted(self):
         builds.append(1)
-        return real(self)
+        return real_build(self)
+
+    def counted_solve(lp, **kwargs):
+        solves.append(lp)
+        return real_solve(lp, **kwargs)
 
     monkeypatch.setattr(optim.LpBuilder, "build", counted)
+    monkeypatch.setattr(optim, "lp_solve", counted_solve)
     verdict = mideal_three_ball_check(data["max_space"], data["first_summand"],
                                       trials=200, eps=1e-6, seed=0)
     assert verdict.passed and verdict.trials_run == 200
     assert len(builds) == 1
+    builds.clear()
+    solves.clear()
+    # the passing `property central` instance of the benchmark's cli workload
+    central = central_subspace_check(linf(5), subspace_from_basis(5, np.eye(5)[[1, 3]]),
+                                     trials=25, seed=0)
+    assert central.passed and central.trials_run == 25
+    assert len(builds) == len(solves) == 1
     builds.clear()
     balls_intersect(linf(3), reference_family(), plane())
     assert len(builds) == 1

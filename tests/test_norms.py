@@ -210,6 +210,28 @@ def test_esum_l1_weights_is_sum_of_component_norms():
         assert eval_norm(space, x) == pytest.approx(expected, abs=1e-12)
 
 
+def test_weighted_norm_builds_its_polyhedral_form_once(monkeypatch):
+    # The LP rows of an E-sum with a weighted sup-norm combiner come from
+    # the combiner's polyhedral form, built with the norm: no
+    # MonotonePolyhedralNorm is constructed while rows are added.
+    space = make_esum([linf(2), l1(1)], weighted_lp(np.inf, [1.0, 1.5]))
+    real = norms.MonotonePolyhedralNorm.__post_init__
+    built = []
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(norms.MonotonePolyhedralNorm, "__post_init__", counted)
+    builder = optim.LpBuilder()
+    cols = builder.new_vars(3)
+    for _ in range(3):
+        add_norm_epigraph(builder, space, cols, np.eye(3), np.array([1.0, -2.0, 0.5]),
+                          builder.new_var())
+    assert built == []
+    assert builder.build().a_ub.shape[0] > 0
+
+
 def test_esum_linf_weights_matches_direct_sum_max():
     comps = [l1(2), l1(2)]
     esum = make_esum(comps, weighted_lp(np.inf, [1.0, 1.0]))

@@ -763,9 +763,9 @@ def test_warm_chain_agrees_with_fresh_solves(seed, n, extra, n_eq, length,
                                              zero_c):
     # One start carried along a chain of right-hand sides over fixed rows,
     # one LP per `lp_solve_lockstep` call: each LP after the first starts
-    # from the basis that the one before left, agrees with a fresh solve of
-    # the same LP, in status and value, and passes its own audit, and none
-    # of them was solved alone, so none fell back to a fresh solve.
+    # from the basis that the first left, agrees with a fresh solve of the
+    # same LP, in status and value, and passes its own audit, and none of
+    # them was solved alone, so none fell back to a fresh solve.
     rng = np.random.default_rng(seed)
     a_ub = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(extra, n))])
     a_eq = rng.normal(size=(n_eq, n))
@@ -775,7 +775,7 @@ def test_warm_chain_agrees_with_fresh_solves(seed, n, extra, n_eq, length,
     with mock.patch.object(optim, "lp_solve", wraps=optim.lp_solve) as alone:
         for _ in range(length):
             lps.append(_chain_lp(rng, a_ub, a_eq, c, infeasible=rng.random() < 0.25))
-            warm, = optim.lp_solve_lockstep(lps[-1:], start)
+            warm, = optim.lp_solve_lockstep(lps[0], lps[-1].b_ub[None], start)
             fresh = lp_solve(lps[-1])
             assert start._dual is not None
             assert warm.status == fresh.status
@@ -785,7 +785,8 @@ def test_warm_chain_agrees_with_fresh_solves(seed, n, extra, n_eq, length,
                 assert abs(warm.value - fresh.value) <= 1e-9 * max(1.0, abs(fresh.value))
             else:
                 assert verify_farkas(lps[-1], warm.farkas_ub)
-    assert [call.args[0] for call in alone.call_args_list] == lps[:1]
+    assert [call.args[0].b_ub.tobytes() for call in alone.call_args_list] == \
+        [lps[0].b_ub.tobytes()]
 
 
 def _outcome_bytes(out):
@@ -939,13 +940,14 @@ def _lockstep_chains():
                norms.subspace_from_basis(3, np.eye(3)[[0]]))]
     chains = []
     for space, sub in spaces:
-        lps = geometry._BallLps(space, sub)
         n = norms.space_dim(space)
+        basis = np.eye(n) if sub is None else sub.basis
         centers = rng.normal(size=(40, 3, n)) * 1.5
         w = rng.normal(size=(40, n))
         radii = norms.eval_norm_many(space, (w[:, None, :] - centers).reshape(-1, n))
         radii = radii.reshape(40, 3) * rng.choice([0.3, 1.0, 1.2], size=(40, 1))
-        chains.append(lps.lps(centers, radii))
+        chains.append([geometry._ball_lp(space, basis, c, r)
+                       for c, r in zip(centers, radii)])
     for n in (2, 3, 4):
         a_ub = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(5, n))])
         c = rng.normal(size=n)
@@ -955,11 +957,18 @@ def _lockstep_chains():
     return chains
 
 
+def _rhs(lps):
+    """The (K, m) right-hand sides of `lp_solve_lockstep` for `lps`."""
+    return np.array([lp.b_ub for lp in lps])
+
+
 def test_lockstep_chain_agrees_with_fresh_solves(monkeypatch):
     # The first LP of a chain is solved alone and the rest in lockstep from
     # its basis: every outcome has a fresh solve's status and value and
-    # passes its own audit, none needed a fresh solve, and the chain keeps
-    # the basis of its last LP, which is optimal for that LP at once.
+    # passes its own audit, and none needed a fresh solve.  The chain keeps
+    # the first LP's basis: a later batch of the whole chain solves nothing
+    # alone, the first LP makes no pivot there, and every other LP makes
+    # the pivots it made in the first batch.
     alone = []
     real = optim.lp_solve
 
@@ -973,9 +982,9 @@ def test_lockstep_chain_agrees_with_fresh_solves(monkeypatch):
         start = optim.LpStart()
         monkeypatch.setattr(optim, "lp_solve", counted)
         alone.clear()
-        outs = optim.lp_solve_lockstep(lps, start)
+        outs = optim.lp_solve_lockstep(lps[0], _rhs(lps), start)
         monkeypatch.undo()
-        assert alone == [lps[0]]
+        assert [lp.b_ub.tobytes() for lp in alone] == [lps[0].b_ub.tobytes()]
         assert len(outs) == len(lps)
         for lp, out in zip(lps, outs):
             fresh = lp_solve(lp)
@@ -986,8 +995,14 @@ def test_lockstep_chain_agrees_with_fresh_solves(monkeypatch):
             else:
                 assert verify_farkas(lp, out.farkas_ub)
         assert sum(out.iterations for out in outs[1:]) > 0
-        again = lp_solve(lps[-1], start=start)
-        assert again.status == outs[-1].status and again.iterations == 0
+        monkeypatch.setattr(optim, "lp_solve", counted)
+        alone.clear()
+        again = optim.lp_solve_lockstep(lps[0], _rhs(lps), start)
+        monkeypatch.undo()
+        assert alone == []
+        assert [out.status for out in again] == [out.status for out in outs]
+        assert [out.iterations for out in again] == \
+            [0] + [out.iterations for out in outs[1:]]
 
 
 @pytest.mark.parametrize("degenerate_run", [optim._DEGENERATE_RUN, 2])
@@ -1024,7 +1039,7 @@ def test_lockstep_pivots_as_a_warm_scalar_solve(monkeypatch, degenerate_run):
             warm.append(optim._solve(lp, None, dual))
             sequences.append(list(scalar))
         stacked.clear()
-        outs = optim.lp_solve_lockstep(lps[1:], start)
+        outs = optim.lp_solve_lockstep(lps[0], _rhs(lps[1:]), start)
         # the stack's i-th pivot moves every LP that pivots i times or more
         assert stacked == [[seq[i] for seq in sequences if len(seq) > i]
                            for i in range(max(map(len, sequences)))]
@@ -1055,18 +1070,19 @@ def test_lockstep_falls_back_to_blands_rule(monkeypatch):
     monkeypatch.setattr(optim, "_DEGENERATE_RUN", 2)
     lps = _lockstep_chains()[2]
     n_cols = lps[0].a_ub.shape[0]
-    outs = optim.lp_solve_lockstep(lps, optim.LpStart())
+    outs = optim.lp_solve_lockstep(lps[0], _rhs(lps), optim.LpStart())
     assert sum(bland) > 0
     for lp, out in zip(lps, outs):
         assert out.status == lp_solve(lp).status
 
 
 def test_lockstep_solves_a_failed_audit_again_alone(monkeypatch):
-    # The stacked audit fails for one optimal LP only: that LP is
-    # solved again by lp_solve, alone and fresh, and its iterations count
-    # the pivots of both solves.
+    # The stacked audit fails for one optimal LP only: that LP is solved
+    # again by lp_solve, alone and fresh, with no start, and its iterations
+    # count the pivots of both solves.  The only other call of lp_solve is
+    # the chain's first LP, given the chain's start.
     lps = _lockstep_chains()[4][:8]
-    reference = optim.lp_solve_lockstep(lps, optim.LpStart())
+    reference = optim.lp_solve_lockstep(lps[0], _rhs(lps), optim.LpStart())
     target = next(i for i in range(1, 8) if reference[i].status == optim.OPTIMAL)
     real_audit, real_solve = optim._optimal_stack, optim.lp_solve
     calls = []
@@ -1077,25 +1093,16 @@ def test_lockstep_solves_a_failed_audit_again_alone(monkeypatch):
         return holds
 
     def solve(lp, **kwargs):
-        start = kwargs.get("start")
-        calls.append((lp, start is not None and start._key is not None))
+        calls.append((lp.b_ub.tobytes(), "start" in kwargs))
         return real_solve(lp, **kwargs)
 
     monkeypatch.setattr(optim, "_optimal_stack", audit)
     monkeypatch.setattr(optim, "lp_solve", solve)
-    outs = optim.lp_solve_lockstep(lps, optim.LpStart())
-    assert [(lp, warm) for lp, warm in calls] == [(lps[0], False), (lps[target], False)]
+    outs = optim.lp_solve_lockstep(lps[0], _rhs(lps), optim.LpStart())
+    assert calls == [(lps[0].b_ub.tobytes(), True), (lps[target].b_ub.tobytes(), False)]
     assert lps[0].objective.any()
     fresh = real_solve(lps[target])
     assert np.array_equal(outs[target].x, fresh.x)
     assert outs[target].iterations == reference[target].iterations + fresh.iterations
     for out, ref in zip(outs, reference):
         assert out.status == ref.status
-
-
-def test_lockstep_needs_one_set_of_rows():
-    lps = _lockstep_chains()[3][:3]
-    other = optim.LinearProgram(lps[0].objective, lps[0].a_ub.copy(), lps[0].b_ub)
-    other.a_ub[0, 0] += 1.0
-    with pytest.raises(ValueError):
-        optim.lp_solve_lockstep([*lps, other], optim.LpStart())
