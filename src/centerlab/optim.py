@@ -64,10 +64,10 @@ that basis, dual feasible for every b, into one (K, n_vars + 1, cols)
 stack, loads each b as its LP's own cost row (`_DualTableau.load_stack`,
 the one code that loads a new b into a held tableau) and pivots every
 unfinished LP at once under `_run_simplex`'s rules, each with its own count
-of degenerate pivots (`_run_stack`).  Tight points, duals, Farkas
-multipliers and the audits are computed on stacked arrays, with the
-conditions of the scalar audits; an LP that breaks down or fails its audit
-is solved again alone and fresh.
+of degenerate pivots (`_run_stack`).  To the code that reads and audits
+outcomes (`_read_outcomes`), a single solve is a stack of one, so tight
+points, duals, Farkas multipliers and both audits are coded once; an LP
+of a stack that breaks down or fails its audit is solved again alone.
 
 A lexicographic tie-break among optimal points runs on the final tableau of
 the same solve as dual-simplex stages: each stage sets the right-hand side
@@ -112,18 +112,6 @@ class LinearProgram:
     @property
     def n_vars(self) -> int:
         return self.objective.shape[0]
-
-
-def make_lp(objective, a_ub=None, b_ub=None) -> LinearProgram:
-    c = np.asarray(objective, dtype=float).ravel()
-    n = c.shape[0]
-    if a_ub is None or len(a_ub) == 0:
-        return _finite_lp(c, np.zeros((0, n)), np.zeros(0))
-    a_ub = np.asarray(a_ub, dtype=float).reshape(-1, n)
-    b_ub = np.asarray(b_ub, dtype=float).ravel()
-    if a_ub.shape[0] != b_ub.shape[0]:
-        raise ValueError("constraint matrix and rhs row counts differ")
-    return _finite_lp(c, a_ub, b_ub)
 
 
 def _finite_lp(*arrays) -> LinearProgram:
@@ -265,7 +253,9 @@ def _run_simplex(t, basis, n_struct, max_iter, phase_1=False):
     rhs = t[:m, -1]
     costs = t[-1, :n_struct]
     no_index = t.shape[1]  # above every column index
+    no_ratio = np.full(m, np.inf)  # copied as each ratio test's start
     art_rows = basis >= n_struct
+    arts = int(art_rows.sum())  # artificials still basic; none comes back
     open_cols = None
     pivots = degenerate = 0
     for _ in range(max_iter):
@@ -277,10 +267,10 @@ def _run_simplex(t, basis, n_struct, max_iter, phase_1=False):
         if not priced[j] < -_RCOST_TOL:
             return OPTIMAL, pivots, -1
         col = t[:m, j]
-        ratios = np.full(m, np.inf)
+        ratios = no_ratio.copy()
         np.divide(rhs, col, out=ratios, where=col > _PIVOT_TOL)
         held = None
-        if art_rows.any():
+        if arts:
             held = art_rows & (rhs == 0.0)
             ratios[held & (np.abs(col) > _PIVOT_TOL)] = 0.0
         least = ratios.min()
@@ -297,6 +287,7 @@ def _run_simplex(t, basis, n_struct, max_iter, phase_1=False):
         _pivot(t, leave, j)
         pivots += 1
         basis[leave] = j
+        arts -= bool(art_rows[leave])
         art_rows[leave] = False
         if held is not None:
             rhs[held] = 0.0
@@ -500,31 +491,9 @@ class _DualTableau:
         t[:, -1] -= (priced[at, basis][:, None, :] @ t[:, :-1])[:, 0]
         return t, basis, costs, scale
 
-    def duals(self, y: np.ndarray) -> np.ndarray:
-        """The caller's multipliers for the scaled dual columns y."""
-        return y[:self.n_cols] / self.scale[:self.n_cols]
-
-    def tight_point(self) -> np.ndarray | None:
-        """The primal point that the basis holds tight: a_j x = b_j for
-        each basic dual column j, and x_i = 0 for each artificial left basic
-        in row i; None when that system is numerically singular.
-
-        The system is the transposed basis with its rows unflipped, solved
-        afresh from the scaled rows, then given one step of iterative
-        refinement: the residual of the caller's rows, scaled, mapped
-        through the basis inverse that the artificial columns carry."""
-        b = self.basis
-        rows = self.columns[:, b].T * self.tau
-        scale = self.scale[b]
-        try:
-            x = np.linalg.solve(rows / scale[:, None], self.costs[b] / scale)
-        except np.linalg.LinAlgError:
-            return None
-        ext = np.longdouble
-        resid = self.costs[b].astype(ext) - rows.astype(ext) @ x.astype(ext)
-        x += self.tau * ((resid.astype(float) / scale)
-                         @ self.t[:-1, self.n_cols:-1])
-        return x if np.isfinite(x).all() else None
+    def stack(self) -> tuple:
+        """This tableau as a stack of one: (t, basis, costs, scale)."""
+        return self.t[None], self.basis[None], self.costs[None], self.scale[None]
 
 
 def _lex_refine(lp, dual, refine, x, value):
@@ -552,11 +521,11 @@ def _lex_refine(lp, dual, refine, x, value):
             return x, pivots, _stopped(idx, status)
         if it == 0:
             continue
-        cand = dual.tight_point()
-        if cand is None:
+        cand = _tight_points(dual, *dual.stack())[0]
+        if not np.isfinite(cand).all():
             return x, pivots, _stopped(idx, "singular basis")
         drift = abs(float(lp.objective @ cand) - value)
-        if not (_primal_feasible(lp, cand)
+        if not (_primal_feasible(lp.a_ub, lp.b_ub, cand).all()
                 and drift <= FEAS_TOL * max(1.0, abs(value))):
             return x, pivots, _stopped(idx, "failed the optimality audit")
         x = cand
@@ -598,9 +567,9 @@ def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None,
     Deterministic: identical inputs yield bit-identical outcomes.  Numerical
     failure surfaces as status "breakdown" and is never folded into
     "infeasible".  Every verdict is audited against the original system
-    before it is returned: an optimum (before refinement) by
-    `verify_optimal`, Farkas multipliers by `verify_farkas`, a ray by
-    `verify_ray`; a failed audit is a breakdown whose message says which.
+    before it is returned, an optimum before refinement: by `_read_outcomes`
+    as a stack of one (the audits of `verify_optimal` and `verify_farkas`)
+    or, for a ray, by `verify_ray`; a failed audit is a breakdown saying why.
 
     The simplex runs on the dual standard form (see `_DualTableau`), whose
     tableau has n_vars + 1 rows however many constraints there are.  An
@@ -689,8 +658,7 @@ def _solve(lp: LinearProgram, refine: Sequence[int] | None,
                                       phase_1=True)
         it1 += crashed
         if status != OPTIMAL:
-            return LpOutcome(BREAKDOWN, iterations=it1,
-                             message=f"phase 1 ended with {status}")
+            return _breakdown(it1, f"phase 1 ended with {status}")
         if t[:-1, -1][basis >= n_cols].sum() > FEAS_TOL * max(1.0, level):
             # No dual point: the phase-1 multipliers are a primal ray, and
             # the dual of the feasibility problem (c = 0) starts from this
@@ -706,47 +674,17 @@ def _solve(lp: LinearProgram, refine: Sequence[int] | None,
     status, it2, enter = _run_simplex(t, basis, n_cols, dual.max_iter)
     iterations = it1 + it2
 
-    if status == UNBOUNDED:
-        # A dual ray: y >= 0 with A^T y = 0 and b.y < 0, given one step of
-        # iterative refinement through the basis inverse.
-        y = np.zeros(t.shape[1] - 1)
-        y[enter] = 1.0
-        y[basis] = -t[:-1, enter]
-        y[basis] -= t[:-1, n_cols:-1] @ (dual.columns / dual.scale @ y)
-        lam = dual.duals(y)
-        lam = np.where(lam > 0, lam, 0.0)
-        lam = lam / max(1.0, float(lam.max(initial=0.0)))
-        if verify_farkas(lp, lam):
-            return LpOutcome(INFEASIBLE, farkas_ub=lam, iterations=iterations)
-        return LpOutcome(BREAKDOWN, iterations=iterations,
-                         message="infeasible claim failed the Farkas audit")
-    if status != OPTIMAL:
-        return LpOutcome(BREAKDOWN, iterations=iterations,
-                         message="phase 2 did not terminate")
-    if ray is not None:
+    if ray is not None and status == OPTIMAL:
         if not verify_ray(lp, ray):
-            return LpOutcome(BREAKDOWN, iterations=iterations,
-                             message="unbounded claim failed the ray audit")
+            return _breakdown(iterations, "unbounded claim failed the ray audit")
         return LpOutcome(UNBOUNDED, ray=ray, iterations=iterations)
-
-    x = dual.tight_point()
-    if x is None:
-        return LpOutcome(BREAKDOWN, iterations=iterations,
-                         message="optimal basis is singular")
-    y = np.zeros(t.shape[1] - 1)
-    y[basis] = t[:-1, -1]
-    lam = dual.duals(y)
-    lam = np.where(lam > 0, lam, 0.0)
-    out = LpOutcome(OPTIMAL, x=x, value=float(lp.objective @ x), dual_ub=lam,
-                    iterations=iterations)
-    if not verify_optimal(lp, out):
-        return LpOutcome(BREAKDOWN, x=x, iterations=iterations,
-                         message="optimal claim failed the optimality audit")
-    if refine is None:
+    out = _read_outcomes(lp, dual, dual.stack(), [status], [iterations],
+                         [enter])[0]
+    if refine is None or out.status != OPTIMAL:
         return out
-    x, pivots, message = _lex_refine(lp, dual, refine, x, out.value)
-    return LpOutcome(OPTIMAL, x=x, value=out.value, dual_ub=lam,
-                     iterations=iterations + pivots, message=message)
+    x, pivots, message = _lex_refine(lp, dual, refine, out.x, out.value)
+    return replace(out, x=x, iterations=out.iterations + pivots,
+                   message=message)
 
 
 def lp_solve_lockstep(lp: LinearProgram, b: np.ndarray, start: LpStart
@@ -761,11 +699,10 @@ def lp_solve_lockstep(lp: LinearProgram, b: np.ndarray, start: LpStart
     The rest start from that basis, dual feasible for every b, copied into
     a (K, n_vars + 1, cols) stack with each b loaded as its LP's own cost
     row (`_DualTableau.load_stack`), and every unfinished LP pivots at once
-    (`_run_stack`).  Each LP's tight point, with its one refinement step,
-    its duals or its Farkas multipliers are read off its own tableau and
-    audited as `_solve` audits them.  An LP that breaks down or fails its
-    audit is solved again alone and fresh by `lp_solve`, and its
-    `iterations` count the pivots of both.
+    (`_run_stack`).  Their outcomes are read and audited as a single solve's
+    are (`_read_outcomes`); an LP that breaks down or fails its audit is
+    solved again alone and fresh by `lp_solve`, and its `iterations` count
+    the pivots of both.
     """
     outs = []
     while len(outs) < len(b) and start._dual is None:
@@ -778,69 +715,95 @@ def lp_solve_lockstep(lp: LinearProgram, b: np.ndarray, start: LpStart
 def _solve_stack(lp: LinearProgram, b: np.ndarray, held) -> list[LpOutcome]:
     """The stacked solve of `lp_solve_lockstep`, from `held`, a tableau of
     the rows and objective of `lp`, which it leaves as it is."""
-    k, n_cols = len(b), held.n_cols
-    t, basis, costs, scale = held.load_stack(b)
-    status, pivots, enter = _run_stack(t, basis, n_cols, held.max_iter)
-
-    objective, a_ub = lp.objective, lp.a_ub
-    outs: list = [None] * k
-    opt = np.flatnonzero(status == OPTIMAL)
-    if opt.size:
-        x = _tight_points(held, t[opt], basis[opt], costs[opt], scale[opt])
-        y = np.zeros((opt.size, t.shape[2] - 1))
-        y[np.arange(opt.size)[:, None], basis[opt]] = t[opt, :-1, -1]
-        lam = y[:, :n_cols] / scale[opt, :n_cols]
-        lam = np.where(lam > 0, lam, 0.0)
-        value = np.vecdot(x, objective)
-        good = _optimal_stack(objective, a_ub, b[opt], x, lam, value)
-        for i, ok, xi, li, vi in zip(opt, good, x, lam, value):
-            if ok:
-                outs[i] = LpOutcome(OPTIMAL, x=xi, value=float(vi), dual_ub=li,
-                                    iterations=int(pivots[i]))
-    ray = np.flatnonzero(status == UNBOUNDED)
-    if ray.size:
-        lam = _farkas_multipliers(held, t[ray], basis[ray], enter[ray], scale[ray])
-        for i, ok, li in zip(ray, _farkas_stack(a_ub, b[ray], lam), lam):
-            if ok:
-                outs[i] = LpOutcome(INFEASIBLE, farkas_ub=li,
-                                    iterations=int(pivots[i]))
-    for i in range(k):
-        if outs[i] is None:
-            # a breakdown or a failed audit: solved again alone and fresh
-            out = lp_solve(replace(lp, b_ub=b[i]))
-            outs[i] = replace(out, iterations=int(pivots[i]) + out.iterations)
+    stack = held.load_stack(b)
+    status, pivots, enter = _run_stack(*stack[:2], held.n_cols, held.max_iter)
+    outs = _read_outcomes(lp, held, stack, status, pivots.tolist(), enter)
+    for i, out in enumerate(outs):
+        if out.status == BREAKDOWN:
+            # solved again alone and fresh
+            again = lp_solve(replace(lp, b_ub=b[i]))
+            outs[i] = replace(again, iterations=out.iterations + again.iterations)
     return outs
 
 
+def _read_outcomes(lp: LinearProgram, held: _DualTableau, stack: tuple,
+                   status, pivots, enter) -> list[LpOutcome]:
+    """The audited outcome of each LP of a stack after phase 2, the one
+    read-out of `lp_solve` (a stack of one) and `lp_solve_lockstep`:
+    `stack` is the (t, basis, costs, scale) of tableaus with the rows and
+    objective of `lp` and `held`, and status, pivots (ints) and enter are
+    phase 2's, one per LP.  An optimum gives the duals as its basic values
+    and x as its tight point; a dual ray gives Farkas multipliers.  Any
+    other LP, or one that fails its audit, is a breakdown saying why."""
+    n_cols, outs = held.n_cols, [None] * len(status)
+    opt = [i for i, s in enumerate(status) if s == OPTIMAL]
+    if opt:
+        t, basis, costs, scale = _select(stack, opt)
+        x = _tight_points(held, t, basis, costs, scale)
+        y = np.zeros((len(opt), t.shape[2] - 1))
+        y[np.arange(len(opt))[:, None], basis] = t[:, :-1, -1]
+        lam = np.where(y[:, :n_cols] > 0, y[:, :n_cols] / scale[:, :n_cols], 0.0)
+        value = np.vecdot(x, lp.objective)
+        good = _optimal_stack(lp.objective, lp.a_ub, costs[:, :n_cols], x, lam, value)
+        for i, ok, xi, li, vi in zip(opt, good.tolist(), x, lam, value.tolist()):
+            outs[i] = (LpOutcome(OPTIMAL, x=xi, value=vi, dual_ub=li, iterations=pivots[i])
+                       if ok else _breakdown(pivots[i], "optimal basis is singular"
+                                             if not np.isfinite(xi).all() else
+                                             "optimal claim failed the optimality audit"))
+    ray = [i for i, s in enumerate(status) if s == UNBOUNDED]
+    if ray:
+        t, basis, costs, scale, enter = _select((*stack, enter), ray)
+        lam = _farkas_multipliers(held, t, basis, enter, scale)
+        good = _farkas_stack(lp.a_ub, costs[:, :n_cols], lam)
+        for i, ok, li in zip(ray, good.tolist(), lam):
+            outs[i] = (LpOutcome(INFEASIBLE, farkas_ub=li, iterations=pivots[i])
+                       if ok else _breakdown(
+                           pivots[i], "infeasible claim failed the Farkas audit"))
+    return [out or _breakdown(p, "phase 2 did not terminate")
+            for out, p in zip(outs, pivots)]
+
+
+def _breakdown(pivots: int, message: str) -> LpOutcome:
+    return LpOutcome(BREAKDOWN, iterations=pivots, message=message)
+
+
+def _select(stack: tuple, at: list) -> tuple:
+    """The LPs `at` of each array of a stack; the stack when that is all."""
+    return stack if len(at) == len(stack[0]) else [np.asarray(a)[at] for a in stack]
+
+
 def _optimal_stack(objective, a_ub, b_ub, x, lam, value):
-    """`verify_optimal`'s conditions, with x finite, for each LP of a stack
-    with this objective and these rows: b_ub, x, lam and value carry one
-    LP per row."""
-    slack = x @ a_ub.T - b_ub
-    grad = objective + lam @ a_ub
-    scale = np.maximum(max(1.0, float(np.abs(objective).max(initial=0.0))),
-                       np.abs(lam).max(1, initial=0.0))
-    gap = np.abs(-np.vecdot(lam, b_ub) - value)
-    return (np.isfinite(x).all(1)
-            & ~(slack > FEAS_TOL * np.maximum(1.0, np.abs(b_ub))).any(1)
-            & ~(lam.min(1, initial=0.0) < -FEAS_TOL)
-            & ~(np.abs(grad).max(1, initial=0.0) > _OPT_TOL * scale)
-            & (gap <= _OPT_TOL * np.maximum(1.0, np.abs(value))))
+    """The optimality audit of one LP, or of a stack with one LP per row of
+    b_ub, x, lam and value: x finite and feasible, lam >= -FEAS_TOL, and
+    stationarity and zero duality gap to _OPT_TOL relative."""
+    scale = np.abs(lam).max(-1, initial=np.abs(objective).max(initial=1.0))
+    gap = np.abs(np.vecdot(lam, b_ub) + value)
+    return np.concatenate([
+        np.isfinite(x), _primal_feasible(a_ub, b_ub, x), lam >= -FEAS_TOL,
+        np.abs(objective + lam @ a_ub) <= _OPT_TOL * scale[..., None],
+        (gap <= _OPT_TOL * np.maximum(1.0, np.abs(value)))[..., None]], -1).all(-1)
 
 
 def _farkas_stack(a_ub, b_ub, lam):
-    """`verify_farkas`'s conditions for each LP of a stack with these rows:
-    b_ub and lam carry one LP per row."""
-    coeff_scale = max(1.0, float(np.abs(a_ub).max(initial=0.0)))
-    return (~(lam.min(1, initial=0.0) < -FEAS_TOL)
-            & ~(np.abs(lam @ a_ub).max(1, initial=0.0) > 100 * FEAS_TOL * coeff_scale)
+    """The Farkas audit of one LP, or of a stack with one LP per row of b_ub
+    and lam: lam >= -FEAS_TOL, the rows' combination vanishes, lam.b < -FEAS_TOL."""
+    coeff_scale = np.abs(a_ub).max(initial=1.0)
+    vanish = np.abs(lam @ a_ub) <= 100 * FEAS_TOL * coeff_scale
+    return (np.concatenate([lam >= -FEAS_TOL, vanish], -1).all(-1)
             & (np.vecdot(lam, b_ub) < -FEAS_TOL))
 
 
 def _tight_points(held, t, basis, costs, scale):
-    """`_DualTableau.tight_point` of each tableau of a stack with the rows
-    of `held`, its bases, costs and scales; a row of NaN where that system
-    is numerically singular."""
+    """The primal point that each basis of a stack holds tight, for
+    tableaus with the rows of `held` and these bases, costs and scales:
+    a_j x = b_j for each basic dual column j, and x_i = 0 for each
+    artificial left basic in row i; not finite where that system is
+    numerically singular.
+
+    The system is the transposed basis with its rows unflipped, solved
+    afresh from the scaled rows, then given one step of iterative
+    refinement: the residual of the caller's rows, scaled, mapped through
+    the basis inverse that the artificial columns carry."""
     rows = held.columns[:, basis].transpose(1, 2, 0) * held.tau
     at = np.arange(len(basis))[:, None]
     s, c = scale[at, basis], costs[at, basis]
@@ -861,9 +824,11 @@ def _tight_points(held, t, basis, costs, scale):
 
 
 def _farkas_multipliers(held, t, basis, enter, scale):
-    """The Farkas multipliers that `_solve` reads off an unbounded dual
-    ray, for each tableau of a stack with the rows of `held`, entering
-    columns `enter`, bases and scales."""
+    """The Farkas multipliers of the unbounded dual ray of each tableau of
+    a stack with the rows of `held`, entering columns `enter`, bases and
+    scales: y >= 0 with A^T y = 0 and b.y < 0, given one step of iterative
+    refinement through the basis inverse, in the caller's units, scaled to
+    a largest entry of at most 1."""
     at, n_cols = np.arange(len(enter)), held.n_cols
     y = np.zeros((len(enter), t.shape[2] - 1))
     y[at, enter] = 1.0
@@ -872,24 +837,18 @@ def _farkas_multipliers(held, t, basis, enter, scale):
     y[at[:, None], basis] -= fix[..., 0]
     lam = y[:, :n_cols] / scale[:, :n_cols]
     lam = np.where(lam > 0, lam, 0.0)
-    return lam / np.maximum(1.0, lam.max(1, initial=0.0))[:, None]
+    return lam / lam.max(1, keepdims=True, initial=1.0)
 
 
-def _primal_feasible(lp: LinearProgram, x: np.ndarray) -> bool:
-    slack = lp.a_ub @ x - lp.b_ub
-    return not (slack > FEAS_TOL * np.maximum(1.0, np.abs(lp.b_ub))).any()
+def _primal_feasible(a_ub, b_ub, x):
+    """Row by row, whether x keeps a_ub x <= b_ub to FEAS_TOL * max(1, |b|)."""
+    return x @ a_ub.T - b_ub <= FEAS_TOL * np.maximum(1.0, np.abs(b_ub))
 
 
 def verify_farkas(lp: LinearProgram, lam: np.ndarray) -> bool:
-    """Check that lam proves infeasibility: lam >= 0, the combination of
-    the rows vanishes, and the combined right-hand side is < -FEAS_TOL."""
-    if float(lam.min(initial=0.0)) < -FEAS_TOL:
-        return False
-    combo = lam @ lp.a_ub
-    coeff_scale = max(1.0, float(np.abs(lp.a_ub).max(initial=0.0)))
-    if float(np.abs(combo).max(initial=0.0)) > 100 * FEAS_TOL * coeff_scale:
-        return False
-    return float(lam @ lp.b_ub) < -FEAS_TOL
+    """Check that lam proves `lp` infeasible: `lp_solve`'s Farkas audit
+    (`_farkas_stack`) on this one LP."""
+    return bool(_farkas_stack(lp.a_ub, lp.b_ub, lam))
 
 
 def verify_ray(lp: LinearProgram, ray: np.ndarray) -> bool:
@@ -906,22 +865,10 @@ def verify_ray(lp: LinearProgram, ray: np.ndarray) -> bool:
 
 
 def verify_optimal(lp: LinearProgram, out: LpOutcome) -> bool:
-    """Primal feasibility, dual sign, stationarity, and zero duality gap,
-    the last two to _OPT_TOL relative."""
-    if out.status != OPTIMAL or out.x is None:
-        return False
-    if not _primal_feasible(lp, out.x):
-        return False
-    lam = out.dual_ub if out.dual_ub is not None else np.zeros(lp.a_ub.shape[0])
-    if float(lam.min(initial=0.0)) < -FEAS_TOL:
-        return False
-    grad = lp.objective + lam @ lp.a_ub
-    scale = max(1.0, float(np.abs(lp.objective).max(initial=0.0)),
-                float(np.abs(lam).max(initial=0.0)))
-    if float(np.abs(grad).max(initial=0.0)) > _OPT_TOL * scale:
-        return False
-    dual_val = -float(lam @ lp.b_ub)
-    return abs(dual_val - out.value) <= _OPT_TOL * max(1.0, abs(out.value))
+    """Check that `out` is an optimum of `lp`: `lp_solve`'s optimality
+    audit (`_optimal_stack`) on this one LP."""
+    return out.status == OPTIMAL and bool(_optimal_stack(
+        lp.objective, lp.a_ub, lp.b_ub, out.x, out.dual_ub, out.value))
 
 
 def lp_solve_lex(lp: LinearProgram,

@@ -50,6 +50,7 @@ from oracles import (
     svd_rank,
     symmetrized_by_loop,
 )
+from test_optim import make_lp
 
 
 def random_polyhedral(rng, dim, n_gens=4):
@@ -621,8 +622,8 @@ def test_epigraph_encoder_exactness():
         pin = np.zeros((2, lp.n_vars))
         pin[0, cols[0]] = 1.0
         pin[1, cols[1]] = 1.0
-        pinned = optim.make_lp(lp.objective, np.vstack([lp.a_ub, pin, -pin]),
-                               np.concatenate([lp.b_ub, u0, -u0]))
+        pinned = make_lp(lp.objective, np.vstack([lp.a_ub, pin, -pin]),
+                         np.concatenate([lp.b_ub, u0, -u0]))
         out = optim.lp_solve(pinned)
         exact = out.status == optim.OPTIMAL and out.value == pytest.approx(
             eval_norm(space, mat @ u0 + off), abs=1e-8)

@@ -1,5 +1,6 @@
 import copy
 import itertools
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -13,11 +14,24 @@ from centerlab.optim import (
     enumerate_vertices,
     lp_solve,
     lp_solve_lex,
-    make_lp,
     verify_farkas,
     verify_optimal,
     verify_ray,
 )
+
+
+def make_lp(objective, a_ub=None, b_ub=None) -> optim.LinearProgram:
+    """The LP min objective @ u s.t. a_ub @ u <= b_ub from array-likes, with
+    no rows when a_ub is None or empty."""
+    c = np.asarray(objective, dtype=float).ravel()
+    n = c.shape[0]
+    if a_ub is None or len(a_ub) == 0:
+        return optim._finite_lp(c, np.zeros((0, n)), np.zeros(0))
+    a_ub = np.asarray(a_ub, dtype=float).reshape(-1, n)
+    b_ub = np.asarray(b_ub, dtype=float).ravel()
+    if a_ub.shape[0] != b_ub.shape[0]:
+        raise ValueError("constraint matrix and rhs row counts differ")
+    return optim._finite_lp(c, a_ub, b_ub)
 
 
 def brute_force_lp_2var(c, a_ub, b_ub):
@@ -282,9 +296,9 @@ def test_lex_refinement_keeps_last_audited_point(monkeypatch):
     audits = []
     real = optim._primal_feasible
 
-    def audit(lp_, x):
+    def audit(a_ub, b_ub, x):
         audits.append(x)
-        return real(lp_, x) and len(audits) == 1
+        return real(a_ub, b_ub, x) & (len(audits) == 1)
 
     monkeypatch.setattr(optim, "_primal_feasible", audit)
     out = lp_solve_lex(lp)
@@ -687,6 +701,43 @@ def test_verify_ray_accepts_solver_ray_and_rejects_corrupted_ones():
     assert not verify_ray(lp, np.array([np.nan, 1.0, 1.0]))
 
 
+def test_optimal_and_farkas_audits_reject_corrupted_certificates():
+    # min -x - 2y s.t. x <= 1, y <= 1, x + y <= 1.5, x, y >= 0: optimal at
+    # (0.5, 1), where y <= 1 and x + y <= 1.5 are tight with dual 1 each.
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    lp = make_lp([-1.0, -2.0], a_ub=a, b_ub=[1.0, 1.0, 1.5, 0.0, 0.0])
+    out = lp_solve(lp)
+    assert out.status == optim.OPTIMAL
+    assert verify_optimal(lp, out)
+    tight = int(out.dual_ub.argmax())
+    assert out.dual_ub[tight] > 0.5
+    negative = out.dual_ub.copy()
+    negative[tight] = -1e-3
+    with_nan = out.x.copy()
+    with_nan[0] = np.nan
+    for bad in (replace(out, x=out.x + 1e-3 * a[tight]),         # leaves a row
+                replace(out, dual_ub=negative),                   # dual sign
+                replace(out, dual_ub=2.0 * out.dual_ub),          # stationarity
+                replace(out, value=out.value + 1e-3),             # duality gap
+                replace(out, x=with_nan, value=float(lp.objective @ with_nan))):
+        assert not verify_optimal(lp, bad)
+    # x + y <= 1 and x, y >= 1 cannot hold together
+    lp = make_lp([0.0, 0.0], a_ub=[[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+                 b_ub=[1.0, -1.0, -1.0])
+    out = lp_solve(lp)
+    assert out.status == optim.INFEASIBLE
+    lam = out.farkas_ub
+    assert verify_farkas(lp, lam)
+    assert (lam > 0).all()
+    negative, zeroed = lam.copy(), lam.copy()
+    negative[0], zeroed[1] = -lam[0], 0.0
+    assert not verify_farkas(lp, negative)                  # a negative entry
+    assert not verify_farkas(lp, zeroed)                    # lam A != 0
+    small = lam * (0.5e-9 / -float(lam @ lp.b_ub))
+    assert float(small @ lp.b_ub) > -1e-9
+    assert not verify_farkas(lp, small)                     # lam b too close to 0
+
+
 def test_verify_ray_scales_each_row_by_its_own_products():
     # min s s.t. +-(x - p_i) <= t_i and w_i t_i - s <= 0 (an l-inf weighted
     # max center, 3 points in R^3) is bounded below by 0.  The ray lowering s
@@ -716,7 +767,8 @@ def test_verify_ray_scales_each_row_by_its_own_products():
 def test_failed_audits_become_breakdowns(monkeypatch):
     bounded = make_lp([1.0], a_ub=[[-1.0]], b_ub=[-1.0])
     unbounded = make_lp([-1.0, 0.0], a_ub=[[0.0, 1.0]], b_ub=[1.0])
-    monkeypatch.setattr(optim, "verify_optimal", lambda lp, out: False)
+    monkeypatch.setattr(optim, "_optimal_stack",
+                        lambda c, a_ub, b_ub, x, lam, value: np.zeros(len(b_ub), bool))
     monkeypatch.setattr(optim, "verify_ray", lambda lp, ray: False)
     out = lp_solve(bounded)
     assert out.status == optim.BREAKDOWN
@@ -832,20 +884,22 @@ def test_warm_breakdown_is_solved_again_afresh(monkeypatch):
     # the appended row cuts the held point off: one warm pivot
     lp = make_lp(c, a_ub=np.vstack([a, [[1.0, 1.0]]]), b_ub=[1.0, 1.0, 0.0, 1.5])
     fresh = lp_solve(lp)
-    real = optim.verify_optimal
+    # the same warm solve, audited as it is
+    warm = lp_solve(lp, start=copy.deepcopy(start))
+    real = optim._optimal_stack
     audits = []
 
-    def fail_first(lp, out):
-        audits.append(out)
-        return len(audits) > 1 and real(lp, out)
+    def fail_first(*args):
+        audits.append(args)
+        return real(*args) & (len(audits) > 1)
 
-    monkeypatch.setattr(optim, "verify_optimal", fail_first)
+    monkeypatch.setattr(optim, "_optimal_stack", fail_first)
     out = lp_solve(lp, start=start)
     assert len(audits) == 2
     assert out.status == optim.OPTIMAL
     assert np.array_equal(out.x, fresh.x)
-    assert out.iterations == audits[0].iterations + fresh.iterations
-    assert audits[0].iterations > 0
+    assert out.iterations == warm.iterations + fresh.iterations
+    assert warm.iterations > 0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1079,17 +1133,21 @@ def test_lockstep_falls_back_to_blands_rule(monkeypatch):
 def test_lockstep_solves_a_failed_audit_again_alone(monkeypatch):
     # The stacked audit fails for one optimal LP only: that LP is solved
     # again by lp_solve, alone and fresh, with no start, and its iterations
-    # count the pivots of both solves.  The only other call of lp_solve is
-    # the chain's first LP, given the chain's start.
+    # count the pivots of both solves; the audit of that fresh solve, the
+    # next one of its b, holds.  The only other call of lp_solve is the
+    # chain's first LP, given the chain's start.
     lps = _lockstep_chains()[4][:8]
     reference = optim.lp_solve_lockstep(lps[0], _rhs(lps), optim.LpStart())
     target = next(i for i in range(1, 8) if reference[i].status == optim.OPTIMAL)
     real_audit, real_solve = optim._optimal_stack, optim.lp_solve
-    calls = []
+    calls, failed = [], []
 
     def audit(objective, a_ub, b_ub, x, lam, value):
         holds = real_audit(objective, a_ub, b_ub, x, lam, value)
-        holds[(b_ub == lps[target].b_ub).all(1)] = False
+        hit = (b_ub == lps[target].b_ub).all(1)
+        if hit.any() and not failed:
+            failed.append(len(b_ub))
+            holds[hit] = False
         return holds
 
     def solve(lp, **kwargs):
@@ -1100,6 +1158,8 @@ def test_lockstep_solves_a_failed_audit_again_alone(monkeypatch):
     monkeypatch.setattr(optim, "lp_solve", solve)
     outs = optim.lp_solve_lockstep(lps[0], _rhs(lps), optim.LpStart())
     assert calls == [(lps[0].b_ub.tobytes(), True), (lps[target].b_ub.tobytes(), False)]
+    # the failed audit was the stacked one, of every optimal LP after the first
+    assert failed == [sum(ref.status == optim.OPTIMAL for ref in reference[1:])]
     assert lps[0].objective.any()
     fresh = real_solve(lps[target])
     assert np.array_equal(outs[target].x, fresh.x)
