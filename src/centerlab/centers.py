@@ -12,21 +12,20 @@ center set.  The whole space is the subspace `Subspace.full(n)`, which a
 center is a restricted center like any other and {0} is one too.
 Polyhedral instances reduce exactly to linear programs; a forced subgradient
 solve of one runs Kelley's cutting planes, warm-started LP rounds that close
-a certified bracket.  The rest stop at their start, the projected centroid,
-when one LP over f's linear minorants there closes a bracket on the
-radius, and run staged subgradient descent otherwise.  A
-Composite f = scale * h ** power has h's centers, so every route solves h and
-maps the radius back.  Delta-center probes, the modulus curve of the
+a certified bracket.  The rest are one log-barrier solve of their epigraph
+model (`barrier.barrier_solve`), whose dual point bounds the radius from
+below.  A Composite f = scale * h ** power has h's centers, so every route
+solves h and maps the radius back.  Delta-center probes, the modulus curve of the
 delta-center collapse, and minimizing-sequence experiments live here too.
 
 Each scalarization WeightedMax, WeightedSum and PowerSum carries its own
 arithmetic: `arity`; `value_many(ts)`, f at each row of ts;
 `combine(t, grads)`, f(t) and sum_i s_i grads[i] for a subgradient s of f at
 t; `lp_encodable`, and when it holds `lp_level(builder, tvars, level)` and
-`lp_objective(builder, tvars)`, the LP rows of f(t) <= level and of min f(t),
-and `minorants(t)`, nonnegative rows c with f(t') >= c.t' for all t' >= 0
-and c.t = f(t) (None where f is not LP-encodable); and `to_json()`.  A
-Composite carries only `arity`, `value_many` and `to_json()`.  The solvers read nothing else of f but the weights of a
+`lp_objective(builder, tvars)`, the LP rows of f(t) <= level and of min f(t);
+and `to_json()`.  A Composite carries only `arity`, `value_many` and
+`to_json()`.  The solvers read nothing else of f but the weights and power
+of a PowerSum, whose sum the barrier minimizes, and the weights of a
 WeightedMax, whose sublevel vertices the delta-center probe enumerates.
 Each class refuses parameters outside the convex, monotone, coercive class
 when it is built, so `validate_fcmc` decides membership by type alone and
@@ -80,14 +79,9 @@ class FiniteSet:
 # ---------------------------------------------------------------------------
 # scalarizations
 
-# how far below f(t) a WeightedMax piece w_i t_i may sit and still be one of
-# the minorants it gives at t
-MINORANT_TIE = 1e-12
-
-
 class _Weighted:
-    """One positive weight w_i per point, and the LP rows and the minorant
-    of sum_i w_i t_i (WeightedMax writes its own)."""
+    """One positive weight w_i per point, and the LP rows of sum_i w_i t_i
+    (WeightedMax writes its own)."""
 
     lp_encodable = True
 
@@ -108,9 +102,6 @@ class _Weighted:
 
     def lp_objective(self, builder, tvars) -> None:
         builder.set_objective(tvars, self.weights)
-
-    def minorants(self, t: np.ndarray) -> np.ndarray:
-        return self.weights[None, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,13 +125,6 @@ class WeightedMax(_Weighted):
         builder.set_objective([top], [1.0])
         builder.add_ub([*tvars, top], np.column_stack(
             [np.diag(self.weights), np.full(self.arity, -1.0)]), np.zeros(self.arity))
-
-    def minorants(self, t: np.ndarray) -> np.ndarray:
-        # the pieces w_i t_i within MINORANT_TIE of the max; dropping the
-        # others keeps a minorant
-        wt = self.weights * t
-        top = wt.max()
-        return np.diag(self.weights)[wt >= top - MINORANT_TIE * max(1.0, top)]
 
     def to_json(self) -> dict:
         return {"kind": "weighted_max", "weights": self.weights.tolist()}
@@ -184,9 +168,6 @@ class PowerSum(_Weighted):
     def combine(self, t: np.ndarray, grads: np.ndarray) -> tuple[float, np.ndarray]:
         s = self.p * self.weights * t ** (self.p - 1.0)
         return float(self.weights @ t ** self.p), (s[:, None] * grads).sum(0)
-
-    def minorants(self, t: np.ndarray) -> np.ndarray | None:
-        return super().minorants(t) if self.lp_encodable else None
 
     def to_json(self) -> dict:
         return {"kind": "power_sum", "p": self.p, "weights": self.weights.tolist()}
@@ -429,10 +410,7 @@ class CutCertificate:
     `rounds` LPs took `pivots` simplex pivots and hold `cuts` subgradient
     rows.  `converged` when the bracket closed to CUT_TOL * max(1, upper);
     the loop also stops, unconverged, after MAX_ROUNDS rounds, on a
-    non-finite upper bound, or when a round adds no cut.
-
-    `_minorant_bracket` gives one too, from one LP (`rounds` 1) at a single
-    point, `converged` when it closes to START_TOL * max(1, upper)."""
+    non-finite upper bound, or when a round adds no cut."""
 
     lower: float
     upper: float
@@ -443,11 +421,6 @@ class CutCertificate:
 
 
 CUT_TOL, MAX_ROUNDS = 1e-9, 500
-
-
-def _axis_subgradients(space, n: int) -> np.ndarray:
-    """The norm's subgradients at e_1, ..., e_n, then at -e_1, ..., -e_n."""
-    return space.value_and_subgrad_many(np.vstack([np.eye(n), -np.eye(n)]))[1]
 
 
 def _cutting_plane_center(problem: CenterProblem, basis: np.ndarray
@@ -485,7 +458,8 @@ def _cutting_plane_center(problem: CenterProblem, basis: np.ndarray
         return replace(lp, a_ub=np.vstack([lp.a_ub, rows]),
                        b_ub=np.concatenate([lp.b_ub, rhs]))
 
-    seeds = _axis_subgradients(space, fs.dim)
+    # the norm's subgradients at e_1, ..., e_n, then at -e_1, ..., -e_n
+    seeds = space.value_and_subgrad_many(np.vstack([np.eye(fs.dim), -np.eye(fs.dim)]))[1]
     lp = with_cuts(lp, np.broadcast_to(seeds, (fs.size, *seeds.shape)))
     start = optim.LpStart()
     best_value, best_alpha = np.inf, np.zeros(d)
@@ -524,87 +498,54 @@ def _cutting_plane_center(problem: CenterProblem, basis: np.ndarray
                                                      pivots, converged)
 
 
-START_TOL = 1e-12
+@dataclass(frozen=True, eq=False)
+class BarrierCertificate:
+    """The bracket lower <= rad <= upper of a barrier solve: `lower` is a
+    Kuhn bound, the Lagrangian at the best dual point the solve built from
+    its multipliers (see `barrier.barrier_solve`), and `upper` is r_f at the
+    minimizer, both in the units of f's inner scalarization; `steps` Newton
+    steps.  `converged` when upper - lower <= 1e-12 * max(1, upper), which
+    every certificate that `solve_center` returns is."""
+
+    lower: float
+    upper: float
+    steps: int
+    converged: bool
 
 
-def _minorant_bracket(problem: CenterProblem, basis: np.ndarray, upper: float,
-                      ts: np.ndarray, grads: np.ndarray) -> CutCertificate | None:
-    """A bracket lower <= rad <= upper from one point alpha, where r_f is
-    `upper` and the distances to F and their norm subgradients are `ts` and
-    `grads`; None when f gives no linear minorants or the LP below does not
-    end optimal.  It is `converged` when it closes to
-    START_TOL * max(1, upper), and then alpha is a center.
-
-    Each row c of `f.minorants(ts)` is a linear minorant of f on t >= 0,
-    and ||y - x_i|| >= g_i.(y - x_i), so r_f(B beta) >= sum_i c_i
-    g_i.(B beta - x_i).  The minimizer lies in {r_f <= upper}, where
-    c_k ||B beta - x_k|| <= upper for the largest entry c_k of the rows, so
-    the rows s.(B beta - x_k) <= upper / c_k, one for the subgradient s at
-    each of +-e_j, hold it.  `lower` is the optimum of the LP min T over
-    beta and T, with T >= each minorant, inside those rows: d + 1
-    variables.  While those rows leave the LP unbounded, the row of the
-    subgradient s at B ray, which holds the sublevel set too, is added and
-    the LP solved again (an unbounded verdict leaves no basis to start
-    from), at most n times; `rounds` counts the solves."""
-    f, space = problem.f, problem.space
-    coefs = f.minorants(ts)
-    if coefs is None:
-        return None
-    points, (n, d) = problem.points.points, basis.shape
-    heaviest = coefs.max(axis=0)
-    k = int(heaviest.argmax())
+def _barrier_center(problem: CenterProblem, basis: np.ndarray
+                    ) -> tuple[float, np.ndarray, BarrierCertificate]:
+    """One log-barrier solve of the epigraph model: alpha, t_i >= ||B alpha -
+    x_i|| through each norm's `epigraph` (rows for polyhedral parts, a cone
+    for each smooth one) and f's LP objective, or for a PowerSum with p > 1
+    sum_i w_i t_i^p, from the projected centroid.  The points are moved by
+    that centroid and, when they spread less than one, scaled up to unit
+    spread, which scales r_f by size^k (k = p for a PowerSum, else 1): the
+    barrier closes to 1e-12 * max(size^-k, upper) there, 1e-12 * max(1, rad)
+    here.  A bracket that does not close raises OptimizationError."""
+    space, f, pts = problem.space, problem.f, problem.points.points
+    start = basis.T @ pts.mean(axis=0)
+    size = min(1.0, np.linalg.norm(basis @ start - pts, axis=1).max()) or 1.0
+    fs = FiniteSet((pts - basis @ start) / size)
     builder = optim.LpBuilder()
-    beta = builder.new_vars(d)
-    top = builder.new_var()
-    builder.set_objective([top], [1.0])
-    # a non-finite upper or subgradient, or a row that overflows, leaves a
-    # non-finite entry, which `build` refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        builder.add_ub([*beta, top], np.column_stack(
-            [coefs @ (grads @ basis), -np.ones(len(coefs))]),
-            coefs @ (grads * points).sum(axis=1))
-    rows, pivots = _axis_subgradients(space, n), 0
-    for rounds in range(1, n + 2):
-        with np.errstate(over="ignore", invalid="ignore"):
-            builder.add_ub(beta, rows @ basis, upper / heaviest[k] + rows @ points[k])
-        try:
-            lp = builder.build()
-        except ValueError:
-            return None
-        out = optim.lp_solve(lp)
-        pivots += out.iterations
-        if out.status != optim.UNBOUNDED:
-            break
-        # the subgradients at +-e_j need not span R^n; s.(B ray) > 0 cuts
-        # the ray off
-        rows = space.value_and_subgrad_many((basis @ out.ray[:d])[None])[1]
-    if out.status != optim.OPTIMAL:
-        return None
-    return CutCertificate(out.value, upper, rounds, lp.a_ub.shape[0], pivots,
-                          upper - out.value <= START_TOL * max(1.0, upper))
-
-
-def _subgradient_center(problem: CenterProblem, basis: np.ndarray
-                        ) -> tuple[float, np.ndarray, object]:
-    """Staged subgradient descent from the projected centroid, unless the
-    bracket of `_minorant_bracket` there closes: then the centroid is the
-    center and that bracket its certificate."""
-    space, f = problem.space, problem.f
-    points, basis_t = problem.points.points, basis.T
-
-    def oracle(alpha):
-        val, g = f.combine(*space.value_and_subgrad_many(basis @ alpha - points))
-        return val, basis_t @ g
-
-    start = basis_t @ points.mean(axis=0)
-    ts, grads = space.value_and_subgrad_many(basis @ start - points)
-    value = f.combine(ts, grads)[0]
-    bracket = _minorant_bracket(problem, basis, value, ts, grads)
-    if bracket is not None and bracket.converged:
-        return value, basis @ start, bracket
-    spread = np.linalg.norm(basis @ start - points, axis=1).max(initial=0.0)
-    res = optim.staged_subgradient(oracle, start, scale=max(1.0, 2.0 * spread))
-    return res.value, basis @ res.point, res
+    alphas, tvars = builder.new_vars(basis.shape[1]), builder.new_vars(fs.size)
+    for x, tv in zip(fs.points, tvars):
+        space.epigraph(builder, alphas, basis, -x, tv)
+    power = None if f.lp_encodable else (np.array(tvars), f.weights, f.p)
+    if power is None:
+        f.lp_objective(builder, tvars)
+    from . import barrier  # compiled on first use, never by LP-only programs
+    degree = f.p if power else 1.0
+    alpha, _, lower, steps = barrier.barrier_solve(
+        builder.build(), builder.cones, np.zeros(basis.shape[1]),
+        lambda alpha: eval_rf(space, basis @ alpha, fs, f), power, size ** -degree)
+    minimizer = basis @ (start + size * alpha)
+    upper = eval_rf(space, minimizer, problem.points, f)
+    lower = float(lower * size ** degree)
+    if not upper - lower <= 1e-12 * max(1.0, upper):
+        raise OptimizationError(f"barrier bracket did not close: {lower!r} <= "
+                                f"rad <= {upper!r} after {steps} Newton steps")
+    return upper, minimizer, BarrierCertificate(lower, upper, steps, True)
 
 
 def solve_center(problem: CenterProblem, method: str = "auto") -> CenterResult:
@@ -618,21 +559,13 @@ def solve_center(problem: CenterProblem, method: str = "auto") -> CenterResult:
     otherwise; "lp" and "subgradient" force a route.  On the subgradient route
     a polyhedral norm with an LP-encodable h (a piecewise-linear objective) is
     solved by cutting planes (`_cutting_plane_center`), and its certificate is
-    a `CutCertificate`, the bracket on the radius.  Any other instance starts
-    at the projected centroid.  When h is LP-encodable, one LP over h's
-    linear minorants at that start, inside rows that hold the sublevel set
-    there (`_minorant_bracket`), bounds the radius from below; when that
-    bound is within START_TOL = 1e-12 relative of r_f at the start, the
-    start is returned with the bracket as a `CutCertificate` of one round.
-    The start is then the answer, so the bracket must be as tight as the
-    1e-12 that Euclidean distances are held to, not CUT_TOL; it is a float
-    bracket, as the cutting planes' is, but its rounding is a few units in
-    the last place.  It closes on every two-point max question in the whole
-    space under a p-norm.  Otherwise `optim.staged_subgradient` runs, with
-    its step scale twice the largest Euclidean distance from the start to a
-    point of F; its certificate, an `optim.SubgradientResult`, holds the
-    best point evaluated, its value and whether the last stage converged,
-    and bounds nothing.  The result records `validate_fcmc(f)`, the
+    a `CutCertificate`, the bracket on the radius.  Any other instance is one
+    log-barrier solve of its epigraph model from the projected centroid
+    (`_barrier_center`), and its certificate is a `BarrierCertificate`: a
+    Kuhn dual bound lower <= rad <= upper closed to 1e-12 * max(1, upper),
+    the 1e-12 that Euclidean distances are held to; a solve that cannot
+    close it raises OptimizationError, as an LP breakdown does.  Both
+    brackets are in the units of h.  The result records `validate_fcmc(f)`, the
     membership of f in the convex/monotone/coercive class decided by its type.
     A radius, or an r_f re-evaluated with f, that is not finite (a composite
     whose power overflows) raises OptimizationError.
@@ -662,7 +595,7 @@ def solve_center(problem: CenterProblem, method: str = "auto") -> CenterResult:
         rad, minimizer, certificate = _lp_center(inner, basis)
         face, result_method = CentFace(inner, rad), "lp"
     else:
-        solver = _cutting_plane_center if lp_ok else _subgradient_center
+        solver = _cutting_plane_center if lp_ok else _barrier_center
         rad, minimizer, certificate = solver(inner, basis)
         face, result_method = None, "subgradient"
     rad = _through(wrappers, rad)

@@ -451,6 +451,10 @@ def cmd_center(args) -> tuple[dict, int]:
             report["checks"].append(check(
                 "subgradient radius agrees with the exact route",
                 sg.rad, result.rad, tol=1e-4, oracle="derived:subgradient"))
+    else:
+        cert = result.certificate
+        report["verdicts"]["bracket"] = {"lower": cert.lower, "upper": cert.upper,
+                                         "steps": cert.steps}
     if not lines:
         curve = p1_modulus(problem, config["deltas"], seed=args.seed,
                            result=result)

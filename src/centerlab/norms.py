@@ -37,12 +37,7 @@ from typing import Union
 import numpy as np
 
 from . import optim
-from .errors import (
-    DependentSetError,
-    DimensionMismatchError,
-    InvalidNormError,
-    OptimizationError,
-)
+from .errors import DependentSetError, DimensionMismatchError, InvalidNormError
 from .optim import FEAS_TOL
 
 
@@ -208,7 +203,10 @@ class LpNorm(_Norm):
 
     def epigraph(self, builder, cols, mat, off, bound):
         # the rows +-(mat[i] @ u + off[i]) <= ..., interleaved, with one
-        # column for u[bound] (p = inf) or one for each s_i (p = 1)
+        # column for u[bound] (p = inf) or one for each s_i (p = 1); a cone
+        # for any other p
+        if not self.lp_encodable:
+            return builder.add_cone(self._p, cols, mat, off, bound)
         rhs, m = self.epigraph_rhs(off), len(cols)
         block = np.zeros((2 * self.dim, m + (1 if self._p == np.inf else self.dim)))
         block[0::2, :m], block[1::2, :m] = mat, -mat
@@ -316,7 +314,10 @@ class WeightedLpNorm(_Norm):
         return vals, _power_subgrad(self.weights, ts, vals, self.p)
 
     def epigraph(self, builder, cols, mat, off, bound):
-        self._polyhedral().epigraph(builder, cols, mat, off, bound)
+        if self._poly is None:
+            root = self.weights[:, None] ** (1.0 / self.p)
+            return builder.add_cone(self.p, cols, root * mat, root[:, 0] * off, bound)
+        self._poly.epigraph(builder, cols, mat, off, bound)
 
     def epigraph_rhs(self, off):
         return self._polyhedral().epigraph_rhs(off)
@@ -570,6 +571,8 @@ def add_norm_epigraph(builder: optim.LpBuilder, space, cols, mat: np.ndarray,
     n = space_dim(space)
     if mat.shape != (n, len(cols)) or off.shape != (n,):
         raise DimensionMismatchError("affine expression shape mismatch")
+    if not space.lp_encodable:
+        raise InvalidNormError("norm has no LP epigraph")
     space.epigraph(builder, cols, mat, off, bound)
 
 
@@ -700,8 +703,9 @@ def dist_to_subspace(space, x, sub: Subspace) -> tuple[float, np.ndarray]:
 
     The distance is the restricted radius of {x} in the subspace: one
     `centers.solve_center` call, an LP for polyhedral norms (its minimizer
-    the lexicographically smallest nearest point) and staged subgradient
-    descent otherwise, which raises OptimizationError if unconverged.
+    the lexicographically smallest nearest point) and otherwise a barrier
+    solve whose Kuhn dual bound closes to 1e-12 * max(1, distance), or
+    raises OptimizationError.
     """
     x = _check_dim(space, x)
     if sub.ambient_dim != space_dim(space):
@@ -713,8 +717,6 @@ def dist_to_subspace(space, x, sub: Subspace) -> tuple[float, np.ndarray]:
     from . import centers  # centers imports norms
     res = centers.solve_center(centers.CenterProblem(
         space, sub, centers.FiniteSet([x]), centers.WeightedSum([1.0])))
-    if res.method == "subgradient" and not res.certificate.converged:
-        raise OptimizationError("subgradient distance solve hit iteration limit")
     return res.rad, res.minimizer
 
 

@@ -1,21 +1,12 @@
 """Self-contained optimization kernel.
 
-Two pieces live here: a dense two-phase simplex solver that always returns a
-certificate (dual multipliers at optimality, Farkas multipliers on
-infeasibility, an improving ray when unbounded), and a subgradient method
-for nonsmooth convex objectives, `staged_subgradient`, whose one caller is
-the non-LP route of `centers.solve_center` on smooth objectives: distances
-and non-polyhedral ball searches reach it as restricted centers.  Its
-schedule is fixed: 12 stages of at most 700 steps, each stopping after 250
-steps without progress, then a deflected Polyak polish of at most 2,500
-oracle calls; it returns the best point evaluated, with no bound on the
-gap.  That route's piecewise-linear objectives are solved by cutting
-planes, a chain of warm `lp_solve` calls.  Before it descends, that route
-solves one LP over linear minorants at its start, and when their lower
-bound comes within 1e-12 relative of the start's value (a float bracket,
-like the cutting planes') it returns the start and does not call
-`staged_subgradient` at all: every two-point max question in the whole
-space under a p-norm stops there.
+A dense two-phase simplex solver that always returns a certificate (dual
+multipliers at optimality, Farkas multipliers on infeasibility, an
+improving ray when unbounded), and `staged_subgradient`, a subgradient
+method with a fixed schedule that the program no longer calls: the non-LP
+route of `centers.solve_center` solves piecewise-linear objectives by
+cutting planes, a chain of warm `lp_solve` calls, and every other one by
+the log-barrier solver of `barrier`, whose models `LpBuilder` also builds.
 
 Problem sizes in this project are tiny (tens of variables), so clarity and
 determinism win over speed.  The entering column has the most negative
@@ -132,6 +123,7 @@ class LpBuilder:
         self._n = 0
         self._obj = None
         self._ub = []
+        self.cones = []
 
     def new_var(self) -> int:
         return self.new_vars(1)[0]
@@ -145,6 +137,11 @@ class LpBuilder:
 
     def add_ub(self, cols, block, rhs) -> None:
         self._ub.append((cols, block, rhs))
+
+    def add_cone(self, p: float, cols, mat, off, bound: int) -> None:
+        """||mat @ u[cols] + off||_p <= u[bound], which `build` leaves out
+        and `barrier.barrier_solve` takes from `cones`."""
+        self.cones.append((p, cols, mat, off, bound))
 
     def build(self) -> LinearProgram:
         c = np.zeros(self._n)
@@ -314,6 +311,7 @@ def _run_stack(t, basis, n_struct, max_iter):
     enter = np.full(k, -1)
     live, degenerate = np.ones(k, dtype=bool), np.zeros(k, dtype=int)
     costs, rhs = t[:, -1, :n_struct], t[:, :m, -1]
+    no_ratio = np.full((k, m), np.inf)  # copied as each ratio test's start
     for it in range(max_iter):
         # every live tableau has pivoted `it` times
         j = costs.argmin(1)
@@ -322,7 +320,7 @@ def _run_stack(t, basis, n_struct, max_iter):
                          (costs < -_RCOST_TOL).argmax(1))
         improving = costs[at, j] < -_RCOST_TOL
         col = t[at, :m, j]
-        ratios = np.full(col.shape, np.inf)
+        ratios = no_ratio.copy()
         np.divide(rhs, col, out=ratios, where=col > _PIVOT_TOL)
         held = (basis >= n_struct) & (rhs == 0.0)
         # a held row with col > _PIVOT_TOL has ratio 0 already
@@ -365,6 +363,7 @@ def _dual_simplex(t, basis, n_struct, free, max_iter):
     rhs = t[:m, -1]
     costs = t[-1, :n_struct]
     no_index = t.shape[1]  # above every column index
+    no_ratio = np.full(n_struct, np.inf)  # copied as each ratio test's start
     for it in range(max_iter):
         out = np.where(basis < n_struct,
                        (rhs < -_RCOST_TOL) & ~free[basis],
@@ -373,7 +372,7 @@ def _dual_simplex(t, basis, n_struct, free, max_iter):
             return OPTIMAL, it
         leave = int(np.where(out, basis, no_index).argmin())
         row = t[leave, :n_struct] * (1.0 if rhs[leave] > 0 else -1.0)
-        ratios = np.full(n_struct, np.inf)
+        ratios = no_ratio.copy()
         np.divide(np.maximum(costs, 0.0), row, out=ratios,
                   where=row > _PIVOT_TOL)
         least = ratios.min()

@@ -147,6 +147,25 @@ def test_center_two_point_instance(tmp_path, capsys):
     assert report["verdicts"]["rad"] == pytest.approx(2.0, abs=1e-9)
 
 
+def test_center_reports_the_bracket_of_a_barrier_solve(tmp_path, capsys):
+    # the non-LP route writes its certified bracket; the LP route has none
+    instance = {"schema": 1, "space": {"kind": "lp", "p": 2, "dim": 3},
+                "subspace": None, "points": [[0, 0, 0], [3, 1, 0], [1, 2, 2]],
+                "f": {"kind": "weighted_sum", "weights": [1.0, 0.5, 2.0]}}
+    path = tmp_path / "l2.json"
+    path.write_text(json.dumps(instance))
+    code, report = run_json(capsys, "center", str(path))
+    verdicts = report["verdicts"]
+    assert code == EXIT_OK and verdicts["method"] == "subgradient"
+    bracket = verdicts["bracket"]
+    assert bracket["lower"] <= verdicts["rad"] == bracket["upper"]
+    assert bracket["upper"] - bracket["lower"] <= 1e-12 * max(1.0, bracket["upper"])
+    assert bracket["steps"] > 0
+    instance["space"]["p"] = "inf"
+    path.write_text(json.dumps(instance))
+    assert "bracket" not in run_json(capsys, "center", str(path))[1]["verdicts"]
+
+
 def test_center_malformed_instance(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

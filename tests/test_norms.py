@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centerlab import norms, optim
+from centerlab import barrier, norms, optim
 from centerlab.centers import CenterProblem, FiniteSet, WeightedMax, eval_rf, solve_center
 from centerlab.errors import (DependentSetError, DimensionMismatchError,
                               InvalidNormError, OptimizationError)
@@ -500,19 +500,18 @@ def test_l2_distance_equals_the_euclidean_projection_distance():
 
 
 def test_unconverged_subgradient_distance_raises(monkeypatch):
-    # l3 has no LP route, and the start of this question is not its center,
-    # so the distance is a staged solve; one that reports no convergence is
-    # an error, not a distance
-    real_staged, calls = optim.staged_subgradient, []
+    # l3 has no LP route, so the distance is a barrier solve; one whose
+    # bracket stays open is an error, not a distance
+    real_barrier, calls = barrier.barrier_solve, []
 
-    def unconverged(oracle, start, scale):
-        res = real_staged(oracle, start, scale)
-        calls.append(res)
-        return optim.SubgradientResult(res.value, res.point, False)
+    def unclosed(*args):
+        point, upper, lower, steps = real_barrier(*args)
+        calls.append(lower)
+        return point, upper, lower - 1e-9 * max(1.0, upper), steps
 
-    monkeypatch.setattr(optim, "staged_subgradient", unconverged)
+    monkeypatch.setattr(barrier, "barrier_solve", unclosed)
     sub = subspace_from_basis(3, [[1.0, 2.0, 0.0]])
-    with pytest.raises(OptimizationError, match="iteration limit"):
+    with pytest.raises(OptimizationError, match="bracket did not close"):
         dist_to_subspace(lp_norm(3.0, 3), np.array([1.0, 0.3, 2.0]), sub)
     assert len(calls) == 1
 

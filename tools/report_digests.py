@@ -20,16 +20,16 @@ runs, in one process:
   three-ball check fails);
 - `replay` of each of those property reports that carries a counterexample;
 - `center` on the README instance, in json and md;
-- under the Euclidean norm, where the subgradient route does the work, at
+- under the Euclidean norm, where the barrier route does the work, at
   both seeds: `center` on the README points and `property central
   --trials 3`, `property ac`, `property almost-constrained` and `property
   mideal --trials 3` on the README plane (the dominator of `property ac` is
   the witness of the non-polyhedral ball search);
 - `center` on the README points and plane under l-inf and l2, at both
   seeds, for each of SCALARIZATIONS: together they reach both LP row forms,
-  the `combine` of every class that staged descent runs on, and a
-  `Composite` on each route its inner scalarization takes, the staged one
-  under a polyhedral norm included;
+  the barrier's smooth `PowerSum` objective, and a `Composite` on each
+  route its inner scalarization takes, the barrier under a polyhedral norm
+  included;
 - `center` on the README points over the union of two lines, through
   (0, 0, 1) along (1, -1, 0) and through (1, 0, 0) along (0, 1, -1), under
   l-inf and l2 at both seeds: the line loop of `solve_center` on both
@@ -37,7 +37,8 @@ runs, in one process:
 - `center` on the first two README points in the whole space, under l2
   and under the E-sum of l-inf(2) and l2(1) with weighted 2-norm weights
   (1, 1.5), at both seeds: two-point max questions whose centroid is the
-  center, where the subgradient route stops at its start;
+  center, where the barrier's Newton steps on the optimality conditions
+  close its bracket after a few steps;
 - `property almost-constrained` at both seeds on l1 in R^8 over a
   coordinate 3-space, whose norm-one projection check passes the vertex
   enumeration's cap and is sampled.
