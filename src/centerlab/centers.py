@@ -10,13 +10,14 @@ its infimum over V is the restricted radius, and the minimizer set is the
 center set.  The whole space is the subspace `Subspace.full(n)`, which a
 `CenterProblem` built with `feasible=None` holds, so an ordinary Chebyshev
 center is a restricted center like any other and {0} is one too.
-Polyhedral instances reduce exactly to linear programs; a forced subgradient
-solve of one runs Kelley's cutting planes, warm-started LP rounds that close
-a certified bracket.  The rest are one log-barrier solve of their epigraph
+Polyhedral instances reduce exactly to linear programs.  Every other
+instance, and every polyhedral one whose subgradient route is forced (the
+cross-check of `centerlab center`), is one log-barrier solve of its epigraph
 model (`barrier.barrier_solve`), whose dual point bounds the radius from
-below.  A Composite f = scale * h ** power has h's centers, so every route
-solves h and maps the radius back.  Delta-center probes, the modulus curve of the
-delta-center collapse, and minimizing-sequence experiments live here too.
+below; it shares no code with the simplex it checks.  A Composite
+f = scale * h ** power has h's centers, so every route solves h and maps the
+radius back.  Delta-center probes, the modulus curve of the delta-center
+collapse, and minimizing-sequence experiments live here too.
 
 Each scalarization WeightedMax, WeightedSum and PowerSum carries its own
 arithmetic: `arity`; `value_many(ts)`, f at each row of ts;
@@ -400,105 +401,6 @@ def _lp_center(problem: CenterProblem, basis: np.ndarray) -> tuple[float, np.nda
 
 
 @dataclass(frozen=True, eq=False)
-class CutCertificate:
-    """The bracket lower <= rad <= upper of a cutting-plane solve.
-
-    `lower` is the audited optimum of the last round's LP, whose norm is the
-    max over the collected subgradients, a minorant of the true norm, so it
-    bounds rad up to rounding; `upper` is r_f at the minimizer.  Both are in
-    the units of f's inner scalarization, as the LP route's outcome is.
-    `rounds` LPs took `pivots` simplex pivots and hold `cuts` subgradient
-    rows.  `converged` when the bracket closed to CUT_TOL * max(1, upper);
-    the loop also stops, unconverged, after MAX_ROUNDS rounds, on a
-    non-finite upper bound, or when a round adds no cut."""
-
-    lower: float
-    upper: float
-    rounds: int
-    cuts: int
-    pivots: int
-    converged: bool
-
-
-CUT_TOL, MAX_ROUNDS = 1e-9, 500
-
-
-def _cutting_plane_center(problem: CenterProblem, basis: np.ndarray
-                          ) -> tuple[float, np.ndarray, CutCertificate]:
-    """Kelley's cutting planes on the norm: each round minimizes the LP
-    objective of f over rows g.(B alpha - x_i) <= t_i, one set of
-    subgradients g per point, then adds the subgradients at the minimizer's
-    residuals that point does not hold yet.  The sets start from the
-    subgradients at +-e_j; a round that ends unbounded adds the ones at
-    B ray instead.  Rows are only appended, so every round after the first
-    bounded one is a warm re-solve."""
-    space, fs, f = problem.space, problem.points, problem.f
-    points, d = fs.points, basis.shape[1]
-    builder = optim.LpBuilder()
-    builder.new_vars(d)
-    tvars = builder.new_vars(fs.size)
-    f.lp_objective(builder, tvars)
-    lp = builder.build()
-    held = [set() for _ in range(fs.size)]
-
-    def with_cuts(lp, grads: np.ndarray):
-        """lp with the rows of the subgradients grads[i] that point i does
-        not hold yet; lp itself when there are none."""
-        rows, rhs = [], []
-        for i, gs in enumerate(grads):
-            for g in gs + 0.0:
-                if g.tobytes() not in held[i]:
-                    held[i].add(g.tobytes())
-                    row = np.zeros(lp.n_vars)
-                    row[:d], row[tvars[i]] = g @ basis, -1.0
-                    rows.append(row)
-                    rhs.append(g @ points[i])
-        if not rows:
-            return lp
-        return replace(lp, a_ub=np.vstack([lp.a_ub, rows]),
-                       b_ub=np.concatenate([lp.b_ub, rhs]))
-
-    # the norm's subgradients at e_1, ..., e_n, then at -e_1, ..., -e_n
-    seeds = space.value_and_subgrad_many(np.vstack([np.eye(fs.dim), -np.eye(fs.dim)]))[1]
-    lp = with_cuts(lp, np.broadcast_to(seeds, (fs.size, *seeds.shape)))
-    start = optim.LpStart()
-    best_value, best_alpha = np.inf, np.zeros(d)
-    lower = upper = np.inf
-    pivots = rounds = 0
-    converged = False
-    while rounds < MAX_ROUNDS:
-        rounds += 1
-        out = optim.lp_solve(lp, start=start)
-        pivots += out.iterations
-        if out.status == optim.UNBOUNDED:
-            g = space.value_and_subgrad_many((basis @ out.ray[:d])[None])[1]
-            grown = with_cuts(lp, np.broadcast_to(g, (fs.size, *g.shape)))
-            if grown is lp:
-                raise OptimizationError("cutting-plane LP stays unbounded")
-            lp = grown
-            continue
-        if out.status != optim.OPTIMAL:
-            raise OptimizationError(f"cutting-plane LP ended with status "
-                                    f"{out.status}")
-        alpha = out.x[:d]
-        ts, grads = space.value_and_subgrad_many(basis @ alpha - points)
-        value = float(f.value_many(ts[None])[0])
-        if value < best_value:
-            best_value, best_alpha = value, alpha
-        lower, upper = float(out.value), best_value
-        converged = upper - lower <= CUT_TOL * max(1.0, upper)
-        if converged or not np.isfinite(upper):
-            break
-        grown = with_cuts(lp, grads[:, None, :])
-        if grown is lp:
-            break
-        lp = grown
-    cuts = sum(len(h) for h in held)
-    return upper, basis @ best_alpha, CutCertificate(lower, upper, rounds, cuts,
-                                                     pivots, converged)
-
-
-@dataclass(frozen=True, eq=False)
 class BarrierCertificate:
     """The bracket lower <= rad <= upper of a barrier solve: `lower` is a
     Kuhn bound, the Lagrangian at the best dual point the solve built from
@@ -556,16 +458,14 @@ def solve_center(problem: CenterProblem, method: str = "auto") -> CenterResult:
     is then mapped back.  method "auto" picks the exact LP route whenever the
     norm and h admit one (ties among optimal vertices broken toward the
     lexicographically smallest minimizer), and the subgradient route
-    otherwise; "lp" and "subgradient" force a route.  On the subgradient route
-    a polyhedral norm with an LP-encodable h (a piecewise-linear objective) is
-    solved by cutting planes (`_cutting_plane_center`), and its certificate is
-    a `CutCertificate`, the bracket on the radius.  Any other instance is one
-    log-barrier solve of its epigraph model from the projected centroid
+    otherwise; "lp" and "subgradient" force a route.  The subgradient route,
+    a piecewise-linear objective forced onto it included, is one log-barrier
+    solve of the epigraph model from the projected centroid
     (`_barrier_center`), and its certificate is a `BarrierCertificate`: a
-    Kuhn dual bound lower <= rad <= upper closed to 1e-12 * max(1, upper),
-    the 1e-12 that Euclidean distances are held to; a solve that cannot
-    close it raises OptimizationError, as an LP breakdown does.  Both
-    brackets are in the units of h.  The result records `validate_fcmc(f)`, the
+    Kuhn dual bound lower <= rad <= upper, in the units of h, closed to
+    1e-12 * max(1, upper), the 1e-12 that Euclidean distances are held to;
+    a solve that cannot close it raises OptimizationError, as an LP
+    breakdown does.  The result records `validate_fcmc(f)`, the
     membership of f in the convex/monotone/coercive class decided by its type.
     A radius, or an r_f re-evaluated with f, that is not finite (a composite
     whose power overflows) raises OptimizationError.
@@ -595,8 +495,7 @@ def solve_center(problem: CenterProblem, method: str = "auto") -> CenterResult:
         rad, minimizer, certificate = _lp_center(inner, basis)
         face, result_method = CentFace(inner, rad), "lp"
     else:
-        solver = _cutting_plane_center if lp_ok else _barrier_center
-        rad, minimizer, certificate = solver(inner, basis)
+        rad, minimizer, certificate = _barrier_center(inner, basis)
         face, result_method = None, "subgradient"
     rad = _through(wrappers, rad)
 

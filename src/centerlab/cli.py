@@ -436,23 +436,26 @@ def cmd_center(args) -> tuple[dict, int]:
         result.rad, tol=max(args.tol, 1e-6 * max(1.0, result.rad)),
         oracle="derived:re-evaluation"))
     code = EXIT_OK
+    # the barrier certificate: the answer's, or on the LP route the
+    # cross-check's
+    cert = result.certificate
     if result.method.startswith("lp"):
         # the cross-check failing leaves the exact answer standing
         try:
             sg = solve_center(problem, method="subgradient")
         except OptimizationError as exc:
-            code = EXIT_COMPUTE
+            code, cert = EXIT_COMPUTE, None
             report["checks"].append(check(
                 "subgradient radius agrees with the exact route", None,
                 result.rad, oracle="derived:subgradient", passed=False))
             report["notes"].append(f"subgradient cross-check failed: {exc}")
         else:
+            cert = sg.certificate
             report["verdicts"]["rad_subgradient"] = sg.rad
             report["checks"].append(check(
                 "subgradient radius agrees with the exact route",
                 sg.rad, result.rad, tol=1e-4, oracle="derived:subgradient"))
-    else:
-        cert = result.certificate
+    if cert is not None:
         report["verdicts"]["bracket"] = {"lower": cert.lower, "upper": cert.upper,
                                          "steps": cert.steps}
     if not lines:

@@ -4,9 +4,8 @@ A dense two-phase simplex solver that always returns a certificate (dual
 multipliers at optimality, Farkas multipliers on infeasibility, an
 improving ray when unbounded), and `staged_subgradient`, a subgradient
 method with a fixed schedule that the program no longer calls: the non-LP
-route of `centers.solve_center` solves piecewise-linear objectives by
-cutting planes, a chain of warm `lp_solve` calls, and every other one by
-the log-barrier solver of `barrier`, whose models `LpBuilder` also builds.
+route of `centers.solve_center` is the log-barrier solver of `barrier`,
+whose models `LpBuilder` also builds.
 
 Problem sizes in this project are tiny (tens of variables), so clarity and
 determinism win over speed.  The entering column has the most negative
@@ -35,30 +34,19 @@ returned: an optimum by `verify_optimal`, an infeasible verdict by
 `verify_farkas` and an unbounded one by `verify_ray`; a failed audit is
 returned as "breakdown".
 
-A chain of LPs that share their objective, and each of whose rows and b
-begin with the last LP's, can be solved warm: the cutting-plane rounds of
-`centers.solve_center`, each appending cuts.  The caller keeps an `LpStart`
-and passes it to every `lp_solve` call of the chain.  In the dual form a new
-row is a new column at level zero, so the basis of the last solve stays
-feasible for the next one: each new row enters as B^-1 a, read off the
-artificial columns, and phase 2 runs from that basis, with no phase 1.  Only
-a solve that leaves a feasible dual basis behind is kept: an unrefined
-optimum or an infeasible verdict.  A warm outcome is audited as a fresh one
-is, and a warm solve that ends in "breakdown" is solved again afresh before
-anything is returned.
-
 A chain of LPs that share rows and objective and differ only in b, given
 as one LP and a (K, m) array of right-hand sides, is solved in lockstep
 (`lp_solve_lockstep`, the checkers' batches of trials; see
-`geometry._BallLps`): its first LP is solved alone, and every batch copies
-that basis, dual feasible for every b, into one (K, n_vars + 1, cols)
-stack, loads each b as its LP's own cost row (`_DualTableau.load_stack`,
-the one code that loads a new b into a held tableau) and pivots every
-unfinished LP at once under `_run_simplex`'s rules, each with its own count
-of degenerate pivots (`_run_stack`).  To the code that reads and audits
-outcomes (`_read_outcomes`), a single solve is a stack of one, so tight
-points, duals, Farkas multipliers and both audits are coded once; an LP
-of a stack that breaks down or fails its audit is solved again alone.
+`geometry._BallLps`): its first LP is solved alone and fresh, as `lp_solve`
+solves it, and every batch copies that basis, dual feasible for every b,
+into one (K, n_vars + 1, cols) stack, loads each b as its LP's own cost
+row (`_DualTableau.load_stack`, the one code that loads a new b into a held
+tableau) and pivots every unfinished LP at once under `_run_simplex`'s
+rules, each with its own count of degenerate pivots (`_run_stack`).  To the
+code that reads and audits outcomes (`_read_outcomes`), a single solve is a
+stack of one, so tight points, duals, Farkas multipliers and both audits
+are coded once; an LP of a stack that breaks down or fails its audit is
+solved again alone.
 
 A lexicographic tie-break among optimal points runs on the final tableau of
 the same solve as dual-simplex stages: each stage sets the right-hand side
@@ -433,34 +421,6 @@ class _DualTableau:
         self.basis = self.n_cols + np.arange(n)
         self.max_iter = 1000 + 60 * self.t.shape[1]
 
-    def add_rows(self, a_ub: np.ndarray, b_ub: np.ndarray) -> None:
-        """Append the rows a_ub @ u <= b_ub after this tableau's own rows,
-        keeping the basis.
-
-        Each row is a new dual column at level zero, so the basic values
-        stay feasible.  It enters the tableau as B^-1 times its scaled
-        column, B^-1 read off the artificial columns, with its own
-        power-of-two scale, as a fresh build would give it; the artificial
-        columns behind it move up by the number of rows added.  The cost row
-        is stale until the next `_price`."""
-        k, at, n = a_ub.shape[0], self.n_cols, self.tau.shape[0]
-        if k == 0:
-            return
-        size = np.abs(a_ub).max(axis=1, initial=0.0)
-        scale = _scale(size, b_ub)
-        cols = a_ub.T * self.tau[:, None]
-        block = np.zeros((n + 1, k))
-        block[:-1] = self.t[:-1, self.n_cols:-1] @ (cols / scale)
-        self.t = np.concatenate([self.t[:, :at], block, self.t[:, at:]], axis=1)
-        self.columns = np.concatenate(
-            [self.columns[:, :at], cols, self.columns[:, at:]], axis=1)
-        self.row_size = np.insert(self.row_size, at, size)
-        self.costs = np.insert(self.costs, at, b_ub)
-        self.scale = np.insert(self.scale, at, scale)
-        self.basis[self.basis >= at] += k
-        self.n_cols += k
-        self.max_iter = 1000 + 60 * self.t.shape[1]
-
     def load_stack(self, b: np.ndarray) -> tuple:
         """K copies of this tableau, one per row of b (K, n_cols), each with
         that row as its right-hand side loaded as the dual costs and priced,
@@ -532,35 +492,15 @@ def _lex_refine(lp, dual, refine, x, value):
 
 
 class LpStart:
-    """The warm start of a chain of `lp_solve` calls (see there): the dual
-    tableau of the chain's last solve, when that solve left a feasible dual
-    basis behind, with the bytes of the objective, rows and b it was built
-    from; else nothing.  The next LP of the chain may append rows; one
-    that changes the b of a held row is solved fresh.  A chain of
-    `lp_solve_lockstep` calls keeps the tableau of its first LP in it."""
+    """The tableau of an `lp_solve_lockstep` chain's first LP, once a fresh
+    solve of it has left a feasible dual basis behind; else nothing."""
 
     def __init__(self):
-        self._key: tuple | None = None
         self._dual: _DualTableau | None = None
 
 
-def _key(lp: LinearProgram) -> tuple:
-    return lp.objective.tobytes(), lp.a_ub.tobytes(), lp.b_ub.tobytes()
-
-
-def _extends(lp: LinearProgram, key: tuple) -> bool:
-    """Whether `lp` has the objective of the LP that `key` was taken from,
-    and that LP's rows and their b as the first of its own, all bit for
-    bit.  Equal objectives have the same length, so the rows have the same
-    width and compare row by row."""
-    objective, rows, b = key
-    return (lp.objective.tobytes() == objective
-            and lp.a_ub.tobytes().startswith(rows)
-            and lp.b_ub.tobytes().startswith(b))
-
-
-def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None,
-             start: LpStart | None = None) -> LpOutcome:
+def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None
+             ) -> LpOutcome:
     """Two-phase dense simplex on the dual, with certificates.
 
     Deterministic: identical inputs yield bit-identical outcomes.  Numerical
@@ -583,62 +523,38 @@ def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None,
     point of the optimal face over those coordinates, on the final tableau
     (see `lp_solve_lex`); value and duals stay those of phase 2, and
     `iterations` counts the refinement pivots too.
-
-    With `start` (an `LpStart`), the solve is warm when `start` holds the
-    tableau of an LP with the same objective, bit for bit, whose a_ub and
-    b_ub are, bit for bit, the first rows of this one's and their b: an
-    appended row is a dual column at level zero, so the held basis is still
-    dual feasible.  Each appended row enters as B^-1 a, read off the
-    artificial columns (`_DualTableau.add_rows`), and phase 2 runs from the
-    held basis with no phase 1, pricing the new columns in.  Without a held
-    tableau, or with other rows or another b on the held rows, the solve is
-    fresh, as without `start`; a chain that changes only b is solved by
-    `lp_solve_lockstep`.  Afterwards `start` holds this solve's
-    tableau if it leaves a feasible dual basis, which an unrefined optimum
-    and an infeasible verdict do, and nothing otherwise: a refined solve
-    has moved its right-hand side, an unbounded verdict has zeroed it, and
-    a breakdown proves nothing.  A warm outcome is audited as a fresh one
-    is; when it ends in "breakdown", the LP is solved again afresh and that
-    outcome is returned, its `iterations` counting the pivots of both.
     """
+    return _solve_fresh(lp, refine)[0]
+
+
+def _solve_fresh(lp: LinearProgram, refine: Sequence[int] | None = None
+                 ) -> tuple[LpOutcome, _DualTableau | None]:
+    """The solve of `lp_solve` on a fresh tableau of `lp`, and that tableau
+    when the solve leaves a feasible dual basis behind, which an unrefined
+    optimum and an infeasible verdict do; None otherwise: a refined solve
+    has moved its right-hand side, an unbounded verdict has zeroed it, and
+    a breakdown proves nothing."""
     n = lp.n_vars
-    held = None
-    if start is not None:
-        if start._key is not None and _extends(lp, start._key):
-            held = start._dual
-            held.add_rows(lp.a_ub[held.n_cols:], lp.b_ub[held.n_cols:])
-        start._key = start._dual = None
     if lp.a_ub.shape[0] == 0:
         if float(np.abs(lp.objective).max(initial=0.0)) <= _RCOST_TOL:
             # Every refined coordinate is free on the whole space.
             message = "" if not refine else _stopped(refine[0], UNBOUNDED)
             return LpOutcome(OPTIMAL, x=np.zeros(n), value=0.0,
-                             dual_ub=np.zeros(0), message=message)
+                             dual_ub=np.zeros(0), message=message), None
         return LpOutcome(UNBOUNDED, ray=-lp.objective.copy(),
-                         message="no constraints")
-
-    dual = held if held is not None else _DualTableau(lp)
+                         message="no constraints"), None
+    dual = _DualTableau(lp)
     out = _solve(lp, refine, dual)
-    if held is not None and out.status == BREAKDOWN:
-        # a warm start never reports a breakdown that a fresh solve would not
-        spent = out.iterations
-        dual = _DualTableau(lp)
-        out = _solve(lp, refine, dual)
-        out = replace(out, iterations=spent + out.iterations)
-    if start is not None and (out.status == INFEASIBLE
-                              or (out.status == OPTIMAL and refine is None)):
-        start._key, start._dual = _key(lp), dual
-    return out
+    kept = out.status == INFEASIBLE or (out.status == OPTIMAL and refine is None)
+    return out, dual if kept else None
 
 
 def _solve(lp: LinearProgram, refine: Sequence[int] | None,
            dual: _DualTableau) -> LpOutcome:
-    """The solve of `lp_solve` on `dual`, a fresh tableau of `lp` or a
-    warm one of its rows, objective and b.
+    """The solve of `lp_solve` on `dual`, a fresh tableau of `lp`.
 
-    Phase 1 runs when an artificial is basic above zero, which on a fresh
-    tableau means c != 0 and on a warm one never happens: its artificials
-    left basic are held at zero."""
+    Phase 1 runs when an artificial is basic above zero, which means
+    c != 0."""
     t, basis, n_cols = dual.t, dual.basis, dual.n_cols
     it1 = 0
     ray = None
@@ -693,8 +609,9 @@ def lp_solve_lockstep(lp: LinearProgram, b: np.ndarray, start: LpStart
     audited as `lp_solve` audits it, from one stacked phase 2.
 
     `start` holds nothing or the tableau of this chain's first LP.  When it
-    holds nothing, the LPs are solved alone by `lp_solve`, in order, until
-    one leaves its tableau there; `start` keeps it for the whole chain.
+    holds nothing, the LPs are solved alone and fresh, as `lp_solve` solves
+    them (`_solve_fresh`), in order, until one leaves a feasible dual basis
+    behind; `start` keeps that tableau for the whole chain.
     The rest start from that basis, dual feasible for every b, copied into
     a (K, n_vars + 1, cols) stack with each b loaded as its LP's own cost
     row (`_DualTableau.load_stack`), and every unfinished LP pivots at once
@@ -705,7 +622,8 @@ def lp_solve_lockstep(lp: LinearProgram, b: np.ndarray, start: LpStart
     """
     outs = []
     while len(outs) < len(b) and start._dual is None:
-        outs.append(lp_solve(replace(lp, b_ub=b[len(outs)]), start=start))
+        out, start._dual = _solve_fresh(replace(lp, b_ub=b[len(outs)]))
+        outs.append(out)
     if len(outs) < len(b):
         outs += _solve_stack(lp, b[len(outs):], start._dual)
     return outs

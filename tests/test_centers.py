@@ -574,9 +574,9 @@ def test_whole_space_as_none_and_as_full_subspace_agree(space):
     assert problem_to_json(as_full) == problem_to_json(as_none)
 
 
-# A sum-combined direct sum of two polyhedral components whose cuts at
-# +-e_j leave the first cutting-plane LP unbounded.
-UNBOUNDED_SEED_QUESTION = {
+# A sum-combined direct sum of two polyhedral components, whose
+# generators are drawn without their negations.
+ONE_SIDED_SUM_QUESTION = {
     "schema": 1,
     "space": {"kind": "direct_sum", "components": [
         {"kind": "polyhedral", "generators": [
@@ -636,63 +636,57 @@ def _lp_encodable_sweep():
         problems.append(CenterProblem(space, sub, pts, f))
     # its generators are drawn as they are, without their negations
     with pytest.warns(UserWarning, match="not symmetric"):
-        problems.append(problem_from_json(UNBOUNDED_SEED_QUESTION))
+        problems.append(problem_from_json(ONE_SIDED_SUM_QUESTION))
     return problems
 
 
-def test_cutting_planes_close_on_lp_encodable_questions(monkeypatch):
-    # The non-LP route of an LP-encodable norm and scalarization (under
-    # Composite wrappers) is the cutting-plane loop: its radius is the LP
-    # route's to 1e-12 relative, its bracket holds that radius up to
-    # rounding, and the barrier solve runs only for a smooth norm.
+def test_barrier_closes_on_lp_encodable_questions(monkeypatch):
+    # A forced subgradient solve of an LP-encodable norm and scalarization
+    # (under Composite wrappers) is one barrier solve and no simplex solve:
+    # its bracket closes to 1e-12 * max(1, upper) and holds the LP route's
+    # radius, and its radius is the LP route's to 1e-12 relative.
     real_barrier, real_solve = barrier.barrier_solve, optim.lp_solve
-    solves, statuses = [], []
+    solves, lp_solves = [], []
 
     def counted_barrier(*args, **kwargs):
         solves.append(args)
         return real_barrier(*args, **kwargs)
 
     def counted_solve(lp, **kwargs):
-        out = real_solve(lp, **kwargs)
-        statuses.append(out.status)
-        return out
+        lp_solves.append(lp)
+        return real_solve(lp, **kwargs)
 
     monkeypatch.setattr(barrier, "barrier_solve", counted_barrier)
     for prob in _lp_encodable_sweep():
-        f, wrappers = prob.f, []
-        while isinstance(f, Composite):
-            wrappers.append(f)
-            f = f.inner
+        f, wrappers = _inner_and_wrappers(prob.f)
         inner_exact = exact = solve_center(CenterProblem(
             prob.space, prob.feasible, prob.points, f), method="lp").rad
         for w in reversed(wrappers):
             exact = w.scale * exact ** w.power
-        statuses.clear()
+        solves.clear()
         monkeypatch.setattr(optim, "lp_solve", counted_solve)
         res = solve_center(prob, method="subgradient")
         monkeypatch.setattr(optim, "lp_solve", real_solve)
         cert = res.certificate
-        assert res.method == "subgradient" and cert.converged
-        assert cert.upper - cert.lower <= 1e-9 * max(1.0, cert.upper)
-        assert cert.rounds == len(statuses)
+        assert res.method == "subgradient" and len(solves) == 1 and not lp_solves
+        assert isinstance(cert, centers.BarrierCertificate) and cert.converged
+        assert cert.upper - cert.lower <= 1e-12 * max(1.0, cert.upper)
         assert abs(res.rad - exact) <= 1e-12 * max(1.0, exact)
         # the bracket is in the units of the scalarization under the wrappers
         slack = 1e-14 * max(1.0, inner_exact)
         assert cert.lower <= inner_exact + slack and inner_exact <= cert.upper + slack
-    # the last question's first round was unbounded
-    assert statuses[0] == optim.UNBOUNDED and statuses[-1] == optim.OPTIMAL
-    assert not solves
-    smooth = CenterProblem(l2(3), None, FiniteSet(Y_POINTS),
-                           WeightedMax(np.array([1.0, 2.0, 0.5])))
-    assert solve_center(smooth).method == "subgradient" and len(solves) == 1
 
 
-def test_cutting_planes_close_on_a_400_row_l1_question():
-    # l1 in R^16, eight points, unit weights: the cutting-plane LPs reach
-    # 435 rows over 24 variables, on which a Bland-priced simplex once ran
-    # past its pivot limit and ended the solve in a breakdown
-    pts = np.random.default_rng(3).uniform(-2, 2, (8, 16))
-    prob = CenterProblem(l1(16), None, FiniteSet(pts), WeightedSum(np.ones(8)))
+@pytest.mark.parametrize("draw", [0, 1], ids=["l1-r16", "l1-r24"])
+def test_forced_route_agrees_with_the_lp_route_on_l1(draw):
+    # Unit-weight sums over the first and second draws of default_rng(3),
+    # eight points in R^16 and four in R^24: Kelley's cutting planes on
+    # these questions once ran the simplex on 400-row LPs past its pivot
+    # limit, and on the second never converged
+    rng = np.random.default_rng(3)
+    pts = [rng.uniform(-2, 2, (8, 16)), rng.uniform(-2, 2, (4, 24))][draw]
+    size, dim = pts.shape
+    prob = CenterProblem(l1(dim), None, FiniteSet(pts), WeightedSum(np.ones(size)))
     res = solve_center(prob, method="subgradient")
     exact = solve_center(prob, method="lp").rad
     assert res.method == "subgradient" and res.certificate.converged

@@ -112,9 +112,9 @@ def test_center_writes_its_report_when_only_the_cross_check_fails(
     # The exact answer and the modulus stand; the failed cross-check is a
     # failing check with a note, and the exit code stays 2.
     def broken(problem, basis):
-        raise OptimizationError("cutting-plane LP ended with status breakdown")
+        raise OptimizationError("barrier bracket did not close")
 
-    monkeypatch.setattr(centers, "_cutting_plane_center", broken)
+    monkeypatch.setattr(centers, "_barrier_center", broken)
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(README_INSTANCE))
     out = tmp_path / "report.json"
@@ -123,12 +123,13 @@ def test_center_writes_its_report_when_only_the_cross_check_fails(
     report = json.loads(out.read_text())
     assert report["verdicts"]["rad"] == pytest.approx(2.0, abs=1e-9)
     assert "rad_subgradient" not in report["verdicts"]
+    assert "bracket" not in report["verdicts"]
     assert report["verdicts"]["modulus"]
     failed = [c for c in report["checks"] if not c["pass"]]
     assert [c["name"] for c in failed] == [
         "subgradient radius agrees with the exact route"]
-    assert report["notes"] == ["subgradient cross-check failed: cutting-plane "
-                               "LP ended with status breakdown"]
+    assert report["notes"] == ["subgradient cross-check failed: barrier "
+                               "bracket did not close"]
     assert report["ok"] is False
 
 
@@ -148,7 +149,8 @@ def test_center_two_point_instance(tmp_path, capsys):
 
 
 def test_center_reports_the_bracket_of_a_barrier_solve(tmp_path, capsys):
-    # the non-LP route writes its certified bracket; the LP route has none
+    # the non-LP route writes its certified bracket, and the LP route the
+    # bracket of its cross-check, which holds the exact radius
     instance = {"schema": 1, "space": {"kind": "lp", "p": 2, "dim": 3},
                 "subspace": None, "points": [[0, 0, 0], [3, 1, 0], [1, 2, 2]],
                 "f": {"kind": "weighted_sum", "weights": [1.0, 0.5, 2.0]}}
@@ -163,7 +165,14 @@ def test_center_reports_the_bracket_of_a_barrier_solve(tmp_path, capsys):
     assert bracket["steps"] > 0
     instance["space"]["p"] = "inf"
     path.write_text(json.dumps(instance))
-    assert "bracket" not in run_json(capsys, "center", str(path))[1]["verdicts"]
+    code, report = run_json(capsys, "center", str(path))
+    verdicts = report["verdicts"]
+    assert code == EXIT_OK and verdicts["method"] == "lp"
+    bracket = verdicts["bracket"]
+    assert bracket["upper"] == verdicts["rad_subgradient"]
+    assert bracket["upper"] - bracket["lower"] <= 1e-12 * max(1.0, bracket["upper"])
+    assert abs(bracket["upper"] - verdicts["rad"]) <= 1e-12 * max(1.0, verdicts["rad"])
+    assert bracket["steps"] > 0
 
 
 def test_center_malformed_instance(tmp_path, capsys):

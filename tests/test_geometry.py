@@ -851,12 +851,11 @@ def _reference_central(space, sub, trials, seed):
 
 
 def _reference_three_ball(space, z, trials, eps, seed):
-    """`mideal_three_ball_check`'s trials with every LP built afresh and one
-    warm start, and the distance audit of a failing triple: (trials run,
+    """`mideal_three_ball_check`'s trials with every LP built and solved
+    afresh, and the distance audit of a failing triple: (trials run,
     failing un-enlarged family or None, the LPs built)."""
     n = norms.space_dim(space)
     rng = np.random.default_rng(seed)
-    start = optim.LpStart()
     basis = np.array(z.basis)
     built = []
     for trial in range(trials):
@@ -869,7 +868,7 @@ def _reference_three_ball(space, z, trials, eps, seed):
             (1.0 + rng.uniform(0.0, 0.1, size=3) * (~tight))
         enlarged = BallFamily.from_arrays(centers, radii + eps)
         built.append(_fresh_ball_lp(space, basis, enlarged.centers, enlarged.radii))
-        if optim.lp_solve(built[-1], start=start).status != optim.OPTIMAL:
+        if optim.lp_solve(built[-1]).status != optim.OPTIMAL:
             for x in centers:  # the checker's distance audit
                 norms.dist_to_subspace(space, x, z)
             return trial + 1, BallFamily.from_arrays(centers, radii), built
@@ -933,22 +932,22 @@ def test_checkers_match_a_fresh_build_of_every_trial(monkeypatch, name, space, s
 def test_a_three_ball_check_builds_its_rows_once(monkeypatch):
     # One build for the first trial's LP; every later trial only computes b.
     # A central check pads its families of 2-4 balls to 4, so it too is one
-    # chain: one build and one LP solved alone, its first.  A one-shot
-    # query builds once too.
+    # chain: one build and one LP solved alone and fresh, its first.  A
+    # one-shot query builds once too.
     data = instances.mideal_scenarios()
-    real_build, real_solve = optim.LpBuilder.build, optim.lp_solve
+    real_build, real_solve = optim.LpBuilder.build, optim._solve_fresh
     builds, solves = [], []
 
     def counted(self):
         builds.append(1)
         return real_build(self)
 
-    def counted_solve(lp, **kwargs):
+    def counted_solve(lp, refine=None):
         solves.append(lp)
-        return real_solve(lp, **kwargs)
+        return real_solve(lp, refine)
 
     monkeypatch.setattr(optim.LpBuilder, "build", counted)
-    monkeypatch.setattr(optim, "lp_solve", counted_solve)
+    monkeypatch.setattr(optim, "_solve_fresh", counted_solve)
     verdict = mideal_three_ball_check(data["max_space"], data["first_summand"],
                                       trials=200, eps=1e-6, seed=0)
     assert verdict.passed and verdict.trials_run == 200

@@ -823,159 +823,22 @@ def test_warm_chain_agrees_with_fresh_solves(seed, n, extra, n_eq, length,
     a_eq = rng.normal(size=(n_eq, n))
     c = np.zeros(n) if zero_c else rng.normal(size=n)
     start = optim.LpStart()
-    lps = []
-    with mock.patch.object(optim, "lp_solve", wraps=optim.lp_solve) as alone:
-        for _ in range(length):
-            lps.append(_chain_lp(rng, a_ub, a_eq, c, infeasible=rng.random() < 0.25))
-            warm, = optim.lp_solve_lockstep(lps[0], lps[-1].b_ub[None], start)
-            fresh = lp_solve(lps[-1])
-            assert start._dual is not None
-            assert warm.status == fresh.status
-            assert warm.status in (optim.OPTIMAL, optim.INFEASIBLE)
-            if warm.status == optim.OPTIMAL:
-                assert verify_optimal(lps[-1], warm)
-                assert abs(warm.value - fresh.value) <= 1e-9 * max(1.0, abs(fresh.value))
-            else:
-                assert verify_farkas(lps[-1], warm.farkas_ub)
-    assert [call.args[0].b_ub.tobytes() for call in alone.call_args_list] == \
-        [lps[0].b_ub.tobytes()]
-
-
-def _outcome_bytes(out):
-    arrays = (out.x, out.dual_ub, out.farkas_ub)
-    return (*(None if a is None else a.tobytes() for a in arrays),
-            out.status, out.iterations)
-
-
-def test_warm_start_needs_the_same_rows_bit_for_bit():
-    a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-    c = np.array([-1.0, -2.0])
-    b = [1.0, 1.0, 0.0]
-    grown = np.vstack([a, [[1.0, 1.0]]])
-    start = optim.LpStart()
-    first = lp_solve(make_lp(c, a_ub=a, b_ub=b), start=start)
-    assert first.iterations > 0
-    # the same rows and b, and a row that the held point keeps: the held
-    # basis is optimal at once
-    again = lp_solve(make_lp(c, a_ub=grown, b_ub=[*b, 4.0]), start=start)
-    assert again.status == optim.OPTIMAL and again.iterations == 0
-    assert np.allclose(again.x, [1.0, 1.0])
-    # a changed b on the held rows is solved afresh
-    lp = make_lp(c, a_ub=grown, b_ub=[2.0, 3.0, 0.0, 4.0])
-    assert _outcome_bytes(lp_solve(lp, start=start)) == _outcome_bytes(lp_solve(lp))
-    # a row that differs only in the sign of a zero is another row
-    moved = grown.copy()
-    moved[0, 1] = -0.0
-    lp = make_lp(c, a_ub=np.vstack([moved, [[1.0, 2.0]]]), b_ub=[2.0, 3.0, 0.0, 4.0, 9.0])
-    fresh = lp_solve(lp)
-    assert fresh.iterations > 0
-    assert lp_solve(lp, start=start).iterations == fresh.iterations
-    # a refined solve leaves nothing behind
-    lp_solve(make_lp(c, a_ub=moved, b_ub=[2.0, 3.0, 0.0, 4.0]), refine=[0],
-             start=start)
-    assert lp_solve(lp, start=start).iterations == fresh.iterations
-
-
-def test_warm_breakdown_is_solved_again_afresh(monkeypatch):
-    a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-    c = np.array([-1.0, -2.0])
-    start = optim.LpStart()
-    lp_solve(make_lp(c, a_ub=a, b_ub=[1.0, 1.0, 0.0]), start=start)
-    # the appended row cuts the held point off: one warm pivot
-    lp = make_lp(c, a_ub=np.vstack([a, [[1.0, 1.0]]]), b_ub=[1.0, 1.0, 0.0, 1.5])
-    fresh = lp_solve(lp)
-    # the same warm solve, audited as it is
-    warm = lp_solve(lp, start=copy.deepcopy(start))
-    real = optim._optimal_stack
-    audits = []
-
-    def fail_first(*args):
-        audits.append(args)
-        return real(*args) & (len(audits) > 1)
-
-    monkeypatch.setattr(optim, "_optimal_stack", fail_first)
-    out = lp_solve(lp, start=start)
-    assert len(audits) == 2
-    assert out.status == optim.OPTIMAL
-    assert np.array_equal(out.x, fresh.x)
-    assert out.iterations == warm.iterations + fresh.iterations
-    assert warm.iterations > 0
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4),
-       n_eq=st.integers(0, 1), length=st.integers(2, 30),
-       zero_c=st.booleans())
-def test_warm_chain_of_appended_rows_agrees_with_fresh_solves(seed, n, n_eq,
-                                                              length, zero_c):
-    # Each LP of the chain holds the rows of the last and 0-3 more, which
-    # enter the held tableau as new dual columns: every warm outcome agrees
-    # with a fresh solve of the same LP, passes its own audit, and kept the
-    # tableau it started from.
-    rng = np.random.default_rng(seed)
-    p = rng.normal(size=n)
-    a_ub = np.vstack([np.eye(n), -np.eye(n)])
-    b_ub = a_ub @ p + rng.uniform(0.5, 3.0, size=2 * n)
-    a_eq = rng.normal(size=(n_eq, n))
-    b_eq = a_eq @ (p + rng.uniform(-0.2, 0.2, size=n))
-    # the equalities as <= pairs, in the prefix that every LP of the chain
-    # shares
-    pairs, rhs = _eq_pairs(a_eq, b_eq)
-    a_ub, b_ub = np.vstack([a_ub, pairs]), np.concatenate([b_ub, rhs])
-    c = np.zeros(n) if zero_c else rng.normal(size=n)
-    start = optim.LpStart()
+    lps, alone = [], []
     for _ in range(length):
-        rows = rng.normal(size=(int(rng.integers(0, 4)), n))
-        a_ub = np.vstack([a_ub, rows])
-        b_ub = np.concatenate([b_ub, rows @ p + rng.uniform(-0.5, 2.0,
-                                                            size=len(rows))])
-        lp = optim.LinearProgram(c, a_ub, b_ub)
-        held = start._dual
-        warm = lp_solve(lp, start=start)
-        fresh = lp_solve(lp)
-        assert held is None or start._dual is held
+        lps.append(_chain_lp(rng, a_ub, a_eq, c, infeasible=rng.random() < 0.25))
+        with mock.patch.object(optim, "_solve_fresh", wraps=optim._solve_fresh) as spy:
+            warm, = optim.lp_solve_lockstep(lps[0], lps[-1].b_ub[None], start)
+        alone += [call.args[0].b_ub.tobytes() for call in spy.call_args_list]
+        fresh = lp_solve(lps[-1])
+        assert start._dual is not None
         assert warm.status == fresh.status
         assert warm.status in (optim.OPTIMAL, optim.INFEASIBLE)
         if warm.status == optim.OPTIMAL:
-            assert verify_optimal(lp, warm)
+            assert verify_optimal(lps[-1], warm)
             assert abs(warm.value - fresh.value) <= 1e-9 * max(1.0, abs(fresh.value))
         else:
-            assert verify_farkas(lp, warm.farkas_ub)
-
-
-def test_appended_rows_are_warm_only_after_the_same_prefix():
-    a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-    c = np.array([-1.0, -2.0])
-    b = np.array([2.0, 3.0, 0.0])
-    grown = make_lp(c, a_ub=np.vstack([a, [[1.0, 1.0]]]), b_ub=[*b, 4.0])
-
-    def solved_after(first, grown, **kwargs):
-        start = optim.LpStart()
-        lp_solve(first, start=start, **kwargs)
-        held = start._dual
-        return lp_solve(grown, start=start), held is not None and start._dual is held
-
-    # the same prefix: the new row is priced into the held basis
-    warm, kept = solved_after(make_lp(c, a_ub=a, b_ub=b), grown)
-    fresh = lp_solve(grown)
-    assert kept and warm.iterations < fresh.iterations
-    assert warm.status == optim.OPTIMAL and np.allclose(warm.x, [1.0, 3.0])
-    # a prefix that differs only in the sign of a zero, a refined solve and
-    # an unbounded one (the box row u_0 <= 2 comes last) leave a fresh solve
-    moved = a.copy()
-    moved[0, 1] = -0.0
-    bounded_last = make_lp(c, a_ub=np.roll(a, -1, axis=0), b_ub=np.roll(b, -1))
-    unbounded = make_lp(c, a_ub=bounded_last.a_ub[:2], b_ub=bounded_last.b_ub[:2])
-    assert lp_solve(unbounded).status == optim.UNBOUNDED
-    for first, then, kwargs in ((make_lp(c, a_ub=moved, b_ub=b), grown, {}),
-                                (make_lp(c, a_ub=a, b_ub=b), grown,
-                                 {"refine": [0]}),
-                                (unbounded, bounded_last, {})):
-        out, kept = solved_after(first, then, **kwargs)
-        fresh = lp_solve(then)
-        assert not kept
-        assert out.iterations == fresh.iterations
-        assert np.array_equal(out.x, fresh.x)
+            assert verify_farkas(lps[-1], warm.farkas_ub)
+    assert alone == [lps[0].b_ub.tobytes()]
 
 
 def _lockstep_chains():
@@ -1024,17 +887,17 @@ def test_lockstep_chain_agrees_with_fresh_solves(monkeypatch):
     # alone, the first LP makes no pivot there, and every other LP makes
     # the pivots it made in the first batch.
     alone = []
-    real = optim.lp_solve
+    real = optim._solve_fresh
 
-    def counted(lp, **kwargs):
+    def counted(lp, refine=None):
         alone.append(lp)
-        return real(lp, **kwargs)
+        return real(lp, refine)
 
     for lps in _lockstep_chains():
-        statuses = {real(lp).status for lp in lps}
+        statuses = {lp_solve(lp).status for lp in lps}
         assert statuses == {optim.OPTIMAL, optim.INFEASIBLE}
         start = optim.LpStart()
-        monkeypatch.setattr(optim, "lp_solve", counted)
+        monkeypatch.setattr(optim, "_solve_fresh", counted)
         alone.clear()
         outs = optim.lp_solve_lockstep(lps[0], _rhs(lps), start)
         monkeypatch.undo()
@@ -1049,7 +912,7 @@ def test_lockstep_chain_agrees_with_fresh_solves(monkeypatch):
             else:
                 assert verify_farkas(lp, out.farkas_ub)
         assert sum(out.iterations for out in outs[1:]) > 0
-        monkeypatch.setattr(optim, "lp_solve", counted)
+        monkeypatch.setattr(optim, "_solve_fresh", counted)
         alone.clear()
         again = optim.lp_solve_lockstep(lps[0], _rhs(lps), start)
         monkeypatch.undo()
@@ -1082,7 +945,7 @@ def test_lockstep_pivots_as_a_warm_scalar_solve(monkeypatch, degenerate_run):
     monkeypatch.setattr(optim, "_pivot_stack", pivot_stack)
     for lps in _lockstep_chains():
         start = optim.LpStart()
-        lp_solve(lps[0], start=start)
+        optim.lp_solve_lockstep(lps[0], lps[0].b_ub[None], start)
         held = start._dual
         sequences, warm = [], []
         for lp in lps[1:]:
@@ -1132,14 +995,15 @@ def test_lockstep_falls_back_to_blands_rule(monkeypatch):
 
 def test_lockstep_solves_a_failed_audit_again_alone(monkeypatch):
     # The stacked audit fails for one optimal LP only: that LP is solved
-    # again by lp_solve, alone and fresh, with no start, and its iterations
-    # count the pivots of both solves; the audit of that fresh solve, the
-    # next one of its b, holds.  The only other call of lp_solve is the
-    # chain's first LP, given the chain's start.
+    # again by lp_solve, alone and fresh, and its iterations count the
+    # pivots of both solves; the audit of that fresh solve, the next one of
+    # its b, holds.  The only other fresh solve is the chain's first LP,
+    # whose tableau the chain's start keeps.
     lps = _lockstep_chains()[4][:8]
     reference = optim.lp_solve_lockstep(lps[0], _rhs(lps), optim.LpStart())
     target = next(i for i in range(1, 8) if reference[i].status == optim.OPTIMAL)
-    real_audit, real_solve = optim._optimal_stack, optim.lp_solve
+    real_audit, real_solve, real_fresh = (optim._optimal_stack, optim.lp_solve,
+                                          optim._solve_fresh)
     calls, failed = [], []
 
     def audit(objective, a_ub, b_ub, x, lam, value):
@@ -1151,13 +1015,22 @@ def test_lockstep_solves_a_failed_audit_again_alone(monkeypatch):
         return holds
 
     def solve(lp, **kwargs):
-        calls.append((lp.b_ub.tobytes(), "start" in kwargs))
+        calls.append(("lp_solve", lp.b_ub.tobytes()))
         return real_solve(lp, **kwargs)
+
+    def fresh_solve(lp, refine=None):
+        calls.append(("fresh", lp.b_ub.tobytes()))
+        return real_fresh(lp, refine)
 
     monkeypatch.setattr(optim, "_optimal_stack", audit)
     monkeypatch.setattr(optim, "lp_solve", solve)
-    outs = optim.lp_solve_lockstep(lps[0], _rhs(lps), optim.LpStart())
-    assert calls == [(lps[0].b_ub.tobytes(), True), (lps[target].b_ub.tobytes(), False)]
+    monkeypatch.setattr(optim, "_solve_fresh", fresh_solve)
+    start = optim.LpStart()
+    outs = optim.lp_solve_lockstep(lps[0], _rhs(lps), start)
+    assert calls == [("fresh", lps[0].b_ub.tobytes()),
+                     ("lp_solve", lps[target].b_ub.tobytes()),
+                     ("fresh", lps[target].b_ub.tobytes())]
+    assert start._dual is not None
     # the failed audit was the stacked one, of every optimal LP after the first
     assert failed == [sum(ref.status == optim.OPTIMAL for ref in reference[1:])]
     assert lps[0].objective.any()
