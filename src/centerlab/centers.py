@@ -20,9 +20,8 @@ radius back.  Delta-center probes, the modulus curve of the delta-center
 collapse, and minimizing-sequence experiments live here too.
 
 Each scalarization WeightedMax, WeightedSum and PowerSum carries its own
-arithmetic: `arity`; `value_many(ts)`, f at each row of ts;
-`combine(t, grads)`, f(t) and sum_i s_i grads[i] for a subgradient s of f at
-t; `lp_encodable`, and when it holds `lp_level(builder, tvars, level)` and
+arithmetic: `arity`; `value_many(ts)`, f at each row of ts; `lp_encodable`,
+and when it holds `lp_level(builder, tvars, level)` and
 `lp_objective(builder, tvars)`, the LP rows of f(t) <= level and of min f(t);
 and `to_json()`.  A Composite carries only `arity`, `value_many` and
 `to_json()`.  The solvers read nothing else of f but the weights and power
@@ -114,10 +113,6 @@ class WeightedMax(_Weighted):
     def value_many(self, ts: np.ndarray) -> np.ndarray:
         return (ts * self.weights).max(axis=1)
 
-    def combine(self, t: np.ndarray, grads: np.ndarray) -> tuple[float, np.ndarray]:
-        j = (self.weights * t).argmax()
-        return float(self.weights[j] * t[j]), self.weights[j] * grads[j]
-
     def lp_level(self, builder, tvars, level: float) -> None:
         builder.add_ub(tvars, np.diag(self.weights), np.full(self.arity, level))
 
@@ -139,9 +134,6 @@ class WeightedSum(_Weighted):
 
     def value_many(self, ts: np.ndarray) -> np.ndarray:
         return ts @ self.weights
-
-    def combine(self, t: np.ndarray, grads: np.ndarray) -> tuple[float, np.ndarray]:
-        return float(self.weights @ t), (self.weights[:, None] * grads).sum(0)
 
     def to_json(self) -> dict:
         return {"kind": "weighted_sum", "weights": self.weights.tolist()}
@@ -165,10 +157,6 @@ class PowerSum(_Weighted):
 
     def value_many(self, ts: np.ndarray) -> np.ndarray:
         return ts ** self.p @ self.weights
-
-    def combine(self, t: np.ndarray, grads: np.ndarray) -> tuple[float, np.ndarray]:
-        s = self.p * self.weights * t ** (self.p - 1.0)
-        return float(self.weights @ t ** self.p), (s[:, None] * grads).sum(0)
 
     def to_json(self) -> dict:
         return {"kind": "power_sum", "p": self.p, "weights": self.weights.tolist()}

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import centers, geometry, instances, norms, optim, sequences
+from . import centers, geometry, instances, norms, sequences
 from .centers import (
     p1_modulus,
     problem_from_json,
@@ -213,10 +213,8 @@ def _repro_linf3(seed: int) -> dict:
         res_full.status == geometry.FEASIBLE and float(gaps.max()) <= 1e-9,
         True, oracle="derived:witness-validation"))
     res_plane = balls_intersect(space, family, data["plane"])
-    cert_ok = (res_plane.status == geometry.INFEASIBLE and
-               optim.verify_farkas(res_plane.lp, res_plane.outcome.farkas_ub))
     report["checks"].append(check(
-        "no common point over the sum of the lines", cert_ok, True,
+        "no common point over the sum of the lines", res_plane.certified, True,
         oracle="derived:farkas-verification"))
     report["verdicts"] = {"whole_space": res_full.status,
                           "sum_of_lines": res_plane.status}
@@ -330,14 +328,12 @@ def _repro_three_ball(seed: int) -> dict:
                                   oracle="derived:sampling"))
     bad = mideal_three_ball_check(data["sum_space"], data["first_summand"],
                                   trials=500, eps=1e-6, seed=seed)
-    cert_ok = (not bad.passed and bad.result is not None and
-               bad.result.status == geometry.INFEASIBLE and
-               optim.verify_farkas(bad.result.lp, bad.result.outcome.farkas_ub))
     report["checks"].append(check(
-        "sum-combined summand fails with a verified certificate", cert_ok,
-        True, oracle="derived:farkas-verification"))
-    if bad.witness_family is not None:
-        report["verdicts"]["witness_triple"] = family_to_json(bad.witness_family)
+        "sum-combined summand fails with a verified certificate",
+        not bad.passed and bad.result.certified, True,
+        oracle="derived:farkas-verification"))
+    if bad.family is not None:
+        report["verdicts"]["witness_triple"] = family_to_json(bad.family)
     report["verdicts"]["pass_note"] = good.note
     return report
 
@@ -538,12 +534,31 @@ PROPERTY_FLAGS = {"central": {"trials": 200}, "ac": {}, "almost-constrained": {}
                   "mideal": {"trials": 200, "tol": 1e-9}}
 
 
-def _counterexample(kind: str, space, sub, family: BallFamily) -> dict:
-    """A record that `replay` re-checks: a ball family whose intersection
-    with the subspace is empty."""
+# kind -> the check it runs on a parsed instance and the config; each looks
+# its checker up by name when it runs, so a wrapper set on this module's
+# names (a tracer's span, a test's spy) is the one called
+PROPERTY_CHECKS = {
+    "central": lambda inst, config: central_subspace_check(
+        inst["space"], inst["subspace"], config["trials"], config["seed"],
+        within=inst["within"], inject=inst["inject"]),
+    "ac": lambda inst, config: ac_dominator(
+        inst["space"], inst["subspace"], inst["points"], inst["x"]),
+    "almost-constrained": lambda inst, config: almost_constrained_probe(
+        inst["space"], inst["subspace"], inst["x"], seed=config["seed"],
+        inject=inst["inject"]),
+    "mideal": lambda inst, config: mideal_three_ball_check(
+        inst["space"], inst["subspace"], config["trials"], eps=config["tol"],
+        seed=config["seed"]),
+}
+
+
+def _counterexample(kind: str, space, sub, verdict: geometry.SubspaceVerdict) -> dict:
+    """A record that `replay` re-checks: the refuting ball family, which
+    misses the subspace, and the status its check saw."""
     return {"schema": 1, "kind": kind, "space": norms.norm_to_json(space),
             "subspace": norms.subspace_to_json(sub),
-            "family": family_to_json(family), "expected_status": "infeasible"}
+            "family": family_to_json(verdict.family),
+            "expected_status": verdict.result.status}
 
 
 def cmd_property(args) -> tuple[dict, int]:
@@ -565,45 +580,14 @@ def cmd_property(args) -> tuple[dict, int]:
     else:
         inst = _default_property_instance(kind)
     report = new_report("property", config)
-    space, sub = inst["space"], inst["subspace"]
-    if kind == "central":
-        verdict = central_subspace_check(space, sub, trials=config["trials"],
-                                         seed=args.seed,
-                                         within=inst.get("within"),
-                                         inject=inst.get("inject", ()))
-        report["verdicts"] = {"passed": verdict.passed, "note": verdict.note,
-                              "trials_run": verdict.trials_run}
-        if verdict.counterexample is not None:
-            report["verdicts"]["counterexample"] = _counterexample(
-                kind, space, sub, verdict.counterexample)
-    elif kind == "ac":
-        res = ac_dominator(space, sub, inst["points"], inst["x"])
-        report["verdicts"] = {"status": res.status}
-        if res.status == geometry.FEASIBLE:
-            report["verdicts"]["dominator"] = res.witness
-        if res.status == geometry.INFEASIBLE:
-            report["verdicts"]["certificate_ok"] = optim.verify_farkas(
-                res.lp, res.outcome.farkas_ub)
-    elif kind == "almost-constrained":
-        out = almost_constrained_probe(space, sub, inst["x"], seed=args.seed,
-                                       inject=inst.get("inject", ()))
-        # how the last projection check ran: "exact", "sampled" or
-        # "sampled-fallback", None when the verdict rests on no check
-        report["verdicts"] = {
-            "status": out.status, "rounds": out.rounds,
-            "projection_check": None if out.verdict is None else out.verdict.mode}
-        if out.status == "falsified":
-            report["verdicts"]["falsifying_net"] = out.net
-        if out.image is not None:
-            report["verdicts"]["image"] = out.image
-    elif kind == "mideal":
-        verdict = mideal_three_ball_check(space, sub, trials=config["trials"],
-                                          eps=config["tol"], seed=args.seed)
-        report["verdicts"] = {"passed": verdict.passed, "note": verdict.note,
-                              "trials_run": verdict.trials_run}
-        if verdict.witness_family is not None:
-            report["verdicts"]["counterexample"] = _counterexample(
-                kind, space, sub, verdict.enlarged_family)
+    verdict = PROPERTY_CHECKS[kind](inst, config)
+    report["verdicts"] = {"passed": verdict.passed, "decided": verdict.decided,
+                          "note": verdict.note, "trials_run": verdict.trials_run}
+    if verdict.witness is not None:
+        report["verdicts"]["witness"] = verdict.witness
+    if verdict.family is not None:
+        report["verdicts"]["counterexample"] = _counterexample(
+            kind, inst["space"], inst["subspace"], verdict)
     report["checks"].append(check("checker completed", True, True))
     return report, EXIT_OK
 
@@ -633,8 +617,7 @@ def cmd_replay(args) -> tuple[dict, int]:
                                    "seed": args.seed})
     report["verdicts"] = {"status": res.status}
     if res.status == geometry.INFEASIBLE:
-        report["verdicts"]["certificate_ok"] = optim.verify_farkas(
-            res.lp, res.outcome.farkas_ub)
+        report["verdicts"]["certificate_ok"] = res.certified
     if expected:
         report["checks"].append(check("replayed status matches the record",
                                       res.status, expected))

@@ -1,10 +1,11 @@
 """Ball-intersection feasibility and subspace property checkers.
 
-The checkers come in two strengths.  Falsification is exact: a family of
-balls with no common point in a subspace carries a Farkas certificate, and a
-candidate projection that fails the norm-1 condition carries an explicit
-violating vector.  Positive verdicts from randomized checkers are always
-"no counterexample found in N trials", never proofs.
+Every subspace property check returns one `SubspaceVerdict`, and every
+refutation it makes is a family of balls with centers in the subspace that
+miss it, which `balls_intersect` can query again.  Under a polyhedral norm
+that refutation carries a Farkas certificate; under any other it is only
+"unresolved".  Positive verdicts from randomized checkers are always "no
+counterexample found in N trials", never proofs.
 
 Random ball families are generated witness-first (pick the witness, derive
 the radii), since independently random radii almost never intersect.
@@ -115,6 +116,13 @@ class IntersectionResult:
     witness: np.ndarray | None
     lp: optim.LinearProgram | None
     outcome: object
+
+    @property
+    def certified(self) -> bool:
+        """Infeasible with Farkas multipliers that `optim.verify_farkas`
+        accepts: a re-check that runs on each read."""
+        return (self.status == INFEASIBLE and
+                optim.verify_farkas(self.lp, self.outcome.farkas_ub))
 
 
 def balls_intersect(space, family: BallFamily, within: Subspace | None = None
@@ -267,28 +275,47 @@ def _solved_ahead(lps: _BallLps, trials: int, draw: Callable[[], tuple]):
 
 
 # ---------------------------------------------------------------------------
+# subspace verdicts
+
+@dataclass(frozen=True, eq=False)
+class SubspaceVerdict:
+    """The verdict of a subspace property check.
+
+    `passed` is None when a probe runs out.  `decided` names what backs it:
+    "exact" (a refuting family that the solve's Farkas audit certified, an
+    exact projection check, or a dominator witness), "sampled" (no
+    counterexample in `trials_run` trials, or a sampled projection check),
+    or "unresolved" (a refuting family under a norm that is not polyhedral,
+    which the barrier finds disjoint but no certificate backs).  A
+    refutation holds `family`, balls with centers in the subspace that miss
+    it, and `result`, what their intersection query saw; `witness` is a
+    point that backs a pass."""
+
+    passed: bool | None
+    decided: str
+    note: str
+    trials_run: int
+    family: BallFamily | None = None
+    result: IntersectionResult | None = None
+    witness: np.ndarray | None = None
+
+
+def _refuted(family: BallFamily, res: IntersectionResult, trials_run: int,
+             note: str) -> SubspaceVerdict:
+    decided = "exact" if res.status == INFEASIBLE else "unresolved"
+    return SubspaceVerdict(False, decided, note, trials_run, family, res)
+
+
+# ---------------------------------------------------------------------------
 # central subspaces
 
 # the most balls of a central family, and the size each is padded to
 _CENTRAL_BALLS = 4
 
 
-@dataclass(frozen=True, eq=False)
-class CentralVerdict:
-    """A central check's verdict.  A counterexample holds the k balls its
-    trial drew, and `result.lp` is their LP padded to _CENTRAL_BALLS balls."""
-
-    passed: bool
-    counterexample: BallFamily | None
-    result: IntersectionResult | None
-    trials_run: int
-    injected: bool
-    note: str
-
-
 def central_subspace_check(space, sub: Subspace, trials: int, seed: int,
                            within: Subspace | None = None,
-                           inject: Sequence[BallFamily] = ()) -> CentralVerdict:
+                           inject: Sequence[BallFamily] = ()) -> SubspaceVerdict:
     """Randomized search for a family of balls with centers in `sub` that
     intersects in `within` (default: the whole space) but not in `sub`.
 
@@ -308,8 +335,8 @@ def central_subspace_check(space, sub: Subspace, trials: int, seed: int,
     for fam in inject:
         res = balls_intersect(space, fam, sub)
         if res.status != FEASIBLE:
-            return CentralVerdict(False, fam, res, 0, True,
-                                  "injected family fails to intersect in the subspace")
+            return _refuted(fam, res, 0,
+                            "injected family fails to intersect in the subspace")
     w_basis = np.eye(n) if within is None else np.array(within.basis)
 
     def draw():
@@ -322,23 +349,21 @@ def central_subspace_check(space, sub: Subspace, trials: int, seed: int,
 
     for trial, (centers, radii), res in _solved_ahead(lps, trials, draw):
         if res.status != FEASIBLE:
-            certified = res.status == INFEASIBLE
-            note = ("counterexample with Farkas certificate" if certified
+            note = ("counterexample with Farkas certificate" if res.status == INFEASIBLE
                     else "candidate counterexample (semi-decided norm)")
-            return CentralVerdict(False, BallFamily.from_arrays(centers, radii),
-                                  res, trial, False, note)
-    return CentralVerdict(True, None, None, trials, False,
-                          f"no counterexample found in {trials} trials")
+            return _refuted(BallFamily.from_arrays(centers, radii), res, trial, note)
+    return SubspaceVerdict(True, "sampled", f"no counterexample found in {trials} trials",
+                           trials)
 
 
 # ---------------------------------------------------------------------------
 # dominators
 
-def ac_dominator(space, sub: Subspace, a_points, x) -> IntersectionResult:
+def ac_dominator(space, sub: Subspace, a_points, x) -> SubspaceVerdict:
     """Find y in the subspace with ||y - a|| <= ||x - a|| for every a in the
-    finite set, or certify that none exists (polyhedral norms): the balls
-    around the points with radii ||x - a|| must meet in the subspace, and the
-    witness is the dominator."""
+    finite set: the balls B(a, ||x - a||), which meet at x, must meet in the
+    subspace.  A pass has the dominator as its witness; a refutation holds
+    those balls."""
     a_points = np.atleast_2d(np.asarray(a_points, dtype=float))
     x = np.asarray(x, dtype=float)
     for a in a_points:
@@ -347,7 +372,12 @@ def ac_dominator(space, sub: Subspace, a_points, x) -> IntersectionResult:
     caps = eval_norm_many(space, x[None, :] - a_points)
     if not np.isfinite(caps).all():
         raise OptimizationError("dominator radii overflow")
-    return balls_intersect(space, BallFamily.from_arrays(a_points, caps), sub)
+    family = BallFamily.from_arrays(a_points, caps)
+    res = balls_intersect(space, family, sub)
+    if res.status == FEASIBLE:
+        return SubspaceVerdict(True, "exact", "dominator found", 0,
+                               witness=res.witness)
+    return _refuted(family, res, 0, "the balls B(a, ||x - a||) miss the subspace")
 
 
 # ---------------------------------------------------------------------------
@@ -463,28 +493,19 @@ def verify_norm1_projection(space, pd: ProjectionData, trials: int = 200,
     return ProjectionVerdict(False, best, best_y, label)
 
 
-@dataclass(frozen=True, eq=False)
-class NetProbeResult:
-    status: str  # "candidate" | "falsified" | "inconclusive"
-    image: np.ndarray | None
-    net: np.ndarray | None
-    verdict: ProjectionVerdict | None
-    rounds: int
-
-
 def almost_constrained_probe(space, sub: Subspace, x, seed: int = 0,
-                             inject: Sequence[np.ndarray] = ()) -> NetProbeResult:
+                             inject: Sequence[np.ndarray] = ()) -> SubspaceVerdict:
     """Search for a norm-1 projection image for span{x, Y} -> Y via dominators
     over growing finite nets in Y: 8 points at first, doubled in each of at
-    most 7 rounds.
+    most 7 rounds; `trials_run` counts the rounds.
 
-    Falsification is sound: a finite net with a certified empty dominator set
-    refutes the projection's existence outright.  Acceptance is net-limited:
-    a candidate that survives verification is returned, otherwise the
-    verification witness is fed back into the net (the violating y enters as
-    the reference point -y) and the search continues until the budget runs
-    out.  `verdict` is the last projection check made, the rejected one when
-    the budget runs out, and None when the result rests on no check.
+    Falsification is sound: a finite net with no dominator refutes the
+    projection's existence outright, by the balls of `ac_dominator`.
+    Acceptance is net-limited: a candidate image that passes
+    `verify_norm1_projection` is the witness of a pass, decided as that
+    check ran; otherwise the check's violating y enters the net as the
+    reference point -y and the search goes on.  When the budget runs out
+    `passed` is None, and the note names the mode of the last check.
     """
     x = np.asarray(x, dtype=float)
     if sub.contains(x, tol=1e-7):
@@ -499,21 +520,22 @@ def almost_constrained_probe(space, sub: Subspace, x, seed: int = 0,
         while len(net) < size:
             net.append(sub.basis @ rng.normal(size=sub.dim) * scale *
                        rng.choice([0.5, 1.0, 2.0]))
-        res = ac_dominator(space, sub, np.array(net), x)
-        if res.status == INFEASIBLE:
-            return NetProbeResult("falsified", None, np.array(net), None, round_no + 1)
-        if res.status == UNRESOLVED:
-            return NetProbeResult("inconclusive", None, np.array(net), None,
-                                  round_no + 1)
-        pd = ProjectionData(sub, x, res.witness)
-        verdict = verify_norm1_projection(space, pd, seed=seed + round_no)
+        dom = ac_dominator(space, sub, np.array(net), x)
+        if not dom.passed:
+            return replace(dom, trials_run=round_no + 1,
+                           note=f"a net of {len(net)} points has no dominator")
+        verdict = verify_norm1_projection(space, ProjectionData(sub, x, dom.witness),
+                                          seed=seed + round_no)
         if verdict.accepted:
-            return NetProbeResult("candidate", res.witness, np.array(net),
-                                  verdict, round_no + 1)
+            return SubspaceVerdict(
+                True, "exact" if verdict.mode == "exact" else "sampled",
+                f"the image passed a {verdict.mode} norm-one projection check",
+                round_no + 1, witness=dom.witness)
         if verdict.witness is not None:
             net.append(-verdict.witness)
         size *= 2
-    return NetProbeResult("inconclusive", None, np.array(net), verdict, 7)
+    return SubspaceVerdict(None, "sampled", "no image survived 7 rounds; the last "
+                           f"{verdict.mode} projection check rejected it", 7)
 
 
 # ---------------------------------------------------------------------------
@@ -706,12 +728,12 @@ def esum_dominator(space: norms.SumNorm, y_components: Sequence[Subspace],
     for idx, (comp, sub, sl) in enumerate(zip(space.components, y_components,
                                               slices)):
         refs = np.vstack([a_points[:, sl], np.zeros((1, sl.stop - sl.start))])
-        res = ac_dominator(comp, sub, refs, x[sl])
-        if res.status != FEASIBLE:
+        dom = ac_dominator(comp, sub, refs, x[sl])
+        if not dom.passed:
             raise OptimizationError(
-                f"component {idx} produced no dominator ({res.status})")
-        y[sl] = res.witness
-        comp_bounds.append((eval_norm(comp, res.witness), eval_norm(comp, x[sl])))
+                f"component {idx} produced no dominator ({dom.result.status})")
+        y[sl] = dom.witness
+        comp_bounds.append((eval_norm(comp, dom.witness), eval_norm(comp, x[sl])))
     lhs = eval_norm_many(space, y[None, :] - a_points)
     rhs = eval_norm_many(space, x[None, :] - a_points)
     report = {
@@ -730,7 +752,7 @@ class LiftResult:
     space: norms.SumNorm
     matrix: np.ndarray
     checks: dict
-    central: CentralVerdict | None
+    central: SubspaceVerdict | None
 
 
 def lift_projection_linf_sum(base_space, p_matrix, z1: Subspace, k: int,
@@ -785,17 +807,6 @@ def _column_space(mat: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # three-ball sampler
 
-@dataclass(frozen=True, eq=False)
-class ThreeBallVerdict:
-    passed: bool
-    witness_family: BallFamily | None
-    enlarged_family: BallFamily | None
-    result: IntersectionResult | None
-    trials_run: int
-    eps: float
-    note: str
-
-
 def _audit_distances(space, xs, z: Subspace, dists: np.ndarray) -> None:
     """Raise OptimizationError unless `dists` agree with the distances
     `dist_to_subspace` solves for the rows of `xs` within 1e-12 relative.
@@ -810,21 +821,21 @@ def _audit_distances(space, xs, z: Subspace, dists: np.ndarray) -> None:
 
 
 def mideal_three_ball_check(space, z: Subspace, trials: int, eps: float = 1e-6,
-                            seed: int = 0) -> ThreeBallVerdict:
+                            seed: int = 0) -> SubspaceVerdict:
     """Sampled three-ball test: every generated triple intersects jointly and
     each ball meets the subspace; the eps-enlarged triple must then meet the
     subspace too.
 
-    Failures return the triple together with the infeasibility evidence for
-    the enlarged system.  A pass is only the absence of counterexamples.
+    A failure holds the enlarged triple and what its intersection query
+    saw.  A pass is only the absence of counterexamples.
     The distances of the three centers to the subspace come from one
     `dist_to_subspace_many` call per trial; those of a failing triple are
     solved again as LPs, and a disagreement raises OptimizationError rather
     than report a counterexample.  The trials' LPs form one chain (see
     `_BallLps`): their rows are built once, a trial supplies only b, and
     each chunk drawn ahead is solved in lockstep from the basis of the
-    chain's first LP (see the module docstring).  The two families of the
-    verdict are built only for a failing trial.
+    chain's first LP (see the module docstring).  The family of the
+    verdict is built only for a failing trial.
     """
     n = norms.space_dim(space)
     rng = np.random.default_rng(seed)
@@ -837,18 +848,15 @@ def mideal_three_ball_check(space, z: Subspace, trials: int, eps: float = 1e-6,
         meet = dist_to_subspace_many(space, centers, z)
         tight = rng.random(size=3) < 0.5
         infl = 1.0 + rng.uniform(0.0, 0.1, size=3) * (~tight)
-        radii = np.maximum(joint, meet) * infl
-        return centers, radii + eps, radii, meet
+        return centers, np.maximum(joint, meet) * infl + eps, meet
 
-    for trial, (centers, enlarged, radii, meet), res in _solved_ahead(lps, trials, draw):
+    for trial, (centers, enlarged, meet), res in _solved_ahead(lps, trials, draw):
         if res.status != FEASIBLE:
             _audit_distances(space, centers, z, meet)
-            return ThreeBallVerdict(False, BallFamily.from_arrays(centers, radii),
-                                    BallFamily.from_arrays(centers, enlarged),
-                                    res, trial, eps,
-                                    "enlarged triple misses the subspace")
-    return ThreeBallVerdict(True, None, None, None, trials, eps,
-                            f"no counterexample found in {trials} trials")
+            return _refuted(BallFamily.from_arrays(centers, enlarged), res, trial,
+                            "enlarged triple misses the subspace")
+    return SubspaceVerdict(True, "sampled", f"no counterexample found in {trials} trials",
+                           trials)
 
 
 # ---------------------------------------------------------------------------

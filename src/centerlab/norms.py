@@ -12,8 +12,8 @@ Each kind of norm or combiner is one class that carries its own arithmetic,
 LP rows, JSON and unchecked axioms (see `_Norm`), with everything it needs
 (generator blocks, p-values, component slices) built when it is
 constructed.  `space_dim`, `eval_norm`, `eval_norm_many` and
-`norm_subgradient` call its methods, and the subgradient oracles call its
-`value_and_subgrad_many` directly, which gives the norms and one subgradient
+`norm_subgradient` call its methods; `value_and_subgrad_many`, which
+`norm_subgradient` reads one row of, gives the norms and one subgradient
 per row of a whole array without a Python loop over the rows.
 
 A distance to a subspace is the restricted radius of one point, solved by

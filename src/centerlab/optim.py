@@ -29,10 +29,12 @@ basis: the duals are its basic values, the optimum x solves the n rows the
 basis holds tight (one `np.linalg.solve`, then one step of iterative
 refinement), an unbounded dual ray gives Farkas multipliers, and when the
 dual is infeasible its phase-1 multipliers are an improving ray, after the
-same tableau with c = 0 has shown the primal feasible.  Every verdict is audited before it is
-returned: an optimum by `verify_optimal`, an infeasible verdict by
-`verify_farkas` and an unbounded one by `verify_ray`; a failed audit is
-returned as "breakdown".
+same tableau with c = 0 has shown the primal feasible.  Every verdict is
+audited before it is returned: an optimum by `_optimal_stack` and an
+infeasible verdict by `_farkas_stack`, both run inside `_read_outcomes`,
+the one read-out of a single solve and a lockstep batch, and an unbounded
+one by `verify_ray`; a failed audit is returned as "breakdown".
+`verify_optimal` and `verify_farkas` run the same audits on one LP again.
 
 A chain of LPs that share rows and objective and differ only in b, given
 as one LP and a (K, m) array of right-hand sides, is solved in lockstep

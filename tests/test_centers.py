@@ -431,33 +431,6 @@ def test_f_value_composite_chain():
     assert f.value_many(np.array([[1.0, 2.0]]))[0] == pytest.approx(27.0)
 
 
-SCALARIZATIONS = {
-    "weighted_max": WeightedMax(np.array([1.0, 2.0, 0.5])),
-    "weighted_sum": WeightedSum(np.array([0.5, 2.0, 1.0])),
-    "power_sum_1": PowerSum(1.0, np.array([1.0, 0.3, 2.0])),
-    "power_sum_2.5": PowerSum(2.5, np.array([1.0, 0.3, 2.0])),
-}
-
-
-@pytest.mark.parametrize("name", SCALARIZATIONS)
-def test_combine_is_value_and_subgradient(name):
-    """combine(t, grads) is f(t) and sum_i s_i grads[i] for one s that
-    satisfies f(t') >= f(t) + s.(t' - t) on seeded t'."""
-    f = SCALARIZATIONS[name]
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        t = rng.uniform(0.1, 4.0, size=f.arity)
-        grads = rng.normal(size=(f.arity, 4))
-        val, g = f.combine(t, grads)
-        _, s = f.combine(t, np.eye(f.arity))
-        assert val == pytest.approx(f.value_many(t[None])[0],
-                                    rel=4 * np.finfo(float).eps)
-        np.testing.assert_allclose(g, s @ grads, rtol=1e-12, atol=1e-12 * abs(val))
-        t_prime = rng.uniform(0.0, 5.0, size=(50, f.arity))
-        slack = f.value_many(t_prime) - val - (t_prime - t) @ s
-        assert (slack >= -1e-9 * max(1.0, abs(val))).all()
-
-
 def _rejection_by_loop(problem, basis, level, rng, alpha_star, width):
     """The probe's rejection sampler as one draw per iteration."""
     kept = []

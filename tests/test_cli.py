@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from centerlab import centers, cli, geometry, optim
+from centerlab import centers, cli, geometry, norms, optim
 from centerlab.cli import (EXIT_ASSERT, EXIT_COMPUTE, EXIT_OK, EXIT_USAGE,
                            SCENARIOS, main)
 from centerlab.errors import OptimizationError
@@ -388,12 +388,14 @@ def test_property_defaults(capsys):
         assert (kind == "mideal") <= report["verdicts"]["trials_run"] <= 30
     code, report = run_json(capsys, "property", "ac")
     assert code == EXIT_OK
-    assert report["verdicts"]["status"] == "infeasible"
-    assert report["verdicts"]["certificate_ok"]
+    assert report["verdicts"]["passed"] is False
+    assert report["verdicts"]["decided"] == "exact"
+    assert "witness" not in report["verdicts"]
     code, report = run_json(capsys, "property", "almost-constrained")
     assert code == EXIT_OK
-    assert report["verdicts"]["status"] == "falsified"
-    assert report["verdicts"]["projection_check"] is None
+    assert report["verdicts"]["passed"] is False
+    assert report["verdicts"]["decided"] == "exact"
+    assert report["verdicts"]["trials_run"] == 1
 
 
 def test_almost_constrained_past_the_vertex_enumeration_cap(tmp_path, capsys):
@@ -408,8 +410,10 @@ def test_almost_constrained_past_the_vertex_enumeration_cap(tmp_path, capsys):
     assert code == EXIT_OK
     report = json.loads(out.read_text())
     assert report["ok"]
-    assert report["verdicts"]["status"] == "candidate"
-    assert report["verdicts"]["projection_check"] == "sampled-fallback"
+    assert report["verdicts"]["passed"] is True
+    assert report["verdicts"]["decided"] == "sampled"
+    assert "sampled-fallback" in report["verdicts"]["note"]
+    assert len(report["verdicts"]["witness"]) == 8
 
 
 def test_property_instance_file_and_replay(tmp_path, capsys):
@@ -433,6 +437,65 @@ def test_property_instance_file_and_replay(tmp_path, capsys):
     assert replay["verdicts"]["status"] == "infeasible"
     assert replay["verdicts"]["certificate_ok"]
     assert replay["ok"]
+
+
+def _property_then_replay(tmp_path, capsys, *argv):
+    """The report of `property *argv`, written to a file, and the replay of
+    that file: (property report, replay exit code, replay report)."""
+    code, report = run_json(capsys, "property", *argv)
+    assert code == EXIT_OK
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    return (report, *run_json(capsys, "replay", str(path)))
+
+
+def test_a_non_polyhedral_refutation_replays_as_unresolved(tmp_path, capsys):
+    # under l1.1 the enlarged triple of trial 4 misses the axis with no
+    # certificate: the record must expect the status the check saw
+    path = tmp_path / "l11.json"
+    path.write_text(json.dumps({"space": {"kind": "lp", "p": 1.1, "dim": 2},
+                                "subspace": {"basis": [[1, 0]]}}))
+    report, code, replay = _property_then_replay(
+        tmp_path, capsys, "mideal", str(path), "--trials", "200", "--seed", "0")
+    verdicts = report["verdicts"]
+    assert verdicts["passed"] is False and verdicts["trials_run"] == 4
+    assert verdicts["decided"] == "unresolved"
+    assert verdicts["counterexample"]["expected_status"] == "unresolved"
+    assert code == EXIT_OK and replay["ok"]
+    assert replay["verdicts"] == {"status": "unresolved"}
+
+
+@pytest.mark.parametrize("kind", sorted(cli.PROPERTY_FLAGS))
+def test_every_refutation_replays_to_its_status(tmp_path, capsys, kind):
+    # every default instance refutes; its record replays to the status the
+    # check saw, and the same record with radii raised until the balls meet
+    # in the subspace does not
+    report, code, replay = _property_then_replay(tmp_path, capsys, kind)
+    assert report["verdicts"]["passed"] is False
+    record = report["verdicts"]["counterexample"]
+    assert code == EXIT_OK and replay["ok"]
+    assert replay["verdicts"]["status"] == record["expected_status"] == "infeasible"
+    assert replay["verdicts"]["certificate_ok"]
+
+    space = norms.norm_from_json(record["space"])
+    sub = norms.subspace_from_json(record["subspace"])
+    centers = np.array(record["family"]["centers"])
+    radii = np.array(record["family"]["radii"])
+    # one at a time, each ball grows to hold the first center, which lies in
+    # the subspace; one ball is enough but for `almost-constrained`, whose
+    # net of 8 balls holds the 3 injected ones, which miss the plane alone
+    for j in range(1, len(radii)):
+        radii[j] = max(radii[j], norms.eval_norm(space, centers[0] - centers[j]))
+        family = geometry.BallFamily.from_arrays(centers, radii)
+        if geometry.balls_intersect(space, family, sub).status == geometry.FEASIBLE:
+            break
+    assert j == 1 or kind == "almost-constrained"
+    record["family"]["radii"] = radii.tolist()
+    path = tmp_path / "raised.json"
+    path.write_text(json.dumps({"counterexample": record}))
+    code, replay = run_json(capsys, "replay", str(path))
+    assert code == EXIT_ASSERT and not replay["ok"]
+    assert replay["verdicts"] == {"status": "feasible"}
 
 
 def test_dump_instance(capsys):

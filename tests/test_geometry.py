@@ -182,10 +182,9 @@ def test_central_check_constrained_line_passes():
 def test_central_check_plane_fails_with_injected_family():
     verdict = central_subspace_check(linf(3), plane(), trials=0, seed=0,
                                      inject=[reference_family()])
-    assert not verdict.passed
-    assert verdict.injected
-    assert verdict.counterexample is reference_family() or \
-        np.allclose(verdict.counterexample.centers, Y_CENTERS)
+    assert not verdict.passed and verdict.decided == "exact"
+    assert verdict.trials_run == 0 and "injected" in verdict.note
+    assert np.allclose(verdict.family.centers, Y_CENTERS)
     assert verdict.result.status == geometry.INFEASIBLE
 
 
@@ -194,16 +193,19 @@ def test_ac_dominator_singleton_and_self():
     y = plane()
     a = y.embed(np.array([0.3, -0.7]))
     res = ac_dominator(space, y, [a], np.array([2.0, 1.0, 0.0]))
-    assert res.status == geometry.FEASIBLE
+    assert res.passed and res.decided == "exact" and res.family is None
     cap = norms.eval_norm(space, np.array([2.0, 1.0, 0.0]) - a)
     assert norms.eval_norm(space, res.witness - a) <= cap + 1e-9
 
 
 def test_ac_dominator_reference_counterexample():
-    res = ac_dominator(linf(3), plane(), Y_CENTERS,
-                       np.array([-0.5, -0.5, -0.5]))
-    assert res.status == geometry.INFEASIBLE
-    assert optim.verify_farkas(res.lp, res.outcome.farkas_ub)
+    x = np.array([-0.5, -0.5, -0.5])
+    res = ac_dominator(linf(3), plane(), Y_CENTERS, x)
+    assert res.passed is False and res.decided == "exact"
+    assert res.result.certified
+    # the refuting balls are B(a, ||x - a||), which meet at x
+    assert res.family.centers.tobytes() == np.asarray(Y_CENTERS, dtype=float).tobytes()
+    assert (res.family.radii == norms.eval_norm_many(linf(3), x - Y_CENTERS)).all()
 
 
 def test_ac_dominator_from_projection_image():
@@ -217,7 +219,7 @@ def test_ac_dominator_from_projection_image():
     caps = norms.eval_norm_many(space, x[None, :] - a_pts)
     assert (norms.eval_norm_many(space, px[None, :] - a_pts) <= caps + 1e-12).all()
     res = ac_dominator(space, y, a_pts, x)
-    assert res.status == geometry.FEASIBLE
+    assert res.passed
 
 
 def test_projection_data_validation():
@@ -284,17 +286,18 @@ def test_verify_projection_samples_past_the_vertex_enumeration_cap():
 def test_almost_constrained_probe_finds_candidate():
     space = linf(3)
     y = subspace_from_basis(3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    out = almost_constrained_probe(space, y, np.array([0.3, 0.4, 2.0]), seed=5)
-    assert out.status == "candidate"
-    assert out.verdict.accepted
+    x = np.array([0.3, 0.4, 2.0])
+    out = almost_constrained_probe(space, y, x, seed=5)
+    assert out.passed and out.decided == "exact"
+    assert verify_norm1_projection(space, ProjectionData(y, x, out.witness)).accepted
 
 
 def test_almost_constrained_probe_falsifies_plane():
     out = almost_constrained_probe(linf(3), plane(),
                                    np.array([-0.5, -0.5, -0.5]),
                                    inject=[Y_CENTERS])
-    assert out.status == "falsified"
-    assert out.net.shape[0] >= 3
+    assert out.passed is False and out.decided == "exact"
+    assert out.trials_run == 1 and out.family.size >= 3
 
 
 def test_almost_constrained_probe_random_hyperplanes_cross_checked():
@@ -309,15 +312,17 @@ def test_almost_constrained_probe_random_hyperplanes_cross_checked():
         if y.contains(x, tol=1e-6):
             continue
         out = almost_constrained_probe(space, y, x, seed=trial)
-        if out.status == "candidate":
-            pd = ProjectionData(y, x, out.image)
+        if out.passed:
+            pd = ProjectionData(y, x, out.witness)
             assert verify_norm1_projection(space, pd).accepted
-        elif out.status == "falsified":
-            caps = norms.eval_norm_many(space, x[None, :] - out.net)
+        elif out.passed is False:
+            net = out.family.centers
+            caps = norms.eval_norm_many(space, x[None, :] - net)
+            assert (caps == out.family.radii).all()
             found = False
             for alpha in np.random.default_rng(99).normal(size=(4000, 2)) * 3:
                 cand = y.embed(alpha)
-                if (norms.eval_norm_many(space, cand[None, :] - out.net)
+                if (norms.eval_norm_many(space, cand[None, :] - net)
                         <= caps + 1e-9).all():
                     found = True
                     break
@@ -535,11 +540,9 @@ def test_three_ball_sum_summand_fails_with_certificate():
     space = make_direct_sum([l1(1), l1(1)], sum_combiner(2))
     z = subspace_from_basis(2, [[1.0, 0.0]])
     verdict = mideal_three_ball_check(space, z, trials=500, eps=1e-6, seed=0)
-    assert not verdict.passed
-    assert verdict.witness_family is not None
-    res = verdict.result
-    assert res.status == geometry.INFEASIBLE
-    assert optim.verify_farkas(res.lp, res.outcome.farkas_ub)
+    assert not verdict.passed and verdict.decided == "exact"
+    assert verdict.family.size == 3
+    assert verdict.result.certified
 
 
 def test_non_polyhedral_three_ball_check_draws_no_trial_ahead(monkeypatch):
@@ -853,7 +856,7 @@ def _reference_central(space, sub, trials, seed):
 def _reference_three_ball(space, z, trials, eps, seed):
     """`mideal_three_ball_check`'s trials with every LP built and solved
     afresh, and the distance audit of a failing triple: (trials run,
-    failing un-enlarged family or None, the LPs built)."""
+    failing enlarged family or None, the LPs built)."""
     n = norms.space_dim(space)
     rng = np.random.default_rng(seed)
     basis = np.array(z.basis)
@@ -871,7 +874,7 @@ def _reference_three_ball(space, z, trials, eps, seed):
         if optim.lp_solve(built[-1]).status != optim.OPTIMAL:
             for x in centers:  # the checker's distance audit
                 norms.dist_to_subspace(space, x, z)
-            return trial + 1, BallFamily.from_arrays(centers, radii), built
+            return trial + 1, enlarged, built
     return trials, None, built
 
 
@@ -912,9 +915,8 @@ def test_checkers_match_a_fresh_build_of_every_trial(monkeypatch, name, space, s
         assert out.status == optim.lp_solve(lp).status
     solved = {(lp.a_ub.tobytes(), (lp.b_ub + 0.0).tobytes()) for lp, _ in seen}
     for verdict, family, (runs, ref, built) in (
-            (central, central.counterexample, _reference_central(space, sub, 400, 0)),
-            (three, three.witness_family,
-             _reference_three_ball(space, sub, 200, 1e-6, 0))):
+            (central, central.family, _reference_central(space, sub, 400, 0)),
+            (three, three.family, _reference_three_ball(space, sub, 200, 1e-6, 0))):
         assert all((lp.a_ub.tobytes(), (lp.b_ub + 0.0).tobytes()) in solved
                    for lp in built)
         assert verdict.trials_run == runs == len(built)
@@ -922,9 +924,7 @@ def test_checkers_match_a_fresh_build_of_every_trial(monkeypatch, name, space, s
         if ref is not None:
             assert family.centers.tobytes() == ref.centers.tobytes()
             assert family.radii.tobytes() == ref.radii.tobytes()
-            assert verdict.result.status == geometry.INFEASIBLE
-            assert optim.verify_farkas(verdict.result.lp,
-                                       verdict.result.outcome.farkas_ub)
+            assert verdict.decided == "exact" and verdict.result.certified
     assert (name in ("linf-plane", "l1-plane")) == (not central.passed)
     assert (name in ("sum-sum", "poly-line", "linf-plane")) == (not three.passed)
 

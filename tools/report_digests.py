@@ -23,8 +23,8 @@ runs, in one process:
 - under the Euclidean norm, where the barrier route does the work, at
   both seeds: `center` on the README points and `property central
   --trials 3`, `property ac`, `property almost-constrained` and `property
-  mideal --trials 3` on the README plane (the dominator of `property ac` is
-  the witness of the non-polyhedral ball search);
+  mideal --trials 3` on the README plane (the `witness` of `property ac`,
+  its dominator, is the minimizer of the non-polyhedral ball search);
 - `center` on the README points and plane under l-inf and l2, at both
   seeds, for each of SCALARIZATIONS: together they reach both LP row forms,
   the barrier's smooth `PowerSum` objective, and a `Composite` on each
