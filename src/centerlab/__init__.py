@@ -34,7 +34,6 @@ from .geometry import (
     verify_norm1_projection,
 )
 from .norms import (
-    Ball,
     Subspace,
     dist_to_subspace,
     dist_to_subspace_many,

@@ -509,26 +509,6 @@ class DeltaCenterProbe:
     topology: str = TOPOLOGY_NOTE
 
 
-def _sublevel_vertices(problem: CenterProblem, basis: np.ndarray,
-                       level: float) -> np.ndarray | None:
-    """Exact vertex set of {alpha : r_f <= level} when the sublevel set has a
-    direct polyhedral description in the feasible coordinates."""
-    if not isinstance(problem.f, WeightedMax) or basis.shape[1] > 4:
-        return None
-    try:
-        gens = norms.explicit_generators(problem.space, cap=3000)
-    except norms.InvalidNormError:
-        return None
-    rows = []
-    rhs = []
-    for i in range(problem.points.size):
-        w = problem.f.weights[i]
-        for g in gens:
-            rows.append(w * (g @ basis))
-            rhs.append(level + w * float(g @ problem.points.points[i]))
-    return optim.enumerate_vertices(np.array(rows), np.array(rhs), cap=400_000)
-
-
 SAMPLE_BLOCK, SAMPLE_CELLS = 1024, 65536
 N_REJECTION, BUDGET = 200, 4000
 
@@ -587,7 +567,9 @@ def delta_center_probe(problem: CenterProblem, delta: float, seed: int = 0,
     level = _through_inverse(wrappers, result.rad + delta)
     samples_alpha: list[np.ndarray] = []
 
-    verts = _sublevel_vertices(problem, basis, level)
+    verts = (norms.sublevel_vertices(problem.space, basis, problem.points.points,
+                                     problem.f.weights, level, 3000, 400_000)
+             if isinstance(problem.f, WeightedMax) else None)
     mode = "vertex-exact" if verts is not None else "sampled"
     if verts is not None:
         samples_alpha.extend(verts)

@@ -286,7 +286,6 @@ def _repro_composition(seed: int) -> dict:
     for idx in range(3):
         space, pairs, z0 = instances.composition_scenario(idx)
         _, _, comp_report = compose_direct_sum_projections(space, pairs, z0,
-                                                           samples=10_000,
                                                            seed=seed)
         report["checks"] += [
             check(f"instance {idx}: images of z0 agree bit-exactly",

@@ -40,7 +40,6 @@ from .centers import (CenterProblem, FiniteSet, WeightedMax, WeightedSum,
                       solve_center)
 from .errors import DimensionMismatchError, OptimizationError
 from .norms import (
-    Ball,
     Subspace,
     dist_to_subspace,
     dist_to_subspace_many,
@@ -58,40 +57,30 @@ UNRESOLVED = "unresolved"
 
 @dataclass(frozen=True, eq=False)
 class BallFamily:
-    balls: tuple
+    """The balls B(centers[i], radii[i]), held as two read-only arrays."""
+
+    centers: np.ndarray
+    radii: np.ndarray
 
     def __post_init__(self):
-        balls = tuple(self.balls)
-        if not balls:
-            raise ValueError("ball family must be nonempty")
-        dim = balls[0].center.shape[0]
-        if any(b.center.shape[0] != dim for b in balls):
-            raise DimensionMismatchError("ball centers have mixed dimensions")
-        object.__setattr__(self, "balls", balls)
-
-    @classmethod
-    def from_arrays(cls, centers, radii) -> "BallFamily":
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
-        radii = np.asarray(radii, dtype=float).ravel()
+        centers = np.atleast_2d(np.array(self.centers, dtype=float))
+        radii = np.array(self.radii, dtype=float).ravel()
         if centers.ndim != 2 or centers.shape[0] != radii.shape[0]:
             raise ValueError("a family needs one center row per radius")
-        return cls(tuple(Ball(c, float(r)) for c, r in zip(centers, radii)))
-
-    @property
-    def centers(self) -> np.ndarray:
-        return np.array([b.center for b in self.balls])
-
-    @property
-    def radii(self) -> np.ndarray:
-        return np.array([b.radius for b in self.balls])
+        if not radii.size:
+            raise ValueError("ball family must be nonempty")
+        if not (np.isfinite(centers).all() and np.isfinite(radii).all()):
+            raise ValueError("ball centers and radii must be finite")
+        if not (radii >= 0).all():
+            raise ValueError("ball radius must be nonnegative")
+        centers.setflags(write=False)
+        radii.setflags(write=False)
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "radii", radii)
 
     @property
     def size(self) -> int:
-        return len(self.balls)
-
-    @property
-    def dim(self) -> int:
-        return self.balls[0].center.shape[0]
+        return self.radii.shape[0]
 
 
 def family_to_json(family: BallFamily) -> dict:
@@ -99,7 +88,7 @@ def family_to_json(family: BallFamily) -> dict:
 
 
 def family_from_json(data: dict) -> BallFamily:
-    return BallFamily.from_arrays(data["centers"], data["radii"])
+    return BallFamily(data["centers"], data["radii"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +120,7 @@ def balls_intersect(space, family: BallFamily, within: Subspace | None = None
     None): by one feasibility LP for polyhedral norms, else by the center
     of max_i ||y - c_i|| / (r_i + slack) over `within`, which is FEASIBLE
     when every ball holds it within the audit's slack."""
-    if family.dim != norms.space_dim(space):
+    if family.centers.shape[1] != norms.space_dim(space):
         raise DimensionMismatchError("family does not match the space dimension")
     return _BallLps(space, within, family.size).intersect(family.centers, family.radii)
 
@@ -351,7 +340,7 @@ def central_subspace_check(space, sub: Subspace, trials: int, seed: int,
         if res.status != FEASIBLE:
             note = ("counterexample with Farkas certificate" if res.status == INFEASIBLE
                     else "candidate counterexample (semi-decided norm)")
-            return _refuted(BallFamily.from_arrays(centers, radii), res, trial, note)
+            return _refuted(BallFamily(centers, radii), res, trial, note)
     return SubspaceVerdict(True, "sampled", f"no counterexample found in {trials} trials",
                            trials)
 
@@ -372,7 +361,7 @@ def ac_dominator(space, sub: Subspace, a_points, x) -> SubspaceVerdict:
     caps = eval_norm_many(space, x[None, :] - a_points)
     if not np.isfinite(caps).all():
         raise OptimizationError("dominator radii overflow")
-    family = BallFamily.from_arrays(a_points, caps)
+    family = BallFamily(a_points, caps)
     res = balls_intersect(space, family, sub)
     if res.status == FEASIBLE:
         return SubspaceVerdict(True, "exact", "dominator found", 0,
@@ -433,24 +422,20 @@ def verify_norm1_projection(space, pd: ProjectionData, trials: int = 200,
     (equivalent, by homogeneity, to the projection having norm one).
 
     Exact mode enumerates the extreme points of the unit ball of
-    span{transversal, Y} (polyhedral norms, span dimension <= 4); otherwise
-    `trials` seeded samples plus local ascent on the violation gap, labelled
-    "sampled-fallback" when the span is too large or its enumeration passes
-    the cap of `optim.enumerate_vertices`.  Rejections carry the violating y.
+    span{transversal, Y}, the sublevel set ||S u|| <= 1 of S = [x, B]
+    (`norms.sublevel_vertices`: polyhedral norms of at most 20,000
+    generators, span dimension <= 4, at most 2,000,000 row subsets);
+    otherwise `trials` seeded samples plus local ascent on the violation
+    gap, labelled "sampled-fallback" when the span is too large or the norm
+    is polyhedral (also when the enumeration finds no vertex), and
+    "sampled" when it is not.  Rejections carry the violating y.
     """
     x, p, sub = pd.transversal, pd.image, pd.subspace
-    span_dim = sub.dim + 1
-    verts = gens = None
-    if span_dim <= 4:
-        try:
-            gens = norms.explicit_generators(space, cap=20_000)
-        except norms.InvalidNormError:
-            pass
-        else:
-            s_mat = np.column_stack([x, sub.basis])
-            verts = optim.enumerate_vertices(gens @ s_mat, np.ones(gens.shape[0]))
-
-    if verts is not None:
+    verts = norms.sublevel_vertices(space, np.column_stack([x, sub.basis]),
+                                    np.zeros((1, x.size)), np.ones(1), 1.0,
+                                    20_000, 2_000_000)
+    # the unit ball has a vertex: an enumeration that finds none checks nothing
+    if verts is not None and len(verts):
         worst = 0.0
         witness = None
         for u in verts:
@@ -487,7 +472,8 @@ def verify_norm1_projection(space, pd: ProjectionData, trials: int = 200,
             v = violation(y)
             if v > best:
                 best, best_y = v, y
-    label = "sampled-fallback" if span_dim > 4 or gens is not None else "sampled"
+    label = ("sampled-fallback" if sub.dim + 1 > 4 or norms.is_lp_encodable(space)
+             else "sampled")
     if best <= 1e-9 * scale:
         return ProjectionVerdict(True, best, None, label)
     return ProjectionVerdict(False, best, best_y, label)
@@ -609,8 +595,8 @@ def locally_constrained_transfer(space, z1: Subspace, y: Subspace,
     `factory` builds for the found witness must verify; and the projected
     point must lie in every ball.  The first failing stage is reported.
     """
-    for b in family.balls:
-        if not z2.contains(b.center, tol=1e-7):
+    for center in family.centers:
+        if not z2.contains(center, tol=1e-7):
             return TransferResult(False, "precondition", None,
                                   {"reason": "ball center outside Z2"})
     res_y = balls_intersect(space, family, y)
@@ -658,15 +644,20 @@ def _lift_subspace(parts: Sequence[Subspace], n_total: int,
     return norms.subspace_from_basis(n_total, np.array(cols))
 
 
+# the seeded points of the sum at which a composition's contraction is sampled
+_COMPOSITION_SAMPLES = 10_000
+
+
 def compose_direct_sum_projections(space: norms.SumNorm,
                                    pairs: Sequence[tuple[ProjectionData, ProjectionData]],
-                                   z0, samples: int = 10_000, seed: int = 0) -> tuple:
+                                   z0, seed: int = 0) -> tuple:
     """Assemble componentwise projection pairs into a pair on the direct sum.
 
     Each component projection must pass `verify_norm1_projection`, and their
     images of z0 must agree bit-for-bit, which makes the composed images
     identical arrays; the norm-1 property of the outer composition is then
-    sampled, since the monotone combiner transfers componentwise contraction.
+    sampled at _COMPOSITION_SAMPLES seeded points, since the monotone
+    combiner transfers componentwise contraction.
     """
     z0 = np.asarray(z0, dtype=float)
     slices = norms.component_slices(space)
@@ -694,15 +685,15 @@ def compose_direct_sum_projections(space: norms.SumNorm,
     composed_q = ProjectionData(y_sum, z0, image)
 
     rng = np.random.default_rng(seed)
-    alphas = rng.normal(size=samples)
-    ys = (y_sum.basis @ rng.normal(size=(y_sum.dim, samples))).T
+    alphas = rng.normal(size=_COMPOSITION_SAMPLES)
+    ys = (y_sum.basis @ rng.normal(size=(y_sum.dim, _COMPOSITION_SAMPLES))).T
     w = alphas[:, None] * z0 + ys
     qw = alphas[:, None] * image + ys
     ratios = eval_norm_many(space, qw) / np.maximum(eval_norm_many(space, w), 1e-300)
     report = {
         "image_bitexact": np.array_equal(composed_p.apply(z0), composed_q.apply(z0)),
         "max_contraction_ratio": float(ratios.max(initial=0.0)),
-        "samples": samples,
+        "samples": _COMPOSITION_SAMPLES,
         "seed": seed,
         "ok": bool(ratios.max(initial=0.0) <= 1.0 + 1e-9),
     }
@@ -853,7 +844,7 @@ def mideal_three_ball_check(space, z: Subspace, trials: int, eps: float = 1e-6,
     for trial, (centers, enlarged, meet), res in _solved_ahead(lps, trials, draw):
         if res.status != FEASIBLE:
             _audit_distances(space, centers, z, meet)
-            return _refuted(BallFamily.from_arrays(centers, enlarged), res, trial,
+            return _refuted(BallFamily(centers, enlarged), res, trial,
                             "enlarged triple misses the subspace")
     return SubspaceVerdict(True, "sampled", f"no counterexample found in {trials} trials",
                            trials)

@@ -36,7 +36,7 @@ def linf3_scenario() -> dict:
     y1 = subspace_from_basis(3, LINF3["line1"])
     y2 = subspace_from_basis(3, LINF3["line2"])
     plane = norms.sum_subspaces(y1, y2)
-    family = BallFamily.from_arrays(LINF3["centers"], LINF3["radii"])
+    family = BallFamily(LINF3["centers"], LINF3["radii"])
     problem = CenterProblem(space, None, FiniteSet(LINF3["centers"]),
                             uniform_max(3))
     return {"space": space, "y1": y1, "y2": y2, "plane": plane,
@@ -99,7 +99,7 @@ def transfer_scenario() -> dict:
     y = subspace_from_basis(4, TRANSFER["y"])
     z2 = subspace_from_basis(4, TRANSFER["z2"])
     p_matrix = np.array(TRANSFER["projection"], dtype=float)
-    family = BallFamily.from_arrays(TRANSFER["centers"], TRANSFER["radii"])
+    family = BallFamily(TRANSFER["centers"], TRANSFER["radii"])
 
     def factory(z):
         return geometry.locally_constrained_from_full_projection(

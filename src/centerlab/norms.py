@@ -558,6 +558,29 @@ def is_lp_encodable(space) -> bool:
     return _norm(space).lp_encodable
 
 
+def sublevel_vertices(space, basis: np.ndarray, points: np.ndarray,
+                      weights: np.ndarray, level: float, generator_cap: int,
+                      subset_cap: int) -> np.ndarray | None:
+    """The vertices, in the coordinates u of `basis` S, of the sublevel set
+    {u : max_i w_i ||S u - x_i|| <= level}, as `optim.enumerate_vertices`
+    gives them from the rows w_i g S <= level + w_i g x_i (each point, then
+    each generator g; one vector product a row, as in
+    `_GeneratorNorm.epigraph`).  None where S has more than 4 columns, the
+    norm is not polyhedral or passes `generator_cap`, or the rows have more
+    than `subset_cap` subsets."""
+    if basis.shape[1] > 4:
+        return None
+    try:
+        gens = explicit_generators(space, generator_cap)
+    except InvalidNormError:
+        return None
+    w = weights[:, None]
+    rows = w[:, :, None] * (gens[:, None, :] @ basis)[:, 0]
+    rhs = level + w * np.vecdot(gens, points[:, None, :])
+    return optim.enumerate_vertices(rows.reshape(-1, basis.shape[1]), rhs.ravel(),
+                                    cap=subset_cap)
+
+
 def add_norm_epigraph(builder: optim.LpBuilder, space, cols, mat: np.ndarray,
                       off: np.ndarray, bound: int) -> None:
     """Append rows enforcing ||mat @ u[cols] + off|| <= u[bound].
@@ -735,7 +758,8 @@ def _enumerate_annihilator_vertices(space, basis: np.ndarray):
     {mu >= 0, sum(mu) <= 1, (G B)^T mu = 0}.  Its vertices are zero and the
     basic solutions of the k + 1 equations (G B)^T mu = 0, sum(mu) = 1
     (independent, because G is symmetric), each on a support of k + 1
-    generators; supports whose equations are singular are skipped.
+    generators, solved by `optim.solve_regular`, which skips the supports
+    whose equations are singular.
     """
     try:
         gens = explicit_generators(space, _DUAL_VERTEX_CAP)
@@ -746,13 +770,10 @@ def _enumerate_annihilator_vertices(space, basis: np.ndarray):
         return None
     eqs = np.vstack([(gens @ basis).T, np.ones(m)])
     supports = np.array(list(itertools.combinations(range(m), k + 1)))
-    mats = eqs[:, supports].transpose(1, 0, 2)
-    sv = np.linalg.svd(mats, compute_uv=False)
-    regular = sv[:, -1] > 1e-10 * sv[:, 0]
-    supports, mats = supports[regular], mats[regular]
-    rhs = np.zeros((k + 1, 1))
-    rhs[-1] = 1.0
-    mu = np.linalg.solve(mats, rhs)[:, :, 0]
+    rhs = np.zeros((supports.shape[0], k + 1))
+    rhs[:, -1] = 1.0
+    regular, mu = optim.solve_regular(eqs[:, supports].transpose(1, 0, 2), rhs)
+    supports = supports[regular]
     # a zero weight of a degenerate vertex may come out a rounding below zero
     feasible = mu.min(axis=1, initial=0.0) >= -1e-12
     mu, supports = np.maximum(mu[feasible], 0.0), supports[feasible]
@@ -802,19 +823,6 @@ def dist_to_subspace_many(space, xs, sub: Subspace) -> np.ndarray:
     dists = _max(xs @ verts.T, 1)
     dists[inside] = 0.0
     return dists
-
-
-@dataclass(frozen=True, eq=False)
-class Ball:
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _frozen(self.center))
-        if not (np.isfinite(self.center).all() and np.isfinite(self.radius)):
-            raise ValueError("ball centers and radii must be finite")
-        if not self.radius >= 0:
-            raise ValueError("ball radius must be nonnegative")
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,10 @@ to -e_idx, the dual of min u_idx, and keeps every positive dual basic and
 free to go negative, so the rows it holds stay tight and, by complementary
 slackness, the point stays on the optimal face.  Phase 1 runs once, and
 each stage costs a few pivots.
+
+Polytope vertices are enumerated by basis solves (`enumerate_vertices`), a
+batch of row subsets at a time, through one kernel, `solve_regular`, which
+the annihilator's dual vertices in `norms` share.
 """
 
 from __future__ import annotations
@@ -809,12 +813,32 @@ def lp_solve_lex(lp: LinearProgram,
     return lp_solve(lp, refine=range(lp.n_vars) if refine is None else refine)
 
 
+def solve_regular(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the square systems mats[s] x = rhs[s] of a batch whose smallest
+    singular value, with columns and then rows scaled to unit length, is
+    above 1e-10 of their largest, a screen blind to the scale of unknowns
+    and equations; the others, singular up to rounding, are skipped.
+    Returns the mask of the solved systems and their solutions, one row
+    each (a 0 x 0 system is regular)."""
+    eq = mats / np.linalg.norm(mats, axis=1, keepdims=True).clip(1e-300)
+    eq /= np.linalg.norm(eq, axis=2, keepdims=True).clip(1e-300)
+    sv = np.linalg.svd(eq, compute_uv=False)
+    regular = sv.min(axis=1, initial=np.inf) > 1e-10 * sv.max(axis=1, initial=0.0)
+    return regular, np.linalg.solve(mats[regular], rhs[regular][:, :, None])[:, :, 0]
+
+
+# the most entries of the (subset, row) products one batch of
+# `enumerate_vertices` holds
+_VERTEX_BATCH_CELLS = 1 << 16
+
+
 def enumerate_vertices(a_ub, b_ub, cap: int = 2_000_000) -> np.ndarray | None:
     """All vertices of {u : a_ub u <= b_ub} by basis enumeration, one per
-    7-digit rounding, in sorted order.
-
-    Intended for small dimensions (<= 4 in this project); returns None when
-    the subset count would exceed `cap`.
+    7-digit rounding (the first found), in sorted order: the row subsets of
+    size dim(u) are solved a batch at a time by `solve_regular`, and a
+    solution is a vertex when it is finite, solves its rows to 1e-7 and
+    meets every row.  Intended for small dimensions (<= 4 in this
+    project); returns None when the subset count would exceed `cap`.
     """
     a_ub = np.asarray(a_ub, dtype=float)
     b_ub = np.asarray(b_ub, dtype=float).ravel()
@@ -822,25 +846,21 @@ def enumerate_vertices(a_ub, b_ub, cap: int = 2_000_000) -> np.ndarray | None:
     if math.comb(m, d) > cap:
         return None
     scale = np.maximum(1.0, np.abs(b_ub))
-    found: dict[tuple, np.ndarray] = {}
-    for subset in itertools.combinations(range(m), d):
-        mat, rhs = a_ub[list(subset)], b_ub[list(subset)]
-        try:
-            v = np.linalg.solve(mat, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.isfinite(v).all():
-            continue
-        if np.abs(mat @ v - rhs).max(initial=0.0) > 1e-7:
-            continue
-        if m and (a_ub @ v - b_ub > 100 * FEAS_TOL * scale).any():
-            continue
-        key = tuple(np.round(v, 7).tolist())
-        if key not in found:
-            found[key] = v
-    if not found:
-        return np.zeros((0, d))
-    return np.array([found[k] for k in sorted(found)])
+    subsets = itertools.combinations(range(m), d)
+    size = max(1, _VERTEX_BATCH_CELLS // max(m, d * d))
+    found = [np.zeros((0, d))]
+    while chunk := list(itertools.islice(subsets, size)):
+        batch = np.array(chunk, dtype=np.intp).reshape(len(chunk), d)
+        mats, rhs = a_ub[batch], b_ub[batch]
+        regular, verts = solve_regular(mats, rhs)
+        mats, rhs = mats[regular], rhs[regular]
+        resid = np.abs((mats @ verts[:, :, None])[:, :, 0] - rhs).max(axis=1, initial=0.0)
+        ok = np.isfinite(verts).all(axis=1) & (resid <= 1e-7)
+        ok &= ~(verts @ a_ub.T - b_ub > 100 * FEAS_TOL * scale).any(axis=1)
+        found.append(verts[ok])
+    verts = np.concatenate(found)
+    # sorted by the rounded keys; `np.unique` gives each key's first index
+    return verts[np.unique(np.round(verts, 7), axis=0, return_index=True)[1]]
 
 
 _STAGES, _STAGE_STEPS, _STALL_STEPS, _POLISH_CALLS = 12, 700, 250, 2500

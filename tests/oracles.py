@@ -5,6 +5,7 @@ refinement and numpy rank computations only.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -141,3 +142,73 @@ def first_asymmetric_by_loop(gens):
                    for j in range(gens.shape[0])):
             return gens[i]
     return None
+
+
+# ---------------------------------------------------------------------------
+# vertex enumeration one row subset at a time, and the annihilator's dual
+# vertices from the generators, as a reference for the batched basis solves
+
+def vertices_by_loop(a_ub, b_ub, cap=2_000_000):
+    """All vertices of {u : a_ub u <= b_ub}, one `np.linalg.solve` per row
+    subset, one per 7-digit rounding (the first found), in sorted order;
+    None past `cap` subsets."""
+    from centerlab.optim import FEAS_TOL
+    a_ub = np.asarray(a_ub, dtype=float)
+    b_ub = np.asarray(b_ub, dtype=float).ravel()
+    m, d = a_ub.shape
+    if math.comb(m, d) > cap:
+        return None
+    scale = np.maximum(1.0, np.abs(b_ub))
+    found = {}
+    for subset in itertools.combinations(range(m), d):
+        mat, rhs = a_ub[list(subset)], b_ub[list(subset)]
+        try:
+            v = np.linalg.solve(mat, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        if not np.isfinite(v).all():
+            continue
+        if np.abs(mat @ v - rhs).max(initial=0.0) > 1e-7:
+            continue
+        if m and (a_ub @ v - b_ub > 100 * FEAS_TOL * scale).any():
+            continue
+        key = tuple(np.round(v, 7).tolist())
+        if key not in found:
+            found[key] = v
+    if not found:
+        return np.zeros((0, d))
+    return np.array([found[k] for k in sorted(found)])
+
+
+def annihilator_vertices_by_svd_screen(gens, basis):
+    """The vertices of {phi : B^T phi = 0, max_i |phi . g_i|* <= 1} for a
+    symmetric generator set G: zero, and G^T mu for the basic solutions mu
+    >= 0 of (G B)^T mu = 0, sum(mu) = 1 on supports of k + 1 generators
+    whose matrix passes the 1e-10 singular-value screen."""
+    m, k = gens.shape[0], basis.shape[1]
+    eqs = np.vstack([(gens @ basis).T, np.ones(m)])
+    supports = np.array(list(itertools.combinations(range(m), k + 1)))
+    mats = eqs[:, supports].transpose(1, 0, 2)
+    sv = np.linalg.svd(mats, compute_uv=False)
+    regular = sv[:, -1] > 1e-10 * sv[:, 0]
+    supports, mats = supports[regular], mats[regular]
+    rhs = np.zeros((k + 1, 1))
+    rhs[-1] = 1.0
+    mu = np.linalg.solve(mats, rhs)[:, :, 0]
+    feasible = mu.min(axis=1, initial=0.0) >= -1e-12
+    mu, supports = np.maximum(mu[feasible], 0.0), supports[feasible]
+    phis = np.einsum("sj,sjn->sn", mu, gens[supports])
+    phis -= (phis @ basis) @ basis.T
+    return np.vstack([np.zeros(gens.shape[1]), phis])
+
+
+def sublevel_rows_by_loop(gens, basis, points, weights, level):
+    """The rows w_i g S <= level + w_i g x_i of the sublevel set
+    {u : max_i w_i ||S u - x_i|| <= level} of a generator norm, one point
+    and one generator at a time."""
+    rows, rhs = [], []
+    for x, w in zip(points, weights):
+        for g in gens:
+            rows.append(w * (g @ basis))
+            rhs.append(level + w * float(g @ x))
+    return np.array(rows), np.array(rhs)

@@ -232,8 +232,7 @@ def test_criterion_06_direct_sum_projection_composition():
     all_exact = True
     for idx in range(20):
         space, pairs, z0 = instances.composition_scenario(idx)
-        _, _, report = compose_direct_sum_projections(space, pairs, z0,
-                                                      samples=10_000, seed=idx)
+        _, _, report = compose_direct_sum_projections(space, pairs, z0, seed=idx)
         all_exact = all_exact and report["image_bitexact"]
         worst_ratio = max(worst_ratio, report["max_contraction_ratio"])
     ok = all_exact and worst_ratio <= 1.0 + 1e-9

@@ -514,7 +514,7 @@ def test_probe_of_a_max_sum_enumerates_its_vertices(monkeypatch):
     assert exact.mode == "vertex-exact"
     # the vertices carry the maximum of the convex distance, so no sampled
     # point of the sublevel set lies farther out
-    monkeypatch.setattr(centers, "_sublevel_vertices", lambda *args: None)
+    monkeypatch.setattr(norms, "sublevel_vertices", lambda *args: None)
     sampled = delta_center_probe(prob, 0.1, result=res)
     assert sampled.mode == "sampled"
     assert sampled.excess <= exact.excess + 1e-9

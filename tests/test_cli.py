@@ -486,7 +486,7 @@ def test_every_refutation_replays_to_its_status(tmp_path, capsys, kind):
     # net of 8 balls holds the 3 injected ones, which miss the plane alone
     for j in range(1, len(radii)):
         radii[j] = max(radii[j], norms.eval_norm(space, centers[0] - centers[j]))
-        family = geometry.BallFamily.from_arrays(centers, radii)
+        family = geometry.BallFamily(centers, radii)
         if geometry.balls_intersect(space, family, sub).status == geometry.FEASIBLE:
             break
     assert j == 1 or kind == "almost-constrained"
@@ -735,8 +735,7 @@ def test_transfer_check_is_containment(capsys, monkeypatch, point, code):
     # balls of radius 1.5 about (2,0,0,0) and (4,0,0,0): (3,0,0,0) lies
     # strictly inside both, (3.8,0,0,0) outside the first
     data = cli.instances.transfer_scenario()
-    data["family"] = geometry.BallFamily.from_arrays(data["family"].centers,
-                                                     [1.5, 1.5])
+    data["family"] = geometry.BallFamily(data["family"].centers, [1.5, 1.5])
     monkeypatch.setattr(cli.instances, "transfer_scenario", lambda: data)
     monkeypatch.setattr(cli, "locally_constrained_transfer",
                         lambda *args: geometry.TransferResult(

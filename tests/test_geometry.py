@@ -51,7 +51,7 @@ def plane():
 
 
 def reference_family():
-    return BallFamily.from_arrays(Y_CENTERS, RADII)
+    return BallFamily(Y_CENTERS, RADII)
 
 
 def test_reference_family_feasible_in_whole_space():
@@ -71,7 +71,7 @@ def test_reference_family_infeasible_on_plane_with_certificate():
 
 
 def test_single_ball_witness_is_center():
-    fam = BallFamily.from_arrays([[1.0, 2.0]], [0.0])
+    fam = BallFamily([[1.0, 2.0]], [0.0])
     res = balls_intersect(l1(2), fam)
     assert res.status == geometry.FEASIBLE
     assert np.allclose(res.witness, [1.0, 2.0], atol=1e-9)
@@ -85,9 +85,7 @@ def test_single_ball_witness_is_center():
     (np.zeros(2), -1.0, "nonnegative")])
 def test_balls_refuse_malformed_centers_and_radii(center, radius, message):
     with pytest.raises(ValueError, match=message):
-        norms.Ball(center, radius)
-    with pytest.raises(ValueError, match=message):
-        BallFamily.from_arrays([center], [radius])
+        BallFamily([center], [radius])
 
 
 def test_balls_intersect_monotone_in_feasible_set():
@@ -101,24 +99,24 @@ def test_balls_intersect_monotone_in_feasible_set():
             if False else (small.basis @ rng.normal(size=(1, 4)) * 2).T
         radii = norms.eval_norm_many(space, w[None, :] - centers) * \
             (1 + rng.uniform(0, 0.2, 4))
-        fam = BallFamily.from_arrays(centers, radii)
+        fam = BallFamily(centers, radii)
         if balls_intersect(space, fam, small).status == geometry.FEASIBLE:
             assert balls_intersect(space, fam, big).status == geometry.FEASIBLE
             assert balls_intersect(space, fam).status == geometry.FEASIBLE
 
 
 def test_l2_intersection_semi_decision():
-    fam = BallFamily.from_arrays([[0.0, 0.0], [2.0, 0.0]], [1.0, 1.0])
+    fam = BallFamily([[0.0, 0.0], [2.0, 0.0]], [1.0, 1.0])
     res = balls_intersect(l2(2), fam)
     assert res.status == geometry.FEASIBLE
     assert np.allclose(res.witness, [1.0, 0.0], atol=1e-4)
-    tight = BallFamily.from_arrays([[0.0, 0.0], [2.0, 0.0]], [0.8, 0.8])
+    tight = BallFamily([[0.0, 0.0], [2.0, 0.0]], [0.8, 0.8])
     res2 = balls_intersect(l2(2), tight)
     assert res2.status == geometry.UNRESOLVED  # never certified infeasible
 
 
 def test_l2_zero_radius_ball_in_the_whole_space_is_feasible():
-    fam = BallFamily.from_arrays([[0.0, 0.0], [1.0, 0.0]], [0.0, 1.0])
+    fam = BallFamily([[0.0, 0.0], [1.0, 0.0]], [0.0, 1.0])
     res = balls_intersect(l2(2), fam)
     assert res.status == geometry.FEASIBLE
     assert np.allclose(res.witness, [0.0, 0.0], atol=1e-8)
@@ -128,7 +126,7 @@ def test_l2_zero_radius_ball_off_the_subspace_is_never_feasible():
     # the point ball (1, 0) lies off span{e2}, so no witness on the line may
     # be reported, its center least of all
     line = subspace_from_basis(2, [[0.0, 1.0]])
-    fam = BallFamily.from_arrays([[1.0, 0.0], [1.0, 1.0]], [0.0, 1.0])
+    fam = BallFamily([[1.0, 0.0], [1.0, 1.0]], [0.0, 1.0])
     res = balls_intersect(l2(2), fam, line)
     assert res.status == geometry.UNRESOLVED
     assert line.contains(res.witness)
@@ -152,8 +150,7 @@ def test_inflated_witness_first_families_are_feasible(make_space):
         centers = rng.normal(size=(3, n)) * 2.0
         radii = norms.eval_norm_many(space, w[None, :] - centers) * \
             (1.0 + rng.uniform(1e-3, 0.2, size=3))
-        res = balls_intersect(space, BallFamily.from_arrays(centers, radii),
-                              within)
+        res = balls_intersect(space, BallFamily(centers, radii), within)
         assert res.status == geometry.FEASIBLE
         assert within is None or within.contains(res.witness)
 
@@ -163,7 +160,7 @@ def test_separated_balls_are_unresolved(make_space):
     space = make_space(2)
     far = np.array([3.0, 1.0])
     gap = norms.eval_norm(space, far)
-    fam = BallFamily.from_arrays([np.zeros(2), far], [0.4 * gap, 0.6 * gap - 2e-3])
+    fam = BallFamily([np.zeros(2), far], [0.4 * gap, 0.6 * gap - 2e-3])
     assert balls_intersect(space, fam).status == geometry.UNRESOLVED
 
 
@@ -283,6 +280,44 @@ def test_verify_projection_samples_past_the_vertex_enumeration_cap():
     assert verdict.accepted
 
 
+def test_verify_projection_past_the_generator_cap_is_a_fallback():
+    # l1 on R^16 has 2^16 generators, past the check's cap of 20,000, so the
+    # check is sampled; the norm is polyhedral, so it is a fallback
+    # ("sampled" is for norms that are not polyhedral)
+    space = l1(16)
+    y = subspace_from_basis(16, np.eye(16)[:1])
+    x = np.eye(16)[1]
+    verdict = verify_norm1_projection(space, ProjectionData(y, x, np.zeros(16)))
+    assert verdict.mode == "sampled-fallback"
+    assert verdict.accepted
+    out = almost_constrained_probe(space, y, x)
+    assert out.passed and out.decided == "sampled"
+    assert "sampled-fallback" in out.note
+
+
+def test_verify_projection_exact_at_a_transversal_of_scale_1e10():
+    # the unit ball of span{x, Y} has a well-posed vertex basis however large
+    # x is, so the check stays exact and rejects an image of norm 5 ||x||
+    space = linf(3)
+    y = subspace_from_basis(3, np.eye(3)[:2])
+    x = 1e10 * np.eye(3)[2]
+    good = verify_norm1_projection(space, ProjectionData(y, x, np.zeros(3)))
+    assert good.accepted and good.mode == "exact"
+    bad = verify_norm1_projection(space, ProjectionData(y, x, 5e10 * np.eye(3)[0]))
+    assert not bad.accepted and bad.mode == "exact"
+    assert bad.max_violation == pytest.approx(5.0)
+
+
+def test_verify_projection_without_vertices_is_a_fallback(monkeypatch):
+    # an enumeration that finds no vertex of the unit ball checks nothing:
+    # the check samples, and still rejects an image of norm 5 ||x||
+    monkeypatch.setattr(norms, "sublevel_vertices", lambda *args: np.zeros((0, 3)))
+    y = subspace_from_basis(3, np.eye(3)[:2])
+    pd = ProjectionData(y, np.eye(3)[2], 5.0 * np.eye(3)[0])
+    verdict = verify_norm1_projection(linf(3), pd)
+    assert verdict.mode == "sampled-fallback" and not verdict.accepted
+
+
 def test_almost_constrained_probe_finds_candidate():
     space = linf(3)
     y = subspace_from_basis(3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -365,8 +400,7 @@ def test_transfer_pipeline_full_run():
     y = subspace_from_basis(4, [[1, 0, 0, 0], [0, 0, 1, 0]])
     z2 = subspace_from_basis(4, [[1.0, 0.0, 0.0, 0.0]])
     p_matrix = np.diag([1.0, 0.0, 1.0, 0.0])
-    family = BallFamily.from_arrays([[-1.0, 0, 0, 0], [1.0, 0, 0, 0]],
-                                    [1.2, 1.2])
+    family = BallFamily([[-1.0, 0, 0, 0], [1.0, 0, 0, 0]], [1.2, 1.2])
 
     def factory(z):
         return locally_constrained_from_full_projection(p_matrix, z, z2, y)
@@ -404,7 +438,7 @@ def test_transfer_scenario_witness_never_in_target():
 def test_transfer_trivial_nesting_returns_witness():
     space = linf(2)
     whole = Subspace.full(2)
-    fam = BallFamily.from_arrays([[0.0, 0.0]], [1.0])
+    fam = BallFamily([[0.0, 0.0]], [1.0])
     res = locally_constrained_transfer(space, whole, whole, whole, fam,
                                        lambda z: None)
     assert res.ok and res.stage == "done"
@@ -415,8 +449,7 @@ def test_transfer_reports_infeasible_stage():
     z1 = subspace_from_basis(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
     y = subspace_from_basis(4, [[1, 0, 0, 0], [0, 0, 1, 0]])
     z2 = subspace_from_basis(4, [[1.0, 0.0, 0.0, 0.0]])
-    family = BallFamily.from_arrays([[-1.0, 0, 0, 0], [1.0, 0, 0, 0]],
-                                    [0.4, 0.4])
+    family = BallFamily([[-1.0, 0, 0, 0], [1.0, 0, 0, 0]], [0.4, 0.4])
     res = locally_constrained_transfer(space, z1, y, z2, family, lambda z: None)
     assert not res.ok
     assert res.stage == "family-in-Y"
@@ -434,7 +467,7 @@ def test_compose_direct_sum_projections():
         pairs.append((ProjectionData(y_i, z0i, img),
                       ProjectionData(y_i, z0i, img)))
     z0 = np.concatenate([z01, z02])
-    p, q, report = compose_direct_sum_projections(space, pairs, z0, samples=2000)
+    p, q, report = compose_direct_sum_projections(space, pairs, z0)
     assert report["image_bitexact"]
     assert report["ok"]
     assert np.array_equal(p.apply(z0), q.apply(z0))
@@ -585,7 +618,7 @@ def test_three_ball_handcrafted_l1_counterexample():
     for c, r in zip(centers, radii):
         d, _ = norms.dist_to_subspace(space, c, z)
         assert d <= r + 1e-12
-    enlarged = BallFamily.from_arrays(centers, radii + 1e-6)
+    enlarged = BallFamily(centers, radii + 1e-6)
     res = balls_intersect(space, enlarged, z)
     assert res.status == geometry.INFEASIBLE
 
@@ -842,7 +875,7 @@ def _reference_central(space, sub, trials, seed):
         centers = (sub.basis @ rng.normal(size=(sub.dim, k)) * 1.5).T
         radii = norms.eval_norm_many(space, w[None, :] - centers) * \
             (1.0 + rng.uniform(0.0, 0.2, size=k))
-        fam = BallFamily.from_arrays(centers, radii)
+        fam = BallFamily(centers, radii)
         pad = np.arange(4) % k
         built.append(_fresh_ball_lp(space, basis, fam.centers[pad], fam.radii[pad]))
         status = optim.lp_solve(built[-1]).status
@@ -869,7 +902,7 @@ def _reference_three_ball(space, z, trials, eps, seed):
         tight = rng.random(size=3) < 0.5
         radii = np.maximum(joint, meet) * \
             (1.0 + rng.uniform(0.0, 0.1, size=3) * (~tight))
-        enlarged = BallFamily.from_arrays(centers, radii + eps)
+        enlarged = BallFamily(centers, radii + eps)
         built.append(_fresh_ball_lp(space, basis, enlarged.centers, enlarged.radii))
         if optim.lp_solve(built[-1]).status != optim.OPTIMAL:
             for x in centers:  # the checker's distance audit

@@ -43,6 +43,7 @@ from centerlab.norms import (
 )
 
 from oracles import (
+    annihilator_vertices_by_svd_screen,
     first_asymmetric_by_loop,
     grid_minimize,
     ladder_norm,
@@ -551,6 +552,24 @@ def test_dist_to_subspace_many_matches_the_lp(kind):
             assert abs(d - exact) <= 1e-12 * max(1.0, exact)
 
 
+@pytest.mark.parametrize("kind", sorted(ANNIHILATOR_SPACES))
+def test_annihilator_vertices_match_the_unbatched_solve(kind):
+    # random and signed coordinate subspaces of dimensions 1 and 2, the
+    # latter with degenerate supports: the dual vertices equal, byte for
+    # byte, those of one screened solve over every support at once
+    rng = np.random.default_rng(22)
+    space = ANNIHILATOR_SPACES[kind](rng)
+    gens = norms.explicit_generators(space)
+    for k in (1, 2):
+        signed = np.zeros((k, 4))
+        signed[np.arange(k), rng.permutation(4)[:k]] = rng.choice([-1.0, 1.0], size=k)
+        for sub in (subspace_from_basis(4, rng.normal(size=(k, 4))),
+                    subspace_from_basis(4, signed)):
+            got = norms._enumerate_annihilator_vertices(space, sub.basis)
+            want = annihilator_vertices_by_svd_screen(gens, sub.basis)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_dist_to_subspace_many_l1_50_solves_lps(monkeypatch):
     calls = []
     real = optim.lp_solve
@@ -642,7 +661,7 @@ def test_one_component_esum_lp_matches_norm():
     assert eval_rf(space, res.minimizer, points, f) == pytest.approx(4.0, abs=1e-9)
     # (2, 0) lies in both balls; the LP's witness is a vertex of their
     # intersection {1.75 <= x <= 2.25, |y| <= 2.25}
-    family = BallFamily.from_arrays(points.points, [4.5, 4.5])
+    family = BallFamily(points.points, [4.5, 4.5])
     out = balls_intersect(space, family)
     assert out.status == FEASIBLE
     assert eval_norm_many(space, out.witness - points.points).max() <= 4.5 + 1e-9

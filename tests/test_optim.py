@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -18,6 +19,8 @@ from centerlab.optim import (
     verify_optimal,
     verify_ray,
 )
+
+from oracles import sublevel_rows_by_loop, vertices_by_loop
 
 
 def make_lp(objective, a_ub=None, b_ub=None) -> optim.LinearProgram:
@@ -197,6 +200,99 @@ def test_enumerate_vertices_square():
     got = {tuple(np.round(v, 9)) for v in verts}
     assert got == expected
     assert enumerate_vertices(a, b, cap=5) is None  # C(4, 2) = 6 subsets
+
+
+def _same_vertices(got, want):
+    """Both None, or arrays equal byte for byte."""
+    if got is None or want is None:
+        return got is None and want is None
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)),
+    # every row twice: the subsets of a row and its copy are singular
+    (np.vstack([np.eye(2), -np.eye(2)] * 2), np.ones(8)),
+    # a zero-dimensional u: the one empty subset is a vertex when b >= 0
+    (np.zeros((3, 0)), np.ones(3)),
+    (np.zeros((3, 0)), -np.ones(3))], ids=["square", "repeated", "d0", "d0-empty"])
+def test_enumerate_vertices_matches_the_subset_loop(a, b):
+    assert _same_vertices(enumerate_vertices(a, b), vertices_by_loop(a, b))
+
+
+def test_enumerate_vertices_ignores_the_scale_of_the_unknowns():
+    # the l-inf unit ball of span{1e10 e3, e1, e2}: every row subset is badly
+    # scaled but well posed, and none may be skipped as singular
+    gens = norms.explicit_generators(norms.linf(3))
+    a = gens @ np.column_stack([1e10 * np.eye(3)[2], np.eye(3)[0], np.eye(3)[1]])
+    b = np.ones(len(gens))
+    want = vertices_by_loop(a, b)
+    assert want.shape[0] > 0
+    assert _same_vertices(enumerate_vertices(a, b), want)
+
+
+def _sweep_polyhedral(rng, n):
+    gens = rng.normal(size=(2, n))
+    return norms.polyhedral(np.vstack([gens, -gens, np.eye(n), -np.eye(n)]),
+                            symmetrize=False)
+
+
+SWEEP_SPACES = {
+    "linf": lambda rng, n: norms.linf(n),
+    "l1": lambda rng, n: norms.l1(n),
+    "polyhedral": _sweep_polyhedral,
+    "max-sum": lambda rng, n: norms.make_direct_sum(
+        [norms.l1(n - 1), norms.linf(1)], norms.max_combiner(2)),
+    "sum-sum": lambda rng, n: norms.make_direct_sum(
+        [norms.linf(n - 1), _sweep_polyhedral(rng, 1)], norms.sum_combiner(2)),
+}
+
+
+def _sweep_sublevel_sets(kind, seed, scaled):
+    """Three weighted points in R^2 to R^4 over bases of 1 to n columns;
+    `scaled` spreads the basis columns over 10^-8 to 10^10 and the weights
+    over 10^-6 to 10^10.  The per-subset loop runs each set of at most
+    12,000 row subsets, and on a larger one both sides refuse a cap below
+    its count.  Scaled, the loop's absolute 1e-7 residual test may leave a
+    set with no vertex; both sides must still agree."""
+    rng = np.random.default_rng(seed)
+    for n in (2, 3, 4):
+        space = SWEEP_SPACES[kind](rng, n)
+        gens = norms.explicit_generators(space, cap=3000)
+        for k in range(1, n + 1):
+            basis = rng.normal(size=(n, k))
+            points = rng.normal(size=(3, n))
+            if scaled:
+                basis *= 10.0 ** rng.integers(-8, 11, size=k)
+                weights = 10.0 ** rng.uniform(-6.0, 10.0, size=3)
+            else:
+                weights = rng.uniform(0.5, 2.0, size=3)
+            level = 1.2 * float(np.max(weights * norms.eval_norm_many(
+                space, basis @ rng.normal(size=k) - points)))
+            a, b = sublevel_rows_by_loop(gens, basis, points, weights, level)
+            count = math.comb(a.shape[0], k)
+            if count > 12_000:
+                assert enumerate_vertices(a, b, cap=count - 1) is None
+                assert vertices_by_loop(a, b, cap=count - 1) is None
+                continue
+            want = vertices_by_loop(a, b, cap=400_000)
+            assert scaled or want.shape[0] > 0
+            assert _same_vertices(enumerate_vertices(a, b, cap=400_000), want)
+            assert _same_vertices(norms.sublevel_vertices(
+                space, basis, points, weights, level, 3000, 400_000), want)
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEP_SPACES))
+def test_sublevel_vertices_match_the_subset_loop(kind):
+    # the weighted-max sublevel sets of the delta-center probe
+    _sweep_sublevel_sets(kind, sorted(SWEEP_SPACES).index(kind), scaled=False)
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEP_SPACES))
+def test_sublevel_vertices_match_the_subset_loop_badly_scaled(kind):
+    # well-posed vertex bases are kept whatever the scale of the basis
+    # columns and of the weights
+    _sweep_sublevel_sets(kind, 100 + sorted(SWEEP_SPACES).index(kind), scaled=True)
 
 
 def test_subgradient_euclidean_norm_to_zero():

@@ -41,7 +41,12 @@ runs, in one process:
   close its bracket after a few steps;
 - `property almost-constrained` at both seeds on l1 in R^8 over a
   coordinate 3-space, whose norm-one projection check passes the vertex
-  enumeration's cap and is sampled.
+  enumeration's cap and is sampled;
+- `property almost-constrained` at both seeds on a plane of l-inf in R^3
+  and on a plane of l1 in R^3, each given by its kernel, whose exact
+  norm-one projection checks reject an image: at seed 0 the l-inf probe
+  passes in its second round, and the l1 probe refutes there with the
+  rejection's witness in its net.
 
 A digest covers the exit code and the report with `wall_clock_s` removed.
 Two checkouts give the same lines exactly when their reports agree, so
@@ -123,6 +128,14 @@ AC_PAST_CAP = {"schema": 1, "space": {"kind": "lp", "p": 1, "dim": 8},
                                       [0, 1, 0, 0, 0, 0, 0, 0],
                                       [0, 0, 1, 0, 0, 0, 0, 0]]},
                "x": [0, 0, 0, 1, 1, 0, 0, 0]}
+# planes of R^3 whose exact projection checks reject an image:
+# label -> (space, kernel row, x)
+EXACT_REJECT = {
+    "linf3": ({"kind": "lp", "p": "inf", "dim": 3}, [0.126, -0.132, 0.64],
+              [0.105, -0.536, 0.362]),
+    "l13": ({"kind": "lp", "p": 1, "dim": 3}, [1.304, 0.947, -0.704],
+            [-1.265, -0.623, 0.041]),
+}
 # kind -> (the instance fields it reads, its flags)
 L2_KINDS = {"central": (("space", "subspace"), ["--trials", "3"]),
             "ac": (("space", "subspace", "points", "x"), []),
@@ -224,6 +237,14 @@ def run_all(cli) -> None:
     for seed in SEEDS:
         digest(cli, f"property-almost-constrained-l1-8-seed{seed}",
                ["property", "almost-constrained", "ac-past-cap.json", "--seed", seed])
+    for name, (space, kernel, x) in EXACT_REJECT.items():
+        path = f"reject-{name}.json"
+        Path(path).write_text(json.dumps(
+            {"schema": 1, "space": space, "subspace": {"kernel": [kernel]}, "x": x}),
+            encoding="utf-8")
+        for seed in SEEDS:
+            digest(cli, f"property-almost-constrained-reject-{name}-seed{seed}",
+                   ["property", "almost-constrained", path, "--seed", seed])
 
 
 def main(argv: list[str]) -> int:
