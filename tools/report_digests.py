@@ -46,7 +46,14 @@ runs, in one process:
   and on a plane of l1 in R^3, each given by its kernel, whose exact
   norm-one projection checks reject an image: at seed 0 the l-inf probe
   passes in its second round, and the l1 probe refutes there with the
-  rejection's witness in its net.
+  rejection's witness in its net;
+- `property central --trials 200` and `property mideal --trials 200` at
+  both seeds on a seeded random plane of l1 in R^3 (the basis of
+  `default_rng(4).normal(size=(2, 3))` to three decimals), and `replay` of
+  each report that carries a counterexample: some of its trials are held
+  by the projection of their witness onto the plane and some need their
+  ball LP; the central check passes at seed 0 and refutes at seed 7, and
+  both three-ball checks fail.
 
 A digest covers the exit code and the report with `wall_clock_s` removed.
 Two checkouts give the same lines exactly when their reports agree, so
@@ -136,6 +143,10 @@ EXACT_REJECT = {
     "l13": ({"kind": "lp", "p": 1, "dim": 3}, [1.304, 0.947, -0.704],
             [-1.265, -0.623, 0.041]),
 }
+# a random plane of l1 in R^3: the rows of default_rng(4).normal(size=(2, 3))
+L1_PLANE = {"schema": 1, "space": {"kind": "lp", "p": 1, "dim": 3},
+            "subspace": {"basis": [[-0.652, -0.175, 1.664],
+                                   [0.659, -1.641, -0.005]]}}
 # kind -> (the instance fields it reads, its flags)
 L2_KINDS = {"central": (("space", "subspace"), ["--trials", "3"]),
             "ac": (("space", "subspace", "points", "x"), []),
@@ -245,6 +256,14 @@ def run_all(cli) -> None:
         for seed in SEEDS:
             digest(cli, f"property-almost-constrained-reject-{name}-seed{seed}",
                    ["property", "almost-constrained", path, "--seed", seed])
+    Path("l13-plane.json").write_text(json.dumps(L1_PLANE), encoding="utf-8")
+    for kind in ("central", "mideal"):
+        for seed in SEEDS:
+            label = f"property-{kind}-l13-plane-seed{seed}"
+            report = digest(cli, label, ["property", kind, "l13-plane.json",
+                                         "--seed", seed, "--trials", "200"])
+            if report and "counterexample" in report.get("verdicts", {}):
+                digest(cli, f"replay-{label}", ["replay", f"{label}.json"])
 
 
 def main(argv: list[str]) -> int:
