@@ -9,6 +9,14 @@ counterexample found in N trials", never proofs.
 
 Random ball families are generated witness-first (pick the witness, derive
 the radii), since independently random radii almost never intersect.
+Each trial also names a point of the subspace, the Euclidean projection
+of its witness.  A trial whose balls all hold that point (no tolerance) is
+`FEASIBLE` with the point as its witness, and no LP or barrier search is
+made for it.  When that projection P has norm one,
+||P w - c|| = ||P (w - c)|| <= ||w - c|| for c in the subspace, so on such
+positive cases of the paper (coordinate subspaces of l-inf(n), every
+subspace of l2) no trial of a central check needs a solve.  A family that misses the
+subspace holds no such point, so every refutation is still a solve's.
 
 Every ball-intersection LP is made by `_BallLps`.  A checker's trials,
 each family padded to one size, are one LP that differs only in b, so
@@ -17,10 +25,11 @@ radii, by the norm's `epigraph_rhs`, as the build does.
 
 Under a polyhedral norm the checkers draw their trials ahead,
 min(remaining, _DRAW_AHEAD) at a time, with the same random calls in the
-same order as one at a time, and `_BallLps.intersect_all` solves each
-chunk, when its first trial is reached, as one `optim.lp_solve_lockstep`
-batch.  Under any other norm there is no batch to gain, and each trial is
-drawn when its turn comes.
+same order as one at a time, and `_BallLps.intersect_all` solves the
+trials of each chunk that their points do not settle, when the first of
+them is reached, as one `optim.lp_solve_lockstep` batch.  Under any other
+norm there is no batch to gain, and each trial is drawn when its turn
+comes.
 The verdict is decided by the first trial, in seed order, that does not
 intersect, so `trials_run`, the counterexample and the note are those of a
 trial-by-trial search.  The chunk is a trade-off: a check that fails early
@@ -99,7 +108,9 @@ class IntersectionResult:
     polyhedral norms.  For other norms `lp` is None and `outcome` is the
     `CenterResult` of the ratio center whose minimizer is the witness;
     non-polyhedral infeasibility is only ever reported as "unresolved"
-    (nothing found below tolerance), never as certified."""
+    (nothing found below tolerance), never as certified.  A checker's trial
+    held by its own point (see `_solved_ahead`) has that point as its
+    witness and neither an `lp` nor an `outcome`."""
 
     status: str
     witness: np.ndarray | None
@@ -249,18 +260,28 @@ _DRAW_AHEAD = 64
 def _solved_ahead(lps: _BallLps, trials: int, draw: Callable[[], tuple]):
     """Yield (trial number from 1, what `draw` returned, the result of
     intersecting its first two entries, centers and radii) for `trials`
-    draws, in order.  Under a polyhedral norm draws are made
-    min(remaining, _DRAW_AHEAD) at a time and solved by
-    `_BallLps.intersect_all`, so a caller that stops at a trial has drawn
-    and solved the rest of its chunk for nothing.  Under any other norm
-    nothing is batched, and each trial is drawn when its turn comes."""
+    draws, in order.  The third entry is a point of the subspace: a trial
+    whose balls all hold it, gap <= 0 by one `eval_norm_many` call a chunk,
+    is `FEASIBLE` with that point as its witness.  The others are solved by
+    `_BallLps.intersect_all`, when the first of them is reached, so a chain
+    of held trials builds no LP.  Under a polyhedral norm draws are made
+    min(remaining, _DRAW_AHEAD) at a time, so a caller that stops at a
+    trial has drawn and solved the rest of its chunk for nothing.  Under
+    any other norm nothing is batched, and each trial is drawn when its
+    turn comes."""
     chunk = _DRAW_AHEAD if norms.is_lp_encodable(lps.space) else 1
     done = 0
     while done < trials:
         drawn = [draw() for _ in range(min(chunk, trials - done))]
-        for item, res in zip(drawn, lps.intersect_all([d[:2] for d in drawn])):
+        offsets = np.concatenate([point - centers for centers, _, point, *_ in drawn])
+        gaps = eval_norm_many(lps.space, offsets) - np.concatenate([d[1] for d in drawn])
+        held = [g.max() <= 0 for g in
+                np.split(gaps, np.cumsum([len(d[1]) for d in drawn])[:-1])]
+        solved = lps.intersect_all([d[:2] for d, h in zip(drawn, held) if not h])
+        for item, h in zip(drawn, held):
             done += 1
-            yield done, item, res
+            yield done, item, (IntersectionResult(FEASIBLE, item[2], None, None) if h
+                               else next(solved))
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +333,15 @@ def central_subspace_check(space, sub: Subspace, trials: int, seed: int,
     from `within`, centers from `sub`, and each radius is the witness
     distance inflated by a factor in [1, 1.2], so feasibility in `within`
     holds by construction.  Injected families are tested first, each by
-    `balls_intersect`.  The trials form one chain of LPs (see `_BallLps`):
-    each family is padded to _CENTRAL_BALLS balls, the rows are built once,
-    a trial supplies only b, and each chunk drawn ahead is solved in
-    lockstep from the basis of the chain's first LP (see the module
-    docstring).  A `BallFamily` is built only for a counterexample.
+    `balls_intersect`.  A trial is `FEASIBLE` when every ball holds the
+    Euclidean projection of its witness onto `sub` (as every ball does
+    when that projection has norm one: on coordinate subspaces of
+    l-inf(n) and on every subspace of l2), and otherwise when its LP, or its barrier ball search under a norm that is
+    not polyhedral, finds a point.  The LP trials form one chain (see
+    `_BallLps`): each family is padded to _CENTRAL_BALLS balls, the rows are
+    built once, a trial supplies only b, and each chunk drawn ahead is
+    solved in lockstep from the basis of the chain's first LP (see the
+    module docstring).  A `BallFamily` is built only for a counterexample.
     """
     n = norms.space_dim(space)
     rng = np.random.default_rng(seed)
@@ -334,9 +359,9 @@ def central_subspace_check(space, sub: Subspace, trials: int, seed: int,
         centers = (sub.basis @ rng.normal(size=(sub.dim, k)) * 1.5).T
         radii = eval_norm_many(space, w[None, :] - centers) * \
             (1.0 + rng.uniform(0.0, 0.2, size=k))
-        return centers, radii
+        return centers, radii, sub.project_euclid(w)
 
-    for trial, (centers, radii), res in _solved_ahead(lps, trials, draw):
+    for trial, (centers, radii, _), res in _solved_ahead(lps, trials, draw):
         if res.status != FEASIBLE:
             note = ("counterexample with Farkas certificate" if res.status == INFEASIBLE
                     else "candidate counterexample (semi-decided norm)")
@@ -818,7 +843,11 @@ def mideal_three_ball_check(space, z: Subspace, trials: int, eps: float = 1e-6,
     subspace too.
 
     A failure holds the enlarged triple and what its intersection query
-    saw.  A pass is only the absence of counterexamples.
+    saw.  A pass is only the absence of counterexamples.  A trial is
+    `FEASIBLE` when every enlarged ball holds the projection of the joint
+    point onto `z` (as it does on every coordinate subspace of l-inf(n)),
+    and otherwise when its LP, or its barrier ball search under a
+    norm that is not polyhedral, finds a point.
     The distances of the three centers to the subspace come from one
     `dist_to_subspace_many` call per trial; those of a failing triple are
     solved again as LPs, and a disagreement raises OptimizationError rather
@@ -839,9 +868,9 @@ def mideal_three_ball_check(space, z: Subspace, trials: int, eps: float = 1e-6,
         meet = dist_to_subspace_many(space, centers, z)
         tight = rng.random(size=3) < 0.5
         infl = 1.0 + rng.uniform(0.0, 0.1, size=3) * (~tight)
-        return centers, np.maximum(joint, meet) * infl + eps, meet
+        return centers, np.maximum(joint, meet) * infl + eps, z.project_euclid(w), meet
 
-    for trial, (centers, enlarged, meet), res in _solved_ahead(lps, trials, draw):
+    for trial, (centers, enlarged, _, meet), res in _solved_ahead(lps, trials, draw):
         if res.status != FEASIBLE:
             _audit_distances(space, centers, z, meet)
             return _refuted(BallFamily(centers, enlarged), res, trial,

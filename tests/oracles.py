@@ -212,3 +212,78 @@ def sublevel_rows_by_loop(gens, basis, points, weights, level):
             rows.append(w * (g @ basis))
             rhs.append(level + w * float(g @ x))
     return np.array(rows), np.array(rhs)
+
+
+# ---------------------------------------------------------------------------
+# the checkers' trial-by-trial search, every trial decided by its own
+# `balls_intersect`, as a reference for the chained checkers
+
+def central_trials(space, sub, trials, seed, within=None):
+    """The (centers, radii) of `central_subspace_check`'s trials, drawn with
+    its random calls in its order."""
+    from centerlab.norms import eval_norm_many, space_dim
+    rng = np.random.default_rng(seed)
+    w_basis = np.eye(space_dim(space)) if within is None else np.array(within.basis)
+    for _ in range(trials):
+        k = int(rng.integers(2, 5))
+        w = w_basis @ rng.normal(size=w_basis.shape[1]) * 1.5
+        centers = (sub.basis @ rng.normal(size=(sub.dim, k)) * 1.5).T
+        radii = eval_norm_many(space, w[None, :] - centers) * \
+            (1.0 + rng.uniform(0.0, 0.2, size=k))
+        yield centers, radii
+
+
+def three_ball_trials(space, z, trials, eps, seed):
+    """The (centers, enlarged radii) of `mideal_three_ball_check`'s trials,
+    drawn with its random calls in its order."""
+    from centerlab.norms import dist_to_subspace_many, eval_norm_many, space_dim
+    n = space_dim(space)
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        w = rng.normal(size=n) * 1.5
+        centers = rng.normal(size=(3, n)) * 1.5
+        joint = eval_norm_many(space, w[None, :] - centers)
+        meet = dist_to_subspace_many(space, centers, z)
+        tight = rng.random(size=3) < 0.5
+        infl = 1.0 + rng.uniform(0.0, 0.1, size=3) * (~tight)
+        yield centers, np.maximum(joint, meet) * infl + eps
+
+
+def search_by_trials(space, sub, families, size):
+    """Decide each family (centers, radii) in turn by `balls_intersect` in
+    `sub`, padded to `size` balls by repeating its own under a polyhedral
+    norm, as the checkers' LP chains pad it, and stop at the first that
+    is not feasible: (trials run, (centers, radii) of that family or None,
+    its result or None)."""
+    from centerlab.geometry import FEASIBLE, BallFamily, balls_intersect
+    from centerlab.norms import is_lp_encodable
+    run = 0
+    for centers, radii in families:
+        run += 1
+        pad = np.arange(size) % len(radii) if is_lp_encodable(space) else slice(None)
+        res = balls_intersect(space, BallFamily(centers[pad], radii[pad]), sub)
+        if res.status != FEASIBLE:
+            return run, (centers, radii), res
+    return run, None, None
+
+
+def verdict_by_trials(kind, space, sub, trials, seed):
+    """The (passed, decided, trials run, note, failing family) of the
+    parent's trial-by-trial `central_subspace_check(space, sub, trials,
+    seed)` (kind "central") or `mideal_three_ball_check(space, sub,
+    trials, 1e-6, seed)` (kind "mideal")."""
+    from centerlab.geometry import INFEASIBLE
+    if kind == "central":
+        run, fam, res = search_by_trials(space, sub, central_trials(
+            space, sub, trials, seed), 4)
+        note = res and ("counterexample with Farkas certificate"
+                        if res.status == INFEASIBLE else
+                        "candidate counterexample (semi-decided norm)")
+    else:
+        run, fam, res = search_by_trials(space, sub, three_ball_trials(
+            space, sub, trials, 1e-6, seed), 3)
+        note = "enlarged triple misses the subspace"
+    if fam is None:
+        return True, "sampled", run, f"no counterexample found in {trials} trials", None
+    decided = "exact" if res.status == INFEASIBLE else "unresolved"
+    return False, decided, run, note, fam

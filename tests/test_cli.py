@@ -72,10 +72,12 @@ def test_three_ball_repro_lp_count(capsys, monkeypatch):
     assert code == EXIT_OK and report["ok"]
     # Every LP counts once, as a row of b given to the lockstep or as an
     # `lp_solve` call from outside it (one that the lockstep solves alone is
-    # one of its rows): 500 passing trials; the whole first chunk of 64
-    # trials drawn ahead by the failing check, which fails at its 4th; and
-    # the 3 audited distances of the failing triple.
-    assert len(solved) == 500 + 64 + 3
+    # one of its rows).  The passing check's 500 trials are all held by the
+    # projection of their joint point onto the summand, and solve none; the
+    # failing check fails at its 4th trial, and of the first chunk of 64
+    # trials drawn ahead, the 46 that their points do not settle are solved;
+    # then the 3 audited distances of the failing triple.
+    assert len(solved) == 0 + 46 + 3
 
 
 def test_reports_are_reproducible(capsys):

@@ -39,6 +39,7 @@ from centerlab.norms import (
     weighted_lp,
 )
 
+import oracles
 from oracles import grid_minimize
 
 Y_CENTERS = np.array([[-2.0, 1.0, 1.0], [1.0, 1.0, -2.0], [1.0, -2.0, 1.0]])
@@ -860,55 +861,20 @@ def test_ball_lp_chain_matches_fresh_builds(seed, n, k, kind, within):
         optim.lp_solve, optim.lp_solve_lockstep = real
 
 
-def _reference_central(space, sub, trials, seed):
-    """`central_subspace_check`'s trials with the LP of every family, padded
-    to 4 balls by repeating its own, built afresh and solved fresh: (trials
-    run, failing family or None, the LPs built).  The LP of each family
-    unpadded has the padded LP's status."""
-    n = norms.space_dim(space)
-    rng = np.random.default_rng(seed)
-    basis = np.array(sub.basis)
-    built = []
-    for trial in range(trials):
-        k = int(rng.integers(2, 5))
-        w = np.eye(n) @ rng.normal(size=n) * 1.5
-        centers = (sub.basis @ rng.normal(size=(sub.dim, k)) * 1.5).T
-        radii = norms.eval_norm_many(space, w[None, :] - centers) * \
-            (1.0 + rng.uniform(0.0, 0.2, size=k))
-        fam = BallFamily(centers, radii)
-        pad = np.arange(4) % k
-        built.append(_fresh_ball_lp(space, basis, fam.centers[pad], fam.radii[pad]))
-        status = optim.lp_solve(built[-1]).status
-        unpadded = _fresh_ball_lp(space, basis, fam.centers, fam.radii)
-        assert optim.lp_solve(unpadded).status == status
-        if status != optim.OPTIMAL:
-            return trial + 1, fam, built
-    return trials, None, built
+def _trial_spy(monkeypatch):
+    """Record [(what the draw returned, result), ...] of the trials of each
+    check, as `geometry._solved_ahead` yields them."""
+    real = geometry._solved_ahead
+    runs = []
 
+    def capture(lps, trials, draw):
+        runs.append([])
+        for trial, item, res in real(lps, trials, draw):
+            runs[-1].append((item, res))
+            yield trial, item, res
 
-def _reference_three_ball(space, z, trials, eps, seed):
-    """`mideal_three_ball_check`'s trials with every LP built and solved
-    afresh, and the distance audit of a failing triple: (trials run,
-    failing enlarged family or None, the LPs built)."""
-    n = norms.space_dim(space)
-    rng = np.random.default_rng(seed)
-    basis = np.array(z.basis)
-    built = []
-    for trial in range(trials):
-        w = rng.normal(size=n) * 1.5
-        centers = rng.normal(size=(3, n)) * 1.5
-        joint = norms.eval_norm_many(space, w[None, :] - centers)
-        meet = norms.dist_to_subspace_many(space, centers, z)
-        tight = rng.random(size=3) < 0.5
-        radii = np.maximum(joint, meet) * \
-            (1.0 + rng.uniform(0.0, 0.1, size=3) * (~tight))
-        enlarged = BallFamily(centers, radii + eps)
-        built.append(_fresh_ball_lp(space, basis, enlarged.centers, enlarged.radii))
-        if optim.lp_solve(built[-1]).status != optim.OPTIMAL:
-            for x in centers:  # the checker's distance audit
-                norms.dist_to_subspace(space, x, z)
-            return trial + 1, enlarged, built
-    return trials, None, built
+    monkeypatch.setattr(geometry, "_solved_ahead", capture)
+    return runs
 
 
 def _checker_cases():
@@ -930,16 +896,19 @@ def _checker_cases():
 @pytest.mark.parametrize("name,space,sub",
                          [pytest.param(*case, id=case[0]) for case in _checker_cases()])
 def test_checkers_match_a_fresh_build_of_every_trial(monkeypatch, name, space, sub):
-    # Both checkers solve, in lockstep, the LPs that a fresh build of every
-    # trial's padded family gives (rows byte for byte, b as floats), up to
-    # their verdict and on to the end of its chunk; every outcome has the
-    # status of a fresh solve of its LP, and up to the verdict every padded
-    # LP has the unpadded LP's status; and their verdicts, trials run and
-    # failing families are those of a reference that builds and solves one
-    # trial at a time.
+    # Each trial of both checkers, up to their verdict, draws the reference's
+    # family and is either held by its point (a point of the subspace that
+    # every ball holds, and the fresh LP of its padded family is feasible)
+    # or solved in lockstep as the LP that a fresh build of its family,
+    # padded, gives (rows byte for byte, b as floats).  Every lockstep
+    # outcome, on to the end of its chunk, has the status of a fresh solve
+    # of its LP, and up to the verdict every padded LP has the unpadded LP's
+    # status.  Verdicts, notes, trials run and failing families are those of
+    # the trial-by-trial reference.
     # The three-ball check fails on the sum summand, the polyhedral line and
     # the sup-norm plane, the central check on the two planes.
     calls = _lockstep_spy(monkeypatch)
+    runs = _trial_spy(monkeypatch)
     central = central_subspace_check(space, sub, trials=400, seed=0)
     three = mideal_three_ball_check(space, sub, trials=200, eps=1e-6, seed=0)
     monkeypatch.undo()
@@ -947,26 +916,50 @@ def test_checkers_match_a_fresh_build_of_every_trial(monkeypatch, name, space, s
     for lp, out in seen:
         assert out.status == optim.lp_solve(lp).status
     solved = {(lp.a_ub.tobytes(), (lp.b_ub + 0.0).tobytes()) for lp, _ in seen}
-    for verdict, family, (runs, ref, built) in (
-            (central, central.family, _reference_central(space, sub, 400, 0)),
-            (three, three.family, _reference_three_ball(space, sub, 200, 1e-6, 0))):
-        assert all((lp.a_ub.tobytes(), (lp.b_ub + 0.0).tobytes()) in solved
-                   for lp in built)
-        assert verdict.trials_run == runs == len(built)
-        assert verdict.passed == (ref is None)
-        if ref is not None:
-            assert family.centers.tobytes() == ref.centers.tobytes()
-            assert family.radii.tobytes() == ref.radii.tobytes()
-            assert verdict.decided == "exact" and verdict.result.certified
+    basis = np.array(sub.basis)
+    for kind, verdict, run, families, size, trials in (
+            ("central", central, runs[0], oracles.central_trials(space, sub, 400, 0), 4, 400),
+            ("mideal", three, runs[1], oracles.three_ball_trials(space, sub, 200, 1e-6, 0),
+             3, 200)):
+        assert len(run) == verdict.trials_run
+        for ((centers, radii, point, *_), res), (ref_centers, ref_radii) in zip(run, families):
+            assert centers.tobytes() == ref_centers.tobytes()
+            assert radii.tobytes() == ref_radii.tobytes()
+            pad = np.arange(size) % len(radii)
+            fresh = _fresh_ball_lp(space, basis, centers[pad], radii[pad])
+            status = optim.lp_solve(fresh).status
+            assert optim.lp_solve(_fresh_ball_lp(space, basis, centers, radii)).status == status
+            if res.lp is None:
+                assert res.status == geometry.FEASIBLE and res.witness is point
+                assert sub.contains(point, tol=1e-12)
+                assert (norms.eval_norm_many(space, point - centers) <= radii).all()
+                assert status == optim.OPTIMAL
+            else:
+                assert (fresh.a_ub.tobytes(), (fresh.b_ub + 0.0).tobytes()) in solved
+        passed, decided, runs_ref, note, family = oracles.verdict_by_trials(
+            kind, space, sub, trials, 0)
+        assert (verdict.passed, verdict.decided, verdict.trials_run, verdict.note) == \
+            (passed, decided, runs_ref, note)
+        if family is not None:
+            assert verdict.family.centers.tobytes() == family[0].tobytes()
+            assert verdict.family.radii.tobytes() == family[1].tobytes()
+            assert verdict.result.certified
     assert (name in ("linf-plane", "l1-plane")) == (not central.passed)
     assert (name in ("sum-sum", "poly-line", "linf-plane")) == (not three.passed)
 
 
+# a random plane of l1(R^3), the rows of default_rng(4).normal(size=(2, 3))
+# to three decimals, where some trials' points miss a ball
+L1_PLANE = [[-0.652, -0.175, 1.664], [0.659, -1.641, -0.005]]
+
+
 def test_a_three_ball_check_builds_its_rows_once(monkeypatch):
-    # One build for the first trial's LP; every later trial only computes b.
-    # A central check pads its families of 2-4 balls to 4, so it too is one
-    # chain: one build and one LP solved alone and fresh, its first.  A
-    # one-shot query builds once too.
+    # A chain builds its rows at most once, for its first trial that its
+    # point does not settle, and every later trial only computes b; a chain
+    # whose every trial its point holds builds nothing.  A central check
+    # pads its families of 2-4 balls to 4, so it too is one chain: one build
+    # and one LP solved alone and fresh, its first.  A one-shot query builds
+    # once too.
     data = instances.mideal_scenarios()
     real_build, real_solve = optim.LpBuilder.build, optim._solve_fresh
     builds, solves = [], []
@@ -984,14 +977,95 @@ def test_a_three_ball_check_builds_its_rows_once(monkeypatch):
     verdict = mideal_three_ball_check(data["max_space"], data["first_summand"],
                                       trials=200, eps=1e-6, seed=0)
     assert verdict.passed and verdict.trials_run == 200
-    assert len(builds) == 1
+    assert not builds and not solves
+    verdict = mideal_three_ball_check(data["sum_space"], data["first_summand"],
+                                      trials=200, eps=1e-6, seed=0)
+    assert not verdict.passed
+    # and the distance audit of the failing triple: 3 LPs, each built and fresh
+    assert len(builds) == len(solves) == 1 + 3
     builds.clear()
     solves.clear()
     # the passing `property central` instance of the benchmark's cli workload
     central = central_subspace_check(linf(5), subspace_from_basis(5, np.eye(5)[[1, 3]]),
                                      trials=25, seed=0)
     assert central.passed and central.trials_run == 25
+    assert not builds and not solves
+    central = central_subspace_check(l1(3), subspace_from_basis(3, L1_PLANE),
+                                     trials=200, seed=0)
+    assert central.passed and central.trials_run == 200
     assert len(builds) == len(solves) == 1
     builds.clear()
     balls_intersect(linf(3), reference_family(), plane())
     assert len(builds) == 1
+
+
+def test_an_l2_central_check_runs_no_center_solve(monkeypatch):
+    # Under the Euclidean norm the orthogonal projection has norm one, so
+    # the projection of every trial's witness is in all its balls: no trial
+    # reaches the barrier's ball search.
+    real = geometry.solve_center
+    problems = []
+
+    def counted(problem):
+        problems.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(geometry, "solve_center", counted)
+    verdict = central_subspace_check(l2(3), plane(), trials=50, seed=0)
+    assert verdict.passed and verdict.decided == "sampled"
+    assert verdict.trials_run == 50
+    assert problems == []
+
+
+def test_trials_whose_points_miss_reach_the_lockstep(monkeypatch):
+    # On a plane of l1(R^3) the projection of a witness misses some balls:
+    # exactly those trials are rows of `optim.lp_solve_lockstep`, and each
+    # is feasible there.
+    calls = _lockstep_spy(monkeypatch)
+    runs = _trial_spy(monkeypatch)
+    verdict = central_subspace_check(l1(3), subspace_from_basis(3, L1_PLANE),
+                                     trials=200, seed=0)
+    monkeypatch.undo()
+    assert verdict.passed
+    rows = [pair for call in calls for pair in call]
+    missed = [res for _, res in runs[0] if res.lp is not None]
+    assert 0 < len(missed) == len(rows) < 200
+    assert [res.lp.b_ub.tobytes() for res in missed] == \
+        [lp.b_ub.tobytes() for lp, _ in rows]
+    assert all(out.status == optim.OPTIMAL for _, out in rows)
+
+
+def _parity_cases():
+    rng = np.random.default_rng(36)
+    cases = []
+    for name, space in (("linf", linf(3)), ("l1", l1(3)), ("l2", l2(3))):
+        for i in range(3):
+            cases.append((f"{name}-plane{i}", space,
+                          subspace_from_basis(3, rng.normal(size=(2, 3)))))
+    cases += [("linf-axes", linf(4), subspace_from_basis(4, np.eye(4)[[0, 2]])),
+              ("l1-axis", l1(3), subspace_from_basis(3, np.eye(3)[[1]])),
+              ("l2-axes", l2(3), subspace_from_basis(3, np.eye(3)[[0, 1]]))]
+    return cases
+
+
+@pytest.mark.parametrize("name,space,sub",
+                         [pytest.param(*case, id=case[0]) for case in _parity_cases()])
+def test_checkers_give_the_trial_by_trial_verdicts(name, space, sub):
+    # Settling a trial by its point changes no verdict: both checkers give
+    # the `passed`, `decided`, trials run, note and failing family of the
+    # search that decides every trial by its own `balls_intersect`.
+    trials = 30 if name.startswith("l2") else 200
+    for seed in (0, 7):
+        for kind, check in (("central", lambda: central_subspace_check(
+                space, sub, trials=trials, seed=seed)),
+                            ("mideal", lambda: mideal_three_ball_check(
+                                space, sub, trials=trials, eps=1e-6, seed=seed))):
+            verdict = check()
+            passed, decided, run, note, family = oracles.verdict_by_trials(
+                kind, space, sub, trials, seed)
+            assert (verdict.passed, verdict.decided, verdict.trials_run, verdict.note) == \
+                (passed, decided, run, note)
+            assert (verdict.family is None) == (family is None)
+            if family is not None:
+                assert verdict.family.centers.tobytes() == family[0].tobytes()
+                assert verdict.family.radii.tobytes() == family[1].tobytes()
