@@ -538,10 +538,11 @@ def almost_constrained_probe(space, sub: Subspace, x, seed: int = 0,
         verdict = verify_norm1_projection(space, ProjectionData(sub, x, dom.witness),
                                           seed=seed + round_no)
         if verdict.accepted:
+            exact = verdict.mode == "exact"
             return SubspaceVerdict(
-                True, "exact" if verdict.mode == "exact" else "sampled",
-                f"the image passed a {verdict.mode} norm-one projection check",
-                round_no + 1, witness=dom.witness)
+                True, "exact" if exact else "sampled",
+                f"the image passed {'an' if exact else 'a'} {verdict.mode} "
+                "norm-one projection check", round_no + 1, witness=dom.witness)
         if verdict.witness is not None:
             net.append(-verdict.witness)
         size *= 2

@@ -293,7 +293,7 @@ def test_verify_projection_past_the_generator_cap_is_a_fallback():
     assert verdict.accepted
     out = almost_constrained_probe(space, y, x)
     assert out.passed and out.decided == "sampled"
-    assert "sampled-fallback" in out.note
+    assert out.note == "the image passed a sampled-fallback norm-one projection check"
 
 
 def test_verify_projection_exact_at_a_transversal_of_scale_1e10():
@@ -325,6 +325,7 @@ def test_almost_constrained_probe_finds_candidate():
     x = np.array([0.3, 0.4, 2.0])
     out = almost_constrained_probe(space, y, x, seed=5)
     assert out.passed and out.decided == "exact"
+    assert out.note == "the image passed an exact norm-one projection check"
     assert verify_norm1_projection(space, ProjectionData(y, x, out.witness)).accepted
 
 
