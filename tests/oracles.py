@@ -218,15 +218,15 @@ def sublevel_rows_by_loop(gens, basis, points, weights, level):
 # the checkers' trial-by-trial search, every trial decided by its own
 # `balls_intersect`, as a reference for the chained checkers
 
-def central_trials(space, sub, trials, seed, within=None):
-    """The (centers, radii) of `central_subspace_check`'s trials, drawn with
-    its random calls in its order."""
+def central_trials(space, sub, trials, seed):
+    """The (centers, radii) of `central_subspace_check`'s trials (witnesses
+    in the whole space), drawn with its random calls in its order."""
     from centerlab.norms import eval_norm_many, space_dim
+    n = space_dim(space)
     rng = np.random.default_rng(seed)
-    w_basis = np.eye(space_dim(space)) if within is None else np.array(within.basis)
     for _ in range(trials):
         k = int(rng.integers(2, 5))
-        w = w_basis @ rng.normal(size=w_basis.shape[1]) * 1.5
+        w = np.eye(n) @ rng.normal(size=n) * 1.5
         centers = (sub.basis @ rng.normal(size=(sub.dim, k)) * 1.5).T
         radii = eval_norm_many(space, w[None, :] - centers) * \
             (1.0 + rng.uniform(0.0, 0.2, size=k))
@@ -268,22 +268,24 @@ def search_by_trials(space, sub, families, size):
 
 
 def verdict_by_trials(kind, space, sub, trials, seed):
-    """The (passed, decided, trials run, note, failing family) of the
-    parent's trial-by-trial `central_subspace_check(space, sub, trials,
-    seed)` (kind "central") or `mideal_three_ball_check(space, sub,
-    trials, 1e-6, seed)` (kind "mideal")."""
+    """The (passed, decided, trials run, note, failing family) that
+    `central_subspace_check(space, sub, trials, seed)` (kind "central") or
+    `mideal_three_ball_check(space, sub, trials, 1e-6, seed)` (kind
+    "mideal") should give, from `search_by_trials` of its trials."""
     from centerlab.geometry import INFEASIBLE
     if kind == "central":
         run, fam, res = search_by_trials(space, sub, central_trials(
             space, sub, trials, seed), 4)
-        note = res and ("counterexample with Farkas certificate"
-                        if res.status == INFEASIBLE else
-                        "candidate counterexample (semi-decided norm)")
     else:
         run, fam, res = search_by_trials(space, sub, three_ball_trials(
             space, sub, trials, 1e-6, seed), 3)
-        note = "enlarged triple misses the subspace"
     if fam is None:
         return True, "sampled", run, f"no counterexample found in {trials} trials", None
+    if kind == "mideal":
+        note = "enlarged triple misses the subspace"
+    elif res.status == INFEASIBLE:
+        note = "counterexample with Farkas certificate"
+    else:
+        note = "candidate counterexample (semi-decided norm)"
     decided = "exact" if res.status == INFEASIBLE else "unresolved"
     return False, decided, run, note, fam
