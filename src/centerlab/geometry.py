@@ -11,25 +11,31 @@ Random ball families are generated witness-first (pick the witness, derive
 the radii), since independently random radii almost never intersect.
 Each trial also names a point of the subspace, the Euclidean projection
 of its witness.  A trial whose balls all hold that point (no tolerance) is
-`FEASIBLE` with the point as its witness, and no LP or barrier search is
-made for it.  When that projection P has norm one,
+settled as feasible, and no LP or barrier search is made for it.  When
+that projection P has norm one,
 ||P w - c|| = ||P (w - c)|| <= ||w - c|| for c in the subspace, so on such
 positive cases of the paper (coordinate subspaces of l-inf(n), every
 subspace of l2) no trial of a central check needs a solve.  A family that misses the
 subspace holds no such point, so every refutation is still a solve's.
 
-Every ball-intersection LP is made by `_BallLps`.  A checker's trials,
-each family padded to one size, are one LP that differs only in b, so
-their rows are built once and each trial computes b from its centers and
-radii, by the norm's `epigraph_rhs`, as the build does.
+Every ball-intersection LP is made by `_BallLps`, over the subspace's
+coordinates and the norm's own auxiliaries only: each ball's radius is
+folded into its epigraph rows, whose coefficients on the ball's bound t_i
+are all <= 0, so t_i = r_i is no loss and no t column or t_i <= r_i row
+is left.  A checker's trials, each family padded to one size, are one LP
+that differs only in b, so their rows are built once and each trial
+computes b from its centers and radii, by the norm's `epigraph_rhs` and
+the bound's column of the first build, as the build does.
 
 Under a polyhedral norm the checkers draw their trials ahead,
 min(remaining, _DRAW_AHEAD) at a time, with the same random calls in the
-same order as one at a time, and `_BallLps.intersect_all` solves the
-trials of each chunk that their points do not settle, when the first of
-them is reached, as one `optim.lp_solve_lockstep` batch.  Under any other
-norm there is no batch to gain, and each trial is drawn when its turn
-comes.
+same order as one at a time; the radii, the distances to the subspace and
+the points of a chunk are one array call each, and which trials their
+points hold is one `np.maximum.reduceat`.  `_BallLps.intersect_all` solves
+the trials of each chunk that their points do not settle, when the first
+of them is reached, as one `optim.lp_solve_lockstep` batch.  Under any
+other norm there is no batch to gain, and each trial is drawn when its
+turn comes.
 The verdict is decided by the first trial, in seed order, that does not
 intersect, so `trials_run`, the counterexample and the note are those of a
 trial-by-trial search.  The chunk is a trade-off: a check that fails early
@@ -108,9 +114,7 @@ class IntersectionResult:
     polyhedral norms.  For other norms `lp` is None and `outcome` is the
     `CenterResult` of the ratio center whose minimizer is the witness;
     non-polyhedral infeasibility is only ever reported as "unresolved"
-    (nothing found below tolerance), never as certified.  A checker's trial
-    held by its own point (see `_solved_ahead`) has that point as its
-    witness and neither an `lp` nor an `outcome`."""
+    (nothing found below tolerance), never as certified."""
 
     status: str
     witness: np.ndarray | None
@@ -137,16 +141,42 @@ def balls_intersect(space, family: BallFamily, within: Subspace | None = None
 
 
 def _ball_lp(space, basis: np.ndarray, centers: np.ndarray, radii: np.ndarray
-             ) -> optim.LinearProgram:
-    """The feasibility LP of the balls over the span of `basis`: per ball,
-    the epigraph rows of ||basis @ alpha - c_i|| <= t_i, then t_i <= r_i."""
+             ) -> tuple[optim.LinearProgram, np.ndarray]:
+    """The feasibility LP of the balls over the span of `basis`, and a_t,
+    the coefficients of a ball's bound in its rows.
+
+    The epigraph rows of ||basis @ alpha - c|| <= t are built once, with t
+    a column; every ball has those rows, over alpha and its own copy of the
+    norm's auxiliaries.  Each row has a coefficient <= 0 on t, so the
+    loosest choice t_i = r_i is no loss: it is folded into b (see
+    `_ball_rhs`), and no t column or t_i <= r_i row is left.  The unknowns
+    are alpha, then each ball's auxiliaries in turn."""
     builder = optim.LpBuilder()
     alphas = builder.new_vars(basis.shape[1])
-    tvars = builder.new_vars(len(radii))
-    for center, radius, tv in zip(centers, radii, tvars):
-        norms.add_norm_epigraph(builder, space, alphas, basis, -center, tv)
-        builder.add_ub([tv], [[1.0]], [radius])
-    return builder.build()
+    norms.add_norm_epigraph(builder, space, alphas, basis, np.zeros(len(basis)),
+                            builder.new_var())
+    one = builder.build().a_ub
+    d, k, m = basis.shape[1], len(radii), len(one)
+    aux = one[:, d + 1:]
+    a = np.zeros((k, m, d + k * aux.shape[1]))
+    a[:, :, :d] = one[:, :d]
+    for i in range(k):
+        a[i, :, d + i * aux.shape[1]:d + (i + 1) * aux.shape[1]] = aux
+    a_t = one[:, d]
+    lp = optim.LinearProgram(np.zeros(a.shape[2]), a.reshape(k * m, -1),
+                             _ball_rhs(space, centers, radii, a_t))
+    return lp, a_t
+
+
+def _ball_rhs(space, centers: np.ndarray, radii: np.ndarray, a_t: np.ndarray
+              ) -> np.ndarray:
+    """b of the ball LP of the family (centers, radii), or one row of b for
+    each family of a stack of them: per ball, the right-hand side of its
+    epigraph rows for the offset -c_i, from the norm's `epigraph_rhs`,
+    minus r_i a_t."""
+    # C order, as the epigraph's offsets: BLAS sums a strided one otherwise
+    rhs = space.epigraph_rhs(np.negative(centers, order="C"))
+    return (rhs - radii[..., None] * a_t).reshape(*radii.shape[:-1], -1)
 
 
 class _BallLps:
@@ -156,10 +186,8 @@ class _BallLps:
     A checker's families form one chain: each is padded to `size` balls,
     its caller's largest family, by repeating its own balls in turn, which
     leaves the set where they meet as it is, so all have the rows of one
-    LP, `lp`, built from the first.  A ball's block of b is the right-hand
-    side of its epigraph rows for the offset -c_i, from the norm's own
-    `epigraph_rhs`, where a build takes it from too, then r_i, so b is a
-    fresh build's byte for byte.  `start` holds the tableau of `lp`."""
+    LP, `lp`, built from the first, and each computes its b by
+    `_ball_rhs`, as a build does.  `start` holds the tableau of `lp`."""
 
     def __init__(self, space, within: Subspace | None, size: int):
         n = norms.space_dim(space)
@@ -168,6 +196,7 @@ class _BallLps:
         self.space, self.within, self.size = space, within, size
         self.basis = np.eye(n) if within is None else np.array(within.basis)
         self.lp: optim.LinearProgram | None = None
+        self.a_t: np.ndarray | None = None
         self.start = optim.LpStart()
 
     def intersect(self, centers: np.ndarray, radii: np.ndarray) -> IntersectionResult:
@@ -179,7 +208,7 @@ class _BallLps:
         _check_finite(centers, radii)
         space = self.space
         if norms.is_lp_encodable(space):
-            lp = _ball_lp(space, self.basis, centers, radii)
+            lp = _ball_lp(space, self.basis, centers, radii)[0]
             out = optim.lp_solve(lp)
             witness = None
             if out.status == optim.OPTIMAL:
@@ -215,10 +244,8 @@ class _BallLps:
         radii = np.array([r[i] for (_, r), i in zip(families, turn)])
         _check_finite(centers, radii)
         if self.lp is None:
-            self.lp = _ball_lp(self.space, self.basis, centers[0], radii[0])
-        # C order, as the epigraph's offsets: BLAS sums a strided one otherwise
-        rhs = self.space.epigraph_rhs(np.negative(centers, order="C"))
-        b = np.concatenate([rhs, radii[..., None]], axis=-1).reshape(len(radii), -1)
+            self.lp, self.a_t = _ball_lp(self.space, self.basis, centers[0], radii[0])
+        b = _ball_rhs(self.space, centers, radii, self.a_t)
         outs = optim.lp_solve_lockstep(self.lp, b, self.start)
         n, d = self.basis.shape
         witness = np.array([self.basis @ out.x[:d] if out.x is not None
@@ -257,31 +284,46 @@ def _lp_result(lp, out, witness) -> IntersectionResult:
 _DRAW_AHEAD = 64
 
 
-def _solved_ahead(lps: _BallLps, trials: int, draw: Callable[[], tuple]):
-    """Yield (trial number from 1, what `draw` returned, the result of
-    intersecting its first two entries, centers and radii) for `trials`
-    draws, in order.  The third entry is a point of the subspace: a trial
-    whose balls all hold it, gap <= 0 by one `eval_norm_many` call a chunk,
-    is `FEASIBLE` with that point as its witness.  The others are solved by
+def _solved_ahead(lps: _BallLps, trials: int, draw: Callable[[int], tuple]):
+    """Yield (trial number from 1, its balls' rows, the result of
+    intersecting them) for each of `trials` trials that its point does not
+    hold, in order.
+
+    `draw(count)` draws `count` trials at once, with the random calls of one
+    at a time in their order: (centers, radii, starts, points, *extra),
+    the rows of all their balls, trial i's from starts[i], each trial's
+    point of the subspace, and more rows a ball.  A trial whose balls all
+    hold its point, gap <= 0 by one `eval_norm_many` call and one
+    `np.maximum.reduceat` a chunk, is feasible, and its caller, which acts
+    only on a trial that is not, never sees it.  The others are solved by
     `_BallLps.intersect_all`, when the first of them is reached, so a chain
-    of held trials builds no LP.  Under a polyhedral norm draws are made
-    min(remaining, _DRAW_AHEAD) at a time, so a caller that stops at a
-    trial has drawn and solved the rest of its chunk for nothing.  Under
+    of held trials builds no LP; each is yielded as the tuple of its rows
+    of centers, radii and each extra.  Under a polyhedral norm draws are
+    made min(remaining, _DRAW_AHEAD) at a time, so a caller that stops at
+    a trial has drawn and solved the rest of its chunk for nothing.  Under
     any other norm nothing is batched, and each trial is drawn when its
     turn comes."""
     chunk = _DRAW_AHEAD if norms.is_lp_encodable(lps.space) else 1
     done = 0
     while done < trials:
-        drawn = [draw() for _ in range(min(chunk, trials - done))]
-        offsets = np.concatenate([point - centers for centers, _, point, *_ in drawn])
-        gaps = eval_norm_many(lps.space, offsets) - np.concatenate([d[1] for d in drawn])
-        held = [g.max() <= 0 for g in
-                np.split(gaps, np.cumsum([len(d[1]) for d in drawn])[:-1])]
-        solved = lps.intersect_all([d[:2] for d, h in zip(drawn, held) if not h])
-        for item, h in zip(drawn, held):
-            done += 1
-            yield done, item, (IntersectionResult(FEASIBLE, item[2], None, None) if h
-                               else next(solved))
+        count = min(chunk, trials - done)
+        centers, radii, starts, points, *extra = draw(count)
+        sizes = np.diff(starts, append=len(radii))
+        gaps = eval_norm_many(lps.space, np.repeat(points, sizes, axis=0) - centers) - radii
+        unheld = np.flatnonzero(~(np.maximum.reduceat(gaps, starts) <= 0))
+        rows = [tuple(a[starts[i]:starts[i] + sizes[i]] for a in (centers, radii, *extra))
+                for i in unheld]
+        solved = lps.intersect_all([row[:2] for row in rows])
+        for i, row in zip(unheld.tolist(), rows):
+            yield done + i + 1, row, next(solved)
+        done += count
+
+
+def _project_rows(sub: Subspace, xs: np.ndarray) -> np.ndarray:
+    """`sub.project_euclid` of each row of `xs`: stacked matrix-vector
+    products, which round as its one-row products do, where the matrix
+    product xs @ basis (BLAS gemm) would not."""
+    return np.matmul(sub.basis, np.matmul(sub.basis.T, xs[:, :, None]))[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +385,6 @@ def central_subspace_check(space, sub: Subspace, trials: int, seed: int,
     solved in lockstep from the basis of the chain's first LP (see the
     module docstring).  A `BallFamily` is built only for a counterexample.
     """
-    n = norms.space_dim(space)
     rng = np.random.default_rng(seed)
     lps = _BallLps(space, sub, _CENTRAL_BALLS)
     for fam in inject:
@@ -351,23 +392,41 @@ def central_subspace_check(space, sub: Subspace, trials: int, seed: int,
         if res.status != FEASIBLE:
             return _refuted(fam, res, 0,
                             "injected family fails to intersect in the subspace")
-    w_basis = np.eye(n) if within is None else np.array(within.basis)
-
-    def draw():
-        k = int(rng.integers(2, _CENTRAL_BALLS + 1))
-        w = w_basis @ rng.normal(size=w_basis.shape[1]) * 1.5
-        centers = (sub.basis @ rng.normal(size=(sub.dim, k)) * 1.5).T
-        radii = eval_norm_many(space, w[None, :] - centers) * \
-            (1.0 + rng.uniform(0.0, 0.2, size=k))
-        return centers, radii, sub.project_euclid(w)
-
-    for trial, (centers, radii, _), res in _solved_ahead(lps, trials, draw):
+    draw = _central_draw(space, sub, within, rng)
+    for trial, (centers, radii), res in _solved_ahead(lps, trials, draw):
         if res.status != FEASIBLE:
             note = ("counterexample with Farkas certificate" if res.status == INFEASIBLE
                     else "candidate counterexample (semi-decided norm)")
             return _refuted(BallFamily(centers, radii), res, trial, note)
     return SubspaceVerdict(True, "sampled", f"no counterexample found in {trials} trials",
                            trials)
+
+
+def _central_draw(space, sub: Subspace, within: Subspace | None, rng):
+    """The `_solved_ahead` draw of `central_subspace_check`: per trial, k
+    in 2.._CENTRAL_BALLS, the witness w from `within`, k centers from `sub`
+    and k inflation factors, with one trial's random calls after another's;
+    then, over the whole chunk, one array call each for the witnesses,
+    the centers, the radii and the points, the projections of the
+    witnesses onto `sub`.  The witnesses are stacked matrix-vector
+    products and the centers one matrix product, which round as one
+    trial's products do."""
+    w_basis = np.eye(norms.space_dim(space)) if within is None else np.array(within.basis)
+
+    def draw(count):
+        ks, ws, normals, infl = [], [], [], []
+        for _ in range(count):
+            ks.append(int(rng.integers(2, _CENTRAL_BALLS + 1)))
+            ws.append(rng.normal(size=w_basis.shape[1]))
+            normals.append(rng.normal(size=(sub.dim, ks[-1])))
+            infl.append(rng.uniform(0.0, 0.2, size=ks[-1]))
+        ws = np.matmul(w_basis, np.array(ws)[:, :, None])[:, :, 0] * 1.5
+        centers = (sub.basis @ np.concatenate(normals, axis=1) * 1.5).T
+        radii = eval_norm_many(space, np.repeat(ws, ks, axis=0) - centers) * \
+            (1.0 + np.concatenate(infl))
+        starts = np.cumsum(ks) - ks
+        return centers, radii, starts, _project_rows(sub, ws)
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -849,35 +908,51 @@ def mideal_three_ball_check(space, z: Subspace, trials: int, eps: float = 1e-6,
     point onto `z` (as it does on every coordinate subspace of l-inf(n)),
     and otherwise when its LP, or its barrier ball search under a
     norm that is not polyhedral, finds a point.
-    The distances of the three centers to the subspace come from one
-    `dist_to_subspace_many` call per trial; those of a failing triple are
-    solved again as LPs, and a disagreement raises OptimizationError rather
-    than report a counterexample.  The trials' LPs form one chain (see
-    `_BallLps`): their rows are built once, a trial supplies only b, and
-    each chunk drawn ahead is solved in lockstep from the basis of the
-    chain's first LP (see the module docstring).  The family of the
-    verdict is built only for a failing trial.
+    The distances of the centers to the subspace come from one
+    `dist_to_subspace_many` call per chunk drawn (see `_three_ball_draw`);
+    those of a failing triple are solved again as LPs, and a disagreement
+    raises OptimizationError rather than report a counterexample.  The
+    trials' LPs form one chain (see `_BallLps`): their rows are built
+    once, a trial supplies only b, and each chunk drawn ahead is solved in
+    lockstep from the basis of the chain's first LP (see the module
+    docstring).  The family of the verdict is built only for a failing
+    trial.
     """
-    n = norms.space_dim(space)
-    rng = np.random.default_rng(seed)
     lps = _BallLps(space, z, 3)
-
-    def draw():
-        w = rng.normal(size=n) * 1.5
-        centers = rng.normal(size=(3, n)) * 1.5
-        joint = eval_norm_many(space, w[None, :] - centers)
-        meet = dist_to_subspace_many(space, centers, z)
-        tight = rng.random(size=3) < 0.5
-        infl = 1.0 + rng.uniform(0.0, 0.1, size=3) * (~tight)
-        return centers, np.maximum(joint, meet) * infl + eps, z.project_euclid(w), meet
-
-    for trial, (centers, enlarged, _, meet), res in _solved_ahead(lps, trials, draw):
+    draw = _three_ball_draw(space, z, eps, np.random.default_rng(seed))
+    for trial, (centers, enlarged, meet), res in _solved_ahead(lps, trials, draw):
         if res.status != FEASIBLE:
             _audit_distances(space, centers, z, meet)
             return _refuted(BallFamily(centers, enlarged), res, trial,
                             "enlarged triple misses the subspace")
     return SubspaceVerdict(True, "sampled", f"no counterexample found in {trials} trials",
                            trials)
+
+
+def _three_ball_draw(space, z: Subspace, eps: float, rng):
+    """The `_solved_ahead` draw of `mideal_three_ball_check`: per trial, the
+    joint point w, three centers, which of them are tight and the
+    inflation factors, with one trial's random calls after another's;
+    then, over the whole chunk, the distances to w (one `eval_norm_many`
+    call) and to `z` (one `dist_to_subspace_many` call), the enlarged
+    radii, and the points, the projections of the w onto `z`.  The
+    distances to `z` are the extra rows a ball."""
+    n = norms.space_dim(space)
+
+    def draw(count):
+        ws, centers, coins, infl = [], [], [], []
+        for _ in range(count):
+            ws.append(rng.normal(size=n))
+            centers.append(rng.normal(size=(3, n)))
+            coins.append(rng.random(size=3))
+            infl.append(rng.uniform(0.0, 0.1, size=3))
+        ws, centers = np.array(ws) * 1.5, np.concatenate(centers) * 1.5
+        tight = np.concatenate(coins) < 0.5
+        joint = eval_norm_many(space, np.repeat(ws, 3, axis=0) - centers)
+        meet = dist_to_subspace_many(space, centers, z)
+        radii = np.maximum(joint, meet) * (1.0 + np.concatenate(infl) * (~tight)) + eps
+        return centers, radii, np.arange(0, 3 * count, 3), _project_rows(z, ws), meet
+    return draw
 
 
 # ---------------------------------------------------------------------------

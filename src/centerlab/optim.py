@@ -35,6 +35,9 @@ infeasible verdict by `_farkas_stack`, both run inside `_read_outcomes`,
 the one read-out of a single solve and a lockstep batch, and an unbounded
 one by `verify_ray`; a failed audit is returned as "breakdown".
 `verify_optimal` and `verify_farkas` run the same audits on one LP again.
+An LP with rows and no unknowns has no tableau: its one point, the empty
+one, is optimal when b >= 0, and otherwise a negative row proves it
+infeasible (`_solve_empty`), each audited as above.
 
 A chain of LPs that share rows and objective and differ only in b, given
 as one LP and a (K, m) array of right-hand sides, is solved in lockstep
@@ -179,26 +182,22 @@ class LpOutcome:
 
 
 def _pivot(t: np.ndarray, row: int, col: int) -> None:
-    prow = t[row]
-    prow /= prow[col]
-    column = t[:, col].copy()
-    column[row] = 0.0
-    t -= column[:, None] * prow
-    t[:, col] = 0.0
-    t[row, col] = 1.0
+    """Pivot t on (row, col).  The pivot column needs no reset: x - x *
+    (p / p) is exactly +0.0, and the pivot row, updated with the rest, is
+    then overwritten by its scaled self."""
+    prow = t[row] / t[row, col]
+    t -= t[:, col, None] * prow
+    t[row] = prow
 
 
 def _pivot_stack(t: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                  live: np.ndarray) -> None:
     """`_pivot` on each tableau t[i] of a stack with live[i], on rows[i]
     and cols[i]: the same values, element for element, while they are
-    finite; the other tableaus are left as they are.  The pivot column
-    needs no reset: x - x * (p / p) is exactly +0.0."""
+    finite; the other tableaus are left as they are."""
     at = np.arange(t.shape[0])
     prow = t[at, rows] / np.where(live, t[at, rows, cols], 1.0)[:, None]
-    column = t[at, :, cols]
-    column[at, rows] = 0.0
-    np.subtract(t, column[:, :, None] * prow[:, None, :], out=t,
+    np.subtract(t, t[at, :, cols][:, :, None] * prow[:, None, :], out=t,
                 where=live[:, None, None])
     t[at, rows] = prow
 
@@ -549,10 +548,29 @@ def _solve_fresh(lp: LinearProgram, refine: Sequence[int] | None = None
                              dual_ub=np.zeros(0), message=message), None
         return LpOutcome(UNBOUNDED, ray=-lp.objective.copy(),
                          message="no constraints"), None
+    if n == 0:
+        return _solve_empty(lp), None
     dual = _DualTableau(lp)
     out = _solve(lp, refine, dual)
     kept = out.status == INFEASIBLE or (out.status == OPTIMAL and refine is None)
     return out, dual if kept else None
+
+
+def _solve_empty(lp: LinearProgram) -> LpOutcome:
+    """The audited outcome of an LP with rows and no unknowns, whose one
+    point is the empty one: optimal there, with zero duals, when b >= 0,
+    and otherwise infeasible, the unit vector on its most negative row a
+    Farkas vector (0 <= b_j < 0)."""
+    b = lp.b_ub
+    lam = np.zeros(b.shape[0])
+    if b.min() >= 0.0:
+        if _optimal_stack(lp.objective, lp.a_ub, b, np.zeros(0), lam, 0.0):
+            return LpOutcome(OPTIMAL, x=np.zeros(0), value=0.0, dual_ub=lam)
+        return _breakdown(0, "optimal claim failed the optimality audit")
+    lam[b.argmin()] = 1.0
+    if _farkas_stack(lp.a_ub, b, lam):
+        return LpOutcome(INFEASIBLE, farkas_ub=lam)
+    return _breakdown(0, "infeasible claim failed the Farkas audit")
 
 
 def _solve(lp: LinearProgram, refine: Sequence[int] | None,

@@ -219,8 +219,10 @@ def sublevel_rows_by_loop(gens, basis, points, weights, level):
 # `balls_intersect`, as a reference for the chained checkers
 
 def central_trials(space, sub, trials, seed):
-    """The (centers, radii) of `central_subspace_check`'s trials (witnesses
-    in the whole space), drawn with its random calls in its order."""
+    """The (centers, radii, point) of `central_subspace_check`'s trials
+    (witnesses in the whole space), drawn one trial at a time with its
+    random calls in its order; the point is the projection of the witness
+    onto `sub`."""
     from centerlab.norms import eval_norm_many, space_dim
     n = space_dim(space)
     rng = np.random.default_rng(seed)
@@ -230,12 +232,13 @@ def central_trials(space, sub, trials, seed):
         centers = (sub.basis @ rng.normal(size=(sub.dim, k)) * 1.5).T
         radii = eval_norm_many(space, w[None, :] - centers) * \
             (1.0 + rng.uniform(0.0, 0.2, size=k))
-        yield centers, radii
+        yield centers, radii, sub.project_euclid(w)
 
 
 def three_ball_trials(space, z, trials, eps, seed):
-    """The (centers, enlarged radii) of `mideal_three_ball_check`'s trials,
-    drawn with its random calls in its order."""
+    """The (centers, enlarged radii, point) of `mideal_three_ball_check`'s
+    trials, drawn one trial at a time with its random calls in its order;
+    the point is the projection of the joint point onto `z`."""
     from centerlab.norms import dist_to_subspace_many, eval_norm_many, space_dim
     n = space_dim(space)
     rng = np.random.default_rng(seed)
@@ -246,7 +249,39 @@ def three_ball_trials(space, z, trials, eps, seed):
         meet = dist_to_subspace_many(space, centers, z)
         tight = rng.random(size=3) < 0.5
         infl = 1.0 + rng.uniform(0.0, 0.1, size=3) * (~tight)
-        yield centers, np.maximum(joint, meet) * infl + eps
+        yield centers, np.maximum(joint, meet) * infl + eps, z.project_euclid(w)
+
+
+def ball_lp_by_rows(space, basis, centers, radii, fold=True):
+    """The ball LP of `balls_intersect`, rebuilt row by row: per ball, the
+    epigraph rows of ||basis @ alpha - c_i|| <= t_i over columns alpha, t
+    and the norm's auxiliaries, then the row t_i <= r_i.  Folded, t_i = r_i
+    is moved into b one row at a time (b_j - a_j,t_i r_i on the one t
+    column where a row has a nonzero coefficient), the t_i <= r_i rows and
+    the t columns are dropped, and the unknowns are alpha and the
+    auxiliaries."""
+    from centerlab import norms, optim
+    builder = optim.LpBuilder()
+    alphas = builder.new_vars(basis.shape[1])
+    tvars = builder.new_vars(len(radii))
+    for center, radius, tv in zip(centers, radii, tvars):
+        norms.add_norm_epigraph(builder, space, alphas, basis, -center, tv)
+        builder.add_ub([tv], [[1.0]], [radius])
+    lp = builder.build()
+    if not fold:
+        return lp
+    others = [j for j in range(lp.n_vars) if j not in tvars]
+    rows, b = [], []
+    for a_j, b_j in zip(lp.a_ub, lp.b_ub):
+        if (a_j[list(tvars)] > 0).any():
+            continue  # t_i <= r_i; every epigraph row has a_j,t_i <= 0
+        b_j = float(b_j)
+        for i, tv in enumerate(tvars):
+            if a_j[tv] != 0.0:
+                b_j = b_j - a_j[tv] * radii[i]
+        rows.append(a_j[others])
+        b.append(b_j)
+    return optim.LinearProgram(lp.objective[others], np.array(rows), np.array(b))
 
 
 def search_by_trials(space, sub, families, size):
@@ -258,7 +293,7 @@ def search_by_trials(space, sub, families, size):
     from centerlab.geometry import FEASIBLE, BallFamily, balls_intersect
     from centerlab.norms import is_lp_encodable
     run = 0
-    for centers, radii in families:
+    for centers, radii, *_ in families:
         run += 1
         pad = np.arange(size) % len(radii) if is_lp_encodable(space) else slice(None)
         res = balls_intersect(space, BallFamily(centers[pad], radii[pad]), sub)

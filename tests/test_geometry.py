@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,6 +133,20 @@ def test_l2_zero_radius_ball_off_the_subspace_is_never_feasible():
     res = balls_intersect(l2(2), fam, line)
     assert res.status == geometry.UNRESOLVED
     assert line.contains(res.witness)
+
+
+def test_balls_in_the_zero_subspace_are_decided_without_unknowns():
+    # With each radius folded into its rows, the sup-norm ball LP over the
+    # zero subspace has rows and no unknowns: the balls meet there when
+    # every one holds the origin, and otherwise a single row proves they
+    # do not.
+    zero = Subspace.zero(3)
+    res = balls_intersect(linf(3), reference_family(), zero)
+    assert res.lp.n_vars == 0
+    assert res.status == geometry.INFEASIBLE and res.certified
+    res = balls_intersect(linf(3), BallFamily(Y_CENTERS, [2.0, 2.0, 2.0]), zero)
+    assert res.status == geometry.FEASIBLE
+    assert res.witness.tolist() == [0.0, 0.0, 0.0]
 
 
 NON_POLYHEDRAL = (l2, lambda n: norms.lp_norm(2.5, n),
@@ -764,18 +780,6 @@ def test_three_ball_checker_re_solves_its_trials_warm(monkeypatch):
     assert 2 * sum(out.iterations for _, out in seen) <= fresh_pivots
 
 
-def _fresh_ball_lp(space, basis, centers, radii):
-    """The ball LP of `balls_intersect`, rebuilt row by row as every trial
-    built it before its chain kept one compiled LP."""
-    builder = optim.LpBuilder()
-    alphas = builder.new_vars(basis.shape[1])
-    tvars = builder.new_vars(len(radii))
-    for center, radius, tv in zip(centers, radii, tvars):
-        norms.add_norm_epigraph(builder, space, alphas, basis, -center, tv)
-        builder.add_ub([tv], [[1.0]], [radius])
-    return builder.build()
-
-
 def _chain_space(kind, n, rng):
     def poly(m):
         gens = rng.normal(size=(m + 1, m))
@@ -806,9 +810,10 @@ def _chain_space(kind, n, rng):
        within=st.sampled_from(["whole", "random", "coordinate"]))
 def test_ball_lp_chain_matches_fresh_builds(seed, n, k, kind, within):
     # A chain's LP after its first is the first one with b from the norm's
-    # `epigraph_rhs`: its rows and its b are a fresh build's of the family
-    # padded to 4 balls byte for byte, the sign of a zero included, so it
-    # solves to the same bytes, also in sum norms of 16-40 coordinates.
+    # `epigraph_rhs` and each ball's radius folded in: its rows and its b
+    # are those of a fresh build of the family padded to 4 balls, folded
+    # row by row, byte for byte, the sign of a zero included, so it solves
+    # to the same bytes, also in sum norms of 16-40 coordinates.
     # Centers in a coordinate subspace put exact (signed) zeros into the
     # offsets.  The lockstep is a stub that finds every LP infeasible: each
     # result's `lp` is the LP the chain gave it.
@@ -840,7 +845,7 @@ def test_ball_lp_chain_matches_fresh_builds(seed, n, k, kind, within):
     finally:
         optim.lp_solve_lockstep = real
     for chain, centers, radii in chains:
-        fresh = _fresh_ball_lp(space, basis, centers[pad], radii[pad])
+        fresh = oracles.ball_lp_by_rows(space, basis, centers[pad], radii[pad])
         assert chain.a_ub.tobytes() == fresh.a_ub.tobytes()
         assert chain.objective.tobytes() == fresh.objective.tobytes()
         assert chain.b_ub.tobytes() == fresh.b_ub.tobytes()
@@ -862,16 +867,106 @@ def test_ball_lp_chain_matches_fresh_builds(seed, n, k, kind, within):
         optim.lp_solve, optim.lp_solve_lockstep = real
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6), k=st.integers(1, 4),
+       kind=st.sampled_from(["linf", "l1", "poly", "max-sum", "sum-sum",
+                             "wide-sum"]),
+       within=st.sampled_from(["whole", "random", "coordinate"]))
+def test_folded_ball_lps_decide_as_unfolded_ones(seed, n, k, kind, within):
+    # Folding t_i = r_i into each ball's epigraph rows leaves the set where
+    # the balls meet as it is: over families that meet and families that
+    # miss, the folded LP, over the coordinates and the norm's auxiliaries
+    # alone, ends as the unfolded one, with a column t_i and a row
+    # t_i <= r_i a ball, does; every Farkas vector verifies on the folded
+    # LP and every witness passes the ball audit.  On the wide sums alone
+    # either may end in a breakdown, the simplex's known stall on those
+    # LPs; everywhere else neither does.
+    rng = np.random.default_rng(seed)
+    space = _chain_space(kind, n, rng)
+    n = norms.space_dim(space)
+    basis = np.eye(n)
+    if within == "random":
+        basis = subspace_from_basis(n, rng.normal(size=(int(rng.integers(1, n)), n))).basis
+    elif within == "coordinate":
+        picked = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+        basis = subspace_from_basis(n, np.eye(n)[picked]).basis
+    for trial in range(2):
+        w = basis @ rng.normal(size=basis.shape[1])
+        centers = rng.normal(size=(k, n)) * 1.5
+        if trial % 2:
+            centers = (basis @ rng.normal(size=(basis.shape[1], k))).T
+        radii = norms.eval_norm_many(space, w[None, :] - centers) * \
+            rng.uniform(0.7, 1.2, size=k)
+        lp, a_t = geometry._ball_lp(space, basis, centers, radii)
+        unfolded = oracles.ball_lp_by_rows(space, basis, centers, radii, fold=False)
+        assert lp.n_vars == unfolded.n_vars - k
+        assert set(a_t.tolist()) <= {0.0, -1.0}
+        out, ref = optim.lp_solve(lp), optim.lp_solve(unfolded)
+        if optim.BREAKDOWN in (out.status, ref.status):
+            assert kind == "wide-sum"
+            continue
+        assert out.status == ref.status
+        if out.status == optim.INFEASIBLE:
+            assert optim.verify_farkas(lp, out.farkas_ub)
+        else:
+            assert out.status == optim.OPTIMAL
+            witness = basis @ out.x[:basis.shape[1]]
+            gaps = norms.eval_norm_many(space, witness[None, :] - centers) - radii
+            geometry._audit_gap(gaps.max(), radii)
+
+
+def _draw_cases():
+    data = instances.mideal_scenarios()
+    gens = np.random.default_rng(5).normal(size=(4, 3))
+    return [("linf", linf(3), plane()), ("l1", l1(3), plane()),
+            ("poly", norms.polyhedral(np.vstack([gens, -gens])),
+             subspace_from_basis(3, [[1.0, -0.5, 0.25]])),
+            ("max-sum", data["max_space"], data["first_summand"]),
+            ("sum-sum", data["sum_space"], data["first_summand"]),
+            ("l2", l2(3), plane())]
+
+
+@pytest.mark.parametrize("name,space,sub",
+                         [pytest.param(*case, id=case[0]) for case in _draw_cases()])
+def test_chunk_draws_are_the_draws_of_one_trial_at_a_time(name, space, sub):
+    # Both checkers draw a chunk of trials per call, with one trial's random
+    # calls after another's, then take the radii, the distances to the
+    # subspace and the points of the whole chunk in one array call each:
+    # every trial's centers, radii and point are those of the draws made
+    # one trial at a time, byte for byte, over chunks of 64, 64 and 9 (of
+    # 2 and 1 under l2, whose distances are barrier solves).
+    chunks = (2, 1) if name == "l2" else (64, 64, 9)
+    for make, reference in (
+            (lambda rng: geometry._central_draw(space, sub, None, rng),
+             lambda trials: oracles.central_trials(space, sub, trials, 3)),
+            (lambda rng: geometry._three_ball_draw(space, sub, 1e-6, rng),
+             lambda trials: oracles.three_ball_trials(space, sub, trials, 1e-6, 3))):
+        draw = make(np.random.default_rng(3))
+        drawn = []
+        for count in chunks:
+            centers, radii, starts, points, *_ = draw(count)
+            assert len(starts) == len(points) == count
+            ends = np.append(starts[1:], len(radii))
+            drawn += [(centers[s:e], radii[s:e], p)
+                      for s, e, p in zip(starts, ends, points)]
+        ref = list(reference(sum(chunks)))
+        assert len(drawn) == len(ref)
+        for got, want in zip(drawn, ref):
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+
 def _trial_spy(monkeypatch):
-    """Record [(what the draw returned, result), ...] of the trials of each
-    check, as `geometry._solved_ahead` yields them."""
+    """Record [(trial, its balls' rows, result), ...] of the trials of each
+    check that `geometry._solved_ahead` yields, those their points do not
+    hold."""
     real = geometry._solved_ahead
     runs = []
 
     def capture(lps, trials, draw):
         runs.append([])
         for trial, item, res in real(lps, trials, draw):
-            runs[-1].append((item, res))
+            runs[-1].append((trial, item, res))
             yield trial, item, res
 
     monkeypatch.setattr(geometry, "_solved_ahead", capture)
@@ -897,15 +992,16 @@ def _checker_cases():
 @pytest.mark.parametrize("name,space,sub",
                          [pytest.param(*case, id=case[0]) for case in _checker_cases()])
 def test_checkers_match_a_fresh_build_of_every_trial(monkeypatch, name, space, sub):
-    # Each trial of both checkers, up to their verdict, draws the reference's
-    # family and is either held by its point (a point of the subspace that
-    # every ball holds, and the fresh LP of its padded family is feasible)
-    # or solved in lockstep as the LP that a fresh build of its family,
-    # padded, gives (rows byte for byte, b as floats).  Every lockstep
-    # outcome, on to the end of its chunk, has the status of a fresh solve
-    # of its LP, and up to the verdict every padded LP has the unpadded LP's
-    # status.  Verdicts, notes, trials run and failing families are those of
-    # the trial-by-trial reference.
+    # Each trial of both checkers, up to their verdict, is either held by
+    # the point of the reference's draw (a point of the subspace that every
+    # ball of the reference's family holds, and the fresh LP of its padded
+    # family is feasible) and not yielded, or yielded with the reference's
+    # family and solved in lockstep as the LP that a fresh build of its
+    # family, padded and folded, gives (rows byte for byte, b as floats).
+    # Every lockstep outcome, on to the end of its chunk, has the status of
+    # a fresh solve of its LP, and up to the verdict every padded LP has
+    # the unpadded LP's status, folded or not.  Verdicts, notes, trials run
+    # and failing families are those of the trial-by-trial reference.
     # The three-ball check fails on the sum summand, the polyhedral line and
     # the sup-norm plane, the central check on the two planes.
     calls = _lockstep_spy(monkeypatch)
@@ -922,20 +1018,30 @@ def test_checkers_match_a_fresh_build_of_every_trial(monkeypatch, name, space, s
             ("central", central, runs[0], oracles.central_trials(space, sub, 400, 0), 4, 400),
             ("mideal", three, runs[1], oracles.three_ball_trials(space, sub, 200, 1e-6, 0),
              3, 200)):
-        assert len(run) == verdict.trials_run
-        for ((centers, radii, point, *_), res), (ref_centers, ref_radii) in zip(run, families):
-            assert centers.tobytes() == ref_centers.tobytes()
-            assert radii.tobytes() == ref_radii.tobytes()
+        yielded = {trial: (item, res) for trial, item, res in run}
+        assert max(yielded, default=0) <= verdict.trials_run
+        if not verdict.passed:
+            assert max(yielded) == verdict.trials_run
+        for trial, (centers, radii, point) in enumerate(
+                itertools.islice(families, verdict.trials_run), 1):
             pad = np.arange(size) % len(radii)
-            fresh = _fresh_ball_lp(space, basis, centers[pad], radii[pad])
+            fresh = oracles.ball_lp_by_rows(space, basis, centers[pad], radii[pad])
             status = optim.lp_solve(fresh).status
-            assert optim.lp_solve(_fresh_ball_lp(space, basis, centers, radii)).status == status
-            if res.lp is None:
-                assert res.status == geometry.FEASIBLE and res.witness is point
+            assert optim.lp_solve(oracles.ball_lp_by_rows(
+                space, basis, centers, radii)).status == status
+            assert optim.lp_solve(oracles.ball_lp_by_rows(
+                space, basis, centers[pad], radii[pad], fold=False)).status == status
+            held = (norms.eval_norm_many(space, point - centers) <= radii).all()
+            assert held == (trial not in yielded)
+            if held:
                 assert sub.contains(point, tol=1e-12)
-                assert (norms.eval_norm_many(space, point - centers) <= radii).all()
                 assert status == optim.OPTIMAL
             else:
+                (got_centers, got_radii, *_), res = yielded[trial]
+                assert got_centers.tobytes() == centers.tobytes()
+                assert got_radii.tobytes() == radii.tobytes()
+                assert res.status == (geometry.FEASIBLE if status == optim.OPTIMAL
+                                      else geometry.INFEASIBLE)
                 assert (fresh.a_ub.tobytes(), (fresh.b_ub + 0.0).tobytes()) in solved
         passed, decided, runs_ref, note, family = oracles.verdict_by_trials(
             kind, space, sub, trials, 0)
@@ -1029,7 +1135,7 @@ def test_trials_whose_points_miss_reach_the_lockstep(monkeypatch):
     monkeypatch.undo()
     assert verdict.passed
     rows = [pair for call in calls for pair in call]
-    missed = [res for _, res in runs[0] if res.lp is not None]
+    missed = [res for _, _, res in runs[0]]
     assert 0 < len(missed) == len(rows) < 200
     assert [res.lp.b_ub.tobytes() for res in missed] == \
         [lp.b_ub.tobytes() for lp, _ in rows]

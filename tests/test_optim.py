@@ -88,6 +88,57 @@ def test_infeasible_box_has_verified_certificate():
     assert verify_farkas(lp, out.farkas_ub)
 
 
+def test_rows_without_unknowns_are_decided_directly():
+    # An LP with rows and no unknowns has one point, the empty one: optimal
+    # with zero duals when b >= 0, and otherwise infeasible with the unit
+    # vector on the most negative row as its Farkas vector, each audited.
+    # The lockstep solves such LPs alone, with no tableau to keep.
+    lp = optim.LinearProgram(np.zeros(0), np.zeros((3, 0)), np.array([0.0, 2.0, -0.0]))
+    out = lp_solve(lp)
+    assert out.status == optim.OPTIMAL and out.value == 0.0
+    assert out.x.shape == (0,) and not out.dual_ub.any() and out.dual_ub.shape == (3,)
+    assert verify_optimal(lp, out)
+    lp = optim.LinearProgram(np.zeros(0), np.zeros((3, 0)), np.array([1.0, -0.5, -2.0]))
+    out = lp_solve(lp)
+    assert out.status == optim.INFEASIBLE
+    assert out.farkas_ub.tolist() == [0.0, 0.0, 1.0]
+    assert verify_farkas(lp, out.farkas_ub)
+    # a negative row within the audit's tolerance proves nothing
+    lp = optim.LinearProgram(np.zeros(0), np.zeros((1, 0)), np.array([-1e-12]))
+    assert lp_solve(lp).status == optim.BREAKDOWN
+    b = np.array([[0.0, 1.0], [1.0, -1.0], [3.0, 0.0]])
+    start = optim.LpStart()
+    outs = optim.lp_solve_lockstep(optim.LinearProgram(np.zeros(0), np.zeros((2, 0)), b[0]),
+                                   b, start)
+    assert [o.status for o in outs] == [optim.OPTIMAL, optim.INFEASIBLE, optim.OPTIMAL]
+    assert start._dual is None
+
+
+def test_pivot_and_pivot_stack_agree_byte_for_byte():
+    # `_pivot` on one tableau and `_pivot_stack` on a stack of them give the
+    # same bytes, the signs of zeros included, and the pivot column is an
+    # exact unit vector; tableaus that are not live stay as they were.
+    rng = np.random.default_rng(38)
+    for _ in range(200):
+        k, m, width = int(rng.integers(1, 6)), int(rng.integers(2, 8)), int(rng.integers(3, 30))
+        t = rng.normal(size=(k, m, width))
+        t[rng.random(size=t.shape) < 0.3] = 0.0
+        t[rng.random(size=t.shape) < 0.05] = -0.0
+        rows, cols = rng.integers(0, m, size=k), rng.integers(0, width, size=k)
+        t[np.arange(k), rows, cols] = rng.choice([-2.0, 0.5, 3.0], size=k) + rng.normal(size=k)
+        live = rng.random(size=k) < 0.8
+        stack = t.copy()
+        optim._pivot_stack(stack, rows, cols, live)
+        for i in range(k):
+            one = t[i].copy()
+            if live[i]:
+                optim._pivot(one, int(rows[i]), int(cols[i]))
+                unit = np.zeros(m)
+                unit[rows[i]] = 1.0
+                assert one[:, cols[i]].tobytes() == unit.tobytes()
+            assert stack[i].tobytes() == one.tobytes()
+
+
 def test_equality_constraints():
     # min x+y s.t. x+y = 2, x <= 5, y <= 5
     a_eq, b_eq = _eq_pairs([[1.0, 1.0]], [2.0])
@@ -959,7 +1010,7 @@ def _lockstep_chains():
         w = rng.normal(size=(40, n))
         radii = norms.eval_norm_many(space, (w[:, None, :] - centers).reshape(-1, n))
         radii = radii.reshape(40, 3) * rng.choice([0.3, 1.0, 1.2], size=(40, 1))
-        chains.append([geometry._ball_lp(space, basis, c, r)
+        chains.append([geometry._ball_lp(space, basis, c, r)[0]
                        for c, r in zip(centers, radii)])
     for n in (2, 3, 4):
         a_ub = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(5, n))])
