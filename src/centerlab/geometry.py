@@ -18,29 +18,27 @@ positive cases of the paper (coordinate subspaces of l-inf(n), every
 subspace of l2) no trial of a central check needs a solve.  A family that misses the
 subspace holds no such point, so every refutation is still a solve's.
 
-Every ball-intersection LP is made by `_BallLps`, over the subspace's
+Every ball-intersection LP is built by `_ball_lp`, over the subspace's
 coordinates and the norm's own auxiliaries only: each ball's radius is
 folded into its epigraph rows, whose coefficients on the ball's bound t_i
 are all <= 0, so t_i = r_i is no loss and no t column or t_i <= r_i row
-is left.  A checker's trials, each family padded to one size, are one LP
-that differs only in b, so their rows are built once and each trial
-computes b from its centers and radii, by the norm's `epigraph_rhs` and
-the bound's column of the first build, as the build does.
+is left.  A query and every checker trial take one path, `_intersect`:
+the LP of the family as it is, with no padding, and one fresh
+`optim.lp_solve` of it.
 
 Under a polyhedral norm the checkers draw their trials ahead,
 min(remaining, _DRAW_AHEAD) at a time, with the same random calls in the
 same order as one at a time; the radii, the distances to the subspace and
 the points of a chunk are one array call each, and which trials their
-points hold is one `np.maximum.reduceat`.  `_BallLps.intersect_all` solves
-the trials of each chunk that their points do not settle, when the first
-of them is reached, as one `optim.lp_solve_lockstep` batch.  Under any
-other norm there is no batch to gain, and each trial is drawn when its
-turn comes.
+points hold is one `np.maximum.reduceat`.  The trials that their points
+do not hold are intersected one at a time, in seed order, each when its
+checker reaches it, so a check that fails solves nothing after its failing
+trial.  Under any other norm each trial is drawn when its turn comes,
+since there a three-ball draw's distances are barrier solves.
 The verdict is decided by the first trial, in seed order, that does not
 intersect, so `trials_run`, the counterexample and the note are those of a
-trial-by-trial search.  The chunk is a trade-off: a check that fails early
-has drawn and solved the rest of its chunk for nothing, while smaller
-chunks give up the batch's gain on short passing checks.
+trial-by-trial search.  A check that fails early has drawn the rest of its
+chunk for nothing.
 """
 
 from __future__ import annotations
@@ -137,20 +135,60 @@ def balls_intersect(space, family: BallFamily, within: Subspace | None = None
     when every ball holds it within the audit's slack."""
     if family.centers.shape[1] != norms.space_dim(space):
         raise DimensionMismatchError("family does not match the space dimension")
-    return _BallLps(space, within, family.size).intersect(family.centers, family.radii)
+    _check_ambient(space, within)
+    return _intersect(space, within, family.centers, family.radii)
+
+
+def _check_ambient(space, *subs: Subspace | None) -> None:
+    """Raise DimensionMismatchError unless every subspace given (None is
+    the whole space) lies in a space of the norm's dimension."""
+    n = norms.space_dim(space)
+    if any(sub is not None and sub.ambient_dim != n for sub in subs):
+        raise DimensionMismatchError("subspace ambient dim mismatch")
+
+
+def _intersect(space, within: Subspace | None, centers: np.ndarray,
+               radii: np.ndarray) -> IntersectionResult:
+    """`balls_intersect` of the balls (centers[i], radii[i]), a row of n
+    coordinates per radius, in `within`, whose shapes the caller has
+    checked: the one path of a query and of a checker's trial.  Under a
+    polyhedral norm that is `_ball_lp` of the family and one
+    `optim.lp_solve`."""
+    _check_finite(centers, radii)
+    if norms.is_lp_encodable(space):
+        basis = np.eye(centers.shape[1]) if within is None else within.basis
+        lp = _ball_lp(space, basis, centers, radii)
+        out = optim.lp_solve(lp)
+        witness = None
+        if out.status == optim.OPTIMAL:
+            witness = basis @ out.x[:basis.shape[1]]
+            gaps = eval_norm_many(space, witness[None, :] - centers) - radii
+            _audit_gap(gaps.max(initial=0.0), radii)
+        return _lp_result(lp, out, witness)
+
+    # the slack also keeps the weights of zero and tiny radii finite
+    slack = FEAS_TOL * max(1.0, float(radii.max()))
+    res = solve_center(CenterProblem(space, within, FiniteSet(centers),
+                                     WeightedMax(1.0 / (radii + slack))))
+    witness = res.minimizer
+    gaps = eval_norm_many(space, witness[None, :] - centers) - radii
+    if gaps.max(initial=0.0) <= slack:
+        return IntersectionResult(FEASIBLE, witness, None, res)
+    return IntersectionResult(UNRESOLVED, witness, None, res)
 
 
 def _ball_lp(space, basis: np.ndarray, centers: np.ndarray, radii: np.ndarray
-             ) -> tuple[optim.LinearProgram, np.ndarray]:
-    """The feasibility LP of the balls over the span of `basis`, and a_t,
-    the coefficients of a ball's bound in its rows.
+             ) -> optim.LinearProgram:
+    """The feasibility LP of the balls over the span of `basis`.
 
     The epigraph rows of ||basis @ alpha - c|| <= t are built once, with t
     a column; every ball has those rows, over alpha and its own copy of the
     norm's auxiliaries.  Each row has a coefficient <= 0 on t, so the
-    loosest choice t_i = r_i is no loss: it is folded into b (see
-    `_ball_rhs`), and no t column or t_i <= r_i row is left.  The unknowns
-    are alpha, then each ball's auxiliaries in turn."""
+    loosest choice t_i = r_i is no loss: ball i's part of b is the
+    right-hand side of its rows for the offset -c_i, from the norm's
+    `epigraph_rhs`, minus r_i times the t column, and no t column or
+    t_i <= r_i row is left.  The unknowns are alpha, then each ball's
+    auxiliaries in turn."""
     builder = optim.LpBuilder()
     alphas = builder.new_vars(basis.shape[1])
     norms.add_norm_epigraph(builder, space, alphas, basis, np.zeros(len(basis)),
@@ -162,100 +200,10 @@ def _ball_lp(space, basis: np.ndarray, centers: np.ndarray, radii: np.ndarray
     a[:, :, :d] = one[:, :d]
     for i in range(k):
         a[i, :, d + i * aux.shape[1]:d + (i + 1) * aux.shape[1]] = aux
-    a_t = one[:, d]
-    lp = optim.LinearProgram(np.zeros(a.shape[2]), a.reshape(k * m, -1),
-                             _ball_rhs(space, centers, radii, a_t))
-    return lp, a_t
-
-
-def _ball_rhs(space, centers: np.ndarray, radii: np.ndarray, a_t: np.ndarray
-              ) -> np.ndarray:
-    """b of the ball LP of the family (centers, radii), or one row of b for
-    each family of a stack of them: per ball, the right-hand side of its
-    epigraph rows for the offset -c_i, from the norm's `epigraph_rhs`,
-    minus r_i a_t."""
     # C order, as the epigraph's offsets: BLAS sums a strided one otherwise
     rhs = space.epigraph_rhs(np.negative(centers, order="C"))
-    return (rhs - radii[..., None] * a_t).reshape(*radii.shape[:-1], -1)
-
-
-class _BallLps:
-    """The feasibility LPs of ball families in one space and subspace: the
-    one LP path of `balls_intersect` and of the checkers' trials.
-
-    A checker's families form one chain: each is padded to `size` balls,
-    its caller's largest family, by repeating its own balls in turn, which
-    leaves the set where they meet as it is, so all have the rows of one
-    LP, `lp`, built from the first, and each computes its b by
-    `_ball_rhs`, as a build does.  `start` holds the tableau of `lp`."""
-
-    def __init__(self, space, within: Subspace | None, size: int):
-        n = norms.space_dim(space)
-        if within is not None and within.ambient_dim != n:
-            raise DimensionMismatchError("subspace ambient dim mismatch")
-        self.space, self.within, self.size = space, within, size
-        self.basis = np.eye(n) if within is None else np.array(within.basis)
-        self.lp: optim.LinearProgram | None = None
-        self.a_t: np.ndarray | None = None
-        self.start = optim.LpStart()
-
-    def intersect(self, centers: np.ndarray, radii: np.ndarray) -> IntersectionResult:
-        """`balls_intersect` of the balls (centers[i], radii[i]), a row of
-        n coordinates per radius, as the caller has checked.  Its LP, not
-        padded, goes to `optim.lp_solve` directly, with no start (the
-        `_BallLps` of a `balls_intersect` is one-shot): as a batch of one in
-        `intersect_all` this query, the whole of a `replay`, ran 5 % slower."""
-        _check_finite(centers, radii)
-        space = self.space
-        if norms.is_lp_encodable(space):
-            lp = _ball_lp(space, self.basis, centers, radii)[0]
-            out = optim.lp_solve(lp)
-            witness = None
-            if out.status == optim.OPTIMAL:
-                witness = self.basis @ out.x[:self.basis.shape[1]]
-                gaps = eval_norm_many(space, witness[None, :] - centers) - radii
-                _audit_gap(gaps.max(initial=0.0), radii)
-            return _lp_result(lp, out, witness)
-
-        # the slack also keeps the weights of zero and tiny radii finite
-        slack = FEAS_TOL * max(1.0, float(radii.max()))
-        res = solve_center(CenterProblem(space, self.within, FiniteSet(centers),
-                                         WeightedMax(1.0 / (radii + slack))))
-        witness = res.minimizer
-        gaps = eval_norm_many(space, witness[None, :] - centers) - radii
-        if gaps.max(initial=0.0) <= slack:
-            return IntersectionResult(FEASIBLE, witness, None, res)
-        return IntersectionResult(UNRESOLVED, witness, None, res)
-
-    def intersect_all(self, families: list):
-        """`intersect` of each family (centers, radii) of the list, yielded
-        in order.  Under a polyhedral norm the families are padded and
-        solved as one `optim.lp_solve_lockstep` batch, and each result's
-        `lp` is its padded LP.  What `intersect` would raise for a
-        solved family (an LP that ends other than optimal or infeasible, a
-        witness that fails the ball audit) is raised when its turn comes,
-        so a caller that stops at an earlier family never meets it."""
-        if not norms.is_lp_encodable(self.space):
-            for centers, radii in families:
-                yield self.intersect(centers, radii)
-            return
-        turn = [np.arange(self.size) % len(r) for _, r in families]
-        centers = np.array([c[i] for (c, _), i in zip(families, turn)])
-        radii = np.array([r[i] for (_, r), i in zip(families, turn)])
-        _check_finite(centers, radii)
-        if self.lp is None:
-            self.lp, self.a_t = _ball_lp(self.space, self.basis, centers[0], radii[0])
-        b = _ball_rhs(self.space, centers, radii, self.a_t)
-        outs = optim.lp_solve_lockstep(self.lp, b, self.start)
-        n, d = self.basis.shape
-        witness = np.array([self.basis @ out.x[:d] if out.x is not None
-                            else np.zeros(n) for out in outs])
-        gaps = eval_norm_many(self.space, (witness[:, None, :] - centers)
-                              .reshape(-1, n)).reshape(radii.shape) - radii
-        for row, out, w, gap, r in zip(b, outs, witness, gaps, radii):
-            if out.status == optim.OPTIMAL:
-                _audit_gap(gap.max(initial=0.0), r)
-            yield _lp_result(replace(self.lp, b_ub=row), out, w)
+    b = (rhs - radii[:, None] * one[:, d]).reshape(-1)
+    return optim.LinearProgram(np.zeros(a.shape[2]), a.reshape(k * m, -1), b)
 
 
 def _check_finite(centers: np.ndarray, radii: np.ndarray) -> None:
@@ -284,10 +232,11 @@ def _lp_result(lp, out, witness) -> IntersectionResult:
 _DRAW_AHEAD = 64
 
 
-def _solved_ahead(lps: _BallLps, trials: int, draw: Callable[[int], tuple]):
+def _solved_ahead(space, within: Subspace | None, trials: int,
+                  draw: Callable[[int], tuple]):
     """Yield (trial number from 1, its balls' rows, the result of
-    intersecting them) for each of `trials` trials that its point does not
-    hold, in order.
+    intersecting them in `within`) for each of `trials` trials that its
+    point does not hold, in order.
 
     `draw(count)` draws `count` trials at once, with the random calls of one
     at a time in their order: (centers, radii, starts, points, *extra),
@@ -295,27 +244,25 @@ def _solved_ahead(lps: _BallLps, trials: int, draw: Callable[[int], tuple]):
     point of the subspace, and more rows a ball.  A trial whose balls all
     hold its point, gap <= 0 by one `eval_norm_many` call and one
     `np.maximum.reduceat` a chunk, is feasible, and its caller, which acts
-    only on a trial that is not, never sees it.  The others are solved by
-    `_BallLps.intersect_all`, when the first of them is reached, so a chain
-    of held trials builds no LP; each is yielded as the tuple of its rows
-    of centers, radii and each extra.  Under a polyhedral norm draws are
-    made min(remaining, _DRAW_AHEAD) at a time, so a caller that stops at
-    a trial has drawn and solved the rest of its chunk for nothing.  Under
-    any other norm nothing is batched, and each trial is drawn when its
-    turn comes."""
-    chunk = _DRAW_AHEAD if norms.is_lp_encodable(lps.space) else 1
+    only on a trial that is not, never sees it.  Each of the others is
+    intersected alone by `_intersect` when the caller asks for it, so a
+    caller that stops at a trial solves nothing after it; it is yielded
+    as the tuple of its rows of centers, radii and each extra.  Under a
+    polyhedral norm draws are made min(remaining, _DRAW_AHEAD) at a time,
+    so a caller that stops at a trial has drawn the rest of its chunk for
+    nothing.  Under any other norm each trial is drawn when its turn
+    comes."""
+    chunk = _DRAW_AHEAD if norms.is_lp_encodable(space) else 1
     done = 0
     while done < trials:
         count = min(chunk, trials - done)
         centers, radii, starts, points, *extra = draw(count)
         sizes = np.diff(starts, append=len(radii))
-        gaps = eval_norm_many(lps.space, np.repeat(points, sizes, axis=0) - centers) - radii
-        unheld = np.flatnonzero(~(np.maximum.reduceat(gaps, starts) <= 0))
-        rows = [tuple(a[starts[i]:starts[i] + sizes[i]] for a in (centers, radii, *extra))
-                for i in unheld]
-        solved = lps.intersect_all([row[:2] for row in rows])
-        for i, row in zip(unheld.tolist(), rows):
-            yield done + i + 1, row, next(solved)
+        gaps = eval_norm_many(space, np.repeat(points, sizes, axis=0) - centers) - radii
+        for i in np.flatnonzero(~(np.maximum.reduceat(gaps, starts) <= 0)).tolist():
+            row = tuple(a[starts[i]:starts[i] + sizes[i]]
+                        for a in (centers, radii, *extra))
+            yield done + i + 1, row, _intersect(space, within, *row[:2])
         done += count
 
 
@@ -361,7 +308,7 @@ def _refuted(family: BallFamily, res: IntersectionResult, trials_run: int,
 # ---------------------------------------------------------------------------
 # central subspaces
 
-# the most balls of a central family, and the size each is padded to
+# the most balls of a central family
 _CENTRAL_BALLS = 4
 
 
@@ -378,22 +325,23 @@ def central_subspace_check(space, sub: Subspace, trials: int, seed: int,
     `balls_intersect`.  A trial is `FEASIBLE` when every ball holds the
     Euclidean projection of its witness onto `sub` (as every ball does
     when that projection has norm one: on coordinate subspaces of
-    l-inf(n) and on every subspace of l2), and otherwise when its LP, or its barrier ball search under a norm that is
-    not polyhedral, finds a point.  The LP trials form one chain (see
-    `_BallLps`): each family is padded to _CENTRAL_BALLS balls, the rows are
-    built once, a trial supplies only b, and each chunk drawn ahead is
-    solved in lockstep from the basis of the chain's first LP (see the
-    module docstring).  A `BallFamily` is built only for a counterexample.
+    l-inf(n) and on every subspace of l2), and otherwise when its own LP,
+    or its barrier ball search under a norm that is not polyhedral, finds
+    a point.  Each trial that its point does not hold is intersected
+    alone, as `balls_intersect` intersects a family, in seed order, and
+    none after the first that misses `sub` (see the module docstring).  A
+    `BallFamily` is built only for a counterexample.  A `sub` or `within`
+    of another ambient dimension raises DimensionMismatchError.
     """
+    _check_ambient(space, sub, within)
     rng = np.random.default_rng(seed)
-    lps = _BallLps(space, sub, _CENTRAL_BALLS)
     for fam in inject:
         res = balls_intersect(space, fam, sub)
         if res.status != FEASIBLE:
             return _refuted(fam, res, 0,
                             "injected family fails to intersect in the subspace")
     draw = _central_draw(space, sub, within, rng)
-    for trial, (centers, radii), res in _solved_ahead(lps, trials, draw):
+    for trial, (centers, radii), res in _solved_ahead(space, sub, trials, draw):
         if res.status != FEASIBLE:
             note = ("counterexample with Farkas certificate" if res.status == INFEASIBLE
                     else "candidate counterexample (semi-decided norm)")
@@ -911,16 +859,16 @@ def mideal_three_ball_check(space, z: Subspace, trials: int, eps: float = 1e-6,
     The distances of the centers to the subspace come from one
     `dist_to_subspace_many` call per chunk drawn (see `_three_ball_draw`);
     those of a failing triple are solved again as LPs, and a disagreement
-    raises OptimizationError rather than report a counterexample.  The
-    trials' LPs form one chain (see `_BallLps`): their rows are built
-    once, a trial supplies only b, and each chunk drawn ahead is solved in
-    lockstep from the basis of the chain's first LP (see the module
-    docstring).  The family of the verdict is built only for a failing
-    trial.
+    raises OptimizationError rather than report a counterexample.  Each
+    trial that its point does not hold is intersected alone, as
+    `balls_intersect` intersects a family, in seed order, and none after
+    the first that misses `z` (see the module docstring).  The family of
+    the verdict is built only for a failing trial.  A `z` of another
+    ambient dimension raises DimensionMismatchError.
     """
-    lps = _BallLps(space, z, 3)
+    _check_ambient(space, z)
     draw = _three_ball_draw(space, z, eps, np.random.default_rng(seed))
-    for trial, (centers, enlarged, meet), res in _solved_ahead(lps, trials, draw):
+    for trial, (centers, enlarged, meet), res in _solved_ahead(space, z, trials, draw):
         if res.status != FEASIBLE:
             _audit_distances(space, centers, z, meet)
             return _refuted(BallFamily(centers, enlarged), res, trial,

@@ -32,26 +32,12 @@ dual is infeasible its phase-1 multipliers are an improving ray, after the
 same tableau with c = 0 has shown the primal feasible.  Every verdict is
 audited before it is returned: an optimum by `_optimal_stack` and an
 infeasible verdict by `_farkas_stack`, both run inside `_read_outcomes`,
-the one read-out of a single solve and a lockstep batch, and an unbounded
-one by `verify_ray`; a failed audit is returned as "breakdown".
+the one read-out, which takes a solve as a stack of one tableau, and an
+unbounded one by `verify_ray`; a failed audit is returned as "breakdown".
 `verify_optimal` and `verify_farkas` run the same audits on one LP again.
 An LP with rows and no unknowns has no tableau: its one point, the empty
 one, is optimal when b >= 0, and otherwise a negative row proves it
 infeasible (`_solve_empty`), each audited as above.
-
-A chain of LPs that share rows and objective and differ only in b, given
-as one LP and a (K, m) array of right-hand sides, is solved in lockstep
-(`lp_solve_lockstep`, the checkers' batches of trials; see
-`geometry._BallLps`): its first LP is solved alone and fresh, as `lp_solve`
-solves it, and every batch copies that basis, dual feasible for every b,
-into one (K, n_vars + 1, cols) stack, loads each b as its LP's own cost
-row (`_DualTableau.load_stack`, the one code that loads a new b into a held
-tableau) and pivots every unfinished LP at once under `_run_simplex`'s
-rules, each with its own count of degenerate pivots (`_run_stack`).  To the
-code that reads and audits outcomes (`_read_outcomes`), a single solve is a
-stack of one, so tight points, duals, Farkas multipliers and both audits
-are coded once; an LP of a stack that breaks down or fails its audit is
-solved again alone.
 
 A lexicographic tie-break among optimal points runs on the final tableau of
 the same solve as dual-simplex stages: each stage sets the right-hand side
@@ -190,18 +176,6 @@ def _pivot(t: np.ndarray, row: int, col: int) -> None:
     t[row] = prow
 
 
-def _pivot_stack(t: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                 live: np.ndarray) -> None:
-    """`_pivot` on each tableau t[i] of a stack with live[i], on rows[i]
-    and cols[i]: the same values, element for element, while they are
-    finite; the other tableaus are left as they are."""
-    at = np.arange(t.shape[0])
-    prow = t[at, rows] / np.where(live, t[at, rows, cols], 1.0)[:, None]
-    np.subtract(t, t[at, :, cols][:, :, None] * prow[:, None, :], out=t,
-                where=live[:, None, None])
-    t[at, rows] = prow
-
-
 def _crash(t, basis, n_struct) -> int:
     """Pivot each artificial basic at level zero out on the structural
     column with the largest |entry| in its row, when that entry is above
@@ -286,59 +260,6 @@ def _run_simplex(t, basis, n_struct, max_iter, phase_1=False):
         if phase_1 and not (rhs[art_rows] > 0.0).any():
             return OPTIMAL, pivots, -1
     return BREAKDOWN, pivots, -1
-
-
-def _run_stack(t, basis, n_struct, max_iter):
-    """`_run_simplex`'s phase 2 on every tableau of the stack t at once, in
-    place; returns (status, pivots, entering), one entry per tableau.
-
-    Each tableau prices, takes its ratio test and pivots as `_run_simplex`
-    would on it alone, with its own count of consecutive degenerate pivots
-    for the fallback to Bland's rule.  One that finishes is left as it is
-    while the others go on; one that turns non-finite is zeroed."""
-    k, m = basis.shape
-    width = t.shape[2]  # above every column index
-    at = np.arange(k)
-    status = np.full(k, BREAKDOWN, dtype=object)
-    pivots = np.full(k, max_iter)
-    enter = np.full(k, -1)
-    live, degenerate = np.ones(k, dtype=bool), np.zeros(k, dtype=int)
-    costs, rhs = t[:, -1, :n_struct], t[:, :m, -1]
-    no_ratio = np.full((k, m), np.inf)  # copied as each ratio test's start
-    for it in range(max_iter):
-        # every live tableau has pivoted `it` times
-        j = costs.argmin(1)
-        if it >= _DEGENERATE_RUN and degenerate.max() >= _DEGENERATE_RUN:
-            j = np.where(degenerate < _DEGENERATE_RUN, j,
-                         (costs < -_RCOST_TOL).argmax(1))
-        improving = costs[at, j] < -_RCOST_TOL
-        col = t[at, :m, j]
-        ratios = no_ratio.copy()
-        np.divide(rhs, col, out=ratios, where=col > _PIVOT_TOL)
-        held = (basis >= n_struct) & (rhs == 0.0)
-        # a held row with col > _PIVOT_TOL has ratio 0 already
-        ratios[held & (col < -_PIVOT_TOL)] = 0.0
-        least = ratios.min(1)
-        done = live & ~(improving & (least < np.inf))
-        if done.any():
-            ray = done & improving
-            status[done], status[ray] = OPTIMAL, UNBOUNDED
-            enter[ray], pivots[done] = j[ray], it
-            live &= ~done
-            if not live.any():
-                break
-        degenerate = np.where(least <= _RATIO_TIE, degenerate + 1, 0)
-        leave = np.where(ratios <= least[:, None] + _RATIO_TIE, basis,
-                         width).argmin(1)
-        _pivot_stack(t, leave, j, live)
-        basis[at[live], leave[live]] = j[live]
-        rhs[held & live[:, None]] = 0.0
-        broken = ~np.isfinite(t).all(axis=(1, 2))
-        if broken.any():
-            pivots[broken], live[broken], t[broken] = it + 1, False, 0.0
-            if not live.any():
-                break
-    return status, pivots, enter
 
 
 def _dual_simplex(t, basis, n_struct, free, max_iter):
@@ -426,35 +347,6 @@ class _DualTableau:
         self.basis = self.n_cols + np.arange(n)
         self.max_iter = 1000 + 60 * self.t.shape[1]
 
-    def load_stack(self, b: np.ndarray) -> tuple:
-        """K copies of this tableau, one per row of b (K, n_cols), each with
-        that row as its right-hand side loaded as the dual costs and priced,
-        keeping the basis, which is dual feasible for every b: the stacked
-        (t, basis, costs, scale).
-
-        A row whose scale moves with its b has its column multiplied by the
-        ratio of the old scale to the new, and when that column is basic,
-        its tableau row divided by the same ratio, which keeps the column a
-        unit vector and rescales the basic value and the basis inverse with
-        it.  The ratios are powers of two, so this is exact, and each copy
-        is scaled as a fresh build of its b would be."""
-        k, n_cols, n = len(b), self.n_cols, self.tau.shape[0]
-        scale = _scale(self.row_size, b)
-        ratio = self.scale[:n_cols] / scale
-        t = np.repeat(self.t[None], k, axis=0)
-        t[:, :-1, :n_cols] *= ratio[:, None, :]
-        basic = self.basis < n_cols
-        t[:, :-1][:, basic] /= ratio[:, self.basis[basic]][:, :, None]
-        costs = np.concatenate([b, np.zeros((k, n))], axis=1)
-        scale = np.concatenate([scale, np.ones((k, n))], axis=1)
-        basis = np.repeat(self.basis[None], k, axis=0)
-        # _price on each
-        priced = costs / scale
-        t[:, -1, :-1], t[:, -1, -1] = priced, 0.0
-        at = np.arange(k)[:, None]
-        t[:, -1] -= (priced[at, basis][:, None, :] @ t[:, :-1])[:, 0]
-        return t, basis, costs, scale
-
     def stack(self) -> tuple:
         """This tableau as a stack of one: (t, basis, costs, scale)."""
         return self.t[None], self.basis[None], self.costs[None], self.scale[None]
@@ -496,14 +388,6 @@ def _lex_refine(lp, dual, refine, x, value):
     return x, pivots, "lexicographic refinement"
 
 
-class LpStart:
-    """The tableau of an `lp_solve_lockstep` chain's first LP, once a fresh
-    solve of it has left a feasible dual basis behind; else nothing."""
-
-    def __init__(self):
-        self._dual: _DualTableau | None = None
-
-
 def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None
              ) -> LpOutcome:
     """Two-phase dense simplex on the dual, with certificates.
@@ -529,31 +413,18 @@ def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None
     (see `lp_solve_lex`); value and duals stay those of phase 2, and
     `iterations` counts the refinement pivots too.
     """
-    return _solve_fresh(lp, refine)[0]
-
-
-def _solve_fresh(lp: LinearProgram, refine: Sequence[int] | None = None
-                 ) -> tuple[LpOutcome, _DualTableau | None]:
-    """The solve of `lp_solve` on a fresh tableau of `lp`, and that tableau
-    when the solve leaves a feasible dual basis behind, which an unrefined
-    optimum and an infeasible verdict do; None otherwise: a refined solve
-    has moved its right-hand side, an unbounded verdict has zeroed it, and
-    a breakdown proves nothing."""
     n = lp.n_vars
     if lp.a_ub.shape[0] == 0:
         if float(np.abs(lp.objective).max(initial=0.0)) <= _RCOST_TOL:
             # Every refined coordinate is free on the whole space.
             message = "" if not refine else _stopped(refine[0], UNBOUNDED)
             return LpOutcome(OPTIMAL, x=np.zeros(n), value=0.0,
-                             dual_ub=np.zeros(0), message=message), None
+                             dual_ub=np.zeros(0), message=message)
         return LpOutcome(UNBOUNDED, ray=-lp.objective.copy(),
-                         message="no constraints"), None
+                         message="no constraints")
     if n == 0:
-        return _solve_empty(lp), None
-    dual = _DualTableau(lp)
-    out = _solve(lp, refine, dual)
-    kept = out.status == INFEASIBLE or (out.status == OPTIMAL and refine is None)
-    return out, dual if kept else None
+        return _solve_empty(lp)
+    return _solve(lp, refine)
 
 
 def _solve_empty(lp: LinearProgram) -> LpOutcome:
@@ -573,12 +444,12 @@ def _solve_empty(lp: LinearProgram) -> LpOutcome:
     return _breakdown(0, "infeasible claim failed the Farkas audit")
 
 
-def _solve(lp: LinearProgram, refine: Sequence[int] | None,
-           dual: _DualTableau) -> LpOutcome:
-    """The solve of `lp_solve` on `dual`, a fresh tableau of `lp`.
+def _solve(lp: LinearProgram, refine: Sequence[int] | None) -> LpOutcome:
+    """The solve of `lp_solve` on a fresh tableau of `lp`.
 
     Phase 1 runs when an artificial is basic above zero, which means
     c != 0."""
+    dual = _DualTableau(lp)
     t, basis, n_cols = dual.t, dual.basis, dual.n_cols
     it1 = 0
     ray = None
@@ -626,51 +497,10 @@ def _solve(lp: LinearProgram, refine: Sequence[int] | None,
                    message=message)
 
 
-def lp_solve_lockstep(lp: LinearProgram, b: np.ndarray, start: LpStart
-                      ) -> list[LpOutcome]:
-    """The LP with the objective and rows of `lp` and each row of b, a
-    (K, m) array, as its b_ub, in order: a fresh solve's verdict for each,
-    audited as `lp_solve` audits it, from one stacked phase 2.
-
-    `start` holds nothing or the tableau of this chain's first LP.  When it
-    holds nothing, the LPs are solved alone and fresh, as `lp_solve` solves
-    them (`_solve_fresh`), in order, until one leaves a feasible dual basis
-    behind; `start` keeps that tableau for the whole chain.
-    The rest start from that basis, dual feasible for every b, copied into
-    a (K, n_vars + 1, cols) stack with each b loaded as its LP's own cost
-    row (`_DualTableau.load_stack`), and every unfinished LP pivots at once
-    (`_run_stack`).  Their outcomes are read and audited as a single solve's
-    are (`_read_outcomes`); an LP that breaks down or fails its audit is
-    solved again alone and fresh by `lp_solve`, and its `iterations` count
-    the pivots of both.
-    """
-    outs = []
-    while len(outs) < len(b) and start._dual is None:
-        out, start._dual = _solve_fresh(replace(lp, b_ub=b[len(outs)]))
-        outs.append(out)
-    if len(outs) < len(b):
-        outs += _solve_stack(lp, b[len(outs):], start._dual)
-    return outs
-
-
-def _solve_stack(lp: LinearProgram, b: np.ndarray, held) -> list[LpOutcome]:
-    """The stacked solve of `lp_solve_lockstep`, from `held`, a tableau of
-    the rows and objective of `lp`, which it leaves as it is."""
-    stack = held.load_stack(b)
-    status, pivots, enter = _run_stack(*stack[:2], held.n_cols, held.max_iter)
-    outs = _read_outcomes(lp, held, stack, status, pivots.tolist(), enter)
-    for i, out in enumerate(outs):
-        if out.status == BREAKDOWN:
-            # solved again alone and fresh
-            again = lp_solve(replace(lp, b_ub=b[i]))
-            outs[i] = replace(again, iterations=out.iterations + again.iterations)
-    return outs
-
-
 def _read_outcomes(lp: LinearProgram, held: _DualTableau, stack: tuple,
                    status, pivots, enter) -> list[LpOutcome]:
     """The audited outcome of each LP of a stack after phase 2, the one
-    read-out of `lp_solve` (a stack of one) and `lp_solve_lockstep`:
+    read-out of `lp_solve`, whose tableau is a stack of one:
     `stack` is the (t, basis, costs, scale) of tableaus with the rows and
     objective of `lp` and `held`, and status, pivots (ints) and enter are
     phase 2's, one per LP.  An optimum gives the duals as its basic values

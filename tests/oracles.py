@@ -216,7 +216,8 @@ def sublevel_rows_by_loop(gens, basis, points, weights, level):
 
 # ---------------------------------------------------------------------------
 # the checkers' trial-by-trial search, every trial decided by its own
-# `balls_intersect`, as a reference for the chained checkers
+# `balls_intersect` of its family padded by repeated balls, as an
+# independent reference for the checkers, which solve each family unpadded
 
 def central_trials(space, sub, trials, seed):
     """The (centers, radii, point) of `central_subspace_check`'s trials
@@ -287,8 +288,8 @@ def ball_lp_by_rows(space, basis, centers, radii, fold=True):
 def search_by_trials(space, sub, families, size):
     """Decide each family (centers, radii) in turn by `balls_intersect` in
     `sub`, padded to `size` balls by repeating its own under a polyhedral
-    norm, as the checkers' LP chains pad it, and stop at the first that
-    is not feasible: (trials run, (centers, radii) of that family or None,
+    norm, which leaves the set where they meet as it is but not the LP,
+    and stop at the first that is not feasible: (trials run, (centers, radii) of that family or None,
     its result or None)."""
     from centerlab.geometry import FEASIBLE, BallFamily, balls_intersect
     from centerlab.norms import is_lp_encodable

@@ -50,34 +50,23 @@ def test_every_scenario_passes(capsys, name):
 
 
 def test_three_ball_repro_lp_count(capsys, monkeypatch):
-    solved, inside = [], []
-    real_solve, real_lockstep = optim.lp_solve, optim.lp_solve_lockstep
+    solved = []
+    real_solve = optim.lp_solve
 
     def counted(lp, **kwargs):
-        if not inside:
-            solved.append(lp)
+        solved.append(lp)
         return real_solve(lp, **kwargs)
 
-    def counted_lockstep(lp, b, start):
-        solved.extend(b)
-        inside.append(lp)
-        try:
-            return real_lockstep(lp, b, start)
-        finally:
-            inside.pop()
-
     monkeypatch.setattr(optim, "lp_solve", counted)
-    monkeypatch.setattr(optim, "lp_solve_lockstep", counted_lockstep)
     code, report = run_json(capsys, "repro", "three-ball-transfer", "--seed", "0")
     assert code == EXIT_OK and report["ok"]
-    # Every LP counts once, as a row of b given to the lockstep or as an
-    # `lp_solve` call from outside it (one that the lockstep solves alone is
-    # one of its rows).  The passing check's 500 trials are all held by the
-    # projection of their joint point onto the summand, and solve none; the
-    # failing check fails at its 4th trial, and of the first chunk of 64
-    # trials drawn ahead, the 46 that their points do not settle are solved;
-    # then the 3 audited distances of the failing triple.
-    assert len(solved) == 0 + 46 + 3
+    # Every LP is one `optim.lp_solve` call.  The passing check's 500
+    # trials are all held by the projection of their joint point onto the
+    # summand, and solve none; the failing check fails at its 4th trial,
+    # and of its first 4 trials the 2 that their points do not settle are
+    # solved, each alone; then the 3 audited distances of the failing
+    # triple.
+    assert len(solved) == 0 + 2 + 3
 
 
 def test_reports_are_reproducible(capsys):

@@ -744,40 +744,24 @@ def test_family_json_roundtrip():
     assert np.array_equal(back.radii, fam.radii)
 
 
-def _lockstep_spy(monkeypatch):
-    """Record [(lp, outcome), ...] of each `optim.lp_solve_lockstep` call,
-    one LP with each row of its b."""
-    real = optim.lp_solve_lockstep
+def _solve_spy(monkeypatch):
+    """Record (lp, outcome) of each `optim.lp_solve` call, in order."""
+    real = optim.lp_solve
     calls = []
 
-    def capture(lp, b, start):
-        outs = real(lp, b, start)
-        calls.append([(optim.LinearProgram(lp.objective, lp.a_ub, row), out)
-                      for row, out in zip(b, outs)])
-        return outs
+    def capture(lp, *args, **kwargs):
+        out = real(lp, *args, **kwargs)
+        calls.append((lp, out))
+        return out
 
-    monkeypatch.setattr(optim, "lp_solve_lockstep", capture)
+    monkeypatch.setattr(optim, "lp_solve", capture)
     return calls
 
 
-def test_three_ball_checker_re_solves_its_trials_warm(monkeypatch):
-    # The checker's LPs share their rows, so all but the first start in
-    # lockstep from the first's basis: each keeps the status of a fresh solve,
-    # and together, counted per LP, they take at most half the pivots.
-    # Reuse that silently stops (say, rebuilt rows that differ in a -0.0)
-    # costs the fresh pivot count.
-    data = instances.mideal_scenarios()
-    calls = _lockstep_spy(monkeypatch)
-    for key in ("max_space", "sum_space"):
-        mideal_three_ball_check(data[key], data["first_summand"], trials=200,
-                                eps=1e-6, seed=0)
-    monkeypatch.undo()
-    seen = [pair for call in calls for pair in call]
-    fresh = [optim.lp_solve(lp) for lp, _ in seen]
-    assert [out.status for _, out in seen] == [out.status for out in fresh]
-    fresh_pivots = sum(out.iterations for out in fresh)
-    assert fresh_pivots > 0
-    assert 2 * sum(out.iterations for _, out in seen) <= fresh_pivots
+def _same_lp(lp, other) -> bool:
+    """Whether two LPs have the same objective, rows and b, byte for byte."""
+    return all(getattr(lp, a).tobytes() == getattr(other, a).tobytes()
+               for a in ("objective", "a_ub", "b_ub"))
 
 
 def _chain_space(kind, n, rng):
@@ -809,14 +793,16 @@ def _chain_space(kind, n, rng):
                              "wide-sum"]),
        within=st.sampled_from(["whole", "random", "coordinate"]))
 def test_ball_lp_chain_matches_fresh_builds(seed, n, k, kind, within):
-    # A chain's LP after its first is the first one with b from the norm's
-    # `epigraph_rhs` and each ball's radius folded in: its rows and its b
-    # are those of a fresh build of the family padded to 4 balls, folded
-    # row by row, byte for byte, the sign of a zero included, so it solves
-    # to the same bytes, also in sum norms of 16-40 coordinates.
-    # Centers in a coordinate subspace put exact (signed) zeros into the
-    # offsets.  The lockstep is a stub that finds every LP infeasible: each
-    # result's `lp` is the LP the chain gave it.
+    # The LP a family is intersected by, in a query or a checker's trial
+    # alike (`geometry._intersect`, through `_ball_lp`), is the family's
+    # fresh build, unpadded: its rows and its b, with b from the norm's
+    # `epigraph_rhs` and each ball's radius folded in, are those of
+    # `oracles.ball_lp_by_rows`, which builds ball by ball and folds row by
+    # row, byte for byte, the sign of a zero included, so it solves to the
+    # same bytes, also in sum norms of 16-40 coordinates.  Centers in a
+    # coordinate subspace put exact (signed) zeros into the offsets.  The
+    # solver is a stub that finds every LP infeasible: each result's `lp`
+    # is the LP it was given.
     rng = np.random.default_rng(seed)
     space = _chain_space(kind, n, rng)
     n = norms.space_dim(space)
@@ -826,12 +812,10 @@ def test_ball_lp_chain_matches_fresh_builds(seed, n, k, kind, within):
     elif within == "coordinate":
         picked = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
         sub = subspace_from_basis(n, np.eye(n)[picked])
-    lps = geometry._BallLps(space, sub, 4)
-    basis, pad = lps.basis, np.arange(4) % k
-    chains = []
+    basis = np.eye(n) if sub is None else sub.basis
+    families = []
     stub = optim.LpOutcome(optim.INFEASIBLE)
-    real, optim.lp_solve_lockstep = optim.lp_solve_lockstep, \
-        lambda lp, b, start: [stub] * len(b)
+    real, optim.lp_solve = optim.lp_solve, lambda lp: stub
     try:
         for trial in range(4):
             w = basis @ rng.normal(size=basis.shape[1])
@@ -840,31 +824,25 @@ def test_ball_lp_chain_matches_fresh_builds(seed, n, k, kind, within):
                 centers = (basis @ rng.normal(size=(basis.shape[1], k))).T
             radii = norms.eval_norm_many(space, w[None, :] - centers) * \
                 rng.uniform(0.7, 1.2, size=k)
-            chains.append((next(lps.intersect_all([(centers, radii)])).lp,
-                           centers, radii))
+            families.append((geometry._intersect(space, sub, centers, radii).lp,
+                             centers, radii))
     finally:
-        optim.lp_solve_lockstep = real
-    for chain, centers, radii in chains:
-        fresh = oracles.ball_lp_by_rows(space, basis, centers[pad], radii[pad])
-        assert chain.a_ub.tobytes() == fresh.a_ub.tobytes()
-        assert chain.objective.tobytes() == fresh.objective.tobytes()
-        assert chain.b_ub.tobytes() == fresh.b_ub.tobytes()
+        optim.lp_solve = real
+    for lp, centers, radii in families:
+        assert _same_lp(lp, oracles.ball_lp_by_rows(space, basis, centers, radii))
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a non-finite ball reached the solver")
 
     bad_centers, bad_radii = centers.copy(), radii.copy()
     bad_centers[0, -1], bad_radii[-1] = np.nan, np.inf
-    real = optim.lp_solve, optim.lp_solve_lockstep
-    optim.lp_solve = optim.lp_solve_lockstep = no_solve
+    real, optim.lp_solve = optim.lp_solve, no_solve
     try:
         for c, r in ((bad_centers, radii), (centers, bad_radii)):
             with pytest.raises(ValueError):
-                lps.intersect(c, r)
-            with pytest.raises(ValueError):
-                next(lps.intersect_all([(c, r)]))
+                geometry._intersect(space, sub, c, r)
     finally:
-        optim.lp_solve, optim.lp_solve_lockstep = real
+        optim.lp_solve = real
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -897,10 +875,15 @@ def test_folded_ball_lps_decide_as_unfolded_ones(seed, n, k, kind, within):
             centers = (basis @ rng.normal(size=(basis.shape[1], k))).T
         radii = norms.eval_norm_many(space, w[None, :] - centers) * \
             rng.uniform(0.7, 1.2, size=k)
-        lp, a_t = geometry._ball_lp(space, basis, centers, radii)
+        lp = geometry._ball_lp(space, basis, centers, radii)
         unfolded = oracles.ball_lp_by_rows(space, basis, centers, radii, fold=False)
         assert lp.n_vars == unfolded.n_vars - k
-        assert set(a_t.tolist()) <= {0.0, -1.0}
+        # the t columns: +1 in the k rows t_i <= r_i, and 0 or -1 elsewhere
+        d = basis.shape[1]
+        t_cols = unfolded.a_ub[:, d:d + k]
+        bounds = (t_cols > 0).any(axis=1)
+        assert bounds.sum() == k
+        assert set(t_cols[~bounds].ravel().tolist()) <= {0.0, -1.0}
         out, ref = optim.lp_solve(lp), optim.lp_solve(unfolded)
         if optim.BREAKDOWN in (out.status, ref.status):
             assert kind == "wide-sum"
@@ -963,9 +946,9 @@ def _trial_spy(monkeypatch):
     real = geometry._solved_ahead
     runs = []
 
-    def capture(lps, trials, draw):
+    def capture(space, within, trials, draw):
         runs.append([])
-        for trial, item, res in real(lps, trials, draw):
+        for trial, item, res in real(space, within, trials, draw):
             runs[-1].append((trial, item, res))
             yield trial, item, res
 
@@ -994,25 +977,26 @@ def _checker_cases():
 def test_checkers_match_a_fresh_build_of_every_trial(monkeypatch, name, space, sub):
     # Each trial of both checkers, up to their verdict, is either held by
     # the point of the reference's draw (a point of the subspace that every
-    # ball of the reference's family holds, and the fresh LP of its padded
-    # family is feasible) and not yielded, or yielded with the reference's
-    # family and solved in lockstep as the LP that a fresh build of its
-    # family, padded and folded, gives (rows byte for byte, b as floats).
-    # Every lockstep outcome, on to the end of its chunk, has the status of
-    # a fresh solve of its LP, and up to the verdict every padded LP has
-    # the unpadded LP's status, folded or not.  Verdicts, notes, trials run
-    # and failing families are those of the trial-by-trial reference.
+    # ball of the reference's family holds, and the fresh LP of its family
+    # is feasible) and not yielded, or yielded with the reference's family
+    # and solved alone as the LP of a fresh build of that family, unpadded
+    # and folded (`oracles.ball_lp_by_rows`), byte for byte, by one
+    # `optim.lp_solve` with a fresh solve's outcome.  The checkers solve
+    # those LPs in seed order and no other, but for the three distances a
+    # failing three-ball check audits, and up to the verdict the reference
+    # search's LP, padded by repeated balls, has the unpadded LP's status,
+    # folded or not.  Verdicts, notes, trials run and failing families are
+    # those of that trial-by-trial reference.
     # The three-ball check fails on the sum summand, the polyhedral line and
     # the sup-norm plane, the central check on the two planes.
-    calls = _lockstep_spy(monkeypatch)
+    calls = _solve_spy(monkeypatch)
     runs = _trial_spy(monkeypatch)
     central = central_subspace_check(space, sub, trials=400, seed=0)
+    solved = {"central": list(calls)}
+    calls.clear()
     three = mideal_three_ball_check(space, sub, trials=200, eps=1e-6, seed=0)
+    solved["mideal"] = list(calls)
     monkeypatch.undo()
-    seen = [pair for call in calls for pair in call]
-    for lp, out in seen:
-        assert out.status == optim.lp_solve(lp).status
-    solved = {(lp.a_ub.tobytes(), (lp.b_ub + 0.0).tobytes()) for lp, _ in seen}
     basis = np.array(sub.basis)
     for kind, verdict, run, families, size, trials in (
             ("central", central, runs[0], oracles.central_trials(space, sub, 400, 0), 4, 400),
@@ -1022,13 +1006,14 @@ def test_checkers_match_a_fresh_build_of_every_trial(monkeypatch, name, space, s
         assert max(yielded, default=0) <= verdict.trials_run
         if not verdict.passed:
             assert max(yielded) == verdict.trials_run
+        fresh_lps = []
         for trial, (centers, radii, point) in enumerate(
                 itertools.islice(families, verdict.trials_run), 1):
             pad = np.arange(size) % len(radii)
-            fresh = oracles.ball_lp_by_rows(space, basis, centers[pad], radii[pad])
+            fresh = oracles.ball_lp_by_rows(space, basis, centers, radii)
             status = optim.lp_solve(fresh).status
             assert optim.lp_solve(oracles.ball_lp_by_rows(
-                space, basis, centers, radii)).status == status
+                space, basis, centers[pad], radii[pad])).status == status
             assert optim.lp_solve(oracles.ball_lp_by_rows(
                 space, basis, centers[pad], radii[pad], fold=False)).status == status
             held = (norms.eval_norm_many(space, point - centers) <= radii).all()
@@ -1042,7 +1027,16 @@ def test_checkers_match_a_fresh_build_of_every_trial(monkeypatch, name, space, s
                 assert got_radii.tobytes() == radii.tobytes()
                 assert res.status == (geometry.FEASIBLE if status == optim.OPTIMAL
                                       else geometry.INFEASIBLE)
-                assert (fresh.a_ub.tobytes(), (fresh.b_ub + 0.0).tobytes()) in solved
+                assert _same_lp(res.lp, fresh)
+                fresh_lps.append(fresh)
+        audited = 3 if kind == "mideal" and not verdict.passed else 0
+        assert len(solved[kind]) == len(fresh_lps) + audited
+        for (lp, out), fresh in zip(solved[kind], fresh_lps):
+            ref = optim.lp_solve(fresh)
+            assert _same_lp(lp, fresh)
+            assert (out.status, out.iterations) == (ref.status, ref.iterations)
+            for got, want in ((out.x, ref.x), (out.farkas_ub, ref.farkas_ub)):
+                assert (got is None and want is None) or got.tobytes() == want.tobytes()
         passed, decided, runs_ref, note, family = oracles.verdict_by_trials(
             kind, space, sub, trials, 0)
         assert (verdict.passed, verdict.decided, verdict.trials_run, verdict.note) == \
@@ -1061,26 +1055,21 @@ L1_PLANE = [[-0.652, -0.175, 1.664], [0.659, -1.641, -0.005]]
 
 
 def test_a_three_ball_check_builds_its_rows_once(monkeypatch):
-    # A chain builds its rows at most once, for its first trial that its
-    # point does not settle, and every later trial only computes b; a chain
-    # whose every trial its point holds builds nothing.  A central check
-    # pads its families of 2-4 balls to 4, so it too is one chain: one build
-    # and one LP solved alone and fresh, its first.  A one-shot query builds
-    # once too.
+    # Each trial that its point does not settle builds its rows once and is
+    # solved once, by one `optim.lp_solve` of its own LP, when its turn
+    # comes; a check whose every trial its point holds builds and solves
+    # nothing.  A one-shot query builds once and solves once too.
     data = instances.mideal_scenarios()
-    real_build, real_solve = optim.LpBuilder.build, optim._solve_fresh
-    builds, solves = [], []
+    real_build = optim.LpBuilder.build
+    builds = []
 
     def counted(self):
         builds.append(1)
         return real_build(self)
 
-    def counted_solve(lp, refine=None):
-        solves.append(lp)
-        return real_solve(lp, refine)
-
     monkeypatch.setattr(optim.LpBuilder, "build", counted)
-    monkeypatch.setattr(optim, "_solve_fresh", counted_solve)
+    solves = _solve_spy(monkeypatch)
+    runs = _trial_spy(monkeypatch)
     verdict = mideal_three_ball_check(data["max_space"], data["first_summand"],
                                       trials=200, eps=1e-6, seed=0)
     assert verdict.passed and verdict.trials_run == 200
@@ -1088,8 +1077,10 @@ def test_a_three_ball_check_builds_its_rows_once(monkeypatch):
     verdict = mideal_three_ball_check(data["sum_space"], data["first_summand"],
                                       trials=200, eps=1e-6, seed=0)
     assert not verdict.passed
-    # and the distance audit of the failing triple: 3 LPs, each built and fresh
-    assert len(builds) == len(solves) == 1 + 3
+    # 2 unheld trials up to the failing 4th, and the distance audit of the
+    # failing triple: 3 LPs, each built and solved
+    assert [trial for trial, *_ in runs[1]] == [3, verdict.trials_run] == [3, 4]
+    assert len(builds) == len(solves) == 2 + 3
     builds.clear()
     solves.clear()
     # the passing `property central` instance of the benchmark's cli workload
@@ -1100,10 +1091,11 @@ def test_a_three_ball_check_builds_its_rows_once(monkeypatch):
     central = central_subspace_check(l1(3), subspace_from_basis(3, L1_PLANE),
                                      trials=200, seed=0)
     assert central.passed and central.trials_run == 200
-    assert len(builds) == len(solves) == 1
+    assert 0 < len(builds) == len(solves) == len(runs[3]) < 200
     builds.clear()
+    solves.clear()
     balls_intersect(linf(3), reference_family(), plane())
-    assert len(builds) == 1
+    assert len(builds) == len(solves) == 1
 
 
 def test_an_l2_central_check_runs_no_center_solve(monkeypatch):
@@ -1126,20 +1118,45 @@ def test_an_l2_central_check_runs_no_center_solve(monkeypatch):
 
 def test_trials_whose_points_miss_reach_the_lockstep(monkeypatch):
     # On a plane of l1(R^3) the projection of a witness misses some balls:
-    # exactly those trials are rows of `optim.lp_solve_lockstep`, and each
-    # is feasible there.
-    calls = _lockstep_spy(monkeypatch)
+    # exactly those trials are solved, each alone and in seed order by one
+    # `optim.lp_solve` of the LP its result holds, and each is feasible.  A
+    # check that fails solves the unheld trials up to its `trials_run` and
+    # none after: the three-ball check on the sum summand, whose failing
+    # triple's three distances are then audited as LPs.
+    calls = _solve_spy(monkeypatch)
     runs = _trial_spy(monkeypatch)
     verdict = central_subspace_check(l1(3), subspace_from_basis(3, L1_PLANE),
                                      trials=200, seed=0)
-    monkeypatch.undo()
     assert verdict.passed
-    rows = [pair for call in calls for pair in call]
     missed = [res for _, _, res in runs[0]]
-    assert 0 < len(missed) == len(rows) < 200
-    assert [res.lp.b_ub.tobytes() for res in missed] == \
-        [lp.b_ub.tobytes() for lp, _ in rows]
-    assert all(out.status == optim.OPTIMAL for _, out in rows)
+    assert 0 < len(missed) == len(calls) < 200
+    assert all(res.lp is lp for res, (lp, _) in zip(missed, calls))
+    assert all(out.status == optim.OPTIMAL for _, out in calls)
+    calls.clear()
+    data = instances.mideal_scenarios()
+    three = mideal_three_ball_check(data["sum_space"], data["first_summand"],
+                                    trials=200, eps=1e-6, seed=0)
+    monkeypatch.undo()
+    assert not three.passed
+    missed = [res for _, _, res in runs[1]]
+    assert runs[1][-1][0] == three.trials_run
+    assert len(calls) == len(missed) + 3
+    assert all(res.lp is lp for res, (lp, _) in zip(missed, calls))
+    assert [out.status for _, out in calls[:len(missed)]] == \
+        [optim.OPTIMAL] * (len(missed) - 1) + [optim.INFEASIBLE]
+
+
+def test_checkers_refuse_subspaces_of_another_dimension():
+    # Both checkers check their subspaces at their entry, as
+    # `balls_intersect` does: a `sub`, `z` or `within` in R^4 for a norm on
+    # R^3 is a DimensionMismatchError, not a broadcast error from a draw.
+    r4 = subspace_from_basis(4, np.eye(4)[:2])
+    for check in (lambda: central_subspace_check(linf(3), r4, 5, 0),
+                  lambda: central_subspace_check(linf(3), plane(), 5, 0, within=r4),
+                  lambda: mideal_three_ball_check(linf(3), r4, 5, seed=0),
+                  lambda: balls_intersect(linf(3), reference_family(), r4)):
+        with pytest.raises(DimensionMismatchError, match="subspace ambient dim mismatch"):
+            check()
 
 
 def _parity_cases():

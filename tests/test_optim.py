@@ -1,13 +1,9 @@
-import copy
 import itertools
 import math
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from centerlab import centers, norms, optim
 from centerlab.optim import (
@@ -92,7 +88,6 @@ def test_rows_without_unknowns_are_decided_directly():
     # An LP with rows and no unknowns has one point, the empty one: optimal
     # with zero duals when b >= 0, and otherwise infeasible with the unit
     # vector on the most negative row as its Farkas vector, each audited.
-    # The lockstep solves such LPs alone, with no tableau to keep.
     lp = optim.LinearProgram(np.zeros(0), np.zeros((3, 0)), np.array([0.0, 2.0, -0.0]))
     out = lp_solve(lp)
     assert out.status == optim.OPTIMAL and out.value == 0.0
@@ -106,37 +101,6 @@ def test_rows_without_unknowns_are_decided_directly():
     # a negative row within the audit's tolerance proves nothing
     lp = optim.LinearProgram(np.zeros(0), np.zeros((1, 0)), np.array([-1e-12]))
     assert lp_solve(lp).status == optim.BREAKDOWN
-    b = np.array([[0.0, 1.0], [1.0, -1.0], [3.0, 0.0]])
-    start = optim.LpStart()
-    outs = optim.lp_solve_lockstep(optim.LinearProgram(np.zeros(0), np.zeros((2, 0)), b[0]),
-                                   b, start)
-    assert [o.status for o in outs] == [optim.OPTIMAL, optim.INFEASIBLE, optim.OPTIMAL]
-    assert start._dual is None
-
-
-def test_pivot_and_pivot_stack_agree_byte_for_byte():
-    # `_pivot` on one tableau and `_pivot_stack` on a stack of them give the
-    # same bytes, the signs of zeros included, and the pivot column is an
-    # exact unit vector; tableaus that are not live stay as they were.
-    rng = np.random.default_rng(38)
-    for _ in range(200):
-        k, m, width = int(rng.integers(1, 6)), int(rng.integers(2, 8)), int(rng.integers(3, 30))
-        t = rng.normal(size=(k, m, width))
-        t[rng.random(size=t.shape) < 0.3] = 0.0
-        t[rng.random(size=t.shape) < 0.05] = -0.0
-        rows, cols = rng.integers(0, m, size=k), rng.integers(0, width, size=k)
-        t[np.arange(k), rows, cols] = rng.choice([-2.0, 0.5, 3.0], size=k) + rng.normal(size=k)
-        live = rng.random(size=k) < 0.8
-        stack = t.copy()
-        optim._pivot_stack(stack, rows, cols, live)
-        for i in range(k):
-            one = t[i].copy()
-            if live[i]:
-                optim._pivot(one, int(rows[i]), int(cols[i]))
-                unit = np.zeros(m)
-                unit[rows[i]] = 1.0
-                assert one[:, cols[i]].tobytes() == unit.tobytes()
-            assert stack[i].tobytes() == one.tobytes()
 
 
 def test_equality_constraints():
@@ -938,251 +902,3 @@ def test_slack_start_basis_needs_no_pivots():
     assert np.array_equal(out.dual_ub, np.zeros(7))
     assert verify_optimal(lp, out)
 
-
-def _chain_lp(rng, a_ub, a_eq, c, infeasible):
-    """An LP over the fixed rows (a box, then random rows, then the
-    equalities a_eq u = a_eq p as <= pairs) whose right-hand side holds a
-    random point p; when `infeasible`, the box's lower bound on u_0 is moved
-    above its upper bound."""
-    n = c.shape[0]
-    p = rng.normal(size=n) * rng.choice([0.1, 1.0, 30.0])
-    b_ub = a_ub @ p + rng.uniform(0.0, 2.0, size=a_ub.shape[0])
-    if infeasible:
-        b_ub[n] = -(b_ub[0] + rng.uniform(0.5, 2.0))
-    pairs, rhs = _eq_pairs(a_eq, a_eq @ p)
-    return optim.LinearProgram(c, np.vstack([a_ub, pairs]),
-                               np.concatenate([b_ub, rhs]))
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4),
-       extra=st.integers(0, 6), n_eq=st.integers(0, 1),
-       length=st.integers(2, 50), zero_c=st.booleans())
-def test_warm_chain_agrees_with_fresh_solves(seed, n, extra, n_eq, length,
-                                             zero_c):
-    # One start carried along a chain of right-hand sides over fixed rows,
-    # one LP per `lp_solve_lockstep` call: each LP after the first starts
-    # from the basis that the first left, agrees with a fresh solve of the
-    # same LP, in status and value, and passes its own audit, and none of
-    # them was solved alone, so none fell back to a fresh solve.
-    rng = np.random.default_rng(seed)
-    a_ub = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(extra, n))])
-    a_eq = rng.normal(size=(n_eq, n))
-    c = np.zeros(n) if zero_c else rng.normal(size=n)
-    start = optim.LpStart()
-    lps, alone = [], []
-    for _ in range(length):
-        lps.append(_chain_lp(rng, a_ub, a_eq, c, infeasible=rng.random() < 0.25))
-        with mock.patch.object(optim, "_solve_fresh", wraps=optim._solve_fresh) as spy:
-            warm, = optim.lp_solve_lockstep(lps[0], lps[-1].b_ub[None], start)
-        alone += [call.args[0].b_ub.tobytes() for call in spy.call_args_list]
-        fresh = lp_solve(lps[-1])
-        assert start._dual is not None
-        assert warm.status == fresh.status
-        assert warm.status in (optim.OPTIMAL, optim.INFEASIBLE)
-        if warm.status == optim.OPTIMAL:
-            assert verify_optimal(lps[-1], warm)
-            assert abs(warm.value - fresh.value) <= 1e-9 * max(1.0, abs(fresh.value))
-        else:
-            assert verify_farkas(lps[-1], warm.farkas_ub)
-    assert alone == [lps[0].b_ub.tobytes()]
-
-
-def _lockstep_chains():
-    """Seeded chains for `lp_solve_lockstep`, each a list of LPs that share
-    their objective and rows: ball LPs (c = 0) of two sup-norm spaces and a
-    sum norm, some of whose radii are shrunk until the balls miss each
-    other, and LPs over a box and random rows with c != 0 whose box is
-    sometimes empty."""
-    from centerlab import geometry
-    rng = np.random.default_rng(27)
-    poly = rng.normal(size=(4, 3))
-    spaces = [(norms.lp_norm(np.inf, 4), norms.subspace_from_basis(4, np.eye(4)[[0, 2]])),
-              (norms.polyhedral(np.vstack([poly, -poly])), None),
-              (norms.make_direct_sum([norms.lp_norm(1, 1), norms.lp_norm(1, 2)],
-                                     norms.sum_combiner(2)),
-               norms.subspace_from_basis(3, np.eye(3)[[0]]))]
-    chains = []
-    for space, sub in spaces:
-        n = norms.space_dim(space)
-        basis = np.eye(n) if sub is None else sub.basis
-        centers = rng.normal(size=(40, 3, n)) * 1.5
-        w = rng.normal(size=(40, n))
-        radii = norms.eval_norm_many(space, (w[:, None, :] - centers).reshape(-1, n))
-        radii = radii.reshape(40, 3) * rng.choice([0.3, 1.0, 1.2], size=(40, 1))
-        chains.append([geometry._ball_lp(space, basis, c, r)[0]
-                       for c, r in zip(centers, radii)])
-    for n in (2, 3, 4):
-        a_ub = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(5, n))])
-        c = rng.normal(size=n)
-        chains.append([_chain_lp(rng, a_ub, np.zeros((0, n)), c,
-                                 infeasible=rng.random() < 0.25)
-                       for _ in range(40)])
-    return chains
-
-
-def _rhs(lps):
-    """The (K, m) right-hand sides of `lp_solve_lockstep` for `lps`."""
-    return np.array([lp.b_ub for lp in lps])
-
-
-def test_lockstep_chain_agrees_with_fresh_solves(monkeypatch):
-    # The first LP of a chain is solved alone and the rest in lockstep from
-    # its basis: every outcome has a fresh solve's status and value and
-    # passes its own audit, and none needed a fresh solve.  The chain keeps
-    # the first LP's basis: a later batch of the whole chain solves nothing
-    # alone, the first LP makes no pivot there, and every other LP makes
-    # the pivots it made in the first batch.
-    alone = []
-    real = optim._solve_fresh
-
-    def counted(lp, refine=None):
-        alone.append(lp)
-        return real(lp, refine)
-
-    for lps in _lockstep_chains():
-        statuses = {lp_solve(lp).status for lp in lps}
-        assert statuses == {optim.OPTIMAL, optim.INFEASIBLE}
-        start = optim.LpStart()
-        monkeypatch.setattr(optim, "_solve_fresh", counted)
-        alone.clear()
-        outs = optim.lp_solve_lockstep(lps[0], _rhs(lps), start)
-        monkeypatch.undo()
-        assert [lp.b_ub.tobytes() for lp in alone] == [lps[0].b_ub.tobytes()]
-        assert len(outs) == len(lps)
-        for lp, out in zip(lps, outs):
-            fresh = lp_solve(lp)
-            assert out.status == fresh.status
-            if out.status == optim.OPTIMAL:
-                assert verify_optimal(lp, out)
-                assert abs(out.value - fresh.value) <= 1e-9 * max(1.0, abs(fresh.value))
-            else:
-                assert verify_farkas(lp, out.farkas_ub)
-        assert sum(out.iterations for out in outs[1:]) > 0
-        monkeypatch.setattr(optim, "_solve_fresh", counted)
-        alone.clear()
-        again = optim.lp_solve_lockstep(lps[0], _rhs(lps), start)
-        monkeypatch.undo()
-        assert alone == []
-        assert [out.status for out in again] == [out.status for out in outs]
-        assert [out.iterations for out in again] == \
-            [0] + [out.iterations for out in outs[1:]]
-
-
-@pytest.mark.parametrize("degenerate_run", [optim._DEGENERATE_RUN, 2])
-def test_lockstep_pivots_as_a_warm_scalar_solve(monkeypatch, degenerate_run):
-    # The stacked phase 2 repeats the scalar one: from the same held basis,
-    # each LP's b loaded by `_DualTableau.load_stack`, each LP of the stack
-    # enters and leaves, pivot for pivot, the column and row that
-    # `_run_simplex` picks for it alone, with the Bland fallback too, and
-    # reads off the same point or Farkas multipliers as `_solve`.
-    monkeypatch.setattr(optim, "_DEGENERATE_RUN", degenerate_run)
-    real_pivot, real_stack = optim._pivot, optim._pivot_stack
-    scalar, stacked = [], []
-
-    def pivot(t, row, col):
-        scalar.append((row, col))
-        real_pivot(t, row, col)
-
-    def pivot_stack(t, rows, cols, live):
-        stacked.append(list(zip(rows[live].tolist(), cols[live].tolist())))
-        real_stack(t, rows, cols, live)
-
-    monkeypatch.setattr(optim, "_pivot", pivot)
-    monkeypatch.setattr(optim, "_pivot_stack", pivot_stack)
-    for lps in _lockstep_chains():
-        start = optim.LpStart()
-        optim.lp_solve_lockstep(lps[0], lps[0].b_ub[None], start)
-        held = start._dual
-        sequences, warm = [], []
-        for lp in lps[1:]:
-            scalar.clear()
-            dual = copy.copy(held)
-            dual.t, dual.basis, dual.costs, dual.scale = (
-                a[0] for a in held.load_stack(lp.b_ub[None]))
-            warm.append(optim._solve(lp, None, dual))
-            sequences.append(list(scalar))
-        stacked.clear()
-        outs = optim.lp_solve_lockstep(lps[0], _rhs(lps[1:]), start)
-        # the stack's i-th pivot moves every LP that pivots i times or more
-        assert stacked == [[seq[i] for seq in sequences if len(seq) > i]
-                           for i in range(max(map(len, sequences)))]
-        assert sum(map(len, sequences)) > 0
-        for out, ref in zip(outs, warm):
-            assert ref.status in (optim.OPTIMAL, optim.INFEASIBLE)
-            assert (out.status, out.iterations) == (ref.status, ref.iterations)
-            for a, b in ((out.x, ref.x), (out.farkas_ub, ref.farkas_ub)):
-                assert (a is None and b is None) or np.array_equal(a, b)
-
-
-def test_lockstep_falls_back_to_blands_rule(monkeypatch):
-    # With a degenerate run of 2, some LP of the stack enters the first
-    # column with a negative reduced cost where the most negative one is
-    # another: each LP keeps its own count of degenerate pivots.  Every
-    # pivot of a c = 0 LP is degenerate.  The outcomes stay a fresh
-    # solve's.
-    real = optim._pivot_stack
-    bland = []
-
-    def spy(t, rows, cols, live):
-        costs = t[:, -1, :n_cols]
-        first = (costs < -optim._RCOST_TOL).argmax(1)
-        bland.append(int((live & (cols == first) & (cols != costs.argmin(1))).sum()))
-        real(t, rows, cols, live)
-
-    monkeypatch.setattr(optim, "_pivot_stack", spy)
-    monkeypatch.setattr(optim, "_DEGENERATE_RUN", 2)
-    lps = _lockstep_chains()[2]
-    n_cols = lps[0].a_ub.shape[0]
-    outs = optim.lp_solve_lockstep(lps[0], _rhs(lps), optim.LpStart())
-    assert sum(bland) > 0
-    for lp, out in zip(lps, outs):
-        assert out.status == lp_solve(lp).status
-
-
-def test_lockstep_solves_a_failed_audit_again_alone(monkeypatch):
-    # The stacked audit fails for one optimal LP only: that LP is solved
-    # again by lp_solve, alone and fresh, and its iterations count the
-    # pivots of both solves; the audit of that fresh solve, the next one of
-    # its b, holds.  The only other fresh solve is the chain's first LP,
-    # whose tableau the chain's start keeps.
-    lps = _lockstep_chains()[4][:8]
-    reference = optim.lp_solve_lockstep(lps[0], _rhs(lps), optim.LpStart())
-    target = next(i for i in range(1, 8) if reference[i].status == optim.OPTIMAL)
-    real_audit, real_solve, real_fresh = (optim._optimal_stack, optim.lp_solve,
-                                          optim._solve_fresh)
-    calls, failed = [], []
-
-    def audit(objective, a_ub, b_ub, x, lam, value):
-        holds = real_audit(objective, a_ub, b_ub, x, lam, value)
-        hit = (b_ub == lps[target].b_ub).all(1)
-        if hit.any() and not failed:
-            failed.append(len(b_ub))
-            holds[hit] = False
-        return holds
-
-    def solve(lp, **kwargs):
-        calls.append(("lp_solve", lp.b_ub.tobytes()))
-        return real_solve(lp, **kwargs)
-
-    def fresh_solve(lp, refine=None):
-        calls.append(("fresh", lp.b_ub.tobytes()))
-        return real_fresh(lp, refine)
-
-    monkeypatch.setattr(optim, "_optimal_stack", audit)
-    monkeypatch.setattr(optim, "lp_solve", solve)
-    monkeypatch.setattr(optim, "_solve_fresh", fresh_solve)
-    start = optim.LpStart()
-    outs = optim.lp_solve_lockstep(lps[0], _rhs(lps), start)
-    assert calls == [("fresh", lps[0].b_ub.tobytes()),
-                     ("lp_solve", lps[target].b_ub.tobytes()),
-                     ("fresh", lps[target].b_ub.tobytes())]
-    assert start._dual is not None
-    # the failed audit was the stacked one, of every optimal LP after the first
-    assert failed == [sum(ref.status == optim.OPTIMAL for ref in reference[1:])]
-    assert lps[0].objective.any()
-    fresh = real_solve(lps[target])
-    assert np.array_equal(outs[target].x, fresh.x)
-    assert outs[target].iterations == reference[target].iterations + fresh.iterations
-    for out, ref in zip(outs, reference):
-        assert out.status == ref.status

@@ -12,7 +12,7 @@ runs, in one process:
   workload: `property central --trials 25` on a 2-dimensional coordinate
   subspace of l-inf in R^5 and `property mideal --trials 20` on a
   1-dimensional coordinate subspace of l-inf in R^3, whose trials are
-  chains of warm-started feasibility LPs;
+  each held by the projection of its witness, with no LP solved;
 - at both seeds, `property central --trials 25` and `property mideal
   --trials 20` on the line through (1, 1, 1) under a polyhedral norm whose
   generators are not +-e_j and under the 1-norm, whose ball LPs'
