@@ -25,19 +25,17 @@ where y = 0 is feasible at once.  Before it is priced, each artificial that
 starts at level zero (a variable with c_i = 0) is crashed out: pivoted on
 the largest entry of its row, which moves no basic value.  An artificial
 left basic at level zero is held there.  The outcome is read from the final
-basis: the duals are its basic values, the optimum x solves the n rows the
-basis holds tight (one `np.linalg.solve`, then one step of iterative
-refinement), an unbounded dual ray gives Farkas multipliers, and when the
-dual is infeasible its phase-1 multipliers are an improving ray, after the
-same tableau with c = 0 has shown the primal feasible.  Every verdict is
-audited before it is returned: an optimum by `_optimal_stack` and an
-infeasible verdict by `_farkas_stack`, both run inside `_read_outcomes`,
-the one read-out, which takes a solve as a stack of one tableau, and an
-unbounded one by `verify_ray`; a failed audit is returned as "breakdown".
-`verify_optimal` and `verify_farkas` run the same audits on one LP again.
-An LP with rows and no unknowns has no tableau: its one point, the empty
-one, is optimal when b >= 0, and otherwise a negative row proves it
-infeasible (`_solve_empty`), each audited as above.
+basis by `_read_outcome`: the duals are its basic values, the optimum x
+solves the n rows the basis holds tight (one `np.linalg.solve`, then one
+step of iterative refinement), an unbounded dual ray gives Farkas
+multipliers, and when the dual is infeasible its phase-1 multipliers are an
+improving ray, after the same tableau with c = 0 has shown the primal
+feasible.  Every verdict is audited by the public verifiers before it is
+returned: an optimum by `verify_optimal`, an infeasible verdict by
+`verify_farkas` and an unbounded one by `verify_ray`; a failed audit is
+returned as "breakdown".  An LP with rows and no unknowns has no tableau:
+its one point, the empty one, is optimal when b >= 0, and otherwise a
+negative row proves it infeasible (`_solve_empty`), each audited as above.
 
 A lexicographic tie-break among optimal points runs on the final tableau of
 the same solve as dual-simplex stages: each stage sets the right-hand side
@@ -334,22 +332,18 @@ class _DualTableau:
         n = lp.n_vars
         self.n_cols = lp.a_ub.shape[0]
         self.tau = np.where(lp.objective > 0, -1.0, 1.0)
-        self.row_size = np.abs(lp.a_ub).max(axis=1)
+        row_size = np.abs(lp.a_ub).max(axis=1)
         # the columns, costs and scales in the caller's units, artificials
         # included
         self.columns = np.hstack([lp.a_ub.T * self.tau[:, None], np.eye(n)])
         self.costs = np.concatenate([lp.b_ub, np.zeros(n)])
-        self.scale = np.concatenate([_scale(self.row_size, lp.b_ub), np.ones(n)])
+        self.scale = np.concatenate([_scale(row_size, lp.b_ub), np.ones(n)])
 
         self.t = np.zeros((n + 1, self.n_cols + n + 1))
         self.t[:n, :-1] = self.columns / self.scale
         self.t[:n, -1] = np.abs(lp.objective)
         self.basis = self.n_cols + np.arange(n)
         self.max_iter = 1000 + 60 * self.t.shape[1]
-
-    def stack(self) -> tuple:
-        """This tableau as a stack of one: (t, basis, costs, scale)."""
-        return self.t[None], self.basis[None], self.costs[None], self.scale[None]
 
 
 def _lex_refine(lp, dual, refine, x, value):
@@ -377,7 +371,7 @@ def _lex_refine(lp, dual, refine, x, value):
             return x, pivots, _stopped(idx, status)
         if it == 0:
             continue
-        cand = _tight_points(dual, *dual.stack())[0]
+        cand = _tight_point(dual)
         if not np.isfinite(cand).all():
             return x, pivots, _stopped(idx, "singular basis")
         drift = abs(float(lp.objective @ cand) - value)
@@ -395,9 +389,9 @@ def lp_solve(lp: LinearProgram, refine: Sequence[int] | None = None
     Deterministic: identical inputs yield bit-identical outcomes.  Numerical
     failure surfaces as status "breakdown" and is never folded into
     "infeasible".  Every verdict is audited against the original system
-    before it is returned, an optimum before refinement: by `_read_outcomes`
-    as a stack of one (the audits of `verify_optimal` and `verify_farkas`)
-    or, for a ray, by `verify_ray`; a failed audit is a breakdown saying why.
+    before it is returned, an optimum before refinement: by `verify_optimal`,
+    `verify_farkas` or `verify_ray`; a failed audit is a breakdown saying
+    why.
 
     The simplex runs on the dual standard form (see `_DualTableau`), whose
     tableau has n_vars + 1 rows however many constraints there are.  An
@@ -435,11 +429,12 @@ def _solve_empty(lp: LinearProgram) -> LpOutcome:
     b = lp.b_ub
     lam = np.zeros(b.shape[0])
     if b.min() >= 0.0:
-        if _optimal_stack(lp.objective, lp.a_ub, b, np.zeros(0), lam, 0.0):
-            return LpOutcome(OPTIMAL, x=np.zeros(0), value=0.0, dual_ub=lam)
+        out = LpOutcome(OPTIMAL, x=np.zeros(0), value=0.0, dual_ub=lam)
+        if verify_optimal(lp, out):
+            return out
         return _breakdown(0, "optimal claim failed the optimality audit")
     lam[b.argmin()] = 1.0
-    if _farkas_stack(lp.a_ub, b, lam):
+    if verify_farkas(lp, lam):
         return LpOutcome(INFEASIBLE, farkas_ub=lam)
     return _breakdown(0, "infeasible claim failed the Farkas audit")
 
@@ -488,8 +483,7 @@ def _solve(lp: LinearProgram, refine: Sequence[int] | None) -> LpOutcome:
         if not verify_ray(lp, ray):
             return _breakdown(iterations, "unbounded claim failed the ray audit")
         return LpOutcome(UNBOUNDED, ray=ray, iterations=iterations)
-    out = _read_outcomes(lp, dual, dual.stack(), [status], [iterations],
-                         [enter])[0]
+    out = _read_outcome(lp, dual, status, iterations, enter)
     if refine is None or out.status != OPTIMAL:
         return out
     x, pivots, message = _lex_refine(lp, dual, refine, out.x, out.value)
@@ -497,118 +491,74 @@ def _solve(lp: LinearProgram, refine: Sequence[int] | None) -> LpOutcome:
                    message=message)
 
 
-def _read_outcomes(lp: LinearProgram, held: _DualTableau, stack: tuple,
-                   status, pivots, enter) -> list[LpOutcome]:
-    """The audited outcome of each LP of a stack after phase 2, the one
-    read-out of `lp_solve`, whose tableau is a stack of one:
-    `stack` is the (t, basis, costs, scale) of tableaus with the rows and
-    objective of `lp` and `held`, and status, pivots (ints) and enter are
-    phase 2's, one per LP.  An optimum gives the duals as its basic values
-    and x as its tight point; a dual ray gives Farkas multipliers.  Any
-    other LP, or one that fails its audit, is a breakdown saying why."""
-    n_cols, outs = held.n_cols, [None] * len(status)
-    opt = [i for i, s in enumerate(status) if s == OPTIMAL]
-    if opt:
-        t, basis, costs, scale = _select(stack, opt)
-        x = _tight_points(held, t, basis, costs, scale)
-        y = np.zeros((len(opt), t.shape[2] - 1))
-        y[np.arange(len(opt))[:, None], basis] = t[:, :-1, -1]
-        lam = np.where(y[:, :n_cols] > 0, y[:, :n_cols] / scale[:, :n_cols], 0.0)
-        value = np.vecdot(x, lp.objective)
-        good = _optimal_stack(lp.objective, lp.a_ub, costs[:, :n_cols], x, lam, value)
-        for i, ok, xi, li, vi in zip(opt, good.tolist(), x, lam, value.tolist()):
-            outs[i] = (LpOutcome(OPTIMAL, x=xi, value=vi, dual_ub=li, iterations=pivots[i])
-                       if ok else _breakdown(pivots[i], "optimal basis is singular"
-                                             if not np.isfinite(xi).all() else
-                                             "optimal claim failed the optimality audit"))
-    ray = [i for i, s in enumerate(status) if s == UNBOUNDED]
-    if ray:
-        t, basis, costs, scale, enter = _select((*stack, enter), ray)
-        lam = _farkas_multipliers(held, t, basis, enter, scale)
-        good = _farkas_stack(lp.a_ub, costs[:, :n_cols], lam)
-        for i, ok, li in zip(ray, good.tolist(), lam):
-            outs[i] = (LpOutcome(INFEASIBLE, farkas_ub=li, iterations=pivots[i])
-                       if ok else _breakdown(
-                           pivots[i], "infeasible claim failed the Farkas audit"))
-    return [out or _breakdown(p, "phase 2 did not terminate")
-            for out, p in zip(outs, pivots)]
+def _read_outcome(lp: LinearProgram, dual: _DualTableau, status: str,
+                  pivots: int, enter: int) -> LpOutcome:
+    """The audited outcome of `lp` from its tableau after phase 2, whose
+    status, pivots and entering column are given.  An optimum gives the
+    duals as its basic values and x as its tight point, and is returned
+    only if `verify_optimal` accepts it; a dual ray gives a Farkas vector,
+    returned only if `verify_farkas` accepts it.  Anything else is a
+    breakdown saying why."""
+    if status == OPTIMAL:
+        x = _tight_point(dual)
+        y = np.zeros(dual.t.shape[1] - 1)
+        y[dual.basis] = dual.t[:-1, -1]
+        head = y[:dual.n_cols]
+        lam = np.where(head > 0, head / dual.scale[:dual.n_cols], 0.0)
+        out = LpOutcome(OPTIMAL, x=x, value=float(np.vecdot(x, lp.objective)),
+                        dual_ub=lam, iterations=pivots)
+        if verify_optimal(lp, out):
+            return out
+        return _breakdown(pivots, "optimal claim failed the optimality audit"
+                          if np.isfinite(x).all() else "optimal basis is singular")
+    if status == UNBOUNDED:
+        lam = _farkas_vector(dual, enter)
+        if verify_farkas(lp, lam):
+            return LpOutcome(INFEASIBLE, farkas_ub=lam, iterations=pivots)
+        return _breakdown(pivots, "infeasible claim failed the Farkas audit")
+    return _breakdown(pivots, "phase 2 did not terminate")
 
 
 def _breakdown(pivots: int, message: str) -> LpOutcome:
     return LpOutcome(BREAKDOWN, iterations=pivots, message=message)
 
 
-def _select(stack: tuple, at: list) -> tuple:
-    """The LPs `at` of each array of a stack; the stack when that is all."""
-    return stack if len(at) == len(stack[0]) else [np.asarray(a)[at] for a in stack]
-
-
-def _optimal_stack(objective, a_ub, b_ub, x, lam, value):
-    """The optimality audit of one LP, or of a stack with one LP per row of
-    b_ub, x, lam and value: x finite and feasible, lam >= -FEAS_TOL, and
-    stationarity and zero duality gap to _OPT_TOL relative."""
-    scale = np.abs(lam).max(-1, initial=np.abs(objective).max(initial=1.0))
-    gap = np.abs(np.vecdot(lam, b_ub) + value)
-    return np.concatenate([
-        np.isfinite(x), _primal_feasible(a_ub, b_ub, x), lam >= -FEAS_TOL,
-        np.abs(objective + lam @ a_ub) <= _OPT_TOL * scale[..., None],
-        (gap <= _OPT_TOL * np.maximum(1.0, np.abs(value)))[..., None]], -1).all(-1)
-
-
-def _farkas_stack(a_ub, b_ub, lam):
-    """The Farkas audit of one LP, or of a stack with one LP per row of b_ub
-    and lam: lam >= -FEAS_TOL, the rows' combination vanishes, lam.b < -FEAS_TOL."""
-    coeff_scale = np.abs(a_ub).max(initial=1.0)
-    vanish = np.abs(lam @ a_ub) <= 100 * FEAS_TOL * coeff_scale
-    return (np.concatenate([lam >= -FEAS_TOL, vanish], -1).all(-1)
-            & (np.vecdot(lam, b_ub) < -FEAS_TOL))
-
-
-def _tight_points(held, t, basis, costs, scale):
-    """The primal point that each basis of a stack holds tight, for
-    tableaus with the rows of `held` and these bases, costs and scales:
-    a_j x = b_j for each basic dual column j, and x_i = 0 for each
-    artificial left basic in row i; not finite where that system is
-    numerically singular.
+def _tight_point(dual: _DualTableau) -> np.ndarray:
+    """The primal point that the basis of `dual` holds tight: a_j x = b_j
+    for each basic dual column j, and x_i = 0 for each artificial left
+    basic in row i; not finite where that system is numerically singular.
 
     The system is the transposed basis with its rows unflipped, solved
     afresh from the scaled rows, then given one step of iterative
     refinement: the residual of the caller's rows, scaled, mapped through
     the basis inverse that the artificial columns carry."""
-    rows = held.columns[:, basis].transpose(1, 2, 0) * held.tau
-    at = np.arange(len(basis))[:, None]
-    s, c = scale[at, basis], costs[at, basis]
-    lhs, rhs = rows / s[..., None], (c / s)[..., None]
+    basis = dual.basis
+    rows = dual.columns[:, basis].T * dual.tau
+    s, c = dual.scale[basis], dual.costs[basis]
     try:
-        x = np.linalg.solve(lhs, rhs)[..., 0]
+        x = np.linalg.solve(rows / s[:, None], (c / s)[:, None])[:, 0]
     except np.linalg.LinAlgError:
         x = np.full(c.shape, np.nan)
-        for i in range(len(x)):
-            try:
-                x[i] = np.linalg.solve(lhs[i], rhs[i])[:, 0]
-            except np.linalg.LinAlgError:
-                pass
     ext = np.longdouble
-    resid = c.astype(ext) - (rows.astype(ext) @ x.astype(ext)[..., None])[..., 0]
-    fix = ((resid.astype(float) / s)[:, None, :] @ t[:, :-1, held.n_cols:-1])[:, 0]
-    return x + held.tau * fix
+    resid = c.astype(ext) - (rows.astype(ext) @ x.astype(ext)[:, None])[:, 0]
+    fix = ((resid.astype(float) / s)[None] @ dual.t[:-1, dual.n_cols:-1])[0]
+    return x + dual.tau * fix
 
 
-def _farkas_multipliers(held, t, basis, enter, scale):
-    """The Farkas multipliers of the unbounded dual ray of each tableau of
-    a stack with the rows of `held`, entering columns `enter`, bases and
-    scales: y >= 0 with A^T y = 0 and b.y < 0, given one step of iterative
-    refinement through the basis inverse, in the caller's units, scaled to
-    a largest entry of at most 1."""
-    at, n_cols = np.arange(len(enter)), held.n_cols
-    y = np.zeros((len(enter), t.shape[2] - 1))
-    y[at, enter] = 1.0
-    y[at[:, None], basis] = -t[at, :-1, enter]
-    fix = t[:, :-1, n_cols:-1] @ ((held.columns / scale[:, None, :]) @ y[..., None])
-    y[at[:, None], basis] -= fix[..., 0]
-    lam = y[:, :n_cols] / scale[:, :n_cols]
+def _farkas_vector(dual: _DualTableau, enter: int) -> np.ndarray:
+    """The Farkas multipliers of the unbounded dual ray of `dual` along
+    column `enter`: y >= 0 with A^T y = 0 and b.y < 0, given one step of
+    iterative refinement through the basis inverse, in the caller's units,
+    scaled to a largest entry of at most 1."""
+    t, basis, n_cols = dual.t, dual.basis, dual.n_cols
+    y = np.zeros(t.shape[1] - 1)
+    y[enter] = 1.0
+    y[basis] = -t[:-1, enter]
+    fix = t[:-1, n_cols:-1] @ ((dual.columns / dual.scale) @ y[:, None])
+    y[basis] -= fix[:, 0]
+    lam = y[:n_cols] / dual.scale[:n_cols]
     lam = np.where(lam > 0, lam, 0.0)
-    return lam / lam.max(1, keepdims=True, initial=1.0)
+    return lam / lam.max(initial=1.0)
 
 
 def _primal_feasible(a_ub, b_ub, x):
@@ -617,9 +567,13 @@ def _primal_feasible(a_ub, b_ub, x):
 
 
 def verify_farkas(lp: LinearProgram, lam: np.ndarray) -> bool:
-    """Check that lam proves `lp` infeasible: `lp_solve`'s Farkas audit
-    (`_farkas_stack`) on this one LP."""
-    return bool(_farkas_stack(lp.a_ub, lp.b_ub, lam))
+    """Check that lam proves `lp` infeasible, the Farkas audit of
+    `lp_solve`: lam >= -FEAS_TOL, the rows' combination vanishes to
+    100 FEAS_TOL max(1, max |a_ij|), and lam.b < -FEAS_TOL."""
+    coeff_scale = np.abs(lp.a_ub).max(initial=1.0)
+    vanish = np.abs(lam @ lp.a_ub) <= 100 * FEAS_TOL * coeff_scale
+    return bool((lam >= -FEAS_TOL).all() and vanish.all()
+                and np.vecdot(lam, lp.b_ub) < -FEAS_TOL)
 
 
 def verify_ray(lp: LinearProgram, ray: np.ndarray) -> bool:
@@ -636,10 +590,18 @@ def verify_ray(lp: LinearProgram, ray: np.ndarray) -> bool:
 
 
 def verify_optimal(lp: LinearProgram, out: LpOutcome) -> bool:
-    """Check that `out` is an optimum of `lp`: `lp_solve`'s optimality
-    audit (`_optimal_stack`) on this one LP."""
-    return out.status == OPTIMAL and bool(_optimal_stack(
-        lp.objective, lp.a_ub, lp.b_ub, out.x, out.dual_ub, out.value))
+    """Check that `out` is an optimum of `lp`, the optimality audit of
+    `lp_solve`: x finite and feasible, duals >= -FEAS_TOL, and
+    stationarity and zero duality gap to _OPT_TOL relative."""
+    if out.status != OPTIMAL:
+        return False
+    x, lam, value = out.x, out.dual_ub, out.value
+    scale = np.abs(lam).max(initial=np.abs(lp.objective).max(initial=1.0))
+    gap = abs(np.vecdot(lam, lp.b_ub) + value)
+    return bool(np.isfinite(x).all() and _primal_feasible(lp.a_ub, lp.b_ub, x).all()
+                and (lam >= -FEAS_TOL).all()
+                and (np.abs(lp.objective + lam @ lp.a_ub) <= _OPT_TOL * scale).all()
+                and gap <= _OPT_TOL * max(1.0, abs(value)))
 
 
 def lp_solve_lex(lp: LinearProgram,

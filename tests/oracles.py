@@ -325,3 +325,56 @@ def verdict_by_trials(kind, space, sub, trials, seed):
         note = "candidate counterexample (semi-decided norm)"
     decided = "exact" if res.status == INFEASIBLE else "unresolved"
     return False, decided, run, note, fam
+
+
+# ---------------------------------------------------------------------------
+# the simplex read-out of a stack of tableaus, one LP a row, as a reference
+# for the arithmetic of `optim._tight_point` and `optim._farkas_vector`: a
+# tableau `dual` is passed as `held` and as the stack of one
+# (dual.t[None], dual.basis[None], ...)
+
+def tight_points_by_stack(held, t, basis, costs, scale):
+    """The primal point that each basis of a stack holds tight, for
+    tableaus with the rows of `held` and these bases, costs and scales:
+    a_j x = b_j for each basic dual column j, and x_i = 0 for each
+    artificial left basic in row i; not finite where that system is
+    numerically singular.
+
+    The system is the transposed basis with its rows unflipped, solved
+    afresh from the scaled rows, then given one step of iterative
+    refinement: the residual of the caller's rows, scaled, mapped through
+    the basis inverse that the artificial columns carry."""
+    rows = held.columns[:, basis].transpose(1, 2, 0) * held.tau
+    at = np.arange(len(basis))[:, None]
+    s, c = scale[at, basis], costs[at, basis]
+    lhs, rhs = rows / s[..., None], (c / s)[..., None]
+    try:
+        x = np.linalg.solve(lhs, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.full(c.shape, np.nan)
+        for i in range(len(x)):
+            try:
+                x[i] = np.linalg.solve(lhs[i], rhs[i])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+    ext = np.longdouble
+    resid = c.astype(ext) - (rows.astype(ext) @ x.astype(ext)[..., None])[..., 0]
+    fix = ((resid.astype(float) / s)[:, None, :] @ t[:, :-1, held.n_cols:-1])[:, 0]
+    return x + held.tau * fix
+
+
+def farkas_multipliers_by_stack(held, t, basis, enter, scale):
+    """The Farkas multipliers of the unbounded dual ray of each tableau of
+    a stack with the rows of `held`, entering columns `enter`, bases and
+    scales: y >= 0 with A^T y = 0 and b.y < 0, given one step of iterative
+    refinement through the basis inverse, in the caller's units, scaled to
+    a largest entry of at most 1."""
+    at, n_cols = np.arange(len(enter)), held.n_cols
+    y = np.zeros((len(enter), t.shape[2] - 1))
+    y[at, enter] = 1.0
+    y[at[:, None], basis] = -t[at, :-1, enter]
+    fix = t[:, :-1, n_cols:-1] @ ((held.columns / scale[:, None, :]) @ y[..., None])
+    y[at[:, None], basis] -= fix[..., 0]
+    lam = y[:, :n_cols] / scale[:, :n_cols]
+    lam = np.where(lam > 0, lam, 0.0)
+    return lam / lam.max(1, keepdims=True, initial=1.0)

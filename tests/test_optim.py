@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 from dataclasses import replace
@@ -16,7 +17,12 @@ from centerlab.optim import (
     verify_ray,
 )
 
-from oracles import sublevel_rows_by_loop, vertices_by_loop
+from oracles import (
+    farkas_multipliers_by_stack,
+    sublevel_rows_by_loop,
+    tight_points_by_stack,
+    vertices_by_loop,
+)
 
 
 def make_lp(objective, a_ub=None, b_ub=None) -> optim.LinearProgram:
@@ -603,6 +609,54 @@ def test_lp_solve_agrees_with_highs():
     assert seen == {optim.OPTIMAL, optim.INFEASIBLE, optim.UNBOUNDED}
 
 
+def test_read_out_matches_the_stacked_reference(monkeypatch):
+    # The read-out of one tableau does the float operations of the stacked
+    # read-out (`oracles.tight_points_by_stack` and
+    # `farkas_multipliers_by_stack` on a stack of one), byte for byte, on
+    # every tableau read out after phase 2 and on every tableau of a
+    # lexicographic stage.
+    real_read, real_point = optim._read_outcome, optim._tight_point
+    seen = collections.Counter()
+
+    def stacked(dual):
+        return dual.t[None], dual.basis[None], dual.costs[None], dual.scale[None]
+
+    def point(dual):
+        got = real_point(dual)
+        want = tight_points_by_stack(dual, *stacked(dual))[0]
+        assert got.tobytes() == want.tobytes()
+        seen["point"] += 1
+        return got
+
+    def read(lp, dual, status, pivots, enter):
+        seen[status] += 1
+        if status == optim.UNBOUNDED:
+            t, basis, _, scale = stacked(dual)
+            want = farkas_multipliers_by_stack(dual, t, basis, np.array([enter]),
+                                               scale)[0]
+            assert optim._farkas_vector(dual, enter).tobytes() == want.tobytes()
+        return real_read(lp, dual, status, pivots, enter)
+
+    monkeypatch.setattr(optim, "_tight_point", point)
+    monkeypatch.setattr(optim, "_read_outcome", read)
+    rng = np.random.default_rng(40)
+    kinds = ("bounded", "degenerate", "infeasible", "infeasible-eq",
+             "unbounded")
+    for trial in range(100):
+        lp, _ = _random_lp(rng, kinds[trial % len(kinds)])
+        lp_solve(lp)
+        lp_solve_lex(lp)
+    for i in range(16):
+        centers.solve_center(_random_lp_center(rng, i), method="lp")
+    read_outs = sum(seen[s] for s in (optim.OPTIMAL, optim.UNBOUNDED))
+    # an LP with rows and no unknowns is decided without a tableau
+    empty = optim.LinearProgram(np.zeros(0), np.zeros((2, 0)), np.array([1.0, -1.0]))
+    assert lp_solve(empty).status == optim.INFEASIBLE
+    assert sum(seen[s] for s in (optim.OPTIMAL, optim.UNBOUNDED)) == read_outs
+    assert seen[optim.OPTIMAL] and seen[optim.UNBOUNDED]
+    assert seen["point"] > seen[optim.OPTIMAL]  # lexicographic stages too
+
+
 def _highs(lp):
     """(status, value) of the LP by HiGHS."""
     from scipy.optimize import linprog
@@ -878,8 +932,8 @@ def test_verify_ray_scales_each_row_by_its_own_products():
 def test_failed_audits_become_breakdowns(monkeypatch):
     bounded = make_lp([1.0], a_ub=[[-1.0]], b_ub=[-1.0])
     unbounded = make_lp([-1.0, 0.0], a_ub=[[0.0, 1.0]], b_ub=[1.0])
-    monkeypatch.setattr(optim, "_optimal_stack",
-                        lambda c, a_ub, b_ub, x, lam, value: np.zeros(len(b_ub), bool))
+    empty = optim.LinearProgram(np.zeros(0), np.zeros((1, 0)), np.array([1.0]))
+    monkeypatch.setattr(optim, "verify_optimal", lambda lp, out: False)
     monkeypatch.setattr(optim, "verify_ray", lambda lp, ray: False)
     out = lp_solve(bounded)
     assert out.status == optim.BREAKDOWN
@@ -887,6 +941,60 @@ def test_failed_audits_become_breakdowns(monkeypatch):
     out = lp_solve(unbounded)
     assert out.status == optim.BREAKDOWN
     assert out.message == "unbounded claim failed the ray audit"
+    out = lp_solve(empty)
+    assert out.status == optim.BREAKDOWN
+    assert out.message == "optimal claim failed the optimality audit"
+
+
+def test_failed_farkas_audits_become_breakdowns(monkeypatch):
+    # An infeasible verdict leaves `lp_solve` only through `verify_farkas`,
+    # from a tableau's dual ray and from an LP with rows and no unknowns.
+    box = make_lp([0.0], a_ub=[[1.0], [-1.0]], b_ub=[0.0, -1.0])
+    empty = optim.LinearProgram(np.zeros(0), np.zeros((2, 0)), np.array([1.0, -0.5]))
+    plain = lp_solve(box)
+    assert plain.status == lp_solve(empty).status == optim.INFEASIBLE
+    monkeypatch.setattr(optim, "verify_farkas", lambda lp, lam: False)
+    for lp, pivots in ((box, plain.iterations), (empty, 0)):
+        out = lp_solve(lp)
+        assert out.status == optim.BREAKDOWN
+        assert out.message == "infeasible claim failed the Farkas audit"
+        assert out.iterations == pivots
+
+
+def test_singular_optimal_basis_is_a_breakdown(monkeypatch):
+    # A basis whose tight rows cannot be solved for gives no point to audit.
+    lp = make_lp([1.0, 1.0], a_ub=[[-1.0, 0.0], [0.0, -1.0]], b_ub=[-1.0, -2.0])
+    plain = lp_solve(lp)
+    assert plain.status == optim.OPTIMAL
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    out = lp_solve(lp)
+    assert out.status == optim.BREAKDOWN
+    assert out.message == "optimal basis is singular"
+    assert out.iterations == plain.iterations
+
+
+def test_phase_2_breakdown_is_reported(monkeypatch):
+    # Phase 2 ending in a breakdown is neither optimal nor a dual ray.
+    real = optim._run_simplex
+    phases = []
+
+    def stalled(t, basis, n_struct, max_iter, phase_1=False):
+        phases.append(phase_1)
+        if phase_1:
+            return real(t, basis, n_struct, max_iter, phase_1=True)
+        return optim.BREAKDOWN, 3, -1
+
+    monkeypatch.setattr(optim, "_run_simplex", stalled)
+    for c in ([1.0], [0.0]):  # with and without phase 1
+        phases.clear()
+        out = lp_solve(make_lp(c, a_ub=[[-1.0], [1.0]], b_ub=[-1.0, 2.0]))
+        assert out.status == optim.BREAKDOWN
+        assert out.message == "phase 2 did not terminate"
+        assert phases[-1] is False and out.iterations >= 3
 
 
 def test_slack_start_basis_needs_no_pivots():
